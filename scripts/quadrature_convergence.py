@@ -25,9 +25,7 @@ def main() -> int:
     for alpha in CASES:
         errs = []
         for res in RESOLUTIONS:
-            got = simplex_quadrature(
-                lambda pts: dirichlet_pdf_many(alpha, pts), alpha.n, res, vectorized=True
-            )
+            got = simplex_quadrature(lambda pts: dirichlet_pdf_many(alpha, pts), alpha.n, res)
             errs.append(abs(got - 1.0))
         print(
             str(alpha.alphas).ljust(12)

@@ -18,12 +18,10 @@ from .bayes import (
 from .dirichlet import (
     HyperParams,
     SimplexDensity,
-    SimplexPoint,
     aggregate_params,
     dirichlet_density,
     dirichlet_mean,
-    dirichlet_pdf,
-    dirichlet_sample,
+    dirichlet_pdf_many,
     dirichlet_sample_many,
     gamma_nat,
     one_sum_check,
@@ -53,7 +51,6 @@ from .finset import (
     row_extract,
 )
 from .localsplit import (
-    SplitCoords,
     local_update_audit,
     pdf_factorization_check,
     split,
@@ -86,8 +83,6 @@ __all__ = [
     "Multiset",
     "Predicate",
     "SimplexDensity",
-    "SimplexPoint",
-    "SplitCoords",
     "ZeroRowError",
     "aggregate_params",
     "batch_update",
@@ -97,8 +92,7 @@ __all__ = [
     "cont_validity",
     "dirichlet_density",
     "dirichlet_mean",
-    "dirichlet_pdf",
-    "dirichlet_sample",
+    "dirichlet_pdf_many",
     "dirichlet_sample_many",
     "disintegrate",
     "dist_map",

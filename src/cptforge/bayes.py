@@ -17,7 +17,6 @@ import numpy as np
 from .dirichlet import (
     HyperParams,
     SimplexDensity,
-    SimplexPoint,
     dirichlet_density,
     dirichlet_mean,
     simplex_cells,
@@ -31,7 +30,7 @@ DEFAULT_RESOLUTION = 200
 
 @dataclass(frozen=True)
 class LiftedPredicate:
-    """A predicate on the simplex: x -> sum_i p(i) * x_i.
+    """A predicate on the simplex: x -> sum_i p(i) * x_i, on rows of x.
 
     Values stay in [0,1] because each evaluation is a convex combination of
     the base predicate's values.
@@ -42,11 +41,6 @@ class LiftedPredicate:
     @property
     def n(self) -> int:
         return self.base.n
-
-    def __call__(self, x: SimplexPoint) -> float:
-        if x.n != self.n:
-            raise ValueError(f"size mismatch: predicate over {self.n}, point over {x.n}")
-        return float(sum(float(v) * c for v, c in zip(self.base.values, x.coords)))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         weights = np.array([float(v) for v in self.base.values])
@@ -74,13 +68,11 @@ def cont_validity(
     """
     if q.n != density.n:
         raise ValueError(f"size mismatch: density over {density.n}, predicate over {q.n}")
-    if method not in ("auto", "closed", "quadrature"):
+    if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
 
     if method != "quadrature" and density.dirichlet_params is not None:
         return float(validity(dirichlet_mean(density.dirichlet_params), q.base))
-    if method == "closed":
-        raise ValueError("no closed form available for this density")
 
     points, weights = simplex_cells(density.n, resolution)
     return float(weights @ (q.eval_many(points) * density.eval_many(points)))
@@ -123,7 +115,6 @@ def cont_condition(density: SimplexDensity, q: LiftedPredicate) -> SimplexDensit
         description=f"x[{i}] * {density.description} / ({alpha.alphas[i]}/{alpha.total})"
         f" [= Dirichlet{updated.alphas}]",
         dirichlet_params=updated,
-        pure_dirichlet=False,
         _eval_many=conditioned,
     )
 

@@ -28,6 +28,14 @@ from .network import (
 )
 
 
+def resolution(text: str) -> int:
+    """The --resolution type: an integer of at least 2 (argparse names it in errors)."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpt-forge",
@@ -49,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=("golden", "exact", "stochastic", "all"),
                         required=True)
     verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--resolution", type=int, default=400)
+    verify.add_argument("--resolution", type=resolution, default=400)
     return parser
 
 
@@ -76,7 +84,9 @@ def _run_learn(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    from .verify import run_suite  # deferred: pulls in numpy
+    # Deferred: only verify needs the law-suite module, and importing it at
+    # module level would add its import time to every learn run.
+    from .verify import run_suite
 
     results = run_suite(args.suite, seed=args.seed, resolution=args.resolution)
     for r in results:

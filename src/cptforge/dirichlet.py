@@ -23,14 +23,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dist import Dist
 from .finset import FinMap, Multiset, ms_map_full
-
-SUM_TOL = 1e-12
 
 MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
 
@@ -72,39 +70,6 @@ class HyperParams:
         return Multiset(self.alphas)
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A point of the open simplex: strictly positive coordinates, sum 1."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if not coords:
-            raise ValueError("point in dimension zero")
-        for i, c in enumerate(coords):
-            if not c > 0.0:
-                raise ValueError(f"coordinate {c} at index {i} not strictly positive")
-            if c > 1.0:
-                raise ValueError(f"coordinate {c} at index {i} exceeds 1")
-        if abs(sum(coords) - 1.0) > SUM_TOL:
-            raise ValueError(f"coordinates sum to {sum(coords)}, not 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i: int) -> float:
-        return self.coords[i]
-
-    @staticmethod
-    def complete(firsts: tuple[float, ...] | list[float]) -> SimplexPoint:
-        """Append the implied last coordinate 1 - sum(firsts)."""
-        firsts = tuple(float(c) for c in firsts)
-        return SimplexPoint(firsts + (1.0 - sum(firsts),))
-
-
 def gamma_nat(k: int) -> int:
     """The Gamma function on positive integers: (k-1)!, exactly."""
     if k < 1:
@@ -120,19 +85,28 @@ def dirichlet_normalizer(alpha: HyperParams) -> Fraction:
     return Fraction(gamma_nat(alpha.total), den)
 
 
-def dirichlet_pdf(alpha: HyperParams, x: SimplexPoint) -> float:
-    """Density of Dirichlet(alpha) at an interior simplex point."""
-    if x.n != alpha.n:
-        raise ValueError(f"size mismatch: params over {alpha.n}, point over {x.n}")
-    monomial = 1.0
-    for a, c in zip(alpha.alphas, x.coords):
-        if a > 1:
-            monomial *= c ** (a - 1)
-    return float(dirichlet_normalizer(alpha)) * monomial
+def simplex_rows(xs: np.ndarray, n: int) -> np.ndarray:
+    """xs as an (N, n) float array whose rows are open-simplex points.
+
+    Raises ValueError unless every coordinate lies in (0, 1] and every row
+    sums to 1 within 1e-12.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != n:
+        raise ValueError(f"expected an (N, {n}) array of points, got shape {xs.shape}")
+    if not (xs > 0.0).all():
+        raise ValueError("coordinates must be strictly positive")
+    if (xs > 1.0).any():
+        raise ValueError("a coordinate exceeds 1")
+    sums = xs.sum(axis=1)
+    bad = np.abs(sums - 1.0) > 1e-12
+    if bad.any():
+        raise ValueError(f"coordinates sum to {sums[bad][0]}, not 1")
+    return xs
 
 
 def dirichlet_pdf_many(alpha: HyperParams, xs: np.ndarray) -> np.ndarray:
-    """Vectorised density evaluation on rows of an (N, n) coordinate array."""
+    """Density of Dirichlet(alpha) at each row of an (N, n) coordinate array."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != alpha.n:
         raise ValueError(f"expected an (N, {alpha.n}) array, got shape {xs.shape}")
@@ -142,24 +116,16 @@ def dirichlet_pdf_many(alpha: HyperParams, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimplexDensity:
-    """A non-negative density on the open simplex, evaluable pointwise.
+    """A non-negative density on the open simplex, evaluable on point arrays.
 
     `dirichlet_params` is set when the density is known to equal a Dirichlet
-    with those parameters; `pure_dirichlet` tells whether evaluation actually
-    goes through the Dirichlet formula or through some other closed form
-    that is merely claimed (and separately verified) to coincide with it.
+    with those parameters.
     """
 
     n: int
     description: str
     dirichlet_params: HyperParams | None
-    pure_dirichlet: bool
     _eval_many: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
-
-    def eval(self, x: SimplexPoint) -> float:
-        if x.n != self.n:
-            raise ValueError(f"size mismatch: density over {self.n}, point over {x.n}")
-        return float(self._eval_many(np.array([x.coords], dtype=float))[0])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         return np.asarray(self._eval_many(np.asarray(xs, dtype=float)), dtype=float)
@@ -170,7 +136,6 @@ def dirichlet_density(alpha: HyperParams) -> SimplexDensity:
         n=alpha.n,
         description=f"Dirichlet{alpha.alphas}",
         dirichlet_params=alpha,
-        pure_dirichlet=True,
         _eval_many=lambda xs: dirichlet_pdf_many(alpha, xs),
     )
 
@@ -245,20 +210,14 @@ def _cells_cached(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-def simplex_quadrature(
-    f, n: int, resolution: int, *, vectorized: bool = False
-) -> float:
+def simplex_quadrature(f, n: int, resolution: int) -> float:
     """Deterministic cell-rule integral of f over the n-outcome simplex.
 
-    `f` takes a SimplexPoint, or an (N, n) coordinate array when
-    `vectorized` is set.  Cells are summed in a fixed construction order.
+    `f` maps an (N, n) coordinate array to its (N,) values.  Cells are
+    summed in a fixed construction order.
     """
     points, weights = simplex_cells(n, resolution)
-    if vectorized:
-        values = np.asarray(f(points), dtype=float)
-    else:
-        values = np.array([f(SimplexPoint(tuple(row))) for row in points])
-    return float(weights @ values)
+    return float(weights @ np.asarray(f(points), dtype=float))
 
 
 def dirichlet_sample_many(
@@ -276,12 +235,6 @@ def dirichlet_sample_many(
     starts = np.cumsum((0,) + alpha.alphas)[:-1]
     gammas = np.add.reduceat(exps, starts, axis=1)
     return gammas / gammas.sum(axis=1, keepdims=True)
-
-
-def dirichlet_sample(alpha: HyperParams, rng: np.random.Generator) -> SimplexPoint:
-    """One Dirichlet(alpha) draw; bit-reproducible given the generator state."""
-    row = dirichlet_sample_many(alpha, 1, rng)[0]
-    return SimplexPoint(tuple(row))
 
 
 def dirichlet_mean(alpha: HyperParams) -> Dist:
@@ -324,29 +277,28 @@ def push_coords(h: FinMap, xs: np.ndarray) -> np.ndarray:
 
 
 def one_sum_check(
-    alpha: HyperParams, x: SimplexPoint, resolution: int
+    alpha: HyperParams, x: Sequence[float], resolution: int
 ) -> tuple[float, float]:
     """Compare both sides of the two-coordinate aggregation identity.
 
-    lhs: density with the first two pseudo-counts merged, at x (a point of
-    the (n-1)-outcome simplex).  rhs: midpoint-rule integral over
-    y in (0, x[0]) of the original density at (y, x[0]-y, x[1], ...).
-    The two agree up to quadrature error.
+    lhs: density with the first two pseudo-counts merged, at x (the
+    coordinates of a point of the (n-1)-outcome simplex).  rhs:
+    midpoint-rule integral over y in (0, x[0]) of the original density at
+    (y, x[0]-y, x[1], ...).  The two agree up to quadrature error.
     """
     if alpha.n < 2:
         raise ValueError("need at least two pseudo-counts to merge")
-    if x.n != alpha.n - 1:
-        raise ValueError(f"point must live over {alpha.n - 1} outcomes, got {x.n}")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    x = simplex_rows([x], alpha.n - 1)
 
     merged = HyperParams((alpha.alphas[0] + alpha.alphas[1],) + alpha.alphas[2:])
-    lhs = dirichlet_pdf(merged, x)
+    lhs = float(dirichlet_pdf_many(merged, x)[0])
 
-    x1 = x.coords[0]
+    x1 = x[0, 0]
     step = x1 / resolution
     ys = (np.arange(resolution) + 0.5) * step
-    rest = np.tile(np.array(x.coords[1:], dtype=float), (resolution, 1))
+    rest = np.tile(x[0, 1:], (resolution, 1))
     pts = np.column_stack([ys, x1 - ys, rest])
     rhs = float(dirichlet_pdf_many(alpha, pts).sum() * step)
     return lhs, rhs

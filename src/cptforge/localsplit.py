@@ -15,8 +15,8 @@ pushforward of a probability measure has total mass 1, any candidate scaled
 by a constant other than 1 cannot be correct as a measure; the audit makes
 that tension explicit instead of hiding it.
 
-The table shape is fixed at 2x3 here; the helpers take the shape as data so
-an n x m generalisation is a parameter change, not a redesign.
+Points are rows of an (N, 6) array; the table shape is fixed at 2x3
+(`SHAPE`).
 """
 
 from __future__ import annotations
@@ -28,66 +28,39 @@ import numpy as np
 
 from .dirichlet import (
     HyperParams,
-    SimplexPoint,
     dirichlet_covariance,
     dirichlet_mean,
-    dirichlet_pdf,
+    dirichlet_pdf_many,
     dirichlet_sample_many,
+    simplex_rows,
 )
 from .rng import make_rng
 
 SHAPE = (2, 3)
-ROUNDTRIP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SplitCoords:
-    """Split form of a joint simplex point: row totals plus row proportions."""
+def split(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split (N, 6) interior points into row totals and row proportions.
 
-    y: SimplexPoint  # totals of the two rows
-    u: SimplexPoint  # proportions within the first row
-    v: SimplexPoint  # proportions within the second row
-
-    def __post_init__(self):
-        rows, cols = SHAPE
-        if self.y.n != rows or self.u.n != cols or self.v.n != cols:
-            raise ValueError(f"split coordinates must have shapes {rows}, {cols}, {cols}")
-
-
-def _blocks(xs: np.ndarray, shape: tuple[int, int] = SHAPE):
-    """Vectorised split of (N, rows*cols) points into totals and row shares."""
-    rows, cols = shape
-    xs = np.asarray(xs, dtype=float)
+    Returns (totals, shares) with shapes (N, 2) and (N, 2, 3): row i of a
+    point has total totals[:, i] and within-row proportions shares[:, i, :].
+    """
+    rows, cols = SHAPE
+    xs = simplex_rows(xs, rows * cols)
     table = xs.reshape(len(xs), rows, cols)
     totals = table.sum(axis=2)
     shares = table / totals[:, :, None]
     return totals, shares
 
 
-def split(x: SimplexPoint) -> SplitCoords:
-    """Split an interior 6-outcome point into totals and row proportions."""
+def unsplit(totals: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """Reassemble (N, 6) joint points: cell (i, j) = total_i * share_ij."""
+    joint = np.asarray(totals, dtype=float)[:, :, None] * np.asarray(shares, dtype=float)
+    return joint.reshape(len(joint), -1)
+
+
+def _row_params(alpha: HyperParams):
     rows, cols = SHAPE
-    if x.n != rows * cols:
-        raise ValueError(f"expected a point over {rows * cols} outcomes, got {x.n}")
-    totals, shares = _blocks(np.array([x.coords]))
-    return SplitCoords(
-        y=SimplexPoint(tuple(totals[0])),
-        u=SimplexPoint(tuple(shares[0, 0])),
-        v=SimplexPoint(tuple(shares[0, 1])),
-    )
-
-
-def unsplit(c: SplitCoords) -> SimplexPoint:
-    """Reassemble the joint point: cell (i, j) = total_i * share_ij."""
-    rows = (
-        tuple(c.y[0] * s for s in c.u.coords),
-        tuple(c.y[1] * s for s in c.v.coords),
-    )
-    return SimplexPoint(rows[0] + rows[1])
-
-
-def _row_params(alpha: HyperParams, shape: tuple[int, int] = SHAPE):
-    rows, cols = shape
     if alpha.n != rows * cols:
         raise ValueError(f"expected {rows * cols} pseudo-counts, got {alpha.n}")
     return tuple(
@@ -109,31 +82,32 @@ def shifted_prefactor(beta1: int, beta2: int) -> Fraction:
 
 
 def pdf_factorization_check(
-    alpha: HyperParams, x: SimplexPoint
-) -> tuple[float, float, float]:
-    """Evaluate the joint density and its two factorised forms at x.
+    alpha: HyperParams, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate the joint density and its two factorised forms at each row of xs.
 
-    Returns (lhs, rhs_quotient, rhs_shifted): the 6-outcome density, the
-    product (totals density / y1^2 y2^2) * row densities, and the same with
-    the totals density shifted down by two and the matching constant pulled
-    out.  All three agree up to floating-point roundoff.
+    Returns (N,) arrays (lhs, rhs_quotient, rhs_shifted): the 6-outcome
+    density, the product (totals density / y1^2 y2^2) * row densities, and
+    the same with the totals density shifted down by two and the matching
+    constant pulled out.  All three agree up to floating-point roundoff.
     """
-    rows, cols = SHAPE
-    if alpha.n != rows * cols or x.n != rows * cols:
-        raise ValueError(f"expected pseudo-counts and point over {rows * cols}")
     row_alphas = _row_params(alpha)
     betas = tuple(a.total for a in row_alphas)
 
-    lhs = dirichlet_pdf(alpha, x)
-
-    c = split(x)
-    share_densities = dirichlet_pdf(row_alphas[0], c.u) * dirichlet_pdf(row_alphas[1], c.v)
-    totals_density = dirichlet_pdf(HyperParams(betas), c.y)
-    rhs_quotient = totals_density / (c.y[0] ** 2 * c.y[1] ** 2) * share_densities
+    totals, shares = split(xs)
+    lhs = dirichlet_pdf_many(alpha, xs)
+    share_densities = (
+        dirichlet_pdf_many(row_alphas[0], shares[:, 0])
+        * dirichlet_pdf_many(row_alphas[1], shares[:, 1])
+    )
+    totals_density = dirichlet_pdf_many(HyperParams(betas), totals)
+    rhs_quotient = totals_density / (totals[:, 0] ** 2 * totals[:, 1] ** 2) * share_densities
 
     shifted = HyperParams((betas[0] - 2, betas[1] - 2))
     rhs_shifted = (
-        float(shifted_prefactor(*betas)) * dirichlet_pdf(shifted, c.y) * share_densities
+        float(shifted_prefactor(*betas))
+        * dirichlet_pdf_many(shifted, totals)
+        * share_densities
     )
     return lhs, rhs_quotient, rhs_shifted
 
@@ -277,7 +251,7 @@ def local_update_audit(
 
     updated = alpha.increment(i * cols + j)
     draws = dirichlet_sample_many(updated, samples, make_rng(seed))
-    totals, shares = _blocks(draws)
+    totals, shares = split(draws)
 
     empirical = {
         "totals": _component_stats(totals),

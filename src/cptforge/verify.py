@@ -32,7 +32,6 @@ from .bayes import (
 )
 from .dirichlet import (
     HyperParams,
-    SimplexPoint,
     aggregate_params,
     dirichlet_covariance,
     dirichlet_density,
@@ -496,31 +495,37 @@ def check_exact_posterior_mean(seed: int, resolution: int) -> CheckResult:
 # Stochastic suite (binary64, stated tolerances, seeded streams).
 
 ERROR_FLOOR = 1e-9  # below this, quadrature error is floating-point noise
+# Grid points per block in normalisation_errors: bounds the (points x
+# densities) temporaries to a few tens of MB at any resolution.
+NORMALISATION_BLOCK = 1 << 14
 
 
 def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarray:
     """|quadrature of each density - 1|, batched per dimension.
 
     All densities of one dimension share the grid, so their values come out
-    of a single exp(log-points @ exponents) product.
+    of exp(log-points @ exponents) products, accumulated over fixed-size
+    blocks of grid points.
     """
     errors = np.empty(len(alphas))
     for n in sorted({a.n for a in alphas}):
         idx = [k for k, a in enumerate(alphas) if a.n == n]
         points, weights = simplex_cells(n, resolution)
-        log_points = np.log(points)
         exps = np.array([[ai - 1.0 for ai in alphas[k].alphas] for k in idx]).T
         norms = np.array(
             [float(dirichlet_normalizer(alphas[k])) for k in idx]
         )
-        integrals = (weights @ np.exp(log_points @ exps)) * norms
-        errors[idx] = np.abs(integrals - 1.0)
+        sums = np.zeros(len(idx))
+        for start in range(0, len(points), NORMALISATION_BLOCK):
+            block = slice(start, start + NORMALISATION_BLOCK)
+            sums += weights[block] @ np.exp(np.log(points[block]) @ exps)
+        errors[idx] = np.abs(sums * norms - 1.0)
     return errors
 
 
 def check_stoch_quadrature_basics(seed: int, resolution: int) -> CheckResult:
-    total = simplex_quadrature(lambda x: 1.0, 2, resolution)
-    mean = simplex_quadrature(lambda x: x[0], 2, resolution)
+    total = simplex_quadrature(lambda pts: np.ones(len(pts)), 2, resolution)
+    mean = simplex_quadrature(lambda pts: pts[:, 0], 2, resolution)
     ok = abs(total - 1.0) <= 1e-9 and abs(mean - 0.5) <= 1e-6
     return _result(
         "stochastic",
@@ -561,10 +566,7 @@ def check_stoch_mean_integrals(seed: int, resolution: int) -> CheckResult:
         alpha = _random_hyperparams(rng, n, hi=5)
         i = rng.randrange(n)
         got = simplex_quadrature(
-            lambda pts: pts[:, i] * dirichlet_pdf_many(alpha, pts),
-            n,
-            resolution,
-            vectorized=True,
+            lambda pts: pts[:, i] * dirichlet_pdf_many(alpha, pts), n, resolution
         )
         err = abs(got - float(Fraction(alpha.alphas[i], alpha.total)))
         worst = max(worst, err)
@@ -586,13 +588,13 @@ def check_stoch_aggregation(seed: int, resolution: int) -> CheckResult:
     for _ in range(50):
         alpha = _random_hyperparams(rng, 3, hi=5)
         s = rng.uniform(0.2, 0.8)
-        x = SimplexPoint((s, 1.0 - s))
+        x = (s, 1.0 - s)
         lhs, rhs = one_sum_check(alpha, x, 10_000)
         err = abs(lhs - rhs) / max(1.0, abs(lhs))
         worst = max(worst, err)
         if err > 1e-4:
             return _result(
-                "stochastic", "aggregation-one-sum", False, f"error {err:.2e} at {alpha.alphas}, x={x.coords}"
+                "stochastic", "aggregation-one-sum", False, f"error {err:.2e} at {alpha.alphas}, x={x}"
             )
     return _result(
         "stochastic",
@@ -741,11 +743,7 @@ def check_stoch_transfer_quadrature(seed: int, resolution: int) -> CheckResult:
 
 def check_stoch_split_roundtrip(seed: int, resolution: int) -> CheckResult:
     points = _interior_points(6, 200, seed + 28)
-    worst = 0.0
-    for row in points:
-        x = SimplexPoint(tuple(row))
-        back = unsplit(split(x))
-        worst = max(worst, max(abs(a - b) for a, b in zip(x.coords, back.coords)))
+    worst = float(np.abs(unsplit(*split(points)) - points).max())
     ok = worst <= 1e-12
     return _result(
         "stochastic", "split-round-trip", ok, f"200 interior points: max round-trip gap {worst:.2e}"
@@ -757,15 +755,14 @@ def check_stoch_factorisation(seed: int, resolution: int) -> CheckResult:
     worst = 0.0
     for trial in range(20):
         alpha = _random_hyperparams(rng, 6)
-        for row in _interior_points(6, 20, seed + 2000 + trial):
-            x = SimplexPoint(tuple(row))
-            lhs, rhs1, rhs2 = pdf_factorization_check(alpha, x)
-            rel = max(abs(lhs - rhs1), abs(lhs - rhs2)) / abs(lhs)
-            worst = max(worst, rel)
-            if rel > 1e-9:
-                return _result(
-                    "stochastic", "split-factorisation", False, f"relative gap {rel:.2e} at {alpha.alphas}"
-                )
+        points = _interior_points(6, 20, seed + 2000 + trial)
+        lhs, rhs1, rhs2 = pdf_factorization_check(alpha, points)
+        rel = float((np.maximum(np.abs(lhs - rhs1), np.abs(lhs - rhs2)) / np.abs(lhs)).max())
+        worst = max(worst, rel)
+        if rel > 1e-9:
+            return _result(
+                "stochastic", "split-factorisation", False, f"relative gap {rel:.2e} at {alpha.alphas}"
+            )
     return _result(
         "stochastic",
         "split-factorisation",

@@ -14,9 +14,7 @@ from cptforge.bayes import (
 )
 from cptforge.dirichlet import (
     HyperParams,
-    SimplexPoint,
     dirichlet_density,
-    dirichlet_pdf,
     dirichlet_pdf_many,
     dirichlet_sample_many,
 )
@@ -33,23 +31,26 @@ def interior_panel(n, count, seed):
     return dirichlet_sample_many(HyperParams((1,) * n), count, make_rng(seed))
 
 
+POINT = np.array([[0.2, 0.3, 0.5]])
+
+
 class TestLiftPredicate:
     def test_point_predicate_lifts_to_coordinate(self):
         q = lift_predicate(Predicate.point(3, 1))
-        assert q(SimplexPoint((0.2, 0.3, 0.5))) == pytest.approx(0.3)
+        assert q.eval_many(POINT)[0] == pytest.approx(0.3)
 
     def test_ones_lift_to_constant_one(self):
         q = lift_predicate(Predicate.ones(3))
-        assert q(SimplexPoint((0.2, 0.3, 0.5))) == pytest.approx(1.0)
+        assert q.eval_many(POINT)[0] == pytest.approx(1.0)
 
     def test_dot_product(self):
         q = lift_predicate(Predicate((F(1, 2), F(1, 2), F(0))))
-        assert q(SimplexPoint((0.2, 0.3, 0.5))) == pytest.approx(0.25)
+        assert q.eval_many(POINT)[0] == pytest.approx(0.25)
 
     def test_values_stay_in_unit_interval(self):
         q = lift_predicate(Predicate((F(1, 3), F(1), F(0))))
-        for row in interior_panel(3, 50, 1):
-            assert 0.0 <= q(SimplexPoint(tuple(row))) <= 1.0
+        values = q.eval_many(interior_panel(3, 50, 1))
+        assert ((0.0 <= values) & (values <= 1.0)).all()
 
 
 class TestContValidity:
@@ -70,7 +71,7 @@ class TestContValidity:
     def test_quadrature_agrees_with_closed_form(self):
         d = dirichlet_density(HyperParams((2, 3, 1)))
         q = lift_predicate(Predicate((F(1, 2), F(1, 3), F(1))))
-        closed = cont_validity(d, q, method="closed")
+        closed = cont_validity(d, q)
         numeric = cont_validity(d, q, resolution=200, method="quadrature")
         assert numeric == pytest.approx(closed, abs=1e-3)
 
@@ -80,11 +81,8 @@ class TestContValidity:
             n=2,
             description="ad hoc",
             dirichlet_params=None,
-            pure_dirichlet=False,
             _eval_many=base.eval_many,
         )
-        with pytest.raises(ValueError):
-            cont_validity(untagged, lift_predicate(Predicate.ones(2)), method="closed")
         got = cont_validity(untagged, lift_predicate(Predicate.ones(2)), resolution=100)
         assert got == pytest.approx(1.0, abs=1e-6)
 
@@ -97,10 +95,12 @@ class TestContCondition:
             lift_predicate(Predicate.point(2, 0)),
         )
         assert d.dirichlet_params.alphas == (2, 1)
-        for t in (0.2, 0.5, 0.9):
-            x = SimplexPoint((t, 1 - t))
-            assert d.eval(x) == pytest.approx(2 * t, rel=1e-12)
-            assert d.eval(x) == pytest.approx(dirichlet_pdf(HyperParams((2, 1)), x), rel=1e-12)
+        ts = np.array([0.2, 0.5, 0.9])
+        xs = np.column_stack([ts, 1 - ts])
+        assert d.eval_many(xs) == pytest.approx(2 * ts, rel=1e-12)
+        assert d.eval_many(xs) == pytest.approx(
+            dirichlet_pdf_many(HyperParams((2, 1)), xs), rel=1e-12
+        )
 
     def test_row_major_cell_update(self):
         # Observing cell (0, 2) of a 2x3 table is outcome index 2.

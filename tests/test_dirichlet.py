@@ -8,25 +8,24 @@ from hypothesis import strategies as st
 
 from cptforge.dirichlet import (
     HyperParams,
-    SimplexPoint,
     aggregate_params,
     dirichlet_covariance,
     dirichlet_density,
     dirichlet_mean,
     dirichlet_normalizer,
-    dirichlet_pdf,
     dirichlet_pdf_many,
-    dirichlet_sample,
     dirichlet_sample_many,
     gamma_nat,
     one_sum_check,
     push_coords,
     simplex_cells,
     simplex_quadrature,
+    simplex_rows,
 )
 from cptforge.finset import FinMap, Multiset
 from cptforge.mle import mle
 from cptforge.rng import make_rng
+from cptforge.verify import _all_hyperparams, normalisation_errors
 
 hyperparams_st = st.lists(st.integers(1, 8), min_size=1, max_size=5).map(
     lambda a: HyperParams(tuple(a))
@@ -64,50 +63,45 @@ class TestHyperParams:
         assert a.total >= a.n
 
 
-class TestSimplexPoint:
+class TestSimplexRows:
     def test_rejects_boundary(self):
         with pytest.raises(ValueError):
-            SimplexPoint((0.0, 1.0))
+            one_sum_check(HyperParams((1, 1, 1)), (0.0, 1.0), 100)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            SimplexPoint((0.5, 0.6))
+            one_sum_check(HyperParams((1, 1, 1)), (0.5, 0.6), 100)
+
+    def test_rejects_coordinate_above_one(self):
+        # The row sum is within the 1e-12 tolerance; the coordinate is not.
+        with pytest.raises(ValueError):
+            simplex_rows([[1.0 + 4e-13, 1e-13]], 2)
 
     def test_single_outcome_point(self):
-        assert SimplexPoint((1.0,)).coords == (1.0,)
-
-    def test_complete(self):
-        x = SimplexPoint.complete((0.2, 0.3))
-        assert x.coords == (0.2, 0.3, 0.5)
+        assert simplex_rows([[1.0]], 1).tolist() == [[1.0]]
 
 
 class TestDirichletPdf:
     def test_uniform_on_two_outcomes(self):
         a = HyperParams((1, 1))
-        for t in (0.1, 0.5, 0.93):
-            assert dirichlet_pdf(a, SimplexPoint((t, 1 - t))) == 1.0
+        ts = np.array([0.1, 0.5, 0.93])
+        assert (dirichlet_pdf_many(a, np.column_stack([ts, 1 - ts])) == 1.0).all()
 
     def test_linear_case(self):
-        assert dirichlet_pdf(HyperParams((2, 1)), SimplexPoint((0.3, 0.7))) == pytest.approx(0.6)
+        got = dirichlet_pdf_many(HyperParams((2, 1)), [[0.3, 0.7]])
+        assert got[0] == pytest.approx(0.6)
 
     def test_uniform_on_three_outcomes(self):
-        assert dirichlet_pdf(HyperParams((1, 1, 1)), SimplexPoint((0.2, 0.3, 0.5))) == 2.0
+        assert dirichlet_pdf_many(HyperParams((1, 1, 1)), [[0.2, 0.3, 0.5]])[0] == 2.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            dirichlet_pdf(HyperParams((1, 1)), SimplexPoint((0.2, 0.3, 0.5)))
+            dirichlet_pdf_many(HyperParams((1, 1)), [[0.2, 0.3, 0.5]])
 
     def test_normalizer_is_exact(self):
         assert dirichlet_normalizer(HyperParams((2, 3, 4))) == F(
             gamma_nat(9), gamma_nat(2) * gamma_nat(3) * gamma_nat(4)
         )
-
-    def test_vectorised_matches_scalar(self):
-        a = HyperParams((3, 1, 2))
-        pts = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
-        vals = dirichlet_pdf_many(a, pts)
-        for row, v in zip(pts, vals):
-            assert dirichlet_pdf(a, SimplexPoint(tuple(row))) == pytest.approx(v, rel=1e-15)
 
 
 class TestSimplexQuadrature:
@@ -117,38 +111,45 @@ class TestSimplexQuadrature:
             assert w.sum() == pytest.approx(1 / math.factorial(n - 1), abs=1e-14)
 
     def test_constant_on_two_outcomes(self):
-        assert simplex_quadrature(lambda x: 1.0, 2, 100) == pytest.approx(1.0, abs=1e-9)
+        got = simplex_quadrature(lambda pts: np.ones(len(pts)), 2, 100)
+        assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_coordinate_mean_by_symmetry(self):
-        got = simplex_quadrature(lambda x: x[0], 2, 100)
+        got = simplex_quadrature(lambda pts: pts[:, 0], 2, 100)
         assert got == pytest.approx(0.5, abs=1e-6)
 
     def test_linear_density_normalisation(self):
         a = HyperParams((2, 1, 1))
-        got = simplex_quadrature(lambda pts: dirichlet_pdf_many(a, pts), 3, 400, vectorized=True)
+        got = simplex_quadrature(lambda pts: dirichlet_pdf_many(a, pts), 3, 400)
         assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_four_outcome_normalisation(self):
         a = HyperParams((2, 1, 1, 2))
-        got = simplex_quadrature(lambda pts: dirichlet_pdf_many(a, pts), 4, 40, vectorized=True)
+        got = simplex_quadrature(lambda pts: dirichlet_pdf_many(a, pts), 4, 40)
         assert got == pytest.approx(1.0, abs=5e-3)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
-            simplex_quadrature(lambda x: 1.0, 5, 10)
+            simplex_quadrature(lambda pts: np.ones(len(pts)), 5, 10)
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
-            simplex_quadrature(lambda x: 1.0, 2, 1)
+            simplex_quadrature(lambda pts: np.ones(len(pts)), 2, 1)
 
     def test_degenerate_dimension(self):
-        assert simplex_quadrature(lambda x: 3.0, 1, 10) == 3.0
+        assert simplex_quadrature(lambda pts: np.full(len(pts), 3.0), 1, 10) == 3.0
 
-    def test_scalar_and_vectorised_paths_agree(self):
-        a = HyperParams((2, 2))
-        scalar = simplex_quadrature(lambda x: dirichlet_pdf(a, x), 2, 50)
-        vector = simplex_quadrature(lambda pts: dirichlet_pdf_many(a, pts), 2, 50, vectorized=True)
-        assert scalar == pytest.approx(vector, rel=1e-12)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batched_normalisation_matches_quadrature(self, n):
+        # normalisation_errors accumulates exp(log-points @ exponents) over
+        # blocks of grid points; the reference integrates each pdf in one go.
+        # Resolution 400 at n = 3 spans several blocks.
+        alphas = [a for a in _all_hyperparams(3, 7) if a.n == n][:6]
+        for res in (10, 400):
+            errs = normalisation_errors(alphas, res)
+            for a, e in zip(alphas, errs):
+                want = abs(simplex_quadrature(lambda p: dirichlet_pdf_many(a, p), n, res) - 1)
+                assert abs(e - want) <= 1e-12, (a.alphas, res, e, want)
 
 
 class TestDirichletSampler:
@@ -170,11 +171,12 @@ class TestDirichletSampler:
         xs = dirichlet_sample_many(a, 1000, make_rng(99))
         ys = dirichlet_sample_many(a, 1000, make_rng(99))
         assert np.array_equal(xs, ys)
-        assert dirichlet_sample(a, make_rng(5)) == dirichlet_sample(a, make_rng(5))
+        x = dirichlet_sample_many(a, 1, make_rng(5))
+        assert np.array_equal(x, dirichlet_sample_many(a, 1, make_rng(5)))
 
     def test_single_draw_is_valid_point(self):
-        x = dirichlet_sample(HyperParams((2, 5)), make_rng(0))
-        assert isinstance(x, SimplexPoint)
+        x = dirichlet_sample_many(HyperParams((2, 5)), 1, make_rng(0))
+        assert simplex_rows(x, 2).shape == (1, 2)
 
     def test_covariances_match_analytic_moments(self):
         # Oracle: textbook covariance formulas, exact rationals.
@@ -204,9 +206,7 @@ class TestDirichletMean:
     def test_mean_integral_matches(self):
         a = HyperParams((2, 1, 1))
         for i in range(3):
-            got = simplex_quadrature(
-                lambda pts: pts[:, i] * dirichlet_pdf_many(a, pts), 3, 400, vectorized=True
-            )
+            got = simplex_quadrature(lambda pts: pts[:, i] * dirichlet_pdf_many(a, pts), 3, 400)
             assert got == pytest.approx(float(F(a.alphas[i], a.total)), abs=1e-3)
 
 
@@ -245,38 +245,30 @@ class TestOneSumCheck:
         # Integrand is the constant 2 on (0, s): midpoint rule is exact.
         a = HyperParams((1, 1, 1))
         for s in (0.25, 0.5, 0.8):
-            lhs, rhs = one_sum_check(a, SimplexPoint((s, 1 - s)), 50)
+            lhs, rhs = one_sum_check(a, (s, 1 - s), 50)
             assert lhs == pytest.approx(2 * s, abs=1e-12)
             assert rhs == pytest.approx(lhs, abs=1e-12)
 
     def test_two_outcome_degenerate_case(self):
         # Merging both coordinates: the merged density is the point mass,
         # and the integral recovers total mass 1.
-        lhs, rhs = one_sum_check(HyperParams((2, 1)), SimplexPoint((1.0,)), 10_000)
+        lhs, rhs = one_sum_check(HyperParams((2, 1)), (1.0,), 10_000)
         assert lhs == 1.0
         assert rhs == pytest.approx(1.0, abs=1e-6)
 
     def test_closed_form_against_quadrature(self):
         a = HyperParams((2, 2, 1))
-        x = SimplexPoint((0.5, 0.5))
-        lhs, rhs = one_sum_check(a, x, 10_000)
+        lhs, rhs = one_sum_check(a, (0.5, 0.5), 10_000)
         assert lhs == pytest.approx(0.5, abs=1e-12)  # 4 * 0.5**3
         assert abs(lhs - rhs) <= 1e-4
 
     def test_requires_matching_sizes(self):
         with pytest.raises(ValueError):
-            one_sum_check(HyperParams((1, 1, 1)), SimplexPoint((1.0,)), 100)
+            one_sum_check(HyperParams((1, 1, 1)), (1.0,), 100)
 
 
 class TestSimplexDensity:
     def test_dirichlet_density_integrates_to_one(self):
         d = dirichlet_density(HyperParams((2, 3, 1)))
-        got = simplex_quadrature(d.eval_many, 3, 200, vectorized=True)
+        got = simplex_quadrature(d.eval_many, 3, 200)
         assert got == pytest.approx(1.0, abs=1e-3)
-
-    def test_eval_matches_pdf(self):
-        a = HyperParams((2, 3, 1))
-        d = dirichlet_density(a)
-        x = SimplexPoint((0.3, 0.45, 0.25))
-        assert d.eval(x) == dirichlet_pdf(a, x)
-        assert d.pure_dirichlet and d.dirichlet_params == a

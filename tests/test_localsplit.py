@@ -5,10 +5,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from cptforge.dirichlet import HyperParams, SimplexPoint, dirichlet_sample_many
+from cptforge.dirichlet import HyperParams, dirichlet_sample_many
 from cptforge.localsplit import (
-    SplitCoords,
-    _blocks,
     local_update_audit,
     pdf_factorization_check,
     shifted_prefactor,
@@ -18,7 +16,8 @@ from cptforge.localsplit import (
 )
 from cptforge.rng import make_rng
 
-GOLDEN_POINT = SimplexPoint((0.10, 0.35, 0.25, 0.05, 0.10, 0.15))
+GOLDEN_POINT = np.array([[0.10, 0.35, 0.25, 0.05, 0.10, 0.15]])
+UNIFORM_POINT = np.full((1, 6), 1 / 6)
 
 
 def interior_points(count, seed):
@@ -27,65 +26,52 @@ def interior_points(count, seed):
 
 class TestSplit:
     def test_worked_example(self):
-        c = split(GOLDEN_POINT)
-        assert c.y.coords == pytest.approx((0.7, 0.3), abs=1e-15)
-        assert c.u.coords == pytest.approx((1 / 7, 1 / 2, 5 / 14), abs=1e-15)
-        assert c.v.coords == pytest.approx((1 / 6, 1 / 3, 1 / 2), abs=1e-15)
+        totals, shares = split(GOLDEN_POINT)
+        assert totals[0] == pytest.approx((0.7, 0.3), abs=1e-15)
+        assert shares[0, 0] == pytest.approx((1 / 7, 1 / 2, 5 / 14), abs=1e-15)
+        assert shares[0, 1] == pytest.approx((1 / 6, 1 / 3, 1 / 2), abs=1e-15)
 
     def test_uniform_point(self):
-        c = split(SimplexPoint((1 / 6,) * 6))
-        assert c.y.coords == pytest.approx((0.5, 0.5), abs=1e-15)
-        assert c.u.coords == pytest.approx((1 / 3,) * 3, abs=1e-15)
-        assert c.v.coords == pytest.approx((1 / 3,) * 3, abs=1e-15)
+        totals, shares = split(UNIFORM_POINT)
+        assert totals[0] == pytest.approx((0.5, 0.5), abs=1e-15)
+        assert shares[0, 0] == pytest.approx((1 / 3,) * 3, abs=1e-15)
+        assert shares[0, 1] == pytest.approx((1 / 3,) * 3, abs=1e-15)
 
     def test_round_trip_on_random_interior_points(self):
-        for row in interior_points(100, 31):
-            x = SimplexPoint(tuple(row))
-            back = unsplit(split(x))
-            assert max(abs(a - b) for a, b in zip(x.coords, back.coords)) <= 1e-12
+        xs = interior_points(100, 31)
+        assert np.abs(unsplit(*split(xs)) - xs).max() <= 1e-12
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
-            split(SimplexPoint((0.5, 0.5)))
+            split(np.array([[0.5, 0.5]]))
 
     def test_boundary_rejected_by_construction(self):
         with pytest.raises(ValueError):
-            split(SimplexPoint((0.0, 0.35, 0.35, 0.05, 0.10, 0.15)))
-
-    def test_split_coords_shape_checked(self):
-        with pytest.raises(ValueError):
-            SplitCoords(
-                y=SimplexPoint((1 / 3, 1 / 3, 1 / 3)),
-                u=SimplexPoint((1 / 3, 1 / 3, 1 / 3)),
-                v=SimplexPoint((1 / 3, 1 / 3, 1 / 3)),
-            )
+            split(np.array([[0.0, 0.35, 0.35, 0.05, 0.10, 0.15]]))
 
 
 class TestFactorization:
     def test_all_ones_at_uniform_point(self):
         # By hand: joint density 120; totals factor d2(3,3)(.5,.5)/(1/16) = 30,
         # each row factor 2, so 30*2*2 = 120; shifted constant 30, d2(1,1)=1.
-        lhs, rhs1, rhs2 = pdf_factorization_check(
-            HyperParams((1,) * 6), SimplexPoint((1 / 6,) * 6)
-        )
-        assert lhs == pytest.approx(120.0, rel=1e-12)
-        assert rhs1 == pytest.approx(120.0, rel=1e-12)
-        assert rhs2 == pytest.approx(120.0, rel=1e-12)
+        lhs, rhs1, rhs2 = pdf_factorization_check(HyperParams((1,) * 6), UNIFORM_POINT)
+        assert lhs == pytest.approx([120.0], rel=1e-12)
+        assert rhs1 == pytest.approx([120.0], rel=1e-12)
+        assert rhs2 == pytest.approx([120.0], rel=1e-12)
 
     def test_table_counts_at_empirical_point(self):
         lhs, rhs1, rhs2 = pdf_factorization_check(
             HyperParams((10, 35, 25, 5, 10, 15)), GOLDEN_POINT
         )
-        assert abs(lhs - rhs1) / lhs <= 1e-9
-        assert abs(lhs - rhs2) / lhs <= 1e-9
+        assert (np.abs(lhs - rhs1) / lhs).max() <= 1e-9
+        assert (np.abs(lhs - rhs2) / lhs).max() <= 1e-9
 
     def test_exponent_cancellation_at_fixed_points(self):
         # The totals-coordinate exponents introduced by the quotient cancel
         # against the shares' change of variables at any interior point.
         alpha = HyperParams((2, 1, 3, 4, 2, 2))
-        for row in interior_points(3, 32):
-            lhs, rhs1, _ = pdf_factorization_check(alpha, SimplexPoint(tuple(row)))
-            assert abs(lhs - rhs1) / lhs <= 1e-9
+        lhs, rhs1, _ = pdf_factorization_check(alpha, interior_points(3, 32))
+        assert (np.abs(lhs - rhs1) / lhs).max() <= 1e-9
 
     def test_randomised_suite(self):
         rng = random.Random(33)
@@ -94,10 +80,9 @@ class TestFactorization:
                 alpha = HyperParams(tuple(rng.randint(1, 8) for _ in range(6)))
                 if sum(alpha.alphas[:3]) >= 3 and sum(alpha.alphas[3:]) >= 3:
                     break
-            for row in interior_points(20, 3300 + trial):
-                lhs, rhs1, rhs2 = pdf_factorization_check(alpha, SimplexPoint(tuple(row)))
-                rel = max(abs(lhs - rhs1), abs(lhs - rhs2)) / abs(lhs)
-                assert rel <= 1e-9
+            lhs, rhs1, rhs2 = pdf_factorization_check(alpha, interior_points(20, 3300 + trial))
+            rel = np.maximum(np.abs(lhs - rhs1), np.abs(lhs - rhs2)) / np.abs(lhs)
+            assert rel.max() <= 1e-9
 
     def test_small_row_total_rejected_for_shifted_form(self):
         # Row totals below 3 cannot arise from three pseudo-counts >= 1,
@@ -149,7 +134,7 @@ class TestLocalUpdateAudit:
         # check every cross covariance at four standard errors.
         alpha = HyperParams((1,) * 6).increment(2)
         draws = dirichlet_sample_many(alpha, 100_000, make_rng(8))
-        totals, shares = _blocks(draws)
+        totals, shares = split(draws)
         y0 = totals[:, 0] - totals[:, 0].mean()
         n = len(y0)
         for block in (shares[:, 0, :], shares[:, 1, :]):
@@ -166,14 +151,3 @@ class TestLocalUpdateAudit:
             local_update_audit(HyperParams((1,) * 6), (2, 0))
         with pytest.raises(ValueError):
             local_update_audit(HyperParams((1, 1, 1, 1, 1)), (0, 0), samples=10_000, seed=1)
-
-
-class TestBlocksHelper:
-    def test_vectorised_split_matches_scalar(self):
-        pts = interior_points(10, 34)
-        totals, shares = _blocks(pts)
-        for row, y, u, v in zip(pts, totals, shares[:, 0, :], shares[:, 1, :]):
-            c = split(SimplexPoint(tuple(row)))
-            assert np.allclose(y, c.y.coords)
-            assert np.allclose(u, c.u.coords)
-            assert np.allclose(v, c.v.coords)

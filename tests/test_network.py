@@ -416,6 +416,13 @@ class TestCli:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_verify_resolution_below_two_is_input_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "golden", "--resolution", value])
+        assert exc.value.code == 2
+        assert "--resolution: must be at least 2" in capsys.readouterr().err
+
     def test_console_entry_point(self, tmp_path, golden_graph_file, golden_data_csv):
         out = tmp_path / "out"
         proc = subprocess.run(
