@@ -23,7 +23,7 @@ from .network import (
     ingest_counts,
     learn_bayes,
     learn_mle,
-    parse_prior,
+    load_prior,
     write_cpts,
 )
 
@@ -68,11 +68,7 @@ def _run_learn(args: argparse.Namespace) -> int:
         if args.mode == "mle":
             cpts = learn_mle(table, graph)
         else:
-            prior = None
-            if args.prior != "ones":
-                from pathlib import Path
-
-                prior = parse_prior(Path(args.prior).read_text(encoding="utf-8"), graph)
+            prior = None if args.prior == "ones" else load_prior(args.prior, graph)
             cpts = learn_bayes(table, graph, prior)
         written = write_cpts(cpts, args.out)
     except (DataError, OSError) as exc:

@@ -2,16 +2,25 @@
 
 File formats
 ------------
+Every input file is UTF-8; a byte sequence that is not is an error naming
+the file and the line.
+
 Graph: plain text, one directive per line.  ``node <name> <arity>`` declares
 a variable with outcomes 0..arity-1; ``edge <parent> <child>`` adds a
 dependency.  Lines starting with ``#`` and blank lines are ignored.  The
-edge relation must be acyclic.
+edge relation must be acyclic.  A node name matches
+``[A-Za-z_][A-Za-z0-9_.-]*`` and is not ``count``, so it names a file
+inside the output directory and never the count column.
 
 Counts: CSV with header ``var1,...,vark,count`` where the variable columns
 are a permutation of the declared node names and the last column is
 literally ``count``.  Each following row holds 0-based outcome indices and
 a non-negative integer count; duplicate outcome rows are summed, so
-ingestion does not depend on row order.  ``#`` lines are ignored.
+ingestion does not depend on row order.  Every outcome and count cell is
+optional blanks (spaces or tabs), ASCII digits ``[0-9]+``, optional
+blanks: a sign, a quote, a decimal point, an underscore or a non-ASCII
+digit is an error.  Counts may exceed 64 bits.  Empty lines and ``#``
+lines are ignored.
 
 Priors (Bayesian mode): plain text, one line per node:
 ``<name> a1 a2 ... a<arity>`` with every pseudo-count >= 1.  The same
@@ -23,17 +32,27 @@ edge order, row-major over parent configurations).  MLE mode then has
 probability columns p0..p{m-1}; Bayesian mode has pseudo-count columns
 a0..a{m-1} followed by posterior means mean0..mean{m-1}.  Probabilities
 and means are rendered as reduced exact fractions ``a/b`` with b > 0.
+
+A family table (parent configurations x arity cells) larger than
+``MAX_FAMILY_CELLS`` is refused before it is allocated.
 """
 
 from __future__ import annotations
 
 import csv
 import graphlib
+import io
+import itertools
+import re
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from pathlib import Path
-from typing import Mapping
+from types import MappingProxyType
+from typing import BinaryIO, Mapping
+
+import numpy as np
 
 from .bayes import batch_update
 from .dirichlet import HyperParams, dirichlet_mean
@@ -41,9 +60,50 @@ from .dist import Dist
 from .finset import JointMultiset, Multiset, ZeroRowError, row_extract
 from .mle import mle
 
+CHUNK_LINES = 1 << 14
+"""Data lines parsed per bulk step; bounds the parser's working memory."""
+
+MERGE_ROWS = 1 << 17
+"""Data rows held beyond the merged distinct rows before they are merged again."""
+
+MAX_FAMILY_CELLS = 1 << 24
+"""Largest family table (parent configurations x arity) that is built."""
+
+_NODE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+
+# A data cell: blanks, digits, blanks.  The sign is matched only so that a
+# negative value gets its own message; it is never accepted.
+_CELL = re.compile(r"[ \t]*(-?[0-9]+)[ \t]*")
+
+# Only lines made of these bytes are parsed in bulk; any other byte (a sign,
+# a quote, '#', non-ASCII) needs the line-by-line parse.
+_BULK_BYTES = b"0123456789, \t\r\n"
+
 
 class DataError(ValueError):
     """Invalid user-supplied graph, count, or prior data."""
+
+
+def _decode(raw: bytes, path: str | Path, lineno: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: line {lineno}: not valid UTF-8") from None
+
+
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents; undecodable bytes are a DataError."""
+    lines = Path(path).read_bytes().split(b"\n")
+    return "\n".join(_decode(raw, path, n) for n, raw in enumerate(lines, start=1))
+
+
+def _name_error(name: str) -> str | None:
+    """Why `name` cannot name a node, or None if it can."""
+    if name == "count":
+        return "node name 'count' is reserved for the count column"
+    if not _NODE_NAME.fullmatch(name):
+        return f"node name {name!r} does not match [A-Za-z_][A-Za-z0-9_.-]*"
+    return None
 
 
 @dataclass(frozen=True)
@@ -52,6 +112,7 @@ class GraphSpec:
 
     nodes: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str], ...]
+    _arity: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple((str(n), int(a)) for n, a in self.nodes))
@@ -62,7 +123,10 @@ class GraphSpec:
         if not names:
             raise DataError("graph has no nodes")
         arities = dict(self.nodes)
+        object.__setattr__(self, "_arity", arities)
         for n, a in self.nodes:
+            if error := _name_error(n):
+                raise DataError(error)
             if a < 1:
                 raise DataError(f"node {n} has arity {a} < 1")
         seen = set()
@@ -85,10 +149,10 @@ class GraphSpec:
         return tuple(n for n, _ in self.nodes)
 
     def arity(self, name: str) -> int:
-        for n, a in self.nodes:
-            if n == name:
-                return a
-        raise DataError(f"unknown node {name}")
+        try:
+            return self._arity[name]
+        except KeyError:
+            raise DataError(f"unknown node {name}") from None
 
     def parents(self, name: str) -> tuple[str, ...]:
         """Parents of a node, in declared edge order."""
@@ -104,6 +168,8 @@ class GraphSpec:
                 continue
             parts = line.split()
             if parts[0] == "node" and len(parts) == 3:
+                if error := _name_error(parts[1]):
+                    raise DataError(f"line {lineno}: {error}")
                 try:
                     arity = int(parts[2])
                 except ValueError:
@@ -118,109 +184,254 @@ class GraphSpec:
 
     @staticmethod
     def load(path: str | Path) -> GraphSpec:
-        return GraphSpec.parse(Path(path).read_text(encoding="utf-8"))
+        return GraphSpec.parse(_read_text(path))
 
 
-@dataclass(frozen=True)
+def _outcome_dtype(arities: tuple[int, ...]) -> np.dtype:
+    """The smallest unsigned integer type holding every outcome index."""
+    return np.min_scalar_type(max(arities, default=1) - 1)
+
+
+def _count_array(values) -> np.ndarray:
+    """Counts as int64, or as Python ints (dtype object) when one needs more bits."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
+def _sum_by_index(index: np.ndarray, counts: np.ndarray, size: int, total: int) -> np.ndarray:
+    """``counts`` summed into ``size`` cells by ``index``, given their exact
+    ``total``: in int64 while the total stays below 2**63, in Python ints beyond."""
+    dtype = np.int64 if total < 1 << 63 else object
+    out = np.zeros(size, dtype=dtype)
+    np.add.at(out, index, counts.astype(dtype, copy=False))
+    return out
+
+
+def _distinct_rows(outcomes: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct row of ``outcomes`` once, with the summed counts of its copies."""
+    rows = np.ascontiguousarray(outcomes)
+    keys = rows.view(f"V{rows.shape[1] * rows.itemsize}").reshape(-1)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    summed = _sum_by_index(inverse.reshape(-1), counts, len(keys), sum(counts.tolist()))
+    return keys.view(rows.dtype).reshape(len(keys), rows.shape[1]), summed
+
+
+@dataclass(frozen=True, eq=False)
 class CountTable:
-    """Aggregated joint counts over the graph's variables, in declared order."""
+    """Joint counts over the graph's variables, in declared order.
+
+    Row r of `outcomes` (shape ``(R, k)``, the smallest unsigned dtype that
+    holds every outcome index) is an observed outcome tuple and
+    ``counts[r]`` its count (int64, or Python ints when a count needs more
+    bits).  A tuple may occur on several rows; only the summed counts
+    matter, so equality compares `records`, the aggregated view.
+    """
 
     variables: tuple[str, ...]
     arities: tuple[int, ...]
-    records: dict[tuple[int, ...], int] = field(default_factory=dict)
+    outcomes: np.ndarray
+    counts: np.ndarray
+    _total: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shape = (len(self.counts), len(self.variables))
+        if len(self.arities) != shape[1] or self.outcomes.shape != shape:
+            raise ValueError(f"outcomes of shape {self.outcomes.shape} do not fit "
+                             f"{shape[0]} counts over {shape[1]} variables")
+        object.__setattr__(self, "_total", sum(self.counts.tolist()))
+
+    @classmethod
+    def from_records(
+        cls,
+        variables: tuple[str, ...],
+        arities: tuple[int, ...],
+        mapping: Mapping[tuple[int, ...], int],
+    ) -> CountTable:
+        """A table with one row per (outcome tuple, count) item of `mapping`."""
+        outcomes = np.array(list(mapping), dtype=_outcome_dtype(arities))
+        return cls(tuple(variables), tuple(arities),
+                   outcomes.reshape(len(mapping), len(variables)),
+                   _count_array(list(mapping.values())))
+
+    @property
+    def records(self) -> Mapping[tuple[int, ...], int]:
+        """Read-only map from each distinct outcome tuple to its summed count."""
+        out: dict[tuple[int, ...], int] = {}
+        for outcome, c in zip(map(tuple, self.outcomes.tolist()), self.counts.tolist()):
+            out[outcome] = out.get(outcome, 0) + c
+        return MappingProxyType(out)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CountTable):
+            return NotImplemented
+        return ((self.variables, self.arities) == (other.variables, other.arities)
+                and self.records == other.records)
 
     def total(self) -> int:
-        return sum(self.records.values())
+        return self._total
 
     def as_multiset(self) -> Multiset:
         """The counts as a vector over the row-major product of all arities."""
-        counts = [0] * prod(self.arities)
-        for outcome, c in self.records.items():
-            idx = 0
-            for o, a in zip(outcome, self.arities):
-                idx = idx * a + o
-            counts[idx] += c
-        return Multiset(tuple(counts))
+        return self.marginal_counts(self.variables)
 
     def marginal_counts(self, names: tuple[str, ...]) -> Multiset:
-        """Counts marginalised onto the given variables, row-major in that order."""
+        """Counts marginalised onto the given variables, row-major in that order.
+
+        This is the pushforward of the joint counts along the projection onto
+        `names`: one scatter-add of every row's count into its cell, exact in
+        int64 while the total stays below 2**63 and in Python ints beyond.
+        """
         positions = []
-        arities = []
         for name in names:
             if name not in self.variables:
                 raise DataError(f"unknown variable {name}")
-            pos = self.variables.index(name)
-            positions.append(pos)
-            arities.append(self.arities[pos])
-        counts = [0] * prod(arities)
-        for outcome, c in self.records.items():
-            idx = 0
-            for pos, a in zip(positions, arities):
-                idx = idx * a + outcome[pos]
-            counts[idx] += c
-        return Multiset(tuple(counts))
+            positions.append(self.variables.index(name))
+        dims = tuple(self.arities[p] for p in positions)
+        cells = prod(dims)
+        if cells > MAX_FAMILY_CELLS:
+            raise DataError(f"family table over {', '.join(names)} needs {cells} cells, "
+                            f"more than the cap of {MAX_FAMILY_CELLS}")
+        index = np.ravel_multi_index(tuple(self.outcomes[:, p] for p in positions), dims)
+        return Multiset(tuple(_sum_by_index(index, self.counts, cells, self._total).tolist()))
+
+
+def _parse_line(text: str, lineno: int, names: tuple[str, ...],
+                arities: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
+    """One data line's outcomes (declared order) and count, or its first error."""
+    cells = text.rstrip("\r\n").split(",")
+    if len(cells) != len(names) + 1:
+        raise DataError(f"line {lineno}: expected {len(names) + 1} cells, got {len(cells)}")
+    values = []
+    for name, col, arity in zip(names, order, arities):
+        match = _CELL.fullmatch(cells[col])
+        if match is None:
+            raise DataError(f"line {lineno}: outcome {cells[col].strip()!r} for {name} "
+                            f"is not an integer")
+        value = int(match[1])
+        if not 0 <= value < arity:
+            raise DataError(f"line {lineno}: outcome {value} for {name} outside 0..{arity - 1}")
+        values.append(value)
+    match = _CELL.fullmatch(cells[-1])
+    if match is None:
+        raise DataError(f"line {lineno}: count {cells[-1].strip()!r} is not an integer")
+    count = int(match[1])
+    if count < 0:
+        raise DataError(f"line {lineno}: negative count {count}")
+    return (*values, count)
+
+
+def _is_skipped(text: str) -> bool:
+    """Empty lines and comment lines carry no data."""
+    return not text.strip("\r\n") or text.lstrip().startswith("#")
+
+
+def _read_header(fh: BinaryIO, path: Path, names: tuple[str, ...]) -> tuple[int, list[int]]:
+    """Consume lines up to the header; its line number and, per node, its column."""
+    for lineno, raw in enumerate(fh, start=1):
+        text = _decode(raw, path, lineno)
+        if _is_skipped(text):
+            continue
+        header = [cell.strip() for cell in next(csv.reader([text.rstrip("\r\n")]))]
+        if len(header) != len(names) + 1 or header[-1] != "count":
+            raise DataError(
+                f"line {lineno}: header must list every node plus a final "
+                f"'count' column, got {header}"
+            )
+        if sorted(header[:-1]) != sorted(names):
+            raise DataError(
+                f"line {lineno}: header variables {header[:-1]} do not match "
+                f"graph nodes {list(names)}"
+            )
+        return lineno, [header.index(n) for n in names]
+    raise DataError("data file has no header row")
+
+
+def _bulk_rows(lines: list[bytes], row_type: np.dtype) -> np.ndarray | None:
+    """Parse the lines in one call, or None unless each is a full row of the strict grammar.
+
+    Only lines made of digits, commas, blanks and line ends are tried, and
+    every outcome must fit the outcome dtype and every count int64.
+    """
+    body = b"".join(lines)
+    if not body or body.isspace() or body.translate(None, _BULK_BYTES):
+        return None
+    try:
+        # numpy 1.23-1.26 read an integer too large for its dtype as a float
+        # and cast it, with only a DeprecationWarning; as an error it fails
+        # the bulk parse (loadtxt reports it as a ValueError).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=row_type,
+                              comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None  # an empty cell, a wrong cell count, or a value too large
+    return rows if len(rows) == len(lines) else None  # loadtxt skips empty lines
+
+
+def _read_chunk(lines: list[bytes], first: int, path: Path, names: tuple[str, ...],
+                arities: tuple[int, ...], order: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome rows (declared order) and counts of the data lines from line `first` on.
+
+    The chunk is parsed in bulk; failing that, line by line, which skips
+    comment and empty lines, names the first bad line or reads counts past
+    int64.
+    """
+    dtype = _outcome_dtype(arities)
+    row_type = np.dtype([("outcomes", dtype, (len(names),)), ("count", np.int64)])
+    linenos = range(first, first + len(lines))
+    rows = _bulk_rows(lines, row_type)
+    if rows is None:
+        texts = [(n, _decode(raw, path, n)) for n, raw in zip(linenos, lines)]
+        parsed = [_parse_line(text, n, names, arities, order)
+                  for n, text in texts if not _is_skipped(text)]
+        outcomes = np.array([p[:-1] for p in parsed], dtype=dtype)
+        return outcomes.reshape(len(parsed), len(names)), _count_array([p[-1] for p in parsed])
+    bounds = np.empty(len(names), dtype=np.int64)
+    bounds[order] = arities
+    bad = (rows["outcomes"] >= bounds).any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        _parse_line(lines[i].decode("ascii"), linenos[i], names, arities, order)
+    # Both results are copies, so the chunk's rows are freed on return.
+    return rows["outcomes"][:, order], rows["count"].copy()
 
 
 def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
-    """Read and aggregate a long-format count CSV against the graph's schema.
+    """Read a long-format count CSV against the graph's schema.
 
-    Duplicate outcome tuples are summed, so the result is independent of
-    row order.  Every malformed cell is reported with its line number.
+    Data lines are read and parsed ``CHUNK_LINES`` at a time.  Each data
+    line becomes one row of the table; rows with the same outcome tuple are
+    summed wherever counts are read, so no result depends on row order.
+    Once the rows held pass ``MERGE_ROWS`` plus twice the rows left by the
+    last merge, they are merged into distinct rows, so the table's size
+    follows the number of distinct outcome tuples, not the file's length.
+    The first malformed line is reported with its line number.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"data file not found: {path}")
     names = graph.node_names
     arities = tuple(graph.arity(n) for n in names)
-    records: dict[tuple[int, ...], int] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = None
-        column_order: list[int] = []
-        for row in reader:
-            lineno = reader.line_num
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            if header is None:
-                header = [cell.strip() for cell in row]
-                if len(header) != len(names) + 1 or header[-1] != "count":
-                    raise DataError(
-                        f"line {lineno}: header must list every node plus a final "
-                        f"'count' column, got {header}"
-                    )
-                if sorted(header[:-1]) != sorted(names):
-                    raise DataError(
-                        f"line {lineno}: header variables {header[:-1]} do not match "
-                        f"graph nodes {list(names)}"
-                    )
-                column_order = [header.index(n) for n in names]
-                continue
-            if len(row) != len(names) + 1:
-                raise DataError(f"line {lineno}: expected {len(names) + 1} cells, got {len(row)}")
-            outcome = []
-            for name, col in zip(names, column_order):
-                cell = row[col].strip()
-                try:
-                    value = int(cell)
-                except ValueError:
-                    raise DataError(f"line {lineno}: outcome {cell!r} for {name} is not an integer")
-                if not 0 <= value < graph.arity(name):
-                    raise DataError(
-                        f"line {lineno}: outcome {value} for {name} outside 0..{graph.arity(name) - 1}"
-                    )
-                outcome.append(value)
-            cell = row[-1].strip()
-            try:
-                count = int(cell)
-            except ValueError:
-                raise DataError(f"line {lineno}: count {cell!r} is not an integer")
-            if count < 0:
-                raise DataError(f"line {lineno}: negative count {count}")
-            key = tuple(outcome)
-            records[key] = records.get(key, 0) + count
-        if header is None:
-            raise DataError("data file has no header row")
-    return CountTable(names, arities, records)
+    outcome_parts = [np.empty((0, len(names)), dtype=_outcome_dtype(arities))]
+    count_parts = [np.empty(0, dtype=np.int64)]
+    held = merged = 0
+    with path.open("rb") as fh:
+        lineno, order = _read_header(fh, path, names)
+        while lines := list(itertools.islice(fh, CHUNK_LINES)):
+            outcomes, counts = _read_chunk(lines, lineno + 1, path, names, arities, order)
+            outcome_parts.append(outcomes)
+            count_parts.append(counts)
+            lineno += len(lines)
+            held += len(counts)
+            if held > MERGE_ROWS + 2 * merged:
+                outcomes, counts = _distinct_rows(np.concatenate(outcome_parts),
+                                                  np.concatenate(count_parts))
+                outcome_parts, count_parts = [outcomes], [counts]
+                held = merged = len(counts)
+    return CountTable(names, arities, np.concatenate(outcome_parts),
+                      np.concatenate(count_parts))
 
 
 @dataclass(frozen=True)
@@ -320,6 +531,11 @@ def parse_prior(text: str, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
             raise DataError(f"line {lineno}: pseudo-counts must be >= 1")
         priors[name] = values
     return priors
+
+
+def load_prior(path: str | Path, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
+    """Read and parse a per-node prior pseudo-count file."""
+    return parse_prior(_read_text(path), graph)
 
 
 def learn_bayes(

@@ -101,7 +101,7 @@ def blood_medicine_table(scale: int = 1) -> CountTable:
         for i in range(2)
         for j in range(3)
     }
-    return CountTable(("Blood", "Medicine"), (2, 3), records)
+    return CountTable.from_records(("Blood", "Medicine"), (2, 3), records)
 
 
 def blood_medicine_joint(scale: int = 1) -> JointMultiset:

@@ -1,13 +1,21 @@
 import csv
 import math
+import random
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cptforge import network
 from cptforge.cli import main
 from cptforge.dist import Channel, Dist
+from cptforge.finset import FinMap, Multiset, ms_map
 from cptforge.mle import mle, mle_decompose
 from cptforge.network import (
     CountTable,
@@ -60,6 +68,17 @@ class TestGraphSpec:
             (("B", "C"), ("A", "C")),
         )
         assert g.parents("C") == ("B", "A")
+
+    @pytest.mark.parametrize("name", ["../../escaped", "a/b", "count", "1st", "-x", "\u00e9t\u00e9"])
+    def test_node_name_rule(self, name):
+        with pytest.raises(DataError, match="node name"):
+            GraphSpec(((name, 2),), ())
+        with pytest.raises(DataError, match="line 2: node name"):
+            GraphSpec.parse(f"node A 2\nnode {name} 2\n")
+
+    def test_node_names_that_follow_the_rule(self):
+        g = GraphSpec.parse("node _a 2\nnode X1.b-c 3\nnode counts 2\n")
+        assert g.node_names == ("_a", "X1.b-c", "counts")
 
     def test_parse_error_reports_line(self):
         with pytest.raises(DataError, match="line 2"):
@@ -128,6 +147,11 @@ class TestIngest:
             ("0,1,x", "line 2.*not an integer"),
             ("0,1", "line 2.*cells"),
             ("2,1,5", "line 2.*outside"),
+            ("+1,1,5", "line 2.*not an integer"),
+            ("1_0,1,5", "line 2.*not an integer"),
+            ("\u0663,1,5", "line 2.*not an integer"),
+            ("0,1,1.0", "line 2.*not an integer"),
+            ('"1",1,5', "line 2.*not an integer"),
         ],
     )
     def test_bad_rows_report_line_numbers(self, tmp_path, golden_graph, row, message):
@@ -164,7 +188,7 @@ class TestLearnMle:
 
     def test_single_node_graph(self):
         graph = GraphSpec((("X", 3),), ())
-        table = CountTable(("X",), (3,), {(0,): 2, (1,): 3, (2,): 5})
+        table = CountTable.from_records(("X",), (3,), {(0,): 2, (1,): 3, (2,): 5})
         (cpt,) = learn_mle(table, graph)
         assert cpt.dists[0].probs == (F(1, 5), F(3, 10), F(1, 2))
 
@@ -175,14 +199,14 @@ class TestLearnMle:
         assert Channel(cpts["Medicine"].dists) == channel
 
     def test_zero_parent_configuration_aborts_with_names(self, golden_graph):
-        table = CountTable(
+        table = CountTable.from_records(
             ("Blood", "Medicine"), (2, 3), {(0, 0): 10, (0, 2): 5}
         )
         with pytest.raises(DataError, match="Blood=1"):
             learn_mle(table, golden_graph)
 
     def test_empty_table_aborts(self, golden_graph):
-        table = CountTable(("Blood", "Medicine"), (2, 3), {})
+        table = CountTable.from_records(("Blood", "Medicine"), (2, 3), {})
         with pytest.raises(DataError):
             learn_mle(table, golden_graph)
 
@@ -204,7 +228,7 @@ class TestLearnMle:
                     joint[(a, b, c)] = omega_a[a] * chan_b[a][b] * chan_c[b][c]
         denominator = math.lcm(*(p.denominator for p in joint.values()))
         records = {k: int(p * denominator) for k, p in joint.items()}
-        table = CountTable(("A", "B", "C"), (2, 2, 2), records)
+        table = CountTable.from_records(("A", "B", "C"), (2, 2, 2), records)
 
         cpts = {c.node: c for c in learn_mle(table, graph)}
         assert cpts["A"].dists[0].probs == omega_a
@@ -230,7 +254,7 @@ class TestLearnMle:
                 for c in range(2):
                     records[(a, b, c)] = value
                     value += 1
-        table = CountTable(("A", "B", "C"), (2, 2, 2), records)
+        table = CountTable.from_records(("A", "B", "C"), (2, 2, 2), records)
         cpts = {c.node: c for c in learn_mle(table, graph)}
         cpt = cpts["C"]
         assert cpt.parents == ("A", "B")
@@ -249,13 +273,13 @@ class TestLearnBayes:
         assert med.dists[0].probs == (F(11, 73), F(36, 73), F(26, 73))
 
     def test_zero_data_keeps_prior(self, golden_graph):
-        table = CountTable(("Blood", "Medicine"), (2, 3), {})
+        table = CountTable.from_records(("Blood", "Medicine"), (2, 3), {})
         cpts = {c.node: c for c in learn_bayes(table, golden_graph)}
         assert cpts["Blood"].posteriors[0].alphas == (1, 1)
         assert cpts["Medicine"].dists[0] == Dist.uniform(3)
 
     def test_never_aborts_on_missing_configuration(self, golden_graph):
-        table = CountTable(("Blood", "Medicine"), (2, 3), {(0, 0): 10})
+        table = CountTable.from_records(("Blood", "Medicine"), (2, 3), {(0, 0): 10})
         cpts = {c.node: c for c in learn_bayes(table, golden_graph)}
         assert cpts["Medicine"].posteriors[1].alphas == (1, 1, 1)
 
@@ -423,6 +447,36 @@ class TestCli:
         assert exc.value.code == 2
         assert "--resolution: must be at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["graph", "data", "prior"])
+    def test_non_utf8_file_is_input_error(
+        self, tmp_path, golden_graph_file, golden_data_csv, bad
+    ):
+        files = {"graph": golden_graph_file, "data": golden_data_csv,
+                 "prior": tmp_path / "prior.txt"}
+        files["prior"].write_text("Blood 2 2\n", encoding="utf-8")
+        files[bad] = tmp_path / f"bad-{bad}.txt"
+        files[bad].write_bytes(b"# fine\nBlood \xff\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cptforge", "learn", "--mode", "bayes",
+             "--graph", str(files["graph"]), "--data", str(files["data"]),
+             "--prior", str(files["prior"]), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"bad-{bad}.txt: line 2: not valid UTF-8" in proc.stderr
+
+    def test_node_name_cannot_escape_out(self, tmp_path, golden_data_csv, capsys):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("node ../escaped 2\n", encoding="utf-8")
+        out = tmp_path / "a" / "out"
+        code = main(["learn", "--mode", "bayes", "--graph", str(graph),
+                     "--data", str(golden_data_csv), "--out", str(out)])
+        assert code == 2
+        assert "line 1: node name" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "escaped.csv").exists()
+
     def test_console_entry_point(self, tmp_path, golden_graph_file, golden_data_csv):
         out = tmp_path / "out"
         proc = subprocess.run(
@@ -434,3 +488,211 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "Medicine.csv").exists()
+
+
+class TestFamilyCellCap:
+    @staticmethod
+    def star(n_parents):
+        """A node C with `n_parents` arity-4 parents, and a one-row table."""
+        parents = tuple((f"P{i:02d}", 4) for i in range(n_parents))
+        graph = GraphSpec(parents + (("C", 4),), tuple((p, "C") for p, _ in parents))
+        table = CountTable.from_records(
+            graph.node_names, (4,) * (n_parents + 1), {(0,) * (n_parents + 1): 1}
+        )
+        return graph, table
+
+    @pytest.mark.parametrize("n_parents", [20, 40])  # 2^42 cells; 2^82, past intp
+    def test_cap_fires_before_allocation(self, n_parents):
+        graph, table = self.star(n_parents)
+        tracemalloc.start()
+        try:
+            for learn in (learn_mle, learn_bayes):
+                with pytest.raises(DataError, match=r"over P00, .*, C needs \d+ cells.*cap"):
+                    learn(table, graph)
+            with pytest.raises(DataError, match="cap"):
+                table.as_multiset()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_is_an_input_error(self, tmp_path, capsys):
+        graph, _ = self.star(20)
+        graph_file = tmp_path / "graph.txt"
+        graph_file.write_text(
+            "".join(f"node {n} {a}\n" for n, a in graph.nodes)
+            + "".join(f"edge {p} {c}\n" for p, c in graph.edges),
+            encoding="utf-8",
+        )
+        data = tmp_path / "data.csv"
+        data.write_text(",".join(graph.node_names) + ",count\n", encoding="utf-8")
+        code = main(["learn", "--mode", "bayes", "--graph", str(graph_file),
+                     "--data", str(data), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "cap" in capsys.readouterr().err
+
+
+@st.composite
+def tables_with_family(draw):
+    """Rows with repeats and counts past int64, and some variables in any order."""
+    arities = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    variables = tuple(f"V{i}" for i in range(len(arities)))
+    outcome = st.tuples(*(st.integers(0, a - 1) for a in arities))
+    rows = draw(st.lists(st.sampled_from(draw(st.lists(outcome, min_size=1, max_size=4))),
+                         max_size=12))
+    count = st.one_of(st.integers(0, 9), st.integers(2**62, 2**70))
+    counts = draw(st.lists(count, min_size=len(rows), max_size=len(rows)))
+    family = draw(st.permutations(variables))[: draw(st.integers(1, len(variables)))]
+    return variables, arities, rows, counts, family
+
+
+def row_major(outcome, arities):
+    index = 0
+    for o, a in zip(outcome, arities):
+        index = index * a + o
+    return index
+
+
+def unravel(index, arities):
+    outcome = []
+    for a in reversed(arities):
+        outcome.append(index % a)
+        index //= a
+    return tuple(reversed(outcome))
+
+
+class TestCountExactness:
+    """The array count pipeline against plain-Python counting, with zero tolerance."""
+
+    @given(tables_with_family())
+    def test_family_tables_are_pushforwards_of_the_joint(self, case):
+        variables, arities, rows, counts, family = case
+        dtype = np.int64 if max(counts, default=0) < 2**63 else object
+        table = CountTable(variables, arities,
+                           np.array(rows, dtype=np.uint8).reshape(len(rows), len(arities)),
+                           np.array(counts, dtype=dtype))
+        joint = [0] * math.prod(arities)
+        for outcome, c in zip(rows, counts):
+            joint[row_major(outcome, arities)] += c
+        assert table.as_multiset() == Multiset(tuple(joint))
+        assert table.total() == sum(counts)
+
+        positions = [variables.index(v) for v in family]
+        dims = [arities[p] for p in positions]
+        projection = FinMap(
+            tuple(row_major([unravel(x, arities)[p] for p in positions], dims)
+                  for x in range(len(joint))),
+            math.prod(dims),
+        )
+        assert table.marginal_counts(family) == ms_map(projection, table.as_multiset())
+
+        records = {}
+        for outcome, c in zip(rows, counts):
+            records[outcome] = records.get(outcome, 0) + c
+        assert dict(table.records) == records
+        assert table == CountTable.from_records(variables, arities, records)
+
+    @staticmethod
+    def write(path, lines, header="Blood,Medicine,count"):
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        return path
+
+    def test_pieces_sum_to_the_one_shot_table(self, tmp_path, golden_graph, monkeypatch):
+        rng = random.Random(4)
+        rows = [f"{rng.randrange(2)},{rng.randrange(3)},{rng.randrange(10)}"
+                for _ in range(300)]
+        rows[17], rows[150] = "# a comment", ""
+        whole = ingest_counts(self.write(tmp_path / "whole.csv", rows), golden_graph)
+        for trial in range(5):
+            cuts = sorted(rng.sample(range(1, len(rows)), rng.randint(1, 8)))
+            bounds = list(zip([0, *cuts], [*cuts, len(rows)]))
+            pieces = [ingest_counts(self.write(tmp_path / f"{trial}-{a}.csv", rows[a:b]),
+                                    golden_graph) for a, b in bounds]
+            summed = pieces[0].as_multiset()
+            for piece in pieces[1:]:
+                summed = summed + piece.as_multiset()
+            assert summed == whole.as_multiset()
+        monkeypatch.setattr(network, "CHUNK_LINES", 7)
+        assert ingest_counts(tmp_path / "whole.csv", golden_graph) == whole
+
+    def test_file_longer_than_one_chunk(self, tmp_path, golden_graph):
+        rng = random.Random(5)
+        rows = [(rng.randrange(2), rng.randrange(3), rng.randrange(10))
+                for _ in range(network.CHUNK_LINES + 1000)]
+        lines = [f"{a},{b},{c}" for a, b, c in rows]
+        lines.insert(network.CHUNK_LINES + 100, "# a comment in the second chunk")
+        expected = {}
+        for a, b, c in rows:
+            expected[(a, b)] = expected.get((a, b), 0) + c
+        table = ingest_counts(self.write(tmp_path / "long.csv", lines), golden_graph)
+        assert table == CountTable.from_records(("Blood", "Medicine"), (2, 3), expected)
+        assert table.total() == sum(c for _, _, c in rows)
+
+    @pytest.mark.parametrize("bad,message", [("1,3,1", "outside"), ("1,+2,1", "not an integer")])
+    def test_bad_line_in_a_later_chunk_is_named(self, tmp_path, golden_graph, bad, message):
+        lines = ["0,1,2"] * (network.CHUNK_LINES + 10)
+        lines[network.CHUNK_LINES + 2] = "# a comment before the bad line"
+        lines[network.CHUNK_LINES + 5] = bad  # file line CHUNK_LINES + 7, after the header
+        path = self.write(tmp_path / "bad.csv", lines)
+        with pytest.raises(DataError, match=f"line {network.CHUNK_LINES + 7}: .*{message}"):
+            ingest_counts(path, golden_graph)
+
+    def test_repeated_rows_are_merged_as_they_accumulate(self, tmp_path, golden_graph,
+                                                         monkeypatch):
+        rng = random.Random(6)
+        big = [2**70, 2**62, 1, 7]  # a count past int64, and totals past 2**63
+        rows = [(rng.randrange(2), rng.randrange(3), rng.choice(big)) for _ in range(2000)]
+        expected = {}
+        for a, b, c in rows:
+            expected[(a, b)] = expected.get((a, b), 0) + c
+        path = self.write(tmp_path / "repeated.csv", [f"{a},{b},{c}" for a, b, c in rows])
+        monkeypatch.setattr(network, "CHUNK_LINES", 7)
+        monkeypatch.setattr(network, "MERGE_ROWS", 20)
+        table = ingest_counts(path, golden_graph)
+        assert table == CountTable.from_records(("Blood", "Medicine"), (2, 3), expected)
+        # At most twice the distinct tuples plus MERGE_ROWS plus one chunk stay held.
+        assert len(table.counts) <= 2 * len(expected) + 20 + 7
+
+    @staticmethod
+    def loadtxt_casting_via_float(real):
+        """np.loadtxt as numpy 1.23-1.26 behave: a cell too large for its dtype
+        is read as a float and cast, with only a DeprecationWarning."""
+        def loadtxt(fname, *args, dtype, **kwargs):
+            rows = [[int(c) for c in line.split(b",")]
+                    for line in fname.getvalue().splitlines() if line.strip()]
+            width = dtype["outcomes"].shape[0]
+            limits = [np.iinfo(dtype["outcomes"].base).max] * width + [np.iinfo(np.int64).max]
+            if any(v > top for row in rows for v, top in zip(row, limits)):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+                return np.zeros(len(rows), dtype=dtype)  # stands for the wrapped values
+            return real(fname, *args, dtype=dtype, **kwargs)
+        return loadtxt
+
+    def test_bulk_parse_refuses_the_float_fallback(self, tmp_path, golden_graph, monkeypatch):
+        monkeypatch.setattr(network.np, "loadtxt", self.loadtxt_casting_via_float(np.loadtxt))
+        path = self.write(tmp_path / "wide.csv", ["0,0,1", "1,300,2"])
+        with pytest.raises(DataError, match="line 3: outcome 300 for Medicine outside 0..2"):
+            ingest_counts(path, golden_graph)
+        path = self.write(tmp_path / "long.csv", ["0,0,1", f"1,2,{2**70}"])
+        assert ingest_counts(path, golden_graph).records == {(0, 0): 1, (1, 2): 2**70}
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {(0, 0): 2**70, (0, 1): 3, (0, 2): 1, (1, 0): 5, (1, 1): 1, (1, 2): 7},
+            {(0, 0): 2**62, (0, 1): 2**62 + 1, (0, 2): 3, (1, 0): 2**62, (1, 1): 1, (1, 2): 1},
+        ],
+        ids=["count-2^70", "total-past-2^63"],
+    )
+    def test_counts_past_int64_learn_exactly(self, tmp_path, golden_graph, counts):
+        path = self.write(tmp_path / "big.csv", [f"{a},{b},{c}" for (a, b), c in counts.items()])
+        table = ingest_counts(path, golden_graph)
+        cpts = {c.node: c for c in learn_mle(table, golden_graph)}
+        rows = [[counts[(a, b)] for b in range(3)] for a in range(2)]
+        total = sum(map(sum, rows))
+        assert cpts["Blood"].dists[0].probs == tuple(F(sum(r), total) for r in rows)
+        for a, row in enumerate(rows):
+            assert cpts["Medicine"].dists[a].probs == tuple(F(c, sum(row)) for c in row)
+        bayes = {c.node: c for c in learn_bayes(table, golden_graph)}
+        assert bayes["Medicine"].posteriors[0].alphas == tuple(c + 1 for c in rows[0])
