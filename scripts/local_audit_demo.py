@@ -9,10 +9,12 @@ import sys
 from cptforge.dirichlet import HyperParams
 from cptforge.localsplit import local_update_audit
 
+# (pseudo-count table as row HyperParams, incremented cell)
 CASES = [
-    (HyperParams((1, 1, 1, 1, 1, 1)), (0, 2)),
-    (HyperParams((2, 3, 1, 4, 2, 2)), (1, 0)),
-    (HyperParams((10, 35, 25, 5, 10, 15)), (0, 2)),
+    ((HyperParams((1, 1, 1)), HyperParams((1, 1, 1))), (0, 2)),
+    ((HyperParams((2, 3, 1)), HyperParams((4, 2, 2))), (1, 0)),
+    ((HyperParams((10, 35, 25)), HyperParams((5, 10, 15))), (0, 2)),
+    ((HyperParams((1, 2)), HyperParams((3, 1)), HyperParams((2, 2))), (2, 1)),
 ]
 
 

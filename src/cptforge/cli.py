@@ -28,12 +28,21 @@ from .network import (
 )
 
 
+def _at_least(low: int, text: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
 def resolution(text: str) -> int:
     """The --resolution type: an integer of at least 2 (argparse names it in errors)."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
-    return value
+    return _at_least(2, text)
+
+
+def seed(text: str) -> int:
+    """The --seed type: an integer of at least 0, as the random streams need."""
+    return _at_least(0, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the law suites")
     verify.add_argument("--suite", choices=("golden", "exact", "stochastic", "all"),
                         required=True)
-    verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument("--seed", type=seed, default=42)
     verify.add_argument("--resolution", type=resolution, default=400)
     return parser
 

@@ -1,22 +1,24 @@
 """Splitting a joint simplex into totals and per-row proportions.
 
-A point of the 6-outcome simplex, read as a 2x3 row-major table, splits
-into the pair of row totals (a point over 2) and the two within-row
-proportion vectors (points over 3); the split is a bijection onto the
-product of the three smaller simplices.  A Dirichlet on the joint simplex
-pushes forward to an *independent* triple: the row totals follow the
-Dirichlet with row-summed pseudo-counts, and each proportion vector follows
-the Dirichlet of its own row.
+A point of the joint simplex over an r x c table (r parent configurations,
+c outcomes, row-major) splits into its r row totals y (a point over r) and
+its r within-row proportion vectors s_i (points over c), a bijection onto
+the product of the r + 1 smaller simplices.  A Dirichlet on the joint
+simplex pushes forward to *independent* factors: the totals follow the
+Dirichlet of the row-summed pseudo-counts beta, and each s_i the Dirichlet
+of its own row (Geiger & Heckerman, Ann. Statist. 25(3), 1997):
 
-The audit below checks, by sampling, which local parameterisation that
-pushforward actually matches after one joint observation, and evaluates the
-proportionality constant attached to the shifted candidate.  Since a
-pushforward of a probability measure has total mass 1, any candidate scaled
-by a constant other than 1 cannot be correct as a measure; the audit makes
-that tension explicit instead of hiding it.
+    d(alpha)(x) = d(beta)(y) / prod_i y_i^(c-1) * prod_i d(alpha_i)(s_i).
 
-Points are rows of an (N, 6) array; the table shape is fixed at 2x3
-(`SHAPE`).
+Moving the Jacobian y_i^(c-1) into the totals density lowers each total
+by c-1 at the price of a constant (`shifted_prefactor`).  The audit below
+checks, by sampling, which local parameterisation the pushforward matches
+after one joint observation, and reports that constant: a pushforward of a
+probability measure has total mass 1, so a candidate scaled by a constant
+other than 1 cannot be correct as a measure.
+
+Points are (N, r, c) arrays; a pseudo-count table is a tuple of r row
+`HyperParams` of c entries each, the form of `LearnedCPT.posteriors`.
 """
 
 from __future__ import annotations
@@ -30,103 +32,85 @@ from .dirichlet import (
     HyperParams,
     dirichlet_covariance,
     dirichlet_mean,
+    dirichlet_normalizer,
     dirichlet_pdf_many,
     dirichlet_sample_many,
     simplex_rows,
 )
 from .rng import make_rng
 
-SHAPE = (2, 3)
-
 
 def split(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split (N, 6) interior points into row totals and row proportions.
+    """Split (N, r, c) interior points into row totals and row proportions.
 
-    Returns (totals, shares) with shapes (N, 2) and (N, 2, 3): row i of a
+    Returns (totals, shares) with shapes (N, r) and (N, r, c): row i of a
     point has total totals[:, i] and within-row proportions shares[:, i, :].
     """
-    rows, cols = SHAPE
-    xs = simplex_rows(xs, rows * cols)
-    table = xs.reshape(len(xs), rows, cols)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 3:
+        raise ValueError(f"expected an (N, r, c) array of points, got shape {xs.shape}")
+    table = simplex_rows(xs.reshape(len(xs), -1), xs.shape[1] * xs.shape[2]).reshape(xs.shape)
     totals = table.sum(axis=2)
     shares = table / totals[:, :, None]
     return totals, shares
 
 
 def unsplit(totals: np.ndarray, shares: np.ndarray) -> np.ndarray:
-    """Reassemble (N, 6) joint points: cell (i, j) = total_i * share_ij."""
-    joint = np.asarray(totals, dtype=float)[:, :, None] * np.asarray(shares, dtype=float)
-    return joint.reshape(len(joint), -1)
+    """Reassemble (N, r, c) joint points: cell (i, j) = total_i * share_ij."""
+    return np.asarray(totals, dtype=float)[:, :, None] * np.asarray(shares, dtype=float)
 
 
-def _row_params(alpha: HyperParams):
-    rows, cols = SHAPE
-    if alpha.n != rows * cols:
-        raise ValueError(f"expected {rows * cols} pseudo-counts, got {alpha.n}")
-    return tuple(
-        HyperParams(alpha.alphas[i * cols : (i + 1) * cols]) for i in range(rows)
-    )
+def _joint(alpha_rows: tuple[HyperParams, ...]) -> HyperParams:
+    return HyperParams(tuple(a for row in alpha_rows for a in row.alphas))
 
 
-def shifted_prefactor(beta1: int, beta2: int) -> Fraction:
+def _totals(alpha_rows: tuple[HyperParams, ...]) -> HyperParams:
+    return HyperParams(tuple(row.total for row in alpha_rows))
+
+
+def _lowered(betas: HyperParams, shift: int) -> HyperParams:
+    return HyperParams(tuple(b - shift for b in betas.alphas))
+
+
+def shifted_prefactor(betas: HyperParams, shift: int) -> Fraction:
     """Constant turning the quotient form into the shifted form.
 
-    Rewriting d2(b1, b2)(y) / (y1^2 y2^2) as a multiple of d2(b1-2, b2-2)(y)
-    produces this exact rational factor.  Needs both totals >= 3.
+    d(betas)(y) / prod_i y_i^shift equals this exact rational times
+    d(betas - shift)(y): the ratio of the two Dirichlet normalisers.  A
+    total lowered below 1 raises ValueError.
     """
-    b = beta1 + beta2
-    den = (beta1 - 1) * (beta1 - 2) * (beta2 - 1) * (beta2 - 2)
-    if den == 0:
-        raise ValueError("shifted form needs both row totals >= 3")
-    return Fraction((b - 1) * (b - 2) * (b - 3) * (b - 4), den)
+    return dirichlet_normalizer(betas) / dirichlet_normalizer(_lowered(betas, shift))
 
 
 def pdf_factorization_check(
-    alpha: HyperParams, xs: np.ndarray
+    alpha_rows: tuple[HyperParams, ...], xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate the joint density and its two factorised forms at each row of xs.
+    """Evaluate the joint density and its two factorised forms at each point of xs.
 
-    Returns (N,) arrays (lhs, rhs_quotient, rhs_shifted): the 6-outcome
-    density, the product (totals density / y1^2 y2^2) * row densities, and
-    the same with the totals density shifted down by two and the matching
-    constant pulled out.  All three agree up to floating-point roundoff.
+    Returns (N,) arrays (lhs, rhs_quotient, rhs_shifted): the joint
+    density, the product (totals density / prod_i y_i^(c-1)) * row
+    densities, and the same with the totals density shifted down by c-1
+    and the matching constant pulled out.  All three agree up to
+    floating-point roundoff.
     """
-    row_alphas = _row_params(alpha)
-    betas = tuple(a.total for a in row_alphas)
+    xs = np.asarray(xs, dtype=float)
+    betas = _totals(alpha_rows)
+    shift = xs.shape[-1] - 1
 
     totals, shares = split(xs)
-    lhs = dirichlet_pdf_many(alpha, xs)
-    share_densities = (
-        dirichlet_pdf_many(row_alphas[0], shares[:, 0])
-        * dirichlet_pdf_many(row_alphas[1], shares[:, 1])
+    lhs = dirichlet_pdf_many(_joint(alpha_rows), xs.reshape(len(xs), -1))
+    share_densities = np.prod(
+        [dirichlet_pdf_many(row, shares[:, i]) for i, row in enumerate(alpha_rows)], axis=0
     )
-    totals_density = dirichlet_pdf_many(HyperParams(betas), totals)
-    rhs_quotient = totals_density / (totals[:, 0] ** 2 * totals[:, 1] ** 2) * share_densities
+    totals_density = dirichlet_pdf_many(betas, totals)
+    rhs_quotient = totals_density / np.prod(totals**shift, axis=1) * share_densities
 
-    shifted = HyperParams((betas[0] - 2, betas[1] - 2))
     rhs_shifted = (
-        float(shifted_prefactor(*betas))
-        * dirichlet_pdf_many(shifted, totals)
+        float(shifted_prefactor(betas, shift))
+        * dirichlet_pdf_many(_lowered(betas, shift), totals)
         * share_densities
     )
     return lhs, rhs_quotient, rhs_shifted
-
-
-def update_constant(beta1: int, beta2: int, row: int) -> Fraction:
-    """The proportionality constant attached to the shifted update claim.
-
-    Computed from the pre-update row totals, with the denominator built
-    from the incremented row first.  Not equal to 1 in general, which is
-    exactly what the audit flags.
-    """
-    if row not in (0, 1):
-        raise ValueError("row must be 0 or 1")
-    b = beta1 + beta2
-    br, bo = (beta1, beta2) if row == 0 else (beta2, beta1)
-    den = br * (br - 1) * (bo - 1) * (bo - 2)
-    if den == 0:
-        raise ValueError("constant undefined for these row totals")
-    return Fraction(b * (b - 1) * (b - 2) * (b - 3), den)
 
 
 @dataclass(frozen=True)
@@ -143,8 +127,7 @@ class CandidateFit:
 
     name: str
     totals_params: tuple[int, ...]
-    row0_params: tuple[int, ...]
-    row1_params: tuple[int, ...]
+    row_params: tuple[tuple[int, ...], ...]
     claimed_mass: float
     max_abs_z: float
     matches: bool
@@ -152,7 +135,7 @@ class CandidateFit:
 
 @dataclass(frozen=True)
 class LocalUpdateAudit:
-    alpha: HyperParams
+    alpha_rows: tuple[HyperParams, ...]
     cell: tuple[int, int]
     n_samples: int
     seed: int
@@ -165,7 +148,7 @@ class LocalUpdateAudit:
 
     def format_report(self) -> str:
         lines = [
-            f"local update audit: alpha={self.alpha.alphas}, "
+            f"local update audit: alpha rows={tuple(r.alphas for r in self.alpha_rows)}, "
             f"incremented cell={self.cell}, samples={self.n_samples}, seed={self.seed}",
             f"pushforward total mass: {self.pushforward_mass} (a probability measure)",
         ]
@@ -174,9 +157,9 @@ class LocalUpdateAudit:
             lines.append(f"  empirical {block} means: ({means})")
         for cand in self.candidates:
             verdict = "MATCH" if cand.matches else "MISMATCH"
+            rows = " x ".join(f"Dir{p}" for p in cand.row_params)
             lines.append(
-                f"  candidate {cand.name}: totals Dir{cand.totals_params}, "
-                f"rows Dir{cand.row0_params} x Dir{cand.row1_params}, "
+                f"  candidate {cand.name}: totals Dir{cand.totals_params}, rows {rows}, "
                 f"claimed mass {cand.claimed_mass:g}, max |z| = {cand.max_abs_z:.2f} "
                 f"-> {verdict}"
             )
@@ -206,6 +189,8 @@ def _component_stats(samples: np.ndarray) -> ComponentStats:
 
 
 def _fit_z(stats: ComponentStats, params: HyperParams) -> float:
+    if params.n == 1:
+        return 0.0  # the one-outcome simplex is a single point: nothing to fit
     mean = [float(p) for p in dirichlet_mean(params).probs]
     cov = dirichlet_covariance(params)
     z = 0.0
@@ -216,7 +201,7 @@ def _fit_z(stats: ComponentStats, params: HyperParams) -> float:
 
 
 def local_update_audit(
-    alpha: HyperParams,
+    alpha_rows: tuple[HyperParams, ...],
     increment_cell: tuple[int, int],
     samples: int = 100_000,
     seed: int = 0,
@@ -229,61 +214,45 @@ def local_update_audit(
     local parameterisations:
 
     * direct: totals pseudo-counts with the updated row incremented, the
-      updated row incremented at the observed column, other row unchanged;
-    * shifted: as above but with both totals lowered by two before the
+      updated row incremented at the observed column, other rows unchanged;
+    * shifted: as above but with every total lowered by c-1 after the
       increment, the form that comes with a proportionality constant.
 
     Components are judged at four standard errors.  The constant attached
     to the shifted form is evaluated and reported alongside.
     """
-    rows, cols = SHAPE
-    if alpha.n != rows * cols:
-        raise ValueError(f"expected {rows * cols} pseudo-counts, got {alpha.n}")
+    rows, cols = len(alpha_rows), alpha_rows[0].n
+    if any(row.n != cols for row in alpha_rows):
+        raise ValueError("every row needs the same number of pseudo-counts")
     i, j = increment_cell
     if not (0 <= i < rows and 0 <= j < cols):
         raise ValueError(f"cell {increment_cell} outside the {rows}x{cols} table")
     if samples < 10_000:
         raise ValueError("need at least 10000 samples for a meaningful audit")
-    row_alphas = _row_params(alpha)
-    betas = tuple(a.total for a in row_alphas)
-    if min(betas) < 3:
-        raise ValueError("audit needs both row totals >= 3 (shifted form)")
 
-    updated = alpha.increment(i * cols + j)
-    draws = dirichlet_sample_many(updated, samples, make_rng(seed))
-    totals, shares = split(draws)
+    draws = dirichlet_sample_many(_joint(alpha_rows).increment(i * cols + j), samples,
+                                  make_rng(seed))
+    totals, shares = split(draws.reshape(samples, rows, cols))
 
-    empirical = {
-        "totals": _component_stats(totals),
-        "row0": _component_stats(shares[:, 0, :]),
-        "row1": _component_stats(shares[:, 1, :]),
-    }
+    empirical = {"totals": _component_stats(totals)}
+    empirical.update((f"row{k}", _component_stats(shares[:, k, :])) for k in range(rows))
 
-    updated_rows = list(row_alphas)
-    updated_rows[i] = row_alphas[i].increment(j)
-
-    constant = update_constant(*betas, row=i)
-    candidate_specs = [
-        ("direct", HyperParams(betas).increment(i), 1.0),
-        (
-            "shifted",
-            HyperParams((betas[0] - 2, betas[1] - 2)).increment(i),
-            float(constant),
-        ),
-    ]
+    updated_rows = list(alpha_rows)
+    updated_rows[i] = alpha_rows[i].increment(j)
+    rows_z = max(_fit_z(empirical[f"row{k}"], row) for k, row in enumerate(updated_rows))
+    direct = _totals(alpha_rows).increment(i)
+    constant = shifted_prefactor(direct, cols - 1)
     candidates = []
-    for name, totals_params, claimed_mass in candidate_specs:
-        z = max(
-            _fit_z(empirical["totals"], totals_params),
-            _fit_z(empirical["row0"], updated_rows[0]),
-            _fit_z(empirical["row1"], updated_rows[1]),
-        )
+    for name, totals_params, claimed_mass in [
+        ("direct", direct, 1.0),
+        ("shifted", _lowered(direct, cols - 1), float(constant)),
+    ]:
+        z = max(_fit_z(empirical["totals"], totals_params), rows_z)
         candidates.append(
             CandidateFit(
                 name=name,
                 totals_params=totals_params.alphas,
-                row0_params=updated_rows[0].alphas,
-                row1_params=updated_rows[1].alphas,
+                row_params=tuple(row.alphas for row in updated_rows),
                 claimed_mass=claimed_mass,
                 max_abs_z=z,
                 matches=z <= 4.0,
@@ -291,7 +260,7 @@ def local_update_audit(
         )
 
     return LocalUpdateAudit(
-        alpha=alpha,
+        alpha_rows=tuple(alpha_rows),
         cell=increment_cell,
         n_samples=samples,
         seed=seed,

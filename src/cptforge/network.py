@@ -6,9 +6,10 @@ Every input file is UTF-8; a byte sequence that is not is an error naming
 the file and the line.
 
 Graph: plain text, one directive per line.  ``node <name> <arity>`` declares
-a variable with outcomes 0..arity-1; ``edge <parent> <child>`` adds a
-dependency.  Lines starting with ``#`` and blank lines are ignored.  The
-edge relation must be acyclic.  A node name matches
+a variable with outcomes 0..arity-1, the arity being ASCII digits from 1 to
+``MAX_FAMILY_CELLS``; ``edge <parent> <child>`` adds a dependency.  Lines
+starting with ``#`` and blank lines are ignored.  The edge relation must
+be acyclic.  A node name matches
 ``[A-Za-z_][A-Za-z0-9_.-]*`` and is not ``count``, so it names a file
 inside the output directory and never the count column.
 
@@ -23,9 +24,9 @@ digit is an error.  Counts may exceed 64 bits.  Empty lines and ``#``
 lines are ignored.
 
 Priors (Bayesian mode): plain text, one line per node:
-``<name> a1 a2 ... a<arity>`` with every pseudo-count >= 1.  The same
-vector is applied to every parent configuration of that node; nodes not
-listed default to all ones.
+``<name> a1 a2 ... a<arity>`` with every pseudo-count ASCII digits and
+>= 1.  The same vector is applied to every parent configuration of that
+node; nodes not listed default to all ones.
 
 Output: one CSV per node.  Parent outcome columns come first (in declared
 edge order, row-major over parent configurations).  MLE mode then has
@@ -71,8 +72,9 @@ MAX_FAMILY_CELLS = 1 << 24
 
 _NODE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 
-# A data cell: blanks, digits, blanks.  The sign is matched only so that a
-# negative value gets its own message; it is never accepted.
+# A number (a data cell, an arity or a pseudo-count): blanks, digits,
+# blanks.  The sign is matched only so that a negative value gets its own
+# message; it is never accepted.
 _CELL = re.compile(r"[ \t]*(-?[0-9]+)[ \t]*")
 
 # Only lines made of these bytes are parsed in bulk; any other byte (a sign,
@@ -95,6 +97,21 @@ def _read_text(path: str | Path) -> str:
     """A UTF-8 text file's contents; undecodable bytes are a DataError."""
     lines = Path(path).read_bytes().split(b"\n")
     return "\n".join(_decode(raw, path, n) for n, raw in enumerate(lines, start=1))
+
+
+def _integer(text: str, lineno: int) -> int | None:
+    """The number `text` holds under the `_CELL` grammar, or None if it holds none.
+
+    More digits than ``int`` converts (``sys.get_int_max_str_digits()``)
+    is a DataError naming the line.
+    """
+    match = _CELL.fullmatch(text)
+    if match is None:
+        return None
+    try:
+        return int(match[1])
+    except ValueError:
+        raise DataError(f"line {lineno}: a number of {len(match[1])} digits is too long") from None
 
 
 def _name_error(name: str) -> str | None:
@@ -170,10 +187,12 @@ class GraphSpec:
             if parts[0] == "node" and len(parts) == 3:
                 if error := _name_error(parts[1]):
                     raise DataError(f"line {lineno}: {error}")
-                try:
-                    arity = int(parts[2])
-                except ValueError:
+                arity = _integer(parts[2], lineno)
+                if arity is None:
                     raise DataError(f"line {lineno}: arity {parts[2]!r} is not an integer")
+                if not 1 <= arity <= MAX_FAMILY_CELLS:
+                    # Above the cap, the node's own table could never be built.
+                    raise DataError(f"line {lineno}: arity {arity} outside 1..{MAX_FAMILY_CELLS}")
                 nodes.append((parts[1], arity))
             elif parts[0] == "edge" and len(parts) == 3:
                 edges.append((parts[1], parts[2]))
@@ -305,18 +324,16 @@ def _parse_line(text: str, lineno: int, names: tuple[str, ...],
         raise DataError(f"line {lineno}: expected {len(names) + 1} cells, got {len(cells)}")
     values = []
     for name, col, arity in zip(names, order, arities):
-        match = _CELL.fullmatch(cells[col])
-        if match is None:
+        value = _integer(cells[col], lineno)
+        if value is None:
             raise DataError(f"line {lineno}: outcome {cells[col].strip()!r} for {name} "
                             f"is not an integer")
-        value = int(match[1])
         if not 0 <= value < arity:
             raise DataError(f"line {lineno}: outcome {value} for {name} outside 0..{arity - 1}")
         values.append(value)
-    match = _CELL.fullmatch(cells[-1])
-    if match is None:
+    count = _integer(cells[-1], lineno)
+    if count is None:
         raise DataError(f"line {lineno}: count {cells[-1].strip()!r} is not an integer")
-    count = int(match[1])
     if count < 0:
         raise DataError(f"line {lineno}: negative count {count}")
     return (*values, count)
@@ -333,7 +350,10 @@ def _read_header(fh: BinaryIO, path: Path, names: tuple[str, ...]) -> tuple[int,
         text = _decode(raw, path, lineno)
         if _is_skipped(text):
             continue
-        header = [cell.strip() for cell in next(csv.reader([text.rstrip("\r\n")]))]
+        try:
+            header = [cell.strip() for cell in next(csv.reader([text.rstrip("\r\n")]))]
+        except csv.Error as exc:  # a field past csv.field_size_limit(), a bare "\r"
+            raise DataError(f"line {lineno}: header: {exc}") from None
         if len(header) != len(names) + 1 or header[-1] != "count":
             raise DataError(
                 f"line {lineno}: header must list every node plus a final "
@@ -519,9 +539,8 @@ def parse_prior(text: str, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
             raise DataError(f"line {lineno}: unknown node {name}")
         if name in priors:
             raise DataError(f"line {lineno}: duplicate prior for {name}")
-        try:
-            values = tuple(int(v) for v in parts[1:])
-        except ValueError:
+        values = tuple(_integer(v, lineno) for v in parts[1:])
+        if None in values:
             raise DataError(f"line {lineno}: pseudo-counts must be integers")
         if len(values) != graph.arity(name):
             raise DataError(

@@ -742,7 +742,7 @@ def check_stoch_transfer_quadrature(seed: int, resolution: int) -> CheckResult:
 
 
 def check_stoch_split_roundtrip(seed: int, resolution: int) -> CheckResult:
-    points = _interior_points(6, 200, seed + 28)
+    points = _interior_points(6, 200, seed + 28).reshape(200, 2, 3)
     worst = float(np.abs(unsplit(*split(points)) - points).max())
     ok = worst <= 1e-12
     return _result(
@@ -755,8 +755,9 @@ def check_stoch_factorisation(seed: int, resolution: int) -> CheckResult:
     worst = 0.0
     for trial in range(20):
         alpha = _random_hyperparams(rng, 6)
-        points = _interior_points(6, 20, seed + 2000 + trial)
-        lhs, rhs1, rhs2 = pdf_factorization_check(alpha, points)
+        rows = (HyperParams(alpha.alphas[:3]), HyperParams(alpha.alphas[3:]))
+        points = _interior_points(6, 20, seed + 2000 + trial).reshape(20, 2, 3)
+        lhs, rhs1, rhs2 = pdf_factorization_check(rows, points)
         rel = float((np.maximum(np.abs(lhs - rhs1), np.abs(lhs - rhs2)) / np.abs(lhs)).max())
         worst = max(worst, rel)
         if rel > 1e-9:
@@ -774,7 +775,7 @@ def check_stoch_factorisation(seed: int, resolution: int) -> CheckResult:
 
 def check_stoch_local_audit(seed: int, resolution: int) -> CheckResult:
     audit = local_update_audit(
-        HyperParams((1, 1, 1, 1, 1, 1)), (0, 2), samples=100_000, seed=seed + 30
+        (HyperParams((1, 1, 1)),) * 2, (0, 2), samples=100_000, seed=seed + 30
     )
     direct = next(c for c in audit.candidates if c.name == "direct")
     shifted = next(c for c in audit.candidates if c.name == "shifted")

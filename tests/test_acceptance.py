@@ -39,7 +39,7 @@ from cptforge.dist import (
     validity,
 )
 from cptforge.finset import FinMap, JointMultiset, Multiset, ms_map
-from cptforge.localsplit import local_update_audit, pdf_factorization_check, update_constant
+from cptforge.localsplit import local_update_audit, pdf_factorization_check, shifted_prefactor
 from cptforge.mle import likelihood, mle, mle_decompose, monad_counterexample, simplex_grid
 from cptforge.network import learn_bayes, learn_mle
 from cptforge.rng import make_rng
@@ -226,17 +226,18 @@ def test_criterion_10_split_factorisation_and_audit():
         rng = random.Random(1010)
         for trial in range(20):
             alpha = HyperParams(tuple(rng.randint(1, 8) for _ in range(6)))
+            rows = (HyperParams(alpha.alphas[:3]), HyperParams(alpha.alphas[3:]))
             points = dirichlet_sample_many(
                 HyperParams((1,) * 6), 20, make_rng(101_000 + trial)
-            )
-            lhs, rhs1, rhs2 = pdf_factorization_check(alpha, points)
+            ).reshape(20, 2, 3)
+            lhs, rhs1, rhs2 = pdf_factorization_check(rows, points)
             assert np.max(np.abs(lhs - rhs1) / np.abs(lhs)) <= 1e-9
             assert np.max(np.abs(lhs - rhs2) / np.abs(lhs)) <= 1e-9
 
-        audit = local_update_audit(HyperParams((1,) * 6), (0, 2), samples=100_000, seed=10)
+        audit = local_update_audit((HyperParams((1,) * 3),) * 2, (0, 2), samples=100_000, seed=10)
         assert audit.pushforward_mass == 1.0
         assert audit.matching_candidates == ("direct",)
-        assert audit.shifted_constant == update_constant(3, 3, row=0) == F(30)
+        assert audit.shifted_constant == shifted_prefactor(HyperParams((3, 3)).increment(0), 2) == F(30)
         assert not audit.constant_is_one
         assert "constant" in audit.format_report()
         elapsed = time.perf_counter() - start

@@ -1,9 +1,9 @@
-"""`learn` against the benchmark's cptforge-free oracle, byte for byte.
+"""`learn` and `verify` against the benchmark's cptforge-free generator and oracle.
 
 The generator and the oracle under ``perfbench/`` never import cptforge:
 the oracle recounts every family from the generated rows with plain
-Python ints and renders the expected tables itself.  They are loaded
-read-only, by file.
+Python ints and renders the expected tables itself, and it pins the
+checks `verify --suite all` reports.  They are loaded read-only, by file.
 """
 
 import dataclasses
@@ -14,6 +14,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from cptforge import verify
+from cptforge.bayes import batch_update
+from cptforge.dirichlet import HyperParams
+from cptforge.network import GraphSpec, ingest_counts, learn_bayes, load_prior
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,3 +77,44 @@ def test_learn_matches_oracle(tmp_path, workload, mode):
     expected = {name: text.encode("utf-8")
                 for name, text in oracle.expected_tables(inst, mode).items()}
     assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+
+
+@pytest.mark.parametrize("network", ["golden", "learn-wide"])
+def test_learned_rows_are_slices_of_the_joint_update(tmp_path, network):
+    """Local updating: each family's posterior rows are the row slices of one
+    update of the whole prior table by the whole family table."""
+    if network == "golden":
+        graph, table, prior = verify.blood_medicine_graph(), verify.blood_medicine_table(), {}
+    else:
+        paths = gen.write(gen.generate(gen.SHAPES["learn-wide"], 1, "learn-wide"), tmp_path)
+        graph = GraphSpec.load(paths["graph"])
+        table = ingest_counts(paths["data"], graph)
+        prior = load_prior(paths["prior"], graph)
+        assert prior
+    for cpt in learn_bayes(table, graph, prior):
+        family = table.marginal_counts(cpt.parents + (cpt.node,))
+        whole_prior = HyperParams(prior.get(cpt.node, (1,) * cpt.arity) * cpt.n_configs())
+        joint = batch_update(whole_prior, family).alphas
+        k = cpt.arity
+        assert cpt.posteriors == tuple(
+            HyperParams(joint[i * k : (i + 1) * k]) for i in range(cpt.n_configs())
+        )
+
+
+CHECKS = [check for checks in verify.SUITES.values() for check in checks]
+
+
+@pytest.mark.parametrize(
+    "check", [pytest.param(c, id=name) for name, c in zip(oracle.VERIFY_CHECKS, CHECKS)]
+)
+def test_each_law_passes_at_seed_42(request, check):
+    result = check(42, 400)
+    assert f"{result.suite}/{result.name}" == request.node.callspec.id
+    assert result.passed, result.detail
+
+
+def test_verify_reports_exactly_the_pinned_checks():
+    # The benchmark's oracle pins these names and their order; a check added,
+    # renamed or moved must change the oracle in the same change.
+    results = verify.run_suite("all", seed=42)
+    assert tuple(f"{r.suite}/{r.name}" for r in results) == oracle.VERIFY_CHECKS

@@ -86,6 +86,28 @@ class TestGraphSpec:
         with pytest.raises(DataError, match="line 1"):
             GraphSpec.parse("node A two\n")
 
+    @pytest.mark.parametrize(
+        "arity,message",
+        [
+            ("two", "not an integer"),
+            ("\u0663", "not an integer"),
+            ("1_0", "not an integer"),
+            ("+3", "not an integer"),
+            ("3.0", "not an integer"),
+            ("0", "outside 1..16777216"),
+            ("-3", "outside 1..16777216"),
+            ("16777217", "outside 1..16777216"),
+            ("99999999999999999999999", "outside 1..16777216"),
+            pytest.param("9" * 5000, "5000 digits is too long", id="5000-digits"),
+        ],
+    )
+    def test_arity_grammar(self, arity, message):
+        with pytest.raises(DataError, match=f"line 2: .*{message}"):
+            GraphSpec.parse(f"node A 2\nnode B {arity}\n")
+
+    def test_largest_arity_is_accepted(self):
+        assert GraphSpec.parse("node A 16777216\n").arity("A") == network.MAX_FAMILY_CELLS
+
 
 class TestIngest:
     def test_worked_example(self, golden_data_csv, golden_graph):
@@ -152,6 +174,8 @@ class TestIngest:
             ("\u0663,1,5", "line 2.*not an integer"),
             ("0,1,1.0", "line 2.*not an integer"),
             ('"1",1,5', "line 2.*not an integer"),
+            pytest.param("0,1," + "9" * 5000, "line 2.*5000 digits is too long",
+                         id="5000-digit-count"),
         ],
     )
     def test_bad_rows_report_line_numbers(self, tmp_path, golden_graph, row, message):
@@ -164,6 +188,12 @@ class TestIngest:
         path = tmp_path / "bad.csv"
         path.write_text("Blood,Pressure,count\n0,0,1\n", encoding="utf-8")
         with pytest.raises(DataError, match="header"):
+            ingest_counts(path, golden_graph)
+
+    def test_header_field_past_the_csv_limit_rejected(self, tmp_path, golden_graph):
+        path = tmp_path / "bad.csv"
+        path.write_text('"' + "B" * ((1 << 17) + 1) + '",Medicine,count\n', encoding="utf-8")
+        with pytest.raises(DataError, match="line 1: header: field larger"):
             ingest_counts(path, golden_graph)
 
     def test_missing_file(self, tmp_path, golden_graph):
@@ -335,6 +365,11 @@ class TestPriorParsing:
             ("Blood 1 0\n", ">= 1"),
             ("Blood 1 1\nBlood 2 2\n", "duplicate"),
             ("Blood one 1\n", "integers"),
+            ("Blood +1 1_0\n", "line 1: pseudo-counts must be integers"),
+            ("Blood 1 \u0663\n", "line 1: pseudo-counts must be integers"),
+            ("Blood -1 1\n", "line 1: pseudo-counts must be >= 1"),
+            pytest.param("# huge\nBlood 1 " + "9" * 5000 + "\n", "line 2: .*5000 digits is too long",
+                         id="5000-digits"),
         ],
     )
     def test_errors(self, golden_graph, text, message):
@@ -446,6 +481,13 @@ class TestCli:
             main(["verify", "--suite", "golden", "--resolution", value])
         assert exc.value.code == 2
         assert "--resolution: must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "-100"])
+    def test_verify_seed_below_zero_is_input_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "stochastic", "--seed", value])
+        assert exc.value.code == 2
+        assert "--seed: must be at least 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["graph", "data", "prior"])
     def test_non_utf8_file_is_input_error(
