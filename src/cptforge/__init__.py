@@ -32,7 +32,6 @@ from .dist import (
     Dist,
     JointDist,
     Predicate,
-    channel_compose,
     condition,
     disintegrate,
     dist_map,
@@ -86,7 +85,6 @@ __all__ = [
     "ZeroRowError",
     "aggregate_params",
     "batch_update",
-    "channel_compose",
     "condition",
     "cont_condition",
     "cont_validity",

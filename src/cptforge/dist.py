@@ -135,10 +135,6 @@ class Channel:
         return self.rows[x]
 
     @staticmethod
-    def identity(n: int) -> Channel:
-        return Channel(tuple(Dist.point(n, i) for i in range(n)))
-
-    @staticmethod
     def deterministic(h: FinMap) -> Channel:
         """The channel sending x to the point mass at h(x)."""
         return Channel(tuple(Dist.point(h.codomain_size, h(x)) for x in range(h.domain_size)))
@@ -190,9 +186,6 @@ class JointDist:
     def marg1(self) -> Dist:
         return Dist(tuple(sum(row) for row in self.rows))
 
-    def marg2(self) -> Dist:
-        return Dist(tuple(sum(row[j] for row in self.rows) for j in range(self.m)))
-
 
 def dist_map(h: FinMap, omega: Dist) -> Dist:
     """Push a distribution forward along h; for projections this marginalises."""
@@ -215,13 +208,6 @@ def state_transform(c: Channel, omega: Dist) -> Dist:
         for y, q in enumerate(c.rows[x].probs):
             out[y] += p * q
     return Dist(tuple(out))
-
-
-def channel_compose(d: Channel, c: Channel) -> Channel:
-    """Sequential composite (d after c): x -> push c(x) through d."""
-    if c.m != d.n:
-        raise ValueError(f"size mismatch: first channel into {c.m}, second from {d.n}")
-    return Channel(tuple(state_transform(d, c(x)) for x in range(c.n)))
 
 
 def disintegrate(omega: JointDist) -> tuple[Dist, Channel]:

@@ -97,10 +97,6 @@ class Multiset:
     def total(self) -> int:
         return sum(self.counts)
 
-    def is_nonempty(self) -> bool:
-        """At least one index occurs."""
-        return any(c > 0 for c in self.counts)
-
     def has_full_support(self) -> bool:
         """Every index occurs at least once."""
         return all(c > 0 for c in self.counts)
@@ -151,14 +147,6 @@ class JointMultiset:
     def to_flat(self) -> Multiset:
         """The same counts as a vector over n*m, row-major."""
         return Multiset(tuple(c for row in self.rows for c in row))
-
-    @staticmethod
-    def from_flat(phi: Multiset, n: int, m: int) -> JointMultiset:
-        if phi.n != n * m:
-            raise ValueError(f"cannot reshape size {phi.n} into {n}x{m}")
-        return JointMultiset(
-            tuple(tuple(phi.counts[i * m + j] for j in range(m)) for i in range(n))
-        )
 
 
 def ms_map(h: FinMap, phi: Multiset) -> Multiset:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .dist import Channel, Dist, pair_graph
+from .dist import Channel, Dist
 from .finset import JointMultiset, Multiset, ms_map, row_extract, FinMap
 
 
@@ -52,11 +52,6 @@ def mle_decompose(phi: JointMultiset) -> tuple[Dist, Channel]:
     first = mle(ms_map(FinMap.proj1(phi.n, phi.m), phi.to_flat()))
     channel = Channel(tuple(mle(row) for row in row_extract(phi)))
     return first, channel
-
-
-def reconstruct(first: Dist, channel: Channel) -> Dist:
-    """Flattened joint distribution obtained by coupling input and channel."""
-    return pair_graph(channel, first).to_flat()
 
 
 def simplex_grid(n: int, denominator: int) -> Iterator[Dist]:

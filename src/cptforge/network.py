@@ -2,8 +2,8 @@
 
 File formats
 ------------
-Every input file is UTF-8; a byte sequence that is not is an error naming
-the file and the line.
+Every input file is UTF-8.  An error in an input file, such as a byte
+sequence that is not UTF-8, names the file and the line.
 
 Graph: plain text, one directive per line.  ``node <name> <arity>`` declares
 a variable with outcomes 0..arity-1, the arity being ASCII digits from 1 to
@@ -34,19 +34,24 @@ probability columns p0..p{m-1}; Bayesian mode has pseudo-count columns
 a0..a{m-1} followed by posterior means mean0..mean{m-1}.  Probabilities
 and means are rendered as reduced exact fractions ``a/b`` with b > 0.
 
+Learned tables: a `LearnedCPT` holds one ``(configs, arity)`` integer
+array per family, the counts (MLE) or the prior plus the counts (Bayes);
+`dists` and `posteriors` are views derived from it.
+
 A family table (parent configurations x arity cells) larger than
 ``MAX_FAMILY_CELLS`` is refused before it is allocated.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import graphlib
 import io
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -55,14 +60,15 @@ from typing import BinaryIO, Mapping
 
 import numpy as np
 
-from .bayes import batch_update
-from .dirichlet import HyperParams, dirichlet_mean
+from .dirichlet import HyperParams
 from .dist import Dist
-from .finset import JointMultiset, Multiset, ZeroRowError, row_extract
-from .mle import mle
+from .finset import Multiset
 
 CHUNK_LINES = 1 << 14
 """Data lines parsed per bulk step; bounds the parser's working memory."""
+
+WRITE_ROWS = 1 << 10
+"""Table rows rendered per step; bounds the writer's string arrays."""
 
 MERGE_ROWS = 1 << 17
 """Data rows held beyond the merged distinct rows before they are merged again."""
@@ -86,17 +92,31 @@ class DataError(ValueError):
     """Invalid user-supplied graph, count, or prior data."""
 
 
-def _decode(raw: bytes, path: str | Path, lineno: int) -> str:
+@contextlib.contextmanager
+def _in_file(path: str | Path):
+    """Prefix the DataError raised in the block with the path of the file being read."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _at(lineno: int | None) -> str:
+    """The ``line N: `` prefix of an error message, empty when the line is unknown."""
+    return "" if lineno is None else f"line {lineno}: "
+
+
+def _decode(raw: bytes, lineno: int) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
-        raise DataError(f"{path}: line {lineno}: not valid UTF-8") from None
+        raise DataError(f"line {lineno}: not valid UTF-8") from None
 
 
 def _read_text(path: str | Path) -> str:
     """A UTF-8 text file's contents; undecodable bytes are a DataError."""
     lines = Path(path).read_bytes().split(b"\n")
-    return "\n".join(_decode(raw, path, n) for n, raw in enumerate(lines, start=1))
+    return "\n".join(_decode(raw, n) for n, raw in enumerate(lines, start=1))
 
 
 def _integer(text: str, lineno: int) -> int | None:
@@ -125,41 +145,51 @@ def _name_error(name: str) -> str | None:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """A directed acyclic graph of named variables with finite arities."""
+    """A directed acyclic graph of named variables with finite arities.
+
+    `lines`, the file line of each node and of each edge, makes errors name it.
+    """
 
     nodes: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str], ...]
+    lines: InitVar[tuple[tuple[int, ...], tuple[int, ...]] | None] = None
     _arity: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, lines):
         object.__setattr__(self, "nodes", tuple((str(n), int(a)) for n, a in self.nodes))
         object.__setattr__(self, "edges", tuple((str(p), str(c)) for p, c in self.edges))
-        names = [n for n, _ in self.nodes]
-        if len(set(names)) != len(names):
-            raise DataError("duplicate node names")
-        if not names:
-            raise DataError("graph has no nodes")
-        arities = dict(self.nodes)
-        object.__setattr__(self, "_arity", arities)
-        for n, a in self.nodes:
+        node_lines, edge_lines = lines or ((None,) * len(self.nodes), (None,) * len(self.edges))
+        if not self.nodes:
+            raise DataError("graph has no nodes: it needs a 'node <name> <arity>' line")
+        arities: dict[str, int] = {}
+        for (n, a), lineno in zip(self.nodes, node_lines):
+            if n in arities:
+                raise DataError(f"{_at(lineno)}duplicate node {n}")
             if error := _name_error(n):
-                raise DataError(error)
-            if a < 1:
-                raise DataError(f"node {n} has arity {a} < 1")
-        seen = set()
-        for p, c in self.edges:
+                raise DataError(_at(lineno) + error)
+            if not 1 <= a <= MAX_FAMILY_CELLS:
+                # Above the cap, the node's own table could never be built.
+                raise DataError(f"{_at(lineno)}node {n} has arity {a} "
+                                f"outside 1..{MAX_FAMILY_CELLS}")
+            arities[n] = a
+        object.__setattr__(self, "_arity", arities)
+        edge_line: dict[tuple[str, str], int | None] = {}
+        for (p, c), lineno in zip(self.edges, edge_lines):
             if p not in arities or c not in arities:
-                raise DataError(f"edge {p} -> {c} references an undeclared node")
-            if (p, c) in seen:
-                raise DataError(f"duplicate edge {p} -> {c}")
-            seen.add((p, c))
-        deps = {n: [] for n in names}
+                raise DataError(f"{_at(lineno)}edge {p} -> {c} references an undeclared node")
+            if (p, c) in edge_line:
+                raise DataError(f"{_at(lineno)}duplicate edge {p} -> {c}")
+            edge_line[p, c] = lineno
+        deps = {n: [] for n in arities}
         for p, c in self.edges:
             deps[c].append(p)
         try:
             tuple(graphlib.TopologicalSorter(deps).static_order())
         except graphlib.CycleError as exc:
-            raise DataError(f"graph has a directed cycle: {exc.args[1]}") from exc
+            # Each node of the reported cycle is a parent of the next one.
+            cycle = exc.args[1]
+            raise DataError(f"{_at(edge_line[cycle[0], cycle[1]])}graph has a directed "
+                            f"cycle: {' -> '.join(cycle)}") from None
 
     @property
     def node_names(self) -> tuple[str, ...]:
@@ -179,31 +209,31 @@ class GraphSpec:
     def parse(text: str) -> GraphSpec:
         nodes: list[tuple[str, int]] = []
         edges: list[tuple[str, str]] = []
+        node_lines: list[int] = []
+        edge_lines: list[int] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if parts[0] == "node" and len(parts) == 3:
-                if error := _name_error(parts[1]):
-                    raise DataError(f"line {lineno}: {error}")
                 arity = _integer(parts[2], lineno)
                 if arity is None:
                     raise DataError(f"line {lineno}: arity {parts[2]!r} is not an integer")
-                if not 1 <= arity <= MAX_FAMILY_CELLS:
-                    # Above the cap, the node's own table could never be built.
-                    raise DataError(f"line {lineno}: arity {arity} outside 1..{MAX_FAMILY_CELLS}")
                 nodes.append((parts[1], arity))
+                node_lines.append(lineno)
             elif parts[0] == "edge" and len(parts) == 3:
                 edges.append((parts[1], parts[2]))
+                edge_lines.append(lineno)
             else:
                 raise DataError(f"line {lineno}: expected 'node <name> <arity>' or "
                                 f"'edge <parent> <child>', got {raw!r}")
-        return GraphSpec(tuple(nodes), tuple(edges))
+        return GraphSpec(tuple(nodes), tuple(edges), (tuple(node_lines), tuple(edge_lines)))
 
     @staticmethod
     def load(path: str | Path) -> GraphSpec:
-        return GraphSpec.parse(_read_text(path))
+        with _in_file(path):
+            return GraphSpec.parse(_read_text(path))
 
 
 def _outcome_dtype(arities: tuple[int, ...]) -> np.dtype:
@@ -211,18 +241,16 @@ def _outcome_dtype(arities: tuple[int, ...]) -> np.dtype:
     return np.min_scalar_type(max(arities, default=1) - 1)
 
 
-def _count_array(values) -> np.ndarray:
-    """Counts as int64, or as Python ints (dtype object) when one needs more bits."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.asarray(values, dtype=object)
+def _count_dtype(total: int) -> type:
+    """The dtype of an array of non-negative integers whose exact grand total is
+    `total`: int64 while the total is below 2**63, so that no sum of its cells
+    can wrap, and Python ints (dtype object) beyond."""
+    return np.int64 if total < 1 << 63 else object
 
 
 def _sum_by_index(index: np.ndarray, counts: np.ndarray, size: int, total: int) -> np.ndarray:
-    """``counts`` summed into ``size`` cells by ``index``, given their exact
-    ``total``: in int64 while the total stays below 2**63, in Python ints beyond."""
-    dtype = np.int64 if total < 1 << 63 else object
+    """``counts`` summed into ``size`` cells by ``index``, given their exact ``total``."""
+    dtype = _count_dtype(total)
     out = np.zeros(size, dtype=dtype)
     np.add.at(out, index, counts.astype(dtype, copy=False))
     return out
@@ -243,9 +271,9 @@ class CountTable:
 
     Row r of `outcomes` (shape ``(R, k)``, the smallest unsigned dtype that
     holds every outcome index) is an observed outcome tuple and
-    ``counts[r]`` its count (int64, or Python ints when a count needs more
-    bits).  A tuple may occur on several rows; only the summed counts
-    matter, so equality compares `records`, the aggregated view.
+    ``counts[r]`` its count, of the dtype `_count_dtype` gives their total.
+    A tuple may occur on several rows; only the summed counts matter, so
+    equality compares `records`, the aggregated view.
     """
 
     variables: tuple[str, ...]
@@ -270,9 +298,10 @@ class CountTable:
     ) -> CountTable:
         """A table with one row per (outcome tuple, count) item of `mapping`."""
         outcomes = np.array(list(mapping), dtype=_outcome_dtype(arities))
+        counts = list(mapping.values())
         return cls(tuple(variables), tuple(arities),
                    outcomes.reshape(len(mapping), len(variables)),
-                   _count_array(list(mapping.values())))
+                   np.array(counts, dtype=_count_dtype(sum(counts))))
 
     @property
     def records(self) -> Mapping[tuple[int, ...], int]:
@@ -299,8 +328,7 @@ class CountTable:
         """Counts marginalised onto the given variables, row-major in that order.
 
         This is the pushforward of the joint counts along the projection onto
-        `names`: one scatter-add of every row's count into its cell, exact in
-        int64 while the total stays below 2**63 and in Python ints beyond.
+        `names`: one exact scatter-add of every row's count into its cell.
         """
         positions = []
         for name in names:
@@ -344,10 +372,10 @@ def _is_skipped(text: str) -> bool:
     return not text.strip("\r\n") or text.lstrip().startswith("#")
 
 
-def _read_header(fh: BinaryIO, path: Path, names: tuple[str, ...]) -> tuple[int, list[int]]:
+def _read_header(fh: BinaryIO, names: tuple[str, ...]) -> tuple[int, list[int]]:
     """Consume lines up to the header; its line number and, per node, its column."""
     for lineno, raw in enumerate(fh, start=1):
-        text = _decode(raw, path, lineno)
+        text = _decode(raw, lineno)
         if _is_skipped(text):
             continue
         try:
@@ -390,7 +418,7 @@ def _bulk_rows(lines: list[bytes], row_type: np.dtype) -> np.ndarray | None:
     return rows if len(rows) == len(lines) else None  # loadtxt skips empty lines
 
 
-def _read_chunk(lines: list[bytes], first: int, path: Path, names: tuple[str, ...],
+def _read_chunk(lines: list[bytes], first: int, names: tuple[str, ...],
                 arities: tuple[int, ...], order: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Outcome rows (declared order) and counts of the data lines from line `first` on.
 
@@ -403,11 +431,13 @@ def _read_chunk(lines: list[bytes], first: int, path: Path, names: tuple[str, ..
     linenos = range(first, first + len(lines))
     rows = _bulk_rows(lines, row_type)
     if rows is None:
-        texts = [(n, _decode(raw, path, n)) for n, raw in zip(linenos, lines)]
+        texts = [(n, _decode(raw, n)) for n, raw in zip(linenos, lines)]
         parsed = [_parse_line(text, n, names, arities, order)
                   for n, text in texts if not _is_skipped(text)]
         outcomes = np.array([p[:-1] for p in parsed], dtype=dtype)
-        return outcomes.reshape(len(parsed), len(names)), _count_array([p[-1] for p in parsed])
+        counts = [p[-1] for p in parsed]
+        return (outcomes.reshape(len(parsed), len(names)),
+                np.array(counts, dtype=_count_dtype(sum(counts))))
     bounds = np.empty(len(names), dtype=np.int64)
     bounds[order] = arities
     bad = (rows["outcomes"] >= bounds).any(axis=1)
@@ -430,64 +460,102 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
     The first malformed line is reported with its line number.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"data file not found: {path}")
-    names = graph.node_names
-    arities = tuple(graph.arity(n) for n in names)
-    outcome_parts = [np.empty((0, len(names)), dtype=_outcome_dtype(arities))]
-    count_parts = [np.empty(0, dtype=np.int64)]
-    held = merged = 0
-    with path.open("rb") as fh:
-        lineno, order = _read_header(fh, path, names)
-        while lines := list(itertools.islice(fh, CHUNK_LINES)):
-            outcomes, counts = _read_chunk(lines, lineno + 1, path, names, arities, order)
-            outcome_parts.append(outcomes)
-            count_parts.append(counts)
-            lineno += len(lines)
-            held += len(counts)
-            if held > MERGE_ROWS + 2 * merged:
-                outcomes, counts = _distinct_rows(np.concatenate(outcome_parts),
-                                                  np.concatenate(count_parts))
-                outcome_parts, count_parts = [outcomes], [counts]
-                held = merged = len(counts)
+    with _in_file(path):
+        if not path.exists():
+            raise DataError("data file not found")
+        names = graph.node_names
+        arities = tuple(graph.arity(n) for n in names)
+        outcome_parts = [np.empty((0, len(names)), dtype=_outcome_dtype(arities))]
+        count_parts = [np.empty(0, dtype=np.int64)]
+        held = merged = 0
+        with path.open("rb") as fh:
+            lineno, order = _read_header(fh, names)
+            while lines := list(itertools.islice(fh, CHUNK_LINES)):
+                outcomes, counts = _read_chunk(lines, lineno + 1, names, arities, order)
+                outcome_parts.append(outcomes)
+                count_parts.append(counts)
+                lineno += len(lines)
+                held += len(counts)
+                if held > MERGE_ROWS + 2 * merged:
+                    outcomes, counts = _distinct_rows(np.concatenate(outcome_parts),
+                                                      np.concatenate(count_parts))
+                    outcome_parts, count_parts = [outcomes], [counts]
+                    held = merged = len(counts)
     return CountTable(names, arities, np.concatenate(outcome_parts),
                       np.concatenate(count_parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearnedCPT:
-    """One node's learned table: a distribution per parent configuration.
+    """One node's learned table: a row of integer weights per parent configuration.
 
-    Parent configurations are indexed row-major over the parent arities in
-    declared edge order; a root node has the single empty configuration.
-    In Bayesian mode `posteriors` carries the updated pseudo-counts whose
-    means the distributions are.
+    `weights` is a ``(configs, arity)`` integer array, row-major over the
+    parent arities in declared edge order (a root node has the single empty
+    configuration).  In MLE mode it holds the family's counts; in Bayes mode
+    the prior plus the counts, i.e. the Dirichlet posterior pseudo-counts.
+    Either way a row's distribution is the row over its total, which in
+    Bayes mode is the posterior mean.  `dists` and `posteriors` are views
+    derived from the array.
     """
 
     node: str
     parents: tuple[str, ...]
     parent_arities: tuple[int, ...]
     arity: int
-    dists: tuple[Dist, ...]
-    posteriors: tuple[HyperParams, ...] | None = None
+    weights: np.ndarray
+    mode: str  # "mle" or "bayes"
+
+    @property
+    def dists(self) -> tuple[Dist, ...]:
+        """Each parent configuration's distribution: its weights over their total."""
+        return tuple(Dist(tuple(Fraction(w, sum(row)) for w in row))
+                     for row in self.weights.tolist())
+
+    @property
+    def posteriors(self) -> tuple[HyperParams, ...] | None:
+        """Each parent configuration's posterior pseudo-counts; None in MLE mode."""
+        if self.mode != "bayes":
+            return None
+        return tuple(HyperParams(tuple(row)) for row in self.weights.tolist())
 
     def n_configs(self) -> int:
         return prod(self.parent_arities)
 
     def config_outcomes(self, index: int) -> tuple[int, ...]:
         """Decode a row-major parent configuration index."""
-        outcome = []
-        for a in reversed(self.parent_arities):
-            outcome.append(index % a)
-            index //= a
-        return tuple(reversed(outcome))
+        return tuple(int(o) for o in np.unravel_index(index, self.parent_arities))
 
 
-def _family_counts(table: CountTable, graph: GraphSpec, node: str) -> tuple[tuple[str, ...], JointMultiset]:
-    parents = graph.parents(node)
-    counts = table.marginal_counts(parents + (node,))
-    n_configs = prod(graph.arity(p) for p in parents) if parents else 1
-    return parents, JointMultiset.from_flat(counts, n_configs, graph.arity(node))
+def _learn(table: CountTable, graph: GraphSpec, mode: str,
+           added: Mapping[str, tuple[int, ...]]) -> list[LearnedCPT]:
+    """Every node's table: its family counts plus ``added[node]`` in every row.
+
+    A row whose total is zero cannot be normalised, so it aborts the run
+    naming the family and the first such parent configuration.
+    """
+    cpts = []
+    for node in graph.node_names:
+        parents = graph.parents(node)
+        parent_arities = tuple(graph.arity(p) for p in parents)
+        configs, arity = prod(parent_arities), graph.arity(node)
+        if len(added[node]) != arity:
+            raise DataError(f"prior for {node} has {len(added[node])} entries, arity is {arity}")
+        counts = table.marginal_counts(parents + (node,)).counts
+        dtype = _count_dtype(table.total() + configs * sum(added[node]))
+        weights = (np.array(counts, dtype=dtype).reshape(configs, arity)
+                   + np.array(added[node], dtype=dtype))
+        weights.flags.writeable = False  # the views derive from it
+        cpt = LearnedCPT(node, parents, parent_arities, arity, weights, mode)
+        empty = np.flatnonzero(weights.sum(axis=1) == 0)
+        if empty.size:
+            config = cpt.config_outcomes(int(empty[0]))
+            described = ", ".join(f"{p}={o}" for p, o in zip(parents, config)) or "(empty)"
+            raise DataError(
+                f"family {node} | {','.join(parents) or '()'}: no observations for "
+                f"parent configuration {described}; cannot normalise (use bayes mode)"
+            )
+        cpts.append(cpt)
+    return cpts
 
 
 def learn_mle(table: CountTable, graph: GraphSpec) -> list[LearnedCPT]:
@@ -500,30 +568,7 @@ def learn_mle(table: CountTable, graph: GraphSpec) -> list[LearnedCPT]:
     undefined, so it aborts the run naming the family and configuration
     (the Bayesian mode is the documented remedy for sparse data).
     """
-    cpts = []
-    for node in graph.node_names:
-        parents, family = _family_counts(table, graph, node)
-        parent_arities = tuple(graph.arity(p) for p in parents)
-        try:
-            rows = row_extract(family)
-        except ZeroRowError as exc:
-            cpt = LearnedCPT(node, parents, parent_arities, graph.arity(node), ())
-            config = cpt.config_outcomes(exc.row)
-            described = ", ".join(f"{p}={o}" for p, o in zip(parents, config)) or "(empty)"
-            raise DataError(
-                f"family {node} | {','.join(parents) or '()'}: no observations for "
-                f"parent configuration {described}; cannot normalise (use bayes mode)"
-            ) from exc
-        cpts.append(
-            LearnedCPT(
-                node=node,
-                parents=parents,
-                parent_arities=parent_arities,
-                arity=graph.arity(node),
-                dists=tuple(mle(row) for row in rows),
-            )
-        )
-    return cpts
+    return _learn(table, graph, "mle", {n: (0,) * a for n, a in graph.nodes})
 
 
 def parse_prior(text: str, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
@@ -554,7 +599,8 @@ def parse_prior(text: str, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
 
 def load_prior(path: str | Path, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
     """Read and parse a per-node prior pseudo-count file."""
-    return parse_prior(_read_text(path), graph)
+    with _in_file(path):
+        return parse_prior(_read_text(path), graph)
 
 
 def learn_bayes(
@@ -573,30 +619,18 @@ def learn_bayes(
     for name in prior:
         if name not in graph.node_names:
             raise DataError(f"prior given for unknown node {name}")
-    cpts = []
-    for node in graph.node_names:
-        parents, family = _family_counts(table, graph, node)
-        arity = graph.arity(node)
-        base = HyperParams(prior.get(node, (1,) * arity))
-        if base.n != arity:
-            raise DataError(f"prior for {node} has {base.n} entries, arity is {arity}")
-        posteriors = tuple(batch_update(base, Multiset(row)) for row in family.rows)
-        cpts.append(
-            LearnedCPT(
-                node=node,
-                parents=parents,
-                parent_arities=tuple(graph.arity(p) for p in parents),
-                arity=arity,
-                dists=tuple(dirichlet_mean(post) for post in posteriors),
-                posteriors=posteriors,
-            )
-        )
-    return cpts
+    # HyperParams refuses a pseudo-count below 1.
+    added = {n: HyperParams(prior.get(n, (1,) * a)).alphas for n, a in graph.nodes}
+    return _learn(table, graph, "bayes", added)
 
 
-def format_fraction(x: Fraction) -> str:
-    """Render an exact fraction as ``a/b`` with reduced terms and b > 0."""
-    return f"{x.numerator}/{x.denominator}"
+def format_fractions(numerators: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """Each quotient of the two integer arrays (broadcast together, every
+    denominator > 0) as the reduced exact fraction ``a/b``: with
+    ``g = gcd(n, d)``, ``a = n // g`` and ``b = d // g``."""
+    g = np.gcd(numerators, denominators)
+    return np.char.add(np.char.add((numerators // g).astype(str), "/"),
+                       (denominators // g).astype(str))
 
 
 def write_cpts(cpts: list[LearnedCPT], out_dir: str | Path) -> list[Path]:
@@ -605,21 +639,24 @@ def write_cpts(cpts: list[LearnedCPT], out_dir: str | Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for cpt in cpts:
+        header = list(cpt.parents)
+        if cpt.mode == "bayes":
+            header += [f"a{k}" for k in range(cpt.arity)]
+        header += [f"{'mean' if cpt.mode == 'bayes' else 'p'}{k}" for k in range(cpt.arity)]
         path = out_dir / f"{cpt.node}.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            header = list(cpt.parents)
-            if cpt.posteriors is not None:
-                header += [f"a{k}" for k in range(cpt.arity)]
-                header += [f"mean{k}" for k in range(cpt.arity)]
-            else:
-                header += [f"p{k}" for k in range(cpt.arity)]
             writer.writerow(header)
-            for idx in range(cpt.n_configs()):
-                row: list[str] = [str(o) for o in cpt.config_outcomes(idx)]
-                if cpt.posteriors is not None:
-                    row += [str(a) for a in cpt.posteriors[idx].alphas]
-                row += [format_fraction(p) for p in cpt.dists[idx].probs]
-                writer.writerow(row)
+            for start in range(0, cpt.n_configs(), WRITE_ROWS):
+                weights = cpt.weights[start:start + WRITE_ROWS]
+                # A trailing axis of size 1 keeps the decode defined for a root;
+                # its column is dropped.
+                index = np.arange(start, start + len(weights))
+                configs = np.stack(np.unravel_index(index, cpt.parent_arities + (1,)), axis=1)
+                cells = [configs[:, :-1].astype(str)]
+                if cpt.mode == "bayes":
+                    cells.append(weights.astype(str))
+                cells.append(format_fractions(weights, weights.sum(axis=1, keepdims=True)))
+                writer.writerows(np.concatenate(cells, axis=1).tolist())
         written.append(path)
     return written

@@ -125,12 +125,6 @@ def _random_finmap(rng: pyrandom.Random, n: int, m: int) -> FinMap:
     return FinMap(tuple(rng.randrange(m) for _ in range(n)), m)
 
 
-def _random_surjection(rng: pyrandom.Random, n: int, m: int) -> FinMap:
-    targets = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
-    rng.shuffle(targets)
-    return FinMap(tuple(targets), m)
-
-
 def _random_row_positive(rng: pyrandom.Random, n: int, m: int) -> JointMultiset:
     rows = []
     for _ in range(n):

@@ -10,7 +10,6 @@ from cptforge.dist import (
     Dist,
     JointDist,
     Predicate,
-    channel_compose,
     condition,
     disintegrate,
     dist_map,
@@ -96,7 +95,7 @@ class TestStateTransform:
 
     def test_identity_channel(self):
         omega = normalized((2, 5, 3))
-        assert state_transform(Channel.identity(3), omega) == omega
+        assert state_transform(Channel.deterministic(FinMap.identity(3)), omega) == omega
 
     def test_deterministic_channel_is_pushforward(self):
         # Brute force: every map between index sets of size <= 4, on a few states.
@@ -107,34 +106,6 @@ class TestStateTransform:
                 c = Channel.deterministic(h)
                 for omega in states:
                     assert state_transform(c, omega) == dist_map(h, omega)
-
-
-class TestChannelCompose:
-    def test_identity_laws(self):
-        c = GOLDEN_CHANNEL
-        assert channel_compose(Channel.identity(3), c) == c
-        assert channel_compose(c, Channel.identity(2)) == c
-
-    def test_associativity(self):
-        c = Channel((normalized((1, 2, 3)), normalized((4, 0, 1))))  # 2 -> 3
-        d = Channel((normalized((1, 1)), normalized((2, 3)), normalized((0, 5))))  # 3 -> 2
-        e = Channel((normalized((3, 1, 1)), normalized((1, 1, 8))))  # 2 -> 3
-        assert channel_compose(channel_compose(e, d), c) == channel_compose(
-            e, channel_compose(d, c)
-        )
-
-    @given(st.data())
-    def test_associativity_on_random_channels(self, data):
-        c = Channel(tuple(data.draw(dists(n=3)) for _ in range(2)))  # 2 -> 3
-        d = Channel(tuple(data.draw(dists(n=2)) for _ in range(3)))  # 3 -> 2
-        e = Channel(tuple(data.draw(dists(n=4)) for _ in range(2)))  # 2 -> 4
-        assert channel_compose(channel_compose(e, d), c) == channel_compose(
-            e, channel_compose(d, c)
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            channel_compose(GOLDEN_CHANNEL, GOLDEN_CHANNEL)
 
 
 class TestDisintegrate:
@@ -173,7 +144,7 @@ class TestPairGraph:
         assert pair_graph(channel, first) == joint
 
     def test_uniform_with_copy_channel_is_diagonal(self):
-        c = Channel.identity(3)
+        c = Channel.deterministic(FinMap.identity(3))
         joint = pair_graph(c, Dist.uniform(3))
         for i in range(3):
             for j in range(3):

@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cptforge import network
+from cptforge.bayes import batch_update
 from cptforge.cli import main
+from cptforge.dirichlet import HyperParams, dirichlet_mean
 from cptforge.dist import Channel, Dist
 from cptforge.finset import FinMap, Multiset, ms_map
 from cptforge.mle import mle, mle_decompose
@@ -21,7 +24,7 @@ from cptforge.network import (
     CountTable,
     DataError,
     GraphSpec,
-    format_fraction,
+    format_fractions,
     ingest_counts,
     learn_bayes,
     learn_mle,
@@ -104,6 +107,28 @@ class TestGraphSpec:
     def test_arity_grammar(self, arity, message):
         with pytest.raises(DataError, match=f"line 2: .*{message}"):
             GraphSpec.parse(f"node A 2\nnode B {arity}\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("node A 2\nnode B 2\n# again\nnode A 3\n", "line 4: duplicate node A"),
+            ("node A 2\n\nedge A B\n", "line 3: edge A -> B references an undeclared node"),
+            ("node A 2\nnode B 2\nedge A B\nedge B A\nedge A B\n",
+             "line 5: duplicate edge A -> B"),
+            # Line 5's edge is not on the cycle; lines 6-8 are.
+            ("node A 2\nnode B 2\nnode C 2\nnode D 2\nedge A D\nedge A B\nedge B C\n"
+             "edge C A\n", "line [678]: graph has a directed cycle: "),
+            ("node A 2\nnode B 2\nedge B B\n", "line 3: graph has a directed cycle: B -> B"),
+        ],
+        ids=["duplicate-node", "undeclared-node", "duplicate-edge", "cycle", "self-loop"],
+    )
+    def test_structural_errors_name_their_line(self, text, message):
+        with pytest.raises(DataError, match=f"^{message}"):
+            GraphSpec.parse(text)
+
+    def test_graph_without_node_lines_says_so(self):
+        with pytest.raises(DataError, match="graph has no nodes: it needs a 'node"):
+            GraphSpec.parse("# only a comment\n\n")
 
     def test_largest_arity_is_accepted(self):
         assert GraphSpec.parse("node A 16777216\n").arity("A") == network.MAX_FAMILY_CELLS
@@ -379,10 +404,13 @@ class TestPriorParsing:
 
 class TestOutputFiles:
     def test_format_fraction(self):
-        assert format_fraction(F(7, 10)) == "7/10"
-        assert format_fraction(F(1)) == "1/1"
-        assert format_fraction(F(0)) == "0/1"
-        assert format_fraction(F(-1, 2)) == "-1/2"
+        cases = {(7, 10): "7/10", (1, 1): "1/1", (0, 1): "0/1", (-1, 2): "-1/2",
+                 (5, 5): "1/1", (0, 7): "0/1", (6, 33): "2/11", (-2, 4): "-1/2"}
+        numerators, denominators = zip(*cases)
+        rendered = format_fractions(np.array(numerators), np.array(denominators))
+        assert rendered.tolist() == list(cases.values())
+        big = format_fractions(np.array([2**70, 3 * 2**70], dtype=object), np.array(2**71 * 3))
+        assert big.tolist() == ["1/6", "1/2"]
 
     def test_mle_output(self, tmp_path, golden_table, golden_graph):
         paths = write_cpts(learn_mle(golden_table, golden_graph), tmp_path)
@@ -508,6 +536,28 @@ class TestCli:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"bad-{bad}.txt: line 2: not valid UTF-8" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "bad,text,message",
+        [
+            ("graph", "node A 2\nnode A 2\n", "line 2: duplicate node A"),
+            ("data", "A,count\n0,x\n", "line 2: count 'x' is not an integer"),
+            ("prior", "A 1 x\n", "line 1: pseudo-counts must be integers"),
+        ],
+        ids=["graph", "data", "prior"],
+    )
+    def test_input_error_names_the_file_once(self, tmp_path, capsys, bad, text, message):
+        files = {"graph": "node A 2\n", "data": "A,count\n0,1\n", "prior": "A 1 2\n"}
+        files[bad] = text
+        paths = {}
+        for name, content in files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(content, encoding="utf-8")
+        code = main(["learn", "--mode", "bayes", "--graph", str(paths["graph"]),
+                     "--data", str(paths["data"]), "--prior", str(paths["prior"]),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {paths[bad]}: {message}\n"
 
     def test_node_name_cannot_escape_out(self, tmp_path, golden_data_csv, capsys):
         graph = tmp_path / "graph.txt"
@@ -738,3 +788,85 @@ class TestCountExactness:
             assert cpts["Medicine"].dists[a].probs == tuple(F(c, sum(row)) for c in row)
         bayes = {c.node: c for c in learn_bayes(table, golden_graph)}
         assert bayes["Medicine"].posteriors[0].alphas == tuple(c + 1 for c in rows[0])
+
+
+@st.composite
+def learning_cases(draw):
+    """A graph of up to three nodes of arity <= 3, a table over it with small
+    counts and counts past int64, and a prior, some of it past int64, for some nodes."""
+    names = [f"V{i}" for i in range(draw(st.integers(1, 3)))]
+    arities = tuple(draw(st.integers(1, 3)) for _ in names)
+    edges = draw(st.permutations(
+        [(p, c) for i, p in enumerate(names) for c in names[i + 1:] if draw(st.booleans())]))
+    graph = GraphSpec(tuple(zip(names, arities)), tuple(edges))
+    outcome = st.tuples(*(st.integers(0, a - 1) for a in arities))
+    count = st.one_of(st.integers(0, 3), st.integers(2**62, 2**70))
+    records = draw(st.dictionaries(outcome, count, max_size=8))
+    pseudo = st.one_of(st.integers(1, 4), st.just(2**64))
+    prior = {n: tuple(draw(pseudo) for _ in range(a))
+             for n, a in zip(names, arities) if draw(st.booleans())}
+    return graph, CountTable.from_records(tuple(names), arities, records), prior
+
+
+def family_rows(table, graph, node):
+    """A family's count rows, counted from the table's records with plain ints."""
+    parents = graph.parents(node)
+    positions = [table.variables.index(v) for v in parents + (node,)]
+    dims = [graph.arity(v) for v in parents + (node,)]
+    flat = [0] * math.prod(dims)
+    for outcome, c in table.records.items():
+        flat[row_major([outcome[p] for p in positions], dims)] += c
+    k = graph.arity(node)
+    return [tuple(flat[i:i + k]) for i in range(0, len(flat), k)]
+
+
+class TestArrayTables:
+    """The `(configs, arity)` weight arrays against the law functions they
+    replace, with zero tolerance."""
+
+    @given(learning_cases())
+    def test_rows_are_the_law_functions(self, case):
+        graph, table, prior = case
+        rows = {node: family_rows(table, graph, node) for node in graph.node_names}
+        empty = [node for node in graph.node_names if not all(map(any, rows[node]))]
+        if empty:
+            with pytest.raises(DataError, match=f"family {empty[0]} "):
+                learn_mle(table, graph)
+        else:
+            for cpt in learn_mle(table, graph):
+                assert cpt.posteriors is None
+                assert cpt.dists == tuple(mle(Multiset(row)) for row in rows[cpt.node])
+        for cpt in learn_bayes(table, graph, prior):
+            base = HyperParams(prior.get(cpt.node, (1,) * cpt.arity))
+            assert cpt.posteriors == tuple(batch_update(base, Multiset(row))
+                                           for row in rows[cpt.node])
+            assert cpt.dists == tuple(dirichlet_mean(post) for post in cpt.posteriors)
+
+    @pytest.mark.parametrize(
+        "counts,prior,posterior",
+        [
+            ({(0,): 2**70, (1,): 3}, None, (2**70 + 1, 4)),
+            # Counts total 2**62; only the prior takes the first cell to 2**63.
+            ({(0,): 2**62}, (2**62, 1), (2**63, 1)),
+        ],
+        ids=["count-2^70", "prior-crosses-2^63"],
+    )
+    def test_bayes_past_2_63(self, tmp_path, counts, prior, posterior):
+        graph = GraphSpec((("A", 2),), ())
+        table = CountTable.from_records(("A",), (2,), counts)
+        (cpt,) = learn_bayes(table, graph, {"A": prior} if prior else None)
+        total = sum(posterior)
+        assert cpt.posteriors == (HyperParams(posterior),)
+        assert cpt.dists == (Dist(tuple(F(a, total) for a in posterior)),)
+        write_cpts([cpt], tmp_path)
+        means = [f"{F(a, total).numerator}/{F(a, total).denominator}" for a in posterior]
+        assert read_csv(tmp_path / "A.csv")[1] == [str(a) for a in posterior] + means
+
+    def test_mle_zero_row_decodes_row_major(self):
+        graph = GraphSpec((("A", 2), ("B", 2), ("C", 2)), (("A", "C"), ("B", "C")))
+        # Parent configurations in row-major order: (0,0) (0,1) (1,0) (1,1); index 2 is empty.
+        records = {(0, 0, 0): 1, (0, 1, 1): 2, (1, 1, 0): 3}
+        table = CountTable.from_records(("A", "B", "C"), (2, 2, 2), records)
+        message = "family C | A,B: no observations for parent configuration A=1, B=0;"
+        with pytest.raises(DataError, match=re.escape(message)):
+            learn_mle(table, graph)
