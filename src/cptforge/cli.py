@@ -7,7 +7,7 @@ Two subcommands:
   CSV per node into DIR.
 * ``cpt-forge verify --suite {golden|exact|stochastic|all} [--seed N]
   [--resolution N]`` runs the law suites and reports one PASS/FAIL line
-  per check.
+  per check; N is 2..MAX_RESOLUTION.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -15,8 +15,10 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
+from .dirichlet import MAX_QUADRATURE_CELLS
 from .network import (
     DataError,
     GraphSpec,
@@ -35,9 +37,20 @@ def _at_least(low: int, text: str) -> int:
     return value
 
 
+# verify's largest grid is density-normalisation's 3-outcome grid at twice
+# --resolution; at resolution r it has r * (2r + 1) cells.
+MAX_RESOLUTION = (math.isqrt(8 * MAX_QUADRATURE_CELLS + 1) - 1) // 4
+
+
 def resolution(text: str) -> int:
-    """The --resolution type: an integer of at least 2 (argparse names it in errors)."""
-    return _at_least(2, text)
+    """The --resolution type: an integer in 2..MAX_RESOLUTION (argparse names it in errors)."""
+    value = _at_least(2, text)
+    if value > MAX_RESOLUTION:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_RESOLUTION}, got {value}: density-normalisation's "
+            f"grid at twice the resolution would exceed {MAX_QUADRATURE_CELLS} cells"
+        )
+    return value
 
 
 def seed(text: str) -> int:

@@ -31,6 +31,9 @@ from .dist import Dist
 from .finset import FinMap, Multiset, ms_map_full
 
 MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
+# Cap on the cells of one quadrature grid.  A grid at the cap holds up to
+# 84 MB of points and weights (n = 4), and building it peaks near 300 MB.
+MAX_QUADRATURE_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -149,18 +152,34 @@ _CLIP = {
 }
 
 
+def simplex_cell_count(n: int, resolution: int) -> int:
+    """Number of cells tiling the n-outcome simplex at `resolution`.
+
+    A cell is a tuple of n-1 non-negative box indices with sum at most
+    resolution-1, so there are C(resolution-1 + n-1, n-1) of them.
+    """
+    return math.comb(resolution - 1 + n - 1, n - 1)
+
+
 def simplex_cells(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Evaluation points (N, n) and weights (N,) tiling the n-outcome simplex.
 
     Weights are clipped cell volumes in the projected coordinates; points
     are cell centroids completed with the implied last coordinate.  The
     weights sum to the exact simplex volume 1/(n-1)!.  Grids are cached and
-    returned read-only; copy before mutating.
+    returned read-only; copy before mutating.  Raises ValueError, before
+    allocating anything, when the grid would exceed MAX_QUADRATURE_CELLS.
     """
     if not 1 <= n <= MAX_QUADRATURE_DIM:
         raise ValueError(f"supported dimensions are 1..{MAX_QUADRATURE_DIM}, got {n}")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    cells = simplex_cell_count(n, resolution)
+    if cells > MAX_QUADRATURE_CELLS:
+        raise ValueError(
+            f"resolution {resolution} needs {cells} cells for {n} outcomes, "
+            f"over the cap of {MAX_QUADRATURE_CELLS}"
+        )
     return _cells_cached(n, resolution)
 
 
@@ -169,39 +188,25 @@ def _cells_cached(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     d = n - 1
     res = resolution
 
-    if d == 0:
-        point, weight = np.array([[1.0]]), np.array([1.0])
-        point.flags.writeable = False
-        weight.flags.writeable = False
-        return point, weight
+    # Extend each cell, one projected coordinate at a time, with every next
+    # index k such that the indices still sum to at most res-1.
+    cells = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(d):
+        counts = res - cells.sum(axis=1)
+        base = np.repeat(cells, counts, axis=0)
+        ends = np.cumsum(counts)
+        k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+        cells = np.column_stack([base, k])
 
-    if d == 1:
-        v = np.arange(res, dtype=float).reshape(-1, 1)
-        firsts = (v + 0.5) / res
-        weights = np.full(res, 1.0 / res)
-    else:
-        ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
-        mask = ii + jj <= res - 1
-        pairs = np.stack([ii[mask], jj[mask]], axis=1)
-        if d == 2:
-            cells = pairs
-        else:
-            # Extend each (i, j) with every k such that i + j + k <= res-1.
-            counts = res - pairs.sum(axis=1)
-            base = np.repeat(pairs, counts, axis=0)
-            ends = np.cumsum(counts)
-            k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-            cells = np.column_stack([base, k])
-
-        slack = res - cells.sum(axis=1)
-        offsets = np.full(len(cells), 0.5)
-        fracs = np.ones(len(cells))
-        for t, (frac, centroid) in _CLIP[d].items():
-            partial = slack == t
-            offsets[partial] = float(centroid)
-            fracs[partial] = float(frac)
-        firsts = (cells + offsets[:, None]) / res
-        weights = fracs / res**d
+    slack = res - cells.sum(axis=1)
+    offsets = np.full(len(cells), 0.5)
+    fracs = np.ones(len(cells))
+    for t, (frac, centroid) in _CLIP.get(d, {}).items():
+        partial = slack == t
+        offsets[partial] = float(centroid)
+        fracs[partial] = float(frac)
+    firsts = (cells + offsets[:, None]) / res
+    weights = fracs / res**d
 
     last = 1.0 - firsts.sum(axis=1)
     points = np.column_stack([firsts, last])

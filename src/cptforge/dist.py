@@ -54,10 +54,6 @@ class Dist:
             raise ValueError(f"index {i} outside range of size {n}")
         return Dist(tuple(ONE if j == i else ZERO for j in range(n)))
 
-    @staticmethod
-    def uniform(n: int) -> Dist:
-        return Dist((Fraction(1, n),) * n)
-
 
 @dataclass(frozen=True)
 class Predicate:
@@ -102,10 +98,6 @@ class Predicate:
         if not 0 <= i < n:
             raise ValueError(f"index {i} outside range of size {n}")
         return Predicate(tuple(ONE if j == i else ZERO for j in range(n)))
-
-    @staticmethod
-    def ones(n: int) -> Predicate:
-        return Predicate((ONE,) * n)
 
 
 @dataclass(frozen=True)

@@ -62,10 +62,6 @@ class FinMap:
         return FinMap(tuple(range(n)), n)
 
     @staticmethod
-    def constant(n: int, codomain_size: int = 1, value: int = 0) -> FinMap:
-        return FinMap((value,) * n, codomain_size)
-
-    @staticmethod
     def proj1(n: int, m: int) -> FinMap:
         """First projection n*m -> n of the row-major product index."""
         return FinMap(tuple(k // m for k in range(n * m)), n)
@@ -139,10 +135,6 @@ class JointMultiset:
 
     def total(self) -> int:
         return sum(sum(row) for row in self.rows)
-
-    def is_row_positive(self) -> bool:
-        """Every row has a positive total count."""
-        return all(any(c > 0 for c in row) for row in self.rows)
 
     def to_flat(self) -> Multiset:
         """The same counts as a vector over n*m, row-major."""

@@ -320,10 +320,6 @@ class CountTable:
     def total(self) -> int:
         return self._total
 
-    def as_multiset(self) -> Multiset:
-        """The counts as a vector over the row-major product of all arities."""
-        return self.marginal_counts(self.variables)
-
     def marginal_counts(self, names: tuple[str, ...]) -> Multiset:
         """Counts marginalised onto the given variables, row-major in that order.
 

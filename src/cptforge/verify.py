@@ -489,31 +489,53 @@ def check_exact_posterior_mean(seed: int, resolution: int) -> CheckResult:
 # Stochastic suite (binary64, stated tolerances, seeded streams).
 
 ERROR_FLOOR = 1e-9  # below this, quadrature error is floating-point noise
-# Grid points per block in normalisation_errors: bounds the (points x
-# densities) temporaries to a few tens of MB at any resolution.
+# Grid points per block in normalisation_errors: bounds its (groups x block)
+# temporaries at any resolution, to about 15 MB for the 55 groups of
+# density-normalisation's three-outcome vectors.
 NORMALISATION_BLOCK = 1 << 14
 
 
-def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarray:
-    """|quadrature of each density - 1|, batched per dimension.
+def _power_table(x: np.ndarray, top: int) -> np.ndarray:
+    """Rows x**0 .. x**top of a coordinate block, by repeated multiplication."""
+    table = np.empty((top + 1, len(x)))
+    table[0] = 1.0
+    for k in range(1, top + 1):
+        np.multiply(table[k - 1], x, out=table[k])
+    return table
 
-    All densities of one dimension share the grid, so their values come out
-    of exp(log-points @ exponents) products, accumulated over fixed-size
-    blocks of grid points.
+
+def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarray:
+    """|cell-rule integral of each Dirichlet(alpha) density - 1|.
+
+    With integer pseudo-counts the density of Dirichlet(alpha) is
+    dirichlet_normalizer(alpha) times the monomial prod_i x_i**(alpha_i - 1),
+    so its integral is that constant times one monomial moment of the cell
+    rule.  Per dimension, the exponent vectors are grouped by all but their
+    last exponent.  Over each block of NORMALISATION_BLOCK grid points, the
+    weighted monomials of the groups' leading exponents (one row per group)
+    times the table of last-coordinate powers adds every needed moment of
+    the block in one matmul.  Powers come from repeated multiplication, so
+    no exp, log or pow is evaluated per point, and every temporary is
+    bounded by the block.
     """
     errors = np.empty(len(alphas))
     for n in sorted({a.n for a in alphas}):
         idx = [k for k, a in enumerate(alphas) if a.n == n]
+        exps = np.array([alphas[k].alphas for k in idx]) - 1
+        groups: dict[tuple[int, ...], int] = {}
+        rows = [groups.setdefault(tuple(e[:-1]), len(groups)) for e in exps]
+        leading = np.array(list(groups), dtype=np.int64).reshape(len(groups), n - 1)
+        tops = exps.max(axis=0)
         points, weights = simplex_cells(n, resolution)
-        exps = np.array([[ai - 1.0 for ai in alphas[k].alphas] for k in idx]).T
-        norms = np.array(
-            [float(dirichlet_normalizer(alphas[k])) for k in idx]
-        )
-        sums = np.zeros(len(idx))
+        moments = np.zeros((len(groups), tops[-1] + 1))
         for start in range(0, len(points), NORMALISATION_BLOCK):
             block = slice(start, start + NORMALISATION_BLOCK)
-            sums += weights[block] @ np.exp(np.log(points[block]) @ exps)
-        errors[idx] = np.abs(sums * norms - 1.0)
+            monomials = np.repeat(weights[None, block], len(groups), axis=0)
+            for i in range(n - 1):
+                monomials *= _power_table(points[block, i], tops[i])[leading[:, i]]
+            moments += monomials @ _power_table(points[block, -1], tops[-1]).T
+        norms = np.array([float(dirichlet_normalizer(alphas[k])) for k in idx])
+        errors[idx] = np.abs(moments[rows, exps[:, -1]] * norms - 1.0)
     return errors
 
 

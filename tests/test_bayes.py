@@ -40,7 +40,7 @@ class TestLiftPredicate:
         assert q.eval_many(POINT)[0] == pytest.approx(0.3)
 
     def test_ones_lift_to_constant_one(self):
-        q = lift_predicate(Predicate.ones(3))
+        q = lift_predicate(Predicate((1,) * 3))
         assert q.eval_many(POINT)[0] == pytest.approx(1.0)
 
     def test_dot_product(self):
@@ -61,7 +61,7 @@ class TestContValidity:
 
     def test_constant_one(self):
         d = dirichlet_density(HyperParams((3, 1)))
-        assert cont_validity(d, lift_predicate(Predicate.ones(2))) == 1.0
+        assert cont_validity(d, lift_predicate(Predicate((1,) * 2))) == 1.0
 
     def test_beta_example(self):
         d = dirichlet_density(HyperParams((3, 1)))
@@ -83,7 +83,7 @@ class TestContValidity:
             dirichlet_params=None,
             _eval_many=base.eval_many,
         )
-        got = cont_validity(untagged, lift_predicate(Predicate.ones(2)), resolution=100)
+        got = cont_validity(untagged, lift_predicate(Predicate((1,) * 2)), resolution=100)
         assert got == pytest.approx(1.0, abs=1e-6)
 
 
@@ -177,7 +177,7 @@ class TestValidityTransfer:
         assert rhs == 0.75
 
     def test_constant_one(self):
-        lhs, rhs = validity_transfer_check(HyperParams((2, 5)), Predicate.ones(2))
+        lhs, rhs = validity_transfer_check(HyperParams((2, 5)), Predicate((1,) * 2))
         assert lhs == 1 and rhs == 1.0
 
     @given(hyperparams_st, st.data())

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cptforge.cli import MAX_RESOLUTION
 from cptforge.dirichlet import (
+    MAX_QUADRATURE_CELLS,
     HyperParams,
     aggregate_params,
     dirichlet_covariance,
@@ -18,6 +23,7 @@ from cptforge.dirichlet import (
     gamma_nat,
     one_sum_check,
     push_coords,
+    simplex_cell_count,
     simplex_cells,
     simplex_quadrature,
     simplex_rows,
@@ -25,7 +31,7 @@ from cptforge.dirichlet import (
 from cptforge.finset import FinMap, Multiset
 from cptforge.mle import mle
 from cptforge.rng import make_rng
-from cptforge.verify import _all_hyperparams, normalisation_errors
+from cptforge.verify import _all_hyperparams, check_stoch_normalisation, normalisation_errors
 
 hyperparams_st = st.lists(st.integers(1, 8), min_size=1, max_size=5).map(
     lambda a: HyperParams(tuple(a))
@@ -141,8 +147,9 @@ class TestSimplexQuadrature:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_batched_normalisation_matches_quadrature(self, n):
-        # normalisation_errors accumulates exp(log-points @ exponents) over
-        # blocks of grid points; the reference integrates each pdf in one go.
+        # normalisation_errors sums the cell rule's monomial moments over
+        # blocks of grid points, with powers built by repeated
+        # multiplication; the reference integrates each pdf in one go.
         # Resolution 400 at n = 3 spans several blocks.
         alphas = [a for a in _all_hyperparams(3, 7) if a.n == n][:6]
         for res in (10, 400):
@@ -150,6 +157,94 @@ class TestSimplexQuadrature:
             for a, e in zip(alphas, errs):
                 want = abs(simplex_quadrature(lambda p: dirichlet_pdf_many(a, p), n, res) - 1)
                 assert abs(e - want) <= 1e-12, (a.alphas, res, e, want)
+
+    def test_normalisation_memory_is_bounded_by_the_block(self):
+        # The grids are built and cached first; what remains is the kernel's
+        # per-block temporaries.  The exp/log kernel peaked at 55 MiB here.
+        alphas = _all_hyperparams(3, 12)
+        normalisation_errors(alphas, 800)
+        tracemalloc.start()
+        try:
+            normalisation_errors(alphas, 800)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
+
+    def test_normalisation_detail_at_resolution_400(self):
+        result = check_stoch_normalisation(42, 400)
+        assert result.passed
+        assert result.detail == (
+            "all 298 pseudo-count vectors with n<=3, sum<=12: worst |err| = 8.51e-05 "
+            "(tol 1.0e-03), errors shrink when the resolution doubles"
+        )
+
+
+def cells_by_meshgrid(n, res):
+    """The cell grid as it was first built: a meshgrid masked to the
+    triangle, then extended by one index for n = 4."""
+    d = n - 1
+    if d == 0:
+        return np.array([[1.0]]), np.array([1.0])
+    if d == 1:
+        firsts = (np.arange(res, dtype=float).reshape(-1, 1) + 0.5) / res
+        weights = np.full(res, 1.0 / res)
+    else:
+        ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
+        mask = ii + jj <= res - 1
+        cells = np.stack([ii[mask], jj[mask]], axis=1)
+        if d == 3:
+            counts = res - cells.sum(axis=1)
+            base = np.repeat(cells, counts, axis=0)
+            ends = np.cumsum(counts)
+            k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+            cells = np.column_stack([base, k])
+        clip = {2: {1: (1 / 2, 1 / 3)}, 3: {1: (1 / 6, 1 / 4), 2: (5 / 6, 9 / 20)}}[d]
+        slack = res - cells.sum(axis=1)
+        offsets, fracs = np.full(len(cells), 0.5), np.ones(len(cells))
+        for t, (frac, centroid) in clip.items():
+            offsets[slack == t], fracs[slack == t] = centroid, frac
+        firsts = (cells + offsets[:, None]) / res
+        weights = fracs / res**d
+    return np.column_stack([firsts, 1.0 - firsts.sum(axis=1)]), weights
+
+
+class TestSimplexCells:
+    @pytest.mark.parametrize("res", [2, 23, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_meshgrid_construction(self, n, res):
+        points, weights = simplex_cells(n, res)
+        want_points, want_weights = cells_by_meshgrid(n, res)
+        assert np.array_equal(points, want_points)
+        assert np.array_equal(weights, want_weights)
+        assert len(points) == simplex_cell_count(n, res)
+
+    @pytest.mark.parametrize("n,res", [(2, MAX_QUADRATURE_CELLS + 1), (3, 10**6), (4, 10**30)])
+    def test_cell_cap_fires_before_allocation(self, n, res):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"needs \d+ cells .*cap of {MAX_QUADRATURE_CELLS}"):
+                simplex_cells(n, res)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cli_resolution_stops_at_the_cap(self):
+        # density-normalisation builds the 3-outcome grid at twice --resolution.
+        assert simplex_cell_count(3, 2 * MAX_RESOLUTION) <= MAX_QUADRATURE_CELLS
+        assert simplex_cell_count(3, 2 * MAX_RESOLUTION + 2) > MAX_QUADRATURE_CELLS
+        for value in (MAX_RESOLUTION + 1, 10**30):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cptforge", "verify", "--suite", "stochastic",
+                 "--resolution", str(value)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            assert f"--resolution: must be at most {MAX_RESOLUTION}, got {value}" in proc.stderr
+            assert str(MAX_QUADRATURE_CELLS) in proc.stderr
 
 
 class TestDirichletSampler:
@@ -220,7 +315,7 @@ class TestAggregateParams:
         assert aggregate_params(FinMap.identity(3), a) == a
 
     def test_constant_map_gives_total(self):
-        assert aggregate_params(FinMap.constant(3), HyperParams((2, 3, 4))).alphas == (9,)
+        assert aggregate_params(FinMap((0,) * 3, 1), HyperParams((2, 3, 4))).alphas == (9,)
 
     def test_non_surjective_rejected(self):
         with pytest.raises(ValueError):

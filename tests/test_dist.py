@@ -100,7 +100,7 @@ class TestStateTransform:
     def test_deterministic_channel_is_pushforward(self):
         # Brute force: every map between index sets of size <= 4, on a few states.
         for n, m in product(range(1, 5), range(1, 5)):
-            states = [Dist.uniform(n), normalized(range(1, n + 1))]
+            states = [Dist((F(1, n),) * n), normalized(range(1, n + 1))]
             for targets in product(range(m), repeat=n):
                 h = FinMap(targets, m)
                 c = Channel.deterministic(h)
@@ -145,7 +145,7 @@ class TestPairGraph:
 
     def test_uniform_with_copy_channel_is_diagonal(self):
         c = Channel.deterministic(FinMap.identity(3))
-        joint = pair_graph(c, Dist.uniform(3))
+        joint = pair_graph(c, Dist((F(1, 3),) * 3))
         for i in range(3):
             for j in range(3):
                 assert joint.rows[i][j] == (F(1, 3) if i == j else F(0))
@@ -168,7 +168,7 @@ class TestValidityAndCondition:
 
     def test_constant_one(self):
         omega = normalized((1, 2, 3))
-        assert validity(omega, Predicate.ones(3)) == 1
+        assert validity(omega, Predicate((1,) * 3)) == 1
 
     def test_column_event_matches_marginal(self):
         p = Predicate(tuple(1 if k % 3 == 1 else 0 for k in range(6)))
@@ -180,7 +180,7 @@ class TestValidityAndCondition:
 
     def test_conditioning_on_ones_is_identity(self):
         omega = normalized((3, 2, 5))
-        assert condition(omega, Predicate.ones(3)) == omega
+        assert condition(omega, Predicate((1,) * 3)) == omega
 
     def test_conditioning_on_observed_column(self):
         p = Predicate(tuple(1 if k % 3 == 1 else 0 for k in range(6)))
