@@ -32,7 +32,7 @@ from .finset import FinMap, Multiset, ms_map_full
 
 MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
 # Cap on the cells of one quadrature grid.  A grid at the cap holds up to
-# 84 MB of points and weights (n = 4), and building it peaks near 300 MB.
+# 84 MB of points and weights (n = 4), and building it peaks near 220 MB.
 MAX_QUADRATURE_CELLS = 1 << 21
 
 
@@ -108,13 +108,41 @@ def simplex_rows(xs: np.ndarray, n: int) -> np.ndarray:
     return xs
 
 
+def int_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k elementwise for a non-negative integer k, by square-and-multiply.
+
+    Takes at most 2*log2(k) multiplications per element and no float pow.
+    As with pow, x**0 is 1 everywhere, 0, nan and inf included.  The
+    result is a new array; x is not modified.
+    """
+    if k < 0:
+        raise ValueError(f"exponent must be a non-negative integer, got {k}")
+    x = np.asarray(x, dtype=float)
+    power = None
+    while k:
+        if k & 1:
+            power = x.copy() if power is None else np.multiply(power, x, out=power)
+        k >>= 1
+        if k:
+            x = x * x
+    return np.ones(x.shape) if power is None else power
+
+
 def dirichlet_pdf_many(alpha: HyperParams, xs: np.ndarray) -> np.ndarray:
-    """Density of Dirichlet(alpha) at each row of an (N, n) coordinate array."""
+    """Density of Dirichlet(alpha) at each row of an (N, n) coordinate array.
+
+    The density is the exact normaliser times the monomial
+    prod_i x_i**(alpha_i - 1), whose exponents are non-negative integers;
+    each factor is an int_power of one column.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != alpha.n:
         raise ValueError(f"expected an (N, {alpha.n}) array, got shape {xs.shape}")
-    exponents = np.array(alpha.alphas, dtype=float) - 1.0
-    return float(dirichlet_normalizer(alpha)) * np.prod(xs ** exponents, axis=1)
+    monomial = np.ones(len(xs))
+    for i, a in enumerate(alpha.alphas):
+        if a > 1:  # x**0 == 1, even at 0, nan and inf
+            monomial *= int_power(xs[:, i], a - 1)
+    return float(dirichlet_normalizer(alpha)) * monomial
 
 
 @dataclass(frozen=True)
@@ -196,18 +224,25 @@ def _cells_cached(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
         k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
         cells = np.column_stack([base, k])
 
+    # Allocate the cached results before the temporaries, fill them in place
+    # and free each temporary once it is used: the build peaks at about 2.6
+    # times the grid it returns, and later checks reuse the freed memory
+    # instead of growing the process.
+    points = np.empty((len(cells), n))
+    weights = np.ones(len(cells))
     slack = res - cells.sum(axis=1)
     offsets = np.full(len(cells), 0.5)
-    fracs = np.ones(len(cells))
     for t, (frac, centroid) in _CLIP.get(d, {}).items():
         partial = slack == t
         offsets[partial] = float(centroid)
-        fracs[partial] = float(frac)
-    firsts = (cells + offsets[:, None]) / res
-    weights = fracs / res**d
+        weights[partial] = float(frac)
+    del slack
+    weights /= res**d
 
-    last = 1.0 - firsts.sum(axis=1)
-    points = np.column_stack([firsts, last])
+    for i in range(d):
+        points[:, i] = (cells[:, i] + offsets) / res
+    del cells, offsets
+    points[:, d] = 1.0 - points[:, :d].sum(axis=1)
     points.flags.writeable = False
     weights.flags.writeable = False
     return points, weights

@@ -7,6 +7,8 @@ tolerance.  Conversion to binary64 happens only at the continuous boundary.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +22,21 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _check_probabilities(probs: tuple[Fraction, ...], position: Callable[[int], str]) -> None:
+    """Raise ValueError unless the entries lie in [0,1] and sum to exactly 1.
+
+    Both tests are on integers (a Fraction's denominator is positive):
+    0 <= numerator <= denominator, and the numerators over the lcm L of the
+    denominators add up to L.  `position(k)` names entry k in the message.
+    """
+    for k, p in enumerate(probs):
+        if not 0 <= p.numerator <= p.denominator:
+            raise ValueError(f"probability {p} at {position(k)} outside [0,1]")
+    common = math.lcm(*(p.denominator for p in probs))
+    if sum(p.numerator * (common // p.denominator) for p in probs) != common:
+        raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
+
+
 @dataclass(frozen=True)
 class Dist:
     """A probability vector over {0..n-1}; entries sum to exactly 1."""
@@ -31,11 +48,7 @@ class Dist:
         object.__setattr__(self, "probs", probs)
         if not probs:
             raise ValueError("distribution over empty index set")
-        for i, p in enumerate(probs):
-            if p < 0 or p > 1:
-                raise ValueError(f"probability {p} at index {i} outside [0,1]")
-        if sum(probs) != 1:
-            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
+        _check_probabilities(probs, lambda k: f"index {k}")
 
     @property
     def n(self) -> int:
@@ -144,16 +157,12 @@ class JointDist:
         if not rows or not rows[0]:
             raise ValueError("joint distribution over empty index set")
         m = len(rows[0])
-        total = ZERO
         for i, row in enumerate(rows):
             if len(row) != m:
                 raise ValueError(f"ragged table: row {i} has length {len(row)} != {m}")
-            for j, p in enumerate(row):
-                if p < 0 or p > 1:
-                    raise ValueError(f"probability {p} at cell ({i},{j}) outside [0,1]")
-                total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        _check_probabilities(
+            tuple(p for row in rows for p in row), lambda k: f"cell ({k // m},{k % m})"
+        )
 
     @property
     def n(self) -> int:

@@ -35,6 +35,7 @@ from .dirichlet import (
     dirichlet_normalizer,
     dirichlet_pdf_many,
     dirichlet_sample_many,
+    int_power,
     simplex_rows,
 )
 from .rng import make_rng
@@ -103,7 +104,7 @@ def pdf_factorization_check(
         [dirichlet_pdf_many(row, shares[:, i]) for i, row in enumerate(alpha_rows)], axis=0
     )
     totals_density = dirichlet_pdf_many(betas, totals)
-    rhs_quotient = totals_density / np.prod(totals**shift, axis=1) * share_densities
+    rhs_quotient = totals_density / np.prod(int_power(totals, shift), axis=1) * share_densities
 
     rhs_shifted = (
         float(shifted_prefactor(betas, shift))
@@ -181,8 +182,9 @@ def _component_stats(samples: np.ndarray) -> ComponentStats:
     n = len(samples)
     mean = samples.mean(axis=0)
     centered = samples - mean
-    var = (centered**2).sum(axis=0) / (n - 1)
-    m4 = (centered**4).mean(axis=0)
+    squares = centered**2
+    var = squares.sum(axis=0) / (n - 1)
+    m4 = (squares * squares).mean(axis=0)
     se_mean = np.sqrt(var / n)
     se_var = np.sqrt(np.maximum(m4 - var**2, 0.0) / n)
     return ComponentStats(tuple(mean), tuple(var), tuple(se_mean), tuple(se_var))

@@ -40,7 +40,7 @@ from cptforge.dist import (
 )
 from cptforge.finset import FinMap, JointMultiset, Multiset, ms_map
 from cptforge.localsplit import local_update_audit, pdf_factorization_check, shifted_prefactor
-from cptforge.mle import likelihood, mle, mle_decompose, monad_counterexample, simplex_grid
+from cptforge.mle import likelihood, mle, mle_decompose, simplex_grid
 from cptforge.network import learn_bayes, learn_mle
 from cptforge.rng import make_rng
 from cptforge.verify import (
@@ -118,14 +118,6 @@ def test_criterion_03_decomposition():
             joint = JointDist.from_flat(mle(phi.to_flat()), n, m)
             assert disintegrate(joint) == (first, channel)
             assert pair_graph(channel, first) == joint
-
-
-def test_criterion_04_monad_counterexample():
-    with criterion(4, "flatten-then-normalise differs from normalise-then-flatten, exactly"):
-        report = monad_counterexample()
-        assert report.flatten_then_normalize.probs == (F(1, 3), F(1, 6), F(1, 2))
-        assert report.normalize_then_flatten.probs == (F(1, 3), F(2, 9), F(4, 9))
-        assert report.differ
 
 
 def test_criterion_05_mle_maximality():

@@ -13,6 +13,7 @@ from cptforge.cli import MAX_RESOLUTION
 from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
     HyperParams,
+    _cells_cached,
     aggregate_params,
     dirichlet_covariance,
     dirichlet_density,
@@ -21,6 +22,7 @@ from cptforge.dirichlet import (
     dirichlet_pdf_many,
     dirichlet_sample_many,
     gamma_nat,
+    int_power,
     one_sum_check,
     push_coords,
     simplex_cell_count,
@@ -108,6 +110,47 @@ class TestDirichletPdf:
         assert dirichlet_normalizer(HyperParams((2, 3, 4))) == F(
             gamma_nat(9), gamma_nat(2) * gamma_nat(3) * gamma_nat(4)
         )
+
+    @given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 50)), min_size=1, max_size=6))
+    def test_matches_the_exact_density_at_rational_points(self, pairs):
+        alpha = HyperParams(tuple(a for a, _ in pairs))
+        point = [F(w, sum(w for _, w in pairs)) for _, w in pairs]
+        exact = dirichlet_normalizer(alpha) * math.prod(
+            x ** (a - 1) for x, a in zip(point, alpha.alphas)
+        )
+        got = dirichlet_pdf_many(alpha, [[float(x) for x in point]])[0]
+        assert got == pytest.approx(float(exact), rel=1e-13, abs=0)
+
+
+class TestIntPower:
+    VALUES = np.array(
+        [0.0, 1.0, 1e-3, 0.999e-3, 1.001e-3, 0.3, 0.5, 0.999999, 1.5, 2.0, -0.7, np.nan, np.inf]
+    )
+
+    @pytest.mark.parametrize("k", list(range(65)) + [200])
+    def test_matches_pow(self, k):
+        x = self.VALUES.copy()
+        got = int_power(x, k)
+        want = np.power(x, float(k))
+        assert np.array_equal(x, self.VALUES, equal_nan=True)  # input untouched
+        normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+        assert np.allclose(got[normal], want[normal], rtol=1e-13, atol=0)
+        special = np.isin(x, [0.0, 1.0, np.inf]) | np.isnan(x)
+        assert np.array_equal(got[special], want[special], equal_nan=True)
+
+    def test_zeroth_power_is_one_everywhere(self):
+        assert int_power(self.VALUES, 0).tolist() == [1.0] * len(self.VALUES)
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(int_power(np.array([np.nan]), 7)).all()
+
+    def test_keeps_the_shape(self):
+        x = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(int_power(x, 3), x * x * x)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            int_power(np.ones(2), -1)
 
 
 class TestSimplexQuadrature:
@@ -210,14 +253,28 @@ def cells_by_meshgrid(n, res):
 
 
 class TestSimplexCells:
-    @pytest.mark.parametrize("res", [2, 23, 40])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "n,res",
+        [(n, res) for n in (1, 2, 3, 4) for res in (2, 23, 40)]
+        + [(2, 50), (3, 400), (3, 800), (4, 100)],
+    )
     def test_matches_the_meshgrid_construction(self, n, res):
         points, weights = simplex_cells(n, res)
         want_points, want_weights = cells_by_meshgrid(n, res)
         assert np.array_equal(points, want_points)
         assert np.array_equal(weights, want_weights)
         assert len(points) == simplex_cell_count(n, res)
+
+    def test_build_peak_is_bounded(self):
+        # The grid returned at n = 3, res 800 is 10.3 MB.  Building it with
+        # full-length copies of every column peaked at 36.2 MB.
+        tracemalloc.start()
+        try:
+            _cells_cached.__wrapped__(3, 800)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28e6
 
     @pytest.mark.parametrize("n,res", [(2, MAX_QUADRATURE_CELLS + 1), (3, 10**6), (4, 10**30)])
     def test_cell_cap_fires_before_allocation(self, n, res):

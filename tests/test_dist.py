@@ -42,6 +42,43 @@ def dists(draw, n=None):
     return normalized(counts)
 
 
+def reference_error(probs, position):
+    """The validation rule in Fraction arithmetic: the error message, or None."""
+    for k, p in enumerate(probs):
+        if p < 0 or p > 1:
+            return f"probability {p} at {position(k)} outside [0,1]"
+    if sum(probs) != 1:
+        return f"probabilities sum to {sum(probs)}, not 1"
+    return None
+
+
+@st.composite
+def prob_tuples(draw):
+    """Tuples of Fractions with denominators up to 2**70: exact distributions,
+    then with one entry moved by 1/2**70, negated or raised above 1, or
+    arbitrary entries."""
+    n = draw(st.integers(1, 6))
+    big = 2**70
+    if draw(st.booleans()):
+        nums = st.integers(-big, 2 * big)
+        return tuple(F(draw(nums), draw(st.integers(1, big))) for _ in range(n))
+    parts = [F(draw(st.integers(0, big)), draw(st.integers(1, big))) for _ in range(n)]
+    if not any(parts):
+        parts[0] = F(1)
+    probs = [p / sum(parts) for p in parts]
+    k = draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none", "nudge up", "nudge down", "negate", "above one"]))
+    if change == "nudge up":
+        probs[k] += F(1, big)
+    elif change == "nudge down":
+        probs[k] -= F(1, big)
+    elif change == "negate":
+        probs[k] = -probs[k] - F(1, big)
+    elif change == "above one":
+        probs[k] += 1
+    return tuple(probs)
+
+
 class TestDistValidation:
     def test_sum_must_be_one(self):
         with pytest.raises(ValueError):
@@ -58,6 +95,49 @@ class TestDistValidation:
     @given(dists())
     def test_every_dist_sums_to_one(self, omega):
         assert sum(omega.probs) == 1
+
+    @given(prob_tuples())
+    def test_integer_checks_agree_with_fraction_arithmetic(self, probs):
+        want = reference_error(probs, lambda k: f"index {k}")
+        try:
+            Dist(probs)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == want
+
+    @given(prob_tuples(), st.integers(1, 4))
+    def test_joint_checks_agree_with_fraction_arithmetic(self, probs, m):
+        probs = probs + (F(0),) * (-len(probs) % m)
+        rows = tuple(probs[i : i + m] for i in range(0, len(probs), m))
+        want = reference_error(probs, lambda k: f"cell ({k // m},{k % m})")
+        try:
+            JointDist(rows)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "probs,message",
+        [
+            ((F(1, 2), F(-1, 2), F(1)), "probability -1/2 at index 1 outside [0,1]"),
+            ((F(3, 2), F(-1, 2)), "probability 3/2 at index 0 outside [0,1]"),
+            ((F(1, 2), F(1, 2) - F(1, 2**70)), f"probabilities sum to {1 - F(1, 2**70)}, not 1"),
+        ],
+    )
+    def test_error_messages(self, probs, message):
+        with pytest.raises(ValueError) as err:
+            Dist(probs)
+        assert str(err.value) == message
+
+    def test_joint_error_messages(self):
+        with pytest.raises(ValueError) as err:
+            JointDist(((F(1, 2), F(1, 4)), (F(5, 4), F(-1))))
+        assert str(err.value) == "probability 5/4 at cell (1,0) outside [0,1]"
+        with pytest.raises(ValueError) as err:
+            JointDist(((F(1, 2), F(1, 4)), (F(1, 8), F(1, 9))))
+        assert str(err.value) == "probabilities sum to 71/72, not 1"
 
 
 class TestDistMap:
