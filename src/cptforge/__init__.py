@@ -5,118 +5,58 @@ empirical distributions (frequentist), and updating integer pseudo-counts of
 Dirichlet densities (Bayesian).  The package implements both together with
 the exact-rational distribution layer they act on and numerical machinery
 (simplex quadrature, seeded Dirichlet sampling) for checking their laws.
+
+``import cptforge`` is lazy: it imports neither numpy nor any submodule.  A
+public name is imported from its submodule on first use (PEP 562), so the
+CLI can configure numpy before anything loads it.
 """
 
-from .bayes import (
-    LiftedPredicate,
-    batch_update,
-    cont_condition,
-    cont_validity,
-    lift_predicate,
-    validity_transfer_check,
-)
-from .dirichlet import (
-    HyperParams,
-    SimplexDensity,
-    aggregate_params,
-    dirichlet_density,
-    dirichlet_mean,
-    dirichlet_pdf_many,
-    dirichlet_sample_many,
-    gamma_nat,
-    one_sum_check,
-    simplex_quadrature,
-)
-from .dist import (
-    Channel,
-    Dist,
-    JointDist,
-    Predicate,
-    condition,
-    disintegrate,
-    dist_map,
-    pair_graph,
-    state_transform,
-    validity,
-)
-from .finset import (
-    FinMap,
-    JointMultiset,
-    Multiset,
-    ZeroRowError,
-    ms_map,
-    ms_map_full,
-    ms_tensor,
-    row_extract,
-)
-from .localsplit import (
-    local_update_audit,
-    pdf_factorization_check,
-    split,
-    unsplit,
-)
-from .mle import likelihood, mle, mle_decompose, monad_counterexample
-from .network import (
-    CountTable,
-    DataError,
-    GraphSpec,
-    LearnedCPT,
-    ingest_counts,
-    learn_bayes,
-    learn_mle,
-)
-from .rng import make_rng, substreams
+import importlib
+import sys
+import types
 
-__all__ = [
-    "Channel",
-    "CountTable",
-    "DataError",
-    "Dist",
-    "FinMap",
-    "GraphSpec",
-    "HyperParams",
-    "JointDist",
-    "JointMultiset",
-    "LearnedCPT",
-    "LiftedPredicate",
-    "Multiset",
-    "Predicate",
-    "SimplexDensity",
-    "ZeroRowError",
-    "aggregate_params",
-    "batch_update",
-    "condition",
-    "cont_condition",
-    "cont_validity",
-    "dirichlet_density",
-    "dirichlet_mean",
-    "dirichlet_pdf_many",
-    "dirichlet_sample_many",
-    "disintegrate",
-    "dist_map",
-    "gamma_nat",
-    "ingest_counts",
-    "learn_bayes",
-    "learn_mle",
-    "lift_predicate",
-    "likelihood",
-    "local_update_audit",
-    "make_rng",
-    "mle",
-    "mle_decompose",
-    "monad_counterexample",
-    "ms_map",
-    "ms_map_full",
-    "ms_tensor",
-    "one_sum_check",
-    "pair_graph",
-    "pdf_factorization_check",
-    "row_extract",
-    "simplex_quadrature",
-    "split",
-    "state_transform",
-    "substreams",
-    "unsplit",
-    "validity",
-    "validity_transfer_check",
-]
+# Each public name, once, under the submodule that defines it.
+_EXPORTS = {
+    "bayes": ("LiftedPredicate", "batch_update", "cont_condition", "cont_validity",
+              "lift_predicate", "validity_transfer_check"),
+    "dirichlet": ("HyperParams", "SimplexDensity", "aggregate_params", "dirichlet_density",
+                  "dirichlet_mean", "dirichlet_pdf_many", "dirichlet_sample_many",
+                  "gamma_nat", "one_sum_check", "simplex_quadrature"),
+    "dist": ("Channel", "Dist", "JointDist", "Predicate", "condition", "disintegrate",
+             "dist_map", "pair_graph", "state_transform", "validity"),
+    "finset": ("FinMap", "JointMultiset", "Multiset", "ZeroRowError", "ms_map", "ms_map_full",
+               "ms_tensor", "row_extract"),
+    "localsplit": ("local_update_audit", "pdf_factorization_check", "split", "unsplit"),
+    "mle": ("likelihood", "mle", "mle_decompose", "monad_counterexample"),
+    "network": ("CountTable", "DataError", "GraphSpec", "LearnedCPT", "ingest_counts",
+                "learn_bayes", "learn_mle"),
+    "rng": ("make_rng", "substreams"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """The import system binds each submodule on the package as it loads it;
+    ``mle`` names both a submodule and its function, and the function wins."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if not (name in _MODULE_OF and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

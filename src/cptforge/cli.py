@@ -8,7 +8,8 @@ Two subcommands:
 * ``cpt-forge verify --suite {golden|exact|stochastic|all} [--seed N]
   [--resolution N]`` runs the law suites and reports one PASS/FAIL line
   per check; N is MIN_RESOLUTION..MAX_RESOLUTION (5..1023), and each
-  quadrature law's tolerance, 1e-3 at N = 400, scales as 1/N**2.
+  quadrature law's tolerance, 1e-3 at N = 400, scales as 1/N**2 up to a
+  cap of 0.5.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -17,7 +18,17 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+
+# numpy's bundled OpenBLAS starts one helper thread per core when it loads, and
+# each helper spin-waits after the load and after every BLAS call.  The
+# products here are small (the largest is 55x16384 times 16384x10) and run in
+# the same wall time on one thread: on 2 cores, verify --suite all used 0.59 s
+# of CPU for 0.34 s of wall time with the helpers and 0.34 s without.  So the
+# CLI asks for one thread before the first import of numpy; a value the user
+# has set wins.  The library itself leaves the environment alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .dirichlet import MAX_QUADRATURE_CELLS
 from .network import (

@@ -49,7 +49,10 @@ import csv
 import graphlib
 import io
 import itertools
+import os
 import re
+import shutil
+import tempfile
 import warnings
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
@@ -630,29 +633,59 @@ def format_fractions(numerators: np.ndarray, denominators: np.ndarray) -> np.nda
 
 
 def write_cpts(cpts: list[LearnedCPT], out_dir: str | Path) -> list[Path]:
-    """Write one CSV per learned node table; returns the written paths."""
+    """Write one CSV per learned node table; returns the written paths.
+
+    The CSVs are written into a fresh directory inside ``out_dir`` and then
+    moved into place one by one.  If any step fails, the files already moved
+    are taken back (a file they replaced is restored), and ``out_dir`` is
+    removed if this call created it, so ``out_dir`` is left as it was found.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for cpt in cpts:
-        header = list(cpt.parents)
-        if cpt.mode == "bayes":
-            header += [f"a{k}" for k in range(cpt.arity)]
-        header += [f"{'mean' if cpt.mode == 'bayes' else 'p'}{k}" for k in range(cpt.arity)]
-        path = out_dir / f"{cpt.node}.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for start in range(0, cpt.n_configs(), WRITE_ROWS):
-                weights = cpt.weights[start:start + WRITE_ROWS]
-                # A trailing axis of size 1 keeps the decode defined for a root;
-                # its column is dropped.
-                index = np.arange(start, start + len(weights))
-                configs = np.stack(np.unravel_index(index, cpt.parent_arities + (1,)), axis=1)
-                cells = [configs[:, :-1].astype(str)]
-                if cpt.mode == "bayes":
-                    cells.append(weights.astype(str))
-                cells.append(format_fractions(weights, weights.sum(axis=1, keepdims=True)))
-                writer.writerows(np.concatenate(cells, axis=1).tolist())
-        written.append(path)
-    return written
+    created = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
+    names = [f"{cpt.node}.csv" for cpt in cpts]
+    staging = None
+    moving: list[str] = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".cpt-forge-", dir=out_dir))
+        for cpt, name in zip(cpts, names):
+            _write_cpt(cpt, staging / name)
+        for name in names:
+            target = out_dir / name
+            moving.append(name)
+            if target.is_file() or target.is_symlink():
+                os.replace(target, staging / f"{name}.old")
+            os.replace(staging / name, target)
+    except BaseException:
+        for name in reversed(moving):
+            target, old = out_dir / name, staging / f"{name}.old"
+            if os.path.lexists(old):
+                os.replace(old, target)
+            elif not (staging / name).exists():
+                target.unlink()
+        if created or staging:
+            shutil.rmtree(created or staging, ignore_errors=True)
+        raise
+    shutil.rmtree(staging)
+    return [out_dir / name for name in names]
+
+
+def _write_cpt(cpt: LearnedCPT, path: Path) -> None:
+    header = list(cpt.parents)
+    if cpt.mode == "bayes":
+        header += [f"a{k}" for k in range(cpt.arity)]
+    header += [f"{'mean' if cpt.mode == 'bayes' else 'p'}{k}" for k in range(cpt.arity)]
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for start in range(0, cpt.n_configs(), WRITE_ROWS):
+            weights = cpt.weights[start:start + WRITE_ROWS]
+            # A trailing axis of size 1 keeps the decode defined for a root;
+            # its column is dropped.
+            index = np.arange(start, start + len(weights))
+            configs = np.stack(np.unravel_index(index, cpt.parent_arities + (1,)), axis=1)
+            cells = [configs[:, :-1].astype(str)]
+            if cpt.mode == "bayes":
+                cells.append(weights.astype(str))
+            cells.append(format_fractions(weights, weights.sum(axis=1, keepdims=True)))
+            writer.writerows(np.concatenate(cells, axis=1).tolist())

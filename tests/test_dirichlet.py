@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cptforge.bayes import cont_validity, lift_predicate
 from cptforge.cli import MAX_RESOLUTION
 from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
@@ -30,10 +32,16 @@ from cptforge.dirichlet import (
     simplex_quadrature,
     simplex_rows,
 )
+from cptforge.dist import Predicate, validity
 from cptforge.finset import FinMap, Multiset
 from cptforge.mle import mle
 from cptforge.rng import make_rng
-from cptforge.verify import _all_hyperparams, check_stoch_normalisation, normalisation_errors
+from cptforge.verify import (
+    _all_hyperparams,
+    _quadrature_tol,
+    check_stoch_normalisation,
+    normalisation_errors,
+)
 
 hyperparams_st = st.lists(st.integers(1, 8), min_size=1, max_size=5).map(
     lambda a: HyperParams(tuple(a))
@@ -221,6 +229,27 @@ class TestSimplexQuadrature:
             "all 298 pseudo-count vectors with n<=3, sum<=12: worst |err| = 8.51e-05 "
             "(tol 1.0e-03), errors shrink when the resolution doubles"
         )
+
+    def test_capped_tolerance_holds_for_every_instance_at_resolution_5(self):
+        # mean-integrals and validity-transfer-quadrature draw pseudo-counts in
+        # 1..5 with n = 2 or 3, and predicates in [0, 1]^n.  The validity gap
+        # is linear in the predicate, so its worst case is at a 0/1 vertex.
+        tol = _quadrature_tol(5)
+        assert tol == 0.5
+        for n in (2, 3):
+            for counts in itertools.product(range(1, 6), repeat=n):
+                alpha = HyperParams(counts)
+                for i in range(n):
+                    got = simplex_quadrature(
+                        lambda pts: pts[:, i] * dirichlet_pdf_many(alpha, pts), n, 5
+                    )
+                    assert abs(got - float(F(counts[i], alpha.total))) <= tol, (counts, i)
+                for vertex in itertools.product((0, 1), repeat=n):
+                    p = Predicate(vertex)
+                    lhs = float(validity(mle(alpha.as_multiset()), p))
+                    rhs = cont_validity(dirichlet_density(alpha), lift_predicate(p), 5)
+                    assert abs(lhs - rhs) <= tol, (counts, vertex)
+        assert check_stoch_normalisation(42, 5).passed
 
 
 def cells_by_meshgrid(n, res):

@@ -2,8 +2,10 @@
 
 Whatever the three files hold, `learn` ends in exit 0 or exit 2 (an input
 error; argparse's own exit 2 counts), raises nothing else, and writes
-nothing outside `--out`.  Valid numbers come from small ranges, so an
-accepted input never builds a large family table.
+nothing outside `--out`; a run that exits 2 leaves `--out` as it found it,
+whether it was absent, empty, or held old tables or a directory where a
+table goes.  Valid numbers come from small ranges, so an accepted input
+never builds a large family table.
 """
 
 import contextlib
@@ -22,6 +24,11 @@ BAD_TOKENS = st.one_of(
     st.text(max_size=6),
 )
 JUNK_LINES = st.one_of(st.sampled_from(["", "  ", "#", "# note", "\t# x"]), st.text(max_size=8))
+# What `--out` holds before the run: None is no directory; a None entry is a
+# directory, which no table can replace.
+OUT_STATES = st.sampled_from([
+    None, {}, {"A.csv": b"old\n"}, {"B.csv": None}, {"A.csv": b"old\n", "C.csv": None},
+])
 
 
 @st.composite
@@ -80,18 +87,35 @@ def learn_inputs(draw):
             "prior.txt": b""},
     mode="bayes",
     use_prior=False,
+    out_state=None,
+)
+@example(  # an old table to restore once a later table cannot replace a directory
+    inputs={"graph.txt": b"node A 2\nnode C 2\n", "data.csv": b"A,C,count\n0,1,1\n1,0,2\n",
+            "prior.txt": b""},
+    mode="mle",
+    use_prior=False,
+    out_state={"A.csv": b"old\n", "C.csv": None},
 )
 @given(
     inputs=learn_inputs(),
     mode=st.sampled_from(["mle", "bayes"]),
     use_prior=st.booleans(),
+    out_state=OUT_STATES,
 )
-def test_learn_exits_0_or_2_and_writes_only_under_out(inputs, mode, use_prior):
+def test_learn_exits_0_or_2_and_writes_only_under_out(inputs, mode, use_prior, out_state):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, content in inputs.items():
             (root / name).write_bytes(content)
         out = root / "out"
+        if out_state is not None:
+            out.mkdir()
+            for name, content in out_state.items():
+                if content is None:
+                    (out / name).mkdir()
+                else:
+                    (out / name).write_bytes(content)
+        before = snapshot(out)
         argv = ["learn", "--mode", mode, "--graph", str(root / "graph.txt"),
                 "--data", str(root / "data.csv"), "--out", str(out)]
         if use_prior:
@@ -105,5 +129,15 @@ def test_learn_exits_0_or_2_and_writes_only_under_out(inputs, mode, use_prior):
         assert code in (0, 2), stderr.getvalue()
         if code == 2:
             assert stderr.getvalue().startswith(("error: ", "usage: "))
+            assert snapshot(out) == before
         written = {p for p in root.rglob("*") if p.is_file() and out not in p.parents}
         assert written == {root / name for name in inputs}
+
+
+def snapshot(out: Path) -> dict[str, bytes | None] | None:
+    """Every path under `out` with its bytes (None for a directory), or None
+    if `out` does not exist."""
+    if not out.exists():
+        return None
+    return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
+            for p in out.rglob("*")}

@@ -434,6 +434,64 @@ class TestOutputFiles:
         # means are rendered gcd-reduced: 6/33 -> 2/11, 11/33 -> 1/3
         assert rows[2] == ["1", "6", "11", "16", "2/11", "1/3", "16/33"]
 
+    @staticmethod
+    def two_node_args(tmp_path, out):
+        graph, data = tmp_path / "graph.txt", tmp_path / "data.csv"
+        graph.write_text("node A 2\nnode B 2\n", encoding="utf-8")
+        data.write_text("A,B,count\n0,0,1\n1,1,2\n", encoding="utf-8")
+        return ["learn", "--mode", "mle", "--graph", str(graph), "--data", str(data),
+                "--out", str(out)]
+
+    @staticmethod
+    def tree(root):
+        return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+                for p in root.rglob("*")}
+
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path, capsys):
+        # B.csv cannot replace a directory; A.csv, moved in first, is taken back.
+        out = tmp_path / "out"
+        (out / "B.csv").mkdir(parents=True)
+        (out / "B.csv" / "keep").write_text("x", encoding="utf-8")
+        assert main(self.two_node_args(tmp_path, out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert self.tree(out) == {"B.csv": None, "B.csv/keep": b"x"}
+
+    def test_failed_write_restores_the_files_it_replaced(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "B.csv").mkdir(parents=True)
+        (out / "A.csv").write_text("old\n", encoding="utf-8")
+        before = self.tree(out)
+        assert main(self.two_node_args(tmp_path, out)) == 2
+        assert self.tree(out) == before
+
+    def test_failed_write_removes_the_directories_it_created(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        write_cpt = network._write_cpt
+        calls = []
+
+        def failing(cpt, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_cpt(cpt, path)
+
+        monkeypatch.setattr(network, "_write_cpt", failing)
+        assert main(self.two_node_args(tmp_path, tmp_path / "a" / "out")) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert not (tmp_path / "a").exists()
+
+    def test_rewrite_replaces_tables_and_keeps_other_files(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "A.csv").write_text("old\n", encoding="utf-8")
+        (out / "notes.txt").write_text("mine", encoding="utf-8")
+        assert main(self.two_node_args(tmp_path, out)) == 0
+        tree = self.tree(out)
+        assert sorted(tree) == ["A.csv", "B.csv", "notes.txt"]
+        assert tree["A.csv"] == b"p0,p1\r\n1/3,2/3\r\n"
+        assert tree["notes.txt"] == b"mine"
+
 
 class TestCli:
     def test_learn_mle_end_to_end(self, tmp_path, golden_graph_file, golden_data_csv):
