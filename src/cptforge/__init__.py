@@ -20,8 +20,8 @@ _EXPORTS = {
     "bayes": ("LiftedPredicate", "batch_update", "cont_condition", "cont_validity",
               "lift_predicate", "validity_transfer_check"),
     "dirichlet": ("HyperParams", "SimplexDensity", "aggregate_params", "dirichlet_density",
-                  "dirichlet_mean", "dirichlet_pdf_many", "dirichlet_sample_many",
-                  "gamma_nat", "one_sum_check", "simplex_quadrature"),
+                  "dirichlet_mean", "dirichlet_pdf_many", "dirichlet_sample_many", "gamma_nat",
+                  "make_rng", "one_sum_check", "simplex_quadrature", "substreams"),
     "dist": ("Channel", "Dist", "JointDist", "Predicate", "condition", "disintegrate",
              "dist_map", "pair_graph", "state_transform", "validity"),
     "finset": ("FinMap", "JointMultiset", "Multiset", "ZeroRowError", "ms_map", "ms_map_full",
@@ -30,7 +30,6 @@ _EXPORTS = {
     "mle": ("likelihood", "mle", "mle_decompose", "monad_counterexample"),
     "network": ("CountTable", "DataError", "GraphSpec", "LearnedCPT", "ingest_counts",
                 "learn_bayes", "learn_mle"),
-    "rng": ("make_rng", "substreams"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

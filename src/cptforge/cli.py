@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--data", required=True, help="count CSV in long format")
     learn.add_argument("--out", required=True, help="output directory (one CSV per node)")
     learn.add_argument("--prior", default="ones",
-                       help="'ones' or a per-node pseudo-count file (bayes mode)")
+                       help="'ones' or a per-node pseudo-count file; bayes mode only, "
+                       "so --mode mle with a file exits 2")
 
     verify = sub.add_parser("verify", help="run the law suites")
     verify.add_argument("--suite", choices=("golden", "exact", "stochastic", "all"),
@@ -100,6 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_learn(args: argparse.Namespace) -> int:
+    if args.mode == "mle" and args.prior != "ones":
+        print(f"error: --prior {args.prior}: only --mode bayes uses a prior, "
+              "and --mode mle normalises the counts alone", file=sys.stderr)
+        return 2
     try:
         graph = GraphSpec.load(args.graph)
         table = ingest_counts(args.data, graph)

@@ -258,6 +258,17 @@ def simplex_quadrature(f, n: int, resolution: int) -> float:
     return float(weights @ np.asarray(f(points), dtype=float))
 
 
+def make_rng(seed: int) -> np.random.Generator:
+    """A counter-based Philox stream: the same seed replays bit-identically."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def substreams(seed: int, k: int) -> list[np.random.Generator]:
+    """k independent Philox streams spawned deterministically from one seed."""
+    children = np.random.SeedSequence(seed).spawn(k)
+    return [np.random.Generator(np.random.Philox(child)) for child in children]
+
+
 def dirichlet_sample_many(
     alpha: HyperParams, size: int, rng: np.random.Generator
 ) -> np.ndarray:

@@ -36,9 +36,9 @@ from .dirichlet import (
     dirichlet_pdf_many,
     dirichlet_sample_many,
     int_power,
+    make_rng,
     simplex_rows,
 )
-from .rng import make_rng
 
 
 def split(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

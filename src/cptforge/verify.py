@@ -48,10 +48,12 @@ from .dirichlet import (
     dirichlet_normalizer,
     dirichlet_pdf_many,
     dirichlet_sample_many,
+    make_rng,
     one_sum_check,
     push_coords,
     simplex_cells,
     simplex_quadrature,
+    substreams,
 )
 from .dist import (
     Channel,
@@ -69,7 +71,6 @@ from .finset import FinMap, JointMultiset, Multiset, ms_map, ms_tensor
 from .localsplit import local_update_audit, pdf_factorization_check, split, unsplit
 from .mle import likelihood, mle, mle_decompose, monad_counterexample, simplex_grid
 from .network import CountTable, GraphSpec, learn_bayes, learn_mle
-from .rng import make_rng, substreams
 
 
 @dataclass(frozen=True)

@@ -1,53 +1,27 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Counts, tolerances and runtime bounds are pinned here; run with ``-s`` (or
-read captured output) to see the per-criterion lines.
+read captured output) to see the per-criterion lines.  A criterion that a
+registered `verify` law states at the same instance ranges and tolerance
+runs that law at extra seeds, so that seeds times the law's instances per
+seed reach the criterion's count; the others keep their own, finer checks.
 """
 
 import csv
-import math
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-import numpy as np
-
-from cptforge.bayes import (
-    cont_condition,
-    cont_validity,
-    lift_predicate,
-    validity_transfer_check,
-)
+from cptforge import verify
+from cptforge.bayes import cont_validity, lift_predicate, validity_transfer_check
 from cptforge.cli import main
-from cptforge.dirichlet import (
-    HyperParams,
-    aggregate_params,
-    dirichlet_density,
-    dirichlet_mean,
-    dirichlet_pdf_many,
-    dirichlet_sample_many,
-    one_sum_check,
-    push_coords,
-)
-from cptforge.dist import (
-    JointDist,
-    Predicate,
-    disintegrate,
-    dist_map,
-    pair_graph,
-    validity,
-)
-from cptforge.finset import FinMap, JointMultiset, Multiset, ms_map
-from cptforge.localsplit import local_update_audit, pdf_factorization_check, shifted_prefactor
-from cptforge.mle import likelihood, mle, mle_decompose, simplex_grid
+from cptforge.dirichlet import HyperParams, dirichlet_density, dirichlet_mean, one_sum_check
+from cptforge.dist import Predicate, validity
+from cptforge.finset import Multiset
+from cptforge.mle import likelihood, mle, simplex_grid
 from cptforge.network import learn_bayes, learn_mle
-from cptforge.rng import make_rng
-from cptforge.verify import (
-    blood_medicine_graph,
-    blood_medicine_joint,
-    blood_medicine_table,
-)
+from cptforge.verify import blood_medicine_graph, blood_medicine_joint, blood_medicine_table
 
 
 @contextmanager
@@ -58,6 +32,13 @@ def criterion(number: int, description: str):
         print(f"[criterion {number:2d}] FAIL  {description}")
         raise
     print(f"[criterion {number:2d}] PASS  {description}")
+
+
+def passes(check, seeds):
+    """Run a registered law at each seed; fail with its detail line."""
+    for seed in seeds:
+        result = check(seed, 400)
+        assert result.passed, f"seed {seed}: {result.detail}"
 
 
 def read_csv(path):
@@ -88,36 +69,15 @@ def test_criterion_01_golden_reproduction(tmp_path, golden_graph_file, golden_da
 
 def test_criterion_02_naturality():
     with criterion(2, "normalisation commutes with pushforward: 1000 exact instances in < 5 s"):
-        rng = random.Random(202)
         start = time.perf_counter()
-        for _ in range(1000):
-            n, m = rng.randint(1, 6), rng.randint(1, 6)
-            h = FinMap(tuple(rng.randrange(m) for _ in range(n)), m)
-            counts = [rng.randint(0, 9) for _ in range(n)]
-            if sum(counts) == 0:
-                counts[rng.randrange(n)] = rng.randint(1, 9)
-            phi = Multiset(tuple(counts))
-            assert mle(ms_map(h, phi)) == dist_map(h, mle(phi))
+        passes(verify.check_exact_naturality, range(202, 206))  # 4 seeds x 300 instances
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f} s"
 
 
 def test_criterion_03_decomposition():
     with criterion(3, "table and joint disintegration routes agree on 500 random tables, exactly"):
-        rng = random.Random(303)
-        for _ in range(500):
-            n, m = rng.randint(1, 5), rng.randint(1, 5)
-            rows = []
-            for _ in range(n):
-                row = [rng.randint(0, 9) for _ in range(m)]
-                if sum(row) == 0:
-                    row[rng.randrange(m)] = rng.randint(1, 9)
-                rows.append(tuple(row))
-            phi = JointMultiset(tuple(rows))
-            first, channel = mle_decompose(phi)
-            joint = JointDist.from_flat(mle(phi.to_flat()), n, m)
-            assert disintegrate(joint) == (first, channel)
-            assert pair_graph(channel, first) == joint
+        passes(verify.check_exact_decomposition, range(303, 307))  # 4 seeds x 150 tables
 
 
 def test_criterion_05_mle_maximality():
@@ -157,20 +117,7 @@ def test_criterion_07_mean_validity_transfer():
 
 def test_criterion_08_conjugacy():
     with criterion(8, "conditioned density equals the incremented one within 1e-9 on 100-point panels"):
-        rng = random.Random(808)
-        for trial in range(100):
-            n = rng.randint(2, 6)
-            alpha = HyperParams(tuple(rng.randint(1, 8) for _ in range(n)))
-            i = rng.randrange(n)
-            conditioned = cont_condition(
-                dirichlet_density(alpha), lift_predicate(Predicate.point(n, i))
-            )
-            panel = dirichlet_sample_many(
-                HyperParams((1,) * n), 100, make_rng(880_000 + trial)
-            )
-            got = conditioned.eval_many(panel)
-            want = dirichlet_pdf_many(alpha.increment(i), panel)
-            assert np.max(np.abs(got - want) / want) <= 1e-9
+        passes(verify.check_stoch_conjugacy, (808, 809))  # 2 seeds x 50 panels
 
 
 def test_criterion_09_aggregation():
@@ -181,41 +128,15 @@ def test_criterion_09_aggregation():
             s = rng.uniform(0.15, 0.85)
             lhs, rhs = one_sum_check(alpha, (s, 1.0 - s), 10_000)
             assert abs(lhs - rhs) <= 1e-4 * max(1.0, abs(lhs))
-
-        draws = 100_000
-        alpha = HyperParams((2, 3, 1, 4))
-        h = FinMap((0, 1, 0, 1), 2)
-        pushed = push_coords(h, dirichlet_sample_many(alpha, draws, make_rng(9901)))
-        direct = dirichlet_sample_many(aggregate_params(h, alpha), draws, make_rng(9902))
-        for k in range(2):
-            a, b = pushed[:, k], direct[:, k]
-            se = math.sqrt(a.var(ddof=1) / draws + b.var(ddof=1) / draws)
-            assert abs(a.mean() - b.mean()) <= 4 * se
-            ca, cb = (a - a.mean()) ** 2, (b - b.mean()) ** 2
-            se_var = math.sqrt(ca.var(ddof=1) / draws + cb.var(ddof=1) / draws)
-            assert abs(ca.mean() - cb.mean()) <= 4 * se_var
+        # 3 merges x 100000 draws, the first Dir(2,3,1,4) along (0,1,0,1)
+        passes(verify.check_stoch_surjective_naturality, (909,))
 
 
 def test_criterion_10_split_factorisation_and_audit():
     with criterion(10, "split factorisations within 1e-9; audit finds the matching parameterisation in < 60 s"):
         start = time.perf_counter()
-        rng = random.Random(1010)
-        for trial in range(20):
-            alpha = HyperParams(tuple(rng.randint(1, 8) for _ in range(6)))
-            rows = (HyperParams(alpha.alphas[:3]), HyperParams(alpha.alphas[3:]))
-            points = dirichlet_sample_many(
-                HyperParams((1,) * 6), 20, make_rng(101_000 + trial)
-            ).reshape(20, 2, 3)
-            lhs, rhs1, rhs2 = pdf_factorization_check(rows, points)
-            assert np.max(np.abs(lhs - rhs1) / np.abs(lhs)) <= 1e-9
-            assert np.max(np.abs(lhs - rhs2) / np.abs(lhs)) <= 1e-9
-
-        audit = local_update_audit((HyperParams((1,) * 3),) * 2, (0, 2), samples=100_000, seed=10)
-        assert audit.pushforward_mass == 1.0
-        assert audit.matching_candidates == ("direct",)
-        assert audit.shifted_constant == shifted_prefactor(HyperParams((3, 3)).increment(0), 2) == F(30)
-        assert not audit.constant_is_one
-        assert "constant" in audit.format_report()
+        passes(verify.check_stoch_factorisation, (1010,))  # 20 tables x 20 points
+        passes(verify.check_stoch_local_audit, (1010,))  # 100000 draws
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.2f} s"
 
@@ -236,3 +157,6 @@ def test_criterion_11_bayes_mle_convergence():
             gaps.append(gap)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < F(1, 100)
+        # first-order rate: scaling the data 10x shrinks the gap ~10x
+        assert gaps[1] < gaps[0] / 5
+        assert gaps[2] < gaps[1] / 5

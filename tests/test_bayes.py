@@ -17,10 +17,10 @@ from cptforge.dirichlet import (
     dirichlet_density,
     dirichlet_pdf_many,
     dirichlet_sample_many,
+    make_rng,
 )
 from cptforge.dist import Predicate
 from cptforge.finset import Multiset
-from cptforge.rng import make_rng
 
 hyperparams_st = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
     lambda a: HyperParams(tuple(a))

@@ -3,7 +3,8 @@
 The generator and the oracle under ``perfbench/`` never import cptforge:
 the oracle recounts every family from the generated rows with plain
 Python ints and renders the expected tables itself, and it pins the
-checks `verify --suite all` reports.  They are loaded read-only, by file.
+checks `verify --suite all` reports.  They, and the benchmark's self-test,
+are loaded read-only, by file.
 """
 
 import dataclasses
@@ -43,12 +44,18 @@ def _load_perfbench(*names):
                 sys.modules[name] = module
 
 
-gen, oracle = _load_perfbench("gen", "oracle")
+gen, oracle, selftest = _load_perfbench("gen", "oracle", "selftest")
 
 INSTANCES = {
     "learn-tall": dataclasses.replace(gen.SHAPES["learn-tall"], rows=5000),
     "learn-wide": gen.SHAPES["learn-wide"],
 }
+
+
+def test_benchmark_golden_trace(tmp_path):
+    # The benchmark's first self-test: the golden example learned under its
+    # span tracer, which wraps every layer module by name.
+    selftest.golden_trace(tmp_path)
 
 
 @pytest.mark.parametrize(

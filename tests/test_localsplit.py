@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from cptforge.dirichlet import HyperParams, dirichlet_sample_many
+from cptforge.dirichlet import HyperParams, dirichlet_sample_many, make_rng
 from cptforge.localsplit import (
     local_update_audit,
     pdf_factorization_check,
@@ -14,7 +14,6 @@ from cptforge.localsplit import (
     unsplit,
 )
 from cptforge.network import learn_bayes
-from cptforge.rng import make_rng
 
 GOLDEN_POINT = np.array([[[0.10, 0.35, 0.25], [0.05, 0.10, 0.15]]])
 UNIFORM_POINT = np.full((1, 2, 3), 1 / 6)

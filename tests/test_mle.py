@@ -1,11 +1,10 @@
-import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cptforge.dist import Channel, Dist, JointDist, disintegrate, dist_map, pair_graph
+from cptforge.dist import Channel, Dist, dist_map, pair_graph
 from cptforge.finset import FinMap, JointMultiset, Multiset, ms_map, ms_tensor
 from cptforge.mle import (
     likelihood,
@@ -93,23 +92,6 @@ class TestMleDecompose:
         first, channel = mle_decompose(JointMultiset(((3, 1, 0),)))
         assert first.probs == (F(1),)
         assert channel.rows[0] == mle(Multiset((3, 1, 0)))
-
-    def test_agrees_with_joint_route_on_random_tables(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            n, m = rng.randint(1, 3), rng.randint(1, 4)
-            rows = []
-            for _ in range(n):
-                row = [rng.randint(0, 9) for _ in range(m)]
-                if sum(row) == 0:
-                    row[rng.randrange(m)] = 1
-                rows.append(tuple(row))
-            phi = JointMultiset(tuple(rows))
-            first, channel = mle_decompose(phi)
-            joint = JointDist.from_flat(mle(phi.to_flat()), n, m)
-            assert disintegrate(joint) == (first, channel)
-            assert pair_graph(channel, first) == joint
-            assert pair_graph(channel, first).to_flat() == mle(phi.to_flat())
 
     def test_zero_row_propagates(self):
         with pytest.raises(ValueError):
