@@ -18,7 +18,7 @@ from .dirichlet import (
     HyperParams,
     SimplexDensity,
     dirichlet_mean,
-    simplex_cells,
+    simplex_quadrature,
 )
 from .dist import Predicate, validity
 from .finset import Multiset
@@ -58,8 +58,8 @@ def cont_validity(density: SimplexDensity, q: LiftedPredicate, resolution: int) 
     """
     if q.n != density.n:
         raise ValueError(f"size mismatch: density over {density.n}, predicate over {q.n}")
-    points, weights = simplex_cells(density.n, resolution)
-    return float(weights @ (q.eval_many(points) * density.eval_many(points)))
+    return simplex_quadrature(lambda pts: q.eval_many(pts) * density.eval_many(pts),
+                              density.n, resolution)
 
 
 def cont_condition(density: SimplexDensity, q: LiftedPredicate) -> SimplexDensity:

@@ -140,18 +140,16 @@ class LocalUpdateAudit:
     cell: tuple[int, int]
     n_samples: int
     seed: int
-    pushforward_mass: float
     empirical: dict[str, ComponentStats]
     candidates: tuple[CandidateFit, ...]
     matching_candidates: tuple[str, ...]
     shifted_constant: Fraction
-    constant_is_one: bool
 
     def format_report(self) -> str:
         lines = [
             f"local update audit: alpha rows={tuple(r.alphas for r in self.alpha_rows)}, "
             f"incremented cell={self.cell}, samples={self.n_samples}, seed={self.seed}",
-            f"pushforward total mass: {self.pushforward_mass} (a probability measure)",
+            "pushforward total mass: 1.0 (a probability measure)",
         ]
         for block, stats in self.empirical.items():
             means = ", ".join(f"{m:.5f}" for m in stats.mean)
@@ -168,7 +166,7 @@ class LocalUpdateAudit:
             f"  shifted-candidate constant: {self.shifted_constant} "
             f"= {float(self.shifted_constant):g}"
         )
-        if not self.constant_is_one:
+        if self.shifted_constant != 1:
             lines.append(
                 "  note: the constant differs from 1, but a pushforward of a "
                 "probability measure has total mass 1, so the scaled shifted "
@@ -266,10 +264,8 @@ def local_update_audit(
         cell=increment_cell,
         n_samples=samples,
         seed=seed,
-        pushforward_mass=1.0,
         empirical=empirical,
         candidates=tuple(candidates),
         matching_candidates=tuple(c.name for c in candidates if c.matches),
         shifted_constant=constant,
-        constant_is_one=constant == 1,
     )

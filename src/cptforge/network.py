@@ -2,26 +2,28 @@
 
 File formats
 ------------
-Every input file is UTF-8.  An error in an input file, such as a byte
-sequence that is not UTF-8, names the file and the line.
+Every input file is UTF-8 and is split into lines by one rule, `_lines`:
+a line ends at ``\n`` only, and a line that is all whitespace or whose
+first other character is ``#`` is skipped.  An error in an input file,
+such as a byte sequence that is not UTF-8, names the file and the line.
 
 Graph: plain text, one directive per line.  ``node <name> <arity>`` declares
 a variable with outcomes 0..arity-1, the arity being ASCII digits from 1 to
-``MAX_FAMILY_CELLS``; ``edge <parent> <child>`` adds a dependency.  Lines
-starting with ``#`` and blank lines are ignored.  The edge relation must
-be acyclic.  A node name matches
+``MAX_FAMILY_CELLS``; ``edge <parent> <child>`` adds a dependency.  The
+edge relation must be acyclic.  A node name matches
 ``[A-Za-z_][A-Za-z0-9_.-]*`` and is not ``count``, so it names a file
 inside the output directory and never the count column.
 
 Counts: CSV with header ``var1,...,vark,count`` where the variable columns
 are a permutation of the declared node names and the last column is
-literally ``count``.  Each following row holds 0-based outcome indices and
-a non-negative integer count; duplicate outcome rows are summed, so
+literally ``count``.  Each following row holds 0-based outcome indices
+and a non-negative integer count; duplicate outcome rows are summed, so
 ingestion does not depend on row order.  Every outcome and count cell is
 optional blanks (spaces or tabs), ASCII digits ``[0-9]+``, optional
 blanks: a sign, a quote, a decimal point, an underscore or a non-ASCII
-digit is an error.  Counts may exceed 64 bits.  Empty lines and ``#``
-lines are ignored.
+digit is an error.  Counts may exceed 64 bits.  The header is split into
+cells like a data line, at commas with the blanks stripped, so a quoted
+name is an error too.
 
 Priors (Bayesian mode): plain text, one line per node:
 ``<name> a1 a2 ... a<arity>`` with every pseudo-count ASCII digits and
@@ -59,7 +61,7 @@ from fractions import Fraction
 from math import prod
 from pathlib import Path
 from types import MappingProxyType
-from typing import BinaryIO, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -109,17 +111,21 @@ def _at(lineno: int | None) -> str:
     return "" if lineno is None else f"line {lineno}: "
 
 
-def _decode(raw: bytes, lineno: int) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise DataError(f"line {lineno}: not valid UTF-8") from None
+def _lines(raws: Iterable[bytes], first: int = 1) -> Iterator[tuple[int, str]]:
+    """The number (counted from `first`) and decoded text of each line of
+    `raws` that is neither blank nor a ``#`` comment.
 
-
-def _read_text(path: str | Path) -> str:
-    """A UTF-8 text file's contents; undecodable bytes are a DataError."""
-    lines = Path(path).read_bytes().split(b"\n")
-    return "\n".join(_decode(raw, n) for n, raw in enumerate(lines, start=1))
+    `raws` are lines split at ``\n`` only.  A line that is not UTF-8 is a
+    DataError naming it, even where it would be skipped.
+    """
+    for lineno, raw in enumerate(raws, start=first):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"line {lineno}: not valid UTF-8") from None
+        line = text.strip()
+        if line and not line.startswith("#"):
+            yield lineno, text
 
 
 def _integer(text: str, lineno: int) -> int | None:
@@ -209,16 +215,14 @@ class GraphSpec:
         return tuple(p for p, c in self.edges if c == name)
 
     @staticmethod
-    def parse(text: str) -> GraphSpec:
+    def parse(data: bytes) -> GraphSpec:
+        """The graph a graph file's bytes declare."""
         nodes: list[tuple[str, int]] = []
         edges: list[tuple[str, str]] = []
         node_lines: list[int] = []
         edge_lines: list[int] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for lineno, text in _lines(data.split(b"\n")):
+            parts = text.split()
             if parts[0] == "node" and len(parts) == 3:
                 arity = _integer(parts[2], lineno)
                 if arity is None:
@@ -230,13 +234,13 @@ class GraphSpec:
                 edge_lines.append(lineno)
             else:
                 raise DataError(f"line {lineno}: expected 'node <name> <arity>' or "
-                                f"'edge <parent> <child>', got {raw!r}")
+                                f"'edge <parent> <child>', got {text!r}")
         return GraphSpec(tuple(nodes), tuple(edges), (tuple(node_lines), tuple(edge_lines)))
 
     @staticmethod
     def load(path: str | Path) -> GraphSpec:
         with _in_file(path):
-            return GraphSpec.parse(_read_text(path))
+            return GraphSpec.parse(Path(path).read_bytes())
 
 
 def _outcome_dtype(arities: tuple[int, ...]) -> np.dtype:
@@ -366,21 +370,10 @@ def _parse_line(text: str, lineno: int, names: tuple[str, ...],
     return (*values, count)
 
 
-def _is_skipped(text: str) -> bool:
-    """Empty lines and comment lines carry no data."""
-    return not text.strip("\r\n") or text.lstrip().startswith("#")
-
-
 def _read_header(fh: BinaryIO, names: tuple[str, ...]) -> tuple[int, list[int]]:
     """Consume lines up to the header; its line number and, per node, its column."""
-    for lineno, raw in enumerate(fh, start=1):
-        text = _decode(raw, lineno)
-        if _is_skipped(text):
-            continue
-        try:
-            header = [cell.strip() for cell in next(csv.reader([text.rstrip("\r\n")]))]
-        except csv.Error as exc:  # a field past csv.field_size_limit(), a bare "\r"
-            raise DataError(f"line {lineno}: header: {exc}") from None
+    for lineno, text in _lines(fh):
+        header = [cell.strip(" \t") for cell in text.rstrip("\r\n").split(",")]
         if len(header) != len(names) + 1 or header[-1] != "count":
             raise DataError(
                 f"line {lineno}: header must list every node plus a final "
@@ -421,18 +414,14 @@ def _read_chunk(lines: list[bytes], first: int, names: tuple[str, ...],
                 arities: tuple[int, ...], order: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Outcome rows (declared order) and counts of the data lines from line `first` on.
 
-    The chunk is parsed in bulk; failing that, line by line, which skips
-    comment and empty lines, names the first bad line or reads counts past
-    int64.
+    The chunk is parsed in bulk; failing that, line by line over `_lines`,
+    naming the first bad line and reading counts past int64.
     """
     dtype = _outcome_dtype(arities)
     row_type = np.dtype([("outcomes", dtype, (len(names),)), ("count", np.int64)])
-    linenos = range(first, first + len(lines))
     rows = _bulk_rows(lines, row_type)
     if rows is None:
-        texts = [(n, _decode(raw, n)) for n, raw in zip(linenos, lines)]
-        parsed = [_parse_line(text, n, names, arities, order)
-                  for n, text in texts if not _is_skipped(text)]
+        parsed = [_parse_line(text, n, names, arities, order) for n, text in _lines(lines, first)]
         outcomes = np.array([p[:-1] for p in parsed], dtype=dtype)
         counts = [p[-1] for p in parsed]
         return (outcomes.reshape(len(parsed), len(names)),
@@ -442,7 +431,7 @@ def _read_chunk(lines: list[bytes], first: int, names: tuple[str, ...],
     bad = (rows["outcomes"] >= bounds).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
-        _parse_line(lines[i].decode("ascii"), linenos[i], names, arities, order)
+        _parse_line(lines[i].decode("ascii"), first + i, names, arities, order)
     # Both results are copies, so the chunk's rows are freed on return.
     return rows["outcomes"][:, order], rows["count"].copy()
 
@@ -570,14 +559,11 @@ def learn_mle(table: CountTable, graph: GraphSpec) -> list[LearnedCPT]:
     return _learn(table, graph, "mle", {n: (0,) * a for n, a in graph.nodes})
 
 
-def parse_prior(text: str, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
-    """Parse a per-node prior pseudo-count file."""
+def parse_prior(data: bytes, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
+    """Parse a per-node prior pseudo-count file's bytes."""
     priors: dict[str, tuple[int, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, text in _lines(data.split(b"\n")):
+        parts = text.split()
         name = parts[0]
         if name not in graph.node_names:
             raise DataError(f"line {lineno}: unknown node {name}")
@@ -599,7 +585,7 @@ def parse_prior(text: str, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
 def load_prior(path: str | Path, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
     """Read and parse a per-node prior pseudo-count file."""
     with _in_file(path):
-        return parse_prior(_read_text(path), graph)
+        return parse_prior(Path(path).read_bytes(), graph)
 
 
 def learn_bayes(

@@ -126,19 +126,13 @@ def blood_medicine_graph() -> GraphSpec:
     return GraphSpec(nodes=(("Blood", 2), ("Medicine", 3)), edges=(("Blood", "Medicine"),))
 
 
-def blood_medicine_table(scale: int = 1) -> CountTable:
-    records = {
-        (i, j): scale * BLOOD_MEDICINE_COUNTS[i][j]
-        for i in range(2)
-        for j in range(3)
-    }
+def blood_medicine_table() -> CountTable:
+    records = {(i, j): BLOOD_MEDICINE_COUNTS[i][j] for i in range(2) for j in range(3)}
     return CountTable.from_records(("Blood", "Medicine"), (2, 3), records)
 
 
-def blood_medicine_joint(scale: int = 1) -> JointMultiset:
-    return JointMultiset(
-        tuple(tuple(scale * c for c in row) for row in BLOOD_MEDICINE_COUNTS)
-    )
+def blood_medicine_joint() -> JointMultiset:
+    return JointMultiset(BLOOD_MEDICINE_COUNTS)
 
 
 # ---------------------------------------------------------------------------
@@ -754,13 +748,7 @@ def check_stoch_local_audit(seed: int, resolution: int) -> tuple[bool, str]:
     )
     direct = next(c for c in audit.candidates if c.name == "direct")
     shifted = next(c for c in audit.candidates if c.name == "shifted")
-    ok = (
-        audit.pushforward_mass == 1.0
-        and direct.matches
-        and not shifted.matches
-        and audit.shifted_constant == Fraction(30)
-        and not audit.constant_is_one
-    )
+    ok = direct.matches and not shifted.matches and audit.shifted_constant == Fraction(30)
     return ok, (
         f"direct candidate max |z| = {direct.max_abs_z:.2f} (match), shifted "
         f"max |z| = {shifted.max_abs_z:.2f} (mismatch), constant = {audit.shifted_constant}"

@@ -20,7 +20,7 @@ from cptforge.dirichlet import HyperParams, dirichlet_density, dirichlet_mean, o
 from cptforge.dist import Predicate, validity
 from cptforge.finset import Multiset
 from cptforge.mle import likelihood, mle, simplex_grid
-from cptforge.network import learn_bayes, learn_mle
+from cptforge.network import CountTable, learn_bayes, learn_mle
 from cptforge.verify import blood_medicine_graph, blood_medicine_joint, blood_medicine_table
 
 
@@ -143,11 +143,12 @@ def test_criterion_10_split_factorisation_and_audit():
 
 def test_criterion_11_bayes_mle_convergence():
     with criterion(11, "posterior means approach the normalised counts as data scales (gap < 0.01 at x100)"):
-        graph = blood_medicine_graph()
-        reference = {c.node: c for c in learn_mle(blood_medicine_table(), graph)}
+        graph, table = blood_medicine_graph(), blood_medicine_table()
+        reference = {c.node: c for c in learn_mle(table, graph)}
         gaps = []
         for k in (1, 10, 100):
-            cpts = {c.node: c for c in learn_bayes(blood_medicine_table(scale=k), graph)}
+            scaled = CountTable(table.variables, table.arities, table.outcomes, table.counts * k)
+            cpts = {c.node: c for c in learn_bayes(scaled, graph)}
             gap = max(
                 abs(p - q)
                 for node in graph.node_names

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +29,12 @@ from cptforge.network import (
     ingest_counts,
     learn_bayes,
     learn_mle,
+    load_prior,
     parse_prior,
     write_cpts,
 )
+
+EXPECTED_STOCHASTIC = Path(__file__).parent / "expected" / "verify-stochastic-seed42-res100.txt"
 
 
 def read_csv(path):
@@ -74,17 +78,17 @@ class TestGraphSpec:
         with pytest.raises(DataError, match="node name"):
             GraphSpec(((name, 2),), ())
         with pytest.raises(DataError, match="line 2: node name"):
-            GraphSpec.parse(f"node A 2\nnode {name} 2\n")
+            GraphSpec.parse(f"node A 2\nnode {name} 2\n".encode())
 
     def test_node_names_that_follow_the_rule(self):
-        g = GraphSpec.parse("node _a 2\nnode X1.b-c 3\nnode counts 2\n")
+        g = GraphSpec.parse(b"node _a 2\nnode X1.b-c 3\nnode counts 2\n")
         assert g.node_names == ("_a", "X1.b-c", "counts")
 
     def test_parse_error_reports_line(self):
         with pytest.raises(DataError, match="line 2"):
-            GraphSpec.parse("node A 2\nnode B\n")
+            GraphSpec.parse(b"node A 2\nnode B\n")
         with pytest.raises(DataError, match="line 1"):
-            GraphSpec.parse("node A two\n")
+            GraphSpec.parse(b"node A two\n")
 
     @pytest.mark.parametrize(
         "arity,message",
@@ -103,7 +107,7 @@ class TestGraphSpec:
     )
     def test_arity_grammar(self, arity, message):
         with pytest.raises(DataError, match=f"line 2: .*{message}"):
-            GraphSpec.parse(f"node A 2\nnode B {arity}\n")
+            GraphSpec.parse(f"node A 2\nnode B {arity}\n".encode())
 
     @pytest.mark.parametrize(
         "text,message",
@@ -121,14 +125,14 @@ class TestGraphSpec:
     )
     def test_structural_errors_name_their_line(self, text, message):
         with pytest.raises(DataError, match=f"^{message}"):
-            GraphSpec.parse(text)
+            GraphSpec.parse(text.encode())
 
     def test_graph_without_node_lines_says_so(self):
         with pytest.raises(DataError, match="graph has no nodes: it needs a 'node"):
-            GraphSpec.parse("# only a comment\n\n")
+            GraphSpec.parse(b"# only a comment\n\n")
 
     def test_largest_arity_is_accepted(self):
-        assert GraphSpec.parse("node A 16777216\n").arity("A") == network.MAX_FAMILY_CELLS
+        assert GraphSpec.parse(b"node A 16777216\n").arity("A") == network.MAX_FAMILY_CELLS
 
 
 class TestIngest:
@@ -137,11 +141,22 @@ class TestIngest:
         assert table.total() == 100
         assert table.marginal_counts(table.variables).counts == (10, 35, 25, 5, 10, 15)
 
-    def test_duplicates_are_summed(self, tmp_path, golden_graph):
-        path = tmp_path / "dup.csv"
-        path.write_text("Blood,Medicine,count\n0,0,10\n0,0,5\n", encoding="utf-8")
-        table = ingest_counts(path, golden_graph)
-        assert table.records[(0, 0)] == 15
+    @pytest.mark.parametrize(
+        "text,records",
+        [
+            ("Blood,Medicine,count\n0,0,10\n0,0,5\n", {(0, 0): 15}),
+            ("Medicine,Blood,count\n2,1,7\n", {(1, 2): 7}),
+            ("# counts below\nBlood,Medicine,count\n\n0,1,4\n# done\n", {(0, 1): 4}),
+            ("Blood,Medicine,count\n", {}),
+            (" \t\x0c\nBlood,Medicine,count\n0,1,4\n \t\r\n", {(0, 1): 4}),
+        ],
+        ids=["duplicates", "permuted-header", "comments-and-blank-lines", "empty-data",
+             "whitespace-only-lines"],
+    )
+    def test_accepted_layouts(self, tmp_path, golden_graph, text, records):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(text.encode())
+        assert ingest_counts(path, golden_graph).records == records
 
     def test_row_order_does_not_matter(self, tmp_path, golden_graph, golden_data_csv):
         lines = golden_data_csv.read_text(encoding="utf-8").strip().splitlines()
@@ -151,25 +166,6 @@ class TestIngest:
         a = ingest_counts(golden_data_csv, golden_graph)
         b = ingest_counts(path, golden_graph)
         assert a == b
-
-    def test_permuted_header_accepted(self, tmp_path, golden_graph):
-        path = tmp_path / "perm.csv"
-        path.write_text("Medicine,Blood,count\n2,1,7\n", encoding="utf-8")
-        table = ingest_counts(path, golden_graph)
-        assert table.records[(1, 2)] == 7
-
-    def test_comments_and_blank_lines_ignored(self, tmp_path, golden_graph):
-        path = tmp_path / "c.csv"
-        path.write_text(
-            "# counts below\nBlood,Medicine,count\n\n0,1,4\n# done\n", encoding="utf-8"
-        )
-        assert ingest_counts(path, golden_graph).total() == 4
-
-    def test_empty_data_is_a_valid_table(self, tmp_path, golden_graph):
-        path = tmp_path / "empty.csv"
-        path.write_text("Blood,Medicine,count\n", encoding="utf-8")
-        table = ingest_counts(path, golden_graph)
-        assert table.total() == 0
 
     def test_concatenation_is_additive(self, tmp_path, golden_graph, golden_data_csv):
         extra = "0,0,3\n1,2,2\n"
@@ -212,10 +208,11 @@ class TestIngest:
         with pytest.raises(DataError, match="header"):
             ingest_counts(path, golden_graph)
 
-    def test_header_field_past_the_csv_limit_rejected(self, tmp_path, golden_graph):
+    def test_quoted_header_name_rejected(self, tmp_path, golden_graph):
+        # The header is split like a data line, where a quote is never accepted.
         path = tmp_path / "bad.csv"
-        path.write_text('"' + "B" * ((1 << 17) + 1) + '",Medicine,count\n', encoding="utf-8")
-        with pytest.raises(DataError, match="line 1: header: field larger"):
+        path.write_text('"Blood",Medicine,count\n0,0,1\n', encoding="utf-8")
+        with pytest.raises(DataError, match="line 1: header variables"):
             ingest_counts(path, golden_graph)
 
     def test_missing_file(self, tmp_path, golden_graph):
@@ -227,6 +224,32 @@ class TestIngest:
         path.write_text("# nothing\n", encoding="utf-8")
         with pytest.raises(DataError, match="header"):
             ingest_counts(path, golden_graph)
+
+
+class TestLineRule:
+    @pytest.mark.parametrize(
+        "kind,text,message",
+        [
+            ("graph", "# note{}more\nnode A x\n", "line 2: arity 'x' is not an integer"),
+            ("graph", "node A 2\n{}\t \nnode B x\n", "line 3: arity 'x' is not an integer"),
+            ("prior", "Blood 2 2\n# note{}more\nMedicine 1 1\n",
+             "line 3: Medicine needs 3 pseudo-counts, got 2"),
+            ("prior", "Blood 2 2\n{}\t \nMedicine 1 1\n",
+             "line 3: Medicine needs 3 pseudo-counts, got 2"),
+        ],
+        ids=["graph-comment", "graph-whitespace-only", "prior-comment", "prior-whitespace-only"],
+    )
+    @pytest.mark.parametrize("inside", ["\u2028", "\x0c", "\x85"], ids=["U+2028", "FF", "U+0085"])
+    def test_only_newline_ends_a_line(self, tmp_path, golden_graph, kind, text, message, inside):
+        # Each `inside` character ends a line for str.splitlines, never here:
+        # the skipped line stays one line, and the error names the bad one.
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(text.format(inside).encode())
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            if kind == "graph":
+                GraphSpec.load(path)
+            else:
+                load_prior(path, golden_graph)
 
 
 class TestLearnMle:
@@ -351,7 +374,7 @@ class TestLearnBayes:
 
 class TestPriorParsing:
     def test_parse(self, golden_graph):
-        priors = parse_prior("# p\nBlood 2 2\nMedicine 1 1 1\n", golden_graph)
+        priors = parse_prior(b"# p\nBlood 2 2\nMedicine 1 1 1\n", golden_graph)
         assert priors == {"Blood": (2, 2), "Medicine": (1, 1, 1)}
 
     @pytest.mark.parametrize(
@@ -371,7 +394,7 @@ class TestPriorParsing:
     )
     def test_errors(self, golden_graph, text, message):
         with pytest.raises(DataError, match=message):
-            parse_prior(text, golden_graph)
+            parse_prior(text.encode(), golden_graph)
 
 
 class TestOutputFiles:
@@ -535,13 +558,11 @@ class TestCli:
         assert "0 failed" in capsys.readouterr().out
 
     def test_verify_stochastic_reports_are_reproducible(self, capsys):
+        # Every sampled value is in the report, so a changed Philox stream or
+        # seed offset changes this output.
         assert main(["verify", "--suite", "stochastic", "--seed", "42",
                      "--resolution", "100"]) == 0
-        first = capsys.readouterr().out
-        assert main(["verify", "--suite", "stochastic", "--seed", "42",
-                     "--resolution", "100"]) == 0
-        second = capsys.readouterr().out
-        assert first == second
+        assert capsys.readouterr().out == EXPECTED_STOCHASTIC.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("value", ["4", "3", "2", "1", "0", "-3"])
     def test_verify_resolution_below_five_is_input_error(self, value, capsys):
