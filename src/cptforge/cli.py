@@ -7,7 +7,7 @@ Two subcommands:
   CSV per node into DIR.
 * ``cpt-forge verify --suite {golden|exact|stochastic|all} [--seed N]
   [--resolution N]`` runs the law suites and reports one PASS/FAIL line
-  per check; N is MIN_RESOLUTION..MAX_RESOLUTION (5..1023), and each
+  per check; N is MIN_RESOLUTION..max_resolution() (5..1023), and each
   quadrature law's tolerance, 1e-3 at N = 400, scales as 1/N**2 up to a
   cap of 0.5.
 
@@ -30,7 +30,6 @@ import sys
 # has set wins.  The library itself leaves the environment alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .dirichlet import MAX_QUADRATURE_CELLS
 from .network import (
     DataError,
     GraphSpec,
@@ -52,18 +51,27 @@ def _at_least(low: int, text: str) -> int:
 # Below 5, density-normalisation's errors need not shrink when the grid
 # doubles (the rule is not yet in its second-order regime).
 MIN_RESOLUTION = 5
-# verify's largest grid is density-normalisation's 3-outcome grid at twice
-# --resolution; at resolution r it has r * (2r + 1) cells.
-MAX_RESOLUTION = (math.isqrt(8 * MAX_QUADRATURE_CELLS + 1) - 1) // 4
+
+
+def max_resolution() -> int:
+    """The largest --resolution: verify's largest grid is density-normalisation's
+    3-outcome grid at twice the resolution, r * (2r + 1) cells at resolution r,
+    and it must stay within MAX_QUADRATURE_CELLS."""
+    # Deferred, like the verify import: `learn` never loads the quadrature module.
+    from .dirichlet import MAX_QUADRATURE_CELLS
+
+    return (math.isqrt(8 * MAX_QUADRATURE_CELLS + 1) - 1) // 4
 
 
 def resolution(text: str) -> int:
-    """The --resolution type: an integer in MIN_RESOLUTION..MAX_RESOLUTION
+    """The --resolution type: an integer in MIN_RESOLUTION..max_resolution()
     (argparse names it in errors)."""
-    value = _at_least(MIN_RESOLUTION, text)
-    if value > MAX_RESOLUTION:
+    from .dirichlet import MAX_QUADRATURE_CELLS
+
+    value, largest = _at_least(MIN_RESOLUTION, text), max_resolution()
+    if value > largest:
         raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_RESOLUTION}, got {value}: density-normalisation's "
+            f"must be at most {largest}, got {value}: density-normalisation's "
             f"grid at twice the resolution would exceed {MAX_QUADRATURE_CELLS} cells"
         )
     return value

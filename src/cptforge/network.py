@@ -7,6 +7,9 @@ a line ends at ``\n`` only, and a line that is all whitespace or whose
 first other character is ``#`` is skipped.  An error in an input file,
 such as a byte sequence that is not UTF-8, names the file and the line.
 
+Graph and prior lines are split into fields at runs of spaces and tabs
+only, like the blanks of a CSV cell; a trailing ``\r`` is dropped.
+
 Graph: plain text, one directive per line.  ``node <name> <arity>`` declares
 a variable with outcomes 0..arity-1, the arity being ASCII digits from 1 to
 ``MAX_FAMILY_CELLS``; ``edge <parent> <child>`` adds a dependency.  The
@@ -23,7 +26,13 @@ optional blanks (spaces or tabs), ASCII digits ``[0-9]+``, optional
 blanks: a sign, a quote, a decimal point, an underscore or a non-ASCII
 digit is an error.  Counts may exceed 64 bits.  The header is split into
 cells like a data line, at commas with the blanks stripped, so a quoted
-name is an error too.
+name is an error too.  A chunk of data lines is parsed by one vectorised
+byte kernel, `_bulk_rows`, which accepts exactly this grammar, a ``\r``
+being a blank only directly before ``\n``: a chunk it accepts,
+`_parse_line` accepts with the same values.  A chunk with skipped lines is
+parsed again without them; a chunk it still refuses (say, with a count of
+more than 18 digits) goes through `_parse_line`, which names the first bad
+line.
 
 Priors (Bayesian mode): plain text, one line per node:
 ``<name> a1 a2 ... a<arity>`` with every pseudo-count ASCII digits and
@@ -49,25 +58,25 @@ from __future__ import annotations
 import contextlib
 import csv
 import graphlib
-import io
 import itertools
 import os
 import re
 import shutil
 import tempfile
-import warnings
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import prod
 from pathlib import Path
 from types import MappingProxyType
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .dirichlet import HyperParams
-from .dist import Dist
 from .finset import Multiset
+
+if TYPE_CHECKING:  # imported where used: `learn --mode mle` needs neither
+    from .dirichlet import HyperParams
+    from .dist import Dist
 
 CHUNK_LINES = 1 << 14
 """Data lines parsed per bulk step; bounds the parser's working memory."""
@@ -91,6 +100,12 @@ _CELL = re.compile(r"[ \t]*(-?[0-9]+)[ \t]*")
 # Only lines made of these bytes are parsed in bulk; any other byte (a sign,
 # a quote, '#', non-ASCII) needs the line-by-line parse.
 _BULK_BYTES = b"0123456789, \t\r\n"
+
+_BULK_DIGITS = 18
+"""Longest cell the bulk parse reads: 10**18 - 1 is below 2**63."""
+
+# A graph or prior line's fields are separated by runs of these blanks.
+_FIELD_GAP = re.compile(r"[ \t]+")
 
 
 class DataError(ValueError):
@@ -141,6 +156,12 @@ def _integer(text: str, lineno: int) -> int | None:
         return int(match[1])
     except ValueError:
         raise DataError(f"line {lineno}: a number of {len(match[1])} digits is too long") from None
+
+
+def _fields(text: str) -> list[str]:
+    """A graph or prior line's fields: split at spaces and tabs only, as
+    the blanks of a CSV cell, after a trailing ``\\r`` is dropped."""
+    return _FIELD_GAP.split(text.rstrip("\r").strip(" \t"))
 
 
 def _name_error(name: str) -> str | None:
@@ -222,7 +243,7 @@ class GraphSpec:
         node_lines: list[int] = []
         edge_lines: list[int] = []
         for lineno, text in _lines(data.split(b"\n")):
-            parts = text.split()
+            parts = _fields(text)
             if parts[0] == "node" and len(parts) == 3:
                 arity = _integer(parts[2], lineno)
                 if arity is None:
@@ -279,8 +300,10 @@ class CountTable:
     Row r of `outcomes` (shape ``(R, k)``, the smallest unsigned dtype that
     holds every outcome index) is an observed outcome tuple and
     ``counts[r]`` its count, of the dtype `_count_dtype` gives their total.
-    A tuple may occur on several rows; only the summed counts matter, so
-    equality compares `records`, the aggregated view.
+    `outcomes` is stored column-major, so each variable's column is
+    contiguous.  A tuple may occur on several rows; only the summed counts
+    matter, so equality compares `records`, the aggregated view.  An
+    outcome outside ``0..arity-1`` is a ValueError when the table is built.
     """
 
     variables: tuple[str, ...]
@@ -294,6 +317,13 @@ class CountTable:
         if len(self.arities) != shape[1] or self.outcomes.shape != shape:
             raise ValueError(f"outcomes of shape {self.outcomes.shape} do not fit "
                              f"{shape[0]} counts over {shape[1]} variables")
+        object.__setattr__(self, "outcomes", np.asfortranarray(self.outcomes))
+        if shape[0]:
+            lows, highs = self.outcomes.min(axis=0).tolist(), self.outcomes.max(axis=0).tolist()
+            for name, arity, low, high in zip(self.variables, self.arities, lows, highs):
+                if low < 0 or high >= arity:
+                    raise ValueError(f"outcome {low if low < 0 else high} for {name} "
+                                     f"outside 0..{arity - 1}")
         object.__setattr__(self, "_total", sum(self.counts.tolist()))
 
     @classmethod
@@ -331,7 +361,8 @@ class CountTable:
         """Counts marginalised onto the given variables, row-major in that order.
 
         This is the pushforward of the joint counts along the projection onto
-        `names`: one exact scatter-add of every row's count into its cell.
+        `names`: one exact scatter-add of every row's count into its cell,
+        whose row-major index is built by Horner's rule over the columns.
         """
         positions = []
         for name in names:
@@ -343,8 +374,14 @@ class CountTable:
         if cells > MAX_FAMILY_CELLS:
             raise DataError(f"family table over {', '.join(names)} needs {cells} cells, "
                             f"more than the cap of {MAX_FAMILY_CELLS}")
-        index = np.ravel_multi_index(tuple(self.outcomes[:, p] for p in positions), dims)
-        return Multiset(tuple(_sum_by_index(index, self.counts, cells, self._total).tolist()))
+        # int32 holds every index (cells <= MAX_FAMILY_CELLS) and halves the
+        # passes' memory traffic; np.add.at is fastest on intp indices.
+        index = np.zeros(len(self.counts), dtype=np.int32)
+        for p, d in zip(positions, dims):
+            index *= d
+            index += self.outcomes[:, p]
+        summed = _sum_by_index(index.astype(np.intp), self.counts, cells, self._total)
+        return Multiset(tuple(summed.tolist()))
 
 
 def _parse_line(text: str, lineno: int, names: tuple[str, ...],
@@ -388,52 +425,117 @@ def _read_header(fh: BinaryIO, names: tuple[str, ...]) -> tuple[int, list[int]]:
     raise DataError("data file has no header row")
 
 
-def _bulk_rows(lines: list[bytes], row_type: np.dtype) -> np.ndarray | None:
-    """Parse the lines in one call, or None unless each is a full row of the strict grammar.
+def _is_digit(raw: np.ndarray) -> np.ndarray:
+    return raw - ord("0") < 10  # uint8 arithmetic wraps every byte below b"0" past 9
 
-    Only lines made of digits, commas, blanks and line ends are tried, and
-    every outcome must fit the outcome dtype and every count int64.
+
+def _digit_runs(raw: np.ndarray) -> int:
+    """The number of maximal runs of digits in the bytes `raw`."""
+    digit = _is_digit(raw)
+    return int(digit[0]) + np.count_nonzero(digit[1:] & ~digit[:-1])
+
+
+def _bulk_rows(body: bytes, width: int) -> np.ndarray | None:
+    """The cells of the data lines `body` as a ``(lines, width)`` integer
+    array, or None unless every line is `width` cells that `_parse_line`
+    accepts, none longer than ``_BULK_DIGITS`` digits.
+
+    A few vectorised passes over the bytes: the blanks are checked and
+    dropped, then the separators must be ``width - 1`` commas and the line
+    end on every line, with one digit run between each two.  A run of one
+    digit is its value; a longer run adds its other digits at their place
+    values.
     """
-    body = b"".join(lines)
-    if not body or body.isspace() or body.translate(None, _BULK_BYTES):
+    if not body or b"#" in body:
+        return None  # a '#' makes a comment line or an error, for `_read_chunk` to sort
+    if not body.endswith(b"\n"):
+        body += b"\n"  # the file's last line
+    raw = np.frombuffer(body, dtype=np.uint8)
+    blanks = b" " in body or b"\t" in body or b"\r" in body
+    if blanks:
+        if body.translate(None, _BULK_BYTES):
+            return None
+        if b"\r" in body and (raw[np.flatnonzero(raw == ord("\r")) + 1] != ord("\n")).any():
+            return None  # a \r is a blank only directly before \n
+        stripped = np.frombuffer(body.translate(None, b" \t\r"), dtype=np.uint8)
+        if _digit_runs(stripped) != _digit_runs(raw):
+            return None  # blanks inside a number: dropping them joined two runs
+        raw = stripped
+    ends = np.full(width, ord(","), dtype=np.uint16)
+    ends[-1] = ord("\n")
+    if len(raw) % (2 * width) == 0:
+        # Every cell may be one digit: read each (digit, separator) byte pair
+        # as a little-endian uint16 and subtract the pair (b"0", separator).
+        # The difference is the digit, or 10 or more, wrapping, for any
+        # other pair.
+        cells = raw.view("<u2").reshape(-1, width) - (ends << 8 | ord("0"))
+        if (cells < 10).all():
+            return cells
+    if not blanks and body.translate(None, _BULK_BYTES):
         return None
+    sep = (raw == ord(",")) | (raw == ord("\n"))  # every other byte is a digit
+    if sep[0] or (sep[1:] & sep[:-1]).any():
+        return None  # an empty cell
+    last = np.flatnonzero(sep[1:])  # the last digit of each cell
+    if len(last) % width or (raw[1:][last].reshape(-1, width) != ends).any():
+        return None
+    values = (raw[last] - ord("0")).astype(np.int64)
+    # Add each longer cell's other digits at their place values, from the
+    # right, until the separator before it (index -1 is the closing \n).
+    cell = np.flatnonzero(~np.concatenate(([True], sep[:-1]))[last])
+    at, scale = last[cell] - 1, 10
+    while at.size:
+        if scale == 10**_BULK_DIGITS:
+            return None  # a number that may not fit int64
+        values[cell] += (raw[at] - ord("0")).astype(np.int64) * scale
+        more = ~sep[at - 1]
+        at, cell, scale = at[more] - 1, cell[more], scale * 10
+    return values.reshape(-1, width)
+
+
+def _skipped(raw: bytes) -> bool:
+    """Whether `_lines` skips the line `raw`; a line it refuses is not skipped."""
     try:
-        # numpy 1.23-1.26 read an integer too large for its dtype as a float
-        # and cast it, with only a DeprecationWarning; as an error it fails
-        # the bulk parse (loadtxt reports it as a ValueError).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=row_type,
-                              comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
-        return None  # an empty cell, a wrong cell count, or a value too large
-    return rows if len(rows) == len(lines) else None  # loadtxt skips empty lines
+        return not any(_lines([raw]))
+    except DataError:
+        return False
 
 
 def _read_chunk(lines: list[bytes], first: int, names: tuple[str, ...],
                 arities: tuple[int, ...], order: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome rows (declared order) and counts of the data lines from line `first` on.
+    """Outcome columns (declared order, shape ``(k, n)``) and counts of the
+    data lines from line `first` on.
 
-    The chunk is parsed in bulk; failing that, line by line over `_lines`,
-    naming the first bad line and reading counts past int64.
+    The chunk is parsed in bulk, and again without the lines `_lines` skips
+    (only a line that does not start with a digit is asked); failing that,
+    line by line over `_lines`, naming the first bad line and reading counts
+    past int64.
     """
     dtype = _outcome_dtype(arities)
-    row_type = np.dtype([("outcomes", dtype, (len(names),)), ("count", np.int64)])
-    rows = _bulk_rows(lines, row_type)
-    if rows is None:
+    body = b"".join(lines)
+    rows = range(len(lines))  # the index in `lines` of each parsed row
+    values = _bulk_rows(body, len(names) + 1)
+    if values is None:
+        raw = np.frombuffer(body, dtype=np.uint8)
+        heads = np.concatenate((raw[:1], raw[1:][raw[:-1] == ord("\n")]))  # of every line
+        skip = [i for i in np.flatnonzero(~_is_digit(heads)).tolist() if _skipped(lines[i])]
+        if skip:
+            rows = np.delete(np.arange(len(lines)), skip)
+            cuts = [0, *(j for i in skip for j in (i, i + 1)), len(lines)]
+            body = b"".join(itertools.chain.from_iterable(
+                lines[a:b] for a, b in zip(cuts[::2], cuts[1::2])))
+            values = _bulk_rows(body, len(names) + 1)
+    if values is None:
         parsed = [_parse_line(text, n, names, arities, order) for n, text in _lines(lines, first)]
         outcomes = np.array([p[:-1] for p in parsed], dtype=dtype)
         counts = [p[-1] for p in parsed]
-        return (outcomes.reshape(len(parsed), len(names)),
+        return (outcomes.reshape(len(parsed), len(names)).T,
                 np.array(counts, dtype=_count_dtype(sum(counts))))
-    bounds = np.empty(len(names), dtype=np.int64)
-    bounds[order] = arities
-    bad = (rows["outcomes"] >= bounds).any(axis=1)
-    if bad.any():
-        i = int(bad.argmax())
+    columns = values.T[order]  # a copy, so the chunk's cells are freed on return
+    if (columns.max(axis=1) >= arities).any():
+        i = rows[int((columns >= np.array(arities)[:, None]).any(axis=0).argmax())]
         _parse_line(lines[i].decode("ascii"), first + i, names, arities, order)
-    # Both results are copies, so the chunk's rows are freed on return.
-    return rows["outcomes"][:, order], rows["count"].copy()
+    return columns.astype(dtype, copy=False), values[:, -1].astype(np.int64)
 
 
 def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
@@ -445,7 +547,9 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
     Once the rows held pass ``MERGE_ROWS`` plus twice the rows left by the
     last merge, they are merged into distinct rows, so the table's size
     follows the number of distinct outcome tuples, not the file's length.
-    The first malformed line is reported with its line number.
+    The first malformed line is reported with its line number.  Outcomes
+    are gathered column by column, so the table's column-major array is
+    built without another copy.
     """
     path = Path(path)
     with _in_file(path):
@@ -453,23 +557,23 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
             raise DataError("data file not found")
         names = graph.node_names
         arities = tuple(graph.arity(n) for n in names)
-        outcome_parts = [np.empty((0, len(names)), dtype=_outcome_dtype(arities))]
+        column_parts = [np.empty((len(names), 0), dtype=_outcome_dtype(arities))]
         count_parts = [np.empty(0, dtype=np.int64)]
         held = merged = 0
         with path.open("rb") as fh:
             lineno, order = _read_header(fh, names)
             while lines := list(itertools.islice(fh, CHUNK_LINES)):
-                outcomes, counts = _read_chunk(lines, lineno + 1, names, arities, order)
-                outcome_parts.append(outcomes)
+                columns, counts = _read_chunk(lines, lineno + 1, names, arities, order)
+                column_parts.append(columns)
                 count_parts.append(counts)
                 lineno += len(lines)
                 held += len(counts)
                 if held > MERGE_ROWS + 2 * merged:
-                    outcomes, counts = _distinct_rows(np.concatenate(outcome_parts),
+                    outcomes, counts = _distinct_rows(np.concatenate(column_parts, axis=1).T,
                                                       np.concatenate(count_parts))
-                    outcome_parts, count_parts = [outcomes], [counts]
+                    column_parts, count_parts = [outcomes.T], [counts]
                     held = merged = len(counts)
-    return CountTable(names, arities, np.concatenate(outcome_parts),
+    return CountTable(names, arities, np.concatenate(column_parts, axis=1).T,
                       np.concatenate(count_parts))
 
 
@@ -496,6 +600,8 @@ class LearnedCPT:
     @property
     def dists(self) -> tuple[Dist, ...]:
         """Each parent configuration's distribution: its weights over their total."""
+        from .dist import Dist
+
         return tuple(Dist(tuple(Fraction(w, sum(row)) for w in row))
                      for row in self.weights.tolist())
 
@@ -504,6 +610,8 @@ class LearnedCPT:
         """Each parent configuration's posterior pseudo-counts; None in MLE mode."""
         if self.mode != "bayes":
             return None
+        from .dirichlet import HyperParams
+
         return tuple(HyperParams(tuple(row)) for row in self.weights.tolist())
 
     def n_configs(self) -> int:
@@ -563,7 +671,7 @@ def parse_prior(data: bytes, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
     """Parse a per-node prior pseudo-count file's bytes."""
     priors: dict[str, tuple[int, ...]] = {}
     for lineno, text in _lines(data.split(b"\n")):
-        parts = text.split()
+        parts = _fields(text)
         name = parts[0]
         if name not in graph.node_names:
             raise DataError(f"line {lineno}: unknown node {name}")
@@ -600,6 +708,8 @@ def learn_bayes(
     mean.  Zero-count configurations stay proper (the prior survives), so
     this mode never aborts on sparse data.
     """
+    from .dirichlet import HyperParams
+
     prior = dict(prior or {})
     for name in prior:
         if name not in graph.node_names:

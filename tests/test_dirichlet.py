@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cptforge.bayes import cont_validity, lift_predicate
-from cptforge.cli import MAX_RESOLUTION
+from cptforge.cli import max_resolution
 from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
     HyperParams,
@@ -318,9 +318,10 @@ class TestSimplexCells:
 
     def test_cli_resolution_stops_at_the_cap(self):
         # density-normalisation builds the 3-outcome grid at twice --resolution.
-        assert simplex_cell_count(3, 2 * MAX_RESOLUTION) <= MAX_QUADRATURE_CELLS
-        assert simplex_cell_count(3, 2 * MAX_RESOLUTION + 2) > MAX_QUADRATURE_CELLS
-        for value in (MAX_RESOLUTION + 1, 10**30):
+        largest = max_resolution()
+        assert simplex_cell_count(3, 2 * largest) <= MAX_QUADRATURE_CELLS
+        assert simplex_cell_count(3, 2 * largest + 2) > MAX_QUADRATURE_CELLS
+        for value in (largest + 1, 10**30):
             proc = subprocess.run(
                 [sys.executable, "-m", "cptforge", "verify", "--suite", "stochastic",
                  "--resolution", str(value)],
@@ -329,7 +330,7 @@ class TestSimplexCells:
             )
             assert proc.returncode == 2
             assert "Traceback" not in proc.stderr
-            assert f"--resolution: must be at most {MAX_RESOLUTION}, got {value}" in proc.stderr
+            assert f"--resolution: must be at most {largest}, got {value}" in proc.stderr
             assert str(MAX_QUADRATURE_CELLS) in proc.stderr
 
 

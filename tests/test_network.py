@@ -5,13 +5,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cptforge import network, verify
@@ -250,6 +249,34 @@ class TestLineRule:
                 GraphSpec.load(path)
             else:
                 load_prior(path, golden_graph)
+
+    @pytest.mark.parametrize(
+        "kind,text,message",
+        [
+            ("graph", "node A 2\nnode B\u30003\n", "line 2: expected 'node <name> <arity>'"),
+            ("graph", "node A 2\nnode B\x0c3\n", "line 2: expected 'node <name> <arity>'"),
+            ("prior", "Blood 1 1\nMedicine\u30001 1 1\n", "line 2: unknown node Medicine"),
+            ("prior", "Blood 1 1\nMedicine 1 1\x0c1\n", "line 2: pseudo-counts must be integers"),
+        ],
+        ids=["graph-U+3000", "graph-FF", "prior-U+3000", "prior-FF"],
+    )
+    def test_fields_split_at_spaces_and_tabs_only(self, tmp_path, golden_graph_file,
+                                                  golden_data_csv, capsys, kind, text, message):
+        # Like the blanks of a CSV cell: other whitespace is part of a field.
+        files = {"graph": golden_graph_file, "prior": tmp_path / "prior.txt"}
+        files["prior"].write_text("Blood 1 1\n", encoding="utf-8")
+        files[kind] = tmp_path / f"bad-{kind}.txt"
+        files[kind].write_text(text, encoding="utf-8")
+        code = main(["learn", "--mode", "bayes", "--graph", str(files["graph"]),
+                     "--data", str(golden_data_csv), "--prior", str(files["prior"]),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {files[kind]}: {message}")
+
+    def test_tabs_and_a_trailing_cr_separate_fields(self, golden_graph):
+        graph = GraphSpec.parse(b"node\tBlood  2\r\n node Medicine\t3 \r\nedge Blood Medicine\n")
+        assert graph == golden_graph
+        assert parse_prior(b"Medicine\t1 2\t 3\r\n", golden_graph) == {"Medicine": (1, 2, 3)}
 
 
 class TestLearnMle:
@@ -718,6 +745,55 @@ def tables_with_family(draw):
     return variables, arities, rows, counts, family
 
 
+def blanked(numbers):
+    blanks = st.sampled_from(["", "", "", "", " ", "\t", " \t"])
+    return st.builds("{}{}{}".format, blanks, numbers, blanks)
+
+
+OUTCOME_CELLS = blanked(st.sampled_from(["0", "1", "00", "01"]))
+COUNT_CELLS = blanked(st.one_of(
+    st.sampled_from(["0", "1", "7", "10"]),
+    st.integers(0, 10**25).map(str),
+    # 18 and 19 digits, around 2**63 - 1
+    st.sampled_from(["999999999999999999", "0000000000000000001", "9223372036854775807",
+                     "9223372036854775808", "9999999999999999999"]),
+))
+BAD_CELLS = blanked(st.sampled_from(
+    ["", "2", "3", "300", "-1", "+1", "\u0663", "1 2", "1\t2", "#", "1#", "1\r", "1\r2", "\r1"]))
+JUNK_LINES = st.one_of(st.sampled_from(["", "# 1,2,3", " \t", "\r", "\u3000", "\u3000# x"]),
+                       st.text(alphabet="0123456789, \t\r#-+\u0663", max_size=10))
+
+
+@st.composite
+def count_files(draw):
+    """Golden-graph count files over digits, ',', blanks, '\\r', '#', signs and
+    a non-ASCII digit: rows of three cells with up to two faults (a bad
+    cell, a cell added or dropped, a skipped or junk line), either line
+    end, a final newline or none, and now and then a byte that is not UTF-8."""
+    rows = draw(st.lists(st.tuples(OUTCOME_CELLS, OUTCOME_CELLS, COUNT_CELLS).map(list),
+                         max_size=10))
+    for fault in draw(st.lists(st.sampled_from(["cell", "add", "drop", "line"]), max_size=2)):
+        if fault == "line":
+            rows.insert(draw(st.integers(0, len(rows))), [draw(JUNK_LINES)])
+        elif rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            at = draw(st.integers(0, len(row) - 1))
+            if fault == "cell":
+                row[at] = draw(BAD_CELLS)
+            elif fault == "add":
+                row.insert(at, draw(st.one_of(OUTCOME_CELLS, COUNT_CELLS)))
+            elif len(row) > 1:
+                del row[at]
+    header = draw(st.sampled_from(["Blood,Medicine,count", "Medicine,Blood,count"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([header, *map(",".join, rows)]) + draw(st.sampled_from([eol, ""]))
+    data = text.encode("utf-8")
+    if draw(st.booleans()) and draw(st.booleans()) and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
 def row_major(outcome, arities):
     index = 0
     for o, a in zip(outcome, arities):
@@ -763,6 +839,24 @@ class TestCountExactness:
             records[outcome] = records.get(outcome, 0) + c
         assert dict(table.records) == records
         assert table == CountTable.from_records(variables, arities, records)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: CountTable.from_records(("Blood", "Medicine"), (2, 3), {(1, 3): 1}),
+             "outcome 3 for Medicine outside 0..2"),
+            (lambda: CountTable(("Blood", "Medicine"), (2, 3),
+                                np.array([[0, 2], [2, 0]], dtype=np.uint8), np.array([1, 1])),
+             "outcome 2 for Blood outside 0..1"),
+            (lambda: CountTable(("Blood", "Medicine"), (2, 3), np.array([[1, -1]]), np.array([1])),
+             "outcome -1 for Medicine outside 0..2"),
+        ],
+        ids=["from_records", "constructor", "negative"],
+    )
+    def test_outcome_outside_its_arity_is_refused_when_built(self, build, message):
+        # Family indices are built without a bounds check, so the table checks.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     @staticmethod
     def write(path, lines, header="Blood,Medicine,count"):
@@ -825,29 +919,48 @@ class TestCountExactness:
         # At most twice the distinct tuples plus MERGE_ROWS plus one chunk stay held.
         assert len(table.counts) <= 2 * len(expected) + 20 + 7
 
-    @staticmethod
-    def loadtxt_casting_via_float(real):
-        """np.loadtxt as numpy 1.23-1.26 behave: a cell too large for its dtype
-        is read as a float and cast, with only a DeprecationWarning."""
-        def loadtxt(fname, *args, dtype, **kwargs):
-            rows = [[int(c) for c in line.split(b",")]
-                    for line in fname.getvalue().splitlines() if line.strip()]
-            width = dtype["outcomes"].shape[0]
-            limits = [np.iinfo(dtype["outcomes"].base).max] * width + [np.iinfo(np.int64).max]
-            if any(v > top for row in rows for v, top in zip(row, limits)):
-                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                              DeprecationWarning)
-                return np.zeros(len(rows), dtype=dtype)  # stands for the wrapped values
-            return real(fname, *args, dtype=dtype, **kwargs)
-        return loadtxt
+    @settings(max_examples=1000)
+    @given(data=count_files(), chunk=st.sampled_from([1, 2, 3, 1 << 14]))
+    # Cells moved across lines with the total right (one-digit cells, then a
+    # longer count); a \r before a blank; a comment that is not UTF-8.
+    @example(data=b"Blood,Medicine,count\n0,1,1,1\n0,1\n", chunk=1 << 14)
+    @example(data=b"Blood,Medicine,count\n0,1\n1,0,1,10\n", chunk=1 << 14)
+    @example(data=b"Blood,Medicine,count\n0,1,5\r \n", chunk=1 << 14)
+    @example(data=b"Blood,Medicine,count\n0,1,5\n# caf\xff\n", chunk=1 << 14)
+    def test_bulk_parse_matches_the_line_parse(self, tmp_path_factory, data, chunk):
+        # The bulk kernel against `_parse_line` alone: the same records or the
+        # same error, with zero tolerance.
+        path = tmp_path_factory.mktemp("differential") / "counts.csv"
+        path.write_bytes(data)
 
-    def test_bulk_parse_refuses_the_float_fallback(self, tmp_path, golden_graph, monkeypatch):
-        monkeypatch.setattr(network.np, "loadtxt", self.loadtxt_casting_via_float(np.loadtxt))
-        path = self.write(tmp_path / "wide.csv", ["0,0,1", "1,300,2"])
-        with pytest.raises(DataError, match="line 3: outcome 300 for Medicine outside 0..2"):
-            ingest_counts(path, golden_graph)
-        path = self.write(tmp_path / "long.csv", ["0,0,1", f"1,2,{2**70}"])
-        assert ingest_counts(path, golden_graph).records == {(0, 0): 1, (1, 2): 2**70}
+        def ingest():
+            try:
+                return dict(ingest_counts(path, verify.blood_medicine_graph()).records)
+            except DataError as exc:
+                return str(exc)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "CHUNK_LINES", chunk)
+            bulk = ingest()
+            mp.setattr(network, "_bulk_rows", lambda body, width: None)
+            assert bulk == ingest()
+
+    def test_comment_lines_keep_the_bulk_parse(self, tmp_path, golden_graph, monkeypatch):
+        rng = random.Random(7)
+        rows = [(rng.randrange(2), rng.randrange(3), rng.randrange(10**7)) for _ in range(400)]
+        lines = [f"{a},{b},{c}" for a, b, c in rows]
+        for at in range(0, len(lines), 50):  # one skipped line per chunk of 50
+            lines.insert(at, ["# note", "", " \t\r", "\u3000# wide"][at // 50 % 4])
+        expected = {}
+        for a, b, c in rows:
+            expected[(a, b)] = expected.get((a, b), 0) + c
+        calls = []
+        parse_line = network._parse_line
+        monkeypatch.setattr(network, "_parse_line", lambda *a: calls.append(a) or parse_line(*a))
+        monkeypatch.setattr(network, "CHUNK_LINES", 50)
+        table = ingest_counts(self.write(tmp_path / "comments.csv", lines), golden_graph)
+        assert table.records == expected
+        assert calls == []
 
     @pytest.mark.parametrize(
         "counts",

@@ -43,7 +43,7 @@ def test_import_loads_no_numpy_and_no_submodule():
 
 def test_cli_loads_only_what_learn_needs():
     assert run_python(f"import sys, cptforge.cli; {LOADED}") == (
-        "cptforge cptforge.cli cptforge.dirichlet cptforge.dist cptforge.finset cptforge.network"
+        "cptforge cptforge.cli cptforge.finset cptforge.network"
     )
 
 
