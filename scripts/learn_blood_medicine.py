@@ -8,7 +8,7 @@ and shows the resulting tables side by side, exact fractions included.
 import sys
 from pathlib import Path
 
-from cptforge.network import GraphSpec, format_fractions, ingest_counts, learn_bayes, learn_mle
+from cptforge.network import GraphSpec, ingest_counts, learn_bayes, learn_mle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,10 +18,9 @@ def show(cpts, mode):
     for cpt in cpts:
         parents = ",".join(cpt.parents) or "(root)"
         print(f"{cpt.node} | {parents}")
-        means = format_fractions(cpt.weights, cpt.weights.sum(axis=1, keepdims=True))
-        for idx in range(cpt.n_configs()):
+        for idx, dist in enumerate(cpt.dists):
             config = ",".join(str(o) for o in cpt.config_outcomes(idx)) or "-"
-            probs = " ".join(means[idx])
+            probs = " ".join(f"{p.numerator}/{p.denominator}" for p in dist.probs)
             if cpt.mode == "bayes":
                 alphas = ",".join(str(a) for a in cpt.weights[idx].tolist())
                 print(f"  config {config}: posterior ({alphas}) mean {probs}")

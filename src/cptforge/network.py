@@ -6,6 +6,8 @@ Every input file is UTF-8 and is split into lines by one rule, `_lines`:
 a line ends at ``\n`` only, and a line that is all whitespace or whose
 first other character is ``#`` is skipped.  An error in an input file,
 such as a byte sequence that is not UTF-8, names the file and the line.
+Every file is streamed: the graph and prior files a line at a time, the
+count file in chunks of ``CHUNK_BYTES`` cut at line ends.
 
 Graph and prior lines are split into fields at runs of spaces and tabs
 only, like the blanks of a CSV cell; a trailing ``\r`` is dropped.
@@ -31,8 +33,8 @@ byte kernel, `_bulk_rows`, which accepts exactly this grammar, a ``\r``
 being a blank only directly before ``\n``: a chunk it accepts,
 `_parse_line` accepts with the same values.  A chunk with skipped lines is
 parsed again without them; a chunk it still refuses (say, with a count of
-more than 18 digits) goes through `_parse_line`, which names the first bad
-line.
+more than 18 digits) or that holds an outcome out of range goes through
+`_parse_line`, which names the first bad line.
 
 Priors (Bayesian mode): plain text, one line per node:
 ``<name> a1 a2 ... a<arity>`` with every pseudo-count ASCII digits and
@@ -44,6 +46,7 @@ edge order, row-major over parent configurations).  MLE mode then has
 probability columns p0..p{m-1}; Bayesian mode has pseudo-count columns
 a0..a{m-1} followed by posterior means mean0..mean{m-1}.  Probabilities
 and means are rendered as reduced exact fractions ``a/b`` with b > 0.
+Each table is written a row at a time, with ``\r\n`` line ends.
 
 Learned tables: a `LearnedCPT` holds one ``(configs, arity)`` integer
 array per family, the counts (MLE) or the prior plus the counts (Bayes);
@@ -56,7 +59,6 @@ A family table (parent configurations x arity cells) larger than
 from __future__ import annotations
 
 import contextlib
-import csv
 import graphlib
 import itertools
 import os
@@ -65,7 +67,7 @@ import shutil
 import tempfile
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping
@@ -78,11 +80,9 @@ if TYPE_CHECKING:  # imported where used: `learn --mode mle` needs neither
     from .dirichlet import HyperParams
     from .dist import Dist
 
-CHUNK_LINES = 1 << 14
-"""Data lines parsed per bulk step; bounds the parser's working memory."""
-
-WRITE_ROWS = 1 << 10
-"""Table rows rendered per step; bounds the writer's string arrays."""
+CHUNK_BYTES = 1 << 20
+"""Bytes of data lines read per bulk step, then up to the next line end;
+bounds the parser's working memory."""
 
 MERGE_ROWS = 1 << 17
 """Data rows held beyond the merged distinct rows before they are merged again."""
@@ -127,15 +127,16 @@ def _at(lineno: int | None) -> str:
 
 
 def _lines(raws: Iterable[bytes], first: int = 1) -> Iterator[tuple[int, str]]:
-    """The number (counted from `first`) and decoded text of each line of
-    `raws` that is neither blank nor a ``#`` comment.
+    """The number (counted from `first`) and decoded text, without its
+    ``\n``, of each line of `raws` that is neither blank nor a ``#`` comment.
 
-    `raws` are lines split at ``\n`` only.  A line that is not UTF-8 is a
-    DataError naming it, even where it would be skipped.
+    `raws` are lines split at ``\n`` only, as a binary file yields them.  A
+    line that is not UTF-8 is a DataError naming it, even where it would be
+    skipped.
     """
     for lineno, raw in enumerate(raws, start=first):
         try:
-            text = raw.decode("utf-8")
+            text = raw.removesuffix(b"\n").decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"line {lineno}: not valid UTF-8") from None
         line = text.strip()
@@ -236,13 +237,13 @@ class GraphSpec:
         return tuple(p for p, c in self.edges if c == name)
 
     @staticmethod
-    def parse(data: bytes) -> GraphSpec:
-        """The graph a graph file's bytes declare."""
+    def parse(raws: Iterable[bytes]) -> GraphSpec:
+        """The graph a graph file's lines declare, read one at a time."""
         nodes: list[tuple[str, int]] = []
         edges: list[tuple[str, str]] = []
         node_lines: list[int] = []
         edge_lines: list[int] = []
-        for lineno, text in _lines(data.split(b"\n")):
+        for lineno, text in _lines(raws):
             parts = _fields(text)
             if parts[0] == "node" and len(parts) == 3:
                 arity = _integer(parts[2], lineno)
@@ -260,8 +261,8 @@ class GraphSpec:
 
     @staticmethod
     def load(path: str | Path) -> GraphSpec:
-        with _in_file(path):
-            return GraphSpec.parse(Path(path).read_bytes())
+        with _in_file(path), open(path, "rb") as fh:
+            return GraphSpec.parse(fh)
 
 
 def _outcome_dtype(arities: tuple[int, ...]) -> np.dtype:
@@ -387,7 +388,7 @@ class CountTable:
 def _parse_line(text: str, lineno: int, names: tuple[str, ...],
                 arities: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
     """One data line's outcomes (declared order) and count, or its first error."""
-    cells = text.rstrip("\r\n").split(",")
+    cells = text.rstrip("\r").split(",")
     if len(cells) != len(names) + 1:
         raise DataError(f"line {lineno}: expected {len(names) + 1} cells, got {len(cells)}")
     values = []
@@ -410,7 +411,7 @@ def _parse_line(text: str, lineno: int, names: tuple[str, ...],
 def _read_header(fh: BinaryIO, names: tuple[str, ...]) -> tuple[int, list[int]]:
     """Consume lines up to the header; its line number and, per node, its column."""
     for lineno, text in _lines(fh):
-        header = [cell.strip(" \t") for cell in text.rstrip("\r\n").split(",")]
+        header = [cell.strip(" \t") for cell in text.rstrip("\r").split(",")]
         if len(header) != len(names) + 1 or header[-1] != "count":
             raise DataError(
                 f"line {lineno}: header must list every node plus a final "
@@ -501,49 +502,47 @@ def _skipped(raw: bytes) -> bool:
         return False
 
 
-def _read_chunk(lines: list[bytes], first: int, names: tuple[str, ...],
+def _read_chunk(body: bytes, first: int, names: tuple[str, ...],
                 arities: tuple[int, ...], order: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Outcome columns (declared order, shape ``(k, n)``) and counts of the
-    data lines from line `first` on.
+    data lines `body`, the first of them line `first`.
 
     The chunk is parsed in bulk, and again without the lines `_lines` skips
     (only a line that does not start with a digit is asked); failing that,
-    line by line over `_lines`, naming the first bad line and reading counts
-    past int64.
+    or if an outcome is out of range, line by line over `_lines`, naming the
+    first bad line and reading counts past int64.  Only these slower paths
+    split the chunk into lines.
     """
-    dtype = _outcome_dtype(arities)
-    body = b"".join(lines)
-    rows = range(len(lines))  # the index in `lines` of each parsed row
-    values = _bulk_rows(body, len(names) + 1)
+    dtype, width = _outcome_dtype(arities), len(names) + 1
+    values = _bulk_rows(body, width)
     if values is None:
+        lines = body.removesuffix(b"\n").split(b"\n")
         raw = np.frombuffer(body, dtype=np.uint8)
         heads = np.concatenate((raw[:1], raw[1:][raw[:-1] == ord("\n")]))  # of every line
-        skip = [i for i in np.flatnonzero(~_is_digit(heads)).tolist() if _skipped(lines[i])]
-        if skip:
-            rows = np.delete(np.arange(len(lines)), skip)
-            cuts = [0, *(j for i in skip for j in (i, i + 1)), len(lines)]
-            body = b"".join(itertools.chain.from_iterable(
-                lines[a:b] for a, b in zip(cuts[::2], cuts[1::2])))
-            values = _bulk_rows(body, len(names) + 1)
-    if values is None:
-        parsed = [_parse_line(text, n, names, arities, order) for n, text in _lines(lines, first)]
-        outcomes = np.array([p[:-1] for p in parsed], dtype=dtype)
-        counts = [p[-1] for p in parsed]
-        return (outcomes.reshape(len(parsed), len(names)).T,
-                np.array(counts, dtype=_count_dtype(sum(counts))))
-    columns = values.T[order]  # a copy, so the chunk's cells are freed on return
-    if (columns.max(axis=1) >= arities).any():
-        i = rows[int((columns >= np.array(arities)[:, None]).any(axis=0).argmax())]
-        _parse_line(lines[i].decode("ascii"), first + i, names, arities, order)
-    return columns.astype(dtype, copy=False), values[:, -1].astype(np.int64)
+        keep = _is_digit(heads)
+        for i in np.flatnonzero(~keep).tolist():
+            keep[i] = not _skipped(lines[i])
+        if not keep.all():
+            values = _bulk_rows(b"\n".join(itertools.compress(lines, keep.tolist())), width)
+    if values is not None:
+        columns = values.T[order]  # a copy, so the chunk's cells are freed on return
+        if (columns.max(axis=1) < arities).all():
+            return columns.astype(dtype, copy=False), values[:, -1].astype(np.int64)
+    parsed = [_parse_line(text, n, names, arities, order)
+              for n, text in _lines(body.split(b"\n"), first)]
+    outcomes = np.array([p[:-1] for p in parsed], dtype=dtype)
+    counts = [p[-1] for p in parsed]
+    return (outcomes.reshape(len(parsed), len(names)).T,
+            np.array(counts, dtype=_count_dtype(sum(counts))))
 
 
 def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
     """Read a long-format count CSV against the graph's schema.
 
-    Data lines are read and parsed ``CHUNK_LINES`` at a time.  Each data
-    line becomes one row of the table; rows with the same outcome tuple are
-    summed wherever counts are read, so no result depends on row order.
+    Data lines are read and parsed a chunk at a time: ``CHUNK_BYTES`` bytes
+    and the rest of the line they end in.  Each data line becomes one row of
+    the table; rows with the same outcome tuple are summed wherever counts
+    are read, so no result depends on row order.
     Once the rows held pass ``MERGE_ROWS`` plus twice the rows left by the
     last merge, they are merged into distinct rows, so the table's size
     follows the number of distinct outcome tuples, not the file's length.
@@ -562,11 +561,12 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
         held = merged = 0
         with path.open("rb") as fh:
             lineno, order = _read_header(fh, names)
-            while lines := list(itertools.islice(fh, CHUNK_LINES)):
-                columns, counts = _read_chunk(lines, lineno + 1, names, arities, order)
+            while body := fh.read(CHUNK_BYTES):
+                body += fh.readline()
+                columns, counts = _read_chunk(body, lineno + 1, names, arities, order)
                 column_parts.append(columns)
                 count_parts.append(counts)
-                lineno += len(lines)
+                lineno += body.count(b"\n")
                 held += len(counts)
                 if held > MERGE_ROWS + 2 * merged:
                     outcomes, counts = _distinct_rows(np.concatenate(column_parts, axis=1).T,
@@ -667,10 +667,10 @@ def learn_mle(table: CountTable, graph: GraphSpec) -> list[LearnedCPT]:
     return _learn(table, graph, "mle", {n: (0,) * a for n, a in graph.nodes})
 
 
-def parse_prior(data: bytes, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
-    """Parse a per-node prior pseudo-count file's bytes."""
+def parse_prior(raws: Iterable[bytes], graph: GraphSpec) -> dict[str, tuple[int, ...]]:
+    """Parse a per-node prior pseudo-count file's lines, one at a time."""
     priors: dict[str, tuple[int, ...]] = {}
-    for lineno, text in _lines(data.split(b"\n")):
+    for lineno, text in _lines(raws):
         parts = _fields(text)
         name = parts[0]
         if name not in graph.node_names:
@@ -692,8 +692,8 @@ def parse_prior(data: bytes, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
 
 def load_prior(path: str | Path, graph: GraphSpec) -> dict[str, tuple[int, ...]]:
     """Read and parse a per-node prior pseudo-count file."""
-    with _in_file(path):
-        return parse_prior(Path(path).read_bytes(), graph)
+    with _in_file(path), open(path, "rb") as fh:
+        return parse_prior(fh, graph)
 
 
 def learn_bayes(
@@ -717,15 +717,6 @@ def learn_bayes(
     # HyperParams refuses a pseudo-count below 1.
     added = {n: HyperParams(prior.get(n, (1,) * a)).alphas for n, a in graph.nodes}
     return _learn(table, graph, "bayes", added)
-
-
-def format_fractions(numerators: np.ndarray, denominators: np.ndarray) -> np.ndarray:
-    """Each quotient of the two integer arrays (broadcast together, every
-    denominator > 0) as the reduced exact fraction ``a/b``: with
-    ``g = gcd(n, d)``, ``a = n // g`` and ``b = d // g``."""
-    g = np.gcd(numerators, denominators)
-    return np.char.add(np.char.add((numerators // g).astype(str), "/"),
-                       (denominators // g).astype(str))
 
 
 def write_cpts(cpts: list[LearnedCPT], out_dir: str | Path) -> list[Path]:
@@ -767,21 +758,15 @@ def write_cpts(cpts: list[LearnedCPT], out_dir: str | Path) -> list[Path]:
 
 
 def _write_cpt(cpt: LearnedCPT, path: Path) -> None:
-    header = list(cpt.parents)
-    if cpt.mode == "bayes":
-        header += [f"a{k}" for k in range(cpt.arity)]
-    header += [f"{'mean' if cpt.mode == 'bayes' else 'p'}{k}" for k in range(cpt.arity)]
+    """Write one table a row at a time: the parent outcomes, in Bayes mode
+    the weights, then each weight over the row total as a reduced fraction."""
+    bayes = cpt.mode == "bayes"
+    header = [*cpt.parents, *(f"a{k}" for k in range(cpt.arity) if bayes),
+              *(f"{'mean' if bayes else 'p'}{k}" for k in range(cpt.arity))]
+    configs = itertools.product(*map(range, cpt.parent_arities))  # row-major
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for start in range(0, cpt.n_configs(), WRITE_ROWS):
-            weights = cpt.weights[start:start + WRITE_ROWS]
-            # A trailing axis of size 1 keeps the decode defined for a root;
-            # its column is dropped.
-            index = np.arange(start, start + len(weights))
-            configs = np.stack(np.unravel_index(index, cpt.parent_arities + (1,)), axis=1)
-            cells = [configs[:, :-1].astype(str)]
-            if cpt.mode == "bayes":
-                cells.append(weights.astype(str))
-            cells.append(format_fractions(weights, weights.sum(axis=1, keepdims=True)))
-            writer.writerows(np.concatenate(cells, axis=1).tolist())
+        fh.write(",".join(header) + "\r\n")
+        for config, row in zip(configs, map(np.ndarray.tolist, cpt.weights)):
+            total = sum(row)
+            fractions = [f"{w // g}/{total // g}" for w in row for g in [gcd(w, total)]]
+            fh.write(",".join(map(str, [*config, *(row if bayes else ()), *fractions])) + "\r\n")

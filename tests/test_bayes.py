@@ -115,16 +115,6 @@ class TestContCondition:
         )
         assert d.dirichlet_params.alphas == (10, 35, 26, 5, 10, 15)
 
-    def test_conditioned_density_matches_incremented_pdf(self):
-        alpha = HyperParams((3, 1, 2))
-        d = cont_condition(
-            dirichlet_density(alpha), lift_predicate(Predicate.point(3, 1))
-        )
-        panel = interior_panel(3, 100, 21)
-        got = d.eval_many(panel)
-        want = dirichlet_pdf_many(alpha.increment(1), panel)
-        assert np.max(np.abs(got - want) / want) <= 1e-9
-
     def test_repeated_updates_commute(self):
         alpha = HyperParams((2, 2, 2))
         qi = lift_predicate(Predicate.point(3, 0))

@@ -34,7 +34,7 @@ from cptforge.dirichlet import (
     simplex_rows,
 )
 from cptforge.dist import Predicate, validity
-from cptforge.finset import FinMap, Multiset
+from cptforge.finset import FinMap
 from cptforge.mle import mle
 from cptforge.verify import (
     _all_hyperparams,
@@ -42,11 +42,6 @@ from cptforge.verify import (
     check_stoch_normalisation,
     normalisation_errors,
 )
-
-hyperparams_st = st.lists(st.integers(1, 8), min_size=1, max_size=5).map(
-    lambda a: HyperParams(tuple(a))
-)
-
 
 class TestGammaNat:
     def test_base_cases(self):
@@ -372,10 +367,6 @@ class TestDirichletMean:
 
     def test_symmetric(self):
         assert dirichlet_mean(HyperParams((1, 1))).probs == (F(1, 2), F(1, 2))
-
-    @given(hyperparams_st)
-    def test_mean_is_normalised_pseudo_counts(self, alpha):
-        assert dirichlet_mean(alpha) == mle(Multiset(alpha.alphas))
 
     def test_mean_integral_matches(self):
         a = HyperParams((2, 1, 1))

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import random
 import re
@@ -24,7 +25,7 @@ from cptforge.network import (
     CountTable,
     DataError,
     GraphSpec,
-    format_fractions,
+    LearnedCPT,
     ingest_counts,
     learn_bayes,
     learn_mle,
@@ -77,17 +78,17 @@ class TestGraphSpec:
         with pytest.raises(DataError, match="node name"):
             GraphSpec(((name, 2),), ())
         with pytest.raises(DataError, match="line 2: node name"):
-            GraphSpec.parse(f"node A 2\nnode {name} 2\n".encode())
+            GraphSpec.parse(io.BytesIO(f"node A 2\nnode {name} 2\n".encode()))
 
     def test_node_names_that_follow_the_rule(self):
-        g = GraphSpec.parse(b"node _a 2\nnode X1.b-c 3\nnode counts 2\n")
+        g = GraphSpec.parse(io.BytesIO(b"node _a 2\nnode X1.b-c 3\nnode counts 2\n"))
         assert g.node_names == ("_a", "X1.b-c", "counts")
 
     def test_parse_error_reports_line(self):
         with pytest.raises(DataError, match="line 2"):
-            GraphSpec.parse(b"node A 2\nnode B\n")
+            GraphSpec.parse(io.BytesIO(b"node A 2\nnode B\n"))
         with pytest.raises(DataError, match="line 1"):
-            GraphSpec.parse(b"node A two\n")
+            GraphSpec.parse(io.BytesIO(b"node A two\n"))
 
     @pytest.mark.parametrize(
         "arity,message",
@@ -106,7 +107,7 @@ class TestGraphSpec:
     )
     def test_arity_grammar(self, arity, message):
         with pytest.raises(DataError, match=f"line 2: .*{message}"):
-            GraphSpec.parse(f"node A 2\nnode B {arity}\n".encode())
+            GraphSpec.parse(io.BytesIO(f"node A 2\nnode B {arity}\n".encode()))
 
     @pytest.mark.parametrize(
         "text,message",
@@ -124,14 +125,15 @@ class TestGraphSpec:
     )
     def test_structural_errors_name_their_line(self, text, message):
         with pytest.raises(DataError, match=f"^{message}"):
-            GraphSpec.parse(text.encode())
+            GraphSpec.parse(io.BytesIO(text.encode()))
 
     def test_graph_without_node_lines_says_so(self):
         with pytest.raises(DataError, match="graph has no nodes: it needs a 'node"):
-            GraphSpec.parse(b"# only a comment\n\n")
+            GraphSpec.parse(io.BytesIO(b"# only a comment\n\n"))
 
     def test_largest_arity_is_accepted(self):
-        assert GraphSpec.parse(b"node A 16777216\n").arity("A") == network.MAX_FAMILY_CELLS
+        graph = GraphSpec.parse(io.BytesIO(b"node A 16777216\n"))
+        assert graph.arity("A") == network.MAX_FAMILY_CELLS
 
 
 class TestIngest:
@@ -148,13 +150,17 @@ class TestIngest:
             ("# counts below\nBlood,Medicine,count\n\n0,1,4\n# done\n", {(0, 1): 4}),
             ("Blood,Medicine,count\n", {}),
             (" \t\x0c\nBlood,Medicine,count\n0,1,4\n \t\r\n", {(0, 1): 4}),
+            ("Blood,Medicine,count\n0,1," + "0" * 40 + "7\n1,2,3\n", {(0, 1): 7, (1, 2): 3}),
+            ("Blood,Medicine,count\n0,1,5\n1,2,345", {(0, 1): 5, (1, 2): 345}),
         ],
         ids=["duplicates", "permuted-header", "comments-and-blank-lines", "empty-data",
-             "whitespace-only-lines"],
+             "whitespace-only-lines", "line-longer-than-a-chunk", "last-line-without-newline"],
     )
-    def test_accepted_layouts(self, tmp_path, golden_graph, text, records):
+    def test_accepted_layouts(self, tmp_path, golden_graph, monkeypatch, text, records):
         path = tmp_path / "counts.csv"
         path.write_bytes(text.encode())
+        assert ingest_counts(path, golden_graph).records == records
+        monkeypatch.setattr(network, "CHUNK_BYTES", 8)  # chunks that end inside lines
         assert ingest_counts(path, golden_graph).records == records
 
     def test_row_order_does_not_matter(self, tmp_path, golden_graph, golden_data_csv):
@@ -201,28 +207,25 @@ class TestIngest:
         with pytest.raises(DataError, match=message):
             ingest_counts(path, golden_graph)
 
-    def test_bad_header_rejected(self, tmp_path, golden_graph):
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("Blood,Pressure,count\n0,0,1\n", "line 1: header variables"),
+            # The header is split like a data line, where a quote is never accepted.
+            ('"Blood",Medicine,count\n0,0,1\n', "line 1: header variables"),
+            ("# nothing\n", "data file has no header row"),
+        ],
+        ids=["unknown-name", "quoted-name", "no-header"],
+    )
+    def test_bad_header_rejected(self, tmp_path, golden_graph, text, message):
         path = tmp_path / "bad.csv"
-        path.write_text("Blood,Pressure,count\n0,0,1\n", encoding="utf-8")
-        with pytest.raises(DataError, match="header"):
-            ingest_counts(path, golden_graph)
-
-    def test_quoted_header_name_rejected(self, tmp_path, golden_graph):
-        # The header is split like a data line, where a quote is never accepted.
-        path = tmp_path / "bad.csv"
-        path.write_text('"Blood",Medicine,count\n0,0,1\n', encoding="utf-8")
-        with pytest.raises(DataError, match="line 1: header variables"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}"):
             ingest_counts(path, golden_graph)
 
     def test_missing_file(self, tmp_path, golden_graph):
         with pytest.raises(DataError, match="not found"):
             ingest_counts(tmp_path / "nope.csv", golden_graph)
-
-    def test_header_only_required(self, tmp_path, golden_graph):
-        path = tmp_path / "none.csv"
-        path.write_text("# nothing\n", encoding="utf-8")
-        with pytest.raises(DataError, match="header"):
-            ingest_counts(path, golden_graph)
 
 
 class TestLineRule:
@@ -273,10 +276,40 @@ class TestLineRule:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {files[kind]}: {message}")
 
+    @pytest.mark.parametrize(
+        "kind,head,message",
+        [
+            ("graph", b"node Blood 2\nnode Medicine x\n", "line 2: arity 'x' is not an integer"),
+            ("prior", b"Blood 1 1\nMedicine 1 1\n", "line 2: Medicine needs 3 pseudo-counts, got 2"),
+        ],
+        ids=["graph", "prior"],
+    )
+    def test_bad_line_is_named_before_the_rest_is_read(self, tmp_path, golden_graph,
+                                                       golden_graph_file, golden_data_csv,
+                                                       capsys, kind, head, message):
+        # 5 MB follow the bad line 2; the file is read a line at a time.
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(head + b"0,1,2,3,4,5,6,7,8,9\n" * 250_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                GraphSpec.load(path) if kind == "graph" else load_prior(path, golden_graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        graph = path if kind == "graph" else golden_graph_file
+        prior = ["--prior", str(path)] if kind == "prior" else []
+        code = main(["learn", "--mode", "bayes", "--graph", str(graph),
+                     "--data", str(golden_data_csv), "--out", str(tmp_path / "out"), *prior])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_tabs_and_a_trailing_cr_separate_fields(self, golden_graph):
-        graph = GraphSpec.parse(b"node\tBlood  2\r\n node Medicine\t3 \r\nedge Blood Medicine\n")
-        assert graph == golden_graph
-        assert parse_prior(b"Medicine\t1 2\t 3\r\n", golden_graph) == {"Medicine": (1, 2, 3)}
+        graph = io.BytesIO(b"node\tBlood  2\r\n node Medicine\t3 \r\nedge Blood Medicine\n")
+        assert GraphSpec.parse(graph) == golden_graph
+        prior = io.BytesIO(b"Medicine\t1 2\t 3\r\n")
+        assert parse_prior(prior, golden_graph) == {"Medicine": (1, 2, 3)}
 
 
 class TestLearnMle:
@@ -401,7 +434,7 @@ class TestLearnBayes:
 
 class TestPriorParsing:
     def test_parse(self, golden_graph):
-        priors = parse_prior(b"# p\nBlood 2 2\nMedicine 1 1 1\n", golden_graph)
+        priors = parse_prior(io.BytesIO(b"# p\nBlood 2 2\nMedicine 1 1 1\n"), golden_graph)
         assert priors == {"Blood": (2, 2), "Medicine": (1, 1, 1)}
 
     @pytest.mark.parametrize(
@@ -421,18 +454,16 @@ class TestPriorParsing:
     )
     def test_errors(self, golden_graph, text, message):
         with pytest.raises(DataError, match=message):
-            parse_prior(text.encode(), golden_graph)
+            parse_prior(io.BytesIO(text.encode()), golden_graph)
 
 
 class TestOutputFiles:
-    def test_format_fraction(self):
-        cases = {(7, 10): "7/10", (1, 1): "1/1", (0, 1): "0/1", (-1, 2): "-1/2",
-                 (5, 5): "1/1", (0, 7): "0/1", (6, 33): "2/11", (-2, 4): "-1/2"}
-        numerators, denominators = zip(*cases)
-        rendered = format_fractions(np.array(numerators), np.array(denominators))
-        assert rendered.tolist() == list(cases.values())
-        big = format_fractions(np.array([2**70, 3 * 2**70], dtype=object), np.array(2**71 * 3))
-        assert big.tolist() == ["1/6", "1/2"]
+    def test_format_fraction(self, tmp_path):
+        # Each cell is its weight over the row total, gcd-reduced: 0 is 0/1, a whole row 1/1.
+        weights = np.array([[7, 3], [0, 5], [6, 27], [2**70, 2**71]], dtype=object)
+        write_cpts([LearnedCPT("A", ("P",), (4,), 2, weights, "mle")], tmp_path)
+        assert (tmp_path / "A.csv").read_bytes() == (
+            b"P,p0,p1\r\n0,7/10,3/10\r\n1,0/1,1/1\r\n2,2/11,9/11\r\n3,1/3,2/3\r\n")
 
     def test_mle_output(self, tmp_path, golden_table, golden_graph):
         paths = write_cpts(learn_mle(golden_table, golden_graph), tmp_path)
@@ -878,15 +909,16 @@ class TestCountExactness:
             for piece in pieces[1:]:
                 summed = summed + piece.marginal_counts(whole.variables)
             assert summed == whole.marginal_counts(whole.variables)
-        monkeypatch.setattr(network, "CHUNK_LINES", 7)
+        monkeypatch.setattr(network, "CHUNK_BYTES", 36)
         assert ingest_counts(tmp_path / "whole.csv", golden_graph) == whole
 
     def test_file_longer_than_one_chunk(self, tmp_path, golden_graph):
         rng = random.Random(5)
+        chunk_lines = network.CHUNK_BYTES // len("0,0,0\n")
         rows = [(rng.randrange(2), rng.randrange(3), rng.randrange(10))
-                for _ in range(network.CHUNK_LINES + 1000)]
+                for _ in range(chunk_lines + 1000)]
         lines = [f"{a},{b},{c}" for a, b, c in rows]
-        lines.insert(network.CHUNK_LINES + 100, "# a comment in the second chunk")
+        lines.insert(chunk_lines + 100, "# a comment in the second chunk")
         expected = {}
         for a, b, c in rows:
             expected[(a, b)] = expected.get((a, b), 0) + c
@@ -896,11 +928,12 @@ class TestCountExactness:
 
     @pytest.mark.parametrize("bad,message", [("1,3,1", "outside"), ("1,+2,1", "not an integer")])
     def test_bad_line_in_a_later_chunk_is_named(self, tmp_path, golden_graph, bad, message):
-        lines = ["0,1,2"] * (network.CHUNK_LINES + 10)
-        lines[network.CHUNK_LINES + 2] = "# a comment before the bad line"
-        lines[network.CHUNK_LINES + 5] = bad  # file line CHUNK_LINES + 7, after the header
+        chunk_lines = network.CHUNK_BYTES // len("0,1,2\n") + 1  # the first chunk's lines
+        lines = ["0,1,2"] * (chunk_lines + 10)
+        lines[chunk_lines + 2] = "# a comment before the bad line"
+        lines[chunk_lines + 5] = bad  # file line chunk_lines + 7, after the header
         path = self.write(tmp_path / "bad.csv", lines)
-        with pytest.raises(DataError, match=f"line {network.CHUNK_LINES + 7}: .*{message}"):
+        with pytest.raises(DataError, match=f"line {chunk_lines + 7}: .*{message}"):
             ingest_counts(path, golden_graph)
 
     def test_repeated_rows_are_merged_as_they_accumulate(self, tmp_path, golden_graph,
@@ -912,7 +945,9 @@ class TestCountExactness:
         for a, b, c in rows:
             expected[(a, b)] = expected.get((a, b), 0) + c
         path = self.write(tmp_path / "repeated.csv", [f"{a},{b},{c}" for a, b, c in rows])
-        monkeypatch.setattr(network, "CHUNK_LINES", 7)
+        # A chunk is 36 bytes and the rest of its last line: lines of at least
+        # 6 bytes make that at most 7 rows.
+        monkeypatch.setattr(network, "CHUNK_BYTES", 36)
         monkeypatch.setattr(network, "MERGE_ROWS", 20)
         table = ingest_counts(path, golden_graph)
         assert table == CountTable.from_records(("Blood", "Medicine"), (2, 3), expected)
@@ -920,13 +955,13 @@ class TestCountExactness:
         assert len(table.counts) <= 2 * len(expected) + 20 + 7
 
     @settings(max_examples=1000)
-    @given(data=count_files(), chunk=st.sampled_from([1, 2, 3, 1 << 14]))
+    @given(data=count_files(), chunk=st.sampled_from([1, 2, 3, 5, 8, 1 << 20]))
     # Cells moved across lines with the total right (one-digit cells, then a
     # longer count); a \r before a blank; a comment that is not UTF-8.
-    @example(data=b"Blood,Medicine,count\n0,1,1,1\n0,1\n", chunk=1 << 14)
-    @example(data=b"Blood,Medicine,count\n0,1\n1,0,1,10\n", chunk=1 << 14)
-    @example(data=b"Blood,Medicine,count\n0,1,5\r \n", chunk=1 << 14)
-    @example(data=b"Blood,Medicine,count\n0,1,5\n# caf\xff\n", chunk=1 << 14)
+    @example(data=b"Blood,Medicine,count\n0,1,1,1\n0,1\n", chunk=1 << 20)
+    @example(data=b"Blood,Medicine,count\n0,1\n1,0,1,10\n", chunk=1 << 20)
+    @example(data=b"Blood,Medicine,count\n0,1,5\r \n", chunk=1 << 20)
+    @example(data=b"Blood,Medicine,count\n0,1,5\n# caf\xff\n", chunk=1 << 20)
     def test_bulk_parse_matches_the_line_parse(self, tmp_path_factory, data, chunk):
         # The bulk kernel against `_parse_line` alone: the same records or the
         # same error, with zero tolerance.
@@ -940,7 +975,7 @@ class TestCountExactness:
                 return str(exc)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(network, "CHUNK_LINES", chunk)
+            mp.setattr(network, "CHUNK_BYTES", chunk)
             bulk = ingest()
             mp.setattr(network, "_bulk_rows", lambda body, width: None)
             assert bulk == ingest()
@@ -949,7 +984,7 @@ class TestCountExactness:
         rng = random.Random(7)
         rows = [(rng.randrange(2), rng.randrange(3), rng.randrange(10**7)) for _ in range(400)]
         lines = [f"{a},{b},{c}" for a, b, c in rows]
-        for at in range(0, len(lines), 50):  # one skipped line per chunk of 50
+        for at in range(0, len(lines), 50):  # one skipped line per 50 rows
             lines.insert(at, ["# note", "", " \t\r", "\u3000# wide"][at // 50 % 4])
         expected = {}
         for a, b, c in rows:
@@ -957,7 +992,7 @@ class TestCountExactness:
         calls = []
         parse_line = network._parse_line
         monkeypatch.setattr(network, "_parse_line", lambda *a: calls.append(a) or parse_line(*a))
-        monkeypatch.setattr(network, "CHUNK_LINES", 50)
+        monkeypatch.setattr(network, "CHUNK_BYTES", 600)  # about 50 rows
         table = ingest_counts(self.write(tmp_path / "comments.csv", lines), golden_graph)
         assert table.records == expected
         assert calls == []

@@ -1,4 +1,5 @@
-"""Smoke test: each bundled script runs to completion against the package."""
+"""Smoke test: each bundled script runs to completion against the package,
+and the demo's stdout is pinned."""
 
 import os
 import subprocess
@@ -11,15 +12,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,expected",
     [
-        ["learn_blood_medicine.py"],
-        ["quadrature_convergence.py"],
-        ["local_audit_demo.py", "10000", "0"],
+        (["learn_blood_medicine.py"], "learn_blood_medicine.txt"),
+        (["quadrature_convergence.py"], None),
+        (["local_audit_demo.py", "10000", "0"], None),
     ],
-    ids=lambda argv: argv[0],
+    ids=["learn_blood_medicine.py", "quadrature_convergence.py", "local_audit_demo.py"],
 )
-def test_script_exits_cleanly(argv):
+def test_script_exits_cleanly(argv, expected):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -32,3 +33,5 @@ def test_script_exits_cleanly(argv):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    if expected:  # a script whose stdout is pinned
+        assert proc.stdout == (ROOT / "tests" / "expected" / expected).read_text(encoding="utf-8")
