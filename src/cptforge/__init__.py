@@ -22,10 +22,10 @@ _EXPORTS = {
     "dirichlet": ("HyperParams", "SimplexDensity", "aggregate_params", "dirichlet_density",
                   "dirichlet_mean", "dirichlet_pdf_many", "dirichlet_sample_many", "gamma_nat",
                   "make_rng", "one_sum_check", "simplex_quadrature", "substreams"),
-    "dist": ("Channel", "Dist", "JointDist", "Predicate", "condition", "disintegrate",
-             "dist_map", "pair_graph", "state_transform", "validity"),
-    "finset": ("FinMap", "JointMultiset", "Multiset", "ZeroRowError", "ms_map", "ms_map_full",
-               "ms_tensor", "row_extract"),
+    "dist": ("Channel", "Dist", "Predicate", "condition", "disintegrate", "dist_map",
+             "pair_graph", "state_transform", "validity"),
+    "finset": ("FinMap", "Multiset", "ZeroRowError", "ms_map", "ms_map_full", "ms_tensor",
+               "row_extract"),
     "localsplit": ("local_update_audit", "pdf_factorization_check", "split", "unsplit"),
     "mle": ("likelihood", "mle", "mle_decompose", "monad_counterexample"),
     "network": ("CountTable", "DataError", "GraphSpec", "LearnedCPT", "ingest_counts",

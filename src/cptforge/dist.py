@@ -3,16 +3,19 @@
 Distributions, channels (row-stochastic matrices) and predicates all carry
 `fractions.Fraction` values, so every identity in this layer holds with zero
 tolerance.  Conversion to binary64 happens only at the continuous boundary.
+
+A joint distribution is a Dist over the row-major product n*m (see finset),
+the only 2-D form: its marginals are dist_map along FinMap.proj1/proj2, and
+disintegrate takes the row length m.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finset import FinMap
+from .finset import FinMap, row_count
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -20,21 +23,6 @@ ZERO = Fraction(0)
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _check_probabilities(probs: tuple[Fraction, ...], position: Callable[[int], str]) -> None:
-    """Raise ValueError unless the entries lie in [0,1] and sum to exactly 1.
-
-    Both tests are on integers (a Fraction's denominator is positive):
-    0 <= numerator <= denominator, and the numerators over the lcm L of the
-    denominators add up to L.  `position(k)` names entry k in the message.
-    """
-    for k, p in enumerate(probs):
-        if not 0 <= p.numerator <= p.denominator:
-            raise ValueError(f"probability {p} at {position(k)} outside [0,1]")
-    common = math.lcm(*(p.denominator for p in probs))
-    if sum(p.numerator * (common // p.denominator) for p in probs) != common:
-        raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
 
 
 @dataclass(frozen=True)
@@ -48,7 +36,15 @@ class Dist:
         object.__setattr__(self, "probs", probs)
         if not probs:
             raise ValueError("distribution over empty index set")
-        _check_probabilities(probs, lambda k: f"index {k}")
+        # Both tests are on integers (a Fraction's denominator is positive):
+        # 0 <= numerator <= denominator, and the numerators over the lcm L of
+        # the denominators add up to L.
+        for k, p in enumerate(probs):
+            if not 0 <= p.numerator <= p.denominator:
+                raise ValueError(f"probability {p} at index {k} outside [0,1]")
+        common = math.lcm(*(p.denominator for p in probs))
+        if sum(p.numerator * (common // p.denominator) for p in probs) != common:
+            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
 
     @property
     def n(self) -> int:
@@ -145,49 +141,6 @@ class Channel:
         return Channel(tuple(Dist.point(h.codomain_size, h(x)) for x in range(h.domain_size)))
 
 
-@dataclass(frozen=True)
-class JointDist:
-    """A joint distribution on a product index set, stored as an n x m table."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(_frac(p) for p in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not rows or not rows[0]:
-            raise ValueError("joint distribution over empty index set")
-        m = len(rows[0])
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise ValueError(f"ragged table: row {i} has length {len(row)} != {m}")
-        _check_probabilities(
-            tuple(p for row in rows for p in row), lambda k: f"cell ({k // m},{k % m})"
-        )
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def m(self) -> int:
-        return len(self.rows[0])
-
-    def to_flat(self) -> Dist:
-        """The same probabilities as a distribution over n*m, row-major."""
-        return Dist(tuple(p for row in self.rows for p in row))
-
-    @staticmethod
-    def from_flat(omega: Dist, n: int, m: int) -> JointDist:
-        if omega.n != n * m:
-            raise ValueError(f"cannot reshape size {omega.n} into {n}x{m}")
-        return JointDist(
-            tuple(tuple(omega.probs[i * m + j] for j in range(m)) for i in range(n))
-        )
-
-    def marg1(self) -> Dist:
-        return Dist(tuple(sum(row) for row in self.rows))
-
-
 def dist_map(h: FinMap, omega: Dist) -> Dist:
     """Push a distribution forward along h; for projections this marginalises."""
     if omega.n != h.domain_size:
@@ -211,33 +164,34 @@ def state_transform(c: Channel, omega: Dist) -> Dist:
     return Dist(tuple(out))
 
 
-def disintegrate(omega: JointDist) -> tuple[Dist, Channel]:
-    """Split a joint distribution into its first marginal and a channel.
+def disintegrate(omega: Dist, m: int) -> tuple[Dist, Channel]:
+    """Split a joint distribution with rows of length m into its first
+    marginal and a channel.
 
     The channel entry c(x)(y) is the conditional probability
-    omega(x,y) / marg1(omega)(x); it exists only when the first marginal has
-    full support.  Together with the marginal it reconstructs omega via
+    omega(x,y) / first(x); it exists only when the first marginal has full
+    support.  Together with the marginal it reconstructs omega via
     pair_graph, and it is the unique channel doing so.
     """
-    first = omega.marg1()
+    first = dist_map(FinMap.proj1(row_count(omega.n, m), m), omega)
     for x, p in enumerate(first.probs):
         if p == 0:
             raise ValueError(f"first marginal vanishes at index {x}; no conditional exists")
     rows = tuple(
-        Dist(tuple(p / first.probs[x] for p in omega.rows[x])) for x in range(omega.n)
+        Dist(tuple(p / q for p in omega.probs[x * m : (x + 1) * m]))
+        for x, q in enumerate(first.probs)
     )
     return first, Channel(rows)
 
 
-def pair_graph(c: Channel, omega: Dist) -> JointDist:
-    """Couple an input distribution with a channel: result[x][y] = omega(x)*c(x)(y)."""
+def pair_graph(c: Channel, omega: Dist) -> Dist:
+    """Couple an input distribution with a channel: (x, y) -> omega(x)*c(x)(y).
+
+    The result is a joint distribution over the row-major product c.n * c.m.
+    """
     if omega.n != c.n:
         raise ValueError(f"size mismatch: distribution over {omega.n}, channel domain {c.n}")
-    return JointDist(
-        tuple(
-            tuple(omega.probs[x] * q for q in c.rows[x].probs) for x in range(c.n)
-        )
-    )
+    return Dist(tuple(p * q for p, row in zip(omega.probs, c.rows) for q in row.probs))
 
 
 def validity(omega: Dist, p: Predicate) -> Fraction:

@@ -1,8 +1,10 @@
 """Count vectors over finite index sets and their structure-preserving maps.
 
 Index sets are contiguous 0-based integer ranges.  A product index set of
-shape (n, m) is flattened row-major: (i, j) -> i*m + j.  That convention is
-normative for every module in this package.
+shape (n, m) is flattened row-major: (i, j) -> i*m + j.  That flattening is
+the only 2-D form in this package: a count table is a Multiset over n*m,
+FinMap.proj1/proj2 are its projections, and a function that splits a table
+into rows takes the row length m.
 
 Counts are plain Python integers (arbitrary precision), all values are
 immutable after construction, and every operation is a pure function.
@@ -106,41 +108,6 @@ class Multiset:
         return Multiset(tuple(a + b for a, b in zip(self.counts, other.counts)))
 
 
-@dataclass(frozen=True)
-class JointMultiset:
-    """A 2-D count table, i.e. a count vector over a row-major product index."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(c) for c in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not rows or not rows[0]:
-            raise ValueError("table must be non-empty")
-        m = len(rows[0])
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise ValueError(f"ragged table: row {i} has length {len(row)} != {m}")
-            for j, c in enumerate(row):
-                if c < 0:
-                    raise ValueError(f"negative count {c} at cell ({i},{j})")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def m(self) -> int:
-        return len(self.rows[0])
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.rows)
-
-    def to_flat(self) -> Multiset:
-        """The same counts as a vector over n*m, row-major."""
-        return Multiset(tuple(c for row in self.rows for c in row))
-
-
 def ms_map(h: FinMap, phi: Multiset) -> Multiset:
     """Push counts forward along h: result[y] = sum of phi[x] over h(x)=y.
 
@@ -168,20 +135,27 @@ def ms_map_full(h: FinMap, phi: Multiset) -> Multiset:
     return ms_map(h, phi)
 
 
-def row_extract(phi: JointMultiset) -> tuple[Multiset, ...]:
-    """Slice a 2-D count table into its per-row count vectors.
+def row_count(size: int, m: int) -> int:
+    """The number of rows of length m in a table of `size` cells."""
+    if m < 1 or size % m:
+        raise ValueError(f"row length {m} does not divide table size {size}")
+    return size // m
+
+
+def row_extract(phi: Multiset, m: int) -> tuple[Multiset, ...]:
+    """Slice a count table with rows of length m into its per-row count vectors.
 
     The counting analogue of extracting a conditional table from a joint
     one: no normalisation is involved.  Requires every row to be non-empty.
     """
-    for i, row in enumerate(phi.rows):
-        if not any(c > 0 for c in row):
+    row_count(phi.n, m)
+    rows = tuple(Multiset(phi.counts[k : k + m]) for k in range(0, phi.n, m))
+    for i, row in enumerate(rows):
+        if not row.total():
             raise ZeroRowError(i)
-    return tuple(Multiset(row) for row in phi.rows)
+    return rows
 
 
-def ms_tensor(phi: Multiset, psi: Multiset) -> JointMultiset:
-    """Outer product of two count vectors: result[i][j] = phi[i]*psi[j]."""
-    return JointMultiset(
-        tuple(tuple(a * b for b in psi.counts) for a in phi.counts)
-    )
+def ms_tensor(phi: Multiset, psi: Multiset) -> Multiset:
+    """Outer product of two count vectors over phi.n * psi.n: (i, j) -> phi[i]*psi[j]."""
+    return Multiset(tuple(a * b for a in phi.counts for b in psi.counts))

@@ -10,12 +10,13 @@ with zero tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .dist import Channel, Dist
-from .finset import JointMultiset, Multiset, ms_map, row_extract, FinMap
+from .dist import Channel, Dist, state_transform
+from .finset import FinMap, Multiset, ms_map, row_count, row_extract
 
 
 def mle(phi: Multiset) -> Dist:
@@ -41,16 +42,17 @@ def likelihood(phi: Multiset, omega: Dist) -> Fraction:
     return result
 
 
-def mle_decompose(phi: JointMultiset) -> tuple[Dist, Channel]:
-    """Learn (input distribution, channel) directly from a 2-D count table.
+def mle_decompose(phi: Multiset, m: int) -> tuple[Dist, Channel]:
+    """Learn (input distribution, channel) directly from a count table with
+    rows of length m.
 
     The input distribution normalises the row totals; each channel row
     normalises the corresponding table row.  This agrees exactly with
     normalising the whole table first and then disintegrating, and
     pair_graph(channel, input) reconstructs the normalised table.
     """
-    first = mle(ms_map(FinMap.proj1(phi.n, phi.m), phi.to_flat()))
-    channel = Channel(tuple(mle(row) for row in row_extract(phi)))
+    first = mle(ms_map(FinMap.proj1(row_count(phi.n, m), m), phi))
+    channel = Channel(tuple(mle(row) for row in row_extract(phi, m)))
     return first, channel
 
 
@@ -106,22 +108,10 @@ def monad_counterexample() -> MonadCounterexample:
     (1/3, 1/6, 1/2); normalise-then-flatten mixes the inner empirical
     distributions with outer weights (1/3, 2/3) and yields (1/3, 2/9, 4/9).
     """
-    n = _NESTED[0][1].n
-
-    merged = [0] * n
-    for weight, inner in _NESTED:
-        for i, c in enumerate(inner.counts):
-            merged[i] += weight * c
-    route_a = mle(Multiset(tuple(merged)))
-
-    outer_total = sum(weight for weight, _ in _NESTED)
-    mixed = [Fraction(0)] * n
-    for weight, inner in _NESTED:
-        outer_p = Fraction(weight, outer_total)
-        inner_dist = mle(inner)
-        for i, p in enumerate(inner_dist.probs):
-            mixed[i] += outer_p * p
-    route_b = Dist(tuple(mixed))
+    copies = [inner for weight, inner in _NESTED for _ in range(weight)]
+    route_a = mle(functools.reduce(Multiset.__add__, copies))
+    inner_dists = Channel(tuple(mle(inner) for _, inner in _NESTED))
+    route_b = state_transform(inner_dists, mle(Multiset(tuple(w for w, _ in _NESTED))))
 
     result = MonadCounterexample(route_a, route_b)
     assert result.differ, "the two composites unexpectedly coincide"

@@ -502,21 +502,25 @@ def _skipped(raw: bytes) -> bool:
         return False
 
 
-def _read_chunk(body: bytes, first: int, names: tuple[str, ...],
-                arities: tuple[int, ...], order: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _read_chunk(body: bytes, first: int, names: tuple[str, ...], arities: tuple[int, ...],
+                order: list[int]) -> tuple[np.ndarray, np.ndarray, int]:
     """Outcome columns (declared order, shape ``(k, n)``) and counts of the
-    data lines `body`, the first of them line `first`.
+    data lines `body`, the first of them line `first`, and the number of
+    lines read.
 
     The chunk is parsed in bulk, and again without the lines `_lines` skips
     (only a line that does not start with a digit is asked); failing that,
     or if an outcome is out of range, line by line over `_lines`, naming the
     first bad line and reading counts past int64.  Only these slower paths
-    split the chunk into lines.
+    split the chunk into lines; on the bulk path each line is one row.
     """
     dtype, width = _outcome_dtype(arities), len(names) + 1
     values = _bulk_rows(body, width)
-    if values is None:
+    if values is not None:
+        consumed = len(values)
+    else:
         lines = body.removesuffix(b"\n").split(b"\n")
+        consumed = len(lines)
         raw = np.frombuffer(body, dtype=np.uint8)
         heads = np.concatenate((raw[:1], raw[1:][raw[:-1] == ord("\n")]))  # of every line
         keep = _is_digit(heads)
@@ -527,13 +531,13 @@ def _read_chunk(body: bytes, first: int, names: tuple[str, ...],
     if values is not None:
         columns = values.T[order]  # a copy, so the chunk's cells are freed on return
         if (columns.max(axis=1) < arities).all():
-            return columns.astype(dtype, copy=False), values[:, -1].astype(np.int64)
+            return columns.astype(dtype, copy=False), values[:, -1].astype(np.int64), consumed
     parsed = [_parse_line(text, n, names, arities, order)
               for n, text in _lines(body.split(b"\n"), first)]
     outcomes = np.array([p[:-1] for p in parsed], dtype=dtype)
     counts = [p[-1] for p in parsed]
     return (outcomes.reshape(len(parsed), len(names)).T,
-            np.array(counts, dtype=_count_dtype(sum(counts))))
+            np.array(counts, dtype=_count_dtype(sum(counts))), consumed)
 
 
 def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
@@ -563,10 +567,10 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
             lineno, order = _read_header(fh, names)
             while body := fh.read(CHUNK_BYTES):
                 body += fh.readline()
-                columns, counts = _read_chunk(body, lineno + 1, names, arities, order)
+                columns, counts, consumed = _read_chunk(body, lineno + 1, names, arities, order)
                 column_parts.append(columns)
                 count_parts.append(counts)
-                lineno += body.count(b"\n")
+                lineno += consumed
                 held += len(counts)
                 if held > MERGE_ROWS + 2 * merged:
                     outcomes, counts = _distinct_rows(np.concatenate(column_parts, axis=1).T,

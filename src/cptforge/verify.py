@@ -58,7 +58,6 @@ from .dirichlet import (
 from .dist import (
     Channel,
     Dist,
-    JointDist,
     Predicate,
     condition,
     disintegrate,
@@ -67,7 +66,7 @@ from .dist import (
     state_transform,
     validity,
 )
-from .finset import FinMap, JointMultiset, Multiset, ms_map, ms_tensor
+from .finset import FinMap, Multiset, ms_map, ms_tensor
 from .localsplit import local_update_audit, pdf_factorization_check, split, unsplit
 from .mle import likelihood, mle, mle_decompose, monad_counterexample, simplex_grid
 from .network import CountTable, GraphSpec, learn_bayes, learn_mle
@@ -109,7 +108,7 @@ def law(suite: str, name: str) -> Callable[[Callable[[int, int], tuple[bool, str
 # ---------------------------------------------------------------------------
 # The worked example: 100 study participants, blood pressure vs medicine.
 
-BLOOD_MEDICINE_COUNTS = ((10, 35, 25), (5, 10, 15))
+BLOOD_MEDICINE_COUNTS = (10, 35, 25, 5, 10, 15)  # Blood x Medicine, row-major
 
 GOLDEN_JOINT = tuple(
     Fraction(n, 100) for n in (10, 35, 25, 5, 10, 15)
@@ -127,12 +126,12 @@ def blood_medicine_graph() -> GraphSpec:
 
 
 def blood_medicine_table() -> CountTable:
-    records = {(i, j): BLOOD_MEDICINE_COUNTS[i][j] for i in range(2) for j in range(3)}
+    records = {divmod(k, 3): c for k, c in enumerate(BLOOD_MEDICINE_COUNTS)}
     return CountTable.from_records(("Blood", "Medicine"), (2, 3), records)
 
 
-def blood_medicine_joint() -> JointMultiset:
-    return JointMultiset(BLOOD_MEDICINE_COUNTS)
+def blood_medicine_joint() -> Multiset:
+    return Multiset(BLOOD_MEDICINE_COUNTS)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +149,8 @@ def _random_finmap(rng: pyrandom.Random, n: int, m: int) -> FinMap:
     return FinMap(tuple(rng.randrange(m) for _ in range(n)), m)
 
 
-def _random_row_positive(rng: pyrandom.Random, n: int, m: int) -> JointMultiset:
-    return JointMultiset(tuple(_random_multiset(rng, m).counts for _ in range(n)))
+def _random_row_positive(rng: pyrandom.Random, n: int, m: int) -> Multiset:
+    return Multiset(tuple(c for _ in range(n) for c in _random_multiset(rng, m).counts))
 
 
 def _random_hyperparams(rng: pyrandom.Random, n: int, hi: int = 8) -> HyperParams:
@@ -184,18 +183,18 @@ def _all_hyperparams(max_n: int, max_total: int) -> list[HyperParams]:
 
 @law("golden", "empirical-joint")
 def check_golden_empirical_joint(seed: int, resolution: int) -> tuple[bool, str]:
-    joint = mle(blood_medicine_joint().to_flat())
+    joint = mle(blood_medicine_joint())
     ok = joint.probs == GOLDEN_JOINT
     return ok, f"normalised counts = {joint.probs}"
 
 
 @law("golden", "marginals")
 def check_golden_marginals(seed: int, resolution: int) -> tuple[bool, str]:
-    flat = blood_medicine_joint().to_flat()
+    counts = blood_medicine_joint()
     p1, p2 = FinMap.proj1(2, 3), FinMap.proj2(2, 3)
-    via_counts_1 = mle(ms_map(p1, flat))
-    via_counts_2 = mle(ms_map(p2, flat))
-    joint = mle(flat)
+    via_counts_1 = mle(ms_map(p1, counts))
+    via_counts_2 = mle(ms_map(p2, counts))
+    joint = mle(counts)
     via_dist_1 = dist_map(p1, joint)
     via_dist_2 = dist_map(p2, joint)
     ok = (
@@ -212,9 +211,8 @@ def check_golden_marginals(seed: int, resolution: int) -> tuple[bool, str]:
 
 @law("golden", "channel-extraction")
 def check_golden_channel(seed: int, resolution: int) -> tuple[bool, str]:
-    first, channel = mle_decompose(blood_medicine_joint())
-    joint = JointDist.from_flat(mle(blood_medicine_joint().to_flat()), 2, 3)
-    first2, channel2 = disintegrate(joint)
+    first, channel = mle_decompose(blood_medicine_joint(), 3)
+    first2, channel2 = disintegrate(mle(blood_medicine_joint()), 3)
     ok = (
         first.probs == GOLDEN_FIRST
         and tuple(row.probs for row in channel.rows) == GOLDEN_CHANNEL
@@ -225,7 +223,7 @@ def check_golden_channel(seed: int, resolution: int) -> tuple[bool, str]:
 
 @law("golden", "second-marginal-via-channel")
 def check_golden_state_transform(seed: int, resolution: int) -> tuple[bool, str]:
-    first, channel = mle_decompose(blood_medicine_joint())
+    first, channel = mle_decompose(blood_medicine_joint(), 3)
     second = state_transform(channel, first)
     ok = second.probs == GOLDEN_SECOND
     return ok, f"channel >> first = {second.probs}"
@@ -233,15 +231,15 @@ def check_golden_state_transform(seed: int, resolution: int) -> tuple[bool, str]
 
 @law("golden", "pair-graph-reconstruction")
 def check_golden_reconstruction(seed: int, resolution: int) -> tuple[bool, str]:
-    joint = JointDist.from_flat(mle(blood_medicine_joint().to_flat()), 2, 3)
-    first, channel = disintegrate(joint)
+    joint = mle(blood_medicine_joint())
+    first, channel = disintegrate(joint, 3)
     ok = pair_graph(channel, first) == joint
     return ok, "couple(channel, first) = joint"
 
 
 @law("golden", "conditioning-on-observed-column")
 def check_golden_conditioning(seed: int, resolution: int) -> tuple[bool, str]:
-    joint = mle(blood_medicine_joint().to_flat())
+    joint = mle(blood_medicine_joint())
     on_medicine_1 = Predicate(tuple(1 if k % 3 == 1 else 0 for k in range(6)))
     posterior = dist_map(FinMap.proj1(2, 3), condition(joint, on_medicine_1))
     expected = (Fraction(7, 9), Fraction(2, 9))
@@ -334,11 +332,7 @@ def check_exact_monoidality(seed: int, resolution: int) -> tuple[bool, str]:
     for _ in range(trials):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         phi, psi = _random_multiset(rng, n), _random_multiset(rng, m)
-        lhs = mle(ms_tensor(phi, psi).to_flat())
-        rhs = pair_graph(
-            Channel((mle(psi),) * n), mle(phi)
-        ).to_flat()
-        if lhs != rhs:
+        if mle(ms_tensor(phi, psi)) != pair_graph(Channel((mle(psi),) * n), mle(phi)):
             return False, "tensor mismatch"
     return True, f"{trials} instances: normalising a product table = product of normalisations"
 
@@ -350,9 +344,9 @@ def check_exact_decomposition(seed: int, resolution: int) -> tuple[bool, str]:
     for _ in range(trials):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         phi = _random_row_positive(rng, n, m)
-        first, channel = mle_decompose(phi)
-        joint = JointDist.from_flat(mle(phi.to_flat()), n, m)
-        if disintegrate(joint) != (first, channel):
+        first, channel = mle_decompose(phi, m)
+        joint = mle(phi)
+        if disintegrate(joint, m) != (first, channel):
             return False, "table/joint routes differ"
         if pair_graph(channel, first) != joint:
             return False, "reconstruction fails"
@@ -379,13 +373,13 @@ def check_exact_disintegration_roundtrip(seed: int, resolution: int) -> tuple[bo
     for _ in range(trials):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         phi = _random_row_positive(rng, n, m)
-        joint = JointDist.from_flat(mle(phi.to_flat()), n, m)
-        first, channel = disintegrate(joint)
+        joint = mle(phi)
+        first, channel = disintegrate(joint, m)
         if pair_graph(channel, first) != joint:
             return False, "reconstruction fails"
         omega = mle(_random_multiset(rng, n, lo=1))
         chan = Channel(tuple(mle(_random_multiset(rng, m)) for _ in range(n)))
-        if disintegrate(pair_graph(chan, omega)) != (omega, chan):
+        if disintegrate(pair_graph(chan, omega), m) != (omega, chan):
             return False, "extraction not inverse"
     return True, f"{trials} instances, both directions"
 

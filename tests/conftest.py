@@ -16,11 +16,6 @@ hypothesis.settings.load_profile("det")
 
 
 @pytest.fixture
-def golden_counts() -> tuple[tuple[int, ...], ...]:
-    return BLOOD_MEDICINE_COUNTS
-
-
-@pytest.fixture
 def golden_joint():
     return blood_medicine_joint()
 
@@ -39,9 +34,8 @@ def golden_table() -> CountTable:
 def golden_data_csv(tmp_path):
     """The worked example's counts in long CSV format."""
     lines = ["Blood,Medicine,count"]
-    for i in range(2):
-        for j in range(3):
-            lines.append(f"{i},{j},{BLOOD_MEDICINE_COUNTS[i][j]}")
+    for k, count in enumerate(BLOOD_MEDICINE_COUNTS):
+        lines.append(f"{k // 3},{k % 3},{count}")
     path = tmp_path / "blood_medicine.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -62,7 +62,7 @@ def test_criterion_01_golden_reproduction(tmp_path, golden_graph_file, golden_da
             ["0", "1/7", "1/2", "5/14"],
             ["1", "1/6", "1/3", "1/2"],
         ]
-        joint = mle(blood_medicine_joint().to_flat())
+        joint = mle(blood_medicine_joint())
         assert joint.probs == (F(1, 10), F(7, 20), F(1, 4), F(1, 20), F(1, 10), F(3, 20))
         assert elapsed < 1.0, f"learn took {elapsed:.3f} s"
 

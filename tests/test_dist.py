@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cptforge.dist import (
     Channel,
     Dist,
-    JointDist,
     Predicate,
     condition,
     disintegrate,
@@ -42,11 +41,11 @@ def dists(draw, n=None):
     return normalized(counts)
 
 
-def reference_error(probs, position):
+def reference_error(probs):
     """The validation rule in Fraction arithmetic: the error message, or None."""
     for k, p in enumerate(probs):
         if p < 0 or p > 1:
-            return f"probability {p} at {position(k)} outside [0,1]"
+            return f"probability {p} at index {k} outside [0,1]"
     if sum(probs) != 1:
         return f"probabilities sum to {sum(probs)}, not 1"
     return None
@@ -98,21 +97,9 @@ class TestDistValidation:
 
     @given(prob_tuples())
     def test_integer_checks_agree_with_fraction_arithmetic(self, probs):
-        want = reference_error(probs, lambda k: f"index {k}")
+        want = reference_error(probs)
         try:
             Dist(probs)
-            got = None
-        except ValueError as err:
-            got = str(err)
-        assert got == want
-
-    @given(prob_tuples(), st.integers(1, 4))
-    def test_joint_checks_agree_with_fraction_arithmetic(self, probs, m):
-        probs = probs + (F(0),) * (-len(probs) % m)
-        rows = tuple(probs[i : i + m] for i in range(0, len(probs), m))
-        want = reference_error(probs, lambda k: f"cell ({k // m},{k % m})")
-        try:
-            JointDist(rows)
             got = None
         except ValueError as err:
             got = str(err)
@@ -130,14 +117,6 @@ class TestDistValidation:
         with pytest.raises(ValueError) as err:
             Dist(probs)
         assert str(err.value) == message
-
-    def test_joint_error_messages(self):
-        with pytest.raises(ValueError) as err:
-            JointDist(((F(1, 2), F(1, 4)), (F(5, 4), F(-1))))
-        assert str(err.value) == "probability 5/4 at cell (1,0) outside [0,1]"
-        with pytest.raises(ValueError) as err:
-            JointDist(((F(1, 2), F(1, 4)), (F(1, 8), F(1, 9))))
-        assert str(err.value) == "probabilities sum to 71/72, not 1"
 
 
 class TestDistMap:
@@ -190,45 +169,40 @@ class TestStateTransform:
 
 class TestDisintegrate:
     def test_worked_example(self):
-        joint = JointDist.from_flat(GOLDEN_JOINT, 2, 3)
-        first, channel = disintegrate(joint)
+        first, channel = disintegrate(GOLDEN_JOINT, 3)
         assert first.probs == (F(7, 10), F(3, 10))
         assert channel == GOLDEN_CHANNEL
 
     def test_product_distribution_gives_constant_channel(self):
         first = normalized((1, 3))
         second = normalized((2, 1, 2))
-        joint = JointDist(
-            tuple(tuple(p * q for q in second.probs) for p in first.probs)
-        )
-        got_first, channel = disintegrate(joint)
+        joint = Dist(tuple(p * q for p in first.probs for q in second.probs))
+        got_first, channel = disintegrate(joint, 3)
         assert got_first == first
         assert all(row == second for row in channel.rows)
 
     def test_single_row(self):
-        joint = JointDist((tuple(GOLDEN_JOINT.probs),))
-        first, channel = disintegrate(joint)
+        first, channel = disintegrate(GOLDEN_JOINT, 6)
         assert first.probs == (F(1),)
         assert channel.rows[0] == GOLDEN_JOINT
 
     def test_zero_marginal_rejected(self):
-        joint = JointDist(((F(1, 2), F(1, 2)), (F(0), F(0))))
+        joint = Dist((F(1, 2), F(1, 2), F(0), F(0)))
         with pytest.raises(ValueError, match="index 1"):
-            disintegrate(joint)
+            disintegrate(joint, 2)
 
 
 class TestPairGraph:
     def test_reconstruction(self):
-        joint = JointDist.from_flat(GOLDEN_JOINT, 2, 3)
-        first, channel = disintegrate(joint)
-        assert pair_graph(channel, first) == joint
+        first, channel = disintegrate(GOLDEN_JOINT, 3)
+        assert pair_graph(channel, first) == GOLDEN_JOINT
 
     def test_uniform_with_copy_channel_is_diagonal(self):
         c = Channel.deterministic(FinMap.identity(3))
         joint = pair_graph(c, Dist((F(1, 3),) * 3))
         for i in range(3):
             for j in range(3):
-                assert joint.rows[i][j] == (F(1, 3) if i == j else F(0))
+                assert joint[i * 3 + j] == (F(1, 3) if i == j else F(0))
 
     @given(dists(n=3), dists(n=2), dists(n=2), dists(n=2))
     def test_round_trip_recovers_both_parts(self, omega, r0, r1, r2):
@@ -236,7 +210,7 @@ class TestPairGraph:
         if not omega.has_full_support():
             return
         joint = pair_graph(c, omega)
-        first, channel = disintegrate(joint)
+        first, channel = disintegrate(joint, 2)
         assert first == omega
         assert channel == c
 

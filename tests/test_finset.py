@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cptforge.dist import disintegrate
 from cptforge.finset import (
     FinMap,
-    JointMultiset,
     Multiset,
     ZeroRowError,
     ms_map,
@@ -12,6 +12,7 @@ from cptforge.finset import (
     ms_tensor,
     row_extract,
 )
+from cptforge.mle import mle, mle_decompose
 
 counts_st = st.lists(st.integers(0, 9), min_size=1, max_size=6).map(tuple)
 
@@ -126,56 +127,60 @@ class TestMsMapFull:
 
 class TestRowExtract:
     def test_example_table(self):
-        phi = JointMultiset(((10, 35, 25), (5, 10, 15)))
-        rows = row_extract(phi)
+        rows = row_extract(Multiset((10, 35, 25, 5, 10, 15)), 3)
         assert rows[0].counts == (10, 35, 25)
         assert rows[1].counts == (5, 10, 15)
         assert all(r.total() > 0 for r in rows)
 
     def test_single_row_is_whole_table(self):
-        phi = JointMultiset(((4, 0, 1),))
-        assert row_extract(phi) == (Multiset((4, 0, 1)),)
+        assert row_extract(Multiset((4, 0, 1)), 3) == (Multiset((4, 0, 1)),)
 
     def test_zero_row_reports_index(self):
         with pytest.raises(ZeroRowError) as exc:
-            row_extract(JointMultiset(((1, 2), (0, 0), (3, 4))))
+            row_extract(Multiset((1, 2, 0, 0, 3, 4)), 2)
         assert exc.value.row == 1
 
     @given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=2), min_size=3, max_size=3))
     def test_row_totals_match_first_marginal(self, raw):
         rows = [row if sum(row) else [1, 0] for row in raw]
-        phi = JointMultiset(tuple(tuple(r) for r in rows))
-        totals = ms_map(FinMap.proj1(phi.n, phi.m), phi.to_flat())
-        for i, row in enumerate(row_extract(phi)):
+        phi = Multiset(tuple(c for row in rows for c in row))
+        totals = ms_map(FinMap.proj1(3, 2), phi)
+        for i, row in enumerate(row_extract(phi, 2)):
             assert row.total() == totals[i]
 
     def test_rows_reconstruct_table(self):
-        phi = JointMultiset(((1, 2), (3, 4)))
-        rows = row_extract(phi)
-        assert JointMultiset(tuple(r.counts for r in rows)) == phi
+        phi = Multiset((1, 2, 3, 4))
+        rows = row_extract(phi, 2)
+        assert Multiset(tuple(c for r in rows for c in r.counts)) == phi
+
+    # Every function that splits a table into rows, on a table of 6 cells.
+    SPLITS = {
+        "row_extract": row_extract,
+        "mle_decompose": mle_decompose,
+        "disintegrate": lambda phi, m: disintegrate(mle(phi), m),
+    }
+
+    @pytest.mark.parametrize("m", [0, -1, 4, 7])
+    @pytest.mark.parametrize("split", list(SPLITS.values()), ids=list(SPLITS))
+    def test_row_length_must_divide_the_table(self, split, m):
+        with pytest.raises(ValueError, match=rf"^row length {m} does not divide table size 6$"):
+            split(Multiset((1,) * 6), m)
 
 
 class TestMsTensor:
     def test_small_product(self):
         out = ms_tensor(Multiset((2, 3)), Multiset((1, 1)))
-        assert out.rows == ((2, 2), (3, 3))
+        assert out.counts == (2, 2, 3, 3)
 
     def test_unit_on_the_right(self):
         out = ms_tensor(Multiset((4, 7)), Multiset((1,)))
-        assert out.rows == ((4,), (7,))
+        assert out.counts == (4, 7)
 
     def test_zeros_propagate(self):
         out = ms_tensor(Multiset((0, 1)), Multiset((4, 0)))
-        assert out.rows == ((0, 0), (4, 0))
+        assert out.counts == (0, 0, 4, 0)
 
     @given(counts_st, counts_st)
     def test_tensor_total_is_product(self, a, b):
         phi, psi = Multiset(a), Multiset(b)
         assert ms_tensor(phi, psi).total() == phi.total() * psi.total()
-
-
-class TestJointMultiset:
-    def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
-            JointMultiset(((1, 2), (3,)))
-

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cptforge.dist import Dist
-from cptforge.finset import JointMultiset, Multiset
+from cptforge.finset import Multiset
 from cptforge.mle import (
     likelihood,
     mle,
@@ -83,19 +83,19 @@ class TestSimplexGrid:
 
 class TestMleDecompose:
     def test_worked_example(self):
-        first, channel = mle_decompose(JointMultiset(((10, 35, 25), (5, 10, 15))))
+        first, channel = mle_decompose(Multiset((10, 35, 25, 5, 10, 15)), 3)
         assert first.probs == (F(7, 10), F(3, 10))
         assert channel.rows[0].probs == (F(1, 7), F(1, 2), F(5, 14))
         assert channel.rows[1].probs == (F(1, 6), F(1, 3), F(1, 2))
 
     def test_single_row(self):
-        first, channel = mle_decompose(JointMultiset(((3, 1, 0),)))
+        first, channel = mle_decompose(Multiset((3, 1, 0)), 3)
         assert first.probs == (F(1),)
         assert channel.rows[0] == mle(Multiset((3, 1, 0)))
 
     def test_zero_row_propagates(self):
         with pytest.raises(ValueError):
-            mle_decompose(JointMultiset(((1, 2), (0, 0))))
+            mle_decompose(Multiset((1, 2, 0, 0)), 2)
 
 
 class TestMonadCounterexample:

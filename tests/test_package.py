@@ -76,7 +76,7 @@ try:
 except AttributeError as exc:
     print(exc)
 """
-    assert run_python(code) == "51\nmodule 'cptforge' has no attribute 'no_such_name'"
+    assert run_python(code) == "49\nmodule 'cptforge' has no attribute 'no_such_name'"
 
 
 def test_submodule_import_keeps_the_function_name():
