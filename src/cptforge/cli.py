@@ -9,9 +9,11 @@ Two subcommands:
   [--resolution N]`` runs the law suites and reports one PASS/FAIL line
   per check; N is MIN_RESOLUTION..max_resolution() (5..1023), and each
   quadrature law's tolerance, 1e-3 at N = 400, scales as 1/N**2 up to a
-  cap of 0.5.
+  cap of 0.5.  On Linux, ``--suite all`` runs the stochastic suite in a
+  forked child beside the other two; its output is the same.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error or a standard
+output closed before the report was written.
 """
 
 from __future__ import annotations
@@ -149,9 +151,19 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "learn":
-        return _run_learn(args)
-    return _run_verify(args)
+    try:
+        code = _run_learn(args) if args.command == "learn" else _run_verify(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+    except BrokenPipeError:
+        # The reader went away (`cpt-forge learn ... | head -1`).  Point stdout
+        # at devnull so that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before the report was written",
+              file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -66,7 +66,6 @@ import re
 import shutil
 import tempfile
 from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
 from math import gcd, prod
 from pathlib import Path
 from types import MappingProxyType
@@ -604,6 +603,9 @@ class LearnedCPT:
     @property
     def dists(self) -> tuple[Dist, ...]:
         """Each parent configuration's distribution: its weights over their total."""
+        # Deferred, like Dist: `fractions` loads `decimal`, and learn needs neither.
+        from fractions import Fraction
+
         from .dist import Dist
 
         return tuple(Dist(tuple(Fraction(w, sum(row)) for w in row))

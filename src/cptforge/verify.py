@@ -19,14 +19,25 @@ registers it in ``SUITES[suite]``.  Suites and laws run in the order they
 are defined.  To add a law, define its decorated function where it belongs
 and add ``"suite/name"`` at the same position in the benchmark oracle's
 ``VERIFY_CHECKS`` (``perfbench/oracle.py``), which pins that order.
+
+``run_suite("all")`` on Linux runs the stochastic suite in a forked child
+while the parent runs ``golden`` and ``exact``: the halves share no state,
+and the exact half is pure-Python ``Fraction`` arithmetic that holds the
+GIL.  The results, and so the report, are the same as from one process.
+Each result carries the check's own time in ``seconds``.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
+import os
+import pickle
 import random as pyrandom
+import sys
+import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -78,6 +89,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = field(compare=False)  # the check's wall time
 
 
 Check = Callable[[int, int], CheckResult]
@@ -90,14 +102,16 @@ def law(suite: str, name: str) -> Callable[[Callable[[int, int], tuple[bool, str
     """Register a check as the law ``suite/name``.
 
     The decorated check takes ``(seed, resolution)`` and returns
-    ``(passed, detail)``; the registered function returns the CheckResult.
+    ``(passed, detail)``; the registered function returns the CheckResult,
+    timed.
     """
 
     def register(check: Callable[[int, int], tuple[bool, str]]) -> Check:
         @functools.wraps(check)
         def run(seed: int, resolution: int) -> CheckResult:
+            start = time.perf_counter()
             passed, detail = check(seed, resolution)
-            return CheckResult(suite, name, bool(passed), detail)
+            return CheckResult(suite, name, bool(passed), detail, time.perf_counter() - start)
 
         SUITES.setdefault(suite, []).append(run)
         return run
@@ -749,9 +763,80 @@ def check_stoch_local_audit(seed: int, resolution: int) -> tuple[bool, str]:
     )
 
 
+# The suite `run_suite("all")` hands to a forked child.  It is the numpy
+# half: its checks share the `_cells_cached` grids, so it is not split further.
+FORKED_SUITE = "stochastic"
+
+
 def run_suite(suite: str, seed: int = 42, resolution: int = 400) -> list[CheckResult]:
-    """Run one suite (or ``all``) and return its results in a fixed order."""
+    """Run one suite (or ``all``) and return its results in a fixed order.
+
+    On Linux, ``all`` runs FORKED_SUITE in a forked child beside the other
+    suites; elsewhere, and for one suite, the checks run one after another.
+    """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick {', '.join(SUITES)} or all")
+    if suite == "all" and sys.platform == "linux":
+        return _run_all_forked(seed, resolution)
     names = list(SUITES) if suite == "all" else [suite]
     return [check(seed, resolution) for name in names for check in SUITES[name]]
+
+
+def _run_all_forked(seed: int, resolution: int) -> list[CheckResult]:
+    """Every suite, FORKED_SUITE in a forked child; results in SUITES order.
+
+    The child sends its pickled results, or the text of what it raised,
+    through a pipe and always leaves through ``os._exit``.  The child is
+    reaped on every path; if the parent's own checks raise or are
+    interrupted, it is killed first.  ``gc.freeze`` before the fork keeps
+    the collector from touching, and so copying, the pages both share.
+    """
+    for stream in (sys.stdout, sys.stderr):  # so no buffered text is written twice
+        stream.flush()
+    read_fd, write_fd = os.pipe()
+    gc.freeze()
+    try:
+        pid = os.fork()
+    except BaseException:
+        gc.unfreeze()
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                sent = (True, [check(seed, resolution) for check in SUITES[FORKED_SUITE]])
+            except BaseException:
+                import traceback  # like `signal` below: needed on error paths only
+
+                sent = (False, traceback.format_exc())
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(sent, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            results = {name: [check(seed, resolution) for check in checks]
+                       for name, checks in SUITES.items() if name != FORKED_SUITE}
+            received = pipe.read()
+        except BaseException:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+            gc.unfreeze()
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(f"the {FORKED_SUITE} suite's child process {how}")
+    ok, sent = pickle.loads(received)
+    if not ok:
+        raise RuntimeError(f"the {FORKED_SUITE} suite raised in its child process:\n{sent}")
+    results[FORKED_SUITE] = sent
+    return [r for name in SUITES for r in results[name]]

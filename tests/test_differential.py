@@ -10,8 +10,10 @@ are loaded read-only, by file.
 import dataclasses
 import importlib.util
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -125,3 +127,63 @@ def test_verify_reports_exactly_the_pinned_checks():
     # renamed or moved must change the oracle in the same change.
     results = verify.run_suite("all", seed=42)
     assert tuple(f"{r.suite}/{r.name}" for r in results) == oracle.VERIFY_CHECKS
+
+
+forks = pytest.mark.skipif(sys.platform != "linux", reason="run_suite forks only on Linux")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks
+def test_forked_all_equals_the_suites_run_one_by_one():
+    # On Linux `all` runs the stochastic suite in a forked child; the results
+    # are those of each suite run alone in this process.
+    results = verify.run_suite("all", seed=3, resolution=50)
+    assert results == [r for name in verify.SUITES for r in verify.run_suite(name, 3, 50)]
+    assert all(r.seconds > 0 for r in results)
+    assert_no_child_left()
+
+
+@forks
+def test_check_raising_in_the_child_raises_its_traceback(monkeypatch):
+    def refuse(points):
+        raise ValueError("split refused")
+
+    monkeypatch.setattr(verify, "split", refuse)
+    with pytest.raises(RuntimeError) as exc:
+        verify.run_suite("all", resolution=50)
+    message = str(exc.value)
+    assert message.startswith("the stochastic suite raised in its child process:\nTraceback")
+    assert "in check_stoch_split_roundtrip" in message
+    assert message.endswith("ValueError: split refused\n")
+    assert_no_child_left()
+
+
+@forks
+@pytest.mark.parametrize("end,how", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+], ids=["exit", "killed"])
+def test_child_that_dies_is_named_by_its_status(monkeypatch, end, how):
+    monkeypatch.setitem(verify.SUITES, "stochastic", [lambda seed, resolution: end()])
+    with pytest.raises(RuntimeError, match=f"^the stochastic suite's child process {how}$"):
+        verify.run_suite("all", resolution=50)
+    assert_no_child_left()
+
+
+@forks
+def test_interrupt_in_the_parent_kills_and_reaps_the_child(monkeypatch):
+    def interrupt(seed, resolution):
+        raise KeyboardInterrupt
+
+    # A child that would outlive the test by far unless it is killed.
+    monkeypatch.setitem(verify.SUITES, "stochastic", [lambda seed, resolution: time.sleep(60)])
+    monkeypatch.setitem(verify.SUITES, "exact", [interrupt])
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_suite("all")
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import random
 import re
 import subprocess
@@ -20,6 +21,7 @@ from cptforge.cli import main
 from cptforge.dirichlet import HyperParams, dirichlet_mean
 from cptforge.dist import Channel, Dist
 from cptforge.finset import FinMap, Multiset, ms_map
+from cptforge.localsplit import unsplit
 from cptforge.mle import MonadCounterexample, mle, mle_decompose, monad_counterexample
 from cptforge.network import (
     CountTable,
@@ -591,10 +593,13 @@ class TestCli:
         ("golden --seed 42", "verify-golden-seed42.txt"),
         ("exact --seed 42", "verify-exact-seed42.txt"),
         ("stochastic --seed 42 --resolution 100", "verify-stochastic-seed42-res100.txt"),
-    ], ids=["golden", "exact", "stochastic"])
+        ("all --seed 42 --resolution 100", "verify-all-seed42-res100.txt"),
+    ], ids=["golden", "exact", "stochastic", "all"])
     def test_verify_stdout_is_pinned(self, args, expected, capsys):
         # Every exact value and every sampled statistic is in the report, so
         # a changed law, Philox stream or seed offset changes this output.
+        # `all` runs its stochastic suite in a forked child on Linux, and its
+        # report is the one a single process printed.
         assert main(["verify", "--suite", *args.split()]) == 0
         assert capsys.readouterr().out == (EXPECTED / expected).read_text(encoding="utf-8")
 
@@ -623,6 +628,15 @@ class TestCli:
         assert f"[FAIL] exact/flatten-order-counterexample: {probs} != {probs}\n" in out
         assert "[PASS] exact/pushforward-functoriality: " in out
         assert "SUMMARY: 11 passed, 1 failed (suite=exact, seed=42, resolution=400)" in out
+        # Under `all` a stochastic law fails too: on Linux it runs in a forked
+        # child, which inherits the patch.
+        monkeypatch.setattr(verify, "unsplit", lambda *parts: unsplit(*parts) + 1.0)
+        assert main(["verify", "--suite", "all", "--resolution", "100"]) == 1
+        out = capsys.readouterr().out
+        assert f"[FAIL] exact/flatten-order-counterexample: {probs} != {probs}\n" in out
+        gap = "[FAIL] stochastic/split-round-trip: 200 interior points: max round-trip gap 1.00e+00\n"
+        assert gap in out
+        assert "SUMMARY: 29 passed, 2 failed (suite=all, seed=42, resolution=100)" in out
 
     @pytest.mark.parametrize("value", ["-1", "-100"])
     def test_verify_seed_below_zero_is_input_error(self, value, capsys):
@@ -682,6 +696,27 @@ class TestCli:
         assert code == 2
         assert "line 1: node name" in capsys.readouterr().err
         assert not (tmp_path / "a" / "escaped.csv").exists()
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["learn", "verify"])
+    def test_closed_stdout_is_an_error_line_and_exit_two(
+        self, tmp_path, golden_graph_file, golden_data_csv, command, unbuffered
+    ):
+        # As in `cpt-forge learn ... | head -1`: the reader is gone before the
+        # first line is written.
+        args = {"learn": ["learn", "--mode", "mle", "--graph", str(golden_graph_file),
+                          "--data", str(golden_data_csv), "--out", str(tmp_path / "out")],
+                "verify": ["verify", "--suite", "golden"]}[command]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cptforge", *args], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True,
+                                  env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: standard output was closed before the report was written\n"
 
     def test_console_entry_point(self, tmp_path, golden_graph_file, golden_data_csv):
         out = tmp_path / "out"

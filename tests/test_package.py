@@ -2,8 +2,8 @@
 
 `import cptforge` loads neither numpy nor any submodule; a public name is
 imported on first use.  `import cptforge.cli` loads only what `learn`
-needs, with numpy's BLAS on one thread unless the user's environment sets
-OPENBLAS_NUM_THREADS.
+needs, not `fractions`, with numpy's BLAS on one thread unless the user's
+environment sets OPENBLAS_NUM_THREADS.
 """
 
 import os
@@ -42,8 +42,11 @@ def test_import_loads_no_numpy_and_no_submodule():
 
 
 def test_cli_loads_only_what_learn_needs():
-    assert run_python(f"import sys, cptforge.cli; {LOADED}") == (
-        "cptforge cptforge.cli cptforge.finset cptforge.network"
+    # `fractions` (which loads `decimal`) is for the law suites and the
+    # rational views; the count pipeline is integer arithmetic.
+    code = f"import sys, cptforge.cli; {LOADED}; print('fractions' in sys.modules)"
+    assert run_python(code) == (
+        "cptforge cptforge.cli cptforge.finset cptforge.network\nFalse"
     )
 
 
