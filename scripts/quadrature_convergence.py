@@ -28,7 +28,7 @@ def main() -> int:
             got = simplex_quadrature(lambda pts: dirichlet_pdf_many(alpha, pts), alpha.n, res)
             errs.append(abs(got - 1.0))
         print(
-            str(alpha.alphas).ljust(12)
+            str(alpha.counts).ljust(12)
             + "".join(f"{e:12.2e}" for e in errs)
         )
     return 0

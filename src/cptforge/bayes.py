@@ -86,7 +86,7 @@ def cont_condition(density: SimplexDensity, q: LiftedPredicate) -> SimplexDensit
 
     alpha = density.dirichlet_params
     i = q.base.point_index()
-    mean_i = float(Fraction(alpha.alphas[i], alpha.total))
+    mean_i = float(Fraction(alpha[i], alpha.total()))
     inner = density.eval_many
 
     def conditioned(xs: np.ndarray) -> np.ndarray:
@@ -98,10 +98,8 @@ def cont_condition(density: SimplexDensity, q: LiftedPredicate) -> SimplexDensit
 
 
 def batch_update(alpha: HyperParams, data: Multiset) -> HyperParams:
-    """Fold a batch of observed counts into the pseudo-counts, entrywise."""
-    if data.n != alpha.n:
-        raise ValueError(f"size mismatch: params over {alpha.n}, counts over {data.n}")
-    return HyperParams(tuple(a + c for a, c in zip(alpha.alphas, data.counts)))
+    """Fold a batch of observed counts into the pseudo-counts: the multiset sum."""
+    return HyperParams((alpha + data).counts)
 
 
 def validity_transfer_check(
@@ -114,6 +112,6 @@ def validity_transfer_check(
     closed form validity(dirichlet_mean(alpha), p), converted once.  The law
     says they are equal.
     """
-    lhs = validity(mle(alpha.as_multiset()), p)
+    lhs = validity(mle(alpha), p)
     rhs = float(validity(dirichlet_mean(alpha), p))
     return lhs, rhs

@@ -7,7 +7,8 @@ Two subcommands:
   CSV per node into DIR.
 * ``cpt-forge verify --suite {golden|exact|stochastic|all} [--seed N]
   [--resolution N]`` runs the law suites and reports one PASS/FAIL line
-  per check; N is MIN_RESOLUTION..max_resolution() (5..1023), and each
+  per check; N is verify.MIN_RESOLUTION..verify.MAX_RESOLUTION (5..1023),
+  bounds set by the density-normalisation law, and each
   quadrature law's tolerance, 1e-3 at N = 400, scales as 1/N**2 up to a
   cap of 0.5.  On Linux, ``--suite all`` runs the stochastic suite in a
   forked child beside the other two; its output is the same.
@@ -19,7 +20,6 @@ output closed before the report was written.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -50,30 +50,16 @@ def _at_least(low: int, text: str) -> int:
     return value
 
 
-# Below 5, density-normalisation's errors need not shrink when the grid
-# doubles (the rule is not yet in its second-order regime).
-MIN_RESOLUTION = 5
-
-
-def max_resolution() -> int:
-    """The largest --resolution: verify's largest grid is density-normalisation's
-    3-outcome grid at twice the resolution, r * (2r + 1) cells at resolution r,
-    and it must stay within MAX_QUADRATURE_CELLS."""
-    # Deferred, like the verify import: `learn` never loads the quadrature module.
-    from .dirichlet import MAX_QUADRATURE_CELLS
-
-    return (math.isqrt(8 * MAX_QUADRATURE_CELLS + 1) - 1) // 4
-
-
 def resolution(text: str) -> int:
-    """The --resolution type: an integer in MIN_RESOLUTION..max_resolution()
+    """The --resolution type: an integer in verify's MIN_RESOLUTION..MAX_RESOLUTION
     (argparse names it in errors)."""
-    from .dirichlet import MAX_QUADRATURE_CELLS
+    # Deferred, like the verify import below: `learn` never loads the law suites.
+    from .verify import MAX_QUADRATURE_CELLS, MAX_RESOLUTION, MIN_RESOLUTION
 
-    value, largest = _at_least(MIN_RESOLUTION, text), max_resolution()
-    if value > largest:
+    value = _at_least(MIN_RESOLUTION, text)
+    if value > MAX_RESOLUTION:
         raise argparse.ArgumentTypeError(
-            f"must be at most {largest}, got {value}: density-normalisation's "
+            f"must be at most {MAX_RESOLUTION}, got {value}: density-normalisation's "
             f"grid at twice the resolution would exceed {MAX_QUADRATURE_CELLS} cells"
         )
     return value

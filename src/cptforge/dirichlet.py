@@ -1,6 +1,11 @@
 """Dirichlet densities with integer pseudo-count parameters, plus the
 quadrature and sampling machinery used to verify their laws numerically.
 
+The parameters, `HyperParams`, are a `finset.Multiset` in which every count
+is at least 1, so multiset arithmetic applies to them as it stands: `total()`
+is the Dirichlet's concentration, `mle(alpha)` its mean, `alpha + data` the
+conjugate update and `ms_map_full` its aggregation along a surjection.
+
 Geometry convention: the n-outcome simplex is parameterised by its first
 n-1 coordinates, the last one being implied by the sum-to-one constraint,
 and integrals are taken with respect to Lebesgue measure on that
@@ -37,40 +42,22 @@ MAX_QUADRATURE_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
-class HyperParams:
-    """Strictly positive integer pseudo-counts parameterising a Dirichlet."""
-
-    alphas: tuple[int, ...]
+class HyperParams(Multiset):
+    """Dirichlet pseudo-counts: a multiset in which every index occurs."""
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(int(a) for a in self.alphas))
-        if not self.alphas:
-            raise ValueError("need at least one pseudo-count")
-        for i, a in enumerate(self.alphas):
+        super().__post_init__()
+        for i, a in enumerate(self.counts):
             if a < 1:
                 raise ValueError(f"pseudo-count {a} at index {i} must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.alphas)
-
-    @property
-    def total(self) -> int:
-        return sum(self.alphas)
-
-    def __getitem__(self, i: int) -> int:
-        return self.alphas[i]
 
     def increment(self, i: int) -> HyperParams:
         """A copy with the i-th pseudo-count raised by one."""
         if not 0 <= i < self.n:
             raise ValueError(f"index {i} outside range of size {self.n}")
         return HyperParams(
-            tuple(a + 1 if j == i else a for j, a in enumerate(self.alphas))
+            tuple(a + 1 if j == i else a for j, a in enumerate(self.counts))
         )
-
-    def as_multiset(self) -> Multiset:
-        return Multiset(self.alphas)
 
 
 def gamma_nat(k: int) -> int:
@@ -81,11 +68,11 @@ def gamma_nat(k: int) -> int:
 
 
 def dirichlet_normalizer(alpha: HyperParams) -> Fraction:
-    """Gamma(sum alphas) / prod Gamma(alpha_i) as an exact rational."""
+    """Gamma(sum alpha) / prod Gamma(alpha_i) as an exact rational."""
     den = 1
-    for a in alpha.alphas:
+    for a in alpha.counts:
         den *= gamma_nat(a)
-    return Fraction(gamma_nat(alpha.total), den)
+    return Fraction(gamma_nat(alpha.total()), den)
 
 
 def simplex_rows(xs: np.ndarray, n: int) -> np.ndarray:
@@ -139,7 +126,7 @@ def dirichlet_pdf_many(alpha: HyperParams, xs: np.ndarray) -> np.ndarray:
     if xs.ndim != 2 or xs.shape[1] != alpha.n:
         raise ValueError(f"expected an (N, {alpha.n}) array, got shape {xs.shape}")
     monomial = np.ones(len(xs))
-    for i, a in enumerate(alpha.alphas):
+    for i, a in enumerate(alpha.counts):
         if a > 1:  # x**0 == 1, even at 0, nan and inf
             monomial *= int_power(xs[:, i], a - 1)
     return float(dirichlet_normalizer(alpha)) * monomial
@@ -280,34 +267,34 @@ def dirichlet_sample_many(
     """
     if size < 1:
         raise ValueError("need at least one draw")
-    exps = rng.standard_exponential((size, alpha.total))
-    starts = np.cumsum((0,) + alpha.alphas)[:-1]
+    exps = rng.standard_exponential((size, alpha.total()))
+    starts = np.cumsum((0,) + alpha.counts)[:-1]
     gammas = np.add.reduceat(exps, starts, axis=1)
     return gammas / gammas.sum(axis=1, keepdims=True)
 
 
 def dirichlet_mean(alpha: HyperParams) -> Dist:
     """The mean alpha_i / sum(alpha), exactly; equal to normalising alpha."""
-    return Dist(tuple(Fraction(a, alpha.total) for a in alpha.alphas))
+    total = alpha.total()
+    return Dist(tuple(Fraction(a, total) for a in alpha.counts))
 
 
 def dirichlet_covariance(alpha: HyperParams) -> tuple[tuple[Fraction, ...], ...]:
     """Exact covariance matrix of Dirichlet(alpha) (textbook moments)."""
-    a = alpha.total
+    a = alpha.total()
     scale = a * a * (a + 1)
     return tuple(
         tuple(
             Fraction(ai * (a - ai), scale) if i == j else Fraction(-ai * aj, scale)
-            for j, aj in enumerate(alpha.alphas)
+            for j, aj in enumerate(alpha.counts)
         )
-        for i, ai in enumerate(alpha.alphas)
+        for i, ai in enumerate(alpha.counts)
     )
 
 
 def aggregate_params(h: FinMap, alpha: HyperParams) -> HyperParams:
     """Merge pseudo-counts along a surjective index map by summing fibres."""
-    merged = ms_map_full(h, alpha.as_multiset())
-    return HyperParams(merged.counts)
+    return HyperParams(ms_map_full(h, alpha).counts)
 
 
 def push_coords(h: FinMap, xs: np.ndarray) -> np.ndarray:
@@ -341,7 +328,7 @@ def one_sum_check(
         raise ValueError("resolution must be at least 2")
     x = simplex_rows([x], alpha.n - 1)
 
-    merged = HyperParams((alpha.alphas[0] + alpha.alphas[1],) + alpha.alphas[2:])
+    merged = aggregate_params(FinMap((0, *range(alpha.n - 1)), alpha.n - 1), alpha)
     lhs = float(dirichlet_pdf_many(merged, x)[0])
 
     x1 = x[0, 0]

@@ -6,6 +6,11 @@ the only 2-D form in this package: a count table is a Multiset over n*m,
 FinMap.proj1/proj2 are its projections, and a function that splits a table
 into rows takes the row length m.
 
+A multiset in which every index occurs is full-support; the Dirichlet's
+pseudo-counts, `dirichlet.HyperParams`, are such multisets.  `ms_map_full`
+keeps full support along a surjection, and a Bayesian update is the sum
+`alpha + data`.
+
 Counts are plain Python integers (arbitrary precision), all values are
 immutable after construction, and every operation is a pure function.
 """

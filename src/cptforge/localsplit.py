@@ -62,15 +62,15 @@ def unsplit(totals: np.ndarray, shares: np.ndarray) -> np.ndarray:
 
 
 def _joint(alpha_rows: tuple[HyperParams, ...]) -> HyperParams:
-    return HyperParams(tuple(a for row in alpha_rows for a in row.alphas))
+    return HyperParams(tuple(a for row in alpha_rows for a in row.counts))
 
 
 def _totals(alpha_rows: tuple[HyperParams, ...]) -> HyperParams:
-    return HyperParams(tuple(row.total for row in alpha_rows))
+    return HyperParams(tuple(row.total() for row in alpha_rows))
 
 
 def _lowered(betas: HyperParams, shift: int) -> HyperParams:
-    return HyperParams(tuple(b - shift for b in betas.alphas))
+    return HyperParams(tuple(b - shift for b in betas.counts))
 
 
 def shifted_prefactor(betas: HyperParams, shift: int) -> Fraction:
@@ -147,7 +147,7 @@ class LocalUpdateAudit:
 
     def format_report(self) -> str:
         lines = [
-            f"local update audit: alpha rows={tuple(r.alphas for r in self.alpha_rows)}, "
+            f"local update audit: alpha rows={tuple(r.counts for r in self.alpha_rows)}, "
             f"incremented cell={self.cell}, samples={self.n_samples}, seed={self.seed}",
             "pushforward total mass: 1.0 (a probability measure)",
         ]
@@ -251,8 +251,8 @@ def local_update_audit(
         candidates.append(
             CandidateFit(
                 name=name,
-                totals_params=totals_params.alphas,
-                row_params=tuple(row.alphas for row in updated_rows),
+                totals_params=totals_params.counts,
+                row_params=tuple(row.counts for row in updated_rows),
                 claimed_mass=claimed_mass,
                 max_abs_z=z,
                 matches=z <= 4.0,

@@ -15,7 +15,8 @@ only, like the blanks of a CSV cell; a trailing ``\r`` is dropped.
 Graph: plain text, one directive per line.  ``node <name> <arity>`` declares
 a variable with outcomes 0..arity-1, the arity being ASCII digits from 1 to
 ``MAX_FAMILY_CELLS``; ``edge <parent> <child>`` adds a dependency.  The
-edge relation must be acyclic.  A node name matches
+edge relation must be acyclic, and no family table (parent configurations
+x arity) may exceed ``MAX_FAMILY_CELLS`` cells.  A node name matches
 ``[A-Za-z_][A-Za-z0-9_.-]*`` and is not ``count``, so it names a file
 inside the output directory and never the count column.
 
@@ -50,10 +51,13 @@ Each table is written a row at a time, with ``\r\n`` line ends.
 
 Learned tables: a `LearnedCPT` holds one ``(configs, arity)`` integer
 array per family, the counts (MLE) or the prior plus the counts (Bayes);
-`dists` and `posteriors` are views derived from it.
+`dists` and `posteriors` (rows as `HyperParams`, full-support multisets)
+are views derived from it.
 
-A family table (parent configurations x arity cells) larger than
-``MAX_FAMILY_CELLS`` is refused before it is allocated.
+A family table larger than ``MAX_FAMILY_CELLS`` is refused when the graph
+is read, naming the edge that takes it over the cap, so no data is read
+for it; `CountTable.marginal_counts` refuses any larger variable set
+before it is allocated.
 """
 
 from __future__ import annotations
@@ -204,12 +208,22 @@ class GraphSpec:
             arities[n] = a
         object.__setattr__(self, "_arity", arities)
         edge_line: dict[tuple[str, str], int | None] = {}
+        cells = dict(arities)  # each family's table size, parents x arity
+        over = None  # the first edge that takes a family over the cap
         for (p, c), lineno in zip(self.edges, edge_lines):
             if p not in arities or c not in arities:
                 raise DataError(f"{_at(lineno)}edge {p} -> {c} references an undeclared node")
             if (p, c) in edge_line:
                 raise DataError(f"{_at(lineno)}duplicate edge {p} -> {c}")
             edge_line[p, c] = lineno
+            cells[c] *= arities[p]
+            if over is None and cells[c] > MAX_FAMILY_CELLS:
+                over = c, lineno
+        if over:
+            c, lineno = over
+            family = [p for p, child in self.edges if child == c] + [c]
+            raise DataError(f"{_at(lineno)}family table over {', '.join(family)} needs "
+                            f"{cells[c]} cells, more than the cap of {MAX_FAMILY_CELLS}")
         deps = {n: [] for n in arities}
         for p, c in self.edges:
             deps[c].append(p)
@@ -620,9 +634,6 @@ class LearnedCPT:
 
         return tuple(HyperParams(tuple(row)) for row in self.weights.tolist())
 
-    def n_configs(self) -> int:
-        return prod(self.parent_arities)
-
     def config_outcomes(self, index: int) -> tuple[int, ...]:
         """Decode a row-major parent configuration index."""
         return tuple(int(o) for o in np.unravel_index(index, self.parent_arities))
@@ -721,7 +732,7 @@ def learn_bayes(
         if name not in graph.node_names:
             raise DataError(f"prior given for unknown node {name}")
     # HyperParams refuses a pseudo-count below 1.
-    added = {n: HyperParams(prior.get(n, (1,) * a)).alphas for n, a in graph.nodes}
+    added = {n: HyperParams(prior.get(n, (1,) * a)).counts for n, a in graph.nodes}
     return _learn(table, graph, "bayes", added)
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis
 import pytest
 
@@ -13,6 +18,24 @@ hypothesis.settings.register_profile(
     "det", derandomize=True, max_examples=80, deadline=None
 )
 hypothesis.settings.load_profile("det")
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture
+def run_python():
+    """Run a fresh interpreter on the given arguments, with the package's
+    source first on its path and the keyword arguments set in its
+    environment (None unsets one); returns the completed process, its
+    output as text."""
+
+    def run(*args, **env):
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        env = {k: v for k, v in {**os.environ, "PYTHONPATH": path, **env}.items() if v is not None}
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    return run
 
 
 @pytest.fixture

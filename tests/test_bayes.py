@@ -99,7 +99,7 @@ class TestContCondition:
             dirichlet_density(HyperParams((1, 1))),
             lift_predicate(Predicate.point(2, 0)),
         )
-        assert d.dirichlet_params.alphas == (2, 1)
+        assert d.dirichlet_params.counts == (2, 1)
         ts = np.array([0.2, 0.5, 0.9])
         xs = np.column_stack([ts, 1 - ts])
         assert d.eval_many(xs) == pytest.approx(2 * ts, rel=1e-12)
@@ -113,7 +113,7 @@ class TestContCondition:
         d = cont_condition(
             dirichlet_density(alpha), lift_predicate(Predicate.point(6, 2))
         )
-        assert d.dirichlet_params.alphas == (10, 35, 26, 5, 10, 15)
+        assert d.dirichlet_params.counts == (10, 35, 26, 5, 10, 15)
 
     def test_repeated_updates_commute(self):
         alpha = HyperParams((2, 2, 2))
@@ -136,7 +136,7 @@ class TestContCondition:
 class TestBatchUpdate:
     def test_entrywise_addition(self):
         got = batch_update(HyperParams((1, 1, 1)), Multiset((10, 5, 5)))
-        assert got.alphas == (11, 6, 6)
+        assert got.counts == (11, 6, 6)
 
     def test_zero_data_is_identity(self):
         a = HyperParams((2, 3))
@@ -160,9 +160,7 @@ class TestBatchUpdate:
             tuple(data.draw(st.integers(0, 20)) for _ in range(alpha.n))
         )
         posterior = batch_update(alpha, counts)
-        assert dirichlet_mean(posterior) == mle(
-            Multiset(tuple(a + c for a, c in zip(alpha.alphas, counts.counts)))
-        )
+        assert dirichlet_mean(posterior) == mle(alpha + counts)
 
 
 class TestValidityTransfer:

@@ -8,10 +8,10 @@ are loaded read-only, by file.
 """
 
 import dataclasses
+import functools
 import importlib.util
 import os
 import signal
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -64,24 +64,14 @@ def test_benchmark_golden_trace(tmp_path):
     "workload,mode",
     [("learn-tall", "mle"), ("learn-tall", "bayes"), ("learn-wide", "bayes")],
 )
-def test_learn_matches_oracle(tmp_path, workload, mode):
+def test_learn_matches_oracle(tmp_path, run_python, workload, mode):
     inst = gen.generate(INSTANCES[workload], 1, workload)
     paths = gen.write(inst, tmp_path / "in")
     args = ["--graph", str(paths["graph"]), "--data", str(paths["data"])]
     if "prior" in paths:
         args += ["--prior", str(paths["prior"])]
     out = tmp_path / "out"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "cptforge", "learn", "--mode", mode, *args, "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = run_python("-m", "cptforge", "learn", "--mode", mode, *args, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     expected = {name: text.encode("utf-8")
                 for name, text in oracle.expected_tables(inst, mode).items()}
@@ -102,31 +92,30 @@ def test_learned_rows_are_slices_of_the_joint_update(tmp_path, network):
         assert prior
     for cpt in learn_bayes(table, graph, prior):
         family = table.marginal_counts(cpt.parents + (cpt.node,))
-        whole_prior = HyperParams(prior.get(cpt.node, (1,) * cpt.arity) * cpt.n_configs())
-        joint = batch_update(whole_prior, family).alphas
+        whole_prior = HyperParams(prior.get(cpt.node, (1,) * cpt.arity) * len(cpt.weights))
+        joint = batch_update(whole_prior, family).counts
         k = cpt.arity
         assert cpt.posteriors == tuple(
-            HyperParams(joint[i * k : (i + 1) * k]) for i in range(cpt.n_configs())
+            HyperParams(joint[i * k : (i + 1) * k]) for i in range(len(cpt.weights))
         )
 
 
-CHECKS = [check for checks in verify.SUITES.values() for check in checks]
+@functools.cache
+def results_at_seed_42():
+    """Every law's result at seed 42 and resolution 400, from one run."""
+    return verify.run_suite("all", seed=42)
 
 
-@pytest.mark.parametrize(
-    "check", [pytest.param(c, id=name) for name, c in zip(oracle.VERIFY_CHECKS, CHECKS)]
-)
-def test_each_law_passes_at_seed_42(request, check):
-    result = check(42, 400)
-    assert f"{result.suite}/{result.name}" == request.node.callspec.id
+@pytest.mark.parametrize("check", oracle.VERIFY_CHECKS)
+def test_each_law_passes_at_seed_42(check):
+    result = {f"{r.suite}/{r.name}": r for r in results_at_seed_42()}[check]
     assert result.passed, result.detail
 
 
 def test_verify_reports_exactly_the_pinned_checks():
     # The benchmark's oracle pins these names and their order; a check added,
     # renamed or moved must change the oracle in the same change.
-    results = verify.run_suite("all", seed=42)
-    assert tuple(f"{r.suite}/{r.name}" for r in results) == oracle.VERIFY_CHECKS
+    assert tuple(f"{r.suite}/{r.name}" for r in results_at_seed_42()) == oracle.VERIFY_CHECKS
 
 
 forks = pytest.mark.skipif(sys.platform != "linux", reason="run_suite forks only on Linux")

@@ -1,7 +1,5 @@
 import itertools
 import math
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -11,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cptforge.bayes import cont_validity, lift_predicate
-from cptforge.cli import max_resolution
 from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
     HyperParams,
@@ -37,6 +34,7 @@ from cptforge.dist import Predicate, validity
 from cptforge.finset import FinMap
 from cptforge.mle import mle
 from cptforge.verify import (
+    MAX_RESOLUTION,
     _all_hyperparams,
     _quadrature_tol,
     check_stoch_normalisation,
@@ -67,11 +65,11 @@ class TestHyperParams:
             HyperParams((1, 0))
 
     def test_increment(self):
-        assert HyperParams((2, 3)).increment(1).alphas == (2, 4)
+        assert HyperParams((2, 3)).increment(1).counts == (2, 4)
 
     def test_total_at_least_n(self):
         a = HyperParams((1, 1, 1))
-        assert a.total >= a.n
+        assert a.total() >= a.n
 
 
 class TestSimplexRows:
@@ -119,7 +117,7 @@ class TestDirichletPdf:
         alpha = HyperParams(tuple(a for a, _ in pairs))
         point = [F(w, sum(w for _, w in pairs)) for _, w in pairs]
         exact = dirichlet_normalizer(alpha) * math.prod(
-            x ** (a - 1) for x, a in zip(point, alpha.alphas)
+            x ** (a - 1) for x, a in zip(point, alpha.counts)
         )
         got = dirichlet_pdf_many(alpha, [[float(x) for x in point]])[0]
         assert got == pytest.approx(float(exact), rel=1e-13, abs=0)
@@ -202,7 +200,7 @@ class TestSimplexQuadrature:
             errs = normalisation_errors(alphas, res)
             for a, e in zip(alphas, errs):
                 want = abs(simplex_quadrature(lambda p: dirichlet_pdf_many(a, p), n, res) - 1)
-                assert abs(e - want) <= 1e-12, (a.alphas, res, e, want)
+                assert abs(e - want) <= 1e-12, (a.counts, res, e, want)
 
     def test_normalisation_memory_is_bounded_by_the_block(self):
         # The grids are built and cached first; what remains is the kernel's
@@ -238,10 +236,10 @@ class TestSimplexQuadrature:
                     got = simplex_quadrature(
                         lambda pts: pts[:, i] * dirichlet_pdf_many(alpha, pts), n, 5
                     )
-                    assert abs(got - float(F(counts[i], alpha.total))) <= tol, (counts, i)
+                    assert abs(got - float(F(counts[i], alpha.total()))) <= tol, (counts, i)
                 for vertex in itertools.product((0, 1), repeat=n):
                     p = Predicate(vertex)
-                    lhs = float(validity(mle(alpha.as_multiset()), p))
+                    lhs = float(validity(mle(alpha), p))
                     rhs = cont_validity(dirichlet_density(alpha), lift_predicate(p), 5)
                     assert abs(lhs - rhs) <= tol, (counts, vertex)
         assert check_stoch_normalisation(42, 5).passed
@@ -311,21 +309,16 @@ class TestSimplexCells:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_cli_resolution_stops_at_the_cap(self):
+    def test_cli_resolution_stops_at_the_cap(self, run_python):
         # density-normalisation builds the 3-outcome grid at twice --resolution.
-        largest = max_resolution()
-        assert simplex_cell_count(3, 2 * largest) <= MAX_QUADRATURE_CELLS
-        assert simplex_cell_count(3, 2 * largest + 2) > MAX_QUADRATURE_CELLS
-        for value in (largest + 1, 10**30):
-            proc = subprocess.run(
-                [sys.executable, "-m", "cptforge", "verify", "--suite", "stochastic",
-                 "--resolution", str(value)],
-                capture_output=True,
-                text=True,
-            )
+        assert simplex_cell_count(3, 2 * MAX_RESOLUTION) <= MAX_QUADRATURE_CELLS
+        assert simplex_cell_count(3, 2 * MAX_RESOLUTION + 2) > MAX_QUADRATURE_CELLS
+        for value in (MAX_RESOLUTION + 1, 10**30):
+            proc = run_python("-m", "cptforge", "verify", "--suite", "stochastic",
+                              "--resolution", str(value))
             assert proc.returncode == 2
             assert "Traceback" not in proc.stderr
-            assert f"--resolution: must be at most {largest}, got {value}" in proc.stderr
+            assert f"--resolution: must be at most {MAX_RESOLUTION}, got {value}" in proc.stderr
             assert str(MAX_QUADRATURE_CELLS) in proc.stderr
 
 
@@ -372,20 +365,20 @@ class TestDirichletMean:
         a = HyperParams((2, 1, 1))
         for i in range(3):
             got = simplex_quadrature(lambda pts: pts[:, i] * dirichlet_pdf_many(a, pts), 3, 400)
-            assert got == pytest.approx(float(F(a.alphas[i], a.total)), abs=1e-3)
+            assert got == pytest.approx(float(F(a[i], a.total())), abs=1e-3)
 
 
 class TestAggregateParams:
     def test_merge_first_two(self):
         h = FinMap((0, 0, 1), 2)
-        assert aggregate_params(h, HyperParams((2, 3, 4))).alphas == (5, 4)
+        assert aggregate_params(h, HyperParams((2, 3, 4))).counts == (5, 4)
 
     def test_identity(self):
         a = HyperParams((2, 3, 4))
         assert aggregate_params(FinMap.identity(3), a) == a
 
     def test_constant_map_gives_total(self):
-        assert aggregate_params(FinMap((0,) * 3, 1), HyperParams((2, 3, 4))).alphas == (9,)
+        assert aggregate_params(FinMap((0,) * 3, 1), HyperParams((2, 3, 4))).counts == (9,)
 
     def test_non_surjective_rejected(self):
         with pytest.raises(ValueError):

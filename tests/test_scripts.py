@@ -1,9 +1,6 @@
-"""Smoke test: each bundled script runs to completion against the package,
-and the demo's stdout is pinned."""
+"""Smoke test: each bundled script and the README's library tour run to
+completion against the package, and the demo's stdout is pinned."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,18 +17,15 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
     ids=["learn_blood_medicine.py", "quadrature_convergence.py", "local_audit_demo.py"],
 )
-def test_script_exits_cleanly(argv, expected):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+def test_script_exits_cleanly(run_python, argv, expected):
+    proc = run_python(str(ROOT / "scripts" / argv[0]), *argv[1:])
     assert proc.returncode == 0, proc.stderr
     if expected:  # a script whose stdout is pinned
         assert proc.stdout == (ROOT / "tests" / "expected" / expected).read_text(encoding="utf-8")
+
+
+def test_readme_library_tour_runs(run_python):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1]
+    proc = run_python("-c", tour.split("\n```", 1)[0])
+    assert proc.returncode == 0, proc.stderr
