@@ -165,6 +165,27 @@ class TestIngest:
         monkeypatch.setattr(network, "CHUNK_BYTES", 8)  # chunks that end inside lines
         assert ingest_counts(path, golden_graph).records == records
 
+    def test_row_order_does_not_matter(self, tmp_path, golden_graph, golden_data_csv):
+        lines = golden_data_csv.read_text(encoding="utf-8").strip().splitlines()
+        shuffled = [lines[0]] + lines[:0:-1]
+        path = tmp_path / "shuffled.csv"
+        path.write_text("\n".join(shuffled) + "\n", encoding="utf-8")
+        a = ingest_counts(golden_data_csv, golden_graph)
+        b = ingest_counts(path, golden_graph)
+        assert a == b
+
+    def test_concatenation_is_additive(self, tmp_path, golden_graph, golden_data_csv):
+        extra = "0,0,3\n1,2,2\n"
+        combined = tmp_path / "combined.csv"
+        combined.write_text(
+            golden_data_csv.read_text(encoding="utf-8") + extra, encoding="utf-8"
+        )
+        base = ingest_counts(golden_data_csv, golden_graph)
+        total = ingest_counts(combined, golden_graph)
+        for key, count in base.records.items():
+            bump = {(0, 0): 3, (1, 2): 2}.get(key, 0)
+            assert total.records[key] == count + bump
+
     @pytest.mark.parametrize(
         "row,message",
         [
