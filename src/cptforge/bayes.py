@@ -99,7 +99,7 @@ def cont_condition(density: SimplexDensity, q: LiftedPredicate) -> SimplexDensit
 
 def batch_update(alpha: HyperParams, data: Multiset) -> HyperParams:
     """Fold a batch of observed counts into the pseudo-counts: the multiset sum."""
-    return HyperParams((alpha + data).counts)
+    return alpha + data
 
 
 def validity_transfer_check(

@@ -19,7 +19,13 @@ constants and linear functions exactly (so the cell volumes add up to the
 exact simplex volume) and converges at second order for smooth integrands.
 A midpoint rule that simply drops the boundary cells would miss O(1/res)
 of mass concentrated near the boundary, which is not good enough for the
-1e-3 normalisation checks this package runs.
+1e-3 normalisation checks this package runs.  `simplex_cells` returns a
+whole grid, cached; `simplex_cell_blocks` yields the same cells as blocks
+of whole rows (cells sharing their first index), so a sum over the grid
+holds one block at a time.
+
+Sampling draws Dirichlet points from seeded Philox streams, one block of
+rows at a time, so the memory a draw takes is its result plus one block.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,9 +42,13 @@ from .dist import Dist
 from .finset import FinMap, Multiset, ms_map_full
 
 MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
-# Cap on the cells of one quadrature grid.  A grid at the cap holds up to
-# 84 MB of points and weights (n = 4), and building it peaks near 220 MB.
+# Cap on the cells of one quadrature grid.  A whole grid at the cap holds up
+# to 84 MB of points and weights (n = 4), and building it peaks near 220 MB;
+# streamed by simplex_cell_blocks, the cap bounds the work, not the memory.
 MAX_QUADRATURE_CELLS = 1 << 21
+# Exponentials per block of dirichlet_sample_many.  Blocks of 2^14 to 2^16
+# took the same time for 100k draws; the smallest adds the least memory.
+SAMPLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -174,15 +184,7 @@ def simplex_cell_count(n: int, resolution: int) -> int:
     return math.comb(resolution - 1 + n - 1, n - 1)
 
 
-def simplex_cells(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation points (N, n) and weights (N,) tiling the n-outcome simplex.
-
-    Weights are clipped cell volumes in the projected coordinates; points
-    are cell centroids completed with the implied last coordinate.  The
-    weights sum to the exact simplex volume 1/(n-1)!.  Grids are cached and
-    returned read-only; copy before mutating.  Raises ValueError, before
-    allocating anything, when the grid would exceed MAX_QUADRATURE_CELLS.
-    """
+def _check_grid(n: int, resolution: int) -> None:
     if not 1 <= n <= MAX_QUADRATURE_DIM:
         raise ValueError(f"supported dimensions are 1..{MAX_QUADRATURE_DIM}, got {n}")
     if resolution < 2:
@@ -193,28 +195,76 @@ def simplex_cells(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
             f"resolution {resolution} needs {cells} cells for {n} outcomes, "
             f"over the cap of {MAX_QUADRATURE_CELLS}"
         )
+
+
+def simplex_cells(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluation points (N, n) and weights (N,) tiling the n-outcome simplex.
+
+    Weights are clipped cell volumes in the projected coordinates; points
+    are cell centroids completed with the implied last coordinate.  The
+    weights sum to the exact simplex volume 1/(n-1)!.  Grids are cached and
+    returned read-only; copy before mutating.  Raises ValueError, before
+    allocating anything, when the grid would exceed MAX_QUADRATURE_CELLS.
+    """
+    _check_grid(n, resolution)
     return _cells_cached(n, resolution)
 
 
+# Whole grids, for simplex_quadrature's integrands; a kernel that only sums
+# over the grid streams it with simplex_cell_blocks and caches nothing.
 @lru_cache(maxsize=8)
 def _cells_cached(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    points, weights = _cell_block(n, resolution, 0, resolution)
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    return points, weights
+
+
+def simplex_cell_blocks(
+    n: int, resolution: int, max_cells: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """simplex_cells(n, resolution) as consecutive blocks of whole rows.
+
+    A row is the cells that share their first index.  Each block holds as
+    many rows as fit in max_cells, or a single row that alone is larger.
+    Concatenated, the blocks are exactly simplex_cells' points and weights.
+    Blocks are built as they are consumed and are not cached.  The grid's
+    cell cap is checked on the call, before anything is allocated, with
+    simplex_cells' message.
+    """
+    _check_grid(n, resolution)
+    # Cells per row; the one-outcome grid is one row of one cell.
+    sizes = [1] if n == 1 else [simplex_cell_count(n - 1, resolution - i)
+                                for i in range(resolution)]
+    bounds = []
+    lo, cells = 0, 0
+    for row, size in enumerate(sizes):
+        if row > lo and cells + size > max_cells:
+            bounds.append((lo, row))
+            lo, cells = row, 0
+        cells += size
+    bounds.append((lo, row + 1))
+    return (_cell_block(n, resolution, lo, hi) for lo, hi in bounds)
+
+
+def _cell_block(n: int, res: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the cells whose first index is in lo..hi-1, in
+    grid order (for n = 1, the grid's single cell, whatever lo and hi)."""
     d = n - 1
-    res = resolution
 
     # Extend each cell, one projected coordinate at a time, with every next
     # index k such that the indices still sum to at most res-1.
-    cells = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(d):
+    cells = np.arange(lo, hi, dtype=np.int64)[:, None] if d else np.zeros((1, 0), np.int64)
+    for _ in range(d - 1):
         counts = res - cells.sum(axis=1)
         base = np.repeat(cells, counts, axis=0)
         ends = np.cumsum(counts)
         k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
         cells = np.column_stack([base, k])
 
-    # Allocate the cached results before the temporaries, fill them in place
-    # and free each temporary once it is used: the build peaks at about 2.6
-    # times the grid it returns, and later checks reuse the freed memory
-    # instead of growing the process.
+    # Allocate the results before the temporaries, fill them in place and
+    # free each temporary once it is used: the build peaks at about 2.6
+    # times the block it returns.
     points = np.empty((len(cells), n))
     weights = np.ones(len(cells))
     slack = res - cells.sum(axis=1)
@@ -230,8 +280,6 @@ def _cells_cached(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
         points[:, i] = (cells[:, i] + offsets) / res
     del cells, offsets
     points[:, d] = 1.0 - points[:, :d].sum(axis=1)
-    points.flags.writeable = False
-    weights.flags.writeable = False
     return points, weights
 
 
@@ -263,14 +311,22 @@ def dirichlet_sample_many(
 
     Each coordinate's Gamma variate with integer shape a_i is drawn as the
     sum of a_i independent standard exponentials, which is exact for
-    integer shapes; the row is then normalised by its sum.
+    integer shapes; the row is then normalised by its sum.  The
+    exponentials are drawn in blocks of whole rows, at most SAMPLE_BLOCK
+    values each (one row if it alone is longer).  The generator fills them
+    in order, so the draws are those of one (size, total) block.
     """
     if size < 1:
         raise ValueError("need at least one draw")
-    exps = rng.standard_exponential((size, alpha.total()))
+    total = alpha.total()
     starts = np.cumsum((0,) + alpha.counts)[:-1]
-    gammas = np.add.reduceat(exps, starts, axis=1)
-    return gammas / gammas.sum(axis=1, keepdims=True)
+    step = max(1, SAMPLE_BLOCK // total)
+    out = np.empty((size, alpha.n))
+    for lo in range(0, size, step):
+        exps = rng.standard_exponential((min(step, size - lo), total))
+        gammas = np.add.reduceat(exps, starts, axis=1)
+        np.divide(gammas, gammas.sum(axis=1, keepdims=True), out=out[lo : lo + step])
+    return out
 
 
 def dirichlet_mean(alpha: HyperParams) -> Dist:

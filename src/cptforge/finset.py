@@ -108,9 +108,10 @@ class Multiset:
         return self.counts[i]
 
     def __add__(self, other: Multiset) -> Multiset:
+        """The sum, of self's type: pseudo-counts plus data are pseudo-counts."""
         if other.n != self.n:
             raise ValueError("size mismatch in multiset sum")
-        return Multiset(tuple(a + b for a, b in zip(self.counts, other.counts)))
+        return type(self)(tuple(a + b for a, b in zip(self.counts, other.counts)))
 
 
 def ms_map(h: FinMap, phi: Multiset) -> Multiset:

@@ -64,7 +64,7 @@ from .dirichlet import (
     make_rng,
     one_sum_check,
     push_coords,
-    simplex_cells,
+    simplex_cell_blocks,
     simplex_quadrature,
     substreams,
 )
@@ -105,14 +105,18 @@ def law(suite: str, name: str) -> Callable[[Callable[[int, int], tuple[bool, str
 
     The decorated check takes ``(seed, resolution)`` and returns
     ``(passed, detail)``; the registered function returns the CheckResult,
-    timed.
+    timed.  A check that raises an Exception fails, with ``raised
+    <type>: <message>`` as its detail, and the checks after it still run.
     """
 
     def register(check: Callable[[int, int], tuple[bool, str]]) -> Check:
         @functools.wraps(check)
         def run(seed: int, resolution: int) -> CheckResult:
             start = time.perf_counter()
-            passed, detail = check(seed, resolution)
+            try:
+                passed, detail = check(seed, resolution)
+            except Exception as exc:
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             return CheckResult(suite, name, bool(passed), detail, time.perf_counter() - start)
 
         SUITES.setdefault(suite, []).append(run)
@@ -481,10 +485,11 @@ def check_exact_posterior_mean(seed: int, resolution: int) -> tuple[bool, str]:
 # Stochastic suite (binary64, stated tolerances, seeded streams).
 
 ERROR_FLOOR = 1e-9  # below this, quadrature error is floating-point noise
-# Grid points per block in normalisation_errors: bounds its (groups x block)
-# temporaries at any resolution, to about 15 MB for the 55 groups of
-# density-normalisation's three-outcome vectors.
-NORMALISATION_BLOCK = 1 << 14
+# Grid cells per block in normalisation_errors (a block is one row if that is
+# longer): bounds its (groups x block) temporaries at any resolution, to about
+# 2 MiB for the 55 groups of density-normalisation's three-outcome vectors.
+# Blocks of 2^10 and 2^11 cells ran fastest; 2^14 was slower by a quarter.
+NORMALISATION_BLOCK = 1 << 11
 
 
 def _power_table(x: np.ndarray, top: int) -> np.ndarray:
@@ -503,12 +508,13 @@ def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarr
     dirichlet_normalizer(alpha) times the monomial prod_i x_i**(alpha_i - 1),
     so its integral is that constant times one monomial moment of the cell
     rule.  Per dimension, the exponent vectors are grouped by all but their
-    last exponent.  Over each block of NORMALISATION_BLOCK grid points, the
-    weighted monomials of the groups' leading exponents (one row per group)
-    times the table of last-coordinate powers adds every needed moment of
-    the block in one matmul.  Powers come from repeated multiplication, so
-    no exp, log or pow is evaluated per point, and every temporary is
-    bounded by the block.
+    last exponent.  The grid is streamed in simplex_cell_blocks of at most
+    NORMALISATION_BLOCK cells and is neither held whole nor cached.  Over
+    each block, the weighted monomials of the groups' leading exponents (one
+    row per group) times the table of last-coordinate powers adds every
+    needed moment of the block in one matmul.  Powers come from repeated
+    multiplication, so no exp, log or pow is evaluated per point, and every
+    temporary is bounded by the block, whatever the resolution.
     """
     errors = np.empty(len(alphas))
     for n in sorted({a.n for a in alphas}):
@@ -518,14 +524,12 @@ def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarr
         rows = [groups.setdefault(tuple(e[:-1]), len(groups)) for e in exps]
         leading = np.array(list(groups), dtype=np.int64).reshape(len(groups), n - 1)
         tops = exps.max(axis=0)
-        points, weights = simplex_cells(n, resolution)
         moments = np.zeros((len(groups), tops[-1] + 1))
-        for start in range(0, len(points), NORMALISATION_BLOCK):
-            block = slice(start, start + NORMALISATION_BLOCK)
-            monomials = np.repeat(weights[None, block], len(groups), axis=0)
+        for points, weights in simplex_cell_blocks(n, resolution, NORMALISATION_BLOCK):
+            monomials = np.repeat(weights[None], len(groups), axis=0)
             for i in range(n - 1):
-                monomials *= _power_table(points[block, i], tops[i])[leading[:, i]]
-            moments += monomials @ _power_table(points[block, -1], tops[-1]).T
+                monomials *= _power_table(points[:, i], tops[i])[leading[:, i]]
+            moments += monomials @ _power_table(points[:, -1], tops[-1]).T
         norms = np.array([float(dirichlet_normalizer(alphas[k])) for k in idx])
         errors[idx] = np.abs(moments[rows, exps[:, -1]] * norms - 1.0)
     return errors
@@ -549,7 +553,7 @@ def check_stoch_quadrature_basics(seed: int, resolution: int) -> tuple[bool, str
 
 # The --resolution range is set by density-normalisation.  Below 5 its errors
 # need not shrink when the grid doubles (the rule is not yet in its
-# second-order regime).  It builds the 3-outcome grid at twice the
+# second-order regime).  It sums over the 3-outcome grid at twice the
 # resolution, r * (2r + 1) cells at resolution r, within MAX_QUADRATURE_CELLS.
 MIN_RESOLUTION = 5
 MAX_RESOLUTION = (math.isqrt(8 * MAX_QUADRATURE_CELLS + 1) - 1) // 4
@@ -774,7 +778,8 @@ def check_stoch_local_audit(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 # The suite `run_suite("all")` hands to a forked child.  It is the numpy
-# half: its checks share the `_cells_cached` grids, so it is not split further.
+# half: its quadrature checks share the `_cells_cached` grids, so it is not
+# split further.
 FORKED_SUITE = "stochastic"
 
 

@@ -138,6 +138,11 @@ class TestBatchUpdate:
         got = batch_update(HyperParams((1, 1, 1)), Multiset((10, 5, 5)))
         assert got.counts == (11, 6, 6)
 
+    def test_pseudo_counts_plus_data_are_pseudo_counts(self):
+        # The multiset sum keeps the prior's type, so no re-wrapping is needed.
+        assert type(HyperParams((1, 2)) + Multiset((0, 3))) is HyperParams
+        assert batch_update(HyperParams((1, 1)), Multiset((4, 0))) == HyperParams((5, 1))
+
     def test_zero_data_is_identity(self):
         a = HyperParams((2, 3))
         assert batch_update(a, Multiset((0, 0))) == a

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from cptforge import verify
+from cptforge import cli, verify
 from cptforge.bayes import batch_update
 from cptforge.dirichlet import HyperParams
 from cptforge.network import GraphSpec, ingest_counts, learn_bayes, load_prior
@@ -137,17 +137,28 @@ def test_forked_all_equals_the_suites_run_one_by_one():
 
 
 @forks
-def test_check_raising_in_the_child_raises_its_traceback(monkeypatch):
+def test_check_raising_in_the_child_is_a_fail(monkeypatch, capsys):
+    # A law that raises fails with what it raised, in process and in the
+    # forked child; every other law still runs and reports as before.
+    args = ["verify", "--suite", "all", "--resolution", "50"]
+    assert cli.main(args) == 0
+    want = capsys.readouterr().out.splitlines()
+
     def refuse(points):
         raise ValueError("split refused")
 
     monkeypatch.setattr(verify, "split", refuse)
-    with pytest.raises(RuntimeError) as exc:
-        verify.run_suite("all", resolution=50)
-    message = str(exc.value)
-    assert message.startswith("the stochastic suite raised in its child process:\nTraceback")
-    assert "in check_stoch_split_roundtrip" in message
-    assert message.endswith("ValueError: split refused\n")
+    failed = verify.CheckResult("stochastic", "split-round-trip", False,
+                                "raised ValueError: split refused", 0.0)
+    assert failed in verify.run_suite("stochastic", 42, 50)
+    assert cli.main(args) == 1
+    at = next(i for i, line in enumerate(want) if "stochastic/split-round-trip:" in line)
+    assert capsys.readouterr().out.splitlines() == [
+        *want[:at],
+        "[FAIL] stochastic/split-round-trip: raised ValueError: split refused",
+        *want[at + 1 : -1],
+        "SUMMARY: 30 passed, 1 failed (suite=all, seed=42, resolution=50)",
+    ]
     assert_no_child_left()
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from cptforge.bayes import cont_validity, lift_predicate
 from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
+    SAMPLE_BLOCK,
     HyperParams,
     _cells_cached,
     aggregate_params,
@@ -25,6 +27,7 @@ from cptforge.dirichlet import (
     make_rng,
     one_sum_check,
     push_coords,
+    simplex_cell_blocks,
     simplex_cell_count,
     simplex_cells,
     simplex_quadrature,
@@ -35,6 +38,7 @@ from cptforge.finset import FinMap
 from cptforge.mle import mle
 from cptforge.verify import (
     MAX_RESOLUTION,
+    NORMALISATION_BLOCK,
     _all_hyperparams,
     _quadrature_tol,
     check_stoch_normalisation,
@@ -203,17 +207,19 @@ class TestSimplexQuadrature:
                 assert abs(e - want) <= 1e-12, (a.counts, res, e, want)
 
     def test_normalisation_memory_is_bounded_by_the_block(self):
-        # The grids are built and cached first; what remains is the kernel's
-        # per-block temporaries.  The exp/log kernel peaked at 55 MiB here.
+        # Cold, so each grid block is built inside the measurement.  With the
+        # whole grids built and cached, the peak was 24.9 MiB at resolution
+        # 800 and 162 MiB at 2 * MAX_RESOLUTION.
         alphas = _all_hyperparams(3, 12)
-        normalisation_errors(alphas, 800)
-        tracemalloc.start()
-        try:
-            normalisation_errors(alphas, 800)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 << 20
+        for resolution in (800, 2 * MAX_RESOLUTION):
+            _cells_cached.cache_clear()
+            tracemalloc.start()
+            try:
+                normalisation_errors(alphas, resolution)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, resolution
 
     def test_normalisation_detail_at_resolution_400(self):
         result = check_stoch_normalisation(42, 400)
@@ -298,12 +304,27 @@ class TestSimplexCells:
             tracemalloc.stop()
         assert peak < 28e6
 
+    @pytest.mark.parametrize("n,res", [(n, res) for n in (1, 2, 3, 4) for res in (2, 23, 40, 400)
+                                       if simplex_cell_count(n, res) <= MAX_QUADRATURE_CELLS])
+    def test_blocks_concatenate_to_the_grid(self, n, res):
+        points, weights = simplex_cells(n, res)
+        row = simplex_cell_count(n - 1, res) if n > 1 else 1
+        for cap in (1, 7, row, NORMALISATION_BLOCK, len(points) + 1):
+            blocks = list(simplex_cell_blocks(n, res, cap))
+            assert np.array_equal(np.concatenate([p for p, _ in blocks]), points)
+            assert np.array_equal(np.concatenate([w for _, w in blocks]), weights)
+            for p, _ in blocks:  # over the cap only as a single row: one first index
+                assert len(p) <= cap or len(np.unique(np.floor(p[:, 0] * res))) == 1
+
     @pytest.mark.parametrize("n,res", [(2, MAX_QUADRATURE_CELLS + 1), (3, 10**6), (4, 10**30)])
     def test_cell_cap_fires_before_allocation(self, n, res):
+        message = rf"needs \d+ cells .*cap of {MAX_QUADRATURE_CELLS}"
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=rf"needs \d+ cells .*cap of {MAX_QUADRATURE_CELLS}"):
+            with pytest.raises(ValueError, match=message):
                 simplex_cells(n, res)
+            with pytest.raises(ValueError, match=message):
+                simplex_cell_blocks(n, res, NORMALISATION_BLOCK)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -335,6 +356,32 @@ class TestDirichletSampler:
         assert np.array_equal(xs, ys)
         x = dirichlet_sample_many(a, 1, make_rng(5))
         assert np.array_equal(x, dirichlet_sample_many(a, 1, make_rng(5)))
+
+    @pytest.mark.parametrize("total", range(1, 14))
+    def test_blocks_replay_the_one_shot_draw(self, total):
+        def one_shot(alpha, size, rng):
+            exps = rng.standard_exponential((size, alpha.total()))
+            gammas = np.add.reduceat(exps, np.cumsum((0,) + alpha.counts)[:-1], axis=1)
+            return gammas / gammas.sum(axis=1, keepdims=True)
+
+        cuts = sorted(random.Random(total).sample(range(1, total), min(total - 1, 4)))
+        alpha = HyperParams(tuple(b - a for a, b in zip((0, *cuts), (*cuts, total))))
+        rows = SAMPLE_BLOCK // total
+        for size in sorted({1, rows - 1, rows, rows + 1, 100_000}):
+            rng, ref = make_rng(size), make_rng(size)
+            xs = dirichlet_sample_many(alpha, size, rng)
+            assert np.array_equal(xs, one_shot(alpha, size, ref))
+            assert rng.standard_exponential(3).tolist() == ref.standard_exponential(3).tolist()
+
+    def test_peak_is_the_result_plus_a_block(self):
+        # Drawing all 100k x 13 exponentials at once peaked at 19.1 MiB.
+        tracemalloc.start()
+        try:
+            xs = dirichlet_sample_many(HyperParams((2, 2, 5, 1, 3)), 100_000, make_rng(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < xs.nbytes + (2 << 20)
 
     def test_single_draw_is_valid_point(self):
         x = dirichlet_sample_many(HyperParams((2, 5)), 1, make_rng(0))

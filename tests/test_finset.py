@@ -69,6 +69,10 @@ class TestMultiset:
     def test_total(self):
         assert Multiset((10, 35, 25, 5, 10, 15)).total() == 100
 
+    def test_sum_of_multisets_is_a_multiset(self):
+        total = Multiset((1, 0)) + Multiset((2, 3))
+        assert type(total) is Multiset and total.counts == (3, 3)
+
 
 class TestMsMap:
     def test_first_projection_gives_row_totals(self):
