@@ -6,12 +6,16 @@ Two subcommands:
   [--prior ones|FILE]`` reads a graph and a count CSV and writes one table
   CSV per node into DIR.
 * ``cpt-forge verify --suite {golden|exact|stochastic|all} [--seed N]
-  [--resolution N]`` runs the law suites and reports one PASS/FAIL line
-  per check; N is verify.MIN_RESOLUTION..verify.MAX_RESOLUTION (5..1023),
-  bounds set by the density-normalisation law, and each
-  quadrature law's tolerance, 1e-3 at N = 400, scales as 1/N**2 up to a
-  cap of 0.5.  On Linux, ``--suite all`` runs the stochastic suite in a
-  forked child beside the other two; its output is the same.
+  [--resolution N] [--json]`` runs the law suites and reports one PASS/FAIL
+  line per check, then a SUMMARY line; N is
+  verify.MIN_RESOLUTION..verify.MAX_RESOLUTION (5..1023), bounds set by the
+  density-normalisation law, and each quadrature law's tolerance, 1e-3 at
+  N = 400, scales as 1/N**2 up to a cap of 0.5.  ``--json`` prints, in
+  place of those lines, one JSON object per check, one per line: its
+  ``suite``, ``name``, ``passed``, ``detail`` and ``seconds``.  On Linux,
+  ``--suite all`` runs the stochastic suite, less
+  ``verify.PARENT_CHECKS``, in a forked child beside the other checks; its
+  output is the same.
 
 Exit codes: 0 success, 1 verification failure, 2 input error or a standard
 output closed before the report was written.
@@ -93,6 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         required=True)
     verify.add_argument("--seed", type=seed, default=42)
     verify.add_argument("--resolution", type=resolution, default=400)
+    verify.add_argument("--json", action="store_true",
+                        help="print one JSON object per check (suite, name, passed, "
+                        "detail, seconds) in place of the text lines")
     return parser
 
 
@@ -124,14 +131,21 @@ def _run_verify(args: argparse.Namespace) -> int:
     from .verify import run_suite
 
     results = run_suite(args.suite, seed=args.seed, resolution=args.resolution)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.suite}/{r.name}: {r.detail}")
     failed = sum(1 for r in results if not r.passed)
-    print(
-        f"SUMMARY: {len(results) - failed} passed, {failed} failed "
-        f"(suite={args.suite}, seed={args.seed}, resolution={args.resolution})"
-    )
+    if args.json:
+        import dataclasses
+        import json
+
+        for r in results:
+            print(json.dumps(dataclasses.asdict(r)))
+    else:
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"[{status}] {r.suite}/{r.name}: {r.detail}")
+        print(
+            f"SUMMARY: {len(results) - failed} passed, {failed} failed "
+            f"(suite={args.suite}, seed={args.seed}, resolution={args.resolution})"
+        )
     return 1 if failed else 0
 
 

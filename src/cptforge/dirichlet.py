@@ -25,7 +25,11 @@ of whole rows (cells sharing their first index), so a sum over the grid
 holds one block at a time.
 
 Sampling draws Dirichlet points from seeded Philox streams, one block of
-rows at a time, so the memory a draw takes is its result plus one block.
+rows at a time: `dirichlet_sample_blocks` yields the blocks as it draws
+them, and `dirichlet_sample_many` writes them into one result, so it takes
+its result plus one block.  A law that needs only sums of its draws feeds
+the blocks to `Moments`, which merges count, mean and central sums block by
+block, and holds no whole sample.
 """
 
 from __future__ import annotations
@@ -46,8 +50,10 @@ MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
 # to 84 MB of points and weights (n = 4), and building it peaks near 220 MB;
 # streamed by simplex_cell_blocks, the cap bounds the work, not the memory.
 MAX_QUADRATURE_CELLS = 1 << 21
-# Exponentials per block of dirichlet_sample_many.  Blocks of 2^14 to 2^16
-# took the same time for 100k draws; the smallest adds the least memory.
+# Exponentials per block of dirichlet_sample_blocks.  Blocks of 2^14 to 2^16
+# took the same time for 100k draws; the smallest adds the least memory, and
+# the sampling laws, which stream their blocks, peak lower with it (a 2^16
+# block raised verify-all's peak RSS from 38.7 to 41.0 MB).
 SAMPLE_BLOCK = 1 << 14
 
 
@@ -304,29 +310,100 @@ def substreams(seed: int, k: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
-def dirichlet_sample_many(
+def dirichlet_sample_blocks(
     alpha: HyperParams, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(size, n) array of Dirichlet(alpha) draws.
+) -> Iterator[np.ndarray]:
+    """size Dirichlet(alpha) draws, as consecutive (rows, n) blocks.
 
     Each coordinate's Gamma variate with integer shape a_i is drawn as the
     sum of a_i independent standard exponentials, which is exact for
-    integer shapes; the row is then normalised by its sum.  The
-    exponentials are drawn in blocks of whole rows, at most SAMPLE_BLOCK
-    values each (one row if it alone is longer).  The generator fills them
-    in order, so the draws are those of one (size, total) block.
+    integer shapes; the row is then normalised by its sum.  A block holds
+    as many whole rows as fit in SAMPLE_BLOCK exponentials (one row if it
+    alone is longer).  The generator fills the blocks in order as they are
+    consumed, so together they are the draws of one (size, total) block of
+    exponentials.  Raises ValueError on the call when size < 1.
     """
     if size < 1:
         raise ValueError("need at least one draw")
     total = alpha.total()
     starts = np.cumsum((0,) + alpha.counts)[:-1]
     step = max(1, SAMPLE_BLOCK // total)
+
+    def block(rows: int) -> np.ndarray:
+        gammas = np.add.reduceat(rng.standard_exponential((rows, total)), starts, axis=1)
+        return gammas / gammas.sum(axis=1, keepdims=True)
+
+    return (block(min(step, size - lo)) for lo in range(0, size, step))
+
+
+def dirichlet_sample_many(
+    alpha: HyperParams, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(size, n) array of Dirichlet(alpha) draws: the dirichlet_sample_blocks
+    written into one preallocated result."""
+    blocks = dirichlet_sample_blocks(alpha, size, rng)
     out = np.empty((size, alpha.n))
-    for lo in range(0, size, step):
-        exps = rng.standard_exponential((min(step, size - lo), total))
-        gammas = np.add.reduceat(exps, starts, axis=1)
-        np.divide(gammas, gammas.sum(axis=1, keepdims=True), out=out[lo : lo + step])
+    lo = 0
+    for block in blocks:
+        out[lo : lo + len(block)] = block
+        lo += len(block)
     return out
+
+
+class Moments:
+    """Count, mean and central sums of each column of a stream of row blocks.
+
+    `add` merges one (rows, k) block at a time, so a statistic over many
+    draws holds one block, never the whole sample.  `sums[p - 2]` is the
+    central sum M_p = sum over rows of (x - mean)**p, for p = 2..order.  A
+    block's own sums are taken about its own mean (two passes over the
+    block) and merged by Pebay's pairwise update ("Formulas for robust,
+    one-pass parallel computation of covariances and arbitrary-order
+    statistical moments", Sandia 2008), which for M2 is the update of Chan,
+    Golub & LeVeque (1979).  The sums are additive over any split of the
+    rows, up to rounding.
+    """
+
+    def __init__(self, order: int = 2):
+        if order < 2:
+            raise ValueError(f"order must be at least 2, got {order}")
+        self.order = order
+        self.count = 0
+        self.mean: np.ndarray | float = 0.0
+        self.sums: list[np.ndarray | float] = [0.0] * (order - 1)
+
+    def add(self, block: np.ndarray) -> None:
+        """Merge the rows of a (rows, k) block into the statistics."""
+        nb = len(block)
+        if nb == 0:
+            return
+        mean_b = block.sum(axis=0) / nb
+        dev = block - mean_b
+        sums_b, power = [], dev
+        for _ in range(self.order - 1):
+            power = power * dev
+            sums_b.append(power.sum(axis=0))
+        na = self.count
+        if na == 0:
+            self.count, self.mean, self.sums = nb, mean_b, sums_b
+            return
+        n = na + nb
+        delta = mean_b - self.mean
+        # m[p] and mb[p] are M_p of the two parts, M_1 being 0.
+        m, mb = [0.0, 0.0, *self.sums], [0.0, 0.0, *sums_b]
+        merged = []
+        for p in range(2, self.order + 1):
+            scale = (na * nb / n) ** p * (1 / nb ** (p - 1) - (-1 / na) ** (p - 1))
+            s = m[p] + mb[p] + scale * delta**p
+            for k in range(1, p - 1):
+                s += math.comb(p, k) * delta**k * (
+                    (-nb / n) ** k * m[p - k] + (na / n) ** k * mb[p - k])
+            merged.append(s)
+        self.count, self.mean, self.sums = n, self.mean + delta * (nb / n), merged
+
+    def var(self) -> np.ndarray:
+        """The sample variance of each column (ddof = 1)."""
+        return self.sums[0] / (self.count - 1)
 
 
 def dirichlet_mean(alpha: HyperParams) -> Dist:

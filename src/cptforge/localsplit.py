@@ -15,7 +15,9 @@ by c-1 at the price of a constant (`shifted_prefactor`).  The audit below
 checks, by sampling, which local parameterisation the pushforward matches
 after one joint observation, and reports that constant: a pushforward of a
 probability measure has total mass 1, so a candidate scaled by a constant
-other than 1 cannot be correct as a measure.
+other than 1 cannot be correct as a measure.  It needs only the means and
+central moments of each component, so it streams the sampler's blocks into
+`dirichlet.Moments` and holds no whole sample.
 
 Points are (N, r, c) arrays; a pseudo-count table is a tuple of r row
 `HyperParams` of c entries each, the form of `LearnedCPT.posteriors`.
@@ -30,11 +32,12 @@ import numpy as np
 
 from .dirichlet import (
     HyperParams,
+    Moments,
     dirichlet_covariance,
     dirichlet_mean,
     dirichlet_normalizer,
     dirichlet_pdf_many,
-    dirichlet_sample_many,
+    dirichlet_sample_blocks,
     int_power,
     make_rng,
     simplex_rows,
@@ -176,16 +179,13 @@ class LocalUpdateAudit:
         return "\n".join(lines)
 
 
-def _component_stats(samples: np.ndarray) -> ComponentStats:
-    n = len(samples)
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    squares = centered**2
-    var = squares.sum(axis=0) / (n - 1)
-    m4 = (squares * squares).mean(axis=0)
+def _component_stats(moments: Moments) -> ComponentStats:
+    n = moments.count
+    var = moments.var()
+    m4 = moments.sums[2] / n
     se_mean = np.sqrt(var / n)
     se_var = np.sqrt(np.maximum(m4 - var**2, 0.0) / n)
-    return ComponentStats(tuple(mean), tuple(var), tuple(se_mean), tuple(se_var))
+    return ComponentStats(tuple(moments.mean), tuple(var), tuple(se_mean), tuple(se_var))
 
 
 def _fit_z(stats: ComponentStats, params: HyperParams) -> float:
@@ -211,7 +211,9 @@ def local_update_audit(
     Draws from the jointly updated Dirichlet (the cell's pseudo-count
     incremented), splits every draw into totals and row proportions, and
     compares the per-component means and variances against two candidate
-    local parameterisations:
+    local parameterisations.  The draws are consumed block by block into
+    per-component `Moments`, so the audit's memory is one sampler block
+    whatever `samples` is:
 
     * direct: totals pseudo-counts with the updated row incremented, the
       updated row incremented at the observed column, other rows unchanged;
@@ -230,12 +232,14 @@ def local_update_audit(
     if samples < 10_000:
         raise ValueError("need at least 10000 samples for a meaningful audit")
 
-    draws = dirichlet_sample_many(_joint(alpha_rows).increment(i * cols + j), samples,
-                                  make_rng(seed))
-    totals, shares = split(draws.reshape(samples, rows, cols))
-
-    empirical = {"totals": _component_stats(totals)}
-    empirical.update((f"row{k}", _component_stats(shares[:, k, :])) for k in range(rows))
+    moments = {name: Moments(order=4) for name in ["totals", *(f"row{k}" for k in range(rows))]}
+    for draws in dirichlet_sample_blocks(_joint(alpha_rows).increment(i * cols + j), samples,
+                                         make_rng(seed)):
+        totals, shares = split(draws.reshape(len(draws), rows, cols))
+        moments["totals"].add(totals)
+        for k in range(rows):
+            moments[f"row{k}"].add(shares[:, k, :])
+    empirical = {name: _component_stats(m) for name, m in moments.items()}
 
     updated_rows = list(alpha_rows)
     updated_rows[i] = alpha_rows[i].increment(j)

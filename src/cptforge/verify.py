@@ -21,10 +21,16 @@ and add ``"suite/name"`` at the same position in the benchmark oracle's
 ``VERIFY_CHECKS`` (``perfbench/oracle.py``), which pins that order.
 
 ``run_suite("all")`` on Linux runs the stochastic suite in a forked child
-while the parent runs ``golden`` and ``exact``: the halves share no state,
+while the parent runs ``golden``, ``exact`` and then ``PARENT_CHECKS``
+(surjective-naturality, which samples only): the halves share no state,
 and the exact half is pure-Python ``Fraction`` arithmetic that holds the
 GIL.  The results, and so the report, are the same as from one process.
 Each result carries the check's own time in ``seconds``.
+
+The sampling laws (surjective-naturality, sampler-moments and the
+local-update audit) need only sums of their draws, so they consume
+``dirichlet_sample_blocks`` block by block into ``dirichlet.Moments`` and
+histogram counts, and hold no whole sample.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import pickle
 import random as pyrandom
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -54,12 +60,14 @@ from .bayes import (
 from .dirichlet import (
     MAX_QUADRATURE_CELLS,
     HyperParams,
+    Moments,
     aggregate_params,
     dirichlet_covariance,
     dirichlet_density,
     dirichlet_mean,
     dirichlet_normalizer,
     dirichlet_pdf_many,
+    dirichlet_sample_blocks,
     dirichlet_sample_many,
     make_rng,
     one_sum_check,
@@ -618,34 +626,64 @@ def check_stoch_aggregation(seed: int, resolution: int) -> tuple[bool, str]:
     )
 
 
-def _max_z_between_samples(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest discrepancy, in standard errors, over a fixed test-function
-    panel: coordinates, squares, pairwise products, and 10-bin histograms."""
-    na, nb = len(a), len(b)
-    worst = 0.0
+HISTOGRAM_EDGES = np.linspace(0.0, 1.0, 11)
 
-    def compare(va: np.ndarray, vb: np.ndarray) -> float:
-        se = np.sqrt(va.var(ddof=1) / na + vb.var(ddof=1) / nb)
-        if se == 0:
-            return 0.0 if va.mean() == vb.mean() else np.inf
-        return abs(va.mean() - vb.mean()) / se
 
-    for k in range(a.shape[1]):
-        worst = max(worst, compare(a[:, k], b[:, k]))
-        worst = max(worst, compare(a[:, k] ** 2, b[:, k] ** 2))
-        for l in range(k + 1, a.shape[1]):
-            worst = max(worst, compare(a[:, k] * a[:, l], b[:, k] * b[:, l]))
+def histogram_counts(xs: np.ndarray) -> np.ndarray:
+    """(n, 10) counts of each column of an (N, n) array over HISTOGRAM_EDGES.
 
-    edges = np.linspace(0.0, 1.0, 11)
-    for k in range(a.shape[1]):
-        ha = np.histogram(a[:, k], edges)[0] / na
-        hb = np.histogram(b[:, k], edges)[0] / nb
-        pooled = (ha * na + hb * nb) / (na + nb)
-        for pa, pb, p in zip(ha, hb, pooled):
-            if p in (0.0, 1.0):
-                continue
-            se = np.sqrt(p * (1 - p) * (1 / na + 1 / nb))
-            worst = max(worst, abs(pa - pb) / se)
+    Row i is np.histogram(xs[:, i], HISTOGRAM_EDGES)[0]: a bin holds the
+    values from its left edge up to, not including, its right edge, the
+    last bin also holds 1.0, and values outside [0, 1] are not counted.
+    One searchsorted and one bincount serve every column (np.histogram
+    takes one call, and one sort, per column).
+    """
+    slots = len(HISTOGRAM_EDGES) + 1  # below 0, the 10 bins, above 1
+    index = np.searchsorted(HISTOGRAM_EDGES, xs, side="right")
+    index[xs == HISTOGRAM_EDGES[-1]] -= 1
+    index += slots * np.arange(xs.shape[1])
+    return np.bincount(index.ravel(), minlength=slots * xs.shape[1]).reshape(-1, slots)[:, 1:-1]
+
+
+def _panel(blocks: Iterable[np.ndarray]) -> tuple[Moments, np.ndarray]:
+    """The test-function panel of a sample streamed in (rows, n) blocks: the
+    Moments of its coordinates and of every product of two of them (squares
+    included, and x_k x_l twice, which changes no maximum), and the
+    histogram_counts of its coordinates, summed over the blocks."""
+    moments, counts = Moments(), 0
+    for xs in blocks:
+        # One contiguous row per statistic: Moments then sums contiguous memory.
+        n = xs.shape[1]
+        stats = np.empty((n + n * n, len(xs)))
+        cols = stats[:n]
+        cols[...] = xs.T
+        np.multiply(cols[:, None], cols, out=stats[n:].reshape(n, n, -1))
+        moments.add(stats.T)
+        counts = counts + histogram_counts(xs)
+    return moments, counts
+
+
+def _max_z_between_samples(
+    a_blocks: Iterable[np.ndarray], b_blocks: Iterable[np.ndarray]
+) -> float:
+    """Largest discrepancy, in standard errors, between two samples over a
+    fixed test-function panel: coordinates, squares, pairwise products, and
+    10-bin histograms.  Each sample arrives as an iterable of row blocks and
+    is reduced to its panel block by block, so neither is held whole."""
+    (a, ha), (b, hb) = _panel(a_blocks), _panel(b_blocks)
+    na, nb = a.count, b.count
+    gap = np.abs(a.mean - b.mean)
+    with np.errstate(divide="ignore", invalid="ignore"):  # se is 0 only if both are constant
+        z = np.where(gap == 0, 0.0, gap / np.sqrt(a.var() / na + b.var() / nb))
+    worst = float(z.max())
+
+    ha, hb = ha / na, hb / nb
+    pooled = (ha * na + hb * nb) / (na + nb)
+    for pa, pb, p in zip(ha.ravel(), hb.ravel(), pooled.ravel()):
+        if p in (0.0, 1.0):
+            continue
+        se = np.sqrt(p * (1 - p) * (1 / na + 1 / nb))
+        worst = max(worst, abs(pa - pb) / se)
     return worst
 
 
@@ -660,8 +698,8 @@ def check_stoch_surjective_naturality(seed: int, resolution: int) -> tuple[bool,
     worst = 0.0
     for idx, (alpha, h) in enumerate(cases):
         rng_a, rng_b = substreams(seed + 22 + idx, 2)
-        pushed = push_coords(h, dirichlet_sample_many(alpha, draws, rng_a))
-        direct = dirichlet_sample_many(aggregate_params(h, alpha), draws, rng_b)
+        pushed = (push_coords(h, xs) for xs in dirichlet_sample_blocks(alpha, draws, rng_a))
+        direct = dirichlet_sample_blocks(aggregate_params(h, alpha), draws, rng_b)
         z = _max_z_between_samples(pushed, direct)
         worst = max(worst, z)
         if z > 4.0:
@@ -673,20 +711,23 @@ def check_stoch_surjective_naturality(seed: int, resolution: int) -> tuple[bool,
 
 @law("stochastic", "sampler-moments")
 def check_stoch_sampler_moments(seed: int, resolution: int) -> tuple[bool, str]:
+    # Two passes over one replayed stream: the first takes the mean, the
+    # second the products of the draws centred on it.
     draws = 100_000
     alpha = HyperParams((2, 1, 1))
-    xs = dirichlet_sample_many(alpha, draws, make_rng(seed + 25))
-    mean = [float(p) for p in dirichlet_mean(alpha).probs]
+    first = Moments()
+    for xs in dirichlet_sample_blocks(alpha, draws, make_rng(seed + 25)):
+        first.add(xs)
+    pairs = [(i, j) for i in range(alpha.n) for j in range(i, alpha.n)]
+    products = Moments()
+    for xs in dirichlet_sample_blocks(alpha, draws, make_rng(seed + 25)):
+        centered = xs - first.mean
+        products.add(np.column_stack([centered[:, i] * centered[:, j] for i, j in pairs]))
     cov = dirichlet_covariance(alpha)
-    centered = xs - xs.mean(axis=0)
-    worst = 0.0
-    for i in range(alpha.n):
-        se = xs[:, i].std(ddof=1) / np.sqrt(draws)
-        worst = max(worst, abs(xs[:, i].mean() - mean[i]) / se)
-        for j in range(i, alpha.n):
-            prod = centered[:, i] * centered[:, j]
-            se = prod.std(ddof=1) / np.sqrt(draws)
-            worst = max(worst, abs(prod.mean() - float(cov[i][j])) / se)
+    want = [float(p) for p in dirichlet_mean(alpha).probs] + [float(cov[i][j]) for i, j in pairs]
+    got = np.concatenate([first.mean, products.mean])
+    se = np.sqrt(np.concatenate([first.var(), products.var()])) / np.sqrt(draws)
+    worst = float(np.max(np.abs(got - want) / se))
     ok = worst <= 4.0
     return ok, f"{draws} draws of Dir{alpha.counts}: moments within {worst:.2f} standard errors"
 
@@ -777,17 +818,20 @@ def check_stoch_local_audit(seed: int, resolution: int) -> tuple[bool, str]:
     )
 
 
-# The suite `run_suite("all")` hands to a forked child.  It is the numpy
-# half: its quadrature checks share the `_cells_cached` grids, so it is not
-# split further.
+# The suite `run_suite("all")` hands to a forked child, the numpy half: its
+# quadrature checks share the `_cells_cached` grids, so they run in one
+# process.  The checks of PARENT_CHECKS build no grid: they run in the
+# parent after `golden` and `exact`, which finish well before the child.
 FORKED_SUITE = "stochastic"
+PARENT_CHECKS = (check_stoch_surjective_naturality,)
 
 
 def run_suite(suite: str, seed: int = 42, resolution: int = 400) -> list[CheckResult]:
     """Run one suite (or ``all``) and return its results in a fixed order.
 
-    On Linux, ``all`` runs FORKED_SUITE in a forked child beside the other
-    suites; elsewhere, and for one suite, the checks run one after another.
+    On Linux, ``all`` runs FORKED_SUITE, less PARENT_CHECKS, in a forked
+    child beside the other checks; elsewhere, and for one suite, the checks
+    run one after another.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick {', '.join(SUITES)} or all")
@@ -798,7 +842,8 @@ def run_suite(suite: str, seed: int = 42, resolution: int = 400) -> list[CheckRe
 
 
 def _run_all_forked(seed: int, resolution: int) -> list[CheckResult]:
-    """Every suite, FORKED_SUITE in a forked child; results in SUITES order.
+    """Every check, FORKED_SUITE less PARENT_CHECKS in a forked child, the
+    rest in this process; results in SUITES order.
 
     The child sends its pickled results, or the text of what it raised,
     through a pipe and always leaves through ``os._exit``.  The child is
@@ -806,6 +851,8 @@ def _run_all_forked(seed: int, resolution: int) -> list[CheckResult]:
     interrupted, it is killed first.  ``gc.freeze`` before the fork keeps
     the collector from touching, and so copying, the pages both share.
     """
+    checks = [check for name in SUITES for check in SUITES[name]]
+    forked = [check in SUITES[FORKED_SUITE] and check not in PARENT_CHECKS for check in checks]
     for stream in (sys.stdout, sys.stderr):  # so no buffered text is written twice
         stream.flush()
     read_fd, write_fd = os.pipe()
@@ -822,7 +869,8 @@ def _run_all_forked(seed: int, resolution: int) -> list[CheckResult]:
         try:
             os.close(read_fd)
             try:
-                sent = (True, [check(seed, resolution) for check in SUITES[FORKED_SUITE]])
+                sent = (True, [check(seed, resolution)
+                               for check, child in zip(checks, forked) if child])
             except BaseException:
                 import traceback  # like `signal` below: needed on error paths only
 
@@ -835,8 +883,7 @@ def _run_all_forked(seed: int, resolution: int) -> list[CheckResult]:
     os.close(write_fd)
     with os.fdopen(read_fd, "rb") as pipe:
         try:
-            results = {name: [check(seed, resolution) for check in checks]
-                       for name, checks in SUITES.items() if name != FORKED_SUITE}
+            mine = [check(seed, resolution) for check, child in zip(checks, forked) if not child]
             received = pipe.read()
         except BaseException:
             import signal
@@ -853,5 +900,5 @@ def _run_all_forked(seed: int, resolution: int) -> list[CheckResult]:
     ok, sent = pickle.loads(received)
     if not ok:
         raise RuntimeError(f"the {FORKED_SUITE} suite raised in its child process:\n{sent}")
-    results[FORKED_SUITE] = sent
-    return [r for name in SUITES for r in results[name]]
+    theirs, mine = iter(sent), iter(mine)
+    return [next(theirs if child else mine) for child in forked]

@@ -10,6 +10,7 @@ are loaded read-only, by file.
 import dataclasses
 import functools
 import importlib.util
+import json
 import os
 import signal
 import sys
@@ -21,6 +22,7 @@ import pytest
 from cptforge import cli, verify
 from cptforge.bayes import batch_update
 from cptforge.dirichlet import HyperParams
+from cptforge.localsplit import unsplit
 from cptforge.network import GraphSpec, ingest_counts, learn_bayes, load_prior
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,6 +136,45 @@ def test_forked_all_equals_the_suites_run_one_by_one():
     assert results == [r for name in verify.SUITES for r in verify.run_suite(name, 3, 50)]
     assert all(r.seconds > 0 for r in results)
     assert_no_child_left()
+
+
+@forks
+def test_parent_checks_run_in_the_parent_in_suite_order(monkeypatch):
+    # A check of PARENT_CHECKS runs here, after `golden` and `exact`; the
+    # other stochastic checks run in the child; results keep SUITES order.
+    def check(name):
+        def run(seed, resolution):
+            ran.append((name, os.getpid()))
+            return verify.CheckResult("stochastic", name, True, "", 0.0)
+        return run
+
+    assert verify.PARENT_CHECKS == (verify.check_stoch_surjective_naturality,)
+    ran = []
+    before, here, after = check("before"), check("here"), check("after")
+    monkeypatch.setitem(verify.SUITES, "stochastic", [before, here, after])
+    monkeypatch.setattr(verify, "PARENT_CHECKS", (here,))
+    results = verify.run_suite("all", resolution=50)
+    assert [r.name for r in results[-3:]] == ["before", "here", "after"]
+    assert ran == [("here", os.getpid())]
+    assert_no_child_left()
+
+
+def test_verify_json_is_one_record_per_check(monkeypatch, capsys):
+    args = ["verify", "--suite", "all", "--resolution", "50"]
+    assert cli.main(args) == 0
+    text = capsys.readouterr().out.splitlines()[:-1]
+    assert cli.main([*args, "--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert tuple(f"{r['suite']}/{r['name']}" for r in records) == oracle.VERIFY_CHECKS
+    assert all(list(r) == ["suite", "name", "passed", "detail", "seconds"] for r in records)
+    assert [f"[PASS] {r['suite']}/{r['name']}: {r['detail']}" for r in records] == text
+    assert all(r["passed"] is True and r["seconds"] > 0 for r in records)
+
+    monkeypatch.setattr(verify, "unsplit", lambda *parts: unsplit(*parts) + 1.0)
+    assert cli.main([*args, "--json"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["name"] for r in records if not r["passed"]] == ["split-round-trip"]
+    assert len(records) == len(oracle.VERIFY_CHECKS)
 
 
 @forks

@@ -14,6 +14,7 @@ from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
     SAMPLE_BLOCK,
     HyperParams,
+    Moments,
     _cells_cached,
     aggregate_params,
     dirichlet_covariance,
@@ -21,6 +22,7 @@ from cptforge.dirichlet import (
     dirichlet_mean,
     dirichlet_normalizer,
     dirichlet_pdf_many,
+    dirichlet_sample_blocks,
     dirichlet_sample_many,
     gamma_nat,
     int_power,
@@ -35,13 +37,19 @@ from cptforge.dirichlet import (
 )
 from cptforge.dist import Predicate, validity
 from cptforge.finset import FinMap
+from cptforge.localsplit import local_update_audit
 from cptforge.mle import mle
 from cptforge.verify import (
+    HISTOGRAM_EDGES,
     MAX_RESOLUTION,
     NORMALISATION_BLOCK,
     _all_hyperparams,
+    _panel,
     _quadrature_tol,
+    check_stoch_local_audit,
     check_stoch_normalisation,
+    check_stoch_sampler_moments,
+    check_stoch_surjective_naturality,
     normalisation_errors,
 )
 
@@ -368,10 +376,15 @@ class TestDirichletSampler:
         alpha = HyperParams(tuple(b - a for a, b in zip((0, *cuts), (*cuts, total))))
         rows = SAMPLE_BLOCK // total
         for size in sorted({1, rows - 1, rows, rows + 1, 100_000}):
-            rng, ref = make_rng(size), make_rng(size)
+            rng, ref, streamed = make_rng(size), make_rng(size), make_rng(size)
             xs = dirichlet_sample_many(alpha, size, rng)
             assert np.array_equal(xs, one_shot(alpha, size, ref))
-            assert rng.standard_exponential(3).tolist() == ref.standard_exponential(3).tolist()
+            blocks = list(dirichlet_sample_blocks(alpha, size, streamed))
+            assert all(len(block) <= rows for block in blocks)
+            assert np.array_equal(np.concatenate(blocks), xs)
+            after = ref.standard_exponential(3).tolist()
+            for gen in (rng, streamed):
+                assert gen.standard_exponential(3).tolist() == after
 
     def test_peak_is_the_result_plus_a_block(self):
         # Drawing all 100k x 13 exponentials at once peaked at 19.1 MiB.
@@ -382,6 +395,20 @@ class TestDirichletSampler:
         finally:
             tracemalloc.stop()
         assert peak < xs.nbytes + (2 << 20)
+
+    def test_blocks_are_drawn_as_they_are_consumed(self):
+        rng = make_rng(8)
+
+        def counter():
+            return rng.bit_generator.state["state"]["counter"].tolist()
+
+        start = counter()
+        blocks = dirichlet_sample_blocks(HyperParams((1, 1)), 100_000, rng)
+        assert counter() == start
+        next(blocks)
+        assert counter() != start
+        with pytest.raises(ValueError, match="need at least one draw"):
+            dirichlet_sample_blocks(HyperParams((1, 1)), 0, rng)
 
     def test_single_draw_is_valid_point(self):
         x = dirichlet_sample_many(HyperParams((2, 5)), 1, make_rng(0))
@@ -399,6 +426,80 @@ class TestDirichletSampler:
                 prods = centered[:, i] * centered[:, j]
                 se = prods.std(ddof=1) / math.sqrt(draws)
                 assert abs(prods.mean() - float(cov[i][j])) <= 4 * se
+
+
+def cut(xs, sizes):
+    """xs in consecutive row blocks of the given sizes, cycled."""
+    lo, k = 0, 0
+    while lo < len(xs):
+        yield xs[lo : lo + sizes[k % len(sizes)]]
+        lo, k = lo + sizes[k % len(sizes)], k + 1
+
+
+class TestStreamedStatistics:
+    @pytest.mark.parametrize("sizes", [[1], [1, 7, 1000, 2], [SAMPLE_BLOCK // 5], [100_000]],
+                             ids=["1-row", "uneven", "sampler-blocks", "single-block"])
+    def test_moments_match_the_two_pass_values(self, sizes):
+        xs = dirichlet_sample_many(HyperParams((2, 2, 5, 1, 3)), 100_000, make_rng(3))
+        panel = np.column_stack([xs, xs**2, xs[:, 0] * xs[:, 1]])
+        moments = Moments(order=4)
+        for block in cut(panel, sizes):
+            moments.add(block)
+        centered = panel - panel.mean(axis=0)
+        assert moments.count == len(panel)
+        for got, want in [(moments.mean, panel.mean(axis=0)),
+                          (moments.var(), panel.var(axis=0, ddof=1)),
+                          (moments.sums[2] / len(panel), (centered**4).mean(axis=0))]:
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_order_two_keeps_only_the_second_sum(self):
+        moments = Moments()
+        moments.add(np.array([[0.0], [2.0]]))
+        moments.add(np.array([[4.0]]))
+        assert moments.count == 3 and len(moments.sums) == 1
+        assert moments.mean.tolist() == [2.0] and moments.var().tolist() == [4.0]
+        with pytest.raises(ValueError, match="order must be at least 2"):
+            Moments(order=1)
+
+    def test_streamed_panel_equals_the_whole_sample(self):
+        xs = dirichlet_sample_many(HyperParams((1, 2, 1)), 20_000, make_rng(6))
+        xs[:50, 0] = HISTOGRAM_EDGES[np.arange(50) % 11]  # every edge, 1.0 among them
+        xs[50:58, 1] = [0.0, 1.0, 0.1, 0.3, 0.7, 0.9, np.nextafter(1.0, 2.0), -1e-300]
+        stats = np.column_stack([xs, *(xs[:, k] * xs[:, l] for k in range(3) for l in range(3))])
+        counts = np.array([np.histogram(xs[:, i], HISTOGRAM_EDGES)[0] for i in range(3)])
+        for sizes in ([1], [7, 1000, 2], [len(xs)]):
+            moments, got = _panel(cut(xs, sizes))
+            assert np.array_equal(got, counts)
+            for got, want in [(moments.mean, stats.mean(axis=0)),
+                              (moments.var(), stats.var(axis=0, ddof=1))]:
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("law", [check_stoch_surjective_naturality,
+                                     check_stoch_sampler_moments, check_stoch_local_audit],
+                             ids=lambda law: law.__name__)
+    def test_sampling_laws_hold_no_whole_sample(self, law):
+        # Holding each 100k-draw sample whole, the three laws peaked at 9.9,
+        # 6.1 and 17.6 MiB.  None of them builds a quadrature grid.
+        _cells_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            assert law(1, 400).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert _cells_cached.cache_info().currsize == 0
+
+    def test_audit_memory_does_not_grow_with_the_samples(self):
+        # Holding the draws whole, 10^6 samples peaked at 175.5 MiB.
+        tracemalloc.start()
+        try:
+            audit = local_update_audit((HyperParams((1, 1, 1)),) * 2, (0, 2), samples=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert audit.matching_candidates == ("direct",)
+        assert peak < 2 << 20
 
 
 class TestDirichletMean:

@@ -168,11 +168,6 @@ class TestStateTransform:
 
 
 class TestDisintegrate:
-    def test_worked_example(self):
-        first, channel = disintegrate(GOLDEN_JOINT, 3)
-        assert first.probs == (F(7, 10), F(3, 10))
-        assert channel == GOLDEN_CHANNEL
-
     def test_product_distribution_gives_constant_channel(self):
         first = normalized((1, 3))
         second = normalized((2, 1, 2))
