@@ -13,9 +13,8 @@ Two subcommands:
   N = 400, scales as 1/N**2 up to a cap of 0.5.  ``--json`` prints, in
   place of those lines, one JSON object per check, one per line: its
   ``suite``, ``name``, ``passed``, ``detail`` and ``seconds``.  On Linux,
-  ``--suite all`` runs the stochastic suite, less
-  ``verify.PARENT_CHECKS``, in a forked child beside the other checks; its
-  output is the same.
+  ``--suite all`` runs the stochastic suite in a forked child beside the
+  other checks; its output is the same.
 
 Exit codes: 0 success, 1 verification failure, 2 input error or a standard
 output closed before the report was written.
@@ -29,7 +28,7 @@ import sys
 
 # numpy's bundled OpenBLAS starts one helper thread per core when it loads, and
 # each helper spin-waits after the load and after every BLAS call.  The
-# products here are small (the largest is 55x16384 times 16384x10) and run in
+# products here are small (the largest is 55x2046 times 2046x10) and run in
 # the same wall time on one thread: on 2 cores, verify --suite all used 0.59 s
 # of CPU for 0.34 s of wall time with the helpers and 0.34 s without.  So the
 # CLI asks for one thread before the first import of numpy; a value the user

@@ -20,16 +20,20 @@ exact simplex volume) and converges at second order for smooth integrands.
 A midpoint rule that simply drops the boundary cells would miss O(1/res)
 of mass concentrated near the boundary, which is not good enough for the
 1e-3 normalisation checks this package runs.  `simplex_cells` returns a
-whole grid, cached; `simplex_cell_blocks` yields the same cells as blocks
-of whole rows (cells sharing their first index), so a sum over the grid
-holds one block at a time.
+whole grid, cached.  `simplex_moments` sums monomials over the grid without
+building it: every cell with the same index sum has the same weight and the
+same last coordinate, so a moment is a convolution of 1-D power tables.
+
+Moments: with integer pseudo-counts every mixed moment of Dirichlet(alpha)
+is an exact rational, `dirichlet_moment`.  `dirichlet_covariance` is built
+from it; `dirichlet_mean`, its degree-1 case, normalises the pseudo-counts.
 
 Sampling draws Dirichlet points from seeded Philox streams, one block of
 rows at a time: `dirichlet_sample_blocks` yields the blocks as it draws
 them, and `dirichlet_sample_many` writes them into one result, so it takes
-its result plus one block.  A law that needs only sums of its draws feeds
-the blocks to `Moments`, which merges count, mean and central sums block by
-block, and holds no whole sample.
+its result plus one block.  A statistic that needs central sums of the
+draws feeds the blocks to `Moments`, which merges count, mean and central
+sums block by block, and holds no whole sample.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ from .finset import FinMap, Multiset, ms_map_full
 MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
 # Cap on the cells of one quadrature grid.  A whole grid at the cap holds up
 # to 84 MB of points and weights (n = 4), and building it peaks near 220 MB;
-# streamed by simplex_cell_blocks, the cap bounds the work, not the memory.
+# simplex_moments builds no grid, and keeps the cap so that both accept the
+# same resolutions.
 MAX_QUADRATURE_CELLS = 1 << 21
 # Exponentials per block of dirichlet_sample_blocks.  Blocks of 2^14 to 2^16
 # took the same time for 100k draws; the smallest adds the least memory, and
@@ -216,51 +221,14 @@ def simplex_cells(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return _cells_cached(n, resolution)
 
 
-# Whole grids, for simplex_quadrature's integrands; a kernel that only sums
-# over the grid streams it with simplex_cell_blocks and caches nothing.
+# Whole grids, for simplex_quadrature's integrands.
 @lru_cache(maxsize=8)
-def _cells_cached(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    points, weights = _cell_block(n, resolution, 0, resolution)
-    points.flags.writeable = False
-    weights.flags.writeable = False
-    return points, weights
-
-
-def simplex_cell_blocks(
-    n: int, resolution: int, max_cells: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """simplex_cells(n, resolution) as consecutive blocks of whole rows.
-
-    A row is the cells that share their first index.  Each block holds as
-    many rows as fit in max_cells, or a single row that alone is larger.
-    Concatenated, the blocks are exactly simplex_cells' points and weights.
-    Blocks are built as they are consumed and are not cached.  The grid's
-    cell cap is checked on the call, before anything is allocated, with
-    simplex_cells' message.
-    """
-    _check_grid(n, resolution)
-    # Cells per row; the one-outcome grid is one row of one cell.
-    sizes = [1] if n == 1 else [simplex_cell_count(n - 1, resolution - i)
-                                for i in range(resolution)]
-    bounds = []
-    lo, cells = 0, 0
-    for row, size in enumerate(sizes):
-        if row > lo and cells + size > max_cells:
-            bounds.append((lo, row))
-            lo, cells = row, 0
-        cells += size
-    bounds.append((lo, row + 1))
-    return (_cell_block(n, resolution, lo, hi) for lo, hi in bounds)
-
-
-def _cell_block(n: int, res: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points and weights of the cells whose first index is in lo..hi-1, in
-    grid order (for n = 1, the grid's single cell, whatever lo and hi)."""
+def _cells_cached(n: int, res: int) -> tuple[np.ndarray, np.ndarray]:
     d = n - 1
 
     # Extend each cell, one projected coordinate at a time, with every next
     # index k such that the indices still sum to at most res-1.
-    cells = np.arange(lo, hi, dtype=np.int64)[:, None] if d else np.zeros((1, 0), np.int64)
+    cells = np.arange(res, dtype=np.int64)[:, None] if d else np.zeros((1, 0), np.int64)
     for _ in range(d - 1):
         counts = res - cells.sum(axis=1)
         base = np.repeat(cells, counts, axis=0)
@@ -270,23 +238,83 @@ def _cell_block(n: int, res: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
 
     # Allocate the results before the temporaries, fill them in place and
     # free each temporary once it is used: the build peaks at about 2.6
-    # times the block it returns.
+    # times the grid it returns.
     points = np.empty((len(cells), n))
-    weights = np.ones(len(cells))
-    slack = res - cells.sum(axis=1)
-    offsets = np.full(len(cells), 0.5)
-    for t, (frac, centroid) in _CLIP.get(d, {}).items():
-        partial = slack == t
-        offsets[partial] = float(centroid)
-        weights[partial] = float(frac)
+    slack = res - cells.sum(axis=1) - 1
+    class_offsets, class_weights = _slack_classes(d, res)
+    weights, offsets = class_weights[slack], class_offsets[slack]
     del slack
-    weights /= res**d
 
     for i in range(d):
         points[:, i] = (cells[:, i] + offsets) / res
     del cells, offsets
     points[:, d] = 1.0 - points[:, :d].sum(axis=1)
+    points.flags.writeable = False
+    weights.flags.writeable = False
     return points, weights
+
+
+def _slack_classes(d: int, res: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per slack t = res - (sum of a cell's indices), at index t - 1: the
+    offset of the cell's centroid in its box, and the cell's weight."""
+    offsets, weights = np.full(res, 0.5), np.ones(res)
+    for t, (frac, centroid) in _CLIP.get(d, {}).items():
+        offsets[t - 1], weights[t - 1] = float(centroid), float(frac)
+    return offsets, weights / res**d
+
+
+def _power_table(x: np.ndarray, top: int) -> np.ndarray:
+    """Rows x**0 .. x**top, by repeated multiplication."""
+    table = np.empty((top + 1, len(x)))
+    table[0] = 1.0
+    for k in range(1, top + 1):
+        np.multiply(table[k - 1], x, out=table[k])
+    return table
+
+
+def simplex_moments(n: int, resolution: int, exponents) -> np.ndarray:
+    """The cell-rule sum of w * prod_k x_k**e_k over simplex_cells(n,
+    resolution) for each row e of an (m, n) array of non-negative integer
+    exponents, without building the grid.
+
+    The cells with slack t (resolution minus the sum of their indices) share
+    their weight, their offset in their box and so their last coordinate,
+    (t - (n-1) * offset) / resolution.  Their sum
+    of the leading coordinates' monomial is coefficient resolution - t of the
+    convolution of the power tables ((i + offset) / resolution)**e_k, i =
+    0..resolution-1.  So each distinct leading-exponent tuple takes one
+    np.convolve chain (a clipped class, t < n-1, one coefficient of its own),
+    and one matmul against the last coordinate's powers gives every moment.
+    The grid's cell cap is checked as in simplex_cells, before allocating.
+    """
+    _check_grid(n, resolution)
+    res, d = resolution, n - 1
+    exps = np.asarray(exponents, dtype=np.int64).reshape(-1, n)
+    if (exps < 0).any():
+        raise ValueError("exponents must be non-negative integers")
+    groups: dict[tuple[int, ...], int] = {}
+    rows = [groups.setdefault(tuple(e[:d]), len(groups)) for e in exps.tolist()]
+    offsets, weights = _slack_classes(d, res)
+    top = int(exps[:, :d].max(initial=0))
+    tables = {off: _power_table((np.arange(res) + off) / res, top)
+              for off in {0.5, *offsets.tolist()}}
+
+    def chain(lead: tuple[int, ...], off: float, size: int) -> np.ndarray:
+        """The first size coefficients of the convolution of lead's tables."""
+        out = np.ones(1)
+        for e in lead:
+            out = np.convolve(out, tables[off][e])[:size]
+        return np.pad(out, (0, size - len(out)))
+
+    sums = np.empty((len(groups), res))  # column t - 1: the class of slack t
+    for g, lead in enumerate(groups):
+        sums[g] = chain(lead, 0.5, res)[::-1]
+        for t in range(1, d):
+            off, s = offsets[t - 1], res - t
+            sums[g, t - 1] = chain(lead[:-1], off, s + 1) @ tables[off][lead[-1], s::-1]
+    last = (np.arange(1, res + 1) - d * offsets) / res
+    moments = (sums * weights) @ _power_table(last, int(exps[:, d].max(initial=0))).T
+    return moments[rows, exps[:, d]]
 
 
 def simplex_quadrature(f, n: int, resolution: int) -> float:
@@ -412,16 +440,32 @@ def dirichlet_mean(alpha: HyperParams) -> Dist:
     return Dist(tuple(Fraction(a, total) for a in alpha.counts))
 
 
+def dirichlet_moment(alpha: HyperParams, ks: Sequence[int]) -> Fraction:
+    """E[prod_i x_i**k_i] under Dirichlet(alpha), exactly.
+
+    It is prod_i alpha_i^(k_i) / (sum alpha)^(sum k), with a^(k) the rising
+    factorial a (a+1) ... (a+k-1); no Gamma function is evaluated (Kotz,
+    Balakrishnan & Johnson, Continuous Multivariate Distributions, vol. 1,
+    2nd ed., 2000, the Dirichlet chapter).
+    """
+    if len(ks) != alpha.n or any(k < 0 for k in ks):
+        raise ValueError(f"expected {alpha.n} non-negative exponents, got {tuple(ks)}")
+
+    def rising(a: int, k: int) -> int:
+        return math.prod(range(a, a + k))
+
+    num = math.prod(rising(a, k) for a, k in zip(alpha.counts, ks))
+    return Fraction(num, rising(alpha.total(), sum(ks)))
+
+
 def dirichlet_covariance(alpha: HyperParams) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact covariance matrix of Dirichlet(alpha) (textbook moments)."""
-    a = alpha.total()
-    scale = a * a * (a + 1)
+    """Exact covariance matrix of Dirichlet(alpha): E[x_i x_j] - E[x_i] E[x_j]."""
+    def moment(*idx: int) -> Fraction:
+        return dirichlet_moment(alpha, [idx.count(i) for i in range(alpha.n)])
+
+    mean = [moment(i) for i in range(alpha.n)]
     return tuple(
-        tuple(
-            Fraction(ai * (a - ai), scale) if i == j else Fraction(-ai * aj, scale)
-            for j, aj in enumerate(alpha.counts)
-        )
-        for i, ai in enumerate(alpha.counts)
+        tuple(moment(i, j) - mean[i] * mean[j] for j in range(alpha.n)) for i in range(alpha.n)
     )
 
 

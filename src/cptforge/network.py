@@ -743,24 +743,28 @@ def write_cpts(cpts: list[LearnedCPT], out_dir: str | Path) -> list[Path]:
     moved into place one by one.  If any step fails, the files already moved
     are taken back (a file they replaced is restored), and ``out_dir`` is
     removed if this call created it, so ``out_dir`` is left as it was found.
+    An error the system raised is re-raised naming the table in ``out_dir``
+    (or ``out_dir`` itself) that it stopped, not the staging path.
     """
     out_dir = Path(out_dir)
     created = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
     names = [f"{cpt.node}.csv" for cpt in cpts]
     staging = None
     moving: list[str] = []
+    table = out_dir  # what a failing step was writing, for its message
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=".cpt-forge-", dir=out_dir))
         for cpt, name in zip(cpts, names):
+            table = out_dir / name
             _write_cpt(cpt, staging / name)
         for name in names:
-            target = out_dir / name
+            table = target = out_dir / name
             moving.append(name)
             if target.is_file() or target.is_symlink():
                 os.replace(target, staging / f"{name}.old")
             os.replace(staging / name, target)
-    except BaseException:
+    except BaseException as exc:
         for name in reversed(moving):
             target, old = out_dir / name, staging / f"{name}.old"
             if os.path.lexists(old):
@@ -769,6 +773,8 @@ def write_cpts(cpts: list[LearnedCPT], out_dir: str | Path) -> list[Path]:
                 target.unlink()
         if created or staging:
             shutil.rmtree(created or staging, ignore_errors=True)
+        if isinstance(exc, OSError) and exc.strerror:
+            raise OSError(f"cannot write {table}: {exc.strerror}") from exc
         raise
     shutil.rmtree(staging)
     return [out_dir / name for name in names]

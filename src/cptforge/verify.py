@@ -21,16 +21,17 @@ and add ``"suite/name"`` at the same position in the benchmark oracle's
 ``VERIFY_CHECKS`` (``perfbench/oracle.py``), which pins that order.
 
 ``run_suite("all")`` on Linux runs the stochastic suite in a forked child
-while the parent runs ``golden``, ``exact`` and then ``PARENT_CHECKS``
-(surjective-naturality, which samples only): the halves share no state,
+while the parent runs ``golden`` and ``exact``: the halves share no state,
 and the exact half is pure-Python ``Fraction`` arithmetic that holds the
 GIL.  The results, and so the report, are the same as from one process.
 Each result carries the check's own time in ``seconds``.
 
-The sampling laws (surjective-naturality, sampler-moments and the
-local-update audit) need only sums of their draws, so they consume
-``dirichlet_sample_blocks`` block by block into ``dirichlet.Moments`` and
-histogram counts, and hold no whole sample.
+The sampling laws need only sums of their draws, so they consume
+``dirichlet_sample_blocks`` block by block and hold no whole sample.
+surjective-naturality and sampler-moments sum raw monomials and histogram
+counts in one pass, and compare them with exact references: the Dirichlet
+moments of ``dirichlet_moment`` and the Beta bin probabilities of
+``bin_probabilities``.  The local-update audit feeds ``dirichlet.Moments``.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ import pickle
 import random as pyrandom
 import sys
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -60,11 +61,10 @@ from .bayes import (
 from .dirichlet import (
     MAX_QUADRATURE_CELLS,
     HyperParams,
-    Moments,
     aggregate_params,
-    dirichlet_covariance,
     dirichlet_density,
     dirichlet_mean,
+    dirichlet_moment,
     dirichlet_normalizer,
     dirichlet_pdf_many,
     dirichlet_sample_blocks,
@@ -72,7 +72,7 @@ from .dirichlet import (
     make_rng,
     one_sum_check,
     push_coords,
-    simplex_cell_blocks,
+    simplex_moments,
     simplex_quadrature,
     substreams,
 )
@@ -493,20 +493,6 @@ def check_exact_posterior_mean(seed: int, resolution: int) -> tuple[bool, str]:
 # Stochastic suite (binary64, stated tolerances, seeded streams).
 
 ERROR_FLOOR = 1e-9  # below this, quadrature error is floating-point noise
-# Grid cells per block in normalisation_errors (a block is one row if that is
-# longer): bounds its (groups x block) temporaries at any resolution, to about
-# 2 MiB for the 55 groups of density-normalisation's three-outcome vectors.
-# Blocks of 2^10 and 2^11 cells ran fastest; 2^14 was slower by a quarter.
-NORMALISATION_BLOCK = 1 << 11
-
-
-def _power_table(x: np.ndarray, top: int) -> np.ndarray:
-    """Rows x**0 .. x**top of a coordinate block, by repeated multiplication."""
-    table = np.empty((top + 1, len(x)))
-    table[0] = 1.0
-    for k in range(1, top + 1):
-        np.multiply(table[k - 1], x, out=table[k])
-    return table
 
 
 def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarray:
@@ -515,31 +501,15 @@ def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarr
     With integer pseudo-counts the density of Dirichlet(alpha) is
     dirichlet_normalizer(alpha) times the monomial prod_i x_i**(alpha_i - 1),
     so its integral is that constant times one monomial moment of the cell
-    rule.  Per dimension, the exponent vectors are grouped by all but their
-    last exponent.  The grid is streamed in simplex_cell_blocks of at most
-    NORMALISATION_BLOCK cells and is neither held whole nor cached.  Over
-    each block, the weighted monomials of the groups' leading exponents (one
-    row per group) times the table of last-coordinate powers adds every
-    needed moment of the block in one matmul.  Powers come from repeated
-    multiplication, so no exp, log or pow is evaluated per point, and every
-    temporary is bounded by the block, whatever the resolution.
+    rule, which simplex_moments sums by convolution without building the
+    grid.
     """
     errors = np.empty(len(alphas))
     for n in sorted({a.n for a in alphas}):
         idx = [k for k, a in enumerate(alphas) if a.n == n]
-        exps = np.array([alphas[k].counts for k in idx]) - 1
-        groups: dict[tuple[int, ...], int] = {}
-        rows = [groups.setdefault(tuple(e[:-1]), len(groups)) for e in exps]
-        leading = np.array(list(groups), dtype=np.int64).reshape(len(groups), n - 1)
-        tops = exps.max(axis=0)
-        moments = np.zeros((len(groups), tops[-1] + 1))
-        for points, weights in simplex_cell_blocks(n, resolution, NORMALISATION_BLOCK):
-            monomials = np.repeat(weights[None], len(groups), axis=0)
-            for i in range(n - 1):
-                monomials *= _power_table(points[:, i], tops[i])[leading[:, i]]
-            moments += monomials @ _power_table(points[:, -1], tops[-1]).T
+        moments = simplex_moments(n, resolution, np.array([alphas[k].counts for k in idx]) - 1)
         norms = np.array([float(dirichlet_normalizer(alphas[k])) for k in idx])
-        errors[idx] = np.abs(moments[rows, exps[:, -1]] * norms - 1.0)
+        errors[idx] = np.abs(moments * norms - 1.0)
     return errors
 
 
@@ -645,50 +615,69 @@ def histogram_counts(xs: np.ndarray) -> np.ndarray:
     return np.bincount(index.ravel(), minlength=slots * xs.shape[1]).reshape(-1, slots)[:, 1:-1]
 
 
-def _panel(blocks: Iterable[np.ndarray]) -> tuple[Moments, np.ndarray]:
-    """The test-function panel of a sample streamed in (rows, n) blocks: the
-    Moments of its coordinates and of every product of two of them (squares
-    included, and x_k x_l twice, which changes no maximum), and the
-    histogram_counts of its coordinates, summed over the blocks."""
-    moments, counts = Moments(), 0
-    for xs in blocks:
-        # One contiguous row per statistic: Moments then sums contiguous memory.
-        n = xs.shape[1]
-        stats = np.empty((n + n * n, len(xs)))
-        cols = stats[:n]
-        cols[...] = xs.T
-        np.multiply(cols[:, None], cols, out=stats[n:].reshape(n, n, -1))
-        moments.add(stats.T)
-        counts = counts + histogram_counts(xs)
-    return moments, counts
+# A tail bin whose expected count is below this is merged into its inward
+# neighbour.  A bin that expects a fraction of a draw is outside the normal
+# approximation its z needs: Beta(5, 8)'s last bin expects 0.34 of 10^5
+# draws, and 3 draws there (seeds 75 and 107) read as z = 4.55.
+MIN_EXPECTED = 10
 
 
-def _max_z_between_samples(
-    a_blocks: Iterable[np.ndarray], b_blocks: Iterable[np.ndarray]
-) -> float:
-    """Largest discrepancy, in standard errors, between two samples over a
-    fixed test-function panel: coordinates, squares, pairwise products, and
-    10-bin histograms.  Each sample arrives as an iterable of row blocks and
-    is reduced to its panel block by block, so neither is held whole."""
-    (a, ha), (b, hb) = _panel(a_blocks), _panel(b_blocks)
-    na, nb = a.count, b.count
-    gap = np.abs(a.mean - b.mean)
-    with np.errstate(divide="ignore", invalid="ignore"):  # se is 0 only if both are constant
-        z = np.where(gap == 0, 0.0, gap / np.sqrt(a.var() / na + b.var() / nb))
-    worst = float(z.max())
+def bin_probabilities(a: int, b: int) -> list[Fraction]:
+    """The exact probability of each HISTOGRAM_EDGES bin under Beta(a, b),
+    for integers a >= 1 and b >= 0 (b = 0 is the point mass at 1).
 
-    ha, hb = ha / na, hb / nb
-    pooled = (ha * na + hb * nb) / (na + nb)
-    for pa, pb, p in zip(ha.ravel(), hb.ravel(), pooled.ravel()):
-        if p in (0.0, 1.0):
-            continue
-        se = np.sqrt(p * (1 - p) * (1 / na + 1 / nb))
-        worst = max(worst, abs(pa - pb) / se)
+    Coordinate i of Dirichlet(alpha) is Beta(alpha_i, sum alpha - alpha_i).
+    With integer parameters its CDF at x is P(Binomial(a+b-1, x) >= a), a
+    polynomial in x, so at the edges k/bins every value is rational.
+    """
+    bins = len(HISTOGRAM_EDGES) - 1
+    m = a + b - 1
+    cdf = [Fraction(0)]
+    for k in range(1, bins):
+        tail = sum(math.comb(m, j) * k**j * (bins - k) ** (m - j) for j in range(a, m + 1))
+        cdf.append(Fraction(tail, bins**m))
+    cdf.append(Fraction(1))
+    return [hi - lo for lo, hi in zip(cdf, cdf[1:])]
+
+
+def merged_bins(
+    probs: list[Fraction], counts: np.ndarray, draws: int
+) -> tuple[list[Fraction], np.ndarray]:
+    """probs and counts with each sparse tail bin merged into its inward
+    neighbour, until the merged tail bin's expected count draws * p is at
+    least MIN_EXPECTED (or the tails meet and every bin is one).  No bin is
+    dropped, so the merged counts still sum to the counts' total."""
+    cum = list(accumulate(probs))
+    first = next((k for k, c in enumerate(cum) if draws * c >= MIN_EXPECTED), len(probs) - 1)
+    last = next((k for k in reversed(range(len(probs)))
+                 if draws * (cum[-1] - (cum[k - 1] if k else 0)) >= MIN_EXPECTED), 0)
+    starts = [0, *range(first + 1, last + 1)]
+    ends = [*starts[1:], len(probs)]
+    return [sum(probs[lo:hi]) for lo, hi in zip(starts, ends)], np.add.reduceat(counts, starts)
+
+
+def _moment_z(alpha: HyperParams, draws: int, sums: np.ndarray, gram: np.ndarray) -> float:
+    """Largest |z| of the sample means of the coordinates x_j and of the
+    products x_j x_k (j <= k) of draws from Dirichlet(alpha), given the
+    draws' column sums and Gram sums x^T x, against their exact means.  The
+    standard error of f is sqrt((E[f^2] - E[f]^2) / draws), exactly, with
+    every E a dirichlet_moment."""
+    n = alpha.n
+    terms = [((j,), sums[j]) for j in range(n)]
+    terms += [((j, k), gram[j, k]) for j in range(n) for k in range(j, n)]
+    worst = 0.0
+    for idx, total in terms:
+        ks = [idx.count(i) for i in range(n)]
+        mean = dirichlet_moment(alpha, ks)
+        var = dirichlet_moment(alpha, [2 * k for k in ks]) - mean * mean
+        worst = max(worst, abs(total / draws - float(mean)) / math.sqrt(float(var) / draws))
     return worst
 
 
 @law("stochastic", "surjective-naturality")
 def check_stoch_surjective_naturality(seed: int, resolution: int) -> tuple[bool, str]:
+    # One sample of Dir(alpha) pushed along h, against the exact law of
+    # Dir(aggregate_params(h, alpha)): its moments and its histogram bins.
     draws = 100_000
     cases = [
         (HyperParams((2, 3, 1, 4)), FinMap((0, 1, 0, 1), 2)),
@@ -697,37 +686,36 @@ def check_stoch_surjective_naturality(seed: int, resolution: int) -> tuple[bool,
     ]
     worst = 0.0
     for idx, (alpha, h) in enumerate(cases):
-        rng_a, rng_b = substreams(seed + 22 + idx, 2)
-        pushed = (push_coords(h, xs) for xs in dirichlet_sample_blocks(alpha, draws, rng_a))
-        direct = dirichlet_sample_blocks(aggregate_params(h, alpha), draws, rng_b)
-        z = _max_z_between_samples(pushed, direct)
+        (rng,) = substreams(seed + 22 + idx, 1)
+        sums, gram, counts = 0.0, 0.0, 0
+        for xs in dirichlet_sample_blocks(alpha, draws, rng):
+            ys = push_coords(h, xs)
+            sums, gram = sums + ys.sum(axis=0), gram + ys.T @ ys
+            counts = counts + histogram_counts(ys)
+        merged = aggregate_params(h, alpha)
+        z = _moment_z(merged, draws, sums, gram)
+        for a, row in zip(merged.counts, counts):
+            probs, got = merged_bins(bin_probabilities(a, merged.total() - a), row, draws)
+            for p, c in zip(probs, got):
+                if p < 1:
+                    z = max(z, abs(c / draws - float(p)) / math.sqrt(float(p * (1 - p)) / draws))
         worst = max(worst, z)
         if z > 4.0:
             return False, f"max |z| = {z:.2f} for alpha={alpha.counts}, h={h.targets}"
     return True, (
-        f"{len(cases)} cases x {draws} draws: pushed and merged samples agree (max |z| = {worst:.2f})"
+        f"{len(cases)} cases x {draws} draws: pushed samples match the merged "
+        f"Dirichlet's exact moments and bins (max |z| = {worst:.2f})"
     )
 
 
 @law("stochastic", "sampler-moments")
 def check_stoch_sampler_moments(seed: int, resolution: int) -> tuple[bool, str]:
-    # Two passes over one replayed stream: the first takes the mean, the
-    # second the products of the draws centred on it.
     draws = 100_000
     alpha = HyperParams((2, 1, 1))
-    first = Moments()
+    sums, gram = 0.0, 0.0
     for xs in dirichlet_sample_blocks(alpha, draws, make_rng(seed + 25)):
-        first.add(xs)
-    pairs = [(i, j) for i in range(alpha.n) for j in range(i, alpha.n)]
-    products = Moments()
-    for xs in dirichlet_sample_blocks(alpha, draws, make_rng(seed + 25)):
-        centered = xs - first.mean
-        products.add(np.column_stack([centered[:, i] * centered[:, j] for i, j in pairs]))
-    cov = dirichlet_covariance(alpha)
-    want = [float(p) for p in dirichlet_mean(alpha).probs] + [float(cov[i][j]) for i, j in pairs]
-    got = np.concatenate([first.mean, products.mean])
-    se = np.sqrt(np.concatenate([first.var(), products.var()])) / np.sqrt(draws)
-    worst = float(np.max(np.abs(got - want) / se))
+        sums, gram = sums + xs.sum(axis=0), gram + xs.T @ xs
+    worst = _moment_z(alpha, draws, sums, gram)
     ok = worst <= 4.0
     return ok, f"{draws} draws of Dir{alpha.counts}: moments within {worst:.2f} standard errors"
 
@@ -820,18 +808,15 @@ def check_stoch_local_audit(seed: int, resolution: int) -> tuple[bool, str]:
 
 # The suite `run_suite("all")` hands to a forked child, the numpy half: its
 # quadrature checks share the `_cells_cached` grids, so they run in one
-# process.  The checks of PARENT_CHECKS build no grid: they run in the
-# parent after `golden` and `exact`, which finish well before the child.
+# process.
 FORKED_SUITE = "stochastic"
-PARENT_CHECKS = (check_stoch_surjective_naturality,)
 
 
 def run_suite(suite: str, seed: int = 42, resolution: int = 400) -> list[CheckResult]:
     """Run one suite (or ``all``) and return its results in a fixed order.
 
-    On Linux, ``all`` runs FORKED_SUITE, less PARENT_CHECKS, in a forked
-    child beside the other checks; elsewhere, and for one suite, the checks
-    run one after another.
+    On Linux, ``all`` runs FORKED_SUITE in a forked child beside the other
+    checks; elsewhere, and for one suite, the checks run one after another.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick {', '.join(SUITES)} or all")
@@ -842,8 +827,8 @@ def run_suite(suite: str, seed: int = 42, resolution: int = 400) -> list[CheckRe
 
 
 def _run_all_forked(seed: int, resolution: int) -> list[CheckResult]:
-    """Every check, FORKED_SUITE less PARENT_CHECKS in a forked child, the
-    rest in this process; results in SUITES order.
+    """Every check, FORKED_SUITE in a forked child and the rest in this
+    process; results in SUITES order.
 
     The child sends its pickled results, or the text of what it raised,
     through a pipe and always leaves through ``os._exit``.  The child is
@@ -852,7 +837,7 @@ def _run_all_forked(seed: int, resolution: int) -> list[CheckResult]:
     the collector from touching, and so copying, the pages both share.
     """
     checks = [check for name in SUITES for check in SUITES[name]]
-    forked = [check in SUITES[FORKED_SUITE] and check not in PARENT_CHECKS for check in checks]
+    forked = [check in SUITES[FORKED_SUITE] for check in checks]
     for stream in (sys.stdout, sys.stderr):  # so no buffered text is written twice
         stream.flush()
     read_fd, write_fd = os.pipe()

@@ -138,27 +138,6 @@ def test_forked_all_equals_the_suites_run_one_by_one():
     assert_no_child_left()
 
 
-@forks
-def test_parent_checks_run_in_the_parent_in_suite_order(monkeypatch):
-    # A check of PARENT_CHECKS runs here, after `golden` and `exact`; the
-    # other stochastic checks run in the child; results keep SUITES order.
-    def check(name):
-        def run(seed, resolution):
-            ran.append((name, os.getpid()))
-            return verify.CheckResult("stochastic", name, True, "", 0.0)
-        return run
-
-    assert verify.PARENT_CHECKS == (verify.check_stoch_surjective_naturality,)
-    ran = []
-    before, here, after = check("before"), check("here"), check("after")
-    monkeypatch.setitem(verify.SUITES, "stochastic", [before, here, after])
-    monkeypatch.setattr(verify, "PARENT_CHECKS", (here,))
-    results = verify.run_suite("all", resolution=50)
-    assert [r.name for r in results[-3:]] == ["before", "here", "after"]
-    assert ran == [("here", os.getpid())]
-    assert_no_child_left()
-
-
 def test_verify_json_is_one_record_per_check(monkeypatch, capsys):
     args = ["verify", "--suite", "all", "--resolution", "50"]
     assert cli.main(args) == 0

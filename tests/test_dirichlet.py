@@ -20,6 +20,7 @@ from cptforge.dirichlet import (
     dirichlet_covariance,
     dirichlet_density,
     dirichlet_mean,
+    dirichlet_moment,
     dirichlet_normalizer,
     dirichlet_pdf_many,
     dirichlet_sample_blocks,
@@ -29,9 +30,9 @@ from cptforge.dirichlet import (
     make_rng,
     one_sum_check,
     push_coords,
-    simplex_cell_blocks,
     simplex_cell_count,
     simplex_cells,
+    simplex_moments,
     simplex_quadrature,
     simplex_rows,
 )
@@ -42,14 +43,15 @@ from cptforge.mle import mle
 from cptforge.verify import (
     HISTOGRAM_EDGES,
     MAX_RESOLUTION,
-    NORMALISATION_BLOCK,
     _all_hyperparams,
-    _panel,
     _quadrature_tol,
+    bin_probabilities,
     check_stoch_local_audit,
     check_stoch_normalisation,
     check_stoch_sampler_moments,
     check_stoch_surjective_naturality,
+    histogram_counts,
+    merged_bins,
     normalisation_errors,
 )
 
@@ -201,23 +203,31 @@ class TestSimplexQuadrature:
     def test_degenerate_dimension(self):
         assert simplex_quadrature(lambda pts: np.full(len(pts), 3.0), 1, 10) == 3.0
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_batched_normalisation_matches_quadrature(self, n):
-        # normalisation_errors sums the cell rule's monomial moments over
-        # blocks of grid points, with powers built by repeated
-        # multiplication; the reference integrates each pdf in one go.
-        # Resolution 400 at n = 3 spans several blocks.
-        alphas = [a for a in _all_hyperparams(3, 7) if a.n == n][:6]
-        for res in (10, 400):
+        # simplex_moments sums the cell rule's monomials by convolving power
+        # tables; the references sum them, and integrate each pdf, over the
+        # whole grid.
+        exps = np.array([*itertools.product(range(4), repeat=n), (11,) + (0,) * (n - 1),
+                         (0,) * (n - 1) + (11,)])
+        for res in (2, 3, 5, 23, 400):
+            if simplex_cell_count(n, res) > MAX_QUADRATURE_CELLS:
+                continue
+            points, weights = simplex_cells(n, res)
+            want = np.array([weights @ np.prod(points**e, axis=1) for e in exps])
+            got = simplex_moments(n, res, exps)
+            assert np.all(np.abs(got - want) <= 1e-13 * want), (res, np.abs(got / want - 1).max())
+        alphas = [a for a in _all_hyperparams(4, 8) if a.n == n][:6]
+        for res in (10, 40 if n == 4 else 400):
             errs = normalisation_errors(alphas, res)
             for a, e in zip(alphas, errs):
                 want = abs(simplex_quadrature(lambda p: dirichlet_pdf_many(a, p), n, res) - 1)
                 assert abs(e - want) <= 1e-12, (a.counts, res, e, want)
 
     def test_normalisation_memory_is_bounded_by_the_block(self):
-        # Cold, so each grid block is built inside the measurement.  With the
-        # whole grids built and cached, the peak was 24.9 MiB at resolution
-        # 800 and 162 MiB at 2 * MAX_RESOLUTION.
+        # Cold: no grid is cached, and none is built.  With the whole grids
+        # built and cached, the peak was 24.9 MiB at resolution 800 and 162
+        # MiB at 2 * MAX_RESOLUTION.
         alphas = _all_hyperparams(3, 12)
         for resolution in (800, 2 * MAX_RESOLUTION):
             _cells_cached.cache_clear()
@@ -228,6 +238,7 @@ class TestSimplexQuadrature:
             finally:
                 tracemalloc.stop()
             assert peak < 4 << 20, resolution
+            assert _cells_cached.cache_info().currsize == 0
 
     def test_normalisation_detail_at_resolution_400(self):
         result = check_stoch_normalisation(42, 400)
@@ -312,18 +323,6 @@ class TestSimplexCells:
             tracemalloc.stop()
         assert peak < 28e6
 
-    @pytest.mark.parametrize("n,res", [(n, res) for n in (1, 2, 3, 4) for res in (2, 23, 40, 400)
-                                       if simplex_cell_count(n, res) <= MAX_QUADRATURE_CELLS])
-    def test_blocks_concatenate_to_the_grid(self, n, res):
-        points, weights = simplex_cells(n, res)
-        row = simplex_cell_count(n - 1, res) if n > 1 else 1
-        for cap in (1, 7, row, NORMALISATION_BLOCK, len(points) + 1):
-            blocks = list(simplex_cell_blocks(n, res, cap))
-            assert np.array_equal(np.concatenate([p for p, _ in blocks]), points)
-            assert np.array_equal(np.concatenate([w for _, w in blocks]), weights)
-            for p, _ in blocks:  # over the cap only as a single row: one first index
-                assert len(p) <= cap or len(np.unique(np.floor(p[:, 0] * res))) == 1
-
     @pytest.mark.parametrize("n,res", [(2, MAX_QUADRATURE_CELLS + 1), (3, 10**6), (4, 10**30)])
     def test_cell_cap_fires_before_allocation(self, n, res):
         message = rf"needs \d+ cells .*cap of {MAX_QUADRATURE_CELLS}"
@@ -332,7 +331,7 @@ class TestSimplexCells:
             with pytest.raises(ValueError, match=message):
                 simplex_cells(n, res)
             with pytest.raises(ValueError, match=message):
-                simplex_cell_blocks(n, res, NORMALISATION_BLOCK)
+                simplex_moments(n, res, np.zeros((1, n), np.int64))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -462,17 +461,13 @@ class TestStreamedStatistics:
             Moments(order=1)
 
     def test_streamed_panel_equals_the_whole_sample(self):
+        # histogram_counts summed over any blocks is np.histogram of the whole.
         xs = dirichlet_sample_many(HyperParams((1, 2, 1)), 20_000, make_rng(6))
         xs[:50, 0] = HISTOGRAM_EDGES[np.arange(50) % 11]  # every edge, 1.0 among them
         xs[50:58, 1] = [0.0, 1.0, 0.1, 0.3, 0.7, 0.9, np.nextafter(1.0, 2.0), -1e-300]
-        stats = np.column_stack([xs, *(xs[:, k] * xs[:, l] for k in range(3) for l in range(3))])
         counts = np.array([np.histogram(xs[:, i], HISTOGRAM_EDGES)[0] for i in range(3)])
         for sizes in ([1], [7, 1000, 2], [len(xs)]):
-            moments, got = _panel(cut(xs, sizes))
-            assert np.array_equal(got, counts)
-            for got, want in [(moments.mean, stats.mean(axis=0)),
-                              (moments.var(), stats.var(axis=0, ddof=1))]:
-                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            assert np.array_equal(sum(histogram_counts(block) for block in cut(xs, sizes)), counts)
 
     @pytest.mark.parametrize("law", [check_stoch_surjective_naturality,
                                      check_stoch_sampler_moments, check_stoch_local_audit],
@@ -500,6 +495,71 @@ class TestStreamedStatistics:
             tracemalloc.stop()
         assert audit.matching_candidates == ("direct",)
         assert peak < 2 << 20
+
+
+class TestExactReferences:
+    ALPHAS = [HyperParams(c) for c in [(1,), (2, 1, 1), (2, 1, 3), (3, 7), (2, 2, 5, 1, 3)]]
+
+    def test_moment_by_hand(self):
+        # 2 * (3 * 4) / (6 * 7 * 8), and also Z(alpha) / Z(alpha + phi).
+        alpha, phi = HyperParams((2, 1, 3)), (1, 0, 2)
+        assert dirichlet_moment(alpha, phi) == F(1, 14)
+        posterior = HyperParams((3, 1, 5))
+        assert dirichlet_normalizer(alpha) / dirichlet_normalizer(posterior) == F(1, 14)
+        assert dirichlet_moment(alpha, (0, 0, 0)) == 1
+        with pytest.raises(ValueError, match="3 non-negative exponents"):
+            dirichlet_moment(alpha, (1, -1, 0))
+
+    def test_degree_one_and_two_are_the_mean_and_covariance(self):
+        for a in self.ALPHAS:
+            total, n = a.total(), a.n
+            mean = dirichlet_mean(a).probs
+            cov = dirichlet_covariance(a)
+            for i in range(n):
+                assert dirichlet_moment(a, [int(k == i) for k in range(n)]) == mean[i]
+                for j in range(n):
+                    # The textbook covariance, and E[x_i x_j] = cov + mean * mean.
+                    num = a[i] * (total - a[i]) if i == j else -a[i] * a[j]
+                    assert cov[i][j] == F(num, total * total * (total + 1))
+                    ks = [(k == i) + (k == j) for k in range(n)]
+                    assert dirichlet_moment(a, ks) == cov[i][j] + mean[i] * mean[j]
+
+    def test_bin_probabilities_integrate_the_beta_density(self):
+        edges = [F(k, 10) for k in range(11)]
+        for a in range(1, 9):
+            for b in range(9):
+                probs = bin_probabilities(a, b)
+                assert len(probs) == 10 and sum(probs) == 1
+                if b == 0:  # the point mass at 1, counted in the last bin
+                    assert probs == [0] * 9 + [1]
+                    continue
+                # x**(a-1) (1-x)**(b-1) / B(a, b), integrated term by term.
+                scale = F(math.factorial(a + b - 1), math.factorial(a - 1) * math.factorial(b - 1))
+
+                def antiderivative(x):
+                    return scale * sum(math.comb(b - 1, j) * (-1) ** j * x ** (a + j) / (a + j)
+                                       for j in range(b))
+
+                assert probs == [antiderivative(hi) - antiderivative(lo)
+                                 for lo, hi in zip(edges, edges[1:])]
+
+    @pytest.mark.parametrize("a,b,starts", [
+        (3, 3, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        (3, 7, [0, 1, 2, 3, 4, 5, 6, 7, 8]),  # P(x > 0.9) * 10^5 is 0.3, P(x > 0.8) * 10^5 is 31
+        (7, 3, [0, 2, 3, 4, 5, 6, 7, 8, 9]),
+        (1, 12, [0, 1, 2, 3, 4, 5]),  # P(x > 0.5) * 10^5 is 24, P(x > 0.6) * 10^5 is 1.7
+        (5, 0, [0]),
+    ])
+    def test_merged_bins_keep_every_draw(self, a, b, starts):
+        draws = 100_000
+        probs = bin_probabilities(a, b)
+        counts = make_rng(a + 10 * b).multinomial(draws, [float(p) for p in probs])
+        merged, got = merged_bins(probs, counts, draws)
+        ends = [*starts[1:], 10]
+        assert merged == [sum(probs[lo:hi]) for lo, hi in zip(starts, ends)]
+        assert got.tolist() == [int(counts[lo:hi].sum()) for lo, hi in zip(starts, ends)]
+        assert got.sum() == draws and sum(merged) == 1
+        assert draws * merged[0] >= 10 and draws * merged[-1] >= 10
 
 
 class TestDirichletMean:

@@ -486,8 +486,18 @@ class TestOutputFiles:
         (out / "B.csv").mkdir(parents=True)
         (out / "B.csv" / "keep").write_text("x", encoding="utf-8")
         assert main(self.two_node_args(tmp_path, out)) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        # The message names the table in --out, not the staging directory.
+        assert err.startswith(f"error: cannot write {out / 'B.csv'}: ") and ".cpt-forge-" not in err
         assert self.tree(out) == {"B.csv": None, "B.csv/keep": b"x"}
+
+    def test_failed_write_names_the_table_it_could_not_move(self, tmp_path, capsys):
+        # A.csv is written first and moved first, so its failure is not the last write's.
+        out = tmp_path / "out"
+        (out / "A.csv").mkdir(parents=True)
+        assert main(self.two_node_args(tmp_path, out)) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out / 'A.csv'}: Is a directory\n"
+        assert self.tree(out) == {"A.csv": None}
 
     def test_failed_write_restores_the_files_it_replaced(self, tmp_path, capsys):
         out = tmp_path / "out"
