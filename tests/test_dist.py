@@ -20,6 +20,12 @@ from cptforge.finset import FinMap, Multiset
 from cptforge.mle import mle
 
 GOLDEN_JOINT = Dist(tuple(F(c, 100) for c in (10, 35, 25, 5, 10, 15)))
+GOLDEN_CHANNEL = Channel(
+    (
+        Dist((F(1, 7), F(1, 2), F(5, 14))),
+        Dist((F(1, 6), F(1, 3), F(1, 2))),
+    )
+)
 
 
 def normalized(counts) -> Dist:
@@ -114,6 +120,16 @@ class TestDistValidation:
 
 
 class TestDistMap:
+    def test_first_marginal(self):
+        assert dist_map(FinMap.proj1(2, 3), GOLDEN_JOINT).probs == (F(7, 10), F(3, 10))
+
+    def test_second_marginal(self):
+        assert dist_map(FinMap.proj2(2, 3), GOLDEN_JOINT).probs == (
+            F(3, 20),
+            F(9, 20),
+            F(2, 5),
+        )
+
     def test_identity(self):
         assert dist_map(FinMap.identity(6), GOLDEN_JOINT) == GOLDEN_JOINT
 
@@ -132,6 +148,10 @@ class TestDistMap:
 
 
 class TestStateTransform:
+    def test_recovers_second_marginal(self):
+        first = Dist((F(7, 10), F(3, 10)))
+        assert state_transform(GOLDEN_CHANNEL, first).probs == (F(3, 20), F(9, 20), F(2, 5))
+
     def test_identity_channel(self):
         omega = normalized((2, 5, 3))
         assert state_transform(Channel.deterministic(FinMap.identity(3)), omega) == omega
@@ -168,6 +188,10 @@ class TestDisintegrate:
 
 
 class TestPairGraph:
+    def test_reconstruction(self):
+        first, channel = disintegrate(GOLDEN_JOINT, 3)
+        assert pair_graph(channel, first) == GOLDEN_JOINT
+
     def test_uniform_with_copy_channel_is_diagonal(self):
         c = Channel.deterministic(FinMap.identity(3))
         joint = pair_graph(c, Dist((F(1, 3),) * 3))
@@ -206,6 +230,11 @@ class TestValidityAndCondition:
     def test_conditioning_on_ones_is_identity(self):
         omega = normalized((3, 2, 5))
         assert condition(omega, Predicate((1,) * 3)) == omega
+
+    def test_conditioning_on_observed_column(self):
+        p = Predicate(tuple(1 if k % 3 == 1 else 0 for k in range(6)))
+        posterior = dist_map(FinMap.proj1(2, 3), condition(GOLDEN_JOINT, p))
+        assert posterior.probs == (F(7, 9), F(2, 9))
 
     def test_zero_validity_rejected(self):
         omega = Dist((F(1), F(0)))
