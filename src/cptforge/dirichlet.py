@@ -435,9 +435,8 @@ class Moments:
 
 
 def dirichlet_mean(alpha: HyperParams) -> Dist:
-    """The mean alpha_i / sum(alpha), exactly; equal to normalising alpha."""
-    total = alpha.total()
-    return Dist(tuple(Fraction(a, total) for a in alpha.counts))
+    """The mean alpha_i / sum(alpha), exactly: the normalisation of alpha."""
+    return Dist.normalise(alpha.counts)
 
 
 def dirichlet_moment(alpha: HyperParams, ks: Sequence[int]) -> Fraction:

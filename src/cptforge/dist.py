@@ -1,8 +1,14 @@
 """Discrete probability distributions with exact rational entries.
 
-Distributions, channels (row-stochastic matrices) and predicates all carry
-`fractions.Fraction` values, so every identity in this layer holds with zero
-tolerance.  Conversion to binary64 happens only at the continuous boundary.
+A distribution with rational entries is the normalisation of exactly one
+multiset whose counts share no common factor.  So a Dist holds that
+multiset: coprime integer `weights` over their `total`, entry i being
+weights[i]/total, with `probs`, the entries as `fractions.Fraction`s,
+derived on first use.  `Dist.normalise` is the normalisation map, the one
+`mle` applies to a count vector.  Every kernel computes on integers and
+normalises its result once, so every identity in this layer holds with zero
+tolerance.  Predicates carry Fractions; conversion to binary64 happens only
+at the continuous boundary.
 
 A joint distribution is a Dist over the row-major product n*m (see finset),
 the only 2-D form: its marginals are dist_map along FinMap.proj1/proj2, and
@@ -11,11 +17,13 @@ disintegrate takes the row length m.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .finset import FinMap, row_count
+from .finset import FinMap, integer_tuple, row_count
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -25,15 +33,20 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Dist:
-    """A probability vector over {0..n-1}; entries sum to exactly 1."""
+    """A probability vector over {0..n-1}: entry i is weights[i] / total.
 
-    probs: tuple[Fraction, ...]
+    The weights are non-negative integers with gcd 1 that sum to total, so
+    the form is canonical: two Dists are equal exactly when their entries
+    are.  `Dist(probs)` takes the entries; `Dist.normalise` takes weights.
+    """
 
-    def __post_init__(self):
-        probs = tuple(_frac(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
+    weights: tuple[int, ...]
+    total: int
+
+    def __init__(self, probs: Iterable):
+        probs = tuple(_frac(p) for p in probs)
         if not probs:
             raise ValueError("distribution over empty index set")
         # Both tests are on integers (a Fraction's denominator is positive):
@@ -43,15 +56,46 @@ class Dist:
             if not 0 <= p.numerator <= p.denominator:
                 raise ValueError(f"probability {p} at index {k} outside [0,1]")
         common = math.lcm(*(p.denominator for p in probs))
-        if sum(p.numerator * (common // p.denominator) for p in probs) != common:
+        weights = tuple(p.numerator * (common // p.denominator) for p in probs)
+        if sum(weights) != common:
             raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
+        # Already coprime: a prime dividing every weight divides their sum L,
+        # so it divides the denominator that holds its full power in L, and
+        # then that entry's numerator, which a reduced Fraction's cannot.
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "total", common)
+        self.__dict__["probs"] = probs  # the cached entries, already at hand
+
+    @staticmethod
+    def normalise(weights: Iterable) -> Dist:
+        """The normalisation map: the distribution weights[i] / sum(weights)
+        of non-negative integer weights with a positive sum, held as the
+        weights divided by their gcd.
+        """
+        weights = integer_tuple(weights, "weight")
+        if not weights:
+            raise ValueError("cannot normalise an empty weight vector")
+        for k, w in enumerate(weights):
+            if w < 0:
+                raise ValueError(f"negative weight {w} at index {k}")
+        total = sum(weights)
+        if total == 0:
+            raise ValueError("cannot normalise weights that sum to zero")
+        return _normalised(weights, total)
+
+    @functools.cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.total) for w in self.weights)
+
+    def __repr__(self) -> str:
+        return f"Dist(probs={self.probs!r})"
 
     @property
     def n(self) -> int:
-        return len(self.probs)
+        return len(self.weights)
 
     def has_full_support(self) -> bool:
-        return all(p > 0 for p in self.probs)
+        return all(self.weights)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.probs[i]
@@ -61,7 +105,19 @@ class Dist:
         """The point mass at index i."""
         if not 0 <= i < n:
             raise ValueError(f"index {i} outside range of size {n}")
-        return Dist(tuple(ONE if j == i else ZERO for j in range(n)))
+        return Dist.normalise([1 if j == i else 0 for j in range(n)])
+
+
+def _normalised(weights, total: int) -> Dist:
+    """The Dist of non-negative integer weights summing to total > 0, divided
+    by their gcd.  The kernels' one normalisation; it trusts its caller.
+    """
+    g = math.gcd(*weights)
+    weights = tuple(w // g for w in weights) if g > 1 else tuple(weights)
+    omega = object.__new__(Dist)
+    object.__setattr__(omega, "weights", weights)
+    object.__setattr__(omega, "total", total // g)
+    return omega
 
 
 @dataclass(frozen=True)
@@ -142,26 +198,39 @@ class Channel:
 
 
 def dist_map(h: FinMap, omega: Dist) -> Dist:
-    """Push a distribution forward along h; for projections this marginalises."""
+    """Push a distribution forward along h; for projections this marginalises.
+
+    Each fibre's weights are summed; the total is unchanged.
+    """
     if omega.n != h.domain_size:
         raise ValueError(f"size mismatch: distribution over {omega.n}, map domain {h.domain_size}")
-    out = [ZERO] * h.codomain_size
-    for x, p in enumerate(omega.probs):
-        out[h.targets[x]] += p
-    return Dist(tuple(out))
+    out = [0] * h.codomain_size
+    for y, w in zip(h.targets, omega.weights):
+        out[y] += w
+    return _normalised(out, omega.total)
+
+
+def _row_factors(c: Channel, omega: Dist) -> tuple[list[int], int]:
+    """The factor omega.weights[x] * (L // total of row x) of each channel
+    row, L the lcm of the row totals, and the joint total omega.total * L:
+    the joint weight of (x, y) is then factor[x] * c(x).weights[y].
+    """
+    if omega.n != c.n:
+        raise ValueError(f"size mismatch: distribution over {omega.n}, channel domain {c.n}")
+    common = math.lcm(*(row.total for row in c.rows))
+    factors = [w * (common // row.total) for w, row in zip(omega.weights, c.rows)]
+    return factors, omega.total * common
 
 
 def state_transform(c: Channel, omega: Dist) -> Dist:
     """Push omega through the channel: result[y] = sum_x c(x)(y) * omega(x)."""
-    if omega.n != c.n:
-        raise ValueError(f"size mismatch: distribution over {omega.n}, channel domain {c.n}")
-    out = [ZERO] * c.m
-    for x, p in enumerate(omega.probs):
-        if p == 0:
-            continue
-        for y, q in enumerate(c.rows[x].probs):
-            out[y] += p * q
-    return Dist(tuple(out))
+    factors, total = _row_factors(c, omega)
+    out = [0] * c.m
+    for f, row in zip(factors, c.rows):
+        if f:
+            for y, q in enumerate(row.weights):
+                out[y] += f * q
+    return _normalised(out, total)
 
 
 def disintegrate(omega: Dist, m: int) -> tuple[Dist, Channel]:
@@ -171,17 +240,17 @@ def disintegrate(omega: Dist, m: int) -> tuple[Dist, Channel]:
     The channel entry c(x)(y) is the conditional probability
     omega(x,y) / first(x); it exists only when the first marginal has full
     support.  Together with the marginal it reconstructs omega via
-    pair_graph, and it is the unique channel doing so.
+    pair_graph, and it is the unique channel doing so.  Row x of the channel
+    normalises row x of the weights.
     """
-    first = dist_map(FinMap.proj1(row_count(omega.n, m), m), omega)
-    for x, p in enumerate(first.probs):
-        if p == 0:
+    row_count(omega.n, m)  # refuses an m that does not divide the table
+    rows = [omega.weights[k : k + m] for k in range(0, omega.n, m)]
+    sums = [sum(row) for row in rows]
+    for x, s in enumerate(sums):
+        if s == 0:
             raise ValueError(f"first marginal vanishes at index {x}; no conditional exists")
-    rows = tuple(
-        Dist(tuple(p / q for p in omega.probs[x * m : (x + 1) * m]))
-        for x, q in enumerate(first.probs)
-    )
-    return first, Channel(rows)
+    channel = Channel(tuple(_normalised(row, s) for row, s in zip(rows, sums)))
+    return _normalised(sums, omega.total), channel
 
 
 def pair_graph(c: Channel, omega: Dist) -> Dist:
@@ -189,16 +258,27 @@ def pair_graph(c: Channel, omega: Dist) -> Dist:
 
     The result is a joint distribution over the row-major product c.n * c.m.
     """
-    if omega.n != c.n:
-        raise ValueError(f"size mismatch: distribution over {omega.n}, channel domain {c.n}")
-    return Dist(tuple(p * q for p, row in zip(omega.probs, c.rows) for q in row.probs))
+    factors, total = _row_factors(c, omega)
+    return _normalised([f * q for f, row in zip(factors, c.rows) for q in row.weights], total)
+
+
+def _weighted(omega: Dist, p: Predicate) -> tuple[list[int], int]:
+    """omega(x) * p(x) as integers over one denominator: omega's weights times
+    the predicate's values over the lcm L of their denominators, and the
+    denominator omega.total * L.
+    """
+    if p.n != omega.n:
+        raise ValueError(f"size mismatch: distribution over {omega.n}, predicate over {p.n}")
+    common = math.lcm(*(v.denominator for v in p.values))
+    products = [w * v.numerator * (common // v.denominator)
+                for w, v in zip(omega.weights, p.values)]
+    return products, omega.total * common
 
 
 def validity(omega: Dist, p: Predicate) -> Fraction:
     """The expected value of the predicate p under omega."""
-    if p.n != omega.n:
-        raise ValueError(f"size mismatch: distribution over {omega.n}, predicate over {p.n}")
-    return sum((w * v for w, v in zip(omega.probs, p.values)), start=ZERO)
+    products, total = _weighted(omega, p)
+    return Fraction(sum(products), total)
 
 
 def condition(omega: Dist, p: Predicate) -> Dist:
@@ -206,7 +286,8 @@ def condition(omega: Dist, p: Predicate) -> Dist:
 
     Undefined (raises) when the validity of p is zero.
     """
-    v = validity(omega, p)
-    if v == 0:
+    products, _ = _weighted(omega, p)
+    mass = sum(products)
+    if mass == 0:
         raise ValueError("cannot condition on a predicate with zero validity")
-    return Dist(tuple(w * q / v for w, q in zip(omega.probs, p.values)))
+    return _normalised(products, mass)

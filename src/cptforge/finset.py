@@ -11,12 +11,14 @@ pseudo-counts, `dirichlet.HyperParams`, are such multisets.  `ms_map_full`
 keeps full support along a surjection, and a Bayesian update is the sum
 `alpha + data`.
 
-Counts are plain Python integers (arbitrary precision), all values are
-immutable after construction, and every operation is a pure function.
+Counts are plain Python integers (arbitrary precision); a count that is not
+an integer is refused, not truncated.  All values are immutable after
+construction, and every operation is a pure function.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -26,6 +28,22 @@ class ZeroRowError(ValueError):
     def __init__(self, row: int):
         super().__init__(f"row {row} has zero total count")
         self.row = row
+
+
+def integer_tuple(values, noun: str) -> tuple[int, ...]:
+    """The values as Python ints.  `operator.index` admits exactly the
+    integer types, Python's and numpy's; a float, a Fraction or a string is
+    refused, naming its index, rather than truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for i, v in enumerate(values):
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"{noun} {v} at index {i} is not an integer") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -86,7 +104,7 @@ class Multiset:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", integer_tuple(self.counts, "count"))
         if not self.counts:
             raise ValueError("index set must be non-empty")
         for i, c in enumerate(self.counts):

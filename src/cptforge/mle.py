@@ -11,6 +11,7 @@ with zero tolerance.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -21,25 +22,22 @@ from .finset import FinMap, Multiset, ms_map, row_count, row_extract
 
 def mle(phi: Multiset) -> Dist:
     """Normalise a non-empty count vector into its empirical distribution."""
-    total = phi.total()
-    if total == 0:
+    if phi.total() == 0:
         raise ValueError("cannot normalise an empty multiset")
-    return Dist(tuple(Fraction(c, total) for c in phi.counts))
+    return Dist.normalise(phi.counts)
 
 
 def likelihood(phi: Multiset, omega: Dist) -> Fraction:
     """prod_i omega(i)^phi(i), the probability of observing the counts phi.
 
-    Empty products (all-zero phi, or a zero count against any probability)
-    contribute 1, i.e. 0**0 == 1.
+    With omega(i) = w_i / total it is prod_i w_i^phi(i) / total^sum(phi),
+    one Fraction.  Empty products (all-zero phi, or a zero count against any
+    probability) contribute 1, i.e. 0**0 == 1.
     """
     if omega.n != phi.n:
         raise ValueError(f"size mismatch: counts over {phi.n}, distribution over {omega.n}")
-    result = Fraction(1)
-    for c, p in zip(phi.counts, omega.probs):
-        if c > 0:
-            result *= p ** c
-    return result
+    num = math.prod(w**c for w, c in zip(omega.weights, phi.counts))
+    return Fraction(num, omega.total ** phi.total())
 
 
 def mle_decompose(phi: Multiset, m: int) -> tuple[Dist, Channel]:
@@ -68,7 +66,7 @@ def simplex_grid(n: int, denominator: int) -> Iterator[Dist]:
 
     def rec(prefix: list[int], remaining: int, k: int) -> Iterator[Dist]:
         if k == 1:
-            yield Dist(tuple(Fraction(c, denominator) for c in prefix + [remaining]))
+            yield Dist.normalise(prefix + [remaining])
             return
         for c in range(remaining + 1):
             yield from rec(prefix + [c], remaining - c, k - 1)

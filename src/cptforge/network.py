@@ -617,13 +617,9 @@ class LearnedCPT:
     @property
     def dists(self) -> tuple[Dist, ...]:
         """Each parent configuration's distribution: its weights over their total."""
-        # Deferred, like Dist: `fractions` loads `decimal`, and learn needs neither.
-        from fractions import Fraction
+        from .dist import Dist  # deferred: `fractions` loads `decimal`, and learn needs neither
 
-        from .dist import Dist
-
-        return tuple(Dist(tuple(Fraction(w, sum(row)) for w in row))
-                     for row in self.weights.tolist())
+        return tuple(Dist.normalise(row) for row in self.weights.tolist())
 
     @property
     def posteriors(self) -> tuple[HyperParams, ...] | None:

@@ -22,8 +22,8 @@ and add ``"suite/name"`` at the same position in the benchmark oracle's
 
 ``run_suite("all")`` on Linux runs the stochastic suite in a forked child
 while the parent runs ``golden`` and ``exact``: the halves share no state,
-and the exact half is pure-Python ``Fraction`` arithmetic that holds the
-GIL.  The results, and so the report, are the same as from one process.
+and the exact half is pure-Python integer and ``Fraction`` arithmetic that
+holds the GIL.  The results, and so the report, are the same as from one process.
 Each result carries the check's own time in ``seconds``.
 
 The sampling laws need only sums of their draws, so they consume

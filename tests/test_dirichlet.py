@@ -78,6 +78,18 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             HyperParams((1, 0))
 
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            ((1.9, 2), "count 1.9 at index 0 is not an integer"),
+            ((3, np.float64(2.0)), "count 2.0 at index 1 is not an integer"),
+        ],
+    )
+    def test_rejects_non_integer_pseudo_counts(self, counts, message):
+        with pytest.raises(ValueError) as err:
+            HyperParams(counts)
+        assert str(err.value) == message
+
     def test_increment(self):
         assert HyperParams((2, 3)).increment(1).counts == (2, 4)
 

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,6 +64,24 @@ class TestMultiset:
     def test_rejects_empty_index_set(self):
         with pytest.raises(ValueError):
             Multiset(())
+
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            ((1.5, 2), "count 1.5 at index 0 is not an integer"),
+            ((1, np.float64(2.0)), "count 2.0 at index 1 is not an integer"),
+            ((1, 2, Fraction(3, 1)), "count 3 at index 2 is not an integer"),
+            (("3",), "count 3 at index 0 is not an integer"),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, counts, message):
+        with pytest.raises(ValueError) as err:
+            Multiset(counts)
+        assert str(err.value) == message
+
+    def test_numpy_integers_become_python_ints(self):
+        phi = Multiset(np.array([2**62, 3], dtype=np.int64))
+        assert phi.counts == (2**62, 3) and all(type(c) is int for c in phi.counts)
 
     def test_classifications(self):
         assert not Multiset((0, 1)).has_full_support()
