@@ -25,15 +25,15 @@ building it: every cell with the same index sum has the same weight and the
 same last coordinate, so a moment is a convolution of 1-D power tables.
 
 Moments: with integer pseudo-counts every mixed moment of Dirichlet(alpha)
-is an exact rational, `dirichlet_moment`.  `dirichlet_covariance` is built
-from it; `dirichlet_mean`, its degree-1 case, normalises the pseudo-counts.
+is an exact rational, `dirichlet_moment`; `dirichlet_mean`, its degree-1
+case, normalises the pseudo-counts.
 
 Sampling draws Dirichlet points from seeded Philox streams, one block of
 rows at a time: `dirichlet_sample_blocks` yields the blocks as it draws
 them, and `dirichlet_sample_many` writes them into one result, so it takes
-its result plus one block.  A statistic that needs central sums of the
-draws feeds the blocks to `Moments`, which merges count, mean and central
-sums block by block, and holds no whole sample.
+its result plus one block.  A sample is judged by `moment_z`, from its
+column sums and Gram sums alone: both add over blocks, so a sampling law
+holds no whole sample, and every standard error is exact.
 """
 
 from __future__ import annotations
@@ -378,62 +378,6 @@ def dirichlet_sample_many(
     return out
 
 
-class Moments:
-    """Count, mean and central sums of each column of a stream of row blocks.
-
-    `add` merges one (rows, k) block at a time, so a statistic over many
-    draws holds one block, never the whole sample.  `sums[p - 2]` is the
-    central sum M_p = sum over rows of (x - mean)**p, for p = 2..order.  A
-    block's own sums are taken about its own mean (two passes over the
-    block) and merged by Pebay's pairwise update ("Formulas for robust,
-    one-pass parallel computation of covariances and arbitrary-order
-    statistical moments", Sandia 2008), which for M2 is the update of Chan,
-    Golub & LeVeque (1979).  The sums are additive over any split of the
-    rows, up to rounding.
-    """
-
-    def __init__(self, order: int = 2):
-        if order < 2:
-            raise ValueError(f"order must be at least 2, got {order}")
-        self.order = order
-        self.count = 0
-        self.mean: np.ndarray | float = 0.0
-        self.sums: list[np.ndarray | float] = [0.0] * (order - 1)
-
-    def add(self, block: np.ndarray) -> None:
-        """Merge the rows of a (rows, k) block into the statistics."""
-        nb = len(block)
-        if nb == 0:
-            return
-        mean_b = block.sum(axis=0) / nb
-        dev = block - mean_b
-        sums_b, power = [], dev
-        for _ in range(self.order - 1):
-            power = power * dev
-            sums_b.append(power.sum(axis=0))
-        na = self.count
-        if na == 0:
-            self.count, self.mean, self.sums = nb, mean_b, sums_b
-            return
-        n = na + nb
-        delta = mean_b - self.mean
-        # m[p] and mb[p] are M_p of the two parts, M_1 being 0.
-        m, mb = [0.0, 0.0, *self.sums], [0.0, 0.0, *sums_b]
-        merged = []
-        for p in range(2, self.order + 1):
-            scale = (na * nb / n) ** p * (1 / nb ** (p - 1) - (-1 / na) ** (p - 1))
-            s = m[p] + mb[p] + scale * delta**p
-            for k in range(1, p - 1):
-                s += math.comb(p, k) * delta**k * (
-                    (-nb / n) ** k * m[p - k] + (na / n) ** k * mb[p - k])
-            merged.append(s)
-        self.count, self.mean, self.sums = n, self.mean + delta * (nb / n), merged
-
-    def var(self) -> np.ndarray:
-        """The sample variance of each column (ddof = 1)."""
-        return self.sums[0] / (self.count - 1)
-
-
 def dirichlet_mean(alpha: HyperParams) -> Dist:
     """The mean alpha_i / sum(alpha), exactly: the normalisation of alpha."""
     return Dist.normalise(alpha.counts)
@@ -457,15 +401,25 @@ def dirichlet_moment(alpha: HyperParams, ks: Sequence[int]) -> Fraction:
     return Fraction(num, rising(alpha.total(), sum(ks)))
 
 
-def dirichlet_covariance(alpha: HyperParams) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact covariance matrix of Dirichlet(alpha): E[x_i x_j] - E[x_i] E[x_j]."""
-    def moment(*idx: int) -> Fraction:
-        return dirichlet_moment(alpha, [idx.count(i) for i in range(alpha.n)])
-
-    mean = [moment(i) for i in range(alpha.n)]
-    return tuple(
-        tuple(moment(i, j) - mean[i] * mean[j] for j in range(alpha.n)) for i in range(alpha.n)
-    )
+def moment_z(alpha: HyperParams, draws: int, sums: np.ndarray, gram: np.ndarray) -> float:
+    """Largest |z| of the sample means of the coordinates x_j and of the
+    products x_j x_k (j <= k) of draws from Dirichlet(alpha), given the
+    draws' column sums and Gram sums x^T x, against their exact means.  The
+    standard error of f is sqrt((E[f^2] - E[f]^2) / draws), exactly, with
+    every E a dirichlet_moment.  A one-outcome alpha is the point mass at 1,
+    which every sample matches: its z is 0.0."""
+    n = alpha.n
+    if n == 1:
+        return 0.0
+    terms = [((j,), sums[j]) for j in range(n)]
+    terms += [((j, k), gram[j, k]) for j in range(n) for k in range(j, n)]
+    worst = 0.0
+    for idx, total in terms:
+        ks = [idx.count(i) for i in range(n)]
+        mean = dirichlet_moment(alpha, ks)
+        var = dirichlet_moment(alpha, [2 * k for k in ks]) - mean * mean
+        worst = max(worst, abs(total / draws - float(mean)) / math.sqrt(float(var) / draws))
+    return float(worst)
 
 
 def aggregate_params(h: FinMap, alpha: HyperParams) -> HyperParams:

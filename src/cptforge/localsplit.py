@@ -15,9 +15,10 @@ by c-1 at the price of a constant (`shifted_prefactor`).  The audit below
 checks, by sampling, which local parameterisation the pushforward matches
 after one joint observation, and reports that constant: a pushforward of a
 probability measure has total mass 1, so a candidate scaled by a constant
-other than 1 cannot be correct as a measure.  It needs only the means and
-central moments of each component, so it streams the sampler's blocks into
-`dirichlet.Moments` and holds no whole sample.
+other than 1 cannot be correct as a measure.  It needs only each
+component's column sums and Gram sums, which `dirichlet.moment_z` judges
+against exact Dirichlet moments, so it streams the sampler's blocks and
+holds no whole sample.
 
 Points are (N, r, c) arrays; a pseudo-count table is a tuple of r row
 `HyperParams` of c entries each, the form of `LearnedCPT.posteriors`.
@@ -32,14 +33,12 @@ import numpy as np
 
 from .dirichlet import (
     HyperParams,
-    Moments,
-    dirichlet_covariance,
-    dirichlet_mean,
     dirichlet_normalizer,
     dirichlet_pdf_many,
     dirichlet_sample_blocks,
     int_power,
     make_rng,
+    moment_z,
     simplex_rows,
 )
 
@@ -118,14 +117,6 @@ def pdf_factorization_check(
 
 
 @dataclass(frozen=True)
-class ComponentStats:
-    mean: tuple[float, ...]
-    var: tuple[float, ...]
-    se_mean: tuple[float, ...]
-    se_var: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class CandidateFit:
     """How well one local parameterisation matches the sampled pushforward."""
 
@@ -143,7 +134,7 @@ class LocalUpdateAudit:
     cell: tuple[int, int]
     n_samples: int
     seed: int
-    empirical: dict[str, ComponentStats]
+    empirical: dict[str, tuple[float, ...]]  # component -> its sample means
     candidates: tuple[CandidateFit, ...]
     matching_candidates: tuple[str, ...]
     shifted_constant: Fraction
@@ -154,9 +145,8 @@ class LocalUpdateAudit:
             f"incremented cell={self.cell}, samples={self.n_samples}, seed={self.seed}",
             "pushforward total mass: 1.0 (a probability measure)",
         ]
-        for block, stats in self.empirical.items():
-            means = ", ".join(f"{m:.5f}" for m in stats.mean)
-            lines.append(f"  empirical {block} means: ({means})")
+        for block, means in self.empirical.items():
+            lines.append(f"  empirical {block} means: ({', '.join(f'{m:.5f}' for m in means)})")
         for cand in self.candidates:
             verdict = "MATCH" if cand.matches else "MISMATCH"
             rows = " x ".join(f"Dir{p}" for p in cand.row_params)
@@ -179,27 +169,6 @@ class LocalUpdateAudit:
         return "\n".join(lines)
 
 
-def _component_stats(moments: Moments) -> ComponentStats:
-    n = moments.count
-    var = moments.var()
-    m4 = moments.sums[2] / n
-    se_mean = np.sqrt(var / n)
-    se_var = np.sqrt(np.maximum(m4 - var**2, 0.0) / n)
-    return ComponentStats(tuple(moments.mean), tuple(var), tuple(se_mean), tuple(se_var))
-
-
-def _fit_z(stats: ComponentStats, params: HyperParams) -> float:
-    if params.n == 1:
-        return 0.0  # the one-outcome simplex is a single point: nothing to fit
-    mean = [float(p) for p in dirichlet_mean(params).probs]
-    cov = dirichlet_covariance(params)
-    z = 0.0
-    for k in range(params.n):
-        z = max(z, abs(stats.mean[k] - mean[k]) / stats.se_mean[k])
-        z = max(z, abs(stats.var[k] - float(cov[k][k])) / stats.se_var[k])
-    return z
-
-
 def local_update_audit(
     alpha_rows: tuple[HyperParams, ...],
     increment_cell: tuple[int, int],
@@ -210,10 +179,11 @@ def local_update_audit(
 
     Draws from the jointly updated Dirichlet (the cell's pseudo-count
     incremented), splits every draw into totals and row proportions, and
-    compares the per-component means and variances against two candidate
-    local parameterisations.  The draws are consumed block by block into
-    per-component `Moments`, so the audit's memory is one sampler block
-    whatever `samples` is:
+    judges each component against two candidate local parameterisations
+    with `moment_z`: its coordinates' and pairwise products' sample means
+    against their exact moments.  Each sampler block adds to the
+    component's column sums and Gram sums, so the audit's memory is one
+    sampler block whatever `samples` is:
 
     * direct: totals pseudo-counts with the updated row incremented, the
       updated row incremented at the observed column, other rows unchanged;
@@ -232,18 +202,21 @@ def local_update_audit(
     if samples < 10_000:
         raise ValueError("need at least 10000 samples for a meaningful audit")
 
-    moments = {name: Moments(order=4) for name in ["totals", *(f"row{k}" for k in range(rows))]}
+    names = ["totals", *(f"row{k}" for k in range(rows))]
+    sums = dict.fromkeys(names, 0.0)
+    grams = dict.fromkeys(names, 0.0)
     for draws in dirichlet_sample_blocks(_joint(alpha_rows).increment(i * cols + j), samples,
                                          make_rng(seed)):
         totals, shares = split(draws.reshape(len(draws), rows, cols))
-        moments["totals"].add(totals)
-        for k in range(rows):
-            moments[f"row{k}"].add(shares[:, k, :])
-    empirical = {name: _component_stats(m) for name, m in moments.items()}
+        for name, xs in zip(names, [totals, *shares.transpose(1, 0, 2)]):
+            sums[name], grams[name] = sums[name] + xs.sum(axis=0), grams[name] + xs.T @ xs
+
+    def fit_z(name: str, params: HyperParams) -> float:
+        return moment_z(params, samples, sums[name], grams[name])
 
     updated_rows = list(alpha_rows)
     updated_rows[i] = alpha_rows[i].increment(j)
-    rows_z = max(_fit_z(empirical[f"row{k}"], row) for k, row in enumerate(updated_rows))
+    rows_z = max(fit_z(f"row{k}", row) for k, row in enumerate(updated_rows))
     direct = _totals(alpha_rows).increment(i)
     constant = shifted_prefactor(direct, cols - 1)
     candidates = []
@@ -251,7 +224,7 @@ def local_update_audit(
         ("direct", direct, 1.0),
         ("shifted", _lowered(direct, cols - 1), float(constant)),
     ]:
-        z = max(_fit_z(empirical["totals"], totals_params), rows_z)
+        z = max(fit_z("totals", totals_params), rows_z)
         candidates.append(
             CandidateFit(
                 name=name,
@@ -268,7 +241,7 @@ def local_update_audit(
         cell=increment_cell,
         n_samples=samples,
         seed=seed,
-        empirical=empirical,
+        empirical={name: tuple(sums[name] / samples) for name in names},
         candidates=tuple(candidates),
         matching_candidates=tuple(c.name for c in candidates if c.matches),
         shifted_constant=constant,

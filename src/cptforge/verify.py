@@ -27,11 +27,13 @@ holds the GIL.  The results, and so the report, are the same as from one process
 Each result carries the check's own time in ``seconds``.
 
 The sampling laws need only sums of their draws, so they consume
-``dirichlet_sample_blocks`` block by block and hold no whole sample.
-surjective-naturality and sampler-moments sum raw monomials and histogram
-counts in one pass, and compare them with exact references: the Dirichlet
-moments of ``dirichlet_moment`` and the Beta bin probabilities of
-``bin_probabilities``.  The local-update audit feeds ``dirichlet.Moments``.
+``dirichlet_sample_blocks`` block by block and hold no whole sample.  They
+sum coordinates and products of two coordinates (and, for
+surjective-naturality, histogram counts) in one pass and compare them with
+exact references, with exact standard errors: ``dirichlet.moment_z``, the
+one judge of surjective-naturality, sampler-moments and the local-update
+audit, reads ``dirichlet_moment``, and the bins read the Beta bin
+probabilities of ``bin_probabilities``.
 """
 
 from __future__ import annotations
@@ -64,12 +66,12 @@ from .dirichlet import (
     aggregate_params,
     dirichlet_density,
     dirichlet_mean,
-    dirichlet_moment,
     dirichlet_normalizer,
     dirichlet_pdf_many,
     dirichlet_sample_blocks,
     dirichlet_sample_many,
     make_rng,
+    moment_z,
     one_sum_check,
     push_coords,
     simplex_moments,
@@ -656,24 +658,6 @@ def merged_bins(
     return [sum(probs[lo:hi]) for lo, hi in zip(starts, ends)], np.add.reduceat(counts, starts)
 
 
-def _moment_z(alpha: HyperParams, draws: int, sums: np.ndarray, gram: np.ndarray) -> float:
-    """Largest |z| of the sample means of the coordinates x_j and of the
-    products x_j x_k (j <= k) of draws from Dirichlet(alpha), given the
-    draws' column sums and Gram sums x^T x, against their exact means.  The
-    standard error of f is sqrt((E[f^2] - E[f]^2) / draws), exactly, with
-    every E a dirichlet_moment."""
-    n = alpha.n
-    terms = [((j,), sums[j]) for j in range(n)]
-    terms += [((j, k), gram[j, k]) for j in range(n) for k in range(j, n)]
-    worst = 0.0
-    for idx, total in terms:
-        ks = [idx.count(i) for i in range(n)]
-        mean = dirichlet_moment(alpha, ks)
-        var = dirichlet_moment(alpha, [2 * k for k in ks]) - mean * mean
-        worst = max(worst, abs(total / draws - float(mean)) / math.sqrt(float(var) / draws))
-    return worst
-
-
 @law("stochastic", "surjective-naturality")
 def check_stoch_surjective_naturality(seed: int, resolution: int) -> tuple[bool, str]:
     # One sample of Dir(alpha) pushed along h, against the exact law of
@@ -693,7 +677,7 @@ def check_stoch_surjective_naturality(seed: int, resolution: int) -> tuple[bool,
             sums, gram = sums + ys.sum(axis=0), gram + ys.T @ ys
             counts = counts + histogram_counts(ys)
         merged = aggregate_params(h, alpha)
-        z = _moment_z(merged, draws, sums, gram)
+        z = moment_z(merged, draws, sums, gram)
         for a, row in zip(merged.counts, counts):
             probs, got = merged_bins(bin_probabilities(a, merged.total() - a), row, draws)
             for p, c in zip(probs, got):
@@ -715,7 +699,7 @@ def check_stoch_sampler_moments(seed: int, resolution: int) -> tuple[bool, str]:
     sums, gram = 0.0, 0.0
     for xs in dirichlet_sample_blocks(alpha, draws, make_rng(seed + 25)):
         sums, gram = sums + xs.sum(axis=0), gram + xs.T @ xs
-    worst = _moment_z(alpha, draws, sums, gram)
+    worst = moment_z(alpha, draws, sums, gram)
     ok = worst <= 4.0
     return ok, f"{draws} draws of Dir{alpha.counts}: moments within {worst:.2f} standard errors"
 

@@ -1,5 +1,5 @@
 """Smoke test: each bundled script and the README's library tour run to
-completion against the package, and the demo's stdout is pinned."""
+completion against the package, and the demos' stdout is pinned."""
 
 from pathlib import Path
 
@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         (["learn_blood_medicine.py"], "learn_blood_medicine.txt"),
         (["quadrature_convergence.py"], None),
-        (["local_audit_demo.py", "10000", "0"], None),
+        (["local_audit_demo.py", "10000", "0"], "local_audit_demo.txt"),
     ],
     ids=["learn_blood_medicine.py", "quadrature_convergence.py", "local_audit_demo.py"],
 )
