@@ -17,7 +17,7 @@ import numpy as np
 from .dirichlet import (
     HyperParams,
     SimplexDensity,
-    dirichlet_mean,
+    dirichlet_moment,
     simplex_quadrature,
 )
 from .dist import Predicate, validity
@@ -53,8 +53,8 @@ def cont_validity(density: SimplexDensity, q: LiftedPredicate, resolution: int) 
     """Expected value of the lifted predicate under the density, by simplex
     quadrature at the given resolution.
 
-    Under Dirichlet(alpha) the closed form is validity(dirichlet_mean(alpha),
-    p) (linearity plus the Dirichlet mean); validity_transfer_check uses it.
+    Under Dirichlet(alpha) the exact value is sum_i p(i) E[x_i], by
+    linearity; validity_transfer_check computes it.
     """
     if q.n != density.n:
         raise ValueError(f"size mismatch: density over {density.n}, predicate over {q.n}")
@@ -104,14 +104,15 @@ def batch_update(alpha: HyperParams, data: Multiset) -> HyperParams:
 
 def validity_transfer_check(
     alpha: HyperParams, p: Predicate
-) -> tuple[Fraction, float]:
-    """Both sides of the validity-transfer law for the given inputs.
+) -> tuple[Fraction, Fraction]:
+    """Both sides of the validity-transfer law for the given inputs, exactly.
 
-    lhs: validity of p under the normalised pseudo-counts, exact.
-    rhs: validity of the lifted predicate under Dirichlet(alpha), via the
-    closed form validity(dirichlet_mean(alpha), p), converted once.  The law
-    says they are equal.
+    lhs: validity of p under the normalised pseudo-counts.
+    rhs: validity of the lifted predicate under Dirichlet(alpha), which is
+    sum_i p(i) E[x_i] by linearity, each E[x_i] a first dirichlet_moment.
+    The law says they are equal.
     """
     lhs = validity(mle(alpha), p)
-    rhs = float(validity(dirichlet_mean(alpha), p))
+    units = [[int(j == i) for j in range(alpha.n)] for i in range(alpha.n)]
+    rhs = sum(v * dirichlet_moment(alpha, e) for v, e in zip(p.values, units))
     return lhs, rhs

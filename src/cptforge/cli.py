@@ -6,11 +6,9 @@ Two subcommands:
   [--prior ones|FILE]`` reads a graph and a count CSV and writes one table
   CSV per node into DIR.
 * ``cpt-forge verify --suite {golden|exact|stochastic|all} [--seed N]
-  [--resolution N] [--json]`` runs the law suites and reports one PASS/FAIL
-  line per check, then a SUMMARY line; N is
-  verify.MIN_RESOLUTION..verify.MAX_RESOLUTION (5..1023), bounds set by the
-  density-normalisation law, and each quadrature law's tolerance, 1e-3 at
-  N = 400, scales as 1/N**2 up to a cap of 0.5.  ``--json`` prints, in
+  [--json]`` runs the law suites and reports one PASS/FAIL line per check,
+  then a SUMMARY line; the quadrature laws use one grid and tolerance,
+  verify.RESOLUTION and verify.QUADRATURE_TOL.  ``--json`` prints, in
   place of those lines, one JSON object per check, one per line: its
   ``suite``, ``name``, ``passed``, ``detail`` and ``seconds``.  On Linux,
   ``--suite all`` runs the stochastic suite in a forked child beside the
@@ -46,31 +44,13 @@ from .network import (
 )
 
 
-def _at_least(low: int, text: str) -> int:
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-    return value
-
-
-def resolution(text: str) -> int:
-    """The --resolution type: an integer in verify's MIN_RESOLUTION..MAX_RESOLUTION
-    (argparse names it in errors)."""
-    # Deferred, like the verify import below: `learn` never loads the law suites.
-    from .verify import MAX_QUADRATURE_CELLS, MAX_RESOLUTION, MIN_RESOLUTION
-
-    value = _at_least(MIN_RESOLUTION, text)
-    if value > MAX_RESOLUTION:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_RESOLUTION}, got {value}: density-normalisation's "
-            f"grid at twice the resolution would exceed {MAX_QUADRATURE_CELLS} cells"
-        )
-    return value
-
-
 def seed(text: str) -> int:
-    """The --seed type: an integer of at least 0, as the random streams need."""
-    return _at_least(0, text)
+    """The --seed type: an integer of at least 0, as the random streams need
+    (argparse names it in errors)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=("golden", "exact", "stochastic", "all"),
                         required=True)
     verify.add_argument("--seed", type=seed, default=42)
-    verify.add_argument("--resolution", type=resolution, default=400)
     verify.add_argument("--json", action="store_true",
                         help="print one JSON object per check (suite, name, passed, "
                         "detail, seconds) in place of the text lines")
@@ -127,9 +106,9 @@ def _run_learn(args: argparse.Namespace) -> int:
 def _run_verify(args: argparse.Namespace) -> int:
     # Deferred: only verify needs the law-suite module, and importing it at
     # module level would add its import time to every learn run.
-    from .verify import run_suite
+    from .verify import RESOLUTION, run_suite
 
-    results = run_suite(args.suite, seed=args.seed, resolution=args.resolution)
+    results = run_suite(args.suite, seed=args.seed)
     failed = sum(1 for r in results if not r.passed)
     if args.json:
         import dataclasses
@@ -143,7 +122,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             print(f"[{status}] {r.suite}/{r.name}: {r.detail}")
         print(
             f"SUMMARY: {len(results) - failed} passed, {failed} failed "
-            f"(suite={args.suite}, seed={args.seed}, resolution={args.resolution})"
+            f"(suite={args.suite}, seed={args.seed}, resolution={RESOLUTION})"
         )
     return 1 if failed else 0
 

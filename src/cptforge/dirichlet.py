@@ -401,6 +401,9 @@ def dirichlet_moment(alpha: HyperParams, ks: Sequence[int]) -> Fraction:
     return Fraction(num, rising(alpha.total(), sum(ks)))
 
 
+Z_BOUND = 4.0  # a sample matches its law when moment_z reads at most this
+
+
 def moment_z(alpha: HyperParams, draws: int, sums: np.ndarray, gram: np.ndarray) -> float:
     """Largest |z| of the sample means of the coordinates x_j and of the
     products x_j x_k (j <= k) of draws from Dirichlet(alpha), given the

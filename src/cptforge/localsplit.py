@@ -32,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dirichlet import (
+    Z_BOUND,
     HyperParams,
     dirichlet_normalizer,
     dirichlet_pdf_many,
@@ -190,8 +191,8 @@ def local_update_audit(
     * shifted: as above but with every total lowered by c-1 after the
       increment, the form that comes with a proportionality constant.
 
-    Components are judged at four standard errors.  The constant attached
-    to the shifted form is evaluated and reported alongside.
+    Components are judged at Z_BOUND standard errors.  The constant
+    attached to the shifted form is evaluated and reported alongside.
     """
     rows, cols = len(alpha_rows), alpha_rows[0].n
     if any(row.n != cols for row in alpha_rows):
@@ -232,7 +233,7 @@ def local_update_audit(
                 row_params=tuple(row.counts for row in updated_rows),
                 claimed_mass=claimed_mass,
                 max_abs_z=z,
-                matches=z <= 4.0,
+                matches=z <= Z_BOUND,
             )
         )
 

@@ -11,10 +11,12 @@ Three suites, selectable from the CLI:
 * ``stochastic``: the binary64 laws (quadrature normalisation and means,
   aggregation, surjective naturality at sample level, sampler moments,
   conjugacy panels, the split factorisations and the local-update audit),
-  each at its stated tolerance with seeded, reproducible streams.
+  each at its stated tolerance with seeded, reproducible streams.  The
+  quadrature laws integrate on one grid, ``RESOLUTION``, at one tolerance,
+  ``QUADRATURE_TOL``.
 
 Each law is one function decorated with ``@law(suite, name)``: it takes
-``(seed, resolution)`` and returns ``(passed, detail)``, and the decorator
+the ``seed`` and returns ``(passed, detail)``, and the decorator
 registers it in ``SUITES[suite]``.  Suites and laws run in the order they
 are defined.  To add a law, define its decorated function where it belongs
 and add ``"suite/name"`` at the same position in the benchmark oracle's
@@ -61,11 +63,12 @@ from .bayes import (
     validity_transfer_check,
 )
 from .dirichlet import (
-    MAX_QUADRATURE_CELLS,
+    Z_BOUND,
     HyperParams,
     aggregate_params,
     dirichlet_density,
     dirichlet_mean,
+    dirichlet_moment,
     dirichlet_normalizer,
     dirichlet_pdf_many,
     dirichlet_sample_blocks,
@@ -104,27 +107,27 @@ class CheckResult:
     seconds: float = field(compare=False)  # the check's wall time
 
 
-Check = Callable[[int, int], CheckResult]
+Check = Callable[[int], CheckResult]
 
 # Every law, per suite, in the order it is defined below (and reported).
 SUITES: dict[str, list[Check]] = {}
 
 
-def law(suite: str, name: str) -> Callable[[Callable[[int, int], tuple[bool, str]]], Check]:
+def law(suite: str, name: str) -> Callable[[Callable[[int], tuple[bool, str]]], Check]:
     """Register a check as the law ``suite/name``.
 
-    The decorated check takes ``(seed, resolution)`` and returns
+    The decorated check takes the ``seed`` and returns
     ``(passed, detail)``; the registered function returns the CheckResult,
     timed.  A check that raises an Exception fails, with ``raised
     <type>: <message>`` as its detail, and the checks after it still run.
     """
 
-    def register(check: Callable[[int, int], tuple[bool, str]]) -> Check:
+    def register(check: Callable[[int], tuple[bool, str]]) -> Check:
         @functools.wraps(check)
-        def run(seed: int, resolution: int) -> CheckResult:
+        def run(seed: int) -> CheckResult:
             start = time.perf_counter()
             try:
-                passed, detail = check(seed, resolution)
+                passed, detail = check(seed)
             except Exception as exc:
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             return CheckResult(suite, name, bool(passed), detail, time.perf_counter() - start)
@@ -212,14 +215,14 @@ def _all_hyperparams(max_n: int, max_total: int) -> list[HyperParams]:
 
 
 @law("golden", "empirical-joint")
-def check_golden_empirical_joint(seed: int, resolution: int) -> tuple[bool, str]:
+def check_golden_empirical_joint(seed: int) -> tuple[bool, str]:
     joint = mle(blood_medicine_joint())
     ok = joint.probs == GOLDEN_JOINT
     return ok, f"normalised counts = {joint.probs}"
 
 
 @law("golden", "marginals")
-def check_golden_marginals(seed: int, resolution: int) -> tuple[bool, str]:
+def check_golden_marginals(seed: int) -> tuple[bool, str]:
     counts = blood_medicine_joint()
     p1, p2 = FinMap.proj1(2, 3), FinMap.proj2(2, 3)
     via_counts_1 = mle(ms_map(p1, counts))
@@ -240,7 +243,7 @@ def check_golden_marginals(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("golden", "channel-extraction")
-def check_golden_channel(seed: int, resolution: int) -> tuple[bool, str]:
+def check_golden_channel(seed: int) -> tuple[bool, str]:
     first, channel = mle_decompose(blood_medicine_joint(), 3)
     first2, channel2 = disintegrate(mle(blood_medicine_joint()), 3)
     ok = (
@@ -252,7 +255,7 @@ def check_golden_channel(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("golden", "second-marginal-via-channel")
-def check_golden_state_transform(seed: int, resolution: int) -> tuple[bool, str]:
+def check_golden_state_transform(seed: int) -> tuple[bool, str]:
     first, channel = mle_decompose(blood_medicine_joint(), 3)
     second = state_transform(channel, first)
     ok = second.probs == GOLDEN_SECOND
@@ -260,7 +263,7 @@ def check_golden_state_transform(seed: int, resolution: int) -> tuple[bool, str]
 
 
 @law("golden", "pair-graph-reconstruction")
-def check_golden_reconstruction(seed: int, resolution: int) -> tuple[bool, str]:
+def check_golden_reconstruction(seed: int) -> tuple[bool, str]:
     joint = mle(blood_medicine_joint())
     first, channel = disintegrate(joint, 3)
     ok = pair_graph(channel, first) == joint
@@ -268,7 +271,7 @@ def check_golden_reconstruction(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("golden", "conditioning-on-observed-column")
-def check_golden_conditioning(seed: int, resolution: int) -> tuple[bool, str]:
+def check_golden_conditioning(seed: int) -> tuple[bool, str]:
     joint = mle(blood_medicine_joint())
     on_medicine_1 = Predicate(tuple(1 if k % 3 == 1 else 0 for k in range(6)))
     posterior = dist_map(FinMap.proj1(2, 3), condition(joint, on_medicine_1))
@@ -278,7 +281,7 @@ def check_golden_conditioning(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("golden", "learn-mle-pipeline")
-def check_golden_learn_mle(seed: int, resolution: int) -> tuple[bool, str]:
+def check_golden_learn_mle(seed: int) -> tuple[bool, str]:
     cpts = {c.node: c for c in learn_mle(blood_medicine_table(), blood_medicine_graph())}
     ok = (
         cpts["Blood"].dists[0].probs == GOLDEN_FIRST
@@ -288,7 +291,7 @@ def check_golden_learn_mle(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("golden", "learn-bayes-pipeline")
-def check_golden_learn_bayes(seed: int, resolution: int) -> tuple[bool, str]:
+def check_golden_learn_bayes(seed: int) -> tuple[bool, str]:
     cpts = {c.node: c for c in learn_bayes(blood_medicine_table(), blood_medicine_graph())}
     blood = cpts["Blood"]
     med = cpts["Medicine"]
@@ -309,7 +312,7 @@ def check_golden_learn_bayes(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("exact", "pushforward-functoriality")
-def check_exact_functoriality(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_functoriality(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed)
     trials = 200
     for _ in range(trials):
@@ -330,7 +333,7 @@ def check_exact_functoriality(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("exact", "normalisation-naturality")
-def check_exact_naturality(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_naturality(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 1)
     trials = 300
     for _ in range(trials):
@@ -343,7 +346,7 @@ def check_exact_naturality(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("exact", "marginal-naturality")
-def check_exact_marginal_naturality(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_marginal_naturality(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 2)
     trials = 100
     for _ in range(trials):
@@ -356,7 +359,7 @@ def check_exact_marginal_naturality(seed: int, resolution: int) -> tuple[bool, s
 
 
 @law("exact", "normalisation-monoidality")
-def check_exact_monoidality(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_monoidality(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 3)
     trials = 100
     for _ in range(trials):
@@ -368,7 +371,7 @@ def check_exact_monoidality(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("exact", "decomposition-commutes")
-def check_exact_decomposition(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_decomposition(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 4)
     trials = 150
     for _ in range(trials):
@@ -384,7 +387,7 @@ def check_exact_decomposition(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("exact", "flatten-order-counterexample")
-def check_exact_counterexample(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_counterexample(seed: int) -> tuple[bool, str]:
     report = monad_counterexample()
     expected_a = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
     expected_b = (Fraction(1, 3), Fraction(2, 9), Fraction(4, 9))
@@ -397,7 +400,7 @@ def check_exact_counterexample(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("exact", "disintegration-round-trip")
-def check_exact_disintegration_roundtrip(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_disintegration_roundtrip(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 5)
     trials = 100
     for _ in range(trials):
@@ -415,7 +418,7 @@ def check_exact_disintegration_roundtrip(seed: int, resolution: int) -> tuple[bo
 
 
 @law("exact", "conditioning-chain")
-def check_exact_conditioning_chain(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_conditioning_chain(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 6)
     trials = 100
     tried = 0
@@ -433,7 +436,7 @@ def check_exact_conditioning_chain(seed: int, resolution: int) -> tuple[bool, st
 
 
 @law("exact", "likelihood-maximality")
-def check_exact_likelihood_max(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_likelihood_max(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 7)
     grid = list(simplex_grid(3, 25))
     for _ in range(10):
@@ -448,7 +451,7 @@ def check_exact_likelihood_max(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("exact", "validity-transfer")
-def check_exact_validity_transfer(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_validity_transfer(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 8)
     trials = 100
     for _ in range(trials):
@@ -456,13 +459,13 @@ def check_exact_validity_transfer(seed: int, resolution: int) -> tuple[bool, str
         alpha = _random_hyperparams(rng, n)
         p = _random_predicate(rng, n)
         lhs, rhs = validity_transfer_check(alpha, p)
-        if float(lhs) != rhs:
+        if lhs != rhs:
             return False, f"{lhs} != {rhs}"
     return True, f"{trials} instances: discrete and lifted validity agree via the closed form"
 
 
 @law("exact", "point-evidence-trivialises")
-def check_exact_trivialisation(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_trivialisation(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 9)
     trials = 50
     for _ in range(trials):
@@ -475,18 +478,26 @@ def check_exact_trivialisation(seed: int, resolution: int) -> tuple[bool, str]:
     return True, f"{trials} instances: conditioning a plain distribution on a point collapses it"
 
 
+def _reweighted_mean(alpha: HyperParams, phi: Multiset) -> tuple[Fraction, ...]:
+    """The mean of Dirichlet(alpha) reweighted by the likelihood of the counts
+    phi, prod_i x_i**phi_i, on the Giry side: E[x_i x**phi] / E[x**phi], from
+    exact moments."""
+    evidence = dirichlet_moment(alpha, phi.counts)
+    return tuple(dirichlet_moment(alpha, [k + (j == i) for j, k in enumerate(phi.counts)])
+                 / evidence for i in range(alpha.n))
+
+
 @law("exact", "posterior-mean-identity")
-def check_exact_posterior_mean(seed: int, resolution: int) -> tuple[bool, str]:
+def check_exact_posterior_mean(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 10)
     trials = 100
     for _ in range(trials):
         n = rng.randint(1, 6)
         alpha = _random_hyperparams(rng, n)
         data = _random_multiset(rng, n, lo=0, hi=20)
-        posterior = batch_update(alpha, data)
-        if dirichlet_mean(posterior) != mle(alpha + data):
+        if dirichlet_mean(batch_update(alpha, data)).probs != _reweighted_mean(alpha, data):
             return False, "means differ"
-        if dirichlet_mean(alpha) != mle(alpha):
+        if dirichlet_mean(alpha).probs != _reweighted_mean(alpha, Multiset((0,) * n)):
             return False, "prior mean differs"
     return True, f"{trials} instances: posterior mean = normalised updated pseudo-counts"
 
@@ -495,6 +506,8 @@ def check_exact_posterior_mean(seed: int, resolution: int) -> tuple[bool, str]:
 # Stochastic suite (binary64, stated tolerances, seeded streams).
 
 ERROR_FLOOR = 1e-9  # below this, quadrature error is floating-point noise
+RESOLUTION = 400  # the quadrature laws' grid: boxes of side 1/RESOLUTION
+QUADRATURE_TOL = 1e-3  # their tolerance on that grid
 
 
 def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarray:
@@ -515,45 +528,28 @@ def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarr
     return errors
 
 
-def _quadrature_tol(resolution: int) -> float:
-    """The tolerance of a quadrature law: 1e-3 is pinned at resolution 400, and
-    the cell rule converges at second order, so it scales as 1/resolution**2.
-    It is capped at 0.5 (reached below resolution 18), so a law whose values
-    lie in [0, 1] can still fail on a coarse grid."""
-    return min(1e-3 * (400 / resolution) ** 2, 0.5)
-
-
 @law("stochastic", "quadrature-basics")
-def check_stoch_quadrature_basics(seed: int, resolution: int) -> tuple[bool, str]:
-    total = simplex_quadrature(lambda pts: np.ones(len(pts)), 2, resolution)
-    mean = simplex_quadrature(lambda pts: pts[:, 0], 2, resolution)
+def check_stoch_quadrature_basics(seed: int) -> tuple[bool, str]:
+    total = simplex_quadrature(lambda pts: np.ones(len(pts)), 2, RESOLUTION)
+    mean = simplex_quadrature(lambda pts: pts[:, 0], 2, RESOLUTION)
     ok = abs(total - 1.0) <= 1e-9 and abs(mean - 0.5) <= 1e-6
     return ok, f"integral of 1 = {total!r}, integral of x0 = {mean!r}"
 
 
-# The --resolution range is set by density-normalisation.  Below 5 its errors
-# need not shrink when the grid doubles (the rule is not yet in its
-# second-order regime).  It sums over the 3-outcome grid at twice the
-# resolution, r * (2r + 1) cells at resolution r, within MAX_QUADRATURE_CELLS.
-MIN_RESOLUTION = 5
-MAX_RESOLUTION = (math.isqrt(8 * MAX_QUADRATURE_CELLS + 1) - 1) // 4
-
-
 @law("stochastic", "density-normalisation")
-def check_stoch_normalisation(seed: int, resolution: int) -> tuple[bool, str]:
+def check_stoch_normalisation(seed: int) -> tuple[bool, str]:
     alphas = _all_hyperparams(3, 12)
-    errs = normalisation_errors(alphas, resolution)
-    errs2 = normalisation_errors(alphas, 2 * resolution)
-    tol = _quadrature_tol(resolution)
+    errs = normalisation_errors(alphas, RESOLUTION)
+    errs2 = normalisation_errors(alphas, 2 * RESOLUTION)
     bad = [
         (a.counts, e, e2)
         for a, e, e2 in zip(alphas, errs, errs2)
-        if e > tol or e2 > max(e, ERROR_FLOOR)
+        if e > QUADRATURE_TOL or e2 > max(e, ERROR_FLOOR)
     ]
     ok = not bad
     detail = (
         f"all {len(alphas)} pseudo-count vectors with n<=3, sum<=12: worst "
-        f"|err| = {errs.max():.2e} (tol {tol:.1e}), errors shrink when the "
+        f"|err| = {errs.max():.2e} (tol {QUADRATURE_TOL:.1e}), errors shrink when the "
         "resolution doubles"
         if ok
         else f"failed at {bad[:3]}"
@@ -562,26 +558,25 @@ def check_stoch_normalisation(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("stochastic", "mean-integrals")
-def check_stoch_mean_integrals(seed: int, resolution: int) -> tuple[bool, str]:
+def check_stoch_mean_integrals(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 20)
-    tol = _quadrature_tol(resolution)
     worst = 0.0
     for _ in range(30):
         n = rng.randint(2, 3)
         alpha = _random_hyperparams(rng, n, hi=5)
         i = rng.randrange(n)
         got = simplex_quadrature(
-            lambda pts: pts[:, i] * dirichlet_pdf_many(alpha, pts), n, resolution
+            lambda pts: pts[:, i] * dirichlet_pdf_many(alpha, pts), n, RESOLUTION
         )
         err = abs(got - float(Fraction(alpha[i], alpha.total())))
         worst = max(worst, err)
-        if err > tol:
+        if err > QUADRATURE_TOL:
             return False, f"error {err:.2e} at {alpha.counts}"
-    return True, f"30 instances: coordinate means within {tol:.1e} (worst {worst:.2e})"
+    return True, f"30 instances: coordinate means within {QUADRATURE_TOL:.1e} (worst {worst:.2e})"
 
 
 @law("stochastic", "aggregation-one-sum")
-def check_stoch_aggregation(seed: int, resolution: int) -> tuple[bool, str]:
+def check_stoch_aggregation(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 21)
     worst = 0.0
     for _ in range(50):
@@ -659,7 +654,7 @@ def merged_bins(
 
 
 @law("stochastic", "surjective-naturality")
-def check_stoch_surjective_naturality(seed: int, resolution: int) -> tuple[bool, str]:
+def check_stoch_surjective_naturality(seed: int) -> tuple[bool, str]:
     # One sample of Dir(alpha) pushed along h, against the exact law of
     # Dir(aggregate_params(h, alpha)): its moments and its histogram bins.
     draws = 100_000
@@ -684,7 +679,7 @@ def check_stoch_surjective_naturality(seed: int, resolution: int) -> tuple[bool,
                 if p < 1:
                     z = max(z, abs(c / draws - float(p)) / math.sqrt(float(p * (1 - p)) / draws))
         worst = max(worst, z)
-        if z > 4.0:
+        if z > Z_BOUND:
             return False, f"max |z| = {z:.2f} for alpha={alpha.counts}, h={h.targets}"
     return True, (
         f"{len(cases)} cases x {draws} draws: pushed samples match the merged "
@@ -693,19 +688,19 @@ def check_stoch_surjective_naturality(seed: int, resolution: int) -> tuple[bool,
 
 
 @law("stochastic", "sampler-moments")
-def check_stoch_sampler_moments(seed: int, resolution: int) -> tuple[bool, str]:
+def check_stoch_sampler_moments(seed: int) -> tuple[bool, str]:
     draws = 100_000
     alpha = HyperParams((2, 1, 1))
     sums, gram = 0.0, 0.0
     for xs in dirichlet_sample_blocks(alpha, draws, make_rng(seed + 25)):
         sums, gram = sums + xs.sum(axis=0), gram + xs.T @ xs
     worst = moment_z(alpha, draws, sums, gram)
-    ok = worst <= 4.0
+    ok = worst <= Z_BOUND
     return ok, f"{draws} draws of Dir{alpha.counts}: moments within {worst:.2f} standard errors"
 
 
 @law("stochastic", "conjugate-update")
-def check_stoch_conjugacy(seed: int, resolution: int) -> tuple[bool, str]:
+def check_stoch_conjugacy(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 26)
     worst = 0.0
     for trial in range(50):
@@ -729,28 +724,27 @@ def check_stoch_conjugacy(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("stochastic", "validity-transfer-quadrature")
-def check_stoch_transfer_quadrature(seed: int, resolution: int) -> tuple[bool, str]:
+def check_stoch_transfer_quadrature(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 27)
-    tol = _quadrature_tol(resolution)
     worst = 0.0
     for _ in range(20):
         n = rng.randint(2, 3)
         alpha = _random_hyperparams(rng, n, hi=5)
         p = _random_predicate(rng, n)
         lhs = float(validity(mle(alpha), p))
-        rhs = cont_validity(dirichlet_density(alpha), lift_predicate(p), resolution)
+        rhs = cont_validity(dirichlet_density(alpha), lift_predicate(p), RESOLUTION)
         err = abs(lhs - rhs)
         worst = max(worst, err)
-        if err > tol:
+        if err > QUADRATURE_TOL:
             return False, f"gap {err:.2e} at {alpha.counts}"
     return True, (
-        f"20 instances: quadrature agrees with the exact value within {tol:.1e} "
+        f"20 instances: quadrature agrees with the exact value within {QUADRATURE_TOL:.1e} "
         f"(worst {worst:.2e})"
     )
 
 
 @law("stochastic", "split-round-trip")
-def check_stoch_split_roundtrip(seed: int, resolution: int) -> tuple[bool, str]:
+def check_stoch_split_roundtrip(seed: int) -> tuple[bool, str]:
     points = _interior_points(6, 200, seed + 28).reshape(200, 2, 3)
     worst = float(np.abs(unsplit(*split(points)) - points).max())
     ok = worst <= 1e-12
@@ -758,7 +752,7 @@ def check_stoch_split_roundtrip(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("stochastic", "split-factorisation")
-def check_stoch_factorisation(seed: int, resolution: int) -> tuple[bool, str]:
+def check_stoch_factorisation(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 29)
     worst = 0.0
     for trial in range(20):
@@ -777,7 +771,7 @@ def check_stoch_factorisation(seed: int, resolution: int) -> tuple[bool, str]:
 
 
 @law("stochastic", "local-update-audit")
-def check_stoch_local_audit(seed: int, resolution: int) -> tuple[bool, str]:
+def check_stoch_local_audit(seed: int) -> tuple[bool, str]:
     audit = local_update_audit(
         (HyperParams((1, 1, 1)),) * 2, (0, 2), samples=100_000, seed=seed + 30
     )
@@ -796,7 +790,7 @@ def check_stoch_local_audit(seed: int, resolution: int) -> tuple[bool, str]:
 FORKED_SUITE = "stochastic"
 
 
-def run_suite(suite: str, seed: int = 42, resolution: int = 400) -> list[CheckResult]:
+def run_suite(suite: str, seed: int = 42) -> list[CheckResult]:
     """Run one suite (or ``all``) and return its results in a fixed order.
 
     On Linux, ``all`` runs FORKED_SUITE in a forked child beside the other
@@ -805,12 +799,12 @@ def run_suite(suite: str, seed: int = 42, resolution: int = 400) -> list[CheckRe
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick {', '.join(SUITES)} or all")
     if suite == "all" and sys.platform == "linux":
-        return _run_all_forked(seed, resolution)
+        return _run_all_forked(seed)
     names = list(SUITES) if suite == "all" else [suite]
-    return [check(seed, resolution) for name in names for check in SUITES[name]]
+    return [check(seed) for name in names for check in SUITES[name]]
 
 
-def _run_all_forked(seed: int, resolution: int) -> list[CheckResult]:
+def _run_all_forked(seed: int) -> list[CheckResult]:
     """Every check, FORKED_SUITE in a forked child and the rest in this
     process; results in SUITES order.
 
@@ -838,8 +832,7 @@ def _run_all_forked(seed: int, resolution: int) -> list[CheckResult]:
         try:
             os.close(read_fd)
             try:
-                sent = (True, [check(seed, resolution)
-                               for check, child in zip(checks, forked) if child])
+                sent = (True, [check(seed) for check, child in zip(checks, forked) if child])
             except BaseException:
                 import traceback  # like `signal` below: needed on error paths only
 
@@ -852,7 +845,7 @@ def _run_all_forked(seed: int, resolution: int) -> list[CheckResult]:
     os.close(write_fd)
     with os.fdopen(read_fd, "rb") as pipe:
         try:
-            mine = [check(seed, resolution) for check, child in zip(checks, forked) if not child]
+            mine = [check(seed) for check, child in zip(checks, forked) if not child]
             received = pipe.read()
         except BaseException:
             import signal

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cptforge import verify
 from cptforge.bayes import (
     batch_update,
     cont_condition,
@@ -19,7 +20,7 @@ from cptforge.dirichlet import (
     dirichlet_sample_many,
     make_rng,
 )
-from cptforge.dist import Predicate
+from cptforge.dist import Dist, Predicate
 from cptforge.finset import Multiset
 
 hyperparams_st = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
@@ -58,19 +59,19 @@ class TestContValidity:
     # validity_transfer_check reports, and by cont_validity's quadrature.
     def test_point_predicate_gives_mean_coordinate(self):
         alpha, p = HyperParams((2, 1, 1)), Predicate.point(3, 0)
-        assert validity_transfer_check(alpha, p)[1] == float(F(1, 2))
+        assert validity_transfer_check(alpha, p)[1] == F(1, 2)
         got = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
         assert got == pytest.approx(0.5, abs=1e-3)
 
     def test_constant_one(self):
         alpha, p = HyperParams((3, 1)), Predicate((1,) * 2)
-        assert validity_transfer_check(alpha, p)[1] == 1.0
+        assert validity_transfer_check(alpha, p)[1] == 1
         got = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
         assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_beta_example(self):
         alpha, p = HyperParams((3, 1)), Predicate((F(1), F(0)))
-        assert validity_transfer_check(alpha, p)[1] == 0.75
+        assert validity_transfer_check(alpha, p)[1] == F(3, 4)
         got = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
         assert got == pytest.approx(0.75, abs=1e-3)
 
@@ -79,7 +80,7 @@ class TestContValidity:
         p = Predicate((F(1, 2), F(1, 3), F(1)))
         closed = validity_transfer_check(alpha, p)[1]
         numeric = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
-        assert numeric == pytest.approx(closed, abs=1e-3)
+        assert numeric == pytest.approx(float(closed), abs=1e-3)
 
     def test_closed_form_unavailable_for_untagged_density(self):
         base = dirichlet_density(HyperParams((1, 1)))
@@ -171,12 +172,11 @@ class TestBatchUpdate:
 class TestValidityTransfer:
     def test_beta_point_case(self):
         lhs, rhs = validity_transfer_check(HyperParams((3, 1)), Predicate.point(2, 0))
-        assert lhs == F(3, 4)
-        assert rhs == 0.75
+        assert lhs == rhs == F(3, 4)
 
     def test_constant_one(self):
         lhs, rhs = validity_transfer_check(HyperParams((2, 5)), Predicate((1,) * 2))
-        assert lhs == 1 and rhs == 1.0
+        assert lhs == rhs == 1
 
     @given(hyperparams_st, st.data())
     def test_exact_agreement(self, alpha, data):
@@ -184,4 +184,15 @@ class TestValidityTransfer:
             F(data.draw(st.integers(0, 6)), 6) for _ in range(alpha.n)
         )
         lhs, rhs = validity_transfer_check(alpha, Predicate(values))
-        assert float(lhs) == rhs
+        assert lhs == rhs
+
+
+def test_exact_laws_fail_when_normalisation_is_wrong(monkeypatch):
+    # Each law's Giry side reads exact Dirichlet moments and never normalises,
+    # so with every weight raised by one only the discrete side moves.
+    normalise = Dist.normalise
+    monkeypatch.setattr(Dist, "normalise", staticmethod(lambda w: normalise([x + 1 for x in w])))
+    transfer = verify.check_exact_validity_transfer(42)
+    assert not transfer.passed and " != " in transfer.detail
+    mean = verify.check_exact_posterior_mean(42)
+    assert (mean.passed, mean.detail) == (False, "means differ")

@@ -104,7 +104,7 @@ def test_learned_rows_are_slices_of_the_joint_update(tmp_path, network):
 
 @functools.cache
 def results_at_seed_42():
-    """Every law's result at seed 42 and resolution 400, from one run."""
+    """Every law's result at seed 42, from one run."""
     return verify.run_suite("all", seed=42)
 
 
@@ -132,14 +132,14 @@ def assert_no_child_left():
 def test_forked_all_equals_the_suites_run_one_by_one():
     # On Linux `all` runs the stochastic suite in a forked child; the results
     # are those of each suite run alone in this process.
-    results = verify.run_suite("all", seed=3, resolution=50)
-    assert results == [r for name in verify.SUITES for r in verify.run_suite(name, 3, 50)]
+    results = verify.run_suite("all", seed=3)
+    assert results == [r for name in verify.SUITES for r in verify.run_suite(name, 3)]
     assert all(r.seconds > 0 for r in results)
     assert_no_child_left()
 
 
 def test_verify_json_is_one_record_per_check(monkeypatch, capsys):
-    args = ["verify", "--suite", "all", "--resolution", "50"]
+    args = ["verify", "--suite", "all"]
     assert cli.main(args) == 0
     text = capsys.readouterr().out.splitlines()[:-1]
     assert cli.main([*args, "--json"]) == 0
@@ -160,7 +160,7 @@ def test_verify_json_is_one_record_per_check(monkeypatch, capsys):
 def test_check_raising_in_the_child_is_a_fail(monkeypatch, capsys):
     # A law that raises fails with what it raised, in process and in the
     # forked child; every other law still runs and reports as before.
-    args = ["verify", "--suite", "all", "--resolution", "50"]
+    args = ["verify", "--suite", "all"]
     assert cli.main(args) == 0
     want = capsys.readouterr().out.splitlines()
 
@@ -170,14 +170,14 @@ def test_check_raising_in_the_child_is_a_fail(monkeypatch, capsys):
     monkeypatch.setattr(verify, "split", refuse)
     failed = verify.CheckResult("stochastic", "split-round-trip", False,
                                 "raised ValueError: split refused", 0.0)
-    assert failed in verify.run_suite("stochastic", 42, 50)
+    assert failed in verify.run_suite("stochastic", 42)
     assert cli.main(args) == 1
     at = next(i for i, line in enumerate(want) if "stochastic/split-round-trip:" in line)
     assert capsys.readouterr().out.splitlines() == [
         *want[:at],
         "[FAIL] stochastic/split-round-trip: raised ValueError: split refused",
         *want[at + 1 : -1],
-        "SUMMARY: 30 passed, 1 failed (suite=all, seed=42, resolution=50)",
+        "SUMMARY: 30 passed, 1 failed (suite=all, seed=42, resolution=400)",
     ]
     assert_no_child_left()
 
@@ -188,19 +188,19 @@ def test_check_raising_in_the_child_is_a_fail(monkeypatch, capsys):
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
 ], ids=["exit", "killed"])
 def test_child_that_dies_is_named_by_its_status(monkeypatch, end, how):
-    monkeypatch.setitem(verify.SUITES, "stochastic", [lambda seed, resolution: end()])
+    monkeypatch.setitem(verify.SUITES, "stochastic", [lambda seed: end()])
     with pytest.raises(RuntimeError, match=f"^the stochastic suite's child process {how}$"):
-        verify.run_suite("all", resolution=50)
+        verify.run_suite("all")
     assert_no_child_left()
 
 
 @forks
 def test_interrupt_in_the_parent_kills_and_reaps_the_child(monkeypatch):
-    def interrupt(seed, resolution):
+    def interrupt(seed):
         raise KeyboardInterrupt
 
     # A child that would outlive the test by far unless it is killed.
-    monkeypatch.setitem(verify.SUITES, "stochastic", [lambda seed, resolution: time.sleep(60)])
+    monkeypatch.setitem(verify.SUITES, "stochastic", [lambda seed: time.sleep(60)])
     monkeypatch.setitem(verify.SUITES, "exact", [interrupt])
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):

@@ -578,8 +578,7 @@ class TestCli:
         assert main(["learn", "--mode", "bayes"] + args) == 0
 
     @pytest.mark.parametrize("args", [
-        "golden --seed 42", "exact --seed 42", "stochastic --seed 42 --resolution 100",
-        "all --seed 42 --resolution 100",
+        "golden --seed 42", "exact --seed 42", "stochastic --seed 42", "all --seed 42",
     ], ids=["golden", "exact", "stochastic", "all"])
     def test_verify_stdout_is_pinned(self, args, capsys):
         # Every exact value and every sampled statistic is in the report, so
@@ -587,29 +586,15 @@ class TestCli:
         # `all` runs its stochastic suite in a forked child on Linux, and its
         # report is the three suites' check lines in turn, under one summary.
         pins = {"golden": "verify-golden-seed42.txt", "exact": "verify-exact-seed42.txt",
-                "stochastic": "verify-stochastic-seed42-res100.txt"}
+                "stochastic": "verify-stochastic-seed42.txt"}
         suite = args.split()[0]
         assert main(["verify", "--suite", *args.split()]) == 0
         reports = [(EXPECTED / pins[name]).read_text(encoding="utf-8")
                    for name in pins if suite in (name, "all")]
         if suite == "all":
             reports = [r.rpartition("SUMMARY: ")[0] for r in reports]
-            reports.append("SUMMARY: 31 passed, 0 failed (suite=all, seed=42, resolution=100)\n")
+            reports.append("SUMMARY: 31 passed, 0 failed (suite=all, seed=42, resolution=400)\n")
         assert capsys.readouterr().out == "".join(reports)
-
-    @pytest.mark.parametrize("value", ["4", "3", "2", "1", "0", "-3"])
-    def test_verify_resolution_below_five_is_input_error(self, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "golden", "--resolution", value])
-        assert exc.value.code == 2
-        assert f"--resolution: must be at least 5, got {value}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["5", "50"])
-    def test_verify_stochastic_passes_at_coarse_resolutions(self, value, capsys):
-        # Each quadrature law's tolerance scales with the grid, so a coarse
-        # accepted --resolution reports no law as failed.
-        assert main(["verify", "--suite", "stochastic", "--resolution", value]) == 0
-        assert "11 passed, 0 failed" in capsys.readouterr().out
 
     def test_verify_failed_law_exits_one(self, monkeypatch, capsys):
         # Both routes of the flatten-order counterexample made equal: the law fails.
@@ -625,12 +610,12 @@ class TestCli:
         # Under `all` a stochastic law fails too: on Linux it runs in a forked
         # child, which inherits the patch.
         monkeypatch.setattr(verify, "unsplit", lambda *parts: unsplit(*parts) + 1.0)
-        assert main(["verify", "--suite", "all", "--resolution", "100"]) == 1
+        assert main(["verify", "--suite", "all"]) == 1
         out = capsys.readouterr().out
         assert f"[FAIL] exact/flatten-order-counterexample: {probs} != {probs}\n" in out
         gap = "[FAIL] stochastic/split-round-trip: 200 interior points: max round-trip gap 1.00e+00\n"
         assert gap in out
-        assert "SUMMARY: 29 passed, 2 failed (suite=all, seed=42, resolution=100)" in out
+        assert "SUMMARY: 29 passed, 2 failed (suite=all, seed=42, resolution=400)" in out
 
     @pytest.mark.parametrize("value", ["-1", "-100"])
     def test_verify_seed_below_zero_is_input_error(self, value, capsys):

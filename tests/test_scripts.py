@@ -1,9 +1,12 @@
 """Smoke test: each bundled script and the README's library tour run to
 completion against the package, and the demos' stdout is pinned."""
 
+import re
 from pathlib import Path
 
 import pytest
+
+from cptforge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +32,16 @@ def test_readme_library_tour_runs(run_python):
     tour = readme.split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1]
     proc = run_python("-c", tour.split("\n```", 1)[0])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["learn", "verify"])
+def test_readme_synopsis_matches_the_usage_line(command, capsys):
+    # The README's synopsis line for a subcommand names the same options, in
+    # the same order, as argparse's usage line for it.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("\n## CLI\n", 1)[1].split("```\n", 1)[1].split("\n```", 1)[0]
+    line = next(ln for ln in synopsis.splitlines() if ln.startswith(f"cpt-forge {command} "))
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    assert re.findall(r"--[a-z-]+", line) == re.findall(r"--[a-z-]+", usage)
