@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the joint-versus-local update audit and print the full report.
 
-Usage: local_audit_demo.py [samples] [seed]
+Usage: local_audit_demo.py
 """
 
 import sys
@@ -19,10 +19,8 @@ CASES = [
 
 
 def main() -> int:
-    samples = int(sys.argv[1]) if len(sys.argv) > 1 else 100_000
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     for alpha, cell in CASES:
-        print(local_update_audit(alpha, cell, samples=samples, seed=seed).format_report())
+        print(local_update_audit(alpha, cell).format_report())
         print()
     return 0
 

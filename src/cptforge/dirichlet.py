@@ -430,21 +430,6 @@ def aggregate_params(h: FinMap, alpha: HyperParams) -> HyperParams:
     return HyperParams(ms_map_full(h, alpha).counts)
 
 
-def push_coords(h: FinMap, xs: np.ndarray) -> np.ndarray:
-    """Push simplex points along h by summing coordinate fibres.
-
-    Rows of xs are points over h's domain; rows of the result are points
-    over its codomain.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != h.domain_size:
-        raise ValueError(f"expected an (N, {h.domain_size}) array, got shape {xs.shape}")
-    out = np.zeros((xs.shape[0], h.codomain_size))
-    for x, y in enumerate(h.targets):
-        out[:, y] += xs[:, x]
-    return out
-
-
 def one_sum_check(
     alpha: HyperParams, x: Sequence[float], resolution: int
 ) -> tuple[float, float]:

@@ -12,13 +12,13 @@ of its own row (Geiger & Heckerman, Ann. Statist. 25(3), 1997):
 
 Moving the Jacobian y_i^(c-1) into the totals density lowers each total
 by c-1 at the price of a constant (`shifted_prefactor`).  The audit below
-checks, by sampling, which local parameterisation the pushforward matches
-after one joint observation, and reports that constant: a pushforward of a
-probability measure has total mass 1, so a candidate scaled by a constant
-other than 1 cannot be correct as a measure.  It needs only each
-component's column sums and Gram sums, which `dirichlet.moment_z` judges
-against exact Dirichlet moments, so it streams the sampler's blocks and
-holds no whole sample.
+checks, with exact Dirichlet moments, which local parameterisation the
+pushforward matches after one joint observation, and reports that
+constant: a pushforward of a probability measure has total mass 1, so a
+candidate scaled by a constant other than 1 cannot be correct as a measure.
+Cell (i, j) of a joint point is y_i s_ij, so under independence every
+joint moment is the totals' moment at the row degrees times each row's own
+moment, and each side is an exact `dirichlet_moment`.
 
 Points are (N, r, c) arrays; a pseudo-count table is a tuple of r row
 `HyperParams` of c entries each, the form of `LearnedCPT.posteriors`.
@@ -26,20 +26,19 @@ Points are (N, r, c) arrays; a pseudo-count table is a tuple of r row
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .dirichlet import (
-    Z_BOUND,
     HyperParams,
+    dirichlet_moment,
     dirichlet_normalizer,
     dirichlet_pdf_many,
-    dirichlet_sample_blocks,
     int_power,
-    make_rng,
-    moment_z,
     simplex_rows,
 )
 
@@ -119,13 +118,14 @@ def pdf_factorization_check(
 
 @dataclass(frozen=True)
 class CandidateFit:
-    """How well one local parameterisation matches the sampled pushforward."""
+    """How well one local parameterisation matches the joint update's moments."""
 
     name: str
     totals_params: tuple[int, ...]
     row_params: tuple[tuple[int, ...], ...]
     claimed_mass: float
-    max_abs_z: float
+    failed: int  # how many of the audit's moment identities fail
+    first_gap: Fraction  # joint minus factorised moment at the first failure, else 0
     matches: bool
 
 
@@ -133,9 +133,7 @@ class CandidateFit:
 class LocalUpdateAudit:
     alpha_rows: tuple[HyperParams, ...]
     cell: tuple[int, int]
-    n_samples: int
-    seed: int
-    empirical: dict[str, tuple[float, ...]]  # component -> its sample means
+    identities: int  # joint exponent tables checked: every one of degree 1-2
     candidates: tuple[CandidateFit, ...]
     matching_candidates: tuple[str, ...]
     shifted_constant: Fraction
@@ -143,18 +141,16 @@ class LocalUpdateAudit:
     def format_report(self) -> str:
         lines = [
             f"local update audit: alpha rows={tuple(r.counts for r in self.alpha_rows)}, "
-            f"incremented cell={self.cell}, samples={self.n_samples}, seed={self.seed}",
+            f"incremented cell={self.cell}, joint moments of degree 1-2: {self.identities}",
             "pushforward total mass: 1.0 (a probability measure)",
         ]
-        for block, means in self.empirical.items():
-            lines.append(f"  empirical {block} means: ({', '.join(f'{m:.5f}' for m in means)})")
         for cand in self.candidates:
-            verdict = "MATCH" if cand.matches else "MISMATCH"
+            verdict = "MATCH" if cand.matches else f"MISMATCH (first gap {cand.first_gap})"
             rows = " x ".join(f"Dir{p}" for p in cand.row_params)
             lines.append(
                 f"  candidate {cand.name}: totals Dir{cand.totals_params}, rows {rows}, "
-                f"claimed mass {cand.claimed_mass:g}, max |z| = {cand.max_abs_z:.2f} "
-                f"-> {verdict}"
+                f"claimed mass {cand.claimed_mass:g}, fails {cand.failed} of "
+                f"{self.identities} moment identities -> {verdict}"
             )
         lines.append(
             f"  shifted-candidate constant: {self.shifted_constant} "
@@ -164,35 +160,31 @@ class LocalUpdateAudit:
             lines.append(
                 "  note: the constant differs from 1, but a pushforward of a "
                 "probability measure has total mass 1, so the scaled shifted "
-                "product cannot match it as a measure; the empirically "
-                f"supported parameterisation is: {', '.join(self.matching_candidates) or 'none'}"
+                "product cannot match it as a measure; the parameterisation the "
+                f"exact moments support is: {', '.join(self.matching_candidates) or 'none'}"
             )
         return "\n".join(lines)
 
 
 def local_update_audit(
-    alpha_rows: tuple[HyperParams, ...],
-    increment_cell: tuple[int, int],
-    samples: int = 100_000,
-    seed: int = 0,
+    alpha_rows: tuple[HyperParams, ...], increment_cell: tuple[int, int]
 ) -> LocalUpdateAudit:
-    """Sample-based audit of joint-versus-local conjugate updates.
+    """Exact audit of joint-versus-local conjugate updates.
 
-    Draws from the jointly updated Dirichlet (the cell's pseudo-count
-    incremented), splits every draw into totals and row proportions, and
-    judges each component against two candidate local parameterisations
-    with `moment_z`: its coordinates' and pairwise products' sample means
-    against their exact moments.  Each sampler block adds to the
-    component's column sums and Gram sums, so the audit's memory is one
-    sampler block whatever `samples` is:
+    Updates the joint Dirichlet (the cell's pseudo-count incremented) and
+    judges two candidate local parameterisations of its pushforward on
+    every joint exponent table m of degree 1-2: the joint moment
+    E[prod x_kl**m_kl] must equal the totals' moment at the row degrees
+    (|m_k|)_k times each row's moment at m_k, every moment an exact
+    `dirichlet_moment`:
 
     * direct: totals pseudo-counts with the updated row incremented, the
       updated row incremented at the observed column, other rows unchanged;
     * shifted: as above but with every total lowered by c-1 after the
       increment, the form that comes with a proportionality constant.
 
-    Components are judged at Z_BOUND standard errors.  The constant
-    attached to the shifted form is evaluated and reported alongside.
+    A candidate matches when no identity fails.  The constant attached to
+    the shifted form is evaluated and reported alongside.
     """
     rows, cols = len(alpha_rows), alpha_rows[0].n
     if any(row.n != cols for row in alpha_rows):
@@ -200,24 +192,22 @@ def local_update_audit(
     i, j = increment_cell
     if not (0 <= i < rows and 0 <= j < cols):
         raise ValueError(f"cell {increment_cell} outside the {rows}x{cols} table")
-    if samples < 10_000:
-        raise ValueError("need at least 10000 samples for a meaningful audit")
 
-    names = ["totals", *(f"row{k}" for k in range(rows))]
-    sums = dict.fromkeys(names, 0.0)
-    grams = dict.fromkeys(names, 0.0)
-    for draws in dirichlet_sample_blocks(_joint(alpha_rows).increment(i * cols + j), samples,
-                                         make_rng(seed)):
-        totals, shares = split(draws.reshape(len(draws), rows, cols))
-        for name, xs in zip(names, [totals, *shares.transpose(1, 0, 2)]):
-            sums[name], grams[name] = sums[name] + xs.sum(axis=0), grams[name] + xs.T @ xs
-
-    def fit_z(name: str, params: HyperParams) -> float:
-        return moment_z(params, samples, sums[name], grams[name])
-
+    joint = _joint(alpha_rows).increment(i * cols + j)
     updated_rows = list(alpha_rows)
     updated_rows[i] = alpha_rows[i].increment(j)
-    rows_z = max(fit_z(f"row{k}", row) for k, row in enumerate(updated_rows))
+    exponents = [
+        [idx.count(k) for k in range(rows * cols)]
+        for degree in (1, 2)
+        for idx in combinations_with_replacement(range(rows * cols), degree)
+    ]
+    # Per table m: the joint moment, the row degrees and the rows' moments.
+    sides = []
+    for m in exponents:
+        row_ms = [m[k * cols : (k + 1) * cols] for k in range(rows)]
+        row_moments = math.prod(dirichlet_moment(row, ms) for row, ms in zip(updated_rows, row_ms))
+        sides.append((dirichlet_moment(joint, m), [sum(ms) for ms in row_ms], row_moments))
+
     direct = _totals(alpha_rows).increment(i)
     constant = shifted_prefactor(direct, cols - 1)
     candidates = []
@@ -225,24 +215,25 @@ def local_update_audit(
         ("direct", direct, 1.0),
         ("shifted", _lowered(direct, cols - 1), float(constant)),
     ]:
-        z = max(fit_z("totals", totals_params), rows_z)
+        gaps = [lhs - dirichlet_moment(totals_params, degrees) * row_moments
+                for lhs, degrees, row_moments in sides]
+        failed = [gap for gap in gaps if gap]
         candidates.append(
             CandidateFit(
                 name=name,
                 totals_params=totals_params.counts,
                 row_params=tuple(row.counts for row in updated_rows),
                 claimed_mass=claimed_mass,
-                max_abs_z=z,
-                matches=z <= Z_BOUND,
+                failed=len(failed),
+                first_gap=failed[0] if failed else Fraction(0),
+                matches=not failed,
             )
         )
 
     return LocalUpdateAudit(
         alpha_rows=tuple(alpha_rows),
         cell=increment_cell,
-        n_samples=samples,
-        seed=seed,
-        empirical={name: tuple(sums[name] / samples) for name in names},
+        identities=len(exponents),
         candidates=tuple(candidates),
         matching_candidates=tuple(c.name for c in candidates if c.matches),
         shifted_constant=constant,

@@ -8,9 +8,9 @@ Three suites, selectable from the CLI:
   and monoidality of normalisation, decomposition, the flatten-order
   counterexample, conditioning identities, likelihood maximality on a
   grid), all with zero tolerance on randomised instances.
-* ``stochastic``: the binary64 laws (quadrature normalisation and means,
-  aggregation, surjective naturality at sample level, sampler moments,
-  conjugacy panels, the split factorisations and the local-update audit),
+* ``stochastic``: the Giry-side laws (quadrature normalisation and means,
+  aggregation, surjective naturality, sampler moments, conjugacy panels,
+  the split factorisations and the local-update audit), the binary64 ones
   each at its stated tolerance with seeded, reproducible streams.  The
   quadrature laws integrate on one grid, ``RESOLUTION``, at one tolerance,
   ``QUADRATURE_TOL``.
@@ -28,30 +28,28 @@ and the exact half is pure-Python integer and ``Fraction`` arithmetic that
 holds the GIL.  The results, and so the report, are the same as from one process.
 Each result carries the check's own time in ``seconds``.
 
-The sampling laws need only sums of their draws, so they consume
-``dirichlet_sample_blocks`` block by block and hold no whole sample.  They
-sum coordinates and products of two coordinates (and, for
-surjective-naturality, histogram counts) in one pass and compare them with
-exact references, with exact standard errors: ``dirichlet.moment_z``, the
-one judge of surjective-naturality, sampler-moments and the local-update
-audit, reads ``dirichlet_moment``, and the bins read the Beta bin
-probabilities of ``bin_probabilities``.
+One law samples: sampler-moments consumes ``dirichlet_sample_blocks``
+block by block, holds no whole sample, sums coordinates and products of two
+coordinates in one pass and judges them with ``dirichlet.moment_z``, whose
+references and standard errors are exact ``dirichlet_moment`` values.
+Surjective naturality and the local-update audit are identities between
+exact Dirichlet moments, with zero tolerance.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
-import math
 import os
 import pickle
 import random as pyrandom
 import sys
 import time
-from collections.abc import Callable
+from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -76,10 +74,8 @@ from .dirichlet import (
     make_rng,
     moment_z,
     one_sum_check,
-    push_coords,
     simplex_moments,
     simplex_quadrature,
-    substreams,
 )
 from .dist import (
     Channel,
@@ -593,97 +589,44 @@ def check_stoch_aggregation(seed: int) -> tuple[bool, str]:
     )
 
 
-HISTOGRAM_EDGES = np.linspace(0.0, 1.0, 11)
+def pushed_moment(alpha: HyperParams, h: FinMap, ks: Sequence[int]) -> Fraction:
+    """E[prod_j y_j**k_j] for x drawn from Dirichlet(alpha) and y its
+    pushforward along h (y_j the sum of x_i over the fibre of j), exactly.
 
-
-def histogram_counts(xs: np.ndarray) -> np.ndarray:
-    """(n, 10) counts of each column of an (N, n) array over HISTOGRAM_EDGES.
-
-    Row i is np.histogram(xs[:, i], HISTOGRAM_EDGES)[0]: a bin holds the
-    values from its left edge up to, not including, its right edge, the
-    last bin also holds 1.0, and values outside [0, 1] are not counted.
-    One searchsorted and one bincount serve every column (np.histogram
-    takes one call, and one sort, per column).
+    The product of fibre sums expands by the multinomial theorem into
+    monomials of x: each choice of one fibre member per factor gives one
+    monomial, and the number of choices that give it is its coefficient.
+    Each monomial is a dirichlet_moment.
     """
-    slots = len(HISTOGRAM_EDGES) + 1  # below 0, the 10 bins, above 1
-    index = np.searchsorted(HISTOGRAM_EDGES, xs, side="right")
-    index[xs == HISTOGRAM_EDGES[-1]] -= 1
-    index += slots * np.arange(xs.shape[1])
-    return np.bincount(index.ravel(), minlength=slots * xs.shape[1]).reshape(-1, slots)[:, 1:-1]
-
-
-# A tail bin whose expected count is below this is merged into its inward
-# neighbour.  A bin that expects a fraction of a draw is outside the normal
-# approximation its z needs: Beta(5, 8)'s last bin expects 0.34 of 10^5
-# draws, and 3 draws there (seeds 75 and 107) read as z = 4.55.
-MIN_EXPECTED = 10
-
-
-def bin_probabilities(a: int, b: int) -> list[Fraction]:
-    """The exact probability of each HISTOGRAM_EDGES bin under Beta(a, b),
-    for integers a >= 1 and b >= 0 (b = 0 is the point mass at 1).
-
-    Coordinate i of Dirichlet(alpha) is Beta(alpha_i, sum alpha - alpha_i).
-    With integer parameters its CDF at x is P(Binomial(a+b-1, x) >= a), a
-    polynomial in x, so at the edges k/bins every value is rational.
-    """
-    bins = len(HISTOGRAM_EDGES) - 1
-    m = a + b - 1
-    cdf = [Fraction(0)]
-    for k in range(1, bins):
-        tail = sum(math.comb(m, j) * k**j * (bins - k) ** (m - j) for j in range(a, m + 1))
-        cdf.append(Fraction(tail, bins**m))
-    cdf.append(Fraction(1))
-    return [hi - lo for lo, hi in zip(cdf, cdf[1:])]
-
-
-def merged_bins(
-    probs: list[Fraction], counts: np.ndarray, draws: int
-) -> tuple[list[Fraction], np.ndarray]:
-    """probs and counts with each sparse tail bin merged into its inward
-    neighbour, until the merged tail bin's expected count draws * p is at
-    least MIN_EXPECTED (or the tails meet and every bin is one).  No bin is
-    dropped, so the merged counts still sum to the counts' total."""
-    cum = list(accumulate(probs))
-    first = next((k for k, c in enumerate(cum) if draws * c >= MIN_EXPECTED), len(probs) - 1)
-    last = next((k for k in reversed(range(len(probs)))
-                 if draws * (cum[-1] - (cum[k - 1] if k else 0)) >= MIN_EXPECTED), 0)
-    starts = [0, *range(first + 1, last + 1)]
-    ends = [*starts[1:], len(probs)]
-    return [sum(probs[lo:hi]) for lo, hi in zip(starts, ends)], np.add.reduceat(counts, starts)
+    fibres = [[i for i, t in enumerate(h.targets) if t == j] for j in range(h.codomain_size)]
+    factors = [fibres[j] for j, k in enumerate(ks) for _ in range(k)]
+    terms = Counter(tuple(idx.count(i) for i in range(alpha.n)) for idx in product(*factors))
+    return sum((c * dirichlet_moment(alpha, es) for es, c in terms.items()), Fraction(0))
 
 
 @law("stochastic", "surjective-naturality")
 def check_stoch_surjective_naturality(seed: int) -> tuple[bool, str]:
-    # One sample of Dir(alpha) pushed along h, against the exact law of
-    # Dir(aggregate_params(h, alpha)): its moments and its histogram bins.
-    draws = 100_000
+    # Dir(alpha) pushed along h against Dir(aggregate_params(h, alpha)): every
+    # mixed moment of degree 1-4, with zero tolerance.
     cases = [
         (HyperParams((2, 3, 1, 4)), FinMap((0, 1, 0, 1), 2)),
         (HyperParams((1, 2, 3)), FinMap((0, 0, 1), 2)),
         (HyperParams((2, 2, 5, 1, 3)), FinMap((0, 1, 2, 0, 1), 3)),
     ]
-    worst = 0.0
-    for idx, (alpha, h) in enumerate(cases):
-        (rng,) = substreams(seed + 22 + idx, 1)
-        sums, gram, counts = 0.0, 0.0, 0
-        for xs in dirichlet_sample_blocks(alpha, draws, rng):
-            ys = push_coords(h, xs)
-            sums, gram = sums + ys.sum(axis=0), gram + ys.T @ ys
-            counts = counts + histogram_counts(ys)
+    identities = 0
+    for alpha, h in cases:
         merged = aggregate_params(h, alpha)
-        z = moment_z(merged, draws, sums, gram)
-        for a, row in zip(merged.counts, counts):
-            probs, got = merged_bins(bin_probabilities(a, merged.total() - a), row, draws)
-            for p, c in zip(probs, got):
-                if p < 1:
-                    z = max(z, abs(c / draws - float(p)) / math.sqrt(float(p * (1 - p)) / draws))
-        worst = max(worst, z)
-        if z > Z_BOUND:
-            return False, f"max |z| = {z:.2f} for alpha={alpha.counts}, h={h.targets}"
+        for degree in range(1, 5):
+            for idx in combinations_with_replacement(range(h.codomain_size), degree):
+                ks = [idx.count(j) for j in range(h.codomain_size)]
+                gap = pushed_moment(alpha, h, ks) - dirichlet_moment(merged, ks)
+                if gap:
+                    return False, (f"moment {tuple(ks)} of alpha={alpha.counts} pushed along "
+                                   f"h={h.targets} is off by {gap}")
+                identities += 1
     return True, (
-        f"{len(cases)} cases x {draws} draws: pushed samples match the merged "
-        f"Dirichlet's exact moments and bins (max |z| = {worst:.2f})"
+        f"{len(cases)} cases: every mixed moment of degree 1-4 of the pushed Dirichlet "
+        f"equals the merged Dirichlet's ({identities} exact identities)"
     )
 
 
@@ -772,15 +715,14 @@ def check_stoch_factorisation(seed: int) -> tuple[bool, str]:
 
 @law("stochastic", "local-update-audit")
 def check_stoch_local_audit(seed: int) -> tuple[bool, str]:
-    audit = local_update_audit(
-        (HyperParams((1, 1, 1)),) * 2, (0, 2), samples=100_000, seed=seed + 30
-    )
+    audit = local_update_audit((HyperParams((1, 1, 1)),) * 2, (0, 2))
     direct = next(c for c in audit.candidates if c.name == "direct")
     shifted = next(c for c in audit.candidates if c.name == "shifted")
     ok = direct.matches and not shifted.matches and audit.shifted_constant == Fraction(30)
     return ok, (
-        f"direct candidate max |z| = {direct.max_abs_z:.2f} (match), shifted "
-        f"max |z| = {shifted.max_abs_z:.2f} (mismatch), constant = {audit.shifted_constant}"
+        f"direct candidate fails {direct.failed} of {audit.identities} joint moment identities "
+        f"(match), shifted fails {shifted.failed} (mismatch, first gap {shifted.first_gap}), "
+        f"constant = {audit.shifted_constant}"
     )
 
 

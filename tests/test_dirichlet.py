@@ -27,7 +27,6 @@ from cptforge.dirichlet import (
     make_rng,
     moment_z,
     one_sum_check,
-    push_coords,
     simplex_cell_count,
     simplex_cells,
     simplex_moments,
@@ -35,19 +34,13 @@ from cptforge.dirichlet import (
     simplex_rows,
 )
 from cptforge.finset import FinMap
-from cptforge.localsplit import local_update_audit, split
 from cptforge.mle import mle
 from cptforge.verify import (
-    HISTOGRAM_EDGES,
     _all_hyperparams,
-    bin_probabilities,
-    check_stoch_local_audit,
     check_stoch_normalisation,
     check_stoch_sampler_moments,
-    check_stoch_surjective_naturality,
-    histogram_counts,
-    merged_bins,
     normalisation_errors,
+    pushed_moment,
 )
 
 class TestGammaNat:
@@ -388,30 +381,11 @@ class TestDirichletSampler:
         assert simplex_rows(x, 2).shape == (1, 2)
 
 
-def cut(xs, sizes):
-    """xs in consecutive row blocks of the given sizes, cycled."""
-    lo, k = 0, 0
-    while lo < len(xs):
-        yield xs[lo : lo + sizes[k % len(sizes)]]
-        lo, k = lo + sizes[k % len(sizes)], k + 1
-
-
 class TestStreamedStatistics:
-    def test_streamed_panel_equals_the_whole_sample(self):
-        # histogram_counts summed over any blocks is np.histogram of the whole.
-        xs = dirichlet_sample_many(HyperParams((1, 2, 1)), 20_000, make_rng(6))
-        xs[:50, 0] = HISTOGRAM_EDGES[np.arange(50) % 11]  # every edge, 1.0 among them
-        xs[50:58, 1] = [0.0, 1.0, 0.1, 0.3, 0.7, 0.9, np.nextafter(1.0, 2.0), -1e-300]
-        counts = np.array([np.histogram(xs[:, i], HISTOGRAM_EDGES)[0] for i in range(3)])
-        for sizes in ([1], [7, 1000, 2], [len(xs)]):
-            assert np.array_equal(sum(histogram_counts(block) for block in cut(xs, sizes)), counts)
-
-    @pytest.mark.parametrize("law", [check_stoch_surjective_naturality,
-                                     check_stoch_sampler_moments, check_stoch_local_audit],
-                             ids=lambda law: law.__name__)
+    @pytest.mark.parametrize("law", [check_stoch_sampler_moments], ids=lambda law: law.__name__)
     def test_sampling_laws_hold_no_whole_sample(self, law):
-        # Holding each 100k-draw sample whole, the three laws peaked at 9.9,
-        # 6.1 and 17.6 MiB.  None of them builds a quadrature grid.
+        # Holding its 100k-draw sample whole, sampler-moments peaked at
+        # 6.1 MiB.  It builds no quadrature grid.
         _cells_cached.cache_clear()
         tracemalloc.start()
         try:
@@ -421,29 +395,6 @@ class TestStreamedStatistics:
             tracemalloc.stop()
         assert peak < 2 << 20
         assert _cells_cached.cache_info().currsize == 0
-
-    def test_audit_memory_does_not_grow_with_the_samples(self):
-        # Holding the draws whole, 10^6 samples peaked at 175.5 MiB.
-        samples = 10**6
-        tracemalloc.start()
-        try:
-            audit = local_update_audit((HyperParams((1, 1, 1)),) * 2, (0, 2), samples=samples)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 << 20
-        # The streamed sums judge as the whole sample does.  No verdict on
-        # direct: this sample's totals mean sits 3.76 standard errors off,
-        # and its E[y0^2] 4.05, by chance.
-        xs = dirichlet_sample_many(HyperParams((1,) * 6).increment(2), samples, make_rng(0))
-        totals, shares = split(xs.reshape(samples, 2, 3))
-        components = [totals, *shares.transpose(1, 0, 2)]
-        for cand in audit.candidates:
-            params = map(HyperParams, [cand.totals_params, *cand.row_params])
-            whole = max(moment_z(p, samples, c.sum(axis=0), c.T @ c)
-                        for p, c in zip(params, components))
-            assert cand.max_abs_z == pytest.approx(whole, rel=1e-9, abs=0)
-        assert "shifted" not in audit.matching_candidates
 
 
 class TestExactReferences:
@@ -500,43 +451,6 @@ class TestExactReferences:
         # The one-outcome simplex is a single point: every sample matches.
         assert moment_z(HyperParams((3,)), 10, np.array([10.0]), np.array([[10.0]])) == 0.0
 
-    def test_bin_probabilities_integrate_the_beta_density(self):
-        edges = [F(k, 10) for k in range(11)]
-        for a in range(1, 9):
-            for b in range(9):
-                probs = bin_probabilities(a, b)
-                assert len(probs) == 10 and sum(probs) == 1
-                if b == 0:  # the point mass at 1, counted in the last bin
-                    assert probs == [0] * 9 + [1]
-                    continue
-                # x**(a-1) (1-x)**(b-1) / B(a, b), integrated term by term.
-                scale = F(math.factorial(a + b - 1), math.factorial(a - 1) * math.factorial(b - 1))
-
-                def antiderivative(x):
-                    return scale * sum(math.comb(b - 1, j) * (-1) ** j * x ** (a + j) / (a + j)
-                                       for j in range(b))
-
-                assert probs == [antiderivative(hi) - antiderivative(lo)
-                                 for lo, hi in zip(edges, edges[1:])]
-
-    @pytest.mark.parametrize("a,b,starts", [
-        (3, 3, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
-        (3, 7, [0, 1, 2, 3, 4, 5, 6, 7, 8]),  # P(x > 0.9) * 10^5 is 0.3, P(x > 0.8) * 10^5 is 31
-        (7, 3, [0, 2, 3, 4, 5, 6, 7, 8, 9]),
-        (1, 12, [0, 1, 2, 3, 4, 5]),  # P(x > 0.5) * 10^5 is 24, P(x > 0.6) * 10^5 is 1.7
-        (5, 0, [0]),
-    ])
-    def test_merged_bins_keep_every_draw(self, a, b, starts):
-        draws = 100_000
-        probs = bin_probabilities(a, b)
-        counts = make_rng(a + 10 * b).multinomial(draws, [float(p) for p in probs])
-        merged, got = merged_bins(probs, counts, draws)
-        ends = [*starts[1:], 10]
-        assert merged == [sum(probs[lo:hi]) for lo, hi in zip(starts, ends)]
-        assert got.tolist() == [int(counts[lo:hi].sum()) for lo, hi in zip(starts, ends)]
-        assert got.sum() == draws and sum(merged) == 1
-        assert draws * merged[0] >= 10 and draws * merged[-1] >= 10
-
 
 class TestDirichletMean:
     def test_example(self):
@@ -569,17 +483,45 @@ class TestAggregateParams:
             aggregate_params(FinMap((0, 0), 2), HyperParams((1, 1)))
 
 
-class TestPushCoords:
-    def test_sums_fibres(self):
-        h = FinMap((0, 1, 0), 2)
-        xs = np.array([[0.2, 0.3, 0.5]])
-        assert np.allclose(push_coords(h, xs), [[0.7, 0.3]])
+@st.composite
+def surjections(draw, max_n=5):
+    """(alpha, h, g): pseudo-counts over n <= max_n outcomes and two
+    surjections onto the same codomain."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, n))
+    alpha = HyperParams(tuple(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))))
 
-    def test_rows_still_sum_to_one(self):
-        h = FinMap((0, 1, 0, 1), 2)
-        xs = dirichlet_sample_many(HyperParams((1, 2, 3, 4)), 50, make_rng(3))
-        pushed = push_coords(h, xs)
-        assert np.allclose(pushed.sum(axis=1), 1.0)
+    def onto():
+        extra = draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+        return FinMap(tuple(draw(st.permutations([*range(m), *extra]))), m)
+
+    return alpha, onto(), onto()
+
+
+class TestPushedMoments:
+    @staticmethod
+    def exponents(m):
+        """Every exponent vector of degree 1-4 over m outcomes."""
+        return [[idx.count(j) for j in range(m)]
+                for d in range(1, 5) for idx in itertools.combinations_with_replacement(range(m), d)]
+
+    def test_by_hand(self):
+        # y0 = x0 + x2 under Dir(2, 3, 1): E[y0] = 3/6, E[y0^2] = 3 * 4 / (6 * 7).
+        alpha, h = HyperParams((2, 3, 1)), FinMap((0, 1, 0), 2)
+        assert pushed_moment(alpha, h, (1, 0)) == F(1, 2)
+        assert pushed_moment(alpha, h, (2, 0)) == F(2, 7)
+        identity = FinMap.identity(3)
+        assert pushed_moment(alpha, identity, (1, 0, 2)) == dirichlet_moment(alpha, (1, 0, 2))
+
+    @given(surjections())
+    def test_push_is_dirichlet_of_the_aggregated_counts(self, case):
+        # Exactly when the other surjection aggregates alpha differently, some
+        # moment of degree 1-4 tells the two pushforwards apart.
+        alpha, h, g = case
+        merged, other = aggregate_params(h, alpha), aggregate_params(g, alpha)
+        pushed = [(ks, pushed_moment(alpha, h, ks)) for ks in self.exponents(h.codomain_size)]
+        assert all(got == dirichlet_moment(merged, ks) for ks, got in pushed)
+        assert any(got != dirichlet_moment(other, ks) for ks, got in pushed) == (other != merged)
 
 
 class TestOneSumCheck:

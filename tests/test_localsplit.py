@@ -124,26 +124,46 @@ class TestUpdateConstant:
             shifted_prefactor(HyperParams((2, 2)).increment(0), 2)
 
 
+# The four tables of scripts/local_audit_demo.py, with their incremented cells.
+DEMO_TABLES = [
+    (table((1, 1, 1, 1, 1, 1), 3), (0, 2)),
+    (table((2, 3, 1, 4, 2, 2), 3), (1, 0)),
+    (table((10, 35, 25, 5, 10, 15), 3), (0, 2)),
+    (table((1, 2, 3, 1, 2, 2), 2), (2, 1)),
+]
+
+
 class TestLocalUpdateAudit:
     def test_all_ones_increment(self):
-        audit = local_update_audit(ALL_ONES, (0, 2), samples=100_000, seed=5)
+        audit = local_update_audit(ALL_ONES, (0, 2))
         direct = next(c for c in audit.candidates if c.name == "direct")
         shifted = next(c for c in audit.candidates if c.name == "shifted")
         assert direct.matches and direct.totals_params == (4, 3)
         assert direct.row_params == ((1, 1, 2), (1, 1, 1))
-        assert set(audit.empirical) == {"totals", "row0", "row1"}
-        assert not shifted.matches
+        assert audit.identities == 27 and (direct.failed, direct.first_gap) == (0, 0)
+        # E[x02] = 2/7 against 2/3 * 1/4 under the shifted totals Dir(2, 1).
+        assert not shifted.matches and shifted.failed == 27
+        assert shifted.first_gap == F(1, 7) - F(2, 3) * F(1, 4)
         assert audit.matching_candidates == ("direct",)
         assert audit.shifted_constant == F(30)
 
-    def test_generic_parameters(self):
-        audit = local_update_audit(table((2, 3, 1, 4, 2, 2), 3), (1, 0), samples=50_000, seed=6)
+    @pytest.mark.parametrize("alpha,cell", DEMO_TABLES, ids=["ones", "generic", "golden", "3x2"])
+    def test_demo_tables_split_directly(self, alpha, cell):
+        audit = local_update_audit(alpha, cell)
+        direct, shifted = audit.candidates
+        assert (direct.name, direct.failed) == ("direct", 0)
+        assert shifted.failed > 0 and isinstance(shifted.first_gap, F) and shifted.first_gap != 0
         assert audit.matching_candidates == ("direct",)
 
+    def test_generic_parameters(self):
+        audit = local_update_audit(table((2, 3, 1, 4, 2, 2), 3), (1, 0))
+        assert [c.totals_params for c in audit.candidates] == [(6, 9), (4, 7)]
+        assert audit.candidates[0].row_params == ((2, 3, 1), (5, 2, 2))
+        assert audit.shifted_constant == F(429, 20)
+
     def test_three_by_two(self):
-        audit = local_update_audit(table((1, 2, 3, 1, 2, 2), 2), (2, 1), samples=50_000, seed=11)
+        audit = local_update_audit(table((1, 2, 3, 1, 2, 2), 2), (2, 1))
         assert audit.matching_candidates == ("direct",)
-        assert set(audit.empirical) == {"totals", "row0", "row1", "row2"}
         shifted = next(c for c in audit.candidates if c.name == "shifted")
         assert shifted.totals_params == (2, 3, 4)
         assert audit.shifted_constant == shifted_prefactor(HyperParams((3, 4, 4)).increment(2), 1)
@@ -154,21 +174,22 @@ class TestLocalUpdateAudit:
     def test_single_row_or_column(self, alpha):
         # A one-outcome factor is a point mass, and the constant is 1, so
         # both candidates describe the same pushforward.
-        audit = local_update_audit(alpha, (0, 0), samples=20_000, seed=12)
+        audit = local_update_audit(alpha, (0, 0))
         assert audit.matching_candidates == ("direct", "shifted")
+        assert [c.failed for c in audit.candidates] == [0, 0]
         assert audit.shifted_constant == 1
 
     def test_learned_posteriors_go_in_unchanged(self, golden_table, golden_graph):
         medicine = next(c for c in learn_bayes(golden_table, golden_graph) if c.node == "Medicine")
-        audit = local_update_audit(medicine.posteriors, (0, 2), samples=50_000, seed=13)
+        audit = local_update_audit(medicine.posteriors, (0, 2))
         assert audit.alpha_rows == medicine.posteriors
         assert audit.matching_candidates == ("direct",)
 
     def test_report_text_mentions_the_tension(self):
-        audit = local_update_audit(ALL_ONES, (0, 2), samples=20_000, seed=7)
-        text = audit.format_report()
+        text = local_update_audit(ALL_ONES, (0, 2)).format_report()
         assert "constant" in text and "30" in text
         assert "total mass 1" in text
+        assert "fails 27 of 27 moment identities -> MISMATCH (first gap -1/42)" in text
 
     def test_pushforward_blocks_are_uncorrelated(self):
         # Totals and row proportions should be independent after the update;
@@ -187,10 +208,8 @@ class TestLocalUpdateAudit:
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            local_update_audit(ALL_ONES, (0, 2), samples=100)
-        with pytest.raises(ValueError):
             local_update_audit(ALL_ONES, (2, 0))
         with pytest.raises(ValueError):
             local_update_audit(ALL_ONES, (0, 3))
         with pytest.raises(ValueError):
-            local_update_audit(table((1, 1, 1, 1, 1), 3), (0, 0), samples=10_000, seed=1)
+            local_update_audit(table((1, 1, 1, 1, 1), 3), (0, 0))

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         (["learn_blood_medicine.py"], "learn_blood_medicine.txt"),
         (["quadrature_convergence.py"], None),
-        (["local_audit_demo.py", "10000", "0"], "local_audit_demo.txt"),
+        (["local_audit_demo.py"], "local_audit_demo.txt"),
     ],
     ids=["learn_blood_medicine.py", "quadrature_convergence.py", "local_audit_demo.py"],
 )
@@ -45,3 +45,28 @@ def test_readme_synopsis_matches_the_usage_line(command, capsys):
         main([command, "--help"])
     usage = capsys.readouterr().out.split("\n\n", 1)[0]
     assert re.findall(r"--[a-z-]+", line) == re.findall(r"--[a-z-]+", usage)
+
+
+# A pinned subset of scripts/law_mutants.py, each mutant with laws it must fail.
+PINNED_MUTANTS = {
+    "aggregate-wrong-target": ["stochastic/surjective-naturality"],
+    "audit-direct-not-incremented": ["stochastic/local-update-audit"],
+    "moment-rising-off-by-one": ["exact/validity-transfer", "exact/posterior-mean-identity",
+                                 "stochastic/surjective-naturality", "stochastic/sampler-moments"],
+    "sampler-reduceat-off-by-one": ["stochastic/sampler-moments"],
+    "shifted-prefactor-inverted": ["stochastic/split-factorisation",
+                                   "stochastic/local-update-audit"],
+    "normalise-adds-one": ["golden/empirical-joint", "exact/validity-transfer",
+                           "exact/posterior-mean-identity"],
+}
+
+
+def test_law_mutants_fail_their_laws(run_python):
+    proc = run_python(str(ROOT / "scripts" / "law_mutants.py"), *PINNED_MUTANTS)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    failed = dict(line.split(": fails ", 1) for line in proc.stdout.splitlines()
+                  if ": fails " in line)
+    assert failed.pop("unmutated") == "0 laws"
+    assert set(failed) == set(PINNED_MUTANTS)
+    for mutant, laws in PINNED_MUTANTS.items():
+        assert set(laws) <= set(failed[mutant].split(": ", 1)[1].split(", ")), mutant
