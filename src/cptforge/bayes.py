@@ -18,7 +18,8 @@ from .dirichlet import (
     HyperParams,
     SimplexDensity,
     dirichlet_moment,
-    simplex_quadrature,
+    dirichlet_normalizer,
+    simplex_moments,
 )
 from .dist import Predicate, validity
 from .finset import Multiset
@@ -50,16 +51,27 @@ def lift_predicate(p: Predicate) -> LiftedPredicate:
 
 
 def cont_validity(density: SimplexDensity, q: LiftedPredicate, resolution: int) -> float:
-    """Expected value of the lifted predicate under the density, by simplex
-    quadrature at the given resolution.
+    """Expected value of the lifted predicate under a Dirichlet density, by the
+    cell rule of simplex_quadrature at the given resolution, without building
+    its grid.
 
-    Under Dirichlet(alpha) the exact value is sum_i p(i) E[x_i], by
-    linearity; validity_transfer_check computes it.
+    With integer pseudo-counts alpha the integrand q * Dir(alpha) is the
+    polynomial dirichlet_normalizer(alpha) * sum_i q(e_i) x_i x**(alpha - 1):
+    a lifted predicate is linear, so its values at the vertices e_i are its
+    coefficients.  Its cell-rule integral is that sum over the monomial
+    moments simplex_moments(n, resolution, alpha - 1 + e_i).  The exact value
+    is sum_i p(i) E[x_i]; validity_transfer_check computes it.  A density
+    without a Dirichlet tag raises ValueError, as does a resolution whose
+    grid would pass the cell cap.
     """
+    if density.dirichlet_params is None:
+        raise ValueError("can only integrate a density in the Dirichlet family")
     if q.n != density.n:
         raise ValueError(f"size mismatch: density over {density.n}, predicate over {q.n}")
-    return simplex_quadrature(lambda pts: q.eval_many(pts) * density.eval_many(pts),
-                              density.n, resolution)
+    alpha = density.dirichlet_params
+    units = np.eye(alpha.n, dtype=np.int64)
+    moments = simplex_moments(alpha.n, resolution, np.array(alpha.counts) - 1 + units)
+    return float(dirichlet_normalizer(alpha)) * float(q.eval_many(units) @ moments)
 
 
 def cont_condition(density: SimplexDensity, q: LiftedPredicate) -> SimplexDensity:

@@ -332,12 +332,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def substreams(seed: int, k: int) -> list[np.random.Generator]:
-    """k independent Philox streams spawned deterministically from one seed."""
-    children = np.random.SeedSequence(seed).spawn(k)
-    return [np.random.Generator(np.random.Philox(child)) for child in children]
-
-
 def dirichlet_sample_blocks(
     alpha: HyperParams, size: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:

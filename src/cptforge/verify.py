@@ -12,8 +12,9 @@ Three suites, selectable from the CLI:
   aggregation, surjective naturality, sampler moments, conjugacy panels,
   the split factorisations and the local-update audit), the binary64 ones
   each at its stated tolerance with seeded, reproducible streams.  The
-  quadrature laws integrate on one grid, ``RESOLUTION``, at one tolerance,
-  ``QUADRATURE_TOL``.
+  quadrature laws use one cell rule, ``RESOLUTION``, at one tolerance,
+  ``QUADRATURE_TOL``; all but quadrature-basics sum it by monomial moments
+  and build no grid.
 
 Each law is one function decorated with ``@law(suite, name)``: it takes
 the ``seed`` and returns ``(passed, detail)``, and the decorator
@@ -506,30 +507,44 @@ RESOLUTION = 400  # the quadrature laws' grid: boxes of side 1/RESOLUTION
 QUADRATURE_TOL = 1e-3  # their tolerance on that grid
 
 
-def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarray:
-    """|cell-rule integral of each Dirichlet(alpha) density - 1|.
+def cell_rule_integrals(alphas: list[HyperParams], exponents: list[Sequence[int]],
+                        resolution: int) -> np.ndarray:
+    """The cell-rule integral of x**k times the Dirichlet(alpha) density, for
+    each alpha and its row k of exponents.
 
     With integer pseudo-counts the density of Dirichlet(alpha) is
     dirichlet_normalizer(alpha) times the monomial prod_i x_i**(alpha_i - 1),
-    so its integral is that constant times one monomial moment of the cell
-    rule, which simplex_moments sums by convolution without building the
-    grid.
+    so each integral is that constant times the monomial moment
+    x**(alpha - 1 + k) of the cell rule, which simplex_moments sums by
+    convolution without building the grid: one call per number of outcomes.
     """
-    errors = np.empty(len(alphas))
+    out = np.empty(len(alphas))
     for n in sorted({a.n for a in alphas}):
-        idx = [k for k, a in enumerate(alphas) if a.n == n]
-        moments = simplex_moments(n, resolution, np.array([alphas[k].counts for k in idx]) - 1)
-        norms = np.array([float(dirichlet_normalizer(alphas[k])) for k in idx])
-        errors[idx] = np.abs(moments * norms - 1.0)
-    return errors
+        idx = [j for j, a in enumerate(alphas) if a.n == n]
+        exps = np.array([np.add(alphas[j].counts, exponents[j]) - 1 for j in idx])
+        norms = np.array([float(dirichlet_normalizer(alphas[j])) for j in idx])
+        out[idx] = simplex_moments(n, resolution, exps) * norms
+    return out
+
+
+def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarray:
+    """|cell-rule integral of each Dirichlet(alpha) density - 1|."""
+    return np.abs(cell_rule_integrals(alphas, [(0,) * a.n for a in alphas], resolution) - 1.0)
 
 
 @law("stochastic", "quadrature-basics")
 def check_stoch_quadrature_basics(seed: int) -> tuple[bool, str]:
     total = simplex_quadrature(lambda pts: np.ones(len(pts)), 2, RESOLUTION)
     mean = simplex_quadrature(lambda pts: pts[:, 0], 2, RESOLUTION)
-    ok = abs(total - 1.0) <= 1e-9 and abs(mean - 0.5) <= 1e-6
-    return ok, f"integral of 1 = {total!r}, integral of x0 = {mean!r}"
+    # The rule is exact on polynomials of degree 1.  On three outcomes that
+    # rests on the clipped cells' weights and centroids: the integrals of 1
+    # and of each x_k over the projected triangle are 1/2 and 1/6.
+    degree_one = np.vstack([np.zeros(3, np.int64), np.eye(3, dtype=np.int64)])
+    linear = simplex_moments(3, RESOLUTION, degree_one)
+    gap = float(np.abs(linear - [1 / 2, 1 / 6, 1 / 6, 1 / 6]).max())
+    ok = abs(total - 1.0) <= 1e-9 and abs(mean - 0.5) <= 1e-6 and gap <= 1e-12
+    return ok, (f"integral of 1 = {total!r}, integral of x0 = {mean!r}; on 3 outcomes the "
+                f"integrals of 1 and of each x_k are exact within {gap:.1e} (tol 1.0e-12)")
 
 
 @law("stochastic", "density-normalisation")
@@ -556,19 +571,19 @@ def check_stoch_normalisation(seed: int) -> tuple[bool, str]:
 @law("stochastic", "mean-integrals")
 def check_stoch_mean_integrals(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 20)
-    worst = 0.0
+    alphas, coords = [], []
     for _ in range(30):
         n = rng.randint(2, 3)
-        alpha = _random_hyperparams(rng, n, hi=5)
-        i = rng.randrange(n)
-        got = simplex_quadrature(
-            lambda pts: pts[:, i] * dirichlet_pdf_many(alpha, pts), n, RESOLUTION
-        )
-        err = abs(got - float(Fraction(alpha[i], alpha.total())))
-        worst = max(worst, err)
-        if err > QUADRATURE_TOL:
-            return False, f"error {err:.2e} at {alpha.counts}"
-    return True, f"30 instances: coordinate means within {QUADRATURE_TOL:.1e} (worst {worst:.2e})"
+        alphas.append(_random_hyperparams(rng, n, hi=5))
+        coords.append(rng.randrange(n))
+    units = [[int(j == i) for j in range(a.n)] for a, i in zip(alphas, coords)]
+    means = [float(Fraction(a[i], a.total())) for a, i in zip(alphas, coords)]
+    errs = np.abs(cell_rule_integrals(alphas, units, RESOLUTION) - means)
+    bad = np.flatnonzero(errs > QUADRATURE_TOL)
+    if bad.size:
+        return False, f"error {errs[bad[0]]:.2e} at {alphas[bad[0]].counts}"
+    return True, (f"30 instances: coordinate means within {QUADRATURE_TOL:.1e} "
+                  f"(worst {errs.max():.2e})")
 
 
 @law("stochastic", "aggregation-one-sum")
@@ -726,9 +741,8 @@ def check_stoch_local_audit(seed: int) -> tuple[bool, str]:
     )
 
 
-# The suite `run_suite("all")` hands to a forked child, the numpy half: its
-# quadrature checks share the `_cells_cached` grids, so they run in one
-# process.
+# The suite `run_suite("all")` hands to a forked child: the numpy half, which
+# alone loads `numpy.random` and evaluates densities on point arrays.
 FORKED_SUITE = "stochastic"
 
 

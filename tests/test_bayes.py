@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,11 +15,15 @@ from cptforge.bayes import (
     validity_transfer_check,
 )
 from cptforge.dirichlet import (
+    MAX_QUADRATURE_CELLS,
     HyperParams,
+    _cells_cached,
     dirichlet_density,
     dirichlet_pdf_many,
     dirichlet_sample_many,
     make_rng,
+    simplex_cell_count,
+    simplex_quadrature,
 )
 from cptforge.dist import Dist, Predicate
 from cptforge.finset import Multiset
@@ -56,7 +61,7 @@ class TestLiftPredicate:
 
 class TestContValidity:
     # Each value is checked twice: exactly through the closed form that
-    # validity_transfer_check reports, and by cont_validity's quadrature.
+    # validity_transfer_check reports, and by cont_validity's cell rule.
     def test_point_predicate_gives_mean_coordinate(self):
         alpha, p = HyperParams((2, 1, 1)), Predicate.point(3, 0)
         assert validity_transfer_check(alpha, p)[1] == F(1, 2)
@@ -82,15 +87,47 @@ class TestContValidity:
         numeric = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
         assert numeric == pytest.approx(float(closed), abs=1e-3)
 
-    def test_closed_form_unavailable_for_untagged_density(self):
+    def test_untagged_density_is_rejected(self):
         base = dirichlet_density(HyperParams((1, 1)))
-        untagged = type(base)(
-            n=2,
-            dirichlet_params=None,
-            _eval_many=base.eval_many,
-        )
-        got = cont_validity(untagged, lift_predicate(Predicate((1,) * 2)), resolution=100)
-        assert got == pytest.approx(1.0, abs=1e-6)
+        untagged = type(base)(n=2, dirichlet_params=None, _eval_many=base.eval_many)
+        with pytest.raises(ValueError, match="Dirichlet family"):
+            cont_validity(untagged, lift_predicate(Predicate((1,) * 2)), resolution=100)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_moments_match_the_grid(self, n):
+        # cont_validity sums the cell rule by moments; the reference
+        # integrates q * density over the whole grid.  The conditioned
+        # densities evaluate the update formula, not their tag's pdf.
+        rng = random.Random(n)
+        for res in (2, 3, 23, 200, 400):
+            if simplex_cell_count(n, res) > MAX_QUADRATURE_CELLS:
+                continue
+            for _ in range(4):
+                alpha = HyperParams(tuple(rng.randint(1, 6) for _ in range(n)))
+                q = lift_predicate(Predicate(tuple(F(rng.randint(0, 6), 6) for _ in range(n))))
+                prior = dirichlet_density(alpha)
+                point = lift_predicate(Predicate.point(n, rng.randrange(n)))
+                for d in (prior, cont_condition(prior, point)):
+                    want = simplex_quadrature(lambda pts: q.eval_many(pts) * d.eval_many(pts),
+                                              n, res)
+                    assert cont_validity(d, q, res) == pytest.approx(want, rel=1e-12, abs=0)
+        _cells_cached.cache_clear()
+
+    def test_cell_cap_as_for_the_grid(self):
+        q = lift_predicate(Predicate((1,) * 4))
+        with pytest.raises(ValueError, match="over the cap") as grid:
+            simplex_quadrature(q.eval_many, 4, 400)
+        with pytest.raises(ValueError, match="over the cap") as moments:
+            cont_validity(dirichlet_density(HyperParams((1,) * 4)), q, 400)
+        assert str(moments.value) == str(grid.value)
+
+    @pytest.mark.parametrize("law", [verify.check_stoch_mean_integrals,
+                                     verify.check_stoch_transfer_quadrature],
+                             ids=lambda law: law.__name__)
+    def test_quadrature_laws_build_no_grid(self, law):
+        _cells_cached.cache_clear()
+        assert law(42).passed
+        assert _cells_cached.cache_info().currsize == 0
 
 
 class TestContCondition:

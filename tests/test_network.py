@@ -694,11 +694,17 @@ class TestCli:
         assert proc.stderr == "error: standard output was closed before the report was written\n"
 
     def test_console_entry_point(self, tmp_path, run_python, golden_graph_file, golden_data_csv):
+        # `python -m cptforge` leaves through os._exit once both streams are
+        # flushed: every line is still written, and argparse's exit 2 stands.
         out = tmp_path / "out"
         proc = run_python("-m", "cptforge", "learn", "--mode", "mle", "--graph",
                           str(golden_graph_file), "--data", str(golden_data_csv), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote {out / 'Blood.csv'}\nwrote {out / 'Medicine.csv'}\n"
         assert (out / "Medicine.csv").exists()
+        usage = run_python("-m", "cptforge", "learn", "--mode", "neither")
+        assert usage.returncode == 2
+        assert "invalid choice: 'neither'" in usage.stderr and "Traceback" not in usage.stderr
 
 
 class TestFamilyCellCap:

@@ -51,6 +51,8 @@ def test_readme_synopsis_matches_the_usage_line(command, capsys):
 PINNED_MUTANTS = {
     "aggregate-wrong-target": ["stochastic/surjective-naturality"],
     "audit-direct-not-incremented": ["stochastic/local-update-audit"],
+    "clipped-cell-centroid": ["stochastic/quadrature-basics"],
+    "lifted-predicate-reversed": ["stochastic/validity-transfer-quadrature"],
     "moment-rising-off-by-one": ["exact/validity-transfer", "exact/posterior-mean-identity",
                                  "stochastic/surjective-naturality", "stochastic/sampler-moments"],
     "sampler-reduceat-off-by-one": ["stochastic/sampler-moments"],
