@@ -17,9 +17,8 @@ import numpy as np
 from .dirichlet import (
     HyperParams,
     SimplexDensity,
+    cell_rule_integrals,
     dirichlet_moment,
-    dirichlet_normalizer,
-    simplex_moments,
 )
 from .dist import Predicate, validity
 from .finset import Multiset
@@ -55,14 +54,13 @@ def cont_validity(density: SimplexDensity, q: LiftedPredicate, resolution: int) 
     cell rule of simplex_quadrature at the given resolution, without building
     its grid.
 
-    With integer pseudo-counts alpha the integrand q * Dir(alpha) is the
-    polynomial dirichlet_normalizer(alpha) * sum_i q(e_i) x_i x**(alpha - 1):
-    a lifted predicate is linear, so its values at the vertices e_i are its
-    coefficients.  Its cell-rule integral is that sum over the monomial
-    moments simplex_moments(n, resolution, alpha - 1 + e_i).  The exact value
-    is sum_i p(i) E[x_i]; validity_transfer_check computes it.  A density
-    without a Dirichlet tag raises ValueError, as does a resolution whose
-    grid would pass the cell cap.
+    A lifted predicate is linear, q(x) = sum_i q(e_i) x_i, so its values at
+    the vertices e_i are its coefficients, and the integral of q * Dir(alpha)
+    is their sum over the cell-rule integrals of x_i * Dir(alpha), which
+    cell_rule_integrals gives.  The exact value is sum_i p(i) E[x_i];
+    validity_transfer_check computes it.  A density without a Dirichlet tag
+    raises ValueError, as does a resolution whose grid would pass the cell
+    cap.
     """
     if density.dirichlet_params is None:
         raise ValueError("can only integrate a density in the Dirichlet family")
@@ -70,8 +68,7 @@ def cont_validity(density: SimplexDensity, q: LiftedPredicate, resolution: int) 
         raise ValueError(f"size mismatch: density over {density.n}, predicate over {q.n}")
     alpha = density.dirichlet_params
     units = np.eye(alpha.n, dtype=np.int64)
-    moments = simplex_moments(alpha.n, resolution, np.array(alpha.counts) - 1 + units)
-    return float(dirichlet_normalizer(alpha)) * float(q.eval_many(units) @ moments)
+    return float(q.eval_many(units) @ cell_rule_integrals([alpha] * alpha.n, units, resolution))
 
 
 def cont_condition(density: SimplexDensity, q: LiftedPredicate) -> SimplexDensity:

@@ -23,6 +23,8 @@ of mass concentrated near the boundary, which is not good enough for the
 whole grid, cached.  `simplex_moments` sums monomials over the grid without
 building it: every cell with the same index sum has the same weight and the
 same last coordinate, so a moment is a convolution of 1-D power tables.
+`cell_rule_integrals` scales such moments by `dirichlet_normalizer` into the
+cell-rule integrals of monomials times Dirichlet densities.
 
 Moments: with integer pseudo-counts every mixed moment of Dirichlet(alpha)
 is an exact rational, `dirichlet_moment`; `dirichlet_mean`, its degree-1
@@ -315,6 +317,26 @@ def simplex_moments(n: int, resolution: int, exponents) -> np.ndarray:
     last = (np.arange(1, res + 1) - d * offsets) / res
     moments = (sums * weights) @ _power_table(last, int(exps[:, d].max(initial=0))).T
     return moments[rows, exps[:, d]]
+
+
+def cell_rule_integrals(alphas: list[HyperParams], exponents: list[Sequence[int]],
+                        resolution: int) -> np.ndarray:
+    """The cell-rule integral of x**k times the Dirichlet(alpha) density, for
+    each alpha and its row k of exponents.
+
+    With integer pseudo-counts the density of Dirichlet(alpha) is
+    dirichlet_normalizer(alpha) times the monomial prod_i x_i**(alpha_i - 1),
+    so each integral is that constant times the monomial moment
+    x**(alpha - 1 + k) of the cell rule, which simplex_moments sums by
+    convolution without building the grid: one call per number of outcomes.
+    """
+    out = np.empty(len(alphas))
+    for n in sorted({a.n for a in alphas}):
+        idx = [j for j, a in enumerate(alphas) if a.n == n]
+        exps = np.array([np.add(alphas[j].counts, exponents[j]) - 1 for j in idx])
+        norms = np.array([float(dirichlet_normalizer(alphas[j])) for j in idx])
+        out[idx] = simplex_moments(n, resolution, exps) * norms
+    return out
 
 
 def simplex_quadrature(f, n: int, resolution: int) -> float:

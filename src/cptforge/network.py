@@ -7,7 +7,9 @@ a line ends at ``\n`` only, and a line that is all whitespace or whose
 first other character is ``#`` is skipped.  An error in an input file,
 such as a byte sequence that is not UTF-8, names the file and the line.
 Every file is streamed: the graph and prior files a line at a time, the
-count file in chunks of ``CHUNK_BYTES`` cut at line ends.
+count file in chunks of ``CHUNK_BYTES`` cut at line ends.  Each data line
+is kept as one row of the joint `CountTable`, so the table's memory
+follows the number of data lines.
 
 Graph and prior lines are split into fields at runs of spaces and tabs
 only, like the blanks of a CSV cell; a trailing ``\r`` is dropped.
@@ -65,6 +67,7 @@ from __future__ import annotations
 import contextlib
 import graphlib
 import itertools
+import operator
 import os
 import re
 import shutil
@@ -77,7 +80,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .finset import Multiset
+from .finset import Multiset, integer_tuple
 
 if TYPE_CHECKING:  # imported where used: `learn --mode mle` needs neither
     from .dirichlet import HyperParams
@@ -86,9 +89,6 @@ if TYPE_CHECKING:  # imported where used: `learn --mode mle` needs neither
 CHUNK_BYTES = 1 << 20
 """Bytes of data lines read per bulk step, then up to the next line end;
 bounds the parser's working memory."""
-
-MERGE_ROWS = 1 << 17
-"""Data rows held beyond the merged distinct rows before they are merged again."""
 
 MAX_FAMILY_CELLS = 1 << 24
 """Largest family table (parent configurations x arity) that is built."""
@@ -190,22 +190,27 @@ class GraphSpec:
     _arity: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, lines):
-        object.__setattr__(self, "nodes", tuple((str(n), int(a)) for n, a in self.nodes))
         object.__setattr__(self, "edges", tuple((str(p), str(c)) for p, c in self.edges))
         node_lines, edge_lines = lines or ((None,) * len(self.nodes), (None,) * len(self.edges))
         if not self.nodes:
             raise DataError("graph has no nodes: it needs a 'node <name> <arity>' line")
         arities: dict[str, int] = {}
         for (n, a), lineno in zip(self.nodes, node_lines):
+            n = str(n)
             if n in arities:
                 raise DataError(f"{_at(lineno)}duplicate node {n}")
             if error := _name_error(n):
                 raise DataError(_at(lineno) + error)
+            try:
+                a = operator.index(a)
+            except TypeError:
+                raise DataError(f"{_at(lineno)}node {n} has arity {a!r}, not an integer") from None
             if not 1 <= a <= MAX_FAMILY_CELLS:
                 # Above the cap, the node's own table could never be built.
                 raise DataError(f"{_at(lineno)}node {n} has arity {a} "
                                 f"outside 1..{MAX_FAMILY_CELLS}")
             arities[n] = a
+        object.__setattr__(self, "nodes", tuple(arities.items()))
         object.__setattr__(self, "_arity", arities)
         edge_line: dict[tuple[str, str], int | None] = {}
         cells = dict(arities)  # each family's table size, parents x arity
@@ -298,15 +303,6 @@ def _sum_by_index(index: np.ndarray, counts: np.ndarray, size: int, total: int) 
     return out
 
 
-def _distinct_rows(outcomes: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct row of ``outcomes`` once, with the summed counts of its copies."""
-    rows = np.ascontiguousarray(outcomes)
-    keys = rows.view(f"V{rows.shape[1] * rows.itemsize}").reshape(-1)
-    keys, inverse = np.unique(keys, return_inverse=True)
-    summed = _sum_by_index(inverse.reshape(-1), counts, len(keys), sum(counts.tolist()))
-    return keys.view(rows.dtype).reshape(len(keys), rows.shape[1]), summed
-
-
 @dataclass(frozen=True, eq=False)
 class CountTable:
     """Joint counts over the graph's variables, in declared order.
@@ -317,7 +313,9 @@ class CountTable:
     `outcomes` is stored column-major, so each variable's column is
     contiguous.  A tuple may occur on several rows; only the summed counts
     matter, so equality compares `records`, the aggregated view.  An
-    outcome outside ``0..arity-1`` is a ValueError when the table is built.
+    outcome or count that is not an integer, a negative count and an
+    outcome outside ``0..arity-1`` are each a ValueError naming the value
+    when the table is built, never truncated.
     """
 
     variables: tuple[str, ...]
@@ -331,14 +329,22 @@ class CountTable:
         if len(self.arities) != shape[1] or self.outcomes.shape != shape:
             raise ValueError(f"outcomes of shape {self.outcomes.shape} do not fit "
                              f"{shape[0]} counts over {shape[1]} variables")
-        object.__setattr__(self, "outcomes", np.asfortranarray(self.outcomes))
+        for noun, values in (("outcome", self.outcomes), ("count", self.counts)):
+            if values.dtype.kind not in "iu":
+                integer_tuple(values.ravel().tolist(), noun)
         if shape[0]:
             lows, highs = self.outcomes.min(axis=0).tolist(), self.outcomes.max(axis=0).tolist()
             for name, arity, low, high in zip(self.variables, self.arities, lows, highs):
                 if low < 0 or high >= arity:
                     raise ValueError(f"outcome {low if low < 0 else high} for {name} "
                                      f"outside 0..{arity - 1}")
-        object.__setattr__(self, "_total", sum(self.counts.tolist()))
+            if self.counts[i := np.argmin(self.counts)] < 0:
+                raise ValueError(f"negative count {self.counts[i]} at index {i}")
+        total = sum(self.counts.tolist())
+        object.__setattr__(self, "outcomes",
+                           np.asfortranarray(self.outcomes, dtype=_outcome_dtype(self.arities)))
+        object.__setattr__(self, "counts", self.counts.astype(_count_dtype(total), copy=False))
+        object.__setattr__(self, "_total", total)
 
     @classmethod
     def from_records(
@@ -348,11 +354,9 @@ class CountTable:
         mapping: Mapping[tuple[int, ...], int],
     ) -> CountTable:
         """A table with one row per (outcome tuple, count) item of `mapping`."""
-        outcomes = np.array(list(mapping), dtype=_outcome_dtype(arities))
-        counts = list(mapping.values())
         return cls(tuple(variables), tuple(arities),
-                   outcomes.reshape(len(mapping), len(variables)),
-                   np.array(counts, dtype=_count_dtype(sum(counts))))
+                   np.array(list(mapping), dtype=object).reshape(len(mapping), len(variables)),
+                   np.array(list(mapping.values()), dtype=object))
 
     @property
     def records(self) -> Mapping[tuple[int, ...], int]:
@@ -558,14 +562,12 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
 
     Data lines are read and parsed a chunk at a time: ``CHUNK_BYTES`` bytes
     and the rest of the line they end in.  Each data line becomes one row of
-    the table; rows with the same outcome tuple are summed wherever counts
-    are read, so no result depends on row order.
-    Once the rows held pass ``MERGE_ROWS`` plus twice the rows left by the
-    last merge, they are merged into distinct rows, so the table's size
-    follows the number of distinct outcome tuples, not the file's length.
-    The first malformed line is reported with its line number.  Outcomes
-    are gathered column by column, so the table's column-major array is
-    built without another copy.
+    the table, so its memory follows the number of data lines; rows with
+    the same outcome tuple are summed wherever counts are read, so no
+    result depends on row order.  The first malformed line is reported with
+    its line number.  Outcomes are gathered column by column, and each
+    chunk's parts are concatenated once at the end, so the table's
+    column-major array is built without another copy.
     """
     path = Path(path)
     with _in_file(path):
@@ -575,7 +577,6 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
         arities = tuple(graph.arity(n) for n in names)
         column_parts = [np.empty((len(names), 0), dtype=_outcome_dtype(arities))]
         count_parts = [np.empty(0, dtype=np.int64)]
-        held = merged = 0
         with path.open("rb") as fh:
             lineno, order = _read_header(fh, names)
             while body := fh.read(CHUNK_BYTES):
@@ -584,12 +585,6 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
                 column_parts.append(columns)
                 count_parts.append(counts)
                 lineno += consumed
-                held += len(counts)
-                if held > MERGE_ROWS + 2 * merged:
-                    outcomes, counts = _distinct_rows(np.concatenate(column_parts, axis=1).T,
-                                                      np.concatenate(count_parts))
-                    column_parts, count_parts = [outcomes.T], [counts]
-                    held = merged = len(counts)
     return CountTable(names, arities, np.concatenate(column_parts, axis=1).T,
                       np.concatenate(count_parts))
 

@@ -65,10 +65,10 @@ from .dirichlet import (
     Z_BOUND,
     HyperParams,
     aggregate_params,
+    cell_rule_integrals,
     dirichlet_density,
     dirichlet_mean,
     dirichlet_moment,
-    dirichlet_normalizer,
     dirichlet_pdf_many,
     dirichlet_sample_blocks,
     dirichlet_sample_many,
@@ -507,31 +507,6 @@ RESOLUTION = 400  # the quadrature laws' grid: boxes of side 1/RESOLUTION
 QUADRATURE_TOL = 1e-3  # their tolerance on that grid
 
 
-def cell_rule_integrals(alphas: list[HyperParams], exponents: list[Sequence[int]],
-                        resolution: int) -> np.ndarray:
-    """The cell-rule integral of x**k times the Dirichlet(alpha) density, for
-    each alpha and its row k of exponents.
-
-    With integer pseudo-counts the density of Dirichlet(alpha) is
-    dirichlet_normalizer(alpha) times the monomial prod_i x_i**(alpha_i - 1),
-    so each integral is that constant times the monomial moment
-    x**(alpha - 1 + k) of the cell rule, which simplex_moments sums by
-    convolution without building the grid: one call per number of outcomes.
-    """
-    out = np.empty(len(alphas))
-    for n in sorted({a.n for a in alphas}):
-        idx = [j for j, a in enumerate(alphas) if a.n == n]
-        exps = np.array([np.add(alphas[j].counts, exponents[j]) - 1 for j in idx])
-        norms = np.array([float(dirichlet_normalizer(alphas[j])) for j in idx])
-        out[idx] = simplex_moments(n, resolution, exps) * norms
-    return out
-
-
-def normalisation_errors(alphas: list[HyperParams], resolution: int) -> np.ndarray:
-    """|cell-rule integral of each Dirichlet(alpha) density - 1|."""
-    return np.abs(cell_rule_integrals(alphas, [(0,) * a.n for a in alphas], resolution) - 1.0)
-
-
 @law("stochastic", "quadrature-basics")
 def check_stoch_quadrature_basics(seed: int) -> tuple[bool, str]:
     total = simplex_quadrature(lambda pts: np.ones(len(pts)), 2, RESOLUTION)
@@ -550,8 +525,9 @@ def check_stoch_quadrature_basics(seed: int) -> tuple[bool, str]:
 @law("stochastic", "density-normalisation")
 def check_stoch_normalisation(seed: int) -> tuple[bool, str]:
     alphas = _all_hyperparams(3, 12)
-    errs = normalisation_errors(alphas, RESOLUTION)
-    errs2 = normalisation_errors(alphas, 2 * RESOLUTION)
+    zeros = [(0,) * a.n for a in alphas]
+    errs = np.abs(cell_rule_integrals(alphas, zeros, RESOLUTION) - 1.0)
+    errs2 = np.abs(cell_rule_integrals(alphas, zeros, 2 * RESOLUTION) - 1.0)
     bad = [
         (a.counts, e, e2)
         for a, e, e2 in zip(alphas, errs, errs2)

@@ -15,6 +15,7 @@ from cptforge.dirichlet import (
     HyperParams,
     _cells_cached,
     aggregate_params,
+    cell_rule_integrals,
     dirichlet_density,
     dirichlet_mean,
     dirichlet_moment,
@@ -39,7 +40,6 @@ from cptforge.verify import (
     _all_hyperparams,
     check_stoch_normalisation,
     check_stoch_sampler_moments,
-    normalisation_errors,
     pushed_moment,
 )
 
@@ -219,10 +219,10 @@ class TestSimplexQuadrature:
             assert np.all(np.abs(got - want) <= 1e-13 * want), (res, np.abs(got / want - 1).max())
         alphas = [a for a in _all_hyperparams(4, 8) if a.n == n][:6]
         for res in (10, 40 if n == 4 else 400):
-            errs = normalisation_errors(alphas, res)
-            for a, e in zip(alphas, errs):
-                want = abs(simplex_quadrature(lambda p: dirichlet_pdf_many(a, p), n, res) - 1)
-                assert abs(e - want) <= 1e-12, (a.counts, res, e, want)
+            got = cell_rule_integrals(alphas, [(0,) * n] * len(alphas), res)
+            for a, g in zip(alphas, got):
+                want = simplex_quadrature(lambda p: dirichlet_pdf_many(a, p), n, res)
+                assert abs(g - want) <= 1e-12, (a.counts, res, g, want)
 
     def test_normalisation_memory_is_bounded_by_the_block(self):
         # Cold: no grid is cached, and none is built.  With the whole grids
@@ -233,7 +233,7 @@ class TestSimplexQuadrature:
             _cells_cached.cache_clear()
             tracemalloc.start()
             try:
-                normalisation_errors(alphas, resolution)
+                cell_rule_integrals(alphas, [(0,) * a.n for a in alphas], resolution)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -60,8 +60,11 @@ class TestGraphSpec:
             ((("A", 2), ("B", 2), ("C", 2)), (("A", "B"), ("B", "C"), ("C", "A")),
              "graph has a directed cycle"),
             ((("A", 0),), (), "node A has arity 0"),
+            ((("A", 2.9),), (), "node A has arity 2.9, not an integer"),
+            ((("A", -1),), (), "node A has arity -1 outside"),
         ],
-        ids=["duplicate-node", "undeclared-node", "cycle", "arity-0"],
+        ids=["duplicate-node", "undeclared-node", "cycle", "arity-0", "arity-fractional",
+             "arity-negative"],
     )
     def test_constructor_rejects(self, nodes, edges, message):
         # Built in code, with no file lines, the message names no line.
@@ -865,11 +868,21 @@ class TestCountExactness:
              "outcome 2 for Blood outside 0..1"),
             (lambda: CountTable(("Blood", "Medicine"), (2, 3), np.array([[1, -1]]), np.array([1])),
              "outcome -1 for Medicine outside 0..2"),
+            (lambda: CountTable.from_records(("A",), (2,), {(0,): 2.5, (1,): 1}),
+             "count 2.5 at index 0 is not an integer"),
+            (lambda: CountTable.from_records(("A",), (2,), {(1.7,): 1}),
+             "outcome 1.7 at index 0 is not an integer"),
+            (lambda: CountTable.from_records(("A",), (2,), {(0,): 3, (1,): -1}),
+             "negative count -1 at index 1"),
+            (lambda: CountTable(("A",), (2,), np.array([[0.9]]), np.array([1.5])),
+             "outcome 0.9 at index 0 is not an integer"),
         ],
-        ids=["from_records", "constructor", "negative"],
+        ids=["from_records", "constructor", "negative", "fractional-count",
+             "fractional-outcome", "negative-count", "float-arrays"],
     )
     def test_outcome_outside_its_arity_is_refused_when_built(self, build, message):
-        # Family indices are built without a bounds check, so the table checks.
+        # Family indices are built without a bounds check, so the table checks;
+        # a value that is not a non-negative integer is refused, not truncated.
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
 
@@ -924,8 +937,7 @@ class TestCountExactness:
             with pytest.raises(DataError, match=f"line {bad_line}: .*{message}"):
                 ingest_counts(path, golden_graph)
 
-    def test_repeated_rows_are_merged_as_they_accumulate(self, tmp_path, golden_graph,
-                                                         monkeypatch):
+    def test_repeated_rows_sum_exactly_across_chunks(self, tmp_path, golden_graph, monkeypatch):
         rng = random.Random(6)
         big = [2**70, 2**62, 1, 7]  # a count past int64, and totals past 2**63
         rows = [(rng.randrange(2), rng.randrange(3), rng.choice(big)) for _ in range(2000)]
@@ -933,14 +945,10 @@ class TestCountExactness:
         for a, b, c in rows:
             expected[(a, b)] = expected.get((a, b), 0) + c
         path = self.write(tmp_path / "repeated.csv", [f"{a},{b},{c}" for a, b, c in rows])
-        # A chunk is 36 bytes and the rest of its last line: lines of at least
-        # 6 bytes make that at most 7 rows.
+        # A chunk is 36 bytes and the rest of its last line: at most 7 rows.
         monkeypatch.setattr(network, "CHUNK_BYTES", 36)
-        monkeypatch.setattr(network, "MERGE_ROWS", 20)
         table = ingest_counts(path, golden_graph)
         assert table == CountTable.from_records(("Blood", "Medicine"), (2, 3), expected)
-        # At most twice the distinct tuples plus MERGE_ROWS plus one chunk stay held.
-        assert len(table.counts) <= 2 * len(expected) + 20 + 7
 
     @settings(max_examples=1000)
     @given(data=count_files(), chunk=st.sampled_from([1, 2, 3, 5, 8, 1 << 20]))
