@@ -71,6 +71,11 @@ MUTANTS = {
         "2: {1: (Fraction(1, 2), Fraction(1, 3))},",
         "2: {1: (Fraction(1, 2), Fraction(1, 2))},",
     ),
+    "segment-end-cell-clipped": (
+        "dirichlet.py",
+        "_CLIP = {",
+        "_CLIP = {1: {1: (Fraction(1, 2), Fraction(1, 3))},",
+    ),
     "cell-weights-scaled": (
         "dirichlet.py",
         "return offsets, weights / res**d",

@@ -7,7 +7,7 @@ floating-point noise while genuinely curved ones shrink at second order.
 
 import sys
 
-from cptforge.dirichlet import HyperParams, dirichlet_pdf_many, simplex_quadrature
+from cptforge.dirichlet import HyperParams, cell_rule_integrals
 
 CASES = [
     HyperParams((1, 1, 1)),   # constant: exact at every resolution
@@ -23,10 +23,8 @@ def main() -> int:
     header = "alpha".ljust(12) + "".join(f"res={r}".rjust(12) for r in RESOLUTIONS)
     print(header)
     for alpha in CASES:
-        errs = []
-        for res in RESOLUTIONS:
-            got = simplex_quadrature(lambda pts: dirichlet_pdf_many(alpha, pts), alpha.n, res)
-            errs.append(abs(got - 1.0))
+        errs = [abs(cell_rule_integrals([alpha], [(0,) * alpha.n], res)[0] - 1.0)
+                for res in RESOLUTIONS]
         print(
             str(alpha.counts).ljust(12)
             + "".join(f"{e:12.2e}" for e in errs)

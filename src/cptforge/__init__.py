@@ -21,7 +21,7 @@ _EXPORTS = {
               "lift_predicate", "validity_transfer_check"),
     "dirichlet": ("HyperParams", "SimplexDensity", "aggregate_params", "dirichlet_density",
                   "dirichlet_mean", "dirichlet_pdf_many", "dirichlet_sample_many", "gamma_nat",
-                  "make_rng", "one_sum_check", "simplex_quadrature"),
+                  "make_rng", "one_sum_check"),
     "dist": ("Channel", "Dist", "Predicate", "condition", "disintegrate", "dist_map",
              "pair_graph", "state_transform", "validity"),
     "finset": ("FinMap", "Multiset", "ZeroRowError", "ms_map", "ms_map_full", "ms_tensor",

@@ -51,8 +51,8 @@ def lift_predicate(p: Predicate) -> LiftedPredicate:
 
 def cont_validity(density: SimplexDensity, q: LiftedPredicate, resolution: int) -> float:
     """Expected value of the lifted predicate under a Dirichlet density, by the
-    cell rule of simplex_quadrature at the given resolution, without building
-    its grid.
+    package's one cell rule at the given resolution, summed by monomial
+    moments without building a grid.
 
     A lifted predicate is linear, q(x) = sum_i q(e_i) x_i, so its values at
     the vertices e_i are its coefficients, and the integral of q * Dir(alpha)

@@ -19,9 +19,9 @@ constants and linear functions exactly (so the cell volumes add up to the
 exact simplex volume) and converges at second order for smooth integrands.
 A midpoint rule that simply drops the boundary cells would miss O(1/res)
 of mass concentrated near the boundary, which is not good enough for the
-1e-3 normalisation checks this package runs.  `simplex_cells` returns a
-whole grid, cached.  `simplex_moments` sums monomials over the grid without
-building it: every cell with the same index sum has the same weight and the
+1e-3 normalisation checks this package runs.  The rule is only ever
+applied to monomials, and `simplex_moments` sums those without building
+the grid: every cell with the same index sum has the same weight and the
 same last coordinate, so a moment is a convolution of 1-D power tables.
 `cell_rule_integrals` scales such moments by `dirichlet_normalizer` into the
 cell-rule integrals of monomials times Dirichlet densities.
@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -52,10 +51,9 @@ from .dist import Dist
 from .finset import FinMap, Multiset, ms_map_full
 
 MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
-# Cap on the cells of one quadrature grid.  A whole grid at the cap holds up
-# to 84 MB of points and weights (n = 4), and building it peaks near 220 MB;
-# simplex_moments builds no grid, and keeps the cap so that both accept the
-# same resolutions.
+# Cap on the cells of the grid that simplex_moments sums over.  It builds no
+# grid, but its power tables and convolutions grow with the resolution, so the
+# cap bounds a call's time and memory before it allocates anything.
 MAX_QUADRATURE_CELLS = 1 << 21
 # Exponentials per block of dirichlet_sample_blocks.  Blocks of 2^14 to 2^16
 # took the same time for 100k draws; the smallest adds the least memory, and
@@ -210,52 +208,6 @@ def _check_grid(n: int, resolution: int) -> None:
         )
 
 
-def simplex_cells(n: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluation points (N, n) and weights (N,) tiling the n-outcome simplex.
-
-    Weights are clipped cell volumes in the projected coordinates; points
-    are cell centroids completed with the implied last coordinate.  The
-    weights sum to the exact simplex volume 1/(n-1)!.  Grids are cached and
-    returned read-only; copy before mutating.  Raises ValueError, before
-    allocating anything, when the grid would exceed MAX_QUADRATURE_CELLS.
-    """
-    _check_grid(n, resolution)
-    return _cells_cached(n, resolution)
-
-
-# Whole grids, for simplex_quadrature's integrands.
-@lru_cache(maxsize=8)
-def _cells_cached(n: int, res: int) -> tuple[np.ndarray, np.ndarray]:
-    d = n - 1
-
-    # Extend each cell, one projected coordinate at a time, with every next
-    # index k such that the indices still sum to at most res-1.
-    cells = np.arange(res, dtype=np.int64)[:, None] if d else np.zeros((1, 0), np.int64)
-    for _ in range(d - 1):
-        counts = res - cells.sum(axis=1)
-        base = np.repeat(cells, counts, axis=0)
-        ends = np.cumsum(counts)
-        k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-        cells = np.column_stack([base, k])
-
-    # Allocate the results before the temporaries, fill them in place and
-    # free each temporary once it is used: the build peaks at about 2.6
-    # times the grid it returns.
-    points = np.empty((len(cells), n))
-    slack = res - cells.sum(axis=1) - 1
-    class_offsets, class_weights = _slack_classes(d, res)
-    weights, offsets = class_weights[slack], class_offsets[slack]
-    del slack
-
-    for i in range(d):
-        points[:, i] = (cells[:, i] + offsets) / res
-    del cells, offsets
-    points[:, d] = 1.0 - points[:, :d].sum(axis=1)
-    points.flags.writeable = False
-    weights.flags.writeable = False
-    return points, weights
-
-
 def _slack_classes(d: int, res: int) -> tuple[np.ndarray, np.ndarray]:
     """Per slack t = res - (sum of a cell's indices), at index t - 1: the
     offset of the cell's centroid in its box, and the cell's weight."""
@@ -275,9 +227,9 @@ def _power_table(x: np.ndarray, top: int) -> np.ndarray:
 
 
 def simplex_moments(n: int, resolution: int, exponents) -> np.ndarray:
-    """The cell-rule sum of w * prod_k x_k**e_k over simplex_cells(n,
-    resolution) for each row e of an (m, n) array of non-negative integer
-    exponents, without building the grid.
+    """The cell-rule sum of w * prod_k x_k**e_k over the cells x (weights w)
+    tiling the n-outcome simplex at resolution, for each row e of an (m, n)
+    array of non-negative integer exponents, without building the grid.
 
     The cells with slack t (resolution minus the sum of their indices) share
     their weight, their offset in their box and so their last coordinate,
@@ -287,7 +239,8 @@ def simplex_moments(n: int, resolution: int, exponents) -> np.ndarray:
     0..resolution-1.  So each distinct leading-exponent tuple takes one
     np.convolve chain (a clipped class, t < n-1, one coefficient of its own),
     and one matmul against the last coordinate's powers gives every moment.
-    The grid's cell cap is checked as in simplex_cells, before allocating.
+    Raises ValueError, before allocating anything, when the grid would have
+    more than MAX_QUADRATURE_CELLS cells.
     """
     _check_grid(n, resolution)
     res, d = resolution, n - 1
@@ -337,16 +290,6 @@ def cell_rule_integrals(alphas: list[HyperParams], exponents: list[Sequence[int]
         norms = np.array([float(dirichlet_normalizer(alphas[j])) for j in idx])
         out[idx] = simplex_moments(n, resolution, exps) * norms
     return out
-
-
-def simplex_quadrature(f, n: int, resolution: int) -> float:
-    """Deterministic cell-rule integral of f over the n-outcome simplex.
-
-    `f` maps an (N, n) coordinate array to its (N,) values.  Cells are
-    summed in a fixed construction order.
-    """
-    points, weights = simplex_cells(n, resolution)
-    return float(weights @ np.asarray(f(points), dtype=float))
 
 
 def make_rng(seed: int) -> np.random.Generator:

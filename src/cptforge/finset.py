@@ -33,7 +33,7 @@ class ZeroRowError(ValueError):
 def integer_tuple(values, noun: str) -> tuple[int, ...]:
     """The values as Python ints.  `operator.index` admits exactly the
     integer types, Python's and numpy's; a float, a Fraction or a string is
-    refused, naming its index, rather than truncated."""
+    refused, named by its repr and index, rather than truncated."""
     values = tuple(values)
     try:
         return tuple(map(operator.index, values))
@@ -42,7 +42,7 @@ def integer_tuple(values, noun: str) -> tuple[int, ...]:
             try:
                 operator.index(v)
             except TypeError:
-                raise ValueError(f"{noun} {v} at index {i} is not an integer") from None
+                raise ValueError(f"{noun} {v!r} at index {i} is not an integer") from None
         raise
 
 

@@ -73,7 +73,7 @@ import re
 import shutil
 import tempfile
 from dataclasses import InitVar, dataclass, field
-from math import gcd, prod
+from math import gcd, inf, prod
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping
@@ -560,8 +560,9 @@ def _read_chunk(body: bytes, first: int, names: tuple[str, ...], arities: tuple[
 def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
     """Read a long-format count CSV against the graph's schema.
 
-    Data lines are read and parsed a chunk at a time: ``CHUNK_BYTES`` bytes
-    and the rest of the line they end in.  Each data line becomes one row of
+    Data lines are read and parsed a chunk at a time: ``CHUNK_BYTES`` bytes,
+    or fewer if the file has fewer left, so a short file allocates no whole
+    chunk, and the rest of the line they end in.  Each data line becomes one row of
     the table, so its memory follows the number of data lines; rows with
     the same outcome tuple are summed wherever counts are read, so no
     result depends on row order.  The first malformed line is reported with
@@ -579,8 +580,11 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
         count_parts = [np.empty(0, dtype=np.int64)]
         with path.open("rb") as fh:
             lineno, order = _read_header(fh, names)
-            while body := fh.read(CHUNK_BYTES):
+            # A pipe has no size; it, and a file that grew, are read to their end.
+            left = os.fstat(fh.fileno()).st_size - fh.tell() if fh.seekable() else inf
+            while body := fh.read(min(CHUNK_BYTES, max(left, 1))):
                 body += fh.readline()
+                left -= len(body)
                 columns, counts, consumed = _read_chunk(body, lineno + 1, names, arities, order)
                 column_parts.append(columns)
                 count_parts.append(counts)

@@ -13,8 +13,8 @@ Three suites, selectable from the CLI:
   the split factorisations and the local-update audit), the binary64 ones
   each at its stated tolerance with seeded, reproducible streams.  The
   quadrature laws use one cell rule, ``RESOLUTION``, at one tolerance,
-  ``QUADRATURE_TOL``; all but quadrature-basics sum it by monomial moments
-  and build no grid.
+  ``QUADRATURE_TOL``, and sum it by monomial moments
+  (``dirichlet.simplex_moments``), building no grid.
 
 Each law is one function decorated with ``@law(suite, name)``: it takes
 the ``seed`` and returns ``(passed, detail)``, and the decorator
@@ -76,7 +76,6 @@ from .dirichlet import (
     moment_z,
     one_sum_check,
     simplex_moments,
-    simplex_quadrature,
 )
 from .dist import (
     Channel,
@@ -509,8 +508,7 @@ QUADRATURE_TOL = 1e-3  # their tolerance on that grid
 
 @law("stochastic", "quadrature-basics")
 def check_stoch_quadrature_basics(seed: int) -> tuple[bool, str]:
-    total = simplex_quadrature(lambda pts: np.ones(len(pts)), 2, RESOLUTION)
-    mean = simplex_quadrature(lambda pts: pts[:, 0], 2, RESOLUTION)
+    total, mean = simplex_moments(2, RESOLUTION, [[0, 0], [1, 0]]).tolist()
     # The rule is exact on polynomials of degree 1.  On three outcomes that
     # rests on the clipped cells' weights and centroids: the integrals of 1
     # and of each x_k over the projected triangle are 1/2 and 1/6.

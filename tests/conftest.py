@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import hypothesis
+import numpy as np
 import pytest
 
 from cptforge.network import CountTable, GraphSpec
@@ -20,6 +21,35 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("det")
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def cells_by_meshgrid(n, res):
+    """The cell grid as it was first built: a meshgrid masked to the
+    triangle, then extended by one index for n = 4."""
+    d = n - 1
+    if d == 0:
+        return np.array([[1.0]]), np.array([1.0])
+    if d == 1:
+        firsts = (np.arange(res, dtype=float).reshape(-1, 1) + 0.5) / res
+        weights = np.full(res, 1.0 / res)
+    else:
+        ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
+        mask = ii + jj <= res - 1
+        cells = np.stack([ii[mask], jj[mask]], axis=1)
+        if d == 3:
+            counts = res - cells.sum(axis=1)
+            base = np.repeat(cells, counts, axis=0)
+            ends = np.cumsum(counts)
+            k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+            cells = np.column_stack([base, k])
+        clip = {2: {1: (1 / 2, 1 / 3)}, 3: {1: (1 / 6, 1 / 4), 2: (5 / 6, 9 / 20)}}[d]
+        slack = res - cells.sum(axis=1)
+        offsets, fracs = np.full(len(cells), 0.5), np.ones(len(cells))
+        for t, (frac, centroid) in clip.items():
+            offsets[slack == t], fracs[slack == t] = centroid, frac
+        firsts = (cells + offsets[:, None]) / res
+        weights = fracs / res**d
+    return np.column_stack([firsts, 1.0 - firsts.sum(axis=1)]), weights
 
 
 @pytest.fixture

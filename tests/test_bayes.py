@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,16 +18,17 @@ from cptforge.bayes import (
 from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
     HyperParams,
-    _cells_cached,
     dirichlet_density,
     dirichlet_pdf_many,
     dirichlet_sample_many,
     make_rng,
     simplex_cell_count,
-    simplex_quadrature,
+    simplex_moments,
 )
 from cptforge.dist import Dist, Predicate
 from cptforge.finset import Multiset
+
+from conftest import cells_by_meshgrid
 
 hyperparams_st = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
     lambda a: HyperParams(tuple(a))
@@ -102,21 +104,20 @@ class TestContValidity:
         for res in (2, 3, 23, 200, 400):
             if simplex_cell_count(n, res) > MAX_QUADRATURE_CELLS:
                 continue
+            points, weights = cells_by_meshgrid(n, res)
             for _ in range(4):
                 alpha = HyperParams(tuple(rng.randint(1, 6) for _ in range(n)))
                 q = lift_predicate(Predicate(tuple(F(rng.randint(0, 6), 6) for _ in range(n))))
                 prior = dirichlet_density(alpha)
                 point = lift_predicate(Predicate.point(n, rng.randrange(n)))
                 for d in (prior, cont_condition(prior, point)):
-                    want = simplex_quadrature(lambda pts: q.eval_many(pts) * d.eval_many(pts),
-                                              n, res)
+                    want = weights @ (q.eval_many(points) * d.eval_many(points))
                     assert cont_validity(d, q, res) == pytest.approx(want, rel=1e-12, abs=0)
-        _cells_cached.cache_clear()
 
     def test_cell_cap_as_for_the_grid(self):
         q = lift_predicate(Predicate((1,) * 4))
         with pytest.raises(ValueError, match="over the cap") as grid:
-            simplex_quadrature(q.eval_many, 4, 400)
+            simplex_moments(4, 400, np.zeros((1, 4), np.int64))
         with pytest.raises(ValueError, match="over the cap") as moments:
             cont_validity(dirichlet_density(HyperParams((1,) * 4)), q, 400)
         assert str(moments.value) == str(grid.value)
@@ -125,9 +126,15 @@ class TestContValidity:
                                      verify.check_stoch_transfer_quadrature],
                              ids=lambda law: law.__name__)
     def test_quadrature_laws_build_no_grid(self, law):
-        _cells_cached.cache_clear()
-        assert law(42).passed
-        assert _cells_cached.cache_info().currsize == 0
+        # The 80,200-cell grid of three outcomes at resolution 400 holds 2.6 MB
+        # of points and weights; the laws peak near 0.2 MB.
+        tracemalloc.start()
+        try:
+            assert law(42).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestContCondition:

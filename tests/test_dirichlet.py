@@ -13,7 +13,6 @@ from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
     SAMPLE_BLOCK,
     HyperParams,
-    _cells_cached,
     aggregate_params,
     cell_rule_integrals,
     dirichlet_density,
@@ -29,9 +28,7 @@ from cptforge.dirichlet import (
     moment_z,
     one_sum_check,
     simplex_cell_count,
-    simplex_cells,
     simplex_moments,
-    simplex_quadrature,
     simplex_rows,
 )
 from cptforge.finset import FinMap
@@ -42,6 +39,9 @@ from cptforge.verify import (
     check_stoch_sampler_moments,
     pushed_moment,
 )
+
+from conftest import cells_by_meshgrid
+
 
 class TestGammaNat:
     def test_base_cases(self):
@@ -70,7 +70,7 @@ class TestHyperParams:
         "counts,message",
         [
             ((1.9, 2), "count 1.9 at index 0 is not an integer"),
-            ((3, np.float64(2.0)), "count 2.0 at index 1 is not an integer"),
+            ((3, np.float64(2.0)), "count np.float64(2.0) at index 1 is not an integer"),
         ],
     )
     def test_rejects_non_integer_pseudo_counts(self, counts, message):
@@ -171,66 +171,52 @@ class TestIntPower:
 class TestSimplexQuadrature:
     def test_cell_weights_sum_to_simplex_volume(self):
         for n in (2, 3, 4):
-            _, w = simplex_cells(n, 23)
-            assert w.sum() == pytest.approx(1 / math.factorial(n - 1), abs=1e-14)
+            got = simplex_moments(n, 23, np.zeros((1, n), np.int64))[0]
+            assert got == pytest.approx(1 / math.factorial(n - 1), abs=1e-14)
 
     def test_constant_on_two_outcomes(self):
-        got = simplex_quadrature(lambda pts: np.ones(len(pts)), 2, 100)
-        assert got == pytest.approx(1.0, abs=1e-9)
+        assert simplex_moments(2, 100, [[0, 0]])[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_coordinate_mean_by_symmetry(self):
-        got = simplex_quadrature(lambda pts: pts[:, 0], 2, 100)
-        assert got == pytest.approx(0.5, abs=1e-6)
+        assert simplex_moments(2, 100, [[1, 0]])[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_linear_density_normalisation(self):
-        a = HyperParams((2, 1, 1))
-        got = simplex_quadrature(lambda pts: dirichlet_pdf_many(a, pts), 3, 400)
+        got = cell_rule_integrals([HyperParams((2, 1, 1))], [(0, 0, 0)], 400)[0]
         assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_four_outcome_normalisation(self):
-        a = HyperParams((2, 1, 1, 2))
-        got = simplex_quadrature(lambda pts: dirichlet_pdf_many(a, pts), 4, 40)
+        got = cell_rule_integrals([HyperParams((2, 1, 1, 2))], [(0, 0, 0, 0)], 40)[0]
         assert got == pytest.approx(1.0, abs=5e-3)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
-            simplex_quadrature(lambda pts: np.ones(len(pts)), 5, 10)
+            simplex_moments(5, 10, np.zeros((1, 5), np.int64))
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
-            simplex_quadrature(lambda pts: np.ones(len(pts)), 2, 1)
+            simplex_moments(2, 1, [[0, 0]])
 
     def test_degenerate_dimension(self):
-        assert simplex_quadrature(lambda pts: np.full(len(pts), 3.0), 1, 10) == 3.0
+        # The one-outcome simplex is the point x0 = 1, of weight 1.
+        assert simplex_moments(1, 10, [[0], [3]]).tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_batched_normalisation_matches_quadrature(self, n):
-        # simplex_moments sums the cell rule's monomials by convolving power
-        # tables; the references sum them, and integrate each pdf, over the
-        # whole grid.
-        exps = np.array([*itertools.product(range(4), repeat=n), (11,) + (0,) * (n - 1),
-                         (0,) * (n - 1) + (11,)])
-        for res in (2, 3, 5, 23, 400):
-            if simplex_cell_count(n, res) > MAX_QUADRATURE_CELLS:
-                continue
-            points, weights = simplex_cells(n, res)
-            want = np.array([weights @ np.prod(points**e, axis=1) for e in exps])
-            got = simplex_moments(n, res, exps)
-            assert np.all(np.abs(got - want) <= 1e-13 * want), (res, np.abs(got / want - 1).max())
+        # The reference integrates each pdf over the whole grid.
         alphas = [a for a in _all_hyperparams(4, 8) if a.n == n][:6]
         for res in (10, 40 if n == 4 else 400):
             got = cell_rule_integrals(alphas, [(0,) * n] * len(alphas), res)
+            points, weights = cells_by_meshgrid(n, res)
             for a, g in zip(alphas, got):
-                want = simplex_quadrature(lambda p: dirichlet_pdf_many(a, p), n, res)
+                want = weights @ dirichlet_pdf_many(a, points)
                 assert abs(g - want) <= 1e-12, (a.counts, res, g, want)
 
     def test_normalisation_memory_is_bounded_by_the_block(self):
-        # Cold: no grid is cached, and none is built.  With the whole grids
-        # built and cached, the peak was 24.9 MiB at resolution 800 and 162
-        # MiB at 2046, a 3-outcome grid just under MAX_QUADRATURE_CELLS.
+        # No grid is built.  Building and caching the whole grids peaked at
+        # 24.9 MiB at resolution 800 and 162 MiB at 2046, a 3-outcome grid
+        # just under MAX_QUADRATURE_CELLS.
         alphas = _all_hyperparams(3, 12)
         for resolution in (800, 2046):
-            _cells_cached.cache_clear()
             tracemalloc.start()
             try:
                 cell_rule_integrals(alphas, [(0,) * a.n for a in alphas], resolution)
@@ -238,7 +224,6 @@ class TestSimplexQuadrature:
             finally:
                 tracemalloc.stop()
             assert peak < 4 << 20, resolution
-            assert _cells_cached.cache_info().currsize == 0
 
     def test_normalisation_detail_at_resolution_400(self):
         result = check_stoch_normalisation(42)
@@ -249,66 +234,31 @@ class TestSimplexQuadrature:
         )
 
 
-def cells_by_meshgrid(n, res):
-    """The cell grid as it was first built: a meshgrid masked to the
-    triangle, then extended by one index for n = 4."""
-    d = n - 1
-    if d == 0:
-        return np.array([[1.0]]), np.array([1.0])
-    if d == 1:
-        firsts = (np.arange(res, dtype=float).reshape(-1, 1) + 0.5) / res
-        weights = np.full(res, 1.0 / res)
-    else:
-        ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
-        mask = ii + jj <= res - 1
-        cells = np.stack([ii[mask], jj[mask]], axis=1)
-        if d == 3:
-            counts = res - cells.sum(axis=1)
-            base = np.repeat(cells, counts, axis=0)
-            ends = np.cumsum(counts)
-            k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-            cells = np.column_stack([base, k])
-        clip = {2: {1: (1 / 2, 1 / 3)}, 3: {1: (1 / 6, 1 / 4), 2: (5 / 6, 9 / 20)}}[d]
-        slack = res - cells.sum(axis=1)
-        offsets, fracs = np.full(len(cells), 0.5), np.ones(len(cells))
-        for t, (frac, centroid) in clip.items():
-            offsets[slack == t], fracs[slack == t] = centroid, frac
-        firsts = (cells + offsets[:, None]) / res
-        weights = fracs / res**d
-    return np.column_stack([firsts, 1.0 - firsts.sum(axis=1)]), weights
-
-
 class TestSimplexCells:
     @pytest.mark.parametrize(
         "n,res",
         [(n, res) for n in (1, 2, 3, 4) for res in (2, 23, 40)]
-        + [(2, 50), (3, 400), (3, 800), (4, 100)],
+        + [(2, 50), (3, 400), (3, 800), (4, 100)]
+        + [(n, res) for n in (1, 2, 3, 4) for res in (3, 5)],
     )
     def test_matches_the_meshgrid_construction(self, n, res):
-        points, weights = simplex_cells(n, res)
-        want_points, want_weights = cells_by_meshgrid(n, res)
-        assert np.array_equal(points, want_points)
-        assert np.array_equal(weights, want_weights)
-        assert len(points) == simplex_cell_count(n, res)
-
-    def test_build_peak_is_bounded(self):
-        # The grid returned at n = 3, res 800 is 10.3 MB.  Building it with
-        # full-length copies of every column peaked at 36.2 MB.
-        tracemalloc.start()
-        try:
-            _cells_cached.__wrapped__(3, 800)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 28e6
+        # simplex_moments sums the cell rule's monomials by convolving power
+        # tables; the reference sums them over the whole grid.
+        points, weights = cells_by_meshgrid(n, res)
+        assert len(weights) == simplex_cell_count(n, res)
+        exps = np.array([*itertools.product(range(4), repeat=n), (11,) + (0,) * (n - 1),
+                         (0,) * (n - 1) + (11,)])
+        powers = [col ** np.arange(12)[:, None] for col in points.T]
+        want = np.array([weights @ np.prod([p[k] for p, k in zip(powers, e)], axis=0)
+                         for e in exps])
+        got = simplex_moments(n, res, exps)
+        assert np.all(np.abs(got - want) <= 1e-13 * want), np.abs(got / want - 1).max()
 
     @pytest.mark.parametrize("n,res", [(2, MAX_QUADRATURE_CELLS + 1), (3, 10**6), (4, 10**30)])
     def test_cell_cap_fires_before_allocation(self, n, res):
         message = rf"needs \d+ cells .*cap of {MAX_QUADRATURE_CELLS}"
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=message):
-                simplex_cells(n, res)
             with pytest.raises(ValueError, match=message):
                 simplex_moments(n, res, np.zeros((1, n), np.int64))
             _, peak = tracemalloc.get_traced_memory()
@@ -385,8 +335,7 @@ class TestStreamedStatistics:
     @pytest.mark.parametrize("law", [check_stoch_sampler_moments], ids=lambda law: law.__name__)
     def test_sampling_laws_hold_no_whole_sample(self, law):
         # Holding its 100k-draw sample whole, sampler-moments peaked at
-        # 6.1 MiB.  It builds no quadrature grid.
-        _cells_cached.cache_clear()
+        # 6.1 MiB.
         tracemalloc.start()
         try:
             assert law(1).passed
@@ -394,7 +343,6 @@ class TestStreamedStatistics:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
-        assert _cells_cached.cache_info().currsize == 0
 
 
 class TestExactReferences:
@@ -461,9 +409,8 @@ class TestDirichletMean:
 
     def test_mean_integral_matches(self):
         a = HyperParams((2, 1, 1))
-        for i in range(3):
-            got = simplex_quadrature(lambda pts: pts[:, i] * dirichlet_pdf_many(a, pts), 3, 400)
-            assert got == pytest.approx(float(F(a[i], a.total())), abs=1e-3)
+        got = cell_rule_integrals([a] * 3, np.eye(3, dtype=np.int64), 400)
+        assert got == pytest.approx([float(F(k, a.total())) for k in a.counts], abs=1e-3)
 
 
 class TestAggregateParams:
@@ -554,5 +501,6 @@ class TestOneSumCheck:
 class TestSimplexDensity:
     def test_dirichlet_density_integrates_to_one(self):
         d = dirichlet_density(HyperParams((2, 3, 1)))
-        got = simplex_quadrature(d.eval_many, 3, 200)
+        points, weights = cells_by_meshgrid(3, 200)
+        got = weights @ d.eval_many(points)
         assert got == pytest.approx(1.0, abs=1e-3)

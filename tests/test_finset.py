@@ -69,9 +69,9 @@ class TestMultiset:
         "counts,message",
         [
             ((1.5, 2), "count 1.5 at index 0 is not an integer"),
-            ((1, np.float64(2.0)), "count 2.0 at index 1 is not an integer"),
-            ((1, 2, Fraction(3, 1)), "count 3 at index 2 is not an integer"),
-            (("3",), "count 3 at index 0 is not an integer"),
+            ((1, np.float64(2.0)), "count np.float64(2.0) at index 1 is not an integer"),
+            ((1, 2, Fraction(3, 1)), "count Fraction(3, 1) at index 2 is not an integer"),
+            (("3",), "count '3' at index 0 is not an integer"),
         ],
     )
     def test_rejects_non_integer_counts(self, counts, message):

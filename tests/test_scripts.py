@@ -52,6 +52,7 @@ PINNED_MUTANTS = {
     "aggregate-wrong-target": ["stochastic/surjective-naturality"],
     "audit-direct-not-incremented": ["stochastic/local-update-audit"],
     "clipped-cell-centroid": ["stochastic/quadrature-basics"],
+    "segment-end-cell-clipped": ["stochastic/quadrature-basics"],
     "lifted-predicate-reversed": ["stochastic/validity-transfer-quadrature"],
     "moment-rising-off-by-one": ["exact/validity-transfer", "exact/posterior-mean-identity",
                                  "stochastic/surjective-naturality", "stochastic/sampler-moments"],
