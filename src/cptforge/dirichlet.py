@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .dist import Dist
-from .finset import FinMap, Multiset, ms_map_full
+from .finset import FinMap, Multiset, ms_map_full, multisets
 
 MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
 # Cap on the cells of the grid that simplex_moments sums over.  It builds no
@@ -66,11 +66,8 @@ SAMPLE_BLOCK = 1 << 14
 class HyperParams(Multiset):
     """Dirichlet pseudo-counts: a multiset in which every index occurs."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        for i, a in enumerate(self.counts):
-            if a < 1:
-                raise ValueError(f"pseudo-count {a} at index {i} must be >= 1")
+    _noun = "pseudo-count"
+    _least = 1
 
     def increment(self, i: int) -> HyperParams:
         """A copy with the i-th pseudo-count raised by one."""
@@ -373,14 +370,15 @@ def moment_z(alpha: HyperParams, draws: int, sums: np.ndarray, gram: np.ndarray)
     n = alpha.n
     if n == 1:
         return 0.0
-    terms = [((j,), sums[j]) for j in range(n)]
-    terms += [((j, k), gram[j, k]) for j in range(n) for k in range(j, n)]
     worst = 0.0
-    for idx, total in terms:
-        ks = [idx.count(i) for i in range(n)]
-        mean = dirichlet_moment(alpha, ks)
-        var = dirichlet_moment(alpha, [2 * k for k in ks]) - mean * mean
-        worst = max(worst, abs(total / draws - float(mean)) / math.sqrt(float(var) / draws))
+    for degree, table in ((1, sums), (2, gram)):
+        for m in multisets(n, degree):
+            ks = m.counts
+            # The cell of the sum: (j,) or (j, k) with j <= k, the exponents' indices.
+            total = table[tuple(i for i, k in enumerate(ks) for _ in range(k))]
+            mean = dirichlet_moment(alpha, ks)
+            var = dirichlet_moment(alpha, [2 * k for k in ks]) - mean * mean
+            worst = max(worst, abs(total / draws - float(mean)) / math.sqrt(float(var) / draws))
     return float(worst)
 
 

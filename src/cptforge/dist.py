@@ -72,12 +72,9 @@ class Dist:
         of non-negative integer weights with a positive sum, held as the
         weights divided by their gcd.
         """
-        weights = integer_tuple(weights, "weight")
+        weights = integer_tuple(weights, "weight", 0)
         if not weights:
             raise ValueError("cannot normalise an empty weight vector")
-        for k, w in enumerate(weights):
-            if w < 0:
-                raise ValueError(f"negative weight {w} at index {k}")
         total = sum(weights)
         if total == 0:
             raise ValueError("cannot normalise weights that sum to zero")

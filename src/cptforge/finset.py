@@ -9,7 +9,9 @@ into rows takes the row length m.
 A multiset in which every index occurs is full-support; the Dirichlet's
 pseudo-counts, `dirichlet.HyperParams`, are such multisets.  `ms_map_full`
 keeps full support along a surjection, and a Bayesian update is the sum
-`alpha + data`.
+`alpha + data`.  `multisets(n, K)` enumerates M[K], the multisets of total
+K over {0..n-1}: every law that ranges over fixed-size count vectors (a
+likelihood grid, pseudo-counts, moment exponents) takes them from it.
 
 Counts are plain Python integers (arbitrary precision); a count that is not
 an integer is refused, not truncated.  All values are immutable after
@@ -19,7 +21,9 @@ construction, and every operation is a pure function.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 
 class ZeroRowError(ValueError):
@@ -30,13 +34,14 @@ class ZeroRowError(ValueError):
         self.row = row
 
 
-def integer_tuple(values, noun: str) -> tuple[int, ...]:
-    """The values as Python ints.  `operator.index` admits exactly the
-    integer types, Python's and numpy's; a float, a Fraction or a string is
-    refused, named by its repr and index, rather than truncated."""
+def integer_tuple(values, noun: str, least: int | None = None) -> tuple[int, ...]:
+    """The values as Python ints, each at least `least` if it is given.
+    `operator.index` admits exactly the integer types, Python's and numpy's;
+    a float, a Fraction or a string is refused, named by its repr and index,
+    rather than truncated, and so is the first value below `least`."""
     values = tuple(values)
     try:
-        return tuple(map(operator.index, values))
+        ints = tuple(map(operator.index, values))
     except TypeError:
         for i, v in enumerate(values):
             try:
@@ -44,6 +49,10 @@ def integer_tuple(values, noun: str) -> tuple[int, ...]:
             except TypeError:
                 raise ValueError(f"{noun} {v!r} at index {i} is not an integer") from None
         raise
+    if least is not None and ints and min(ints) < least:
+        i = next(i for i, v in enumerate(ints) if v < least)
+        raise ValueError(f"{noun} {ints[i]} at index {i} must be at least {least}")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -102,14 +111,14 @@ class Multiset:
     """A count vector: how often each index of {0..n-1} occurs."""
 
     counts: tuple[int, ...]
+    # What an entry is called, and its least value; a subclass narrows them.
+    _noun = "count"
+    _least = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", integer_tuple(self.counts, "count"))
+        object.__setattr__(self, "counts", integer_tuple(self.counts, self._noun, self._least))
         if not self.counts:
             raise ValueError("index set must be non-empty")
-        for i, c in enumerate(self.counts):
-            if c < 0:
-                raise ValueError(f"negative count {c} at index {i}")
 
     @property
     def n(self) -> int:
@@ -130,6 +139,16 @@ class Multiset:
         if other.n != self.n:
             raise ValueError("size mismatch in multiset sum")
         return type(self)(tuple(a + b for a, b in zip(self.counts, other.counts)))
+
+
+def multisets(n: int, size: int) -> Iterator[Multiset]:
+    """M[size] over {0..n-1}: every Multiset of total `size`, once each, in
+    the order combinations_with_replacement(range(n), size) draws them.
+    There are C(n + size - 1, size) of them."""
+    if n < 1 or size < 0:
+        raise ValueError(f"need n >= 1 and size >= 0, got n={n}, size={size}")
+    return (Multiset(tuple(map(draw.count, range(n))))
+            for draw in combinations_with_replacement(range(n), size))
 
 
 def ms_map(h: FinMap, phi: Multiset) -> Multiset:

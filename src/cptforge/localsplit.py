@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .dirichlet import (
     int_power,
     simplex_rows,
 )
+from .finset import multisets
 
 
 def split(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,11 +196,7 @@ def local_update_audit(
     joint = _joint(alpha_rows).increment(i * cols + j)
     updated_rows = list(alpha_rows)
     updated_rows[i] = alpha_rows[i].increment(j)
-    exponents = [
-        [idx.count(k) for k in range(rows * cols)]
-        for degree in (1, 2)
-        for idx in combinations_with_replacement(range(rows * cols), degree)
-    ]
+    exponents = [m.counts for degree in (1, 2) for m in multisets(rows * cols, degree)]
     # Per table m: the joint moment, the row degrees and the rows' moments.
     sides = []
     for m in exponents:

@@ -14,7 +14,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .dist import Channel, Dist, state_transform
 from .finset import FinMap, Multiset, ms_map, row_count, row_extract
@@ -52,26 +51,6 @@ def mle_decompose(phi: Multiset, m: int) -> tuple[Dist, Channel]:
     first = mle(ms_map(FinMap.proj1(row_count(phi.n, m), m), phi))
     channel = Channel(tuple(mle(row) for row in row_extract(phi, m)))
     return first, channel
-
-
-def simplex_grid(n: int, denominator: int) -> Iterator[Dist]:
-    """All distributions over n outcomes with the given common denominator.
-
-    Deterministic lexicographic enumeration; used as a brute-force search
-    space when checking that the empirical distribution maximises the
-    likelihood.
-    """
-    if n < 1 or denominator < 1:
-        raise ValueError("need n >= 1 and denominator >= 1")
-
-    def rec(prefix: list[int], remaining: int, k: int) -> Iterator[Dist]:
-        if k == 1:
-            yield Dist.normalise(prefix + [remaining])
-            return
-        for c in range(remaining + 1):
-            yield from rec(prefix + [c], remaining - c, k - 1)
-
-    yield from rec([], denominator, n)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,7 @@ import itertools
 import operator
 import os
 import re
+import reprlib
 import shutil
 import tempfile
 from dataclasses import InitVar, dataclass, field
@@ -117,11 +118,15 @@ class DataError(ValueError):
 
 @contextlib.contextmanager
 def _in_file(path: str | Path):
-    """Prefix the DataError raised in the block with the path of the file being read."""
+    """Prefix the DataError raised in the block with the path of the file
+    being read; an OSError, such as a missing file or a directory, is the
+    DataError ``cannot read PATH: REASON``."""
     try:
         yield
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _at(lineno: int | None) -> str:
@@ -173,7 +178,7 @@ def _name_error(name: str) -> str | None:
     if name == "count":
         return "node name 'count' is reserved for the count column"
     if not _NODE_NAME.fullmatch(name):
-        return f"node name {name!r} does not match [A-Za-z_][A-Za-z0-9_.-]*"
+        return f"node name {reprlib.repr(name)} does not match [A-Za-z_][A-Za-z0-9_.-]*"
     return None
 
 
@@ -217,7 +222,8 @@ class GraphSpec:
         over = None  # the first edge that takes a family over the cap
         for (p, c), lineno in zip(self.edges, edge_lines):
             if p not in arities or c not in arities:
-                raise DataError(f"{_at(lineno)}edge {p} -> {c} references an undeclared node")
+                raise DataError(f"{_at(lineno)}edge {reprlib.repr(p)} -> {reprlib.repr(c)} "
+                                "references an undeclared node")
             if (p, c) in edge_line:
                 raise DataError(f"{_at(lineno)}duplicate edge {p} -> {c}")
             edge_line[p, c] = lineno
@@ -266,7 +272,8 @@ class GraphSpec:
             if parts[0] == "node" and len(parts) == 3:
                 arity = _integer(parts[2], lineno)
                 if arity is None:
-                    raise DataError(f"line {lineno}: arity {parts[2]!r} is not an integer")
+                    raise DataError(f"line {lineno}: arity {reprlib.repr(parts[2])} "
+                                    "is not an integer")
                 nodes.append((parts[1], arity))
                 node_lines.append(lineno)
             elif parts[0] == "edge" and len(parts) == 3:
@@ -274,7 +281,7 @@ class GraphSpec:
                 edge_lines.append(lineno)
             else:
                 raise DataError(f"line {lineno}: expected 'node <name> <arity>' or "
-                                f"'edge <parent> <child>', got {text!r}")
+                                f"'edge <parent> <child>', got {reprlib.repr(text)}")
         return GraphSpec(tuple(nodes), tuple(edges), (tuple(node_lines), tuple(edge_lines)))
 
     @staticmethod
@@ -412,14 +419,15 @@ def _parse_line(text: str, lineno: int, names: tuple[str, ...],
     for name, col, arity in zip(names, order, arities):
         value = _integer(cells[col], lineno)
         if value is None:
-            raise DataError(f"line {lineno}: outcome {cells[col].strip()!r} for {name} "
-                            f"is not an integer")
+            raise DataError(f"line {lineno}: outcome {reprlib.repr(cells[col].strip())} "
+                            f"for {name} is not an integer")
         if not 0 <= value < arity:
             raise DataError(f"line {lineno}: outcome {value} for {name} outside 0..{arity - 1}")
         values.append(value)
     count = _integer(cells[-1], lineno)
     if count is None:
-        raise DataError(f"line {lineno}: count {cells[-1].strip()!r} is not an integer")
+        raise DataError(f"line {lineno}: count {reprlib.repr(cells[-1].strip())} "
+                        "is not an integer")
     if count < 0:
         raise DataError(f"line {lineno}: negative count {count}")
     return (*values, count)
@@ -430,15 +438,18 @@ def _read_header(fh: BinaryIO, names: tuple[str, ...]) -> tuple[int, list[int]]:
     for lineno, text in _lines(fh):
         header = [cell.strip(" \t") for cell in text.rstrip("\r").split(",")]
         if len(header) != len(names) + 1 or header[-1] != "count":
-            raise DataError(
-                f"line {lineno}: header must list every node plus a final "
-                f"'count' column, got {header}"
-            )
+            raise DataError(f"line {lineno}: header must list every node plus a final "
+                            f"'count' column, got {reprlib.repr(header)}")
         if sorted(header[:-1]) != sorted(names):
-            raise DataError(
-                f"line {lineno}: header variables {header[:-1]} do not match "
-                f"graph nodes {list(names)}"
-            )
+            # The lengths are equal, so some node has no column; unless a
+            # column is repeated, some column is also not a node.
+            stray = next((c for c in header[:-1] if c not in names), None)
+            if stray is not None:
+                raise DataError(f"line {lineno}: header column {reprlib.repr(stray)} "
+                                "is not a graph node")
+            missing = next(n for n in names if n not in header)
+            raise DataError(f"line {lineno}: header has no column for node "
+                            f"{reprlib.repr(missing)}")
         return lineno, [header.index(n) for n in names]
     raise DataError("data file has no header row")
 
@@ -572,8 +583,6 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
     """
     path = Path(path)
     with _in_file(path):
-        if not path.exists():
-            raise DataError("data file not found")
         names = graph.node_names
         arities = tuple(graph.arity(n) for n in names)
         column_parts = [np.empty((len(names), 0), dtype=_outcome_dtype(arities))]
@@ -686,7 +695,7 @@ def parse_prior(raws: Iterable[bytes], graph: GraphSpec) -> dict[str, tuple[int,
         parts = _fields(text)
         name = parts[0]
         if name not in graph.node_names:
-            raise DataError(f"line {lineno}: unknown node {name}")
+            raise DataError(f"line {lineno}: unknown node {reprlib.repr(name)}")
         if name in priors:
             raise DataError(f"line {lineno}: duplicate prior for {name}")
         values = tuple(_integer(v, lineno) for v in parts[1:])

@@ -50,7 +50,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import product
 
 import numpy as np
 
@@ -88,9 +88,9 @@ from .dist import (
     state_transform,
     validity,
 )
-from .finset import FinMap, Multiset, ms_map, ms_tensor
+from .finset import FinMap, Multiset, ms_map, ms_tensor, multisets
 from .localsplit import local_update_audit, pdf_factorization_check, split, unsplit
-from .mle import likelihood, mle, mle_decompose, monad_counterexample, simplex_grid
+from .mle import likelihood, mle, mle_decompose, monad_counterexample
 from .network import CountTable, GraphSpec, learn_bayes, learn_mle
 
 
@@ -193,17 +193,6 @@ def _random_predicate(rng: pyrandom.Random, n: int) -> Predicate:
 def _interior_points(n: int, count: int, seed: int) -> np.ndarray:
     """A deterministic panel of interior simplex points."""
     return dirichlet_sample_many(HyperParams((1,) * n), count, make_rng(seed))
-
-
-def _all_hyperparams(max_n: int, max_total: int) -> list[HyperParams]:
-    """Every pseudo-count vector with n <= max_n and sum <= max_total."""
-    out = []
-    for n in range(1, max_n + 1):
-        for total in range(n, max_total + 1):
-            for cuts in combinations(range(1, total), n - 1):
-                bounds = (0,) + cuts + (total,)
-                out.append(HyperParams(tuple(b - a for a, b in zip(bounds, bounds[1:]))))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +423,7 @@ def check_exact_conditioning_chain(seed: int) -> tuple[bool, str]:
 @law("exact", "likelihood-maximality")
 def check_exact_likelihood_max(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 7)
-    grid = list(simplex_grid(3, 25))
+    grid = [mle(m) for m in multisets(3, 25)]
     for _ in range(10):
         phi = Multiset(tuple(rng.randint(0, 4) for _ in range(3)))
         if phi.total() == 0:
@@ -522,7 +511,10 @@ def check_stoch_quadrature_basics(seed: int) -> tuple[bool, str]:
 
 @law("stochastic", "density-normalisation")
 def check_stoch_normalisation(seed: int) -> tuple[bool, str]:
-    alphas = _all_hyperparams(3, 12)
+    # Every pseudo-count vector with n <= 3 and sum <= 12: all ones plus a
+    # multiset of the rest.
+    alphas = [HyperParams((1,) * n) + phi
+              for n in range(1, 4) for size in range(13 - n) for phi in multisets(n, size)]
     zeros = [(0,) * a.n for a in alphas]
     errs = np.abs(cell_rule_integrals(alphas, zeros, RESOLUTION) - 1.0)
     errs2 = np.abs(cell_rule_integrals(alphas, zeros, 2 * RESOLUTION) - 1.0)
@@ -606,11 +598,10 @@ def check_stoch_surjective_naturality(seed: int) -> tuple[bool, str]:
     for alpha, h in cases:
         merged = aggregate_params(h, alpha)
         for degree in range(1, 5):
-            for idx in combinations_with_replacement(range(h.codomain_size), degree):
-                ks = [idx.count(j) for j in range(h.codomain_size)]
-                gap = pushed_moment(alpha, h, ks) - dirichlet_moment(merged, ks)
+            for ks in multisets(h.codomain_size, degree):
+                gap = pushed_moment(alpha, h, ks.counts) - dirichlet_moment(merged, ks.counts)
                 if gap:
-                    return False, (f"moment {tuple(ks)} of alpha={alpha.counts} pushed along "
+                    return False, (f"moment {ks.counts} of alpha={alpha.counts} pushed along "
                                    f"h={h.targets} is off by {gap}")
                 identities += 1
     return True, (

@@ -18,8 +18,8 @@ from cptforge.bayes import cont_validity, lift_predicate, validity_transfer_chec
 from cptforge.cli import main
 from cptforge.dirichlet import HyperParams, dirichlet_density, dirichlet_mean, one_sum_check
 from cptforge.dist import Predicate, validity
-from cptforge.finset import Multiset
-from cptforge.mle import likelihood, mle, simplex_grid
+from cptforge.finset import Multiset, multisets
+from cptforge.mle import likelihood, mle
 from cptforge.network import CountTable, learn_bayes, learn_mle
 from cptforge.verify import blood_medicine_graph, blood_medicine_joint, blood_medicine_table
 
@@ -84,7 +84,7 @@ def test_criterion_05_mle_maximality():
     with criterion(5, "likelihood is maximal at the empirical distribution on a 1/50 grid, < 30 s"):
         rng = random.Random(505)
         start = time.perf_counter()
-        grid = list(simplex_grid(3, 50))
+        grid = [mle(m) for m in multisets(3, 50)]
         assert len(grid) == 1326
         for _ in range(50):
             total = rng.randint(1, 20)

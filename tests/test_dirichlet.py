@@ -31,16 +31,22 @@ from cptforge.dirichlet import (
     simplex_moments,
     simplex_rows,
 )
-from cptforge.finset import FinMap
+from cptforge.finset import FinMap, multisets
 from cptforge.mle import mle
 from cptforge.verify import (
-    _all_hyperparams,
     check_stoch_normalisation,
     check_stoch_sampler_moments,
     pushed_moment,
 )
 
 from conftest import cells_by_meshgrid
+
+
+def all_hyperparams(n, max_total):
+    """Every pseudo-count vector over n outcomes with sum <= max_total:
+    all ones plus a multiset of the rest."""
+    return [HyperParams((1,) * n) + m
+            for size in range(max_total - n + 1) for m in multisets(n, size)]
 
 
 class TestGammaNat:
@@ -63,14 +69,14 @@ class TestGammaNat:
 
 class TestHyperParams:
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^pseudo-count 0 at index 1 must be at least 1$"):
             HyperParams((1, 0))
 
     @pytest.mark.parametrize(
         "counts,message",
         [
-            ((1.9, 2), "count 1.9 at index 0 is not an integer"),
-            ((3, np.float64(2.0)), "count np.float64(2.0) at index 1 is not an integer"),
+            ((1.9, 2), "pseudo-count 1.9 at index 0 is not an integer"),
+            ((3, np.float64(2.0)), "pseudo-count np.float64(2.0) at index 1 is not an integer"),
         ],
     )
     def test_rejects_non_integer_pseudo_counts(self, counts, message):
@@ -203,7 +209,7 @@ class TestSimplexQuadrature:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_batched_normalisation_matches_quadrature(self, n):
         # The reference integrates each pdf over the whole grid.
-        alphas = [a for a in _all_hyperparams(4, 8) if a.n == n][:6]
+        alphas = all_hyperparams(n, 8)[:6]
         for res in (10, 40 if n == 4 else 400):
             got = cell_rule_integrals(alphas, [(0,) * n] * len(alphas), res)
             points, weights = cells_by_meshgrid(n, res)
@@ -215,7 +221,7 @@ class TestSimplexQuadrature:
         # No grid is built.  Building and caching the whole grids peaked at
         # 24.9 MiB at resolution 800 and 162 MiB at 2046, a 3-outcome grid
         # just under MAX_QUADRATURE_CELLS.
-        alphas = _all_hyperparams(3, 12)
+        alphas = [a for n in (1, 2, 3) for a in all_hyperparams(n, 12)]  # the law's 298
         for resolution in (800, 2046):
             tracemalloc.start()
             try:
@@ -449,8 +455,7 @@ class TestPushedMoments:
     @staticmethod
     def exponents(m):
         """Every exponent vector of degree 1-4 over m outcomes."""
-        return [[idx.count(j) for j in range(m)]
-                for d in range(1, 5) for idx in itertools.combinations_with_replacement(range(m), d)]
+        return [ks.counts for d in range(1, 5) for ks in multisets(m, d)]
 
     def test_by_hand(self):
         # y0 = x0 + x2 under Dir(2, 3, 1): E[y0] = 3/6, E[y0^2] = 3 * 4 / (6 * 7).

@@ -29,8 +29,8 @@ from cptforge.dist import (
     state_transform,
     validity,
 )
-from cptforge.finset import FinMap, Multiset
-from cptforge.mle import likelihood, mle, simplex_grid
+from cptforge.finset import FinMap, Multiset, multisets
+from cptforge.mle import likelihood, mle
 
 
 def ref_normalise(counts):
@@ -189,8 +189,9 @@ class TestKernelsMatchFractionArithmetic:
 
     @pytest.mark.parametrize("n,denominator", [(1, 4), (2, 6), (3, 12), (4, 5)])
     def test_simplex_grid(self, n, denominator):
-        grid = list(simplex_grid(n, denominator))
-        assert [d.probs for d in grid] == ref_simplex_grid(n, denominator)
+        # M[denominator] comes in descending order, the reference ascending.
+        grid = [mle(m) for m in multisets(n, denominator)]
+        assert [d.probs for d in grid] == ref_simplex_grid(n, denominator)[::-1]
         for d in grid:
             assert_canonical(d)
 
@@ -219,7 +220,7 @@ class TestDistApi:
         "weights,message",
         [
             ((), "cannot normalise an empty weight vector"),
-            ((1, -1), "negative weight -1 at index 1"),
+            ((1, -1), "weight -1 at index 1 must be at least 0"),
             ((0, 0), "cannot normalise weights that sum to zero"),
             ((1, 1.5), "weight 1.5 at index 1 is not an integer"),
         ],

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from cptforge.finset import (
     ms_map,
     ms_map_full,
     ms_tensor,
+    multisets,
     row_extract,
 )
 from cptforge.mle import mle, mle_decompose
@@ -58,8 +61,10 @@ class TestFinMap:
 
 class TestMultiset:
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^count -1 at index 1 must be at least 0$"):
             Multiset((1, -1))
+        with pytest.raises(ValueError, match=r"^count -2 at index 0 must be at least 0$"):
+            Multiset(np.array([-2, -3]))
 
     def test_rejects_empty_index_set(self):
         with pytest.raises(ValueError):
@@ -93,6 +98,24 @@ class TestMultiset:
     def test_sum_of_multisets_is_a_multiset(self):
         total = Multiset((1, 0)) + Multiset((2, 3))
         assert type(total) is Multiset and total.counts == (3, 3)
+
+
+class TestMultisets:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_brute_force(self, n):
+        # Every count vector of the total, from all vectors with entries up
+        # to it; combinations_with_replacement's draw order is the count
+        # vectors' descending lexicographic order.
+        for size in range(7):
+            got = [m.counts for m in multisets(n, size)]
+            every = [c for c in itertools.product(range(size + 1), repeat=n) if sum(c) == size]
+            assert len(got) == math.comb(n + size - 1, size)
+            assert got == sorted(every, reverse=True)
+
+    def test_rejects_an_empty_index_set_or_a_negative_size(self):
+        for n, size in [(0, 0), (0, 2), (2, -1)]:
+            with pytest.raises(ValueError):
+                multisets(n, size)
 
 
 class TestMsMap:

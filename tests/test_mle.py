@@ -5,14 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cptforge.dist import Dist
-from cptforge.finset import Multiset
-from cptforge.mle import (
-    likelihood,
-    mle,
-    mle_decompose,
-    monad_counterexample,
-    simplex_grid,
-)
+from cptforge.finset import Multiset, multisets
+from cptforge.mle import likelihood, mle, mle_decompose, monad_counterexample
 
 
 @st.composite
@@ -63,18 +57,16 @@ class TestLikelihood:
         # Independent oracle: exhaustive comparison over a rational grid.
         phi = Multiset((3, 5, 2))
         best = likelihood(phi, mle(phi))
-        for omega in simplex_grid(3, 50):
-            assert likelihood(phi, omega) <= best
+        for m in multisets(3, 50):
+            assert likelihood(phi, mle(m)) <= best
 
 
 class TestSimplexGrid:
     def test_count_and_exact_sums(self):
-        grid = list(simplex_grid(3, 10))
-        assert len(grid) == 66  # compositions of 10 into 3 non-negative parts
+        # The distributions of denominator 10 are the normalised M[10].
+        grid = [mle(m) for m in multisets(3, 10)]
+        assert len(set(grid)) == 66  # compositions of 10 into 3 non-negative parts
         assert all(sum(d.probs) == 1 for d in grid)
-
-    def test_deterministic_order(self):
-        assert list(simplex_grid(2, 3)) == list(simplex_grid(2, 3))
 
 
 class TestMleDecompose:

@@ -56,7 +56,7 @@ class TestGraphSpec:
         "nodes,edges,message",
         [
             ((("A", 2), ("A", 3)), (), "duplicate node A"),
-            ((("A", 2),), (("A", "B"),), "edge A -> B references an undeclared node"),
+            ((("A", 2),), (("A", "B"),), "edge 'A' -> 'B' references an undeclared node"),
             ((("A", 2), ("B", 2), ("C", 2)), (("A", "B"), ("B", "C"), ("C", "A")),
              "graph has a directed cycle"),
             ((("A", 0),), (), "node A has arity 0"),
@@ -118,7 +118,7 @@ class TestGraphSpec:
         "text,message",
         [
             ("node A 2\nnode B 2\n# again\nnode A 3\n", "line 4: duplicate node A"),
-            ("node A 2\n\nedge A B\n", "line 3: edge A -> B references an undeclared node"),
+            ("node A 2\n\nedge A B\n", "line 3: edge 'A' -> 'B' references an undeclared node"),
             ("node A 2\nnode B 2\nedge A B\nedge B A\nedge A B\n",
              "line 5: duplicate edge A -> B"),
             # Line 5's edge is not on the cycle; lines 6-8 are.
@@ -226,12 +226,15 @@ class TestIngest:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("Blood,Pressure,count\n0,0,1\n", "line 1: header variables"),
+            ("Blood,Pressure,count\n0,0,1\n",
+             "line 1: header column 'Pressure' is not a graph node"),
             # The header is split like a data line, where a quote is never accepted.
-            ('"Blood",Medicine,count\n0,0,1\n', "line 1: header variables"),
+            ('"Blood",Medicine,count\n0,0,1\n',
+             "line 1: header column '\"Blood\"' is not a graph node"),
+            ("Blood,Blood,count\n0,0,1\n", "line 1: header has no column for node 'Medicine'"),
             ("# nothing\n", "data file has no header row"),
         ],
-        ids=["unknown-name", "quoted-name", "no-header"],
+        ids=["unknown-name", "quoted-name", "no-header", "repeated-name"],
     )
     def test_bad_header_rejected(self, tmp_path, golden_graph, text, message):
         path = tmp_path / "bad.csv"
@@ -240,8 +243,9 @@ class TestIngest:
             ingest_counts(path, golden_graph)
 
     def test_missing_file(self, tmp_path, golden_graph):
-        with pytest.raises(DataError, match="not found"):
-            ingest_counts(tmp_path / "nope.csv", golden_graph)
+        path = tmp_path / "nope.csv"
+        with pytest.raises(DataError, match=f"^{re.escape(f'cannot read {path}: ')}No such file"):
+            ingest_counts(path, golden_graph)
 
 
 class TestLineRule:
@@ -274,7 +278,7 @@ class TestLineRule:
         [
             ("graph", "node A 2\nnode B\u30003\n", "line 2: expected 'node <name> <arity>'"),
             ("graph", "node A 2\nnode B\x0c3\n", "line 2: expected 'node <name> <arity>'"),
-            ("prior", "Blood 1 1\nMedicine\u30001 1 1\n", "line 2: unknown node Medicine"),
+            ("prior", "Blood 1 1\nMedicine\u30001 1 1\n", "line 2: unknown node 'Medicine\\u30001'"),
             ("prior", "Blood 1 1\nMedicine 1 1\x0c1\n", "line 2: pseudo-counts must be integers"),
         ],
         ids=["graph-U+3000", "graph-FF", "prior-U+3000", "prior-FF"],
@@ -578,7 +582,8 @@ class TestCli:
              "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]
         )
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: cannot read {tmp_path / 'nope.csv'}: "
+                                           "No such file or directory\n")
 
     def test_zero_configuration_is_input_error_in_mle_mode(
         self, tmp_path, golden_graph_file, capsys
@@ -660,12 +665,29 @@ class TestCli:
             ("graph", "node A 2\nnode A 2\n", "line 2: duplicate node A"),
             ("data", "A,count\n0,x\n", "line 2: count 'x' is not an integer"),
             ("prior", "A 1 x\n", "line 1: pseudo-counts must be integers"),
+            # A 1 MB token T...T is quoted by its first 12 and last 13 characters.
+            ("graph", "node A 2\nnode A {}\n", "line 2: arity {} is not an integer"),
+            ("graph", "node A 2\nnode -{} 2\n", "line 2: node name '-TTTTTTTTTTT...TTTTTTTTTTTTT' "
+             "does not match [A-Za-z_][A-Za-z0-9_.-]*"),
+            ("graph", "node A 2\nedge A {}\n",
+             "line 2: edge 'A' -> {} references an undeclared node"),
+            ("graph", "node A 2\n{}\n", "line 2: expected 'node <name> <arity>' or "
+             "'edge <parent> <child>', got {}"),
+            ("data", "A,{},count\n0,1\n", "line 1: header must list every node plus a final "
+             "'count' column, got ['A', {}, 'count']"),
+            ("data", "{},count\n0,1\n", "line 1: header column {} is not a graph node"),
+            ("data", "A,count\n{},1\n", "line 2: outcome {} for A is not an integer"),
+            ("data", "A,count\n0,{}\n", "line 2: count {} is not an integer"),
+            ("prior", "{} 1 2\n", "line 1: unknown node {}"),
         ],
-        ids=["graph", "data", "prior"],
+        ids=["graph", "data", "prior", "long-arity", "long-node-name", "long-edge",
+             "long-graph-line", "long-header", "long-header-column", "long-outcome",
+             "long-count", "long-prior-node"],
     )
     def test_input_error_names_the_file_once(self, tmp_path, capsys, bad, text, message):
         files = {"graph": "node A 2\n", "data": "A,count\n0,1\n", "prior": "A 1 2\n"}
-        files[bad] = text
+        files[bad] = text.format("T" * (1 << 20))
+        message = message.format("'TTTTTTTTTTTT...TTTTTTTTTTTTT'")
         paths = {}
         for name, content in files.items():
             paths[name] = tmp_path / f"{name}.txt"
@@ -675,6 +697,24 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {paths[bad]}: {message}\n"
+
+    @pytest.mark.parametrize("bad", ["graph", "data", "prior"])
+    @pytest.mark.parametrize("how,reason", [("missing", "No such file or directory"),
+                                            ("directory", "Is a directory")])
+    def test_unreadable_input_is_input_error(self, tmp_path, golden_graph_file, golden_data_csv,
+                                             capsys, bad, how, reason):
+        files = {"graph": golden_graph_file, "data": golden_data_csv,
+                 "prior": tmp_path / "prior.txt"}
+        files["prior"].write_text("Blood 2 2\n", encoding="utf-8")
+        files[bad] = tmp_path / bad
+        if how == "directory":
+            files[bad].mkdir()
+        code = main(["learn", "--mode", "bayes", "--graph", str(files["graph"]),
+                     "--data", str(files["data"]), "--prior", str(files["prior"]),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot read {files[bad]}: {reason}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_node_name_cannot_escape_out(self, tmp_path, golden_data_csv, capsys):
         graph = tmp_path / "graph.txt"
