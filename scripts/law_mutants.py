@@ -53,18 +53,13 @@ MUTANTS = {
     ),
     "pdf-exponent-off-by-one": (
         "dirichlet.py",
-        "monomial *= int_power(xs[:, i], a - 1)",
-        "monomial *= int_power(xs[:, i], a)",
+        "math.prod(v ** (a - 1) for v, a in zip(nums, alpha.counts))",
+        "math.prod(v ** a for v, a in zip(nums, alpha.counts))",
     ),
     "normalizer-off-by-one": (
         "dirichlet.py",
         "return Fraction(gamma_nat(alpha.total()), den)",
         "return Fraction(gamma_nat(alpha.total() + 1), den)",
-    ),
-    "int-power-one-factor-too-many": (
-        "dirichlet.py",
-        "return np.ones(x.shape) if power is None else power",
-        "return np.ones(x.shape) if power is None else power * x",
     ),
     "clipped-cell-centroid": (
         "dirichlet.py",
@@ -93,13 +88,13 @@ MUTANTS = {
     ),
     "split-column-shares": (
         "localsplit.py",
-        "shares = table / totals[:, :, None]",
-        "shares = table / table.sum(axis=1)[:, None, :]",
+        "for v in row) for row, s in zip(rows, sums))",
+        "for v, s in zip(row, map(sum, zip(*rows)))) for row in rows)",
     ),
     "unsplit-reversed-totals": (
         "localsplit.py",
-        "return np.asarray(totals, dtype=float)[:, :, None]",
-        "return np.asarray(totals, dtype=float)[:, ::-1, None]",
+        "for t, row in zip(totals, shares))",
+        "for t, row in zip(totals[::-1], shares))",
     ),
     "shifted-prefactor-inverted": (
         "localsplit.py",
@@ -108,18 +103,18 @@ MUTANTS = {
     ),
     "quotient-jacobian-off-by-one": (
         "localsplit.py",
-        "np.prod(int_power(totals, shift), axis=1)",
-        "np.prod(int_power(totals, shift + 1), axis=1)",
+        "jacobian = math.prod(y ** shift for y in totals)",
+        "jacobian = math.prod(y ** (shift + 1) for y in totals)",
     ),
     "cont-condition-wrong-coordinate": (
         "bayes.py",
-        "return xs[:, i] * inner(xs) / mean_i",
-        "return xs[:, 0] * inner(xs) / mean_i",
+        "density.dirichlet_params.increment(q.base.point_index())",
+        "density.dirichlet_params.increment(0)",
     ),
     "lifted-predicate-reversed": (
         "bayes.py",
-        "np.array([float(v) for v in self.base.values])",
-        "np.array([float(v) for v in self.base.values[::-1]])",
+        "np.array([float(v) for v in q.base.values])",
+        "np.array([float(v) for v in q.base.values[::-1]])",
     ),
     "batch-update-data-reversed": (
         "bayes.py",

@@ -3,8 +3,9 @@
 Two learning maps sit at the core: normalising non-empty count vectors into
 empirical distributions (frequentist), and updating integer pseudo-counts of
 Dirichlet densities (Bayesian).  The package implements both together with
-the exact-rational distribution layer they act on and numerical machinery
-(simplex quadrature, seeded Dirichlet sampling) for checking their laws.
+the exact-rational distribution layer they act on, exact Dirichlet density
+values and moments, and numerical machinery (simplex quadrature, seeded
+Dirichlet sampling) for checking the laws that need it.
 
 ``import cptforge`` is lazy: it imports neither numpy nor any submodule.  A
 public name is imported from its submodule on first use (PEP 562), so the
@@ -20,7 +21,7 @@ _EXPORTS = {
     "bayes": ("LiftedPredicate", "batch_update", "cont_condition", "cont_validity",
               "lift_predicate", "validity_transfer_check"),
     "dirichlet": ("HyperParams", "SimplexDensity", "aggregate_params", "dirichlet_density",
-                  "dirichlet_mean", "dirichlet_pdf_many", "dirichlet_sample_many", "gamma_nat",
+                  "dirichlet_mean", "dirichlet_pdf", "dirichlet_sample_many", "gamma_nat",
                   "make_rng", "one_sum_check"),
     "dist": ("Channel", "Dist", "Predicate", "condition", "disintegrate", "dist_map",
              "pair_graph", "state_transform", "validity"),

@@ -1,10 +1,15 @@
-"""Dirichlet densities with integer pseudo-count parameters, plus the
-quadrature and sampling machinery used to verify their laws numerically.
+"""Dirichlet densities with integer pseudo-count parameters: their exact
+values, moments and aggregation, plus the quadrature and sampling machinery
+used to verify their laws numerically.
 
 The parameters, `HyperParams`, are a `finset.Multiset` in which every count
 is at least 1, so multiset arithmetic applies to them as it stands: `total()`
 is the Dirichlet's concentration, `mle(alpha)` its mean, `alpha + data` the
 conjugate update and `ms_map_full` its aggregation along a surjection.
+
+Density: with integer pseudo-counts the density is a rational normaliser
+times a monomial with non-negative integer exponents, so at a point with
+Fraction coordinates it is an exact rational, `dirichlet_pdf`.
 
 Geometry convention: the n-outcome simplex is parameterised by its first
 n-1 coordinates, the last one being implied by the sum-to-one constraint,
@@ -41,9 +46,9 @@ holds no whole sample, and every standard error is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,85 +98,58 @@ def dirichlet_normalizer(alpha: HyperParams) -> Fraction:
     return Fraction(gamma_nat(alpha.total()), den)
 
 
-def simplex_rows(xs: np.ndarray, n: int) -> np.ndarray:
-    """xs as an (N, n) float array whose rows are open-simplex points.
+def common_denominator(x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The coordinates of x, a point of the open simplex, as integer
+    numerators over their least common denominator, and that denominator.
 
-    Raises ValueError unless every coordinate lies in (0, 1] and every row
-    sums to 1 within 1e-12.
+    The coordinates are exact rationals: Fractions (or ints).  Raises
+    ValueError unless every one is positive and they sum to exactly 1.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != n:
-        raise ValueError(f"expected an (N, {n}) array of points, got shape {xs.shape}")
-    if not (xs > 0.0).all():
+    ratios = [v.as_integer_ratio() for v in x]
+    den = math.lcm(*(d for _, d in ratios))
+    nums = [n * (den // d) for n, d in ratios]
+    if not all(v > 0 for v in nums):
         raise ValueError("coordinates must be strictly positive")
-    if (xs > 1.0).any():
-        raise ValueError("a coordinate exceeds 1")
-    sums = xs.sum(axis=1)
-    bad = np.abs(sums - 1.0) > 1e-12
-    if bad.any():
-        raise ValueError(f"coordinates sum to {sums[bad][0]}, not 1")
-    return xs
+    if sum(nums) != den:
+        raise ValueError(f"coordinates sum to {Fraction(sum(nums), den)}, not 1")
+    return nums, den
 
 
-def int_power(x: np.ndarray, k: int) -> np.ndarray:
-    """x**k elementwise for a non-negative integer k, by square-and-multiply.
+def dirichlet_pdf(alpha: HyperParams, x: Sequence[Fraction]) -> Fraction:
+    """The density of Dirichlet(alpha) at a point x of the open simplex, exactly.
 
-    Takes at most 2*log2(k) multiplications per element and no float pow.
-    As with pow, x**0 is 1 everywhere, 0, nan and inf included.  The
-    result is a new array; x is not modified.
+    It is the exact normaliser times the monomial prod_i x_i**(alpha_i - 1),
+    whose exponents are non-negative integers: with the coordinates over
+    one common denominator L, the monomial is an integer over L**(sum alpha
+    - n), so the value is built as one Fraction.  Raises ValueError unless x
+    has n coordinates, all positive, that sum to exactly 1.
     """
-    if k < 0:
-        raise ValueError(f"exponent must be a non-negative integer, got {k}")
-    x = np.asarray(x, dtype=float)
-    power = None
-    while k:
-        if k & 1:
-            power = x.copy() if power is None else np.multiply(power, x, out=power)
-        k >>= 1
-        if k:
-            x = x * x
-    return np.ones(x.shape) if power is None else power
-
-
-def dirichlet_pdf_many(alpha: HyperParams, xs: np.ndarray) -> np.ndarray:
-    """Density of Dirichlet(alpha) at each row of an (N, n) coordinate array.
-
-    The density is the exact normaliser times the monomial
-    prod_i x_i**(alpha_i - 1), whose exponents are non-negative integers;
-    each factor is an int_power of one column.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != alpha.n:
-        raise ValueError(f"expected an (N, {alpha.n}) array, got shape {xs.shape}")
-    monomial = np.ones(len(xs))
-    for i, a in enumerate(alpha.counts):
-        if a > 1:  # x**0 == 1, even at 0, nan and inf
-            monomial *= int_power(xs[:, i], a - 1)
-    return float(dirichlet_normalizer(alpha)) * monomial
+    if len(x) != alpha.n:
+        raise ValueError(f"expected a point of {alpha.n} coordinates, got {len(x)}")
+    nums, den = common_denominator(x)
+    monomial = math.prod(v ** (a - 1) for v, a in zip(nums, alpha.counts))
+    norm = dirichlet_normalizer(alpha)
+    return Fraction(norm.numerator * monomial, norm.denominator * den ** (alpha.total() - alpha.n))
 
 
 @dataclass(frozen=True)
 class SimplexDensity:
-    """A non-negative density on the open simplex, evaluable on point arrays.
+    """A density on the open simplex in the Dirichlet family: Dirichlet
+    with the parameters `dirichlet_params`."""
 
-    `dirichlet_params` is set when the density is known to equal a Dirichlet
-    with those parameters.
-    """
+    dirichlet_params: HyperParams
 
-    n: int
-    dirichlet_params: HyperParams | None
-    _eval_many: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    @property
+    def n(self) -> int:
+        return self.dirichlet_params.n
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(self._eval_many(np.asarray(xs, dtype=float)), dtype=float)
+    def pdf(self, x: Sequence[Fraction]) -> Fraction:
+        """The density at a point of the open simplex, exactly: dirichlet_pdf."""
+        return dirichlet_pdf(self.dirichlet_params, x)
 
 
 def dirichlet_density(alpha: HyperParams) -> SimplexDensity:
-    return SimplexDensity(
-        n=alpha.n,
-        dirichlet_params=alpha,
-        _eval_many=lambda xs: dirichlet_pdf_many(alpha, xs),
-    )
+    return SimplexDensity(alpha)
 
 
 # Clipped-cell geometry: fraction of a unit box below the plane sum(z) = t
@@ -387,29 +365,26 @@ def aggregate_params(h: FinMap, alpha: HyperParams) -> HyperParams:
     return HyperParams(ms_map_full(h, alpha).counts)
 
 
-def one_sum_check(
-    alpha: HyperParams, x: Sequence[float], resolution: int
-) -> tuple[float, float]:
-    """Compare both sides of the two-coordinate aggregation identity.
+def one_sum_check(alpha: HyperParams, x: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+    """Both sides of the two-coordinate aggregation identity, exactly.
 
-    lhs: density with the first two pseudo-counts merged, at x (the
-    coordinates of a point of the (n-1)-outcome simplex).  rhs:
-    midpoint-rule integral over y in (0, x[0]) of the original density at
-    (y, x[0]-y, x[1], ...).  The two agree up to quadrature error.
+    lhs: the density with the first two pseudo-counts merged, at x (a point
+    of the (n-1)-outcome simplex with Fraction coordinates).  rhs: the
+    integral over y in (0, s), s = x[0], of the original density at (y, s -
+    y, x[1], ...).  With a, b the first two pseudo-counts, the integrand is a
+    constant times y**(a-1) * (s-y)**(b-1); expanding (s-y)**(b-1) by the
+    binomial theorem leaves powers of y, each integrated on [0, s] exactly.
+    The law says the two are equal.
     """
     if alpha.n < 2:
         raise ValueError("need at least two pseudo-counts to merge")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    x = simplex_rows([x], alpha.n - 1)
-
     merged = aggregate_params(FinMap((0, *range(alpha.n - 1)), alpha.n - 1), alpha)
-    lhs = float(dirichlet_pdf_many(merged, x)[0])
+    lhs = dirichlet_pdf(merged, x)  # refuses x unless it is a point of the simplex
 
-    x1 = x[0, 0]
-    step = x1 / resolution
-    ys = (np.arange(resolution) + 0.5) * step
-    rest = np.tile(x[0, 1:], (resolution, 1))
-    pts = np.column_stack([ys, x1 - ys, rest])
-    rhs = float(dirichlet_pdf_many(alpha, pts).sum() * step)
-    return lhs, rhs
+    (a, b), s = alpha.counts[:2], x[0]
+    # (s-y)**(b-1) = sum_k C(b-1, k) s**(b-1-k) (-y)**k, and y**(a-1+k) on [0, s]
+    # integrates to s**(a+k) / (a+k).
+    fibre = sum(Fraction((-1) ** k * math.comb(b - 1, k), a + k) * s ** (b - 1 - k) * s ** (a + k)
+                for k in range(b))
+    rest = math.prod(v ** (c - 1) for v, c in zip(x[1:], alpha.counts[2:]))
+    return lhs, dirichlet_normalizer(alpha) * fibre * rest

@@ -20,47 +20,52 @@ Cell (i, j) of a joint point is y_i s_ij, so under independence every
 joint moment is the totals' moment at the row degrees times each row's own
 moment, and each side is an exact `dirichlet_moment`.
 
-Points are (N, r, c) arrays; a pseudo-count table is a tuple of r row
+A point of the joint simplex is an (r, c) table of Fractions, and the split
+and the densities on both sides are exact, so the factorisation is an
+identity between rationals.  A pseudo-count table is a tuple of r row
 `HyperParams` of c entries each, the form of `LearnedCPT.posteriors`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .dirichlet import (
     HyperParams,
+    common_denominator,
     dirichlet_moment,
     dirichlet_normalizer,
-    dirichlet_pdf_many,
-    int_power,
-    simplex_rows,
+    dirichlet_pdf,
 )
 from .finset import multisets
 
+Point = tuple[Fraction, ...]
 
-def split(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split (N, r, c) interior points into row totals and row proportions.
 
-    Returns (totals, shares) with shapes (N, r) and (N, r, c): row i of a
-    point has total totals[:, i] and within-row proportions shares[:, i, :].
+def split(table: Sequence[Sequence[Fraction]]) -> tuple[Point, tuple[Point, ...]]:
+    """Split a point of the joint simplex, an (r, c) table of Fractions,
+    into its r row totals and its r rows of within-row proportions, exactly.
+
+    Raises ValueError unless the rows have one length and the cells are
+    positive and sum to exactly 1.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 3:
-        raise ValueError(f"expected an (N, r, c) array of points, got shape {xs.shape}")
-    table = simplex_rows(xs.reshape(len(xs), -1), xs.shape[1] * xs.shape[2]).reshape(xs.shape)
-    totals = table.sum(axis=2)
-    shares = table / totals[:, :, None]
+    cols = len(table[0]) if table else 0
+    if any(len(row) != cols for row in table):
+        raise ValueError("every row of the table needs the same number of cells")
+    nums, den = common_denominator([v for row in table for v in row])
+    rows = [nums[k : k + cols] for k in range(0, len(nums), cols)]
+    sums = [sum(row) for row in rows]
+    totals = tuple(Fraction(s, den) for s in sums)
+    shares = tuple(tuple(Fraction(v, s) for v in row) for row, s in zip(rows, sums))
     return totals, shares
 
 
-def unsplit(totals: np.ndarray, shares: np.ndarray) -> np.ndarray:
-    """Reassemble (N, r, c) joint points: cell (i, j) = total_i * share_ij."""
-    return np.asarray(totals, dtype=float)[:, :, None] * np.asarray(shares, dtype=float)
+def unsplit(totals: Point, shares: Sequence[Point]) -> tuple[Point, ...]:
+    """Reassemble the (r, c) joint point: cell (i, j) = total_i * share_ij."""
+    return tuple(tuple(t * s for s in row) for t, row in zip(totals, shares))
 
 
 def _joint(alpha_rows: tuple[HyperParams, ...]) -> HyperParams:
@@ -86,33 +91,25 @@ def shifted_prefactor(betas: HyperParams, shift: int) -> Fraction:
 
 
 def pdf_factorization_check(
-    alpha_rows: tuple[HyperParams, ...], xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate the joint density and its two factorised forms at each point of xs.
+    alpha_rows: tuple[HyperParams, ...], table: Sequence[Sequence[Fraction]]
+) -> tuple[Fraction, Fraction, Fraction]:
+    """The joint density and its two factorised forms at one point, exactly.
 
-    Returns (N,) arrays (lhs, rhs_quotient, rhs_shifted): the joint
-    density, the product (totals density / prod_i y_i^(c-1)) * row
-    densities, and the same with the totals density shifted down by c-1
-    and the matching constant pulled out.  All three agree up to
-    floating-point roundoff.
+    table is a point of the joint simplex, an (r, c) table of Fractions.
+    Returns (lhs, rhs_quotient, rhs_shifted): the joint density, the product
+    (totals density / prod_i y_i^(c-1)) * row densities, and the same with
+    the totals density shifted down by c-1 and the matching constant pulled
+    out.  The law says all three are equal.
     """
-    xs = np.asarray(xs, dtype=float)
     betas = _totals(alpha_rows)
-    shift = xs.shape[-1] - 1
-
-    totals, shares = split(xs)
-    lhs = dirichlet_pdf_many(_joint(alpha_rows), xs.reshape(len(xs), -1))
-    share_densities = np.prod(
-        [dirichlet_pdf_many(row, shares[:, i]) for i, row in enumerate(alpha_rows)], axis=0
-    )
-    totals_density = dirichlet_pdf_many(betas, totals)
-    rhs_quotient = totals_density / np.prod(int_power(totals, shift), axis=1) * share_densities
-
-    rhs_shifted = (
-        float(shifted_prefactor(betas, shift))
-        * dirichlet_pdf_many(_lowered(betas, shift), totals)
-        * share_densities
-    )
+    shift = len(table[0]) - 1
+    totals, shares = split(table)
+    lhs = dirichlet_pdf(_joint(alpha_rows), [v for row in table for v in row])
+    share_densities = math.prod(dirichlet_pdf(row, s) for row, s in zip(alpha_rows, shares))
+    jacobian = math.prod(y ** shift for y in totals)
+    rhs_quotient = dirichlet_pdf(betas, totals) / jacobian * share_densities
+    rhs_shifted = (shifted_prefactor(betas, shift)
+                   * dirichlet_pdf(_lowered(betas, shift), totals) * share_densities)
     return lhs, rhs_quotient, rhs_shifted
 
 

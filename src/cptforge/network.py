@@ -95,6 +95,9 @@ MAX_FAMILY_CELLS = 1 << 24
 """Largest family table (parent configurations x arity) that is built."""
 
 _NODE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+MAX_NAME_BYTES = 255 - len(".csv")
+"""Longest node name: its table is written as `<name>.csv`, and file
+systems refuse names past 255 bytes."""
 
 # A number (a data cell, an arity or a pseudo-count): blanks, digits,
 # blanks.  The sign is matched only so that a negative value gets its own
@@ -179,6 +182,8 @@ def _name_error(name: str) -> str | None:
         return "node name 'count' is reserved for the count column"
     if not _NODE_NAME.fullmatch(name):
         return f"node name {reprlib.repr(name)} does not match [A-Za-z_][A-Za-z0-9_.-]*"
+    if len(name) > MAX_NAME_BYTES:  # the name is ASCII: one byte a character
+        return f"node name {reprlib.repr(name)} is longer than {MAX_NAME_BYTES} bytes"
     return None
 
 

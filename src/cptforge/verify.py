@@ -9,12 +9,12 @@ Three suites, selectable from the CLI:
   counterexample, conditioning identities, likelihood maximality on a
   grid), all with zero tolerance on randomised instances.
 * ``stochastic``: the Giry-side laws (quadrature normalisation and means,
-  aggregation, surjective naturality, sampler moments, conjugacy panels,
-  the split factorisations and the local-update audit), the binary64 ones
-  each at its stated tolerance with seeded, reproducible streams.  The
-  quadrature laws use one cell rule, ``RESOLUTION``, at one tolerance,
-  ``QUADRATURE_TOL``, and sum it by monomial moments
-  (``dirichlet.simplex_moments``), building no grid.
+  aggregation, surjective naturality, sampler moments, the conjugate
+  update, the split round trip and factorisation, and the local-update
+  audit).  Only the quadrature laws and the sampler are binary64, each at
+  its stated tolerance: the quadrature laws use one cell rule,
+  ``RESOLUTION``, at one tolerance, ``QUADRATURE_TOL``, and sum it by
+  monomial moments (``dirichlet.simplex_moments``), building no grid.
 
 Each law is one function decorated with ``@law(suite, name)``: it takes
 the ``seed`` and returns ``(passed, detail)``, and the decorator
@@ -34,7 +34,11 @@ block by block, holds no whole sample, sums coordinates and products of two
 coordinates in one pass and judges them with ``dirichlet.moment_z``, whose
 references and standard errors are exact ``dirichlet_moment`` values.
 Surjective naturality and the local-update audit are identities between
-exact Dirichlet moments, with zero tolerance.
+exact Dirichlet moments, with zero tolerance.  Aggregation, the conjugate
+update and the split's round trip and factorisation are polynomial
+identities between exact density values (``dirichlet.dirichlet_pdf``),
+checked with ``==`` at rational points w/sum(w) drawn from positive integer
+weights w.
 """
 
 from __future__ import annotations
@@ -69,9 +73,8 @@ from .dirichlet import (
     dirichlet_density,
     dirichlet_mean,
     dirichlet_moment,
-    dirichlet_pdf_many,
+    dirichlet_pdf,
     dirichlet_sample_blocks,
-    dirichlet_sample_many,
     make_rng,
     moment_z,
     one_sum_check,
@@ -190,9 +193,11 @@ def _random_predicate(rng: pyrandom.Random, n: int) -> Predicate:
     return Predicate(tuple(Fraction(rng.randint(0, 6), 6) for _ in range(n)))
 
 
-def _interior_points(n: int, count: int, seed: int) -> np.ndarray:
-    """A deterministic panel of interior simplex points."""
-    return dirichlet_sample_many(HyperParams((1,) * n), count, make_rng(seed))
+def _random_point(rng: pyrandom.Random, n: int) -> tuple[Fraction, ...]:
+    """A rational point of the open n-outcome simplex: positive integer
+    weights, 1-9, over their sum."""
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    return tuple(Fraction(w, sum(weights)) for w in weights)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +493,8 @@ def check_exact_posterior_mean(seed: int) -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# Stochastic suite (binary64, stated tolerances, seeded streams).
+# Stochastic suite: the cell rule and the sampler in binary64 at stated
+# tolerances, the other laws exact.
 
 ERROR_FLOOR = 1e-9  # below this, quadrature error is floating-point noise
 RESOLUTION = 400  # the quadrature laws' grid: boxes of side 1/RESOLUTION
@@ -555,19 +561,14 @@ def check_stoch_mean_integrals(seed: int) -> tuple[bool, str]:
 @law("stochastic", "aggregation-one-sum")
 def check_stoch_aggregation(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 21)
-    worst = 0.0
     for _ in range(50):
         alpha = _random_hyperparams(rng, 3, hi=5)
-        s = rng.uniform(0.2, 0.8)
-        x = (s, 1.0 - s)
-        lhs, rhs = one_sum_check(alpha, x, 10_000)
-        err = abs(lhs - rhs) / max(1.0, abs(lhs))
-        worst = max(worst, err)
-        if err > 1e-4:
-            return False, f"error {err:.2e} at {alpha.counts}, x={x}"
-    return True, (
-        f"50 instances: merged density matches the marginalising integral (worst {worst:.2e})"
-    )
+        x = _random_point(rng, 2)
+        lhs, rhs = one_sum_check(alpha, x)
+        if lhs != rhs:
+            return False, f"{lhs} != {rhs} at {alpha.counts}, x = ({x[0]}, {x[1]})"
+    return True, ("50 instances at rational points: merged density = the exact integral "
+                  "over its fibre")
 
 
 def pushed_moment(alpha: HyperParams, h: FinMap, ks: Sequence[int]) -> Fraction:
@@ -625,25 +626,20 @@ def check_stoch_sampler_moments(seed: int) -> tuple[bool, str]:
 @law("stochastic", "conjugate-update")
 def check_stoch_conjugacy(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 26)
-    worst = 0.0
-    for trial in range(50):
+    for _ in range(50):
         n = rng.randint(2, 6)
         alpha = _random_hyperparams(rng, n)
         i = rng.randrange(n)
         conditioned = cont_condition(
             dirichlet_density(alpha), lift_predicate(Predicate.point(n, i))
         )
-        panel = _interior_points(n, 100, seed + 1000 + trial)
-        got = conditioned.eval_many(panel)
-        want = dirichlet_pdf_many(alpha.increment(i), panel)
-        rel = np.max(np.abs(got - want) / want)
-        worst = max(worst, rel)
-        if rel > 1e-9:
-            return False, f"relative gap {rel:.2e} at {alpha.counts}, i={i}"
-    return True, (
-        f"50 instances x 100-point panels: update formula = incremented density "
-        f"(worst relative gap {worst:.2e})"
-    )
+        mean_i = Fraction(alpha[i], alpha.total())
+        for _ in range(5):
+            x = _random_point(rng, n)
+            if x[i] * dirichlet_pdf(alpha, x) / mean_i != conditioned.pdf(x):
+                return False, f"update formula != conditioned density at {alpha.counts}, i={i}"
+    return True, ("50 instances x 5 rational points: update formula x_i d(x) / E[x_i] "
+                  "= conditioned density")
 
 
 @law("stochastic", "validity-transfer-quadrature")
@@ -668,29 +664,28 @@ def check_stoch_transfer_quadrature(seed: int) -> tuple[bool, str]:
 
 @law("stochastic", "split-round-trip")
 def check_stoch_split_roundtrip(seed: int) -> tuple[bool, str]:
-    points = _interior_points(6, 200, seed + 28).reshape(200, 2, 3)
-    worst = float(np.abs(unsplit(*split(points)) - points).max())
-    ok = worst <= 1e-12
-    return ok, f"200 interior points: max round-trip gap {worst:.2e}"
+    rng = pyrandom.Random(seed + 28)
+    for _ in range(20):
+        x = _random_point(rng, 6)
+        table = (x[:3], x[3:])
+        if unsplit(*split(table)) != table:
+            return False, f"unsplit(split(x)) != x at the 2x3 table x = ({', '.join(map(str, x))})"
+    return True, "20 rational points of the 2x3 joint simplex: unsplit(split(x)) = x"
 
 
 @law("stochastic", "split-factorisation")
 def check_stoch_factorisation(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 29)
-    worst = 0.0
-    for trial in range(20):
+    for _ in range(20):
         alpha = _random_hyperparams(rng, 6)
         rows = (HyperParams(alpha.counts[:3]), HyperParams(alpha.counts[3:]))
-        points = _interior_points(6, 20, seed + 2000 + trial).reshape(20, 2, 3)
-        lhs, rhs1, rhs2 = pdf_factorization_check(rows, points)
-        rel = float((np.maximum(np.abs(lhs - rhs1), np.abs(lhs - rhs2)) / np.abs(lhs)).max())
-        worst = max(worst, rel)
-        if rel > 1e-9:
-            return False, f"relative gap {rel:.2e} at {alpha.counts}"
-    return True, (
-        f"20 pseudo-count vectors x 20 points: both factorised forms match "
-        f"(worst relative gap {worst:.2e})"
-    )
+        for _ in range(3):
+            x = _random_point(rng, 6)
+            lhs, quotient, shifted = pdf_factorization_check(rows, (x[:3], x[3:]))
+            if not lhs == quotient == shifted:
+                return False, f"joint density {lhs} != {quotient} or {shifted} at {alpha.counts}"
+    return True, ("20 pseudo-count vectors x 3 rational points: joint density = both "
+                  "factorised forms")
 
 
 @law("stochastic", "local-update-audit")
@@ -707,7 +702,7 @@ def check_stoch_local_audit(seed: int) -> tuple[bool, str]:
 
 
 # The suite `run_suite("all")` hands to a forked child: the numpy half, which
-# alone loads `numpy.random` and evaluates densities on point arrays.
+# alone loads `numpy.random` and sums the cell rule.
 FORKED_SUITE = "stochastic"
 
 

@@ -19,9 +19,8 @@ from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
     HyperParams,
     dirichlet_density,
-    dirichlet_pdf_many,
-    dirichlet_sample_many,
-    make_rng,
+    dirichlet_normalizer,
+    dirichlet_pdf,
     simplex_cell_count,
     simplex_moments,
 )
@@ -33,32 +32,6 @@ from conftest import cells_by_meshgrid
 hyperparams_st = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
     lambda a: HyperParams(tuple(a))
 )
-
-
-def interior_panel(n, count, seed):
-    return dirichlet_sample_many(HyperParams((1,) * n), count, make_rng(seed))
-
-
-POINT = np.array([[0.2, 0.3, 0.5]])
-
-
-class TestLiftPredicate:
-    def test_point_predicate_lifts_to_coordinate(self):
-        q = lift_predicate(Predicate.point(3, 1))
-        assert q.eval_many(POINT)[0] == pytest.approx(0.3)
-
-    def test_ones_lift_to_constant_one(self):
-        q = lift_predicate(Predicate((1,) * 3))
-        assert q.eval_many(POINT)[0] == pytest.approx(1.0)
-
-    def test_dot_product(self):
-        q = lift_predicate(Predicate((F(1, 2), F(1, 2), F(0))))
-        assert q.eval_many(POINT)[0] == pytest.approx(0.25)
-
-    def test_values_stay_in_unit_interval(self):
-        q = lift_predicate(Predicate((F(1, 3), F(1), F(0))))
-        values = q.eval_many(interior_panel(3, 50, 1))
-        assert ((0.0 <= values) & (values <= 1.0)).all()
 
 
 class TestContValidity:
@@ -89,17 +62,11 @@ class TestContValidity:
         numeric = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
         assert numeric == pytest.approx(float(closed), abs=1e-3)
 
-    def test_untagged_density_is_rejected(self):
-        base = dirichlet_density(HyperParams((1, 1)))
-        untagged = type(base)(n=2, dirichlet_params=None, _eval_many=base.eval_many)
-        with pytest.raises(ValueError, match="Dirichlet family"):
-            cont_validity(untagged, lift_predicate(Predicate((1,) * 2)), resolution=100)
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_moments_match_the_grid(self, n):
         # cont_validity sums the cell rule by moments; the reference
-        # integrates q * density over the whole grid.  The conditioned
-        # densities evaluate the update formula, not their tag's pdf.
+        # integrates q * density over the whole grid, with the density's
+        # monomial evaluated at every cell.
         rng = random.Random(n)
         for res in (2, 3, 23, 200, 400):
             if simplex_cell_count(n, res) > MAX_QUADRATURE_CELLS:
@@ -111,7 +78,11 @@ class TestContValidity:
                 prior = dirichlet_density(alpha)
                 point = lift_predicate(Predicate.point(n, rng.randrange(n)))
                 for d in (prior, cont_condition(prior, point)):
-                    want = weights @ (q.eval_many(points) * d.eval_many(points))
+                    a = d.dirichlet_params
+                    monomial = np.prod(points ** (np.array(a.counts) - 1), axis=1)
+                    pdf = float(dirichlet_normalizer(a)) * monomial
+                    q_values = points @ [float(v) for v in q.base.values]
+                    want = weights @ (q_values * pdf)
                     assert cont_validity(d, q, res) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_cell_cap_as_for_the_grid(self):
@@ -145,12 +116,8 @@ class TestContCondition:
             lift_predicate(Predicate.point(2, 0)),
         )
         assert d.dirichlet_params.counts == (2, 1)
-        ts = np.array([0.2, 0.5, 0.9])
-        xs = np.column_stack([ts, 1 - ts])
-        assert d.eval_many(xs) == pytest.approx(2 * ts, rel=1e-12)
-        assert d.eval_many(xs) == pytest.approx(
-            dirichlet_pdf_many(HyperParams((2, 1)), xs), rel=1e-12
-        )
+        for t in (F(1, 5), F(1, 2), F(9, 10)):
+            assert d.pdf((t, 1 - t)) == 2 * t == dirichlet_pdf(HyperParams((2, 1)), (t, 1 - t))
 
     def test_row_major_cell_update(self):
         # Observing cell (0, 2) of a 2x3 table is outcome index 2.
@@ -166,9 +133,7 @@ class TestContCondition:
         qj = lift_predicate(Predicate.point(3, 2))
         d_ij = cont_condition(cont_condition(dirichlet_density(alpha), qi), qj)
         d_ji = cont_condition(cont_condition(dirichlet_density(alpha), qj), qi)
-        assert d_ij.dirichlet_params == d_ji.dirichlet_params
-        panel = interior_panel(3, 50, 22)
-        assert np.allclose(d_ij.eval_many(panel), d_ji.eval_many(panel), rtol=1e-12)
+        assert d_ij.dirichlet_params == d_ji.dirichlet_params == HyperParams((3, 2, 3))
 
     def test_non_point_predicate_rejected(self):
         with pytest.raises(ValueError):

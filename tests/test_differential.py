@@ -149,7 +149,7 @@ def test_verify_json_is_one_record_per_check(monkeypatch, capsys):
     assert [f"[PASS] {r['suite']}/{r['name']}: {r['detail']}" for r in records] == text
     assert all(r["passed"] is True and r["seconds"] > 0 for r in records)
 
-    monkeypatch.setattr(verify, "unsplit", lambda *parts: unsplit(*parts) + 1.0)
+    monkeypatch.setattr(verify, "unsplit", lambda totals, shares: unsplit(totals[::-1], shares))
     assert cli.main([*args, "--json"]) == 1
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["name"] for r in records if not r["passed"]] == ["split-round-trip"]
@@ -164,7 +164,7 @@ def test_check_raising_in_the_child_is_a_fail(monkeypatch, capsys):
     assert cli.main(args) == 0
     want = capsys.readouterr().out.splitlines()
 
-    def refuse(points):
+    def refuse(table):
         raise ValueError("split refused")
 
     monkeypatch.setattr(verify, "split", refuse)

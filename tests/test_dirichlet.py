@@ -15,21 +15,18 @@ from cptforge.dirichlet import (
     HyperParams,
     aggregate_params,
     cell_rule_integrals,
-    dirichlet_density,
     dirichlet_mean,
     dirichlet_moment,
     dirichlet_normalizer,
-    dirichlet_pdf_many,
+    dirichlet_pdf,
     dirichlet_sample_blocks,
     dirichlet_sample_many,
     gamma_nat,
-    int_power,
     make_rng,
     moment_z,
     one_sum_check,
     simplex_cell_count,
     simplex_moments,
-    simplex_rows,
 )
 from cptforge.finset import FinMap, multisets
 from cptforge.mle import mle
@@ -92,86 +89,49 @@ class TestHyperParams:
         assert a.total() >= a.n
 
 
-class TestSimplexRows:
-    def test_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            one_sum_check(HyperParams((1, 1, 1)), (0.0, 1.0), 100)
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            one_sum_check(HyperParams((1, 1, 1)), (0.5, 0.6), 100)
-
-    def test_rejects_coordinate_above_one(self):
-        # The row sum is within the 1e-12 tolerance; the coordinate is not.
-        with pytest.raises(ValueError):
-            simplex_rows([[1.0 + 4e-13, 1e-13]], 2)
-
-    def test_single_outcome_point(self):
-        assert simplex_rows([[1.0]], 1).tolist() == [[1.0]]
-
-
 class TestDirichletPdf:
     def test_uniform_on_two_outcomes(self):
         a = HyperParams((1, 1))
-        ts = np.array([0.1, 0.5, 0.93])
-        assert (dirichlet_pdf_many(a, np.column_stack([ts, 1 - ts])) == 1.0).all()
+        assert all(dirichlet_pdf(a, (t, 1 - t)) == 1 for t in (F(1, 10), F(1, 2), F(93, 100)))
 
     def test_linear_case(self):
-        got = dirichlet_pdf_many(HyperParams((2, 1)), [[0.3, 0.7]])
-        assert got[0] == pytest.approx(0.6)
+        assert dirichlet_pdf(HyperParams((2, 1)), (F(3, 10), F(7, 10))) == F(3, 5)
 
     def test_uniform_on_three_outcomes(self):
-        assert dirichlet_pdf_many(HyperParams((1, 1, 1)), [[0.2, 0.3, 0.5]])[0] == 2.0
+        assert dirichlet_pdf(HyperParams((1, 1, 1)), (F(1, 5), F(3, 10), F(1, 2))) == 2
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dirichlet_pdf_many(HyperParams((1, 1)), [[0.2, 0.3, 0.5]])
+    def test_single_outcome_point(self):
+        # The one-outcome simplex is the point 1, where every density is 1.
+        assert dirichlet_pdf(HyperParams((3,)), (F(1),)) == 1
 
     def test_normalizer_is_exact(self):
         assert dirichlet_normalizer(HyperParams((2, 3, 4))) == F(
             gamma_nat(9), gamma_nat(2) * gamma_nat(3) * gamma_nat(4)
         )
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="expected a point of 2 coordinates, got 3"):
+            dirichlet_pdf(HyperParams((1, 1)), (F(1, 5), F(3, 10), F(1, 2)))
+
     @given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 50)), min_size=1, max_size=6))
     def test_matches_the_exact_density_at_rational_points(self, pairs):
+        # The normaliser times the monomial, in plain Fraction powers.
         alpha = HyperParams(tuple(a for a, _ in pairs))
         point = [F(w, sum(w for _, w in pairs)) for _, w in pairs]
         exact = dirichlet_normalizer(alpha) * math.prod(
             x ** (a - 1) for x, a in zip(point, alpha.counts)
         )
-        got = dirichlet_pdf_many(alpha, [[float(x) for x in point]])[0]
-        assert got == pytest.approx(float(exact), rel=1e-13, abs=0)
+        assert dirichlet_pdf(alpha, point) == exact
 
-
-class TestIntPower:
-    VALUES = np.array(
-        [0.0, 1.0, 1e-3, 0.999e-3, 1.001e-3, 0.3, 0.5, 0.999999, 1.5, 2.0, -0.7, np.nan, np.inf]
-    )
-
-    @pytest.mark.parametrize("k", list(range(65)) + [200])
-    def test_matches_pow(self, k):
-        x = self.VALUES.copy()
-        got = int_power(x, k)
-        want = np.power(x, float(k))
-        assert np.array_equal(x, self.VALUES, equal_nan=True)  # input untouched
-        normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
-        assert np.allclose(got[normal], want[normal], rtol=1e-13, atol=0)
-        special = np.isin(x, [0.0, 1.0, np.inf]) | np.isnan(x)
-        assert np.array_equal(got[special], want[special], equal_nan=True)
-
-    def test_zeroth_power_is_one_everywhere(self):
-        assert int_power(self.VALUES, 0).tolist() == [1.0] * len(self.VALUES)
-
-    def test_nan_stays_nan(self):
-        assert np.isnan(int_power(np.array([np.nan]), 7)).all()
-
-    def test_keeps_the_shape(self):
-        x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(int_power(x, 3), x * x * x)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            int_power(np.ones(2), -1)
+    @pytest.mark.parametrize("point,message", [
+        ((F(0), F(1, 2), F(1, 2)), "strictly positive"),
+        ((F(-1, 2), F(1), F(1, 2)), "strictly positive"),
+        ((F(1, 2), F(3, 5), F(1, 10)), "sum to 6/5, not 1"),
+        ((F(1, 3), F(1, 3), F(1, 3) - F(1, 10**30)), r"sum to .*, not 1"),
+    ], ids=["zero", "negative", "sum-above-one", "sum-just-below-one"])
+    def test_refuses_a_point_off_the_open_simplex(self, point, message):
+        with pytest.raises(ValueError, match=message):
+            dirichlet_pdf(HyperParams((1, 2, 1)), point)
 
 
 class TestSimplexQuadrature:
@@ -214,7 +174,8 @@ class TestSimplexQuadrature:
             got = cell_rule_integrals(alphas, [(0,) * n] * len(alphas), res)
             points, weights = cells_by_meshgrid(n, res)
             for a, g in zip(alphas, got):
-                want = weights @ dirichlet_pdf_many(a, points)
+                monomial = np.prod(points ** (np.array(a.counts) - 1), axis=1)
+                want = weights @ (float(dirichlet_normalizer(a)) * monomial)
                 assert abs(g - want) <= 1e-12, (a.counts, res, g, want)
 
     def test_normalisation_memory_is_bounded_by_the_block(self):
@@ -334,7 +295,7 @@ class TestDirichletSampler:
 
     def test_single_draw_is_valid_point(self):
         x = dirichlet_sample_many(HyperParams((2, 5)), 1, make_rng(0))
-        assert simplex_rows(x, 2).shape == (1, 2)
+        assert x.shape == (1, 2) and (x > 0).all() and abs(x.sum() - 1) <= 1e-12
 
 
 class TestStreamedStatistics:
@@ -478,34 +439,28 @@ class TestPushedMoments:
 
 class TestOneSumCheck:
     def test_uniform_case_is_exact(self):
-        # Integrand is the constant 2 on (0, s): midpoint rule is exact.
-        a = HyperParams((1, 1, 1))
-        for s in (0.25, 0.5, 0.8):
-            lhs, rhs = one_sum_check(a, (s, 1 - s), 50)
-            assert lhs == pytest.approx(2 * s, abs=1e-12)
-            assert rhs == pytest.approx(lhs, abs=1e-12)
+        # The integrand is the constant 2 on (0, s).
+        for s in (F(1, 4), F(1, 2), F(4, 5)):
+            assert one_sum_check(HyperParams((1, 1, 1)), (s, 1 - s)) == (2 * s, 2 * s)
 
     def test_two_outcome_degenerate_case(self):
         # Merging both coordinates: the merged density is the point mass,
         # and the integral recovers total mass 1.
-        lhs, rhs = one_sum_check(HyperParams((2, 1)), (1.0,), 10_000)
-        assert lhs == 1.0
-        assert rhs == pytest.approx(1.0, abs=1e-6)
+        assert one_sum_check(HyperParams((2, 1)), (F(1),)) == (1, 1)
 
-    def test_closed_form_against_quadrature(self):
-        a = HyperParams((2, 2, 1))
-        lhs, rhs = one_sum_check(a, (0.5, 0.5), 10_000)
-        assert lhs == pytest.approx(0.5, abs=1e-12)  # 4 * 0.5**3
-        assert abs(lhs - rhs) <= 1e-4
+    @given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 30)), min_size=2, max_size=5))
+    def test_fibre_integral_is_the_beta_closed_form(self, pairs):
+        # The integral of y**(a-1) (s-y)**(b-1) on (0, s) is B(a, b) s**(a+b-1),
+        # with B(a, b) = (a-1)! (b-1)! / (a+b-1)!.
+        alpha = HyperParams(tuple(a for a, _ in pairs))
+        weights = [w for _, w in pairs[1:]]
+        x = [F(w, sum(weights)) for w in weights]
+        a, b = alpha.counts[:2]
+        beta = F(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
+        rest = math.prod(v ** (c - 1) for v, c in zip(x[1:], alpha.counts[2:]))
+        want = dirichlet_normalizer(alpha) * beta * x[0] ** (a + b - 1) * rest
+        assert one_sum_check(alpha, x) == (want, want)
 
     def test_requires_matching_sizes(self):
-        with pytest.raises(ValueError):
-            one_sum_check(HyperParams((1, 1, 1)), (1.0,), 100)
-
-
-class TestSimplexDensity:
-    def test_dirichlet_density_integrates_to_one(self):
-        d = dirichlet_density(HyperParams((2, 3, 1)))
-        points, weights = cells_by_meshgrid(3, 200)
-        got = weights @ d.eval_many(points)
-        assert got == pytest.approx(1.0, abs=1e-3)
+        with pytest.raises(ValueError, match="expected a point of 2 coordinates, got 1"):
+            one_sum_check(HyperParams((1, 1, 1)), (F(1),))

@@ -1,11 +1,9 @@
-import math
 import random
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
-from cptforge.dirichlet import HyperParams, dirichlet_sample_many, make_rng
+from cptforge.dirichlet import HyperParams
 from cptforge.localsplit import (
     local_update_audit,
     pdf_factorization_check,
@@ -15,8 +13,8 @@ from cptforge.localsplit import (
 )
 from cptforge.network import learn_bayes
 
-GOLDEN_POINT = np.array([[[0.10, 0.35, 0.25], [0.05, 0.10, 0.15]]])
-UNIFORM_POINT = np.full((1, 2, 3), 1 / 6)
+GOLDEN_POINT = tuple(tuple(F(n, 100) for n in row) for row in ((10, 35, 25), (5, 10, 15)))
+UNIFORM_POINT = ((F(1, 6),) * 3,) * 2
 ALL_ONES = (HyperParams((1, 1, 1)),) * 2
 SHAPES = [(2, 3), (1, 3), (3, 1), (3, 2), (2, 4), (4, 3)]
 
@@ -26,64 +24,63 @@ def table(alphas, cols):
     return tuple(HyperParams(alphas[k : k + cols]) for k in range(0, len(alphas), cols))
 
 
-def interior_points(count, seed, shape=(2, 3)):
-    flat = dirichlet_sample_many(HyperParams((1,) * (shape[0] * shape[1])), count, make_rng(seed))
-    return flat.reshape(count, *shape)
+def rational_points(count, seed, shape=(2, 3)):
+    """`count` points of the open joint simplex of the given shape: positive
+    integer weights over their sum, as tables of Fractions."""
+    rng = random.Random(seed)
+    rows, cols = shape
+    points = []
+    for _ in range(count):
+        weights = [rng.randint(1, 9) for _ in range(rows * cols)]
+        flat = [F(w, sum(weights)) for w in weights]
+        points.append(tuple(tuple(flat[k : k + cols]) for k in range(0, rows * cols, cols)))
+    return points
 
 
 class TestSplit:
     def test_worked_example(self):
         totals, shares = split(GOLDEN_POINT)
-        assert totals[0] == pytest.approx((0.7, 0.3), abs=1e-15)
-        assert shares[0, 0] == pytest.approx((1 / 7, 1 / 2, 5 / 14), abs=1e-15)
-        assert shares[0, 1] == pytest.approx((1 / 6, 1 / 3, 1 / 2), abs=1e-15)
+        assert totals == (F(7, 10), F(3, 10))
+        assert shares == ((F(1, 7), F(1, 2), F(5, 14)), (F(1, 6), F(1, 3), F(1, 2)))
 
     def test_uniform_point(self):
-        totals, shares = split(UNIFORM_POINT)
-        assert totals[0] == pytest.approx((0.5, 0.5), abs=1e-15)
-        assert shares[0, 0] == pytest.approx((1 / 3,) * 3, abs=1e-15)
-        assert shares[0, 1] == pytest.approx((1 / 3,) * 3, abs=1e-15)
+        assert split(UNIFORM_POINT) == ((F(1, 2),) * 2, ((F(1, 3),) * 3,) * 2)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_round_trip_on_random_interior_points(self, shape):
-        xs = interior_points(100, 31, shape)
-        totals, shares = split(xs)
-        assert totals.shape == (100, shape[0]) and shares.shape == (100, *shape)
-        assert np.abs(unsplit(totals, shares) - xs).max() <= 1e-12
+        for x in rational_points(100, 31, shape):
+            totals, shares = split(x)
+            assert len(totals) == shape[0] and all(len(row) == shape[1] for row in shares)
+            assert unsplit(totals, shares) == x
 
     def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            split(np.array([[0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            split(np.full((1, 2, 3), 0.2))
+        with pytest.raises(ValueError, match="same number of cells"):
+            split(((F(1, 2), F(1, 4)), (F(1, 4),)))
+        with pytest.raises(ValueError, match="sum to 6/5, not 1"):
+            split(((F(1, 5),) * 3,) * 2)
 
     def test_boundary_rejected_by_construction(self):
-        with pytest.raises(ValueError):
-            split(np.array([[[0.0, 0.35, 0.35], [0.05, 0.10, 0.15]]]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            split(((F(0), F(35, 100), F(35, 100)), (F(5, 100), F(10, 100), F(15, 100))))
 
 
 class TestFactorization:
     def test_all_ones_at_uniform_point(self):
         # By hand: joint density 120; totals factor d2(3,3)(.5,.5)/(1/16) = 30,
         # each row factor 2, so 30*2*2 = 120; shifted constant 30, d2(1,1)=1.
-        lhs, rhs1, rhs2 = pdf_factorization_check(ALL_ONES, UNIFORM_POINT)
-        assert lhs == pytest.approx([120.0], rel=1e-12)
-        assert rhs1 == pytest.approx([120.0], rel=1e-12)
-        assert rhs2 == pytest.approx([120.0], rel=1e-12)
+        assert pdf_factorization_check(ALL_ONES, UNIFORM_POINT) == (120, 120, 120)
 
     def test_table_counts_at_empirical_point(self):
-        lhs, rhs1, rhs2 = pdf_factorization_check(
-            table((10, 35, 25, 5, 10, 15), 3), GOLDEN_POINT
-        )
-        assert (np.abs(lhs - rhs1) / lhs).max() <= 1e-9
-        assert (np.abs(lhs - rhs2) / lhs).max() <= 1e-9
+        lhs, rhs1, rhs2 = pdf_factorization_check(table((10, 35, 25, 5, 10, 15), 3), GOLDEN_POINT)
+        assert lhs == rhs1 == rhs2
 
     def test_exponent_cancellation_at_fixed_points(self):
         # The totals-coordinate exponents introduced by the quotient cancel
         # against the shares' change of variables at any interior point.
         alpha = table((2, 1, 3, 4, 2, 2), 3)
-        lhs, rhs1, _ = pdf_factorization_check(alpha, interior_points(3, 32))
-        assert (np.abs(lhs - rhs1) / lhs).max() <= 1e-9
+        for x in rational_points(3, 32):
+            lhs, rhs1, _ = pdf_factorization_check(alpha, x)
+            assert lhs == rhs1
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_randomised_suite(self, shape):
@@ -91,10 +88,9 @@ class TestFactorization:
         rng = random.Random(33)
         for trial in range(20):
             alpha = table(tuple(rng.randint(1, 8) for _ in range(rows * cols)), cols)
-            points = interior_points(20, 3300 + trial, shape)
-            lhs, rhs1, rhs2 = pdf_factorization_check(alpha, points)
-            rel = np.maximum(np.abs(lhs - rhs1), np.abs(lhs - rhs2)) / np.abs(lhs)
-            assert rel.max() <= 1e-9
+            for x in rational_points(5, 3300 + trial, shape):
+                lhs, rhs1, rhs2 = pdf_factorization_check(alpha, x)
+                assert lhs == rhs1 == rhs2
 
     def test_small_row_total_rejected_for_shifted_form(self):
         # Row totals below 3 cannot arise from three pseudo-counts >= 1,
@@ -190,21 +186,6 @@ class TestLocalUpdateAudit:
         assert "constant" in text and "30" in text
         assert "total mass 1" in text
         assert "fails 27 of 27 moment identities -> MISMATCH (first gap -1/42)" in text
-
-    def test_pushforward_blocks_are_uncorrelated(self):
-        # Totals and row proportions should be independent after the update;
-        # check every cross covariance at four standard errors.
-        alpha = HyperParams((1,) * 6).increment(2)
-        draws = dirichlet_sample_many(alpha, 100_000, make_rng(8))
-        totals, shares = split(draws.reshape(-1, 2, 3))
-        y0 = totals[:, 0] - totals[:, 0].mean()
-        n = len(y0)
-        for block in (shares[:, 0, :], shares[:, 1, :]):
-            for k in range(3):
-                uk = block[:, k] - block[:, k].mean()
-                prods = y0 * uk
-                se = prods.std(ddof=1) / math.sqrt(n)
-                assert abs(prods.mean()) <= 4 * se
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -78,7 +78,8 @@ class TestGraphSpec:
         )
         assert g.parents("C") == ("B", "A")
 
-    @pytest.mark.parametrize("name", ["../../escaped", "a/b", "count", "1st", "-x", "\u00e9t\u00e9"])
+    @pytest.mark.parametrize("name", ["../../escaped", "a/b", "count", "1st", "-x", "\u00e9t\u00e9",
+                                      "N" * 252])
     def test_node_name_rule(self, name):
         with pytest.raises(DataError, match="node name"):
             GraphSpec(((name, 2),), ())
@@ -86,8 +87,10 @@ class TestGraphSpec:
             GraphSpec.parse(io.BytesIO(f"node A 2\nnode {name} 2\n".encode()))
 
     def test_node_names_that_follow_the_rule(self):
-        g = GraphSpec.parse(io.BytesIO(b"node _a 2\nnode X1.b-c 3\nnode counts 2\n"))
-        assert g.node_names == ("_a", "X1.b-c", "counts")
+        longest = "N" * 251  # with ".csv", a 255-byte file name
+        text = f"node _a 2\nnode X1.b-c 3\nnode counts 2\nnode {longest} 2\n"
+        g = GraphSpec.parse(io.BytesIO(text.encode()))
+        assert g.node_names == ("_a", "X1.b-c", "counts", longest)
 
     def test_parse_error_reports_line(self):
         with pytest.raises(DataError, match="line 2"):
@@ -628,11 +631,12 @@ class TestCli:
         assert "SUMMARY: 11 passed, 1 failed (suite=exact, seed=42, resolution=400)" in out
         # Under `all` a stochastic law fails too: on Linux it runs in a forked
         # child, which inherits the patch.
-        monkeypatch.setattr(verify, "unsplit", lambda *parts: unsplit(*parts) + 1.0)
+        monkeypatch.setattr(verify, "unsplit", lambda totals, shares: unsplit(totals[::-1], shares))
         assert main(["verify", "--suite", "all"]) == 1
         out = capsys.readouterr().out
         assert f"[FAIL] exact/flatten-order-counterexample: {probs} != {probs}\n" in out
-        gap = "[FAIL] stochastic/split-round-trip: 200 interior points: max round-trip gap 1.00e+00\n"
+        gap = ("[FAIL] stochastic/split-round-trip: unsplit(split(x)) != x at the 2x3 table "
+               "x = (1/16, 5/32, 1/4, 1/4, 3/32, 3/16)\n")
         assert gap in out
         assert "SUMMARY: 29 passed, 2 failed (suite=all, seed=42, resolution=400)" in out
 
@@ -669,6 +673,8 @@ class TestCli:
             ("graph", "node A 2\nnode A {}\n", "line 2: arity {} is not an integer"),
             ("graph", "node A 2\nnode -{} 2\n", "line 2: node name '-TTTTTTTTTTT...TTTTTTTTTTTTT' "
              "does not match [A-Za-z_][A-Za-z0-9_.-]*"),
+            # A name that follows the rule but could not name its table's file.
+            ("graph", "node A 2\nnode {} 2\n", "line 2: node name {} is longer than 251 bytes"),
             ("graph", "node A 2\nedge A {}\n",
              "line 2: edge 'A' -> {} references an undeclared node"),
             ("graph", "node A 2\n{}\n", "line 2: expected 'node <name> <arity>' or "
@@ -680,8 +686,8 @@ class TestCli:
             ("data", "A,count\n0,{}\n", "line 2: count {} is not an integer"),
             ("prior", "{} 1 2\n", "line 1: unknown node {}"),
         ],
-        ids=["graph", "data", "prior", "long-arity", "long-node-name", "long-edge",
-             "long-graph-line", "long-header", "long-header-column", "long-outcome",
+        ids=["graph", "data", "prior", "long-arity", "long-node-name", "long-valid-node-name",
+             "long-edge", "long-graph-line", "long-header", "long-header-column", "long-outcome",
              "long-count", "long-prior-node"],
     )
     def test_input_error_names_the_file_once(self, tmp_path, capsys, bad, text, message):

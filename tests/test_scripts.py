@@ -49,9 +49,12 @@ def test_readme_synopsis_matches_the_usage_line(command, capsys):
 
 # A pinned subset of scripts/law_mutants.py, each mutant with laws it must fail.
 PINNED_MUTANTS = {
-    "aggregate-wrong-target": ["stochastic/surjective-naturality"],
+    "aggregate-wrong-target": ["stochastic/aggregation-one-sum",
+                               "stochastic/surjective-naturality"],
     "audit-direct-not-incremented": ["stochastic/local-update-audit"],
     "clipped-cell-centroid": ["stochastic/quadrature-basics"],
+    "cont-condition-wrong-coordinate": ["stochastic/conjugate-update"],
+    "split-column-shares": ["stochastic/split-round-trip", "stochastic/split-factorisation"],
     "segment-end-cell-clipped": ["stochastic/quadrature-basics"],
     "lifted-predicate-reversed": ["stochastic/validity-transfer-quadrature"],
     "moment-rising-off-by-one": ["exact/validity-transfer", "exact/posterior-mean-identity",
