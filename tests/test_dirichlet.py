@@ -134,6 +134,29 @@ class TestDirichletPdf:
             dirichlet_pdf(HyperParams((1, 2, 1)), point)
 
 
+class TestIntPower:
+    """The density's monomial raises integer numerators to the integer
+    exponents alpha_i - 1: on two outcomes, Dirichlet(k + 1, 1) is
+    (k + 1) x**k, here against plain Fraction powers."""
+
+    POINTS = [F(1, 10**3), F(999, 10**6), F(1001, 10**6), F(3, 10), F(1, 2), F(999999, 10**6)]
+
+    @pytest.mark.parametrize("k", list(range(65)) + [200])
+    def test_matches_pow(self, k):
+        for p in self.POINTS:
+            assert dirichlet_pdf(HyperParams((k + 1, 1)), (p, 1 - p)) == (k + 1) * p**k
+            assert dirichlet_pdf(HyperParams((1, k + 1)), (1 - p, p)) == (k + 1) * p**k
+
+    def test_zeroth_power_is_one_everywhere(self):
+        # All exponents zero: the density is its normaliser (n - 1)! at every point.
+        for n in (2, 3, 4):
+            rng = random.Random(n)
+            for _ in range(5):
+                w = [rng.randint(1, 9) for _ in range(n)]
+                point = [F(v, sum(w)) for v in w]
+                assert dirichlet_pdf(HyperParams((1,) * n), point) == math.factorial(n - 1)
+
+
 class TestSimplexQuadrature:
     def test_cell_weights_sum_to_simplex_volume(self):
         for n in (2, 3, 4):
