@@ -108,13 +108,13 @@ MUTANTS = {
     ),
     "cont-condition-wrong-coordinate": (
         "bayes.py",
-        "density.dirichlet_params.increment(q.base.point_index())",
-        "density.dirichlet_params.increment(0)",
+        "return alpha.increment(p.point_index())",
+        "return alpha.increment(0)",
     ),
     "lifted-predicate-reversed": (
         "bayes.py",
-        "np.array([float(v) for v in q.base.values])",
-        "np.array([float(v) for v in q.base.values[::-1]])",
+        "np.array([float(v) for v in p.values])",
+        "np.array([float(v) for v in p.values[::-1]])",
     ),
     "batch-update-data-reversed": (
         "bayes.py",

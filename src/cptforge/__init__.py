@@ -5,7 +5,9 @@ empirical distributions (frequentist), and updating integer pseudo-counts of
 Dirichlet densities (Bayesian).  The package implements both together with
 the exact-rational distribution layer they act on, exact Dirichlet density
 values and moments, and numerical machinery (simplex quadrature, seeded
-Dirichlet sampling) for checking the laws that need it.
+Dirichlet sampling) for checking the laws that need it.  A Dirichlet is
+passed as its pseudo-counts, a `HyperParams`, and a predicate lifted to the
+simplex as the plain `Predicate`: each fixes its object.
 
 ``import cptforge`` is lazy: it imports neither numpy nor any submodule.  A
 public name is imported from its submodule on first use (PEP 562), so the
@@ -18,11 +20,9 @@ import types
 
 # Each public name, once, under the submodule that defines it.
 _EXPORTS = {
-    "bayes": ("LiftedPredicate", "batch_update", "cont_condition", "cont_validity",
-              "lift_predicate", "validity_transfer_check"),
-    "dirichlet": ("HyperParams", "SimplexDensity", "aggregate_params", "dirichlet_density",
-                  "dirichlet_mean", "dirichlet_pdf", "dirichlet_sample_many", "gamma_nat",
-                  "make_rng", "one_sum_check"),
+    "bayes": ("batch_update", "cont_condition", "cont_validity", "validity_transfer_check"),
+    "dirichlet": ("HyperParams", "aggregate_params", "dirichlet_mean", "dirichlet_pdf",
+                  "gamma_nat", "make_rng", "one_sum_check"),
     "dist": ("Channel", "Dist", "Predicate", "condition", "disintegrate", "dist_map",
              "pair_graph", "state_transform", "validity"),
     "finset": ("FinMap", "Multiset", "ZeroRowError", "ms_map", "ms_map_full", "ms_tensor",

@@ -1,90 +1,63 @@
 """Validity and conditioning over Dirichlet densities.
 
-A predicate on outcomes lifts to a predicate on the simplex by taking its
-expected value at each point.  Validity of the lifted predicate under a
-Dirichlet prior equals validity of the plain predicate under the
-normalised pseudo-counts, and conditioning a Dirichlet on a single observed
-outcome is the conjugate update: the matching pseudo-count goes up by one.
-A density is evaluated exactly, at points with Fraction coordinates; the
-one float computation here is `cont_validity`'s cell rule.
+Dir(alpha) is fixed by its pseudo-counts, so the Giry side acts on the
+`HyperParams` alpha directly.  A predicate p on outcomes lifts to the
+simplex by taking its expected value at each point, x -> sum_i p(i) x_i,
+which p alone fixes, so the functions here take p itself.  Validity of the
+lifted predicate under Dir(alpha) equals validity of p under the normalised
+pseudo-counts, and conditioning Dir(alpha) on a single observed outcome is
+the conjugate update: the matching pseudo-count goes up by one.  The one
+float computation here is `cont_validity`'s cell rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .dirichlet import (
-    HyperParams,
-    SimplexDensity,
-    cell_rule_integrals,
-    dirichlet_density,
-    dirichlet_moment,
-)
+from .dirichlet import HyperParams, cell_rule_integrals, dirichlet_moment
 from .dist import Predicate, validity
 from .finset import Multiset
 from .mle import mle
 
 
-@dataclass(frozen=True)
-class LiftedPredicate:
-    """A predicate on the simplex: x -> sum_i p(i) * x_i.
-
-    Values stay in [0,1] because each is a convex combination of the base
-    predicate's values, which are also its coefficients.
-    """
-
-    base: Predicate
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-
-def lift_predicate(p: Predicate) -> LiftedPredicate:
-    """Extend an outcome predicate to distributions by expectation."""
-    return LiftedPredicate(p)
-
-
-def cont_validity(density: SimplexDensity, q: LiftedPredicate, resolution: int) -> float:
-    """Expected value of the lifted predicate under a Dirichlet density, by the
-    package's one cell rule at the given resolution, summed by monomial
+def cont_validity(alpha: HyperParams, p: Predicate, resolution: int) -> float:
+    """Expected value of p's lift, x -> sum_i p(i) x_i, under Dir(alpha), by
+    the package's one cell rule at the given resolution, summed by monomial
     moments without building a grid.
 
-    A lifted predicate is linear, q(x) = sum_i p(i) x_i, so the integral of
-    q * Dir(alpha) is the sum of its coefficients p(i) times the cell-rule
-    integrals of x_i * Dir(alpha), which cell_rule_integrals gives.  The
-    exact value is sum_i p(i) E[x_i]; validity_transfer_check computes it.
-    A resolution whose grid would pass the cell cap raises ValueError.
+    The lift is linear, so the integral of it times Dir(alpha) is the sum of
+    the coefficients p(i) times the cell-rule integrals of x_i * Dir(alpha),
+    which cell_rule_integrals gives.  The exact value is sum_i p(i) E[x_i];
+    validity_transfer_check computes it.  A resolution whose grid would
+    pass the cell cap raises ValueError.
     """
-    if q.n != density.n:
-        raise ValueError(f"size mismatch: density over {density.n}, predicate over {q.n}")
-    alpha = density.dirichlet_params
-    coefficients = np.array([float(v) for v in q.base.values])
+    if p.n != alpha.n:
+        raise ValueError(f"size mismatch: density over {alpha.n}, predicate over {p.n}")
+    coefficients = np.array([float(v) for v in p.values])
     units = np.eye(alpha.n, dtype=np.int64)
     return float(coefficients @ cell_rule_integrals([alpha] * alpha.n, units, resolution))
 
 
-def cont_condition(density: SimplexDensity, q: LiftedPredicate) -> SimplexDensity:
-    """Condition a Dirichlet density on a lifted point observation.
+def cont_condition(alpha: HyperParams, p: Predicate) -> HyperParams:
+    """Condition Dir(alpha) on the lift of a point predicate.
 
-    Conditioning Dir(alpha) on the lifted point predicate of outcome i is
-    the update formula x -> x_i * d(x) / E[x_i], and the result is the
+    Conditioning on the lift of the point predicate of outcome i is the
+    update formula x -> x_i * Dir(alpha)(x) / E[x_i], and the result is the
     conjugate form: Dir(alpha) with the i-th pseudo-count incremented.  That
     the two coincide pointwise is the conjugacy law, which the law suites
     check exactly at rational points rather than assume here.  Repeated
     point updates keep incrementing pseudo-counts.
 
-    Only point observations are supported: conditioning on a general fuzzy
-    predicate leaves the Dirichlet family.
+    Only point predicates are supported: conditioning on a general fuzzy
+    predicate gives a finite mixture of Dirichlets, not one Dirichlet.
     """
-    if not q.base.is_point():
-        raise ValueError("only lifted point predicates are supported")
-    if q.n != density.n:
-        raise ValueError(f"size mismatch: density over {density.n}, predicate over {q.n}")
-    return dirichlet_density(density.dirichlet_params.increment(q.base.point_index()))
+    if not p.is_point():
+        raise ValueError("only point predicates are supported")
+    if p.n != alpha.n:
+        raise ValueError(f"size mismatch: density over {alpha.n}, predicate over {p.n}")
+    return alpha.increment(p.point_index())
 
 
 def batch_update(alpha: HyperParams, data: Multiset) -> HyperParams:
@@ -98,7 +71,7 @@ def validity_transfer_check(
     """Both sides of the validity-transfer law for the given inputs, exactly.
 
     lhs: validity of p under the normalised pseudo-counts.
-    rhs: validity of the lifted predicate under Dirichlet(alpha), which is
+    rhs: validity of p's lift under Dirichlet(alpha), which is
     sum_i p(i) E[x_i] by linearity, each E[x_i] a first dirichlet_moment.
     The law says they are equal.
     """

@@ -7,9 +7,11 @@ is at least 1, so multiset arithmetic applies to them as it stands: `total()`
 is the Dirichlet's concentration, `mle(alpha)` its mean, `alpha + data` the
 conjugate update and `ms_map_full` its aggregation along a surjection.
 
-Density: with integer pseudo-counts the density is a rational normaliser
-times a monomial with non-negative integer exponents, so at a point with
-Fraction coordinates it is an exact rational, `dirichlet_pdf`.
+Density: Dir(alpha) is fixed by its pseudo-counts, so every function here
+takes the `HyperParams` alpha itself.  With integer pseudo-counts the density
+is a rational normaliser times a monomial with non-negative integer
+exponents, so at a point with Fraction coordinates it is an exact rational,
+`dirichlet_pdf`.
 
 Geometry convention: the n-outcome simplex is parameterised by its first
 n-1 coordinates, the last one being implied by the sum-to-one constraint,
@@ -37,10 +39,9 @@ case, normalises the pseudo-counts.
 
 Sampling draws Dirichlet points from seeded Philox streams, one block of
 rows at a time: `dirichlet_sample_blocks` yields the blocks as it draws
-them, and `dirichlet_sample_many` writes them into one result, so it takes
-its result plus one block.  A sample is judged by `moment_z`, from its
-column sums and Gram sums alone: both add over blocks, so a sampling law
-holds no whole sample, and every standard error is exact.
+them.  A sample is judged by `moment_z`, from its column sums and Gram sums
+alone: both add over blocks, so a sampling law holds no whole sample, and
+every standard error is exact.
 """
 
 from __future__ import annotations
@@ -130,26 +131,6 @@ def dirichlet_pdf(alpha: HyperParams, x: Sequence[Fraction]) -> Fraction:
     monomial = math.prod(v ** (a - 1) for v, a in zip(nums, alpha.counts))
     norm = dirichlet_normalizer(alpha)
     return Fraction(norm.numerator * monomial, norm.denominator * den ** (alpha.total() - alpha.n))
-
-
-@dataclass(frozen=True)
-class SimplexDensity:
-    """A density on the open simplex in the Dirichlet family: Dirichlet
-    with the parameters `dirichlet_params`."""
-
-    dirichlet_params: HyperParams
-
-    @property
-    def n(self) -> int:
-        return self.dirichlet_params.n
-
-    def pdf(self, x: Sequence[Fraction]) -> Fraction:
-        """The density at a point of the open simplex, exactly: dirichlet_pdf."""
-        return dirichlet_pdf(self.dirichlet_params, x)
-
-
-def dirichlet_density(alpha: HyperParams) -> SimplexDensity:
-    return SimplexDensity(alpha)
 
 
 # Clipped-cell geometry: fraction of a unit box below the plane sum(z) = t
@@ -296,20 +277,6 @@ def dirichlet_sample_blocks(
         return gammas / gammas.sum(axis=1, keepdims=True)
 
     return (block(min(step, size - lo)) for lo in range(0, size, step))
-
-
-def dirichlet_sample_many(
-    alpha: HyperParams, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(size, n) array of Dirichlet(alpha) draws: the dirichlet_sample_blocks
-    written into one preallocated result."""
-    blocks = dirichlet_sample_blocks(alpha, size, rng)
-    out = np.empty((size, alpha.n))
-    lo = 0
-    for block in blocks:
-        out[lo : lo + len(block)] = block
-        lo += len(block)
-    return out
 
 
 def dirichlet_mean(alpha: HyperParams) -> Dist:

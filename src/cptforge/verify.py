@@ -58,19 +58,12 @@ from itertools import product
 
 import numpy as np
 
-from .bayes import (
-    batch_update,
-    cont_condition,
-    cont_validity,
-    lift_predicate,
-    validity_transfer_check,
-)
+from .bayes import batch_update, cont_condition, cont_validity, validity_transfer_check
 from .dirichlet import (
     Z_BOUND,
     HyperParams,
     aggregate_params,
     cell_rule_integrals,
-    dirichlet_density,
     dirichlet_mean,
     dirichlet_moment,
     dirichlet_pdf,
@@ -630,13 +623,11 @@ def check_stoch_conjugacy(seed: int) -> tuple[bool, str]:
         n = rng.randint(2, 6)
         alpha = _random_hyperparams(rng, n)
         i = rng.randrange(n)
-        conditioned = cont_condition(
-            dirichlet_density(alpha), lift_predicate(Predicate.point(n, i))
-        )
+        conditioned = cont_condition(alpha, Predicate.point(n, i))
         mean_i = Fraction(alpha[i], alpha.total())
         for _ in range(5):
             x = _random_point(rng, n)
-            if x[i] * dirichlet_pdf(alpha, x) / mean_i != conditioned.pdf(x):
+            if x[i] * dirichlet_pdf(alpha, x) / mean_i != dirichlet_pdf(conditioned, x):
                 return False, f"update formula != conditioned density at {alpha.counts}, i={i}"
     return True, ("50 instances x 5 rational points: update formula x_i d(x) / E[x_i] "
                   "= conditioned density")
@@ -651,7 +642,7 @@ def check_stoch_transfer_quadrature(seed: int) -> tuple[bool, str]:
         alpha = _random_hyperparams(rng, n, hi=5)
         p = _random_predicate(rng, n)
         lhs = float(validity(mle(alpha), p))
-        rhs = cont_validity(dirichlet_density(alpha), lift_predicate(p), RESOLUTION)
+        rhs = cont_validity(alpha, p, RESOLUTION)
         err = abs(lhs - rhs)
         worst = max(worst, err)
         if err > QUADRATURE_TOL:

@@ -14,9 +14,9 @@ from contextlib import contextmanager
 from fractions import Fraction as F
 
 from cptforge import verify
-from cptforge.bayes import cont_validity, lift_predicate, validity_transfer_check
+from cptforge.bayes import cont_validity, validity_transfer_check
 from cptforge.cli import main
-from cptforge.dirichlet import HyperParams, dirichlet_density, dirichlet_mean, one_sum_check
+from cptforge.dirichlet import HyperParams, dirichlet_mean, one_sum_check
 from cptforge.dist import Predicate, validity
 from cptforge.finset import Multiset, multisets
 from cptforge.mle import likelihood, mle
@@ -109,7 +109,7 @@ def test_criterion_07_mean_validity_transfer():
             assert lhs == validity(dirichlet_mean(alpha), p)  # exact rational route
             assert lhs == rhs                                 # exact first moments
             if 2 <= n <= 3:
-                numeric = cont_validity(dirichlet_density(alpha), lift_predicate(p), 400)
+                numeric = cont_validity(alpha, p, 400)
                 assert abs(numeric - float(lhs)) <= 1e-3
                 rechecked += 1
         assert rechecked >= 30

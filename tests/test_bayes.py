@@ -8,17 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cptforge import verify
-from cptforge.bayes import (
-    batch_update,
-    cont_condition,
-    cont_validity,
-    lift_predicate,
-    validity_transfer_check,
-)
+from cptforge.bayes import batch_update, cont_condition, cont_validity, validity_transfer_check
 from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
     HyperParams,
-    dirichlet_density,
     dirichlet_normalizer,
     dirichlet_pdf,
     simplex_cell_count,
@@ -37,30 +30,30 @@ hyperparams_st = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
 class TestContValidity:
     # Each value is checked twice: exactly through the closed form that
     # validity_transfer_check reports, and by cont_validity's cell rule.
-    def test_point_predicate_gives_mean_coordinate(self):
-        alpha, p = HyperParams((2, 1, 1)), Predicate.point(3, 0)
-        assert validity_transfer_check(alpha, p)[1] == F(1, 2)
-        got = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
-        assert got == pytest.approx(0.5, abs=1e-3)
+    @pytest.mark.parametrize(
+        "alpha,p,value",
+        [
+            (HyperParams((2, 1, 1)), Predicate.point(3, 0), F(1, 2)),
+            (HyperParams((2, 5)), Predicate((1,) * 2), F(1)),
+            (HyperParams((3, 1)), Predicate.point(2, 0), F(3, 4)),
+            (HyperParams((2, 3, 1)), Predicate((F(1, 2), F(1, 3), F(1))), F(1, 2)),
+        ],
+        ids=["point-gives-mean-coordinate", "constant-one", "beta-point", "fuzzy"],
+    )
+    def test_worked_examples(self, alpha, p, value):
+        assert validity_transfer_check(alpha, p) == (value, value)
+        assert cont_validity(alpha, p, 200) == pytest.approx(float(value), abs=1e-3)
 
-    def test_constant_one(self):
-        alpha, p = HyperParams((3, 1)), Predicate((1,) * 2)
-        assert validity_transfer_check(alpha, p)[1] == 1
-        got = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
-        assert got == pytest.approx(1.0, abs=1e-3)
-
-    def test_beta_example(self):
-        alpha, p = HyperParams((3, 1)), Predicate((F(1), F(0)))
-        assert validity_transfer_check(alpha, p)[1] == F(3, 4)
-        got = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
-        assert got == pytest.approx(0.75, abs=1e-3)
-
-    def test_quadrature_agrees_with_closed_form(self):
-        alpha = HyperParams((2, 3, 1))
-        p = Predicate((F(1, 2), F(1, 3), F(1)))
-        closed = validity_transfer_check(alpha, p)[1]
-        numeric = cont_validity(dirichlet_density(alpha), lift_predicate(p), 200)
-        assert numeric == pytest.approx(float(closed), abs=1e-3)
+    @pytest.mark.parametrize("p", [Predicate.point(2, 1), Predicate.point(4, 3)],
+                             ids=["shorter", "longer"])
+    @pytest.mark.parametrize("call", [cont_condition, lambda a, p: cont_validity(a, p, 200)],
+                             ids=["cont_condition", "cont_validity"])
+    def test_size_mismatch_refused(self, call, p):
+        # A shorter point predicate would otherwise increment a coordinate
+        # of the wrong Dirichlet.
+        with pytest.raises(ValueError) as err:
+            call(HyperParams((1, 1, 1)), p)
+        assert str(err.value) == f"size mismatch: density over 3, predicate over {p.n}"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_moments_match_the_grid(self, n):
@@ -74,23 +67,20 @@ class TestContValidity:
             points, weights = cells_by_meshgrid(n, res)
             for _ in range(4):
                 alpha = HyperParams(tuple(rng.randint(1, 6) for _ in range(n)))
-                q = lift_predicate(Predicate(tuple(F(rng.randint(0, 6), 6) for _ in range(n))))
-                prior = dirichlet_density(alpha)
-                point = lift_predicate(Predicate.point(n, rng.randrange(n)))
-                for d in (prior, cont_condition(prior, point)):
-                    a = d.dirichlet_params
+                p = Predicate(tuple(F(rng.randint(0, 6), 6) for _ in range(n)))
+                point = Predicate.point(n, rng.randrange(n))
+                for a in (alpha, cont_condition(alpha, point)):
                     monomial = np.prod(points ** (np.array(a.counts) - 1), axis=1)
                     pdf = float(dirichlet_normalizer(a)) * monomial
-                    q_values = points @ [float(v) for v in q.base.values]
-                    want = weights @ (q_values * pdf)
-                    assert cont_validity(d, q, res) == pytest.approx(want, rel=1e-12, abs=0)
+                    p_values = points @ [float(v) for v in p.values]
+                    want = weights @ (p_values * pdf)
+                    assert cont_validity(a, p, res) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_cell_cap_as_for_the_grid(self):
-        q = lift_predicate(Predicate((1,) * 4))
         with pytest.raises(ValueError, match="over the cap") as grid:
             simplex_moments(4, 400, np.zeros((1, 4), np.int64))
         with pytest.raises(ValueError, match="over the cap") as moments:
-            cont_validity(dirichlet_density(HyperParams((1,) * 4)), q, 400)
+            cont_validity(HyperParams((1,) * 4), Predicate((1,) * 4), 400)
         assert str(moments.value) == str(grid.value)
 
     @pytest.mark.parametrize("law", [verify.check_stoch_mean_integrals,
@@ -111,36 +101,26 @@ class TestContValidity:
 class TestContCondition:
     def test_two_outcome_example(self):
         # Conditioning the flat prior on outcome 0 doubles the first coordinate.
-        d = cont_condition(
-            dirichlet_density(HyperParams((1, 1))),
-            lift_predicate(Predicate.point(2, 0)),
-        )
-        assert d.dirichlet_params.counts == (2, 1)
+        alpha = cont_condition(HyperParams((1, 1)), Predicate.point(2, 0))
+        assert alpha == HyperParams((2, 1))
         for t in (F(1, 5), F(1, 2), F(9, 10)):
-            assert d.pdf((t, 1 - t)) == 2 * t == dirichlet_pdf(HyperParams((2, 1)), (t, 1 - t))
+            assert dirichlet_pdf(alpha, (t, 1 - t)) == 2 * t
 
     def test_row_major_cell_update(self):
         # Observing cell (0, 2) of a 2x3 table is outcome index 2.
         alpha = HyperParams((10, 35, 25, 5, 10, 15))
-        d = cont_condition(
-            dirichlet_density(alpha), lift_predicate(Predicate.point(6, 2))
-        )
-        assert d.dirichlet_params.counts == (10, 35, 26, 5, 10, 15)
+        assert cont_condition(alpha, Predicate.point(6, 2)).counts == (10, 35, 26, 5, 10, 15)
 
     def test_repeated_updates_commute(self):
         alpha = HyperParams((2, 2, 2))
-        qi = lift_predicate(Predicate.point(3, 0))
-        qj = lift_predicate(Predicate.point(3, 2))
-        d_ij = cont_condition(cont_condition(dirichlet_density(alpha), qi), qj)
-        d_ji = cont_condition(cont_condition(dirichlet_density(alpha), qj), qi)
-        assert d_ij.dirichlet_params == d_ji.dirichlet_params == HyperParams((3, 2, 3))
+        pi, pj = Predicate.point(3, 0), Predicate.point(3, 2)
+        a_ij = cont_condition(cont_condition(alpha, pi), pj)
+        a_ji = cont_condition(cont_condition(alpha, pj), pi)
+        assert a_ij == a_ji == HyperParams((3, 2, 3))
 
     def test_non_point_predicate_rejected(self):
-        with pytest.raises(ValueError):
-            cont_condition(
-                dirichlet_density(HyperParams((1, 1))),
-                lift_predicate(Predicate((F(1, 2), F(1, 2)))),
-            )
+        with pytest.raises(ValueError, match="only point predicates"):
+            cont_condition(HyperParams((1, 1)), Predicate((F(1, 2), F(1, 2))))
 
 
 class TestBatchUpdate:
@@ -179,14 +159,6 @@ class TestBatchUpdate:
 
 
 class TestValidityTransfer:
-    def test_beta_point_case(self):
-        lhs, rhs = validity_transfer_check(HyperParams((3, 1)), Predicate.point(2, 0))
-        assert lhs == rhs == F(3, 4)
-
-    def test_constant_one(self):
-        lhs, rhs = validity_transfer_check(HyperParams((2, 5)), Predicate((1,) * 2))
-        assert lhs == rhs == 1
-
     @given(hyperparams_st, st.data())
     def test_exact_agreement(self, alpha, data):
         values = tuple(

@@ -20,7 +20,6 @@ from cptforge.dirichlet import (
     dirichlet_normalizer,
     dirichlet_pdf,
     dirichlet_sample_blocks,
-    dirichlet_sample_many,
     gamma_nat,
     make_rng,
     moment_z,
@@ -29,7 +28,6 @@ from cptforge.dirichlet import (
     simplex_moments,
 )
 from cptforge.finset import FinMap, multisets
-from cptforge.mle import mle
 from cptforge.verify import (
     check_stoch_normalisation,
     check_stoch_sampler_moments,
@@ -257,19 +255,23 @@ class TestSimplexCells:
         assert peak < 1 << 20
 
 
+def sample(alpha, size, rng):
+    return np.concatenate(list(dirichlet_sample_blocks(alpha, size, rng)))
+
+
 class TestDirichletSampler:
     def test_symmetric_case(self):
-        xs = dirichlet_sample_many(HyperParams((1, 1)), 100_000, make_rng(12))
+        xs = sample(HyperParams((1, 1)), 100_000, make_rng(12))
         se = xs[:, 0].std(ddof=1) / math.sqrt(len(xs))
         assert abs(xs[:, 0].mean() - 0.5) <= 4 * se
 
     def test_fixed_seed_replays_bit_identically(self):
         a = HyperParams((3, 2, 4))
-        xs = dirichlet_sample_many(a, 1000, make_rng(99))
-        ys = dirichlet_sample_many(a, 1000, make_rng(99))
+        xs = sample(a, 1000, make_rng(99))
+        ys = sample(a, 1000, make_rng(99))
         assert np.array_equal(xs, ys)
-        x = dirichlet_sample_many(a, 1, make_rng(5))
-        assert np.array_equal(x, dirichlet_sample_many(a, 1, make_rng(5)))
+        x = sample(a, 1, make_rng(5))
+        assert np.array_equal(x, sample(a, 1, make_rng(5)))
 
     @pytest.mark.parametrize("total", range(1, 14))
     def test_blocks_replay_the_one_shot_draw(self, total):
@@ -282,25 +284,11 @@ class TestDirichletSampler:
         alpha = HyperParams(tuple(b - a for a, b in zip((0, *cuts), (*cuts, total))))
         rows = SAMPLE_BLOCK // total
         for size in sorted({1, rows - 1, rows, rows + 1, 100_000}):
-            rng, ref, streamed = make_rng(size), make_rng(size), make_rng(size)
-            xs = dirichlet_sample_many(alpha, size, rng)
-            assert np.array_equal(xs, one_shot(alpha, size, ref))
+            ref, streamed = make_rng(size), make_rng(size)
             blocks = list(dirichlet_sample_blocks(alpha, size, streamed))
             assert all(len(block) <= rows for block in blocks)
-            assert np.array_equal(np.concatenate(blocks), xs)
-            after = ref.standard_exponential(3).tolist()
-            for gen in (rng, streamed):
-                assert gen.standard_exponential(3).tolist() == after
-
-    def test_peak_is_the_result_plus_a_block(self):
-        # Drawing all 100k x 13 exponentials at once peaked at 19.1 MiB.
-        tracemalloc.start()
-        try:
-            xs = dirichlet_sample_many(HyperParams((2, 2, 5, 1, 3)), 100_000, make_rng(4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < xs.nbytes + (2 << 20)
+            assert np.array_equal(np.concatenate(blocks), one_shot(alpha, size, ref))
+            assert streamed.standard_exponential(3).tolist() == ref.standard_exponential(3).tolist()
 
     def test_blocks_are_drawn_as_they_are_consumed(self):
         rng = make_rng(8)
@@ -317,7 +305,7 @@ class TestDirichletSampler:
             dirichlet_sample_blocks(HyperParams((1, 1)), 0, rng)
 
     def test_single_draw_is_valid_point(self):
-        x = dirichlet_sample_many(HyperParams((2, 5)), 1, make_rng(0))
+        x = sample(HyperParams((2, 5)), 1, make_rng(0))
         assert x.shape == (1, 2) and (x > 0).all() and abs(x.sum() - 1) <= 1e-12
 
 
