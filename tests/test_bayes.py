@@ -34,15 +34,23 @@ class TestContValidity:
         "alpha,p,value",
         [
             (HyperParams((2, 1, 1)), Predicate.point(3, 0), F(1, 2)),
-            (HyperParams((2, 5)), Predicate((1,) * 2), F(1)),
-            (HyperParams((3, 1)), Predicate.point(2, 0), F(3, 4)),
             (HyperParams((2, 3, 1)), Predicate((F(1, 2), F(1, 3), F(1))), F(1, 2)),
         ],
-        ids=["point-gives-mean-coordinate", "constant-one", "beta-point", "fuzzy"],
+        ids=["point-gives-mean-coordinate", "fuzzy"],
     )
     def test_worked_examples(self, alpha, p, value):
         assert validity_transfer_check(alpha, p) == (value, value)
         assert cont_validity(alpha, p, 200) == pytest.approx(float(value), abs=1e-3)
+
+    def test_constant_one(self):
+        alpha, p = HyperParams((3, 1)), Predicate((1,) * 2)
+        assert validity_transfer_check(alpha, p)[1] == 1
+        assert cont_validity(alpha, p, 200) == pytest.approx(1.0, abs=1e-3)
+
+    def test_beta_example(self):
+        alpha, p = HyperParams((3, 1)), Predicate((F(1), F(0)))
+        assert validity_transfer_check(alpha, p)[1] == F(3, 4)
+        assert cont_validity(alpha, p, 200) == pytest.approx(0.75, abs=1e-3)
 
     @pytest.mark.parametrize("p", [Predicate.point(2, 1), Predicate.point(4, 3)],
                              ids=["shorter", "longer"])
@@ -159,6 +167,14 @@ class TestBatchUpdate:
 
 
 class TestValidityTransfer:
+    def test_beta_point_case(self):
+        lhs, rhs = validity_transfer_check(HyperParams((3, 1)), Predicate.point(2, 0))
+        assert lhs == rhs == F(3, 4)
+
+    def test_constant_one(self):
+        lhs, rhs = validity_transfer_check(HyperParams((2, 5)), Predicate((1,) * 2))
+        assert lhs == rhs == 1
+
     @given(hyperparams_st, st.data())
     def test_exact_agreement(self, alpha, data):
         values = tuple(

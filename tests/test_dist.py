@@ -114,6 +114,9 @@ class TestDistValidation:
 
 
 class TestDistMap:
+    def test_identity(self):
+        assert dist_map(FinMap.identity(6), GOLDEN_JOINT) == GOLDEN_JOINT
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dist_map(FinMap.identity(2), Dist((F(1),)))
@@ -158,8 +161,20 @@ class TestDisintegrate:
         assert first.probs == (F(1),)
         assert channel.rows[0] == GOLDEN_JOINT
 
+    def test_zero_marginal_rejected(self):
+        joint = Dist((F(1, 2), F(1, 2), F(0), F(0)))
+        with pytest.raises(ValueError, match="index 1"):
+            disintegrate(joint, 2)
+
 
 class TestPairGraph:
+    def test_uniform_with_copy_channel_is_diagonal(self):
+        c = Channel.deterministic(FinMap.identity(3))
+        joint = pair_graph(c, Dist((F(1, 3),) * 3))
+        for i in range(3):
+            for j in range(3):
+                assert joint[i * 3 + j] == (F(1, 3) if i == j else F(0))
+
     @given(dists(n=3), dists(n=2), dists(n=2), dists(n=2))
     def test_round_trip_recovers_both_parts(self, omega, r0, r1, r2):
         c = Channel((r0, r1, r2))
@@ -172,6 +187,31 @@ class TestPairGraph:
 
 
 class TestValidityAndCondition:
+    def test_point_predicate_picks_probability(self):
+        omega = Dist((F(7, 10), F(3, 10)))
+        assert validity(omega, Predicate.point(2, 0)) == F(7, 10)
+
+    def test_constant_one(self):
+        omega = normalized((1, 2, 3))
+        assert validity(omega, Predicate((1,) * 3)) == 1
+
+    def test_column_event_matches_marginal(self):
+        p = Predicate(tuple(1 if k % 3 == 1 else 0 for k in range(6)))
+        assert validity(GOLDEN_JOINT, p) == F(9, 20)
+
+    def test_point_conditioning_gives_point_mass(self):
+        omega = normalized((3, 2, 5))
+        assert condition(omega, Predicate.point(3, 2)) == Dist.point(3, 2)
+
+    def test_conditioning_on_ones_is_identity(self):
+        omega = normalized((3, 2, 5))
+        assert condition(omega, Predicate((1,) * 3)) == omega
+
+    def test_zero_validity_rejected(self):
+        omega = Dist((F(1), F(0)))
+        with pytest.raises(ValueError):
+            condition(omega, Predicate.point(2, 1))
+
     @given(dists(n=4), st.lists(st.integers(0, 4), min_size=4, max_size=4),
            st.lists(st.integers(0, 4), min_size=4, max_size=4))
     def test_conditioning_chain(self, omega, praw, qraw):
