@@ -53,8 +53,8 @@ MUTANTS = {
     ),
     "pdf-exponent-off-by-one": (
         "dirichlet.py",
-        "math.prod(v ** (a - 1) for v, a in zip(nums, alpha.counts))",
-        "math.prod(v ** a for v, a in zip(nums, alpha.counts))",
+        "math.prod(v ** (a - 1) for v, a in zip(x.weights, alpha.counts))",
+        "math.prod(v ** a for v, a in zip(x.weights, alpha.counts))",
     ),
     "normalizer-off-by-one": (
         "dirichlet.py",
@@ -87,14 +87,15 @@ MUTANTS = {
         "mean = dirichlet_moment(alpha, ks[::-1])",
     ),
     "split-column-shares": (
-        "localsplit.py",
-        "for v in row) for row, s in zip(rows, sums))",
-        "for v, s in zip(row, map(sum, zip(*rows)))) for row in rows)",
+        "dist.py",
+        "_normalised(row, s) for row, s in zip(rows, sums)",
+        "_normalised(row, s) for row, s in zip(rows, map(sum, zip(*rows)))",
     ),
     "unsplit-reversed-totals": (
-        "localsplit.py",
-        "for t, row in zip(totals, shares))",
-        "for t, row in zip(totals[::-1], shares))",
+        "dist.py",
+        "factors, total = _row_factors(c, omega)\n    return _normalised([f * q",
+        "factors, total = _row_factors(c, Dist.normalise(omega.weights[::-1]))\n"
+        "    return _normalised([f * q",
     ),
     "shifted-prefactor-inverted": (
         "localsplit.py",
@@ -103,8 +104,8 @@ MUTANTS = {
     ),
     "quotient-jacobian-off-by-one": (
         "localsplit.py",
-        "jacobian = math.prod(y ** shift for y in totals)",
-        "jacobian = math.prod(y ** (shift + 1) for y in totals)",
+        "jacobian = math.prod(y ** shift for y in totals.probs)",
+        "jacobian = math.prod(y ** (shift + 1) for y in totals.probs)",
     ),
     "cont-condition-wrong-coordinate": (
         "bayes.py",

@@ -6,8 +6,11 @@ Dirichlet densities (Bayesian).  The package implements both together with
 the exact-rational distribution layer they act on, exact Dirichlet density
 values and moments, and numerical machinery (simplex quadrature, seeded
 Dirichlet sampling) for checking the laws that need it.  A Dirichlet is
-passed as its pseudo-counts, a `HyperParams`, and a predicate lifted to the
-simplex as the plain `Predicate`: each fixes its object.
+passed as its pseudo-counts, a `HyperParams`, a predicate lifted to the
+simplex as the plain `Predicate`, and a point of the open simplex as a
+full-support `Dist`: each fixes its object.  A joint point splits into its
+totals and its rows by `disintegrate`, the one split, and `pair_graph`
+inverts it.
 
 ``import cptforge`` is lazy: it imports neither numpy nor any submodule.  A
 public name is imported from its submodule on first use (PEP 562), so the
@@ -27,7 +30,7 @@ _EXPORTS = {
              "pair_graph", "state_transform", "validity"),
     "finset": ("FinMap", "Multiset", "ZeroRowError", "ms_map", "ms_map_full", "ms_tensor",
                "row_extract"),
-    "localsplit": ("local_update_audit", "pdf_factorization_check", "split", "unsplit"),
+    "localsplit": ("local_update_audit", "pdf_factorization_check"),
     "mle": ("likelihood", "mle", "mle_decompose", "monad_counterexample"),
     "network": ("CountTable", "DataError", "GraphSpec", "LearnedCPT", "ingest_counts",
                 "learn_bayes", "learn_mle"),

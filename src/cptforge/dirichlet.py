@@ -10,8 +10,8 @@ conjugate update and `ms_map_full` its aggregation along a surjection.
 Density: Dir(alpha) is fixed by its pseudo-counts, so every function here
 takes the `HyperParams` alpha itself.  With integer pseudo-counts the density
 is a rational normaliser times a monomial with non-negative integer
-exponents, so at a point with Fraction coordinates it is an exact rational,
-`dirichlet_pdf`.
+exponents, so at a rational point of the open simplex, a full-support
+`Dist`, it is an exact rational, `dirichlet_pdf`.
 
 Geometry convention: the n-outcome simplex is parameterised by its first
 n-1 coordinates, the last one being implied by the sum-to-one constraint,
@@ -54,7 +54,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dist import Dist
-from .finset import FinMap, Multiset, ms_map_full, multisets
+from .finset import FinMap, Multiset, integer_tuple, ms_map_full, multisets
 
 MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
 # Cap on the cells of the grid that simplex_moments sums over.  It builds no
@@ -99,38 +99,25 @@ def dirichlet_normalizer(alpha: HyperParams) -> Fraction:
     return Fraction(gamma_nat(alpha.total()), den)
 
 
-def common_denominator(x: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The coordinates of x, a point of the open simplex, as integer
-    numerators over their least common denominator, and that denominator.
-
-    The coordinates are exact rationals: Fractions (or ints).  Raises
-    ValueError unless every one is positive and they sum to exactly 1.
-    """
-    ratios = [v.as_integer_ratio() for v in x]
-    den = math.lcm(*(d for _, d in ratios))
-    nums = [n * (den // d) for n, d in ratios]
-    if not all(v > 0 for v in nums):
-        raise ValueError("coordinates must be strictly positive")
-    if sum(nums) != den:
-        raise ValueError(f"coordinates sum to {Fraction(sum(nums), den)}, not 1")
-    return nums, den
-
-
-def dirichlet_pdf(alpha: HyperParams, x: Sequence[Fraction]) -> Fraction:
-    """The density of Dirichlet(alpha) at a point x of the open simplex, exactly.
+def dirichlet_pdf(alpha: HyperParams, x: Dist) -> Fraction:
+    """The density of Dirichlet(alpha) at x, a full-support Dist: a point of
+    the open simplex, exactly.
 
     It is the exact normaliser times the monomial prod_i x_i**(alpha_i - 1),
-    whose exponents are non-negative integers: with the coordinates over
-    one common denominator L, the monomial is an integer over L**(sum alpha
-    - n), so the value is built as one Fraction.  Raises ValueError unless x
-    has n coordinates, all positive, that sum to exactly 1.
+    whose exponents are non-negative integers: with x's weights over its
+    total T, the monomial is an integer over T**(sum alpha - n), so the
+    value is built as one Fraction.  Raises ValueError unless x has n
+    entries, none of them 0.
     """
-    if len(x) != alpha.n:
-        raise ValueError(f"expected a point of {alpha.n} coordinates, got {len(x)}")
-    nums, den = common_denominator(x)
-    monomial = math.prod(v ** (a - 1) for v, a in zip(nums, alpha.counts))
+    if x.n != alpha.n:
+        raise ValueError(f"expected a point of {alpha.n} coordinates, got {x.n}")
+    if not x.has_full_support():
+        raise ValueError(f"coordinate {x.weights.index(0)} is 0: a point of the open "
+                         "simplex is strictly positive")
+    monomial = math.prod(v ** (a - 1) for v, a in zip(x.weights, alpha.counts))
     norm = dirichlet_normalizer(alpha)
-    return Fraction(norm.numerator * monomial, norm.denominator * den ** (alpha.total() - alpha.n))
+    return Fraction(norm.numerator * monomial,
+                    norm.denominator * x.total ** (alpha.total() - alpha.n))
 
 
 # Clipped-cell geometry: fraction of a unit box below the plane sum(z) = t
@@ -186,6 +173,7 @@ def simplex_moments(n: int, resolution: int, exponents) -> np.ndarray:
     """The cell-rule sum of w * prod_k x_k**e_k over the cells x (weights w)
     tiling the n-outcome simplex at resolution, for each row e of an (m, n)
     array of non-negative integer exponents, without building the grid.
+    An exponent that is not an integer is refused, not truncated.
 
     The cells with slack t (resolution minus the sum of their indices) share
     their weight, their offset in their box and so their last coordinate,
@@ -200,9 +188,8 @@ def simplex_moments(n: int, resolution: int, exponents) -> np.ndarray:
     """
     _check_grid(n, resolution)
     res, d = resolution, n - 1
-    exps = np.asarray(exponents, dtype=np.int64).reshape(-1, n)
-    if (exps < 0).any():
-        raise ValueError("exponents must be non-negative integers")
+    exps = np.array(integer_tuple(np.ravel(exponents).tolist(), "exponent", 0),
+                    np.int64).reshape(-1, n)
     groups: dict[tuple[int, ...], int] = {}
     rows = [groups.setdefault(tuple(e[:d]), len(groups)) for e in exps.tolist()]
     offsets, weights = _slack_classes(d, res)
@@ -242,7 +229,8 @@ def cell_rule_integrals(alphas: list[HyperParams], exponents: list[Sequence[int]
     out = np.empty(len(alphas))
     for n in sorted({a.n for a in alphas}):
         idx = [j for j, a in enumerate(alphas) if a.n == n]
-        exps = np.array([np.add(alphas[j].counts, exponents[j]) - 1 for j in idx])
+        exps = np.array([np.add(alphas[j].counts, integer_tuple(exponents[j], "exponent", 0)) - 1
+                         for j in idx])
         norms = np.array([float(dirichlet_normalizer(alphas[j])) for j in idx])
         out[idx] = simplex_moments(n, resolution, exps) * norms
     return out
@@ -292,8 +280,9 @@ def dirichlet_moment(alpha: HyperParams, ks: Sequence[int]) -> Fraction:
     Balakrishnan & Johnson, Continuous Multivariate Distributions, vol. 1,
     2nd ed., 2000, the Dirichlet chapter).
     """
-    if len(ks) != alpha.n or any(k < 0 for k in ks):
-        raise ValueError(f"expected {alpha.n} non-negative exponents, got {tuple(ks)}")
+    ks = integer_tuple(ks, "exponent")
+    if len(ks) != alpha.n or min(ks) < 0:
+        raise ValueError(f"expected {alpha.n} non-negative exponents, got {ks}")
 
     def rising(a: int, k: int) -> int:
         return math.prod(range(a, a + k))
@@ -332,11 +321,11 @@ def aggregate_params(h: FinMap, alpha: HyperParams) -> HyperParams:
     return HyperParams(ms_map_full(h, alpha).counts)
 
 
-def one_sum_check(alpha: HyperParams, x: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+def one_sum_check(alpha: HyperParams, x: Dist) -> tuple[Fraction, Fraction]:
     """Both sides of the two-coordinate aggregation identity, exactly.
 
     lhs: the density with the first two pseudo-counts merged, at x (a point
-    of the (n-1)-outcome simplex with Fraction coordinates).  rhs: the
+    of the open (n-1)-outcome simplex, a full-support Dist).  rhs: the
     integral over y in (0, s), s = x[0], of the original density at (y, s -
     y, x[1], ...).  With a, b the first two pseudo-counts, the integrand is a
     constant times y**(a-1) * (s-y)**(b-1); expanding (s-y)**(b-1) by the
@@ -346,12 +335,12 @@ def one_sum_check(alpha: HyperParams, x: Sequence[Fraction]) -> tuple[Fraction, 
     if alpha.n < 2:
         raise ValueError("need at least two pseudo-counts to merge")
     merged = aggregate_params(FinMap((0, *range(alpha.n - 1)), alpha.n - 1), alpha)
-    lhs = dirichlet_pdf(merged, x)  # refuses x unless it is a point of the simplex
+    lhs = dirichlet_pdf(merged, x)  # refuses x unless it is a point of the open simplex
 
     (a, b), s = alpha.counts[:2], x[0]
     # (s-y)**(b-1) = sum_k C(b-1, k) s**(b-1-k) (-y)**k, and y**(a-1+k) on [0, s]
     # integrates to s**(a+k) / (a+k).
     fibre = sum(Fraction((-1) ** k * math.comb(b - 1, k), a + k) * s ** (b - 1 - k) * s ** (a + k)
                 for k in range(b))
-    rest = math.prod(v ** (c - 1) for v, c in zip(x[1:], alpha.counts[2:]))
+    rest = math.prod(v ** (c - 1) for v, c in zip(x.probs[1:], alpha.counts[2:]))
     return lhs, dirichlet_normalizer(alpha) * fibre * rest

@@ -1,12 +1,14 @@
-"""Splitting a joint simplex into totals and per-row proportions.
+"""The local parameterisation of a joint Dirichlet: its totals and rows.
 
 A point of the joint simplex over an r x c table (r parent configurations,
-c outcomes, row-major) splits into its r row totals y (a point over r) and
-its r within-row proportion vectors s_i (points over c), a bijection onto
-the product of the r + 1 smaller simplices.  A Dirichlet on the joint
-simplex pushes forward to *independent* factors: the totals follow the
-Dirichlet of the row-summed pseudo-counts beta, and each s_i the Dirichlet
-of its own row (Geiger & Heckerman, Ann. Statist. 25(3), 1997):
+c outcomes, row-major) is a full-support `Dist` over r*c.  `disintegrate`
+splits it into its r row totals y (a point over r) and a channel whose rows
+are the r within-row proportion vectors s_i (points over c), and
+`pair_graph` inverts it: a bijection onto the product of the r + 1 smaller
+open simplices.  A Dirichlet on the joint simplex pushes forward to
+*independent* factors: the totals follow the Dirichlet of the row-summed
+pseudo-counts beta, and each s_i the Dirichlet of its own row (Geiger &
+Heckerman, Ann. Statist. 25(3), 1997):
 
     d(alpha)(x) = d(beta)(y) / prod_i y_i^(c-1) * prod_i d(alpha_i)(s_i).
 
@@ -20,52 +22,20 @@ Cell (i, j) of a joint point is y_i s_ij, so under independence every
 joint moment is the totals' moment at the row degrees times each row's own
 moment, and each side is an exact `dirichlet_moment`.
 
-A point of the joint simplex is an (r, c) table of Fractions, and the split
-and the densities on both sides are exact, so the factorisation is an
-identity between rationals.  A pseudo-count table is a tuple of r row
+The split and the densities on both sides are exact, so the factorisation
+is an identity between rationals.  A pseudo-count table is a tuple of r row
 `HyperParams` of c entries each, the form of `LearnedCPT.posteriors`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dirichlet import (
-    HyperParams,
-    common_denominator,
-    dirichlet_moment,
-    dirichlet_normalizer,
-    dirichlet_pdf,
-)
+from .dirichlet import HyperParams, dirichlet_moment, dirichlet_normalizer, dirichlet_pdf
+from .dist import Dist, disintegrate
 from .finset import multisets
-
-Point = tuple[Fraction, ...]
-
-
-def split(table: Sequence[Sequence[Fraction]]) -> tuple[Point, tuple[Point, ...]]:
-    """Split a point of the joint simplex, an (r, c) table of Fractions,
-    into its r row totals and its r rows of within-row proportions, exactly.
-
-    Raises ValueError unless the rows have one length and the cells are
-    positive and sum to exactly 1.
-    """
-    cols = len(table[0]) if table else 0
-    if any(len(row) != cols for row in table):
-        raise ValueError("every row of the table needs the same number of cells")
-    nums, den = common_denominator([v for row in table for v in row])
-    rows = [nums[k : k + cols] for k in range(0, len(nums), cols)]
-    sums = [sum(row) for row in rows]
-    totals = tuple(Fraction(s, den) for s in sums)
-    shares = tuple(tuple(Fraction(v, s) for v in row) for row, s in zip(rows, sums))
-    return totals, shares
-
-
-def unsplit(totals: Point, shares: Sequence[Point]) -> tuple[Point, ...]:
-    """Reassemble the (r, c) joint point: cell (i, j) = total_i * share_ij."""
-    return tuple(tuple(t * s for s in row) for t, row in zip(totals, shares))
 
 
 def _joint(alpha_rows: tuple[HyperParams, ...]) -> HyperParams:
@@ -90,23 +60,23 @@ def shifted_prefactor(betas: HyperParams, shift: int) -> Fraction:
     return dirichlet_normalizer(betas) / dirichlet_normalizer(_lowered(betas, shift))
 
 
-def pdf_factorization_check(
-    alpha_rows: tuple[HyperParams, ...], table: Sequence[Sequence[Fraction]]
-) -> tuple[Fraction, Fraction, Fraction]:
+def pdf_factorization_check(alpha_rows: tuple[HyperParams, ...],
+                            x: Dist) -> tuple[Fraction, Fraction, Fraction]:
     """The joint density and its two factorised forms at one point, exactly.
 
-    table is a point of the joint simplex, an (r, c) table of Fractions.
+    x is a point of the open joint simplex, a full-support Dist over the
+    row-major r*c table of alpha_rows, and `disintegrate` splits it.
     Returns (lhs, rhs_quotient, rhs_shifted): the joint density, the product
     (totals density / prod_i y_i^(c-1)) * row densities, and the same with
     the totals density shifted down by c-1 and the matching constant pulled
     out.  The law says all three are equal.
     """
     betas = _totals(alpha_rows)
-    shift = len(table[0]) - 1
-    totals, shares = split(table)
-    lhs = dirichlet_pdf(_joint(alpha_rows), [v for row in table for v in row])
-    share_densities = math.prod(dirichlet_pdf(row, s) for row, s in zip(alpha_rows, shares))
-    jacobian = math.prod(y ** shift for y in totals)
+    shift = alpha_rows[0].n - 1
+    totals, shares = disintegrate(x, alpha_rows[0].n)
+    lhs = dirichlet_pdf(_joint(alpha_rows), x)
+    share_densities = math.prod(map(dirichlet_pdf, alpha_rows, shares.rows))
+    jacobian = math.prod(y ** shift for y in totals.probs)
     rhs_quotient = dirichlet_pdf(betas, totals) / jacobian * share_densities
     rhs_shifted = (shifted_prefactor(betas, shift)
                    * dirichlet_pdf(_lowered(betas, shift), totals) * share_densities)
@@ -183,6 +153,8 @@ def local_update_audit(
     A candidate matches when no identity fails.  The constant attached to
     the shifted form is evaluated and reported alongside.
     """
+    if not alpha_rows:
+        raise ValueError("the pseudo-count table has no rows")
     rows, cols = len(alpha_rows), alpha_rows[0].n
     if any(row.n != cols for row in alpha_rows):
         raise ValueError("every row needs the same number of pseudo-counts")

@@ -37,8 +37,9 @@ Surjective naturality and the local-update audit are identities between
 exact Dirichlet moments, with zero tolerance.  Aggregation, the conjugate
 update and the split's round trip and factorisation are polynomial
 identities between exact density values (``dirichlet.dirichlet_pdf``),
-checked with ``==`` at rational points w/sum(w) drawn from positive integer
-weights w.
+checked with ``==`` at rational points of the open simplex, each the
+``Dist.normalise`` of positive integer weights.  The split is
+``disintegrate``, and ``pair_graph`` inverts it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from .dist import (
     validity,
 )
 from .finset import FinMap, Multiset, ms_map, ms_tensor, multisets
-from .localsplit import local_update_audit, pdf_factorization_check, split, unsplit
+from .localsplit import local_update_audit, pdf_factorization_check
 from .mle import likelihood, mle, mle_decompose, monad_counterexample
 from .network import CountTable, GraphSpec, learn_bayes, learn_mle
 
@@ -186,11 +187,10 @@ def _random_predicate(rng: pyrandom.Random, n: int) -> Predicate:
     return Predicate(tuple(Fraction(rng.randint(0, 6), 6) for _ in range(n)))
 
 
-def _random_point(rng: pyrandom.Random, n: int) -> tuple[Fraction, ...]:
+def _random_point(rng: pyrandom.Random, n: int) -> Dist:
     """A rational point of the open n-outcome simplex: positive integer
-    weights, 1-9, over their sum."""
-    weights = [rng.randint(1, 9) for _ in range(n)]
-    return tuple(Fraction(w, sum(weights)) for w in weights)
+    weights, 1-9, normalised."""
+    return Dist.normalise([rng.randint(1, 9) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +658,10 @@ def check_stoch_split_roundtrip(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 28)
     for _ in range(20):
         x = _random_point(rng, 6)
-        table = (x[:3], x[3:])
-        if unsplit(*split(table)) != table:
-            return False, f"unsplit(split(x)) != x at the 2x3 table x = ({', '.join(map(str, x))})"
-    return True, "20 rational points of the 2x3 joint simplex: unsplit(split(x)) = x"
+        if pair_graph(*reversed(disintegrate(x, 3))) != x:
+            return False, (f"pair_graph(disintegrate(x)) != x at the 2x3 table "
+                           f"x = ({', '.join(map(str, x.probs))})")
+    return True, "20 rational points of the 2x3 joint simplex: pair_graph(disintegrate(x)) = x"
 
 
 @law("stochastic", "split-factorisation")
@@ -672,7 +672,7 @@ def check_stoch_factorisation(seed: int) -> tuple[bool, str]:
         rows = (HyperParams(alpha.counts[:3]), HyperParams(alpha.counts[3:]))
         for _ in range(3):
             x = _random_point(rng, 6)
-            lhs, quotient, shifted = pdf_factorization_check(rows, (x[:3], x[3:]))
+            lhs, quotient, shifted = pdf_factorization_check(rows, x)
             if not lhs == quotient == shifted:
                 return False, f"joint density {lhs} != {quotient} or {shifted} at {alpha.counts}"
     return True, ("20 pseudo-count vectors x 3 rational points: joint density = both "

@@ -7,6 +7,8 @@ import hypothesis
 import numpy as np
 import pytest
 
+from cptforge import localsplit
+from cptforge.dist import Dist, disintegrate
 from cptforge.network import CountTable, GraphSpec
 from cptforge.verify import (
     BLOOD_MEDICINE_COUNTS,
@@ -21,6 +23,17 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("det")
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def reverse_the_split_totals(monkeypatch):
+    """Patch the split in `pdf_factorization_check` to reverse the totals it
+    returns: the law split-factorisation fails, and no other law calls it."""
+
+    def split(x, m):
+        totals, shares = disintegrate(x, m)
+        return Dist(totals.probs[::-1]), shares
+
+    monkeypatch.setattr(localsplit, "disintegrate", split)
 
 
 def cells_by_meshgrid(n, res):

@@ -17,7 +17,7 @@ from cptforge import verify
 from cptforge.bayes import cont_validity, validity_transfer_check
 from cptforge.cli import main
 from cptforge.dirichlet import HyperParams, dirichlet_mean, one_sum_check
-from cptforge.dist import Predicate, validity
+from cptforge.dist import Dist, Predicate, validity
 from cptforge.finset import Multiset, multisets
 from cptforge.mle import likelihood, mle
 from cptforge.network import CountTable, learn_bayes, learn_mle
@@ -126,7 +126,7 @@ def test_criterion_09_aggregation():
         for _ in range(50):
             alpha = HyperParams(tuple(rng.randint(1, 5) for _ in range(3)))
             s = F(rng.randint(3, 17), 20)
-            lhs, rhs = one_sum_check(alpha, (s, 1 - s))
+            lhs, rhs = one_sum_check(alpha, Dist((s, 1 - s)))
             assert lhs == rhs
         # 3 merges, the first Dir(2,3,1,4) along (0,1,0,1), every moment of degree 1-4
         passes(verify.check_stoch_surjective_naturality, (909,))

@@ -112,7 +112,7 @@ class TestContCondition:
         alpha = cont_condition(HyperParams((1, 1)), Predicate.point(2, 0))
         assert alpha == HyperParams((2, 1))
         for t in (F(1, 5), F(1, 2), F(9, 10)):
-            assert dirichlet_pdf(alpha, (t, 1 - t)) == 2 * t
+            assert dirichlet_pdf(alpha, Dist((t, 1 - t))) == 2 * t
 
     def test_row_major_cell_update(self):
         # Observing cell (0, 2) of a 2x3 table is outcome index 2.

@@ -22,8 +22,9 @@ import pytest
 from cptforge import cli, verify
 from cptforge.bayes import batch_update
 from cptforge.dirichlet import HyperParams
-from cptforge.localsplit import unsplit
 from cptforge.network import GraphSpec, ingest_counts, learn_bayes, load_prior
+
+from conftest import reverse_the_split_totals
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -149,10 +150,10 @@ def test_verify_json_is_one_record_per_check(monkeypatch, capsys):
     assert [f"[PASS] {r['suite']}/{r['name']}: {r['detail']}" for r in records] == text
     assert all(r["passed"] is True and r["seconds"] > 0 for r in records)
 
-    monkeypatch.setattr(verify, "unsplit", lambda totals, shares: unsplit(totals[::-1], shares))
+    reverse_the_split_totals(monkeypatch)
     assert cli.main([*args, "--json"]) == 1
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [r["name"] for r in records if not r["passed"]] == ["split-round-trip"]
+    assert [r["name"] for r in records if not r["passed"]] == ["split-factorisation"]
     assert len(records) == len(oracle.VERIFY_CHECKS)
 
 
@@ -164,18 +165,18 @@ def test_check_raising_in_the_child_is_a_fail(monkeypatch, capsys):
     assert cli.main(args) == 0
     want = capsys.readouterr().out.splitlines()
 
-    def refuse(table):
+    def refuse(alpha_rows, x):
         raise ValueError("split refused")
 
-    monkeypatch.setattr(verify, "split", refuse)
-    failed = verify.CheckResult("stochastic", "split-round-trip", False,
+    monkeypatch.setattr(verify, "pdf_factorization_check", refuse)
+    failed = verify.CheckResult("stochastic", "split-factorisation", False,
                                 "raised ValueError: split refused", 0.0)
     assert failed in verify.run_suite("stochastic", 42)
     assert cli.main(args) == 1
-    at = next(i for i, line in enumerate(want) if "stochastic/split-round-trip:" in line)
+    at = next(i for i, line in enumerate(want) if "stochastic/split-factorisation:" in line)
     assert capsys.readouterr().out.splitlines() == [
         *want[:at],
-        "[FAIL] stochastic/split-round-trip: raised ValueError: split refused",
+        "[FAIL] stochastic/split-factorisation: raised ValueError: split refused",
         *want[at + 1 : -1],
         "SUMMARY: 30 passed, 1 failed (suite=all, seed=42, resolution=400)",
     ]

@@ -27,6 +27,7 @@ from cptforge.dirichlet import (
     simplex_cell_count,
     simplex_moments,
 )
+from cptforge.dist import Dist
 from cptforge.finset import FinMap, multisets
 from cptforge.verify import (
     check_stoch_normalisation,
@@ -90,17 +91,17 @@ class TestHyperParams:
 class TestDirichletPdf:
     def test_uniform_on_two_outcomes(self):
         a = HyperParams((1, 1))
-        assert all(dirichlet_pdf(a, (t, 1 - t)) == 1 for t in (F(1, 10), F(1, 2), F(93, 100)))
+        assert all(dirichlet_pdf(a, Dist((t, 1 - t))) == 1 for t in (F(1, 10), F(1, 2), F(93, 100)))
 
     def test_linear_case(self):
-        assert dirichlet_pdf(HyperParams((2, 1)), (F(3, 10), F(7, 10))) == F(3, 5)
+        assert dirichlet_pdf(HyperParams((2, 1)), Dist((F(3, 10), F(7, 10)))) == F(3, 5)
 
     def test_uniform_on_three_outcomes(self):
-        assert dirichlet_pdf(HyperParams((1, 1, 1)), (F(1, 5), F(3, 10), F(1, 2))) == 2
+        assert dirichlet_pdf(HyperParams((1, 1, 1)), Dist((F(1, 5), F(3, 10), F(1, 2)))) == 2
 
     def test_single_outcome_point(self):
         # The one-outcome simplex is the point 1, where every density is 1.
-        assert dirichlet_pdf(HyperParams((3,)), (F(1),)) == 1
+        assert dirichlet_pdf(HyperParams((3,)), Dist((F(1),))) == 1
 
     def test_normalizer_is_exact(self):
         assert dirichlet_normalizer(HyperParams((2, 3, 4))) == F(
@@ -109,7 +110,7 @@ class TestDirichletPdf:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="expected a point of 2 coordinates, got 3"):
-            dirichlet_pdf(HyperParams((1, 1)), (F(1, 5), F(3, 10), F(1, 2)))
+            dirichlet_pdf(HyperParams((1, 1)), Dist((F(1, 5), F(3, 10), F(1, 2))))
 
     @given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 50)), min_size=1, max_size=6))
     def test_matches_the_exact_density_at_rational_points(self, pairs):
@@ -119,17 +120,19 @@ class TestDirichletPdf:
         exact = dirichlet_normalizer(alpha) * math.prod(
             x ** (a - 1) for x, a in zip(point, alpha.counts)
         )
-        assert dirichlet_pdf(alpha, point) == exact
+        assert dirichlet_pdf(alpha, Dist(point)) == exact
 
     @pytest.mark.parametrize("point,message", [
-        ((F(0), F(1, 2), F(1, 2)), "strictly positive"),
-        ((F(-1, 2), F(1), F(1, 2)), "strictly positive"),
+        ((F(0), F(1, 2), F(1, 2)), "coordinate 0 is 0: .* strictly positive"),
+        ((F(-1, 2), F(1), F(1, 2)), r"probability -1/2 at index 0 outside \[0,1\]"),
         ((F(1, 2), F(3, 5), F(1, 10)), "sum to 6/5, not 1"),
         ((F(1, 3), F(1, 3), F(1, 3) - F(1, 10**30)), r"sum to .*, not 1"),
     ], ids=["zero", "negative", "sum-above-one", "sum-just-below-one"])
     def test_refuses_a_point_off_the_open_simplex(self, point, message):
+        # A point is a Dist, which refuses a negative entry or a sum other
+        # than 1; the density refuses a zero entry, on the boundary.
         with pytest.raises(ValueError, match=message):
-            dirichlet_pdf(HyperParams((1, 2, 1)), point)
+            dirichlet_pdf(HyperParams((1, 2, 1)), Dist(point))
 
 
 class TestIntPower:
@@ -142,16 +145,15 @@ class TestIntPower:
     @pytest.mark.parametrize("k", list(range(65)) + [200])
     def test_matches_pow(self, k):
         for p in self.POINTS:
-            assert dirichlet_pdf(HyperParams((k + 1, 1)), (p, 1 - p)) == (k + 1) * p**k
-            assert dirichlet_pdf(HyperParams((1, k + 1)), (1 - p, p)) == (k + 1) * p**k
+            assert dirichlet_pdf(HyperParams((k + 1, 1)), Dist((p, 1 - p))) == (k + 1) * p**k
+            assert dirichlet_pdf(HyperParams((1, k + 1)), Dist((1 - p, p))) == (k + 1) * p**k
 
     def test_zeroth_power_is_one_everywhere(self):
         # All exponents zero: the density is its normaliser (n - 1)! at every point.
         for n in (2, 3, 4):
             rng = random.Random(n)
             for _ in range(5):
-                w = [rng.randint(1, 9) for _ in range(n)]
-                point = [F(v, sum(w)) for v in w]
+                point = Dist.normalise([rng.randint(1, 9) for _ in range(n)])
                 assert dirichlet_pdf(HyperParams((1,) * n), point) == math.factorial(n - 1)
 
 
@@ -182,6 +184,14 @@ class TestSimplexQuadrature:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             simplex_moments(2, 1, [[0, 0]])
+
+    def test_exponents_are_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="exponent 1.7 at index 0 is not an integer"):
+            cell_rule_integrals([HyperParams((1, 2))], [[1.7, 0]], 50)
+        with pytest.raises(ValueError, match="exponent 1.7 at index 0 is not an integer"):
+            simplex_moments(2, 50, [[1.7, 0]])
+        with pytest.raises(ValueError, match="exponent -1 at index 1 must be at least 0"):
+            simplex_moments(2, 50, [[1, -1]])
 
     def test_degenerate_dimension(self):
         # The one-outcome simplex is the point x0 = 1, of weight 1.
@@ -335,6 +345,8 @@ class TestExactReferences:
         assert dirichlet_moment(alpha, (0, 0, 0)) == 1
         with pytest.raises(ValueError, match="3 non-negative exponents"):
             dirichlet_moment(alpha, (1, -1, 0))
+        with pytest.raises(ValueError, match="exponent 0.5 at index 0 is not an integer"):
+            dirichlet_moment(alpha, (0.5, 1, 0))
 
     def test_degree_one_and_two_are_the_mean_and_covariance(self):
         for a in self.ALPHAS:
@@ -452,12 +464,12 @@ class TestOneSumCheck:
     def test_uniform_case_is_exact(self):
         # The integrand is the constant 2 on (0, s).
         for s in (F(1, 4), F(1, 2), F(4, 5)):
-            assert one_sum_check(HyperParams((1, 1, 1)), (s, 1 - s)) == (2 * s, 2 * s)
+            assert one_sum_check(HyperParams((1, 1, 1)), Dist((s, 1 - s))) == (2 * s, 2 * s)
 
     def test_two_outcome_degenerate_case(self):
         # Merging both coordinates: the merged density is the point mass,
         # and the integral recovers total mass 1.
-        assert one_sum_check(HyperParams((2, 1)), (F(1),)) == (1, 1)
+        assert one_sum_check(HyperParams((2, 1)), Dist((F(1),))) == (1, 1)
 
     @given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 30)), min_size=2, max_size=5))
     def test_fibre_integral_is_the_beta_closed_form(self, pairs):
@@ -470,8 +482,8 @@ class TestOneSumCheck:
         beta = F(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
         rest = math.prod(v ** (c - 1) for v, c in zip(x[1:], alpha.counts[2:]))
         want = dirichlet_normalizer(alpha) * beta * x[0] ** (a + b - 1) * rest
-        assert one_sum_check(alpha, x) == (want, want)
+        assert one_sum_check(alpha, Dist(x)) == (want, want)
 
     def test_requires_matching_sizes(self):
         with pytest.raises(ValueError, match="expected a point of 2 coordinates, got 1"):
-            one_sum_check(HyperParams((1, 1, 1)), (F(1),))
+            one_sum_check(HyperParams((1, 1, 1)), Dist((F(1),)))

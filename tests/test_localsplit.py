@@ -4,17 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from cptforge.dirichlet import HyperParams
-from cptforge.localsplit import (
-    local_update_audit,
-    pdf_factorization_check,
-    shifted_prefactor,
-    split,
-    unsplit,
-)
+from cptforge.dist import Channel, Dist, disintegrate, pair_graph
+from cptforge.localsplit import local_update_audit, pdf_factorization_check, shifted_prefactor
 from cptforge.network import learn_bayes
 
-GOLDEN_POINT = tuple(tuple(F(n, 100) for n in row) for row in ((10, 35, 25), (5, 10, 15)))
-UNIFORM_POINT = ((F(1, 6),) * 3,) * 2
+GOLDEN_POINT = Dist.normalise((10, 35, 25, 5, 10, 15))
+UNIFORM_POINT = Dist.normalise((1,) * 6)
 ALL_ONES = (HyperParams((1, 1, 1)),) * 2
 SHAPES = [(2, 3), (1, 3), (3, 1), (3, 2), (2, 4), (4, 3)]
 
@@ -25,43 +20,54 @@ def table(alphas, cols):
 
 
 def rational_points(count, seed, shape=(2, 3)):
-    """`count` points of the open joint simplex of the given shape: positive
-    integer weights over their sum, as tables of Fractions."""
+    """`count` points of the open joint simplex of the given shape, row-major:
+    positive integer weights, normalised."""
     rng = random.Random(seed)
     rows, cols = shape
-    points = []
-    for _ in range(count):
-        weights = [rng.randint(1, 9) for _ in range(rows * cols)]
-        flat = [F(w, sum(weights)) for w in weights]
-        points.append(tuple(tuple(flat[k : k + cols]) for k in range(0, rows * cols, cols)))
-    return points
+    return [Dist.normalise([rng.randint(1, 9) for _ in range(rows * cols)])
+            for _ in range(count)]
 
 
 class TestSplit:
+    """The split of a joint point is `disintegrate`, and `pair_graph` inverts it."""
+
     def test_worked_example(self):
-        totals, shares = split(GOLDEN_POINT)
-        assert totals == (F(7, 10), F(3, 10))
-        assert shares == ((F(1, 7), F(1, 2), F(5, 14)), (F(1, 6), F(1, 3), F(1, 2)))
+        totals, shares = disintegrate(GOLDEN_POINT, 3)
+        assert totals.probs == (F(7, 10), F(3, 10))
+        assert tuple(row.probs for row in shares.rows) == (
+            (F(1, 7), F(1, 2), F(5, 14)), (F(1, 6), F(1, 3), F(1, 2)))
 
     def test_uniform_point(self):
-        assert split(UNIFORM_POINT) == ((F(1, 2),) * 2, ((F(1, 3),) * 3,) * 2)
+        assert disintegrate(UNIFORM_POINT, 3) == (
+            Dist((F(1, 2),) * 2), Channel((Dist((F(1, 3),) * 3),) * 2))
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_round_trip_on_random_interior_points(self, shape):
+        rows, cols = shape
         for x in rational_points(100, 31, shape):
-            totals, shares = split(x)
-            assert len(totals) == shape[0] and all(len(row) == shape[1] for row in shares)
-            assert unsplit(totals, shares) == x
+            totals, shares = disintegrate(x, cols)
+            assert totals.n == rows and shares.m == cols
+            # The split in plain Fractions: the totals are the row sums, and
+            # each row of shares is its row over its sum.
+            cells = [x.probs[k : k + cols] for k in range(0, x.n, cols)]
+            assert totals.probs == tuple(sum(row) for row in cells)
+            assert tuple(r.probs for r in shares.rows) == tuple(
+                tuple(v / sum(row) for v in row) for row in cells)
+            assert pair_graph(shares, totals) == x
 
     def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError, match="same number of cells"):
-            split(((F(1, 2), F(1, 4)), (F(1, 4),)))
+        with pytest.raises(ValueError, match="row length 2 does not divide table size 3"):
+            disintegrate(Dist((F(1, 2), F(1, 4), F(1, 4))), 2)
         with pytest.raises(ValueError, match="sum to 6/5, not 1"):
-            split(((F(1, 5),) * 3,) * 2)
+            Dist((F(1, 5),) * 6)
 
     def test_boundary_rejected_by_construction(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            split(((F(0), F(35, 100), F(35, 100)), (F(5, 100), F(10, 100), F(15, 100))))
+        # A vanishing row has no shares; a zero cell is off the open simplex,
+        # where the joint density is not evaluated.
+        with pytest.raises(ValueError, match="first marginal vanishes at index 0"):
+            disintegrate(Dist.normalise((0, 0, 0, 5, 10, 15)), 3)
+        with pytest.raises(ValueError, match="coordinate 0 is 0"):
+            pdf_factorization_check(ALL_ONES, Dist.normalise((0, 35, 35, 5, 10, 15)))
 
 
 class TestFactorization:
@@ -194,3 +200,5 @@ class TestLocalUpdateAudit:
             local_update_audit(ALL_ONES, (0, 3))
         with pytest.raises(ValueError):
             local_update_audit(table((1, 1, 1, 1, 1), 3), (0, 0))
+        with pytest.raises(ValueError, match="no rows"):
+            local_update_audit((), (0, 0))
