@@ -27,9 +27,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # name -> (file under src/cptforge, old text, new text)
 MUTANTS = {
     "aggregate-wrong-target": (
-        "dirichlet.py",
-        "return HyperParams(ms_map_full(h, alpha).counts)",
-        "return HyperParams(ms_map_full(h, alpha).counts[::-1])",
+        "finset.py",
+        "return type(phi)(tuple(out))",
+        "return type(phi)(tuple(out[::-1]))",
     ),
     "audit-direct-not-incremented": (
         "localsplit.py",
@@ -78,8 +78,8 @@ MUTANTS = {
     ),
     "one-sum-merges-the-last-pair": (
         "dirichlet.py",
-        "merged = aggregate_params(FinMap((0, *range(alpha.n - 1)), alpha.n - 1), alpha)",
-        "merged = aggregate_params(FinMap((*range(alpha.n - 1), alpha.n - 2), alpha.n - 1), alpha)",
+        "merged = ms_map(FinMap((0, *range(alpha.n - 1)), alpha.n - 1), alpha)",
+        "merged = ms_map(FinMap((*range(alpha.n - 1), alpha.n - 2), alpha.n - 1), alpha)",
     ),
     "moment-z-reversed-exponents": (
         "dirichlet.py",
@@ -118,9 +118,9 @@ MUTANTS = {
         "np.array([float(v) for v in p.values[::-1]])",
     ),
     "batch-update-data-reversed": (
-        "bayes.py",
-        "return alpha + data",
-        "return alpha + Multiset(data.counts[::-1])",
+        "finset.py",
+        "zip(self.counts, other.counts)",
+        "zip(self.counts, other.counts[::-1])",
     ),
     "validity-transfer-first-moment-only": (
         "bayes.py",

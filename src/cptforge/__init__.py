@@ -23,13 +23,11 @@ import types
 
 # Each public name, once, under the submodule that defines it.
 _EXPORTS = {
-    "bayes": ("batch_update", "cont_condition", "cont_validity", "validity_transfer_check"),
-    "dirichlet": ("HyperParams", "aggregate_params", "dirichlet_mean", "dirichlet_pdf",
-                  "gamma_nat", "make_rng", "one_sum_check"),
+    "bayes": ("cont_condition", "cont_validity", "validity_transfer_check"),
+    "dirichlet": ("HyperParams", "dirichlet_pdf", "gamma_nat", "make_rng", "one_sum_check"),
     "dist": ("Channel", "Dist", "Predicate", "condition", "disintegrate", "dist_map",
              "pair_graph", "state_transform", "validity"),
-    "finset": ("FinMap", "Multiset", "ZeroRowError", "ms_map", "ms_map_full", "ms_tensor",
-               "row_extract"),
+    "finset": ("FinMap", "Multiset", "ZeroRowError", "ms_map", "ms_tensor", "row_extract"),
     "localsplit": ("local_update_audit", "pdf_factorization_check"),
     "mle": ("likelihood", "mle", "mle_decompose", "monad_counterexample"),
     "network": ("CountTable", "DataError", "GraphSpec", "LearnedCPT", "ingest_counts",

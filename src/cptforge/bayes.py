@@ -6,8 +6,8 @@ simplex by taking its expected value at each point, x -> sum_i p(i) x_i,
 which p alone fixes, so the functions here take p itself.  Validity of the
 lifted predicate under Dir(alpha) equals validity of p under the normalised
 pseudo-counts, and conditioning Dir(alpha) on a single observed outcome is
-the conjugate update: the matching pseudo-count goes up by one.  The one
-float computation here is `cont_validity`'s cell rule.
+the conjugate update, the batch update `alpha + data` with data one count of
+that outcome.  The one float computation here is `cont_validity`'s cell rule.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .dirichlet import HyperParams, cell_rule_integrals, dirichlet_moment
 from .dist import Predicate, validity
-from .finset import Multiset
 from .mle import mle
 
 
@@ -58,11 +57,6 @@ def cont_condition(alpha: HyperParams, p: Predicate) -> HyperParams:
     if p.n != alpha.n:
         raise ValueError(f"size mismatch: density over {alpha.n}, predicate over {p.n}")
     return alpha.increment(p.point_index())
-
-
-def batch_update(alpha: HyperParams, data: Multiset) -> HyperParams:
-    """Fold a batch of observed counts into the pseudo-counts: the multiset sum."""
-    return alpha + data
 
 
 def validity_transfer_check(

@@ -5,7 +5,7 @@ used to verify their laws numerically.
 The parameters, `HyperParams`, are a `finset.Multiset` in which every count
 is at least 1, so multiset arithmetic applies to them as it stands: `total()`
 is the Dirichlet's concentration, `mle(alpha)` its mean, `alpha + data` the
-conjugate update and `ms_map_full` its aggregation along a surjection.
+conjugate update and `ms_map(h, alpha)` its aggregation along an onto h.
 
 Density: Dir(alpha) is fixed by its pseudo-counts, so every function here
 takes the `HyperParams` alpha itself.  With integer pseudo-counts the density
@@ -34,8 +34,8 @@ same last coordinate, so a moment is a convolution of 1-D power tables.
 cell-rule integrals of monomials times Dirichlet densities.
 
 Moments: with integer pseudo-counts every mixed moment of Dirichlet(alpha)
-is an exact rational, `dirichlet_moment`; `dirichlet_mean`, its degree-1
-case, normalises the pseudo-counts.
+is an exact rational, `dirichlet_moment`; its degree-1 case, the mean, is
+`mle(alpha)`, the normalised pseudo-counts.
 
 Sampling draws Dirichlet points from seeded Philox streams, one block of
 rows at a time: `dirichlet_sample_blocks` yields the blocks as it draws
@@ -54,7 +54,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dist import Dist
-from .finset import FinMap, Multiset, integer_tuple, ms_map_full, multisets
+from .finset import FinMap, Multiset, index_below, integer_tuple, ms_map, multisets
 
 MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
 # Cap on the cells of the grid that simplex_moments sums over.  It builds no
@@ -77,8 +77,7 @@ class HyperParams(Multiset):
 
     def increment(self, i: int) -> HyperParams:
         """A copy with the i-th pseudo-count raised by one."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"index {i} outside range of size {self.n}")
+        i = index_below(i, self.n)
         return HyperParams(
             tuple(a + 1 if j == i else a for j, a in enumerate(self.counts))
         )
@@ -169,11 +168,19 @@ def _power_table(x: np.ndarray, top: int) -> np.ndarray:
     return table
 
 
+def _exponent_table(n: int, exponents) -> np.ndarray:
+    """The (m, n) exponent table as int64; a bad entry is named by its index in its row."""
+    if len(shape := np.shape(exponents)) != 2 or shape[1] != n:
+        raise ValueError(f"expected an (m, {n}) table of exponents, got shape {shape}")
+    rows = [integer_tuple(row, "exponent", 0) for row in exponents]
+    return np.array(rows, np.int64).reshape(shape)
+
+
 def simplex_moments(n: int, resolution: int, exponents) -> np.ndarray:
     """The cell-rule sum of w * prod_k x_k**e_k over the cells x (weights w)
     tiling the n-outcome simplex at resolution, for each row e of an (m, n)
     array of non-negative integer exponents, without building the grid.
-    An exponent that is not an integer is refused, not truncated.
+    A non-integer exponent or another shape is refused, not truncated.
 
     The cells with slack t (resolution minus the sum of their indices) share
     their weight, their offset in their box and so their last coordinate,
@@ -188,8 +195,7 @@ def simplex_moments(n: int, resolution: int, exponents) -> np.ndarray:
     """
     _check_grid(n, resolution)
     res, d = resolution, n - 1
-    exps = np.array(integer_tuple(np.ravel(exponents).tolist(), "exponent", 0),
-                    np.int64).reshape(-1, n)
+    exps = _exponent_table(n, exponents)
     groups: dict[tuple[int, ...], int] = {}
     rows = [groups.setdefault(tuple(e[:d]), len(groups)) for e in exps.tolist()]
     offsets, weights = _slack_classes(d, res)
@@ -226,11 +232,12 @@ def cell_rule_integrals(alphas: list[HyperParams], exponents: list[Sequence[int]
     x**(alpha - 1 + k) of the cell rule, which simplex_moments sums by
     convolution without building the grid: one call per number of outcomes.
     """
+    if len(exponents) != len(alphas):
+        raise ValueError(f"need one exponent row per density: {len(alphas)}, got {len(exponents)}")
     out = np.empty(len(alphas))
     for n in sorted({a.n for a in alphas}):
         idx = [j for j, a in enumerate(alphas) if a.n == n]
-        exps = np.array([np.add(alphas[j].counts, integer_tuple(exponents[j], "exponent", 0)) - 1
-                         for j in idx])
+        exps = _exponent_table(n, [exponents[j] for j in idx]) + [alphas[j].counts for j in idx] - 1
         norms = np.array([float(dirichlet_normalizer(alphas[j])) for j in idx])
         out[idx] = simplex_moments(n, resolution, exps) * norms
     return out
@@ -265,11 +272,6 @@ def dirichlet_sample_blocks(
         return gammas / gammas.sum(axis=1, keepdims=True)
 
     return (block(min(step, size - lo)) for lo in range(0, size, step))
-
-
-def dirichlet_mean(alpha: HyperParams) -> Dist:
-    """The mean alpha_i / sum(alpha), exactly: the normalisation of alpha."""
-    return Dist.normalise(alpha.counts)
 
 
 def dirichlet_moment(alpha: HyperParams, ks: Sequence[int]) -> Fraction:
@@ -316,11 +318,6 @@ def moment_z(alpha: HyperParams, draws: int, sums: np.ndarray, gram: np.ndarray)
     return float(worst)
 
 
-def aggregate_params(h: FinMap, alpha: HyperParams) -> HyperParams:
-    """Merge pseudo-counts along a surjective index map by summing fibres."""
-    return HyperParams(ms_map_full(h, alpha).counts)
-
-
 def one_sum_check(alpha: HyperParams, x: Dist) -> tuple[Fraction, Fraction]:
     """Both sides of the two-coordinate aggregation identity, exactly.
 
@@ -334,7 +331,7 @@ def one_sum_check(alpha: HyperParams, x: Dist) -> tuple[Fraction, Fraction]:
     """
     if alpha.n < 2:
         raise ValueError("need at least two pseudo-counts to merge")
-    merged = aggregate_params(FinMap((0, *range(alpha.n - 1)), alpha.n - 1), alpha)
+    merged = ms_map(FinMap((0, *range(alpha.n - 1)), alpha.n - 1), alpha)
     lhs = dirichlet_pdf(merged, x)  # refuses x unless it is a point of the open simplex
 
     (a, b), s = alpha.counts[:2], x[0]

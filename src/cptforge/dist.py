@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .finset import FinMap, integer_tuple, row_count
+from .finset import FinMap, index_below, integer_tuple, row_count
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -100,8 +100,7 @@ class Dist:
     @staticmethod
     def point(n: int, i: int) -> Dist:
         """The point mass at index i."""
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} outside range of size {n}")
+        i = index_below(i, n)
         return Dist.normalise([1 if j == i else 0 for j in range(n)])
 
 
@@ -157,8 +156,7 @@ class Predicate:
 
     @staticmethod
     def point(n: int, i: int) -> Predicate:
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} outside range of size {n}")
+        i = index_below(i, n)
         return Predicate(tuple(ONE if j == i else ZERO for j in range(n)))
 
 

@@ -6,10 +6,10 @@ the only 2-D form in this package: a count table is a Multiset over n*m,
 FinMap.proj1/proj2 are its projections, and a function that splits a table
 into rows takes the row length m.
 
-A multiset in which every index occurs is full-support; the Dirichlet's
-pseudo-counts, `dirichlet.HyperParams`, are such multisets.  `ms_map_full`
-keeps full support along a surjection, and a Bayesian update is the sum
-`alpha + data`.  `multisets(n, K)` enumerates M[K], the multisets of total
+A multiset in which every index occurs is full-support, as the Dirichlet's
+pseudo-counts, `dirichlet.HyperParams`, are.  `+` and `ms_map` keep their
+argument's type, so `alpha + data` is a Bayesian update and `ms_map` along a
+surjection is M*.  `multisets(n, K)` enumerates M[K], the multisets of total
 K over {0..n-1}: every law that ranges over fixed-size count vectors (a
 likelihood grid, pseudo-counts, moment exponents) takes them from it.
 
@@ -55,6 +55,13 @@ def integer_tuple(values, noun: str, least: int | None = None) -> tuple[int, ...
     return ints
 
 
+def index_below(i, n: int) -> int:
+    """i as a Python int; a ValueError names it unless it is an integer in 0..n-1."""
+    if hasattr(type(i), "__index__") and 0 <= i < n:
+        return operator.index(i)
+    raise ValueError(f"index {i!r} is not one of 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class FinMap:
     """A function {0..n-1} -> {0..m-1} between finite index sets."""
@@ -63,7 +70,10 @@ class FinMap:
     codomain_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "targets", integer_tuple(self.targets, "image"))
+        if not hasattr(type(self.codomain_size), "__index__"):
+            raise ValueError(f"codomain size {self.codomain_size!r} is not an integer")
+        object.__setattr__(self, "codomain_size", operator.index(self.codomain_size))
         if self.codomain_size < 1:
             raise ValueError("codomain must be non-empty")
         if not self.targets:
@@ -81,9 +91,6 @@ class FinMap:
 
     def __call__(self, x: int) -> int:
         return self.targets[x]
-
-    def is_surjective(self) -> bool:
-        return len(set(self.targets)) == self.codomain_size
 
     def after(self, other: FinMap) -> FinMap:
         """Composite self . other (apply `other` first)."""
@@ -127,10 +134,6 @@ class Multiset:
     def total(self) -> int:
         return sum(self.counts)
 
-    def has_full_support(self) -> bool:
-        """Every index occurs at least once."""
-        return all(c > 0 for c in self.counts)
-
     def __getitem__(self, i: int) -> int:
         return self.counts[i]
 
@@ -155,27 +158,14 @@ def ms_map(h: FinMap, phi: Multiset) -> Multiset:
     """Push counts forward along h: result[y] = sum of phi[x] over h(x)=y.
 
     The total count is preserved; for a projection this is marginalisation
-    of a count table.
+    of a count table.  The result has phi's type, so pseudo-counts stay pseudo-counts.
     """
     if phi.n != h.domain_size:
         raise ValueError(f"size mismatch: multiset over {phi.n}, map domain {h.domain_size}")
     out = [0] * h.codomain_size
     for x, c in enumerate(phi.counts):
         out[h.targets[x]] += c
-    return Multiset(tuple(out))
-
-
-def ms_map_full(h: FinMap, phi: Multiset) -> Multiset:
-    """Push a full-support count vector along a surjective map.
-
-    Same counts as ms_map; surjectivity plus full support guarantee the
-    result has full support again.
-    """
-    if not h.is_surjective():
-        raise ValueError("map must be surjective to preserve full support")
-    if not phi.has_full_support():
-        raise ValueError("multiset must have full support")
-    return ms_map(h, phi)
+    return type(phi)(tuple(out))
 
 
 def row_count(size: int, m: int) -> int:

@@ -59,13 +59,11 @@ from itertools import product
 
 import numpy as np
 
-from .bayes import batch_update, cont_condition, cont_validity, validity_transfer_check
+from .bayes import cont_condition, cont_validity, validity_transfer_check
 from .dirichlet import (
     Z_BOUND,
     HyperParams,
-    aggregate_params,
     cell_rule_integrals,
-    dirichlet_mean,
     dirichlet_moment,
     dirichlet_pdf,
     dirichlet_sample_blocks,
@@ -478,9 +476,9 @@ def check_exact_posterior_mean(seed: int) -> tuple[bool, str]:
         n = rng.randint(1, 6)
         alpha = _random_hyperparams(rng, n)
         data = _random_multiset(rng, n, lo=0, hi=20)
-        if dirichlet_mean(batch_update(alpha, data)).probs != _reweighted_mean(alpha, data):
+        if mle(alpha + data).probs != _reweighted_mean(alpha, data):
             return False, "means differ"
-        if dirichlet_mean(alpha).probs != _reweighted_mean(alpha, Multiset((0,) * n)):
+        if mle(alpha).probs != _reweighted_mean(alpha, Multiset((0,) * n)):
             return False, "prior mean differs"
     return True, f"{trials} instances: posterior mean = normalised updated pseudo-counts"
 
@@ -581,7 +579,7 @@ def pushed_moment(alpha: HyperParams, h: FinMap, ks: Sequence[int]) -> Fraction:
 
 @law("stochastic", "surjective-naturality")
 def check_stoch_surjective_naturality(seed: int) -> tuple[bool, str]:
-    # Dir(alpha) pushed along h against Dir(aggregate_params(h, alpha)): every
+    # Dir(alpha) pushed along h against Dir(ms_map(h, alpha)): every
     # mixed moment of degree 1-4, with zero tolerance.
     cases = [
         (HyperParams((2, 3, 1, 4)), FinMap((0, 1, 0, 1), 2)),
@@ -590,7 +588,7 @@ def check_stoch_surjective_naturality(seed: int) -> tuple[bool, str]:
     ]
     identities = 0
     for alpha, h in cases:
-        merged = aggregate_params(h, alpha)
+        merged = ms_map(h, alpha)
         for degree in range(1, 5):
             for ks in multisets(h.codomain_size, degree):
                 gap = pushed_moment(alpha, h, ks.counts) - dirichlet_moment(merged, ks.counts)

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 from cptforge import verify
 from cptforge.bayes import cont_validity, validity_transfer_check
 from cptforge.cli import main
-from cptforge.dirichlet import HyperParams, dirichlet_mean, one_sum_check
+from cptforge.dirichlet import HyperParams, one_sum_check
 from cptforge.dist import Dist, Predicate, validity
 from cptforge.finset import Multiset, multisets
 from cptforge.mle import likelihood, mle
@@ -106,7 +106,7 @@ def test_criterion_07_mean_validity_transfer():
             alpha = HyperParams(tuple(rng.randint(1, 10) for _ in range(n)))
             p = Predicate(tuple(F(rng.randint(0, 8), 8) for _ in range(n)))
             lhs, rhs = validity_transfer_check(alpha, p)
-            assert lhs == validity(dirichlet_mean(alpha), p)  # exact rational route
+            assert lhs == validity(mle(alpha), p)  # exact rational route
             assert lhs == rhs                                 # exact first moments
             if 2 <= n <= 3:
                 numeric = cont_validity(alpha, p, 400)

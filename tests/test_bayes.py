@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cptforge import verify
-from cptforge.bayes import batch_update, cont_condition, cont_validity, validity_transfer_check
+from cptforge.bayes import cont_condition, cont_validity, validity_transfer_check
 from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
     HyperParams,
@@ -133,37 +133,37 @@ class TestContCondition:
 
 class TestBatchUpdate:
     def test_entrywise_addition(self):
-        got = batch_update(HyperParams((1, 1, 1)), Multiset((10, 5, 5)))
+        got = HyperParams((1, 1, 1)) + Multiset((10, 5, 5))
         assert got.counts == (11, 6, 6)
 
     def test_pseudo_counts_plus_data_are_pseudo_counts(self):
         # The multiset sum keeps the prior's type, so no re-wrapping is needed.
         assert type(HyperParams((1, 2)) + Multiset((0, 3))) is HyperParams
-        assert batch_update(HyperParams((1, 1)), Multiset((4, 0))) == HyperParams((5, 1))
+        assert HyperParams((1, 1)) + Multiset((4, 0)) == HyperParams((5, 1))
 
     def test_zero_data_is_identity(self):
         a = HyperParams((2, 3))
-        assert batch_update(a, Multiset((0, 0))) == a
+        assert a + Multiset((0, 0)) == a
 
     def test_batches_compose_additively(self):
         a = HyperParams((1, 2))
         b1, b2 = Multiset((3, 0)), Multiset((1, 4))
-        assert batch_update(batch_update(a, b1), b2) == batch_update(a, b1 + b2)
+        assert (a + b1) + b2 == a + (b1 + b2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            batch_update(HyperParams((1, 1)), Multiset((1, 2, 3)))
+            HyperParams((1, 1)) + Multiset((1, 2, 3))
 
     @given(hyperparams_st, st.data())
     def test_posterior_mean_is_normalised_updated_counts(self, alpha, data):
-        from cptforge.dirichlet import dirichlet_mean
         from cptforge.mle import mle
 
         counts = Multiset(
             tuple(data.draw(st.integers(0, 20)) for _ in range(alpha.n))
         )
-        posterior = batch_update(alpha, counts)
-        assert dirichlet_mean(posterior) == mle(alpha + counts)
+        total = alpha.total() + counts.total()
+        assert mle(alpha + counts).probs == tuple(
+            F(a + c, total) for a, c in zip(alpha.counts, counts.counts))
 
 
 class TestValidityTransfer:

@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from cptforge import cli, verify
-from cptforge.bayes import batch_update
 from cptforge.dirichlet import HyperParams
 from cptforge.network import GraphSpec, ingest_counts, learn_bayes, load_prior
 
@@ -96,7 +95,7 @@ def test_learned_rows_are_slices_of_the_joint_update(tmp_path, network):
     for cpt in learn_bayes(table, graph, prior):
         family = table.marginal_counts(cpt.parents + (cpt.node,))
         whole_prior = HyperParams(prior.get(cpt.node, (1,) * cpt.arity) * len(cpt.weights))
-        joint = batch_update(whole_prior, family).counts
+        joint = (whole_prior + family).counts
         k = cpt.arity
         assert cpt.posteriors == tuple(
             HyperParams(joint[i * k : (i + 1) * k]) for i in range(len(cpt.weights))

@@ -13,9 +13,7 @@ from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
     SAMPLE_BLOCK,
     HyperParams,
-    aggregate_params,
     cell_rule_integrals,
-    dirichlet_mean,
     dirichlet_moment,
     dirichlet_normalizer,
     dirichlet_pdf,
@@ -28,7 +26,8 @@ from cptforge.dirichlet import (
     simplex_moments,
 )
 from cptforge.dist import Dist
-from cptforge.finset import FinMap, multisets
+from cptforge.finset import FinMap, ms_map, multisets
+from cptforge.mle import mle
 from cptforge.verify import (
     check_stoch_normalisation,
     check_stoch_sampler_moments,
@@ -82,6 +81,9 @@ class TestHyperParams:
 
     def test_increment(self):
         assert HyperParams((2, 3)).increment(1).counts == (2, 4)
+        # An index that is not an integer is named, not matched against none.
+        with pytest.raises(ValueError, match=r"^index 0.5 is not one of 0..1$"):
+            HyperParams((2, 3)).increment(0.5)
 
     def test_total_at_least_n(self):
         a = HyperParams((1, 1, 1))
@@ -192,6 +194,20 @@ class TestSimplexQuadrature:
             simplex_moments(2, 50, [[1.7, 0]])
         with pytest.raises(ValueError, match="exponent -1 at index 1 must be at least 0"):
             simplex_moments(2, 50, [[1, -1]])
+        with pytest.raises(ValueError, match="exponent -1 at index 1 must be at least 0"):
+            simplex_moments(2, 50, [[0, 0], [1, -1]])  # the index within its row
+        # A table of another shape is refused, not reshaped, and so is a row
+        # count other than the number of densities.
+        with pytest.raises(ValueError, match=r"table of exponents, got shape \(1, 4\)"):
+            simplex_moments(2, 50, [[1, 0, 0, 1]])
+        with pytest.raises(ValueError, match=r"table of exponents, got shape \(2,\)"):
+            simplex_moments(2, 50, [1, 0])
+        with pytest.raises(ValueError, match=r"table of exponents, got shape \(1, 1\)"):
+            cell_rule_integrals([HyperParams((1, 2))], [[1]], 50)
+        with pytest.raises(ValueError, match="need one exponent row per density: 1, got 2"):
+            cell_rule_integrals([HyperParams((1, 2))], [[0, 0], [1, 0]], 50)
+        with pytest.raises(ValueError, match="need one exponent row per density: 2, got 1"):
+            cell_rule_integrals([HyperParams((1, 2))] * 2, [[0, 0]], 50)
 
     def test_degenerate_dimension(self):
         # The one-outcome simplex is the point x0 = 1, of weight 1.
@@ -351,7 +367,7 @@ class TestExactReferences:
     def test_degree_one_and_two_are_the_mean_and_covariance(self):
         for a in self.ALPHAS:
             total, n = a.total(), a.n
-            mean = dirichlet_mean(a).probs
+            mean = mle(a).probs
             for i in range(n):
                 assert dirichlet_moment(a, [int(k == i) for k in range(n)]) == mean[i]
                 for j in range(n):
@@ -392,10 +408,10 @@ class TestExactReferences:
 
 class TestDirichletMean:
     def test_example(self):
-        assert dirichlet_mean(HyperParams((2, 1, 1))).probs == (F(1, 2), F(1, 4), F(1, 4))
+        assert mle(HyperParams((2, 1, 1))).probs == (F(1, 2), F(1, 4), F(1, 4))
 
     def test_symmetric(self):
-        assert dirichlet_mean(HyperParams((1, 1))).probs == (F(1, 2), F(1, 2))
+        assert mle(HyperParams((1, 1))).probs == (F(1, 2), F(1, 2))
 
     def test_mean_integral_matches(self):
         a = HyperParams((2, 1, 1))
@@ -406,18 +422,18 @@ class TestDirichletMean:
 class TestAggregateParams:
     def test_merge_first_two(self):
         h = FinMap((0, 0, 1), 2)
-        assert aggregate_params(h, HyperParams((2, 3, 4))).counts == (5, 4)
+        assert ms_map(h, HyperParams((2, 3, 4))) == HyperParams((5, 4))
 
     def test_identity(self):
         a = HyperParams((2, 3, 4))
-        assert aggregate_params(FinMap.identity(3), a) == a
+        assert ms_map(FinMap.identity(3), a) == a
 
     def test_constant_map_gives_total(self):
-        assert aggregate_params(FinMap((0,) * 3, 1), HyperParams((2, 3, 4))).counts == (9,)
+        assert ms_map(FinMap((0,) * 3, 1), HyperParams((2, 3, 4))) == HyperParams((9,))
 
     def test_non_surjective_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_params(FinMap((0, 0), 2), HyperParams((1, 1)))
+        with pytest.raises(ValueError, match=r"^pseudo-count 0 at index 1 must be at least 1$"):
+            ms_map(FinMap((0, 0), 2), HyperParams((1, 1)))
 
 
 @st.composite
@@ -454,7 +470,7 @@ class TestPushedMoments:
         # Exactly when the other surjection aggregates alpha differently, some
         # moment of degree 1-4 tells the two pushforwards apart.
         alpha, h, g = case
-        merged, other = aggregate_params(h, alpha), aggregate_params(g, alpha)
+        merged, other = ms_map(h, alpha), ms_map(g, alpha)
         pushed = [(ks, pushed_moment(alpha, h, ks)) for ks in self.exponents(h.codomain_size)]
         assert all(got == dirichlet_moment(merged, ks) for ks, got in pushed)
         assert any(got != dirichlet_moment(other, ks) for ks, got in pushed) == (other != merged)

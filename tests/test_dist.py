@@ -190,6 +190,9 @@ class TestValidityAndCondition:
     def test_point_predicate_picks_probability(self):
         omega = Dist((F(7, 10), F(3, 10)))
         assert validity(omega, Predicate.point(2, 0)) == F(7, 10)
+        # An index that is not an integer is named, not read as no index.
+        with pytest.raises(ValueError, match=r"^index 0.5 is not one of 0..2$"):
+            Predicate.point(3, 0.5)
 
     def test_constant_one(self):
         omega = normalized((1, 2, 3))
@@ -202,6 +205,8 @@ class TestValidityAndCondition:
     def test_point_conditioning_gives_point_mass(self):
         omega = normalized((3, 2, 5))
         assert condition(omega, Predicate.point(3, 2)) == Dist.point(3, 2)
+        with pytest.raises(ValueError, match=r"^index 0.5 is not one of 0..2$"):
+            Dist.point(3, 0.5)
 
     def test_conditioning_on_ones_is_identity(self):
         omega = normalized((3, 2, 5))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cptforge.dirichlet import HyperParams, dirichlet_mean
+from cptforge.dirichlet import HyperParams
 from cptforge.dist import (
     Channel,
     Dist,
@@ -185,7 +185,7 @@ class TestKernelsMatchFractionArithmetic:
         seen = Multiset(tuple(data.draw(st.integers(0, 4)) for _ in counts))
         assert likelihood(seen, omega) == ref_likelihood(seen, omega)
         alpha = HyperParams(tuple(c + 1 for c in counts))
-        assert dirichlet_mean(alpha).probs == ref_normalise(alpha.counts)
+        assert mle(alpha).probs == ref_normalise(alpha.counts)
 
     @pytest.mark.parametrize("n,denominator", [(1, 4), (2, 6), (3, 12), (4, 5)])
     def test_simplex_grid(self, n, denominator):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cptforge.dirichlet import HyperParams
 from cptforge.dist import disintegrate
 from cptforge.finset import (
     FinMap,
     Multiset,
     ZeroRowError,
     ms_map,
-    ms_map_full,
     ms_tensor,
     multisets,
     row_extract,
@@ -36,7 +36,7 @@ class TestFinMap:
     def test_identity_and_call(self):
         h = FinMap.identity(4)
         assert [h(i) for i in range(4)] == [0, 1, 2, 3]
-        assert h.is_surjective()
+        assert ms_map(h, HyperParams((1,) * 4)) == HyperParams((1,) * 4)
 
     def test_projections_are_row_major(self):
         p1, p2 = FinMap.proj1(2, 3), FinMap.proj2(2, 3)
@@ -53,10 +53,17 @@ class TestFinMap:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
             FinMap((0, 3), 3)
+        # A value that is not an integer is named, not kept for ms_map to trip on.
+        with pytest.raises(ValueError, match=r"^image 1.0 at index 0 is not an integer$"):
+            FinMap((1.0, 0), 2)
+        with pytest.raises(ValueError, match=r"^codomain size 1.5 is not an integer$"):
+            FinMap((0,), 1.5)
 
     def test_surjectivity_flag(self):
-        assert not FinMap((0, 0), 2).is_surjective()
-        assert FinMap((1, 0), 2).is_surjective()
+        # Pseudo-counts pushed along h are refused exactly when h is not onto.
+        with pytest.raises(ValueError, match="pseudo-count 0 at index 1 must be at least 1"):
+            ms_map(FinMap((0, 0), 2), HyperParams((1, 1)))
+        assert ms_map(FinMap((1, 0), 2), HyperParams((1, 1))) == HyperParams((1, 1))
 
 
 class TestMultiset:
@@ -89,8 +96,10 @@ class TestMultiset:
         assert phi.counts == (2**62, 3) and all(type(c) is int for c in phi.counts)
 
     def test_classifications(self):
-        assert not Multiset((0, 1)).has_full_support()
-        assert Multiset((2, 1)).has_full_support()
+        # The full-support multisets are the ones HyperParams accepts.
+        with pytest.raises(ValueError, match="pseudo-count 0 at index 0 must be at least 1"):
+            HyperParams((0, 1))
+        assert HyperParams((2, 1)).counts == Multiset((2, 1)).counts
 
     def test_total(self):
         assert Multiset((10, 35, 25, 5, 10, 15)).total() == 100
@@ -154,23 +163,23 @@ class TestMsMap:
 class TestMsMapFull:
     def test_merge_preserves_full_support(self):
         h = FinMap((0, 0, 1), 2)
-        out = ms_map_full(h, Multiset((1, 2, 3)))
-        assert out.counts == (3, 3)
-        assert out.has_full_support()
+        out = ms_map(h, HyperParams((1, 2, 3)))
+        assert out == HyperParams((3, 3))
+        assert type(ms_map(h, Multiset((1, 2, 3)))) is Multiset
 
     def test_identity(self):
-        assert ms_map_full(FinMap.identity(2), Multiset((1, 1))).counts == (1, 1)
+        assert ms_map(FinMap.identity(2), HyperParams((1, 1))) == HyperParams((1, 1))
 
     def test_constant_collapses_to_total(self):
-        assert ms_map_full(FinMap((0,) * 2, 1), Multiset((2, 5))).counts == (7,)
+        assert ms_map(FinMap((0,) * 2, 1), HyperParams((2, 5))) == HyperParams((7,))
 
     def test_rejects_non_surjective(self):
-        with pytest.raises(ValueError):
-            ms_map_full(FinMap((0, 0), 2), Multiset((1, 1)))
+        with pytest.raises(ValueError, match="pseudo-count 0 at index 1 must be at least 1"):
+            ms_map(FinMap((0, 0), 2), HyperParams((1, 1)))
 
     def test_rejects_missing_support(self):
-        with pytest.raises(ValueError):
-            ms_map_full(FinMap.identity(2), Multiset((0, 1)))
+        with pytest.raises(ValueError, match="pseudo-count 0 at index 0 must be at least 1"):
+            ms_map(FinMap.identity(2), HyperParams((0, 1)))
 
 
 class TestRowExtract:

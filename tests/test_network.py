@@ -16,9 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cptforge import network, verify
-from cptforge.bayes import batch_update
 from cptforge.cli import main
-from cptforge.dirichlet import HyperParams, dirichlet_mean
+from cptforge.dirichlet import HyperParams
 from cptforge.dist import Dist
 from cptforge.finset import FinMap, Multiset, ms_map
 from cptforge.mle import MonadCounterexample, mle, monad_counterexample
@@ -1122,9 +1121,8 @@ class TestArrayTables:
                 assert cpt.dists == tuple(mle(Multiset(row)) for row in rows[cpt.node])
         for cpt in learn_bayes(table, graph, prior):
             base = HyperParams(prior.get(cpt.node, (1,) * cpt.arity))
-            assert cpt.posteriors == tuple(batch_update(base, Multiset(row))
-                                           for row in rows[cpt.node])
-            assert cpt.dists == tuple(dirichlet_mean(post) for post in cpt.posteriors)
+            assert cpt.posteriors == tuple(base + Multiset(row) for row in rows[cpt.node])
+            assert cpt.dists == tuple(mle(post) for post in cpt.posteriors)
 
     @pytest.mark.parametrize(
         "counts,prior,posterior",

@@ -75,7 +75,7 @@ try:
 except AttributeError as exc:
     print(exc)
 """
-    assert output(code) == "40\nmodule 'cptforge' has no attribute 'no_such_name'"
+    assert output(code) == "36\nmodule 'cptforge' has no attribute 'no_such_name'"
 
 
 def test_submodule_import_keeps_the_function_name(output):
