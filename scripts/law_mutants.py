@@ -33,8 +33,8 @@ MUTANTS = {
     ),
     "audit-direct-not-incremented": (
         "localsplit.py",
-        "direct = _totals(alpha_rows).increment(i)",
-        "direct = _totals(alpha_rows)",
+        "direct, updated_rows = ms_map(proj1, updated),",
+        "direct, updated_rows = ms_map(proj1, joint),",
     ),
     "moment-rising-off-by-one": (
         "dirichlet.py",
@@ -131,6 +131,11 @@ MUTANTS = {
         "finset.py",
         "out[h.targets[x]] += c",
         "out[h.targets[-1 - x]] += c",
+    ),
+    "row-extract-reversed-rows": (
+        "finset.py",
+        "for k in range(0, phi.n, m))",
+        "for k in range(phi.n - m, -1, -m))",
     ),
     "ms-tensor-reversed-factor": (
         "finset.py",

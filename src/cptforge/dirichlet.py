@@ -54,7 +54,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dist import Dist
-from .finset import FinMap, Multiset, index_below, integer_tuple, ms_map, multisets
+from .finset import FinMap, Multiset, index_below, integer, integer_tuple, ms_map, multisets
 
 MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
 # Cap on the cells of the grid that simplex_moments sums over.  It builds no
@@ -137,7 +137,8 @@ def simplex_cell_count(n: int, resolution: int) -> int:
     return math.comb(resolution - 1 + n - 1, n - 1)
 
 
-def _check_grid(n: int, resolution: int) -> None:
+def _check_grid(n: int, resolution: int) -> tuple[int, int]:
+    n, resolution = integer(n, "number of outcomes"), integer(resolution, "resolution")
     if not 1 <= n <= MAX_QUADRATURE_DIM:
         raise ValueError(f"supported dimensions are 1..{MAX_QUADRATURE_DIM}, got {n}")
     if resolution < 2:
@@ -148,6 +149,7 @@ def _check_grid(n: int, resolution: int) -> None:
             f"resolution {resolution} needs {cells} cells for {n} outcomes, "
             f"over the cap of {MAX_QUADRATURE_CELLS}"
         )
+    return n, resolution
 
 
 def _slack_classes(d: int, res: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +195,8 @@ def simplex_moments(n: int, resolution: int, exponents) -> np.ndarray:
     Raises ValueError, before allocating anything, when the grid would have
     more than MAX_QUADRATURE_CELLS cells.
     """
-    _check_grid(n, resolution)
-    res, d = resolution, n - 1
+    n, res = _check_grid(n, resolution)
+    d = n - 1
     exps = _exponent_table(n, exponents)
     groups: dict[tuple[int, ...], int] = {}
     rows = [groups.setdefault(tuple(e[:d]), len(groups)) for e in exps.tolist()]

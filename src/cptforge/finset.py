@@ -3,19 +3,17 @@
 Index sets are contiguous 0-based integer ranges.  A product index set of
 shape (n, m) is flattened row-major: (i, j) -> i*m + j.  That flattening is
 the only 2-D form in this package: a count table is a Multiset over n*m,
-FinMap.proj1/proj2 are its projections, and a function that splits a table
-into rows takes the row length m.
+FinMap.proj1/proj2 are its projections, and a table is split into its rows
+by `row_extract` and its row totals by `ms_map` along proj1.
 
 A multiset in which every index occurs is full-support, as the Dirichlet's
-pseudo-counts, `dirichlet.HyperParams`, are.  `+` and `ms_map` keep their
-argument's type, so `alpha + data` is a Bayesian update and `ms_map` along a
-surjection is M*.  `multisets(n, K)` enumerates M[K], the multisets of total
-K over {0..n-1}: every law that ranges over fixed-size count vectors (a
-likelihood grid, pseudo-counts, moment exponents) takes them from it.
-
-Counts are plain Python integers (arbitrary precision); a count that is not
-an integer is refused, not truncated.  All values are immutable after
-construction, and every operation is a pure function.
+pseudo-counts, `dirichlet.HyperParams`, are.  `+`, `ms_map` and `row_extract`
+keep their argument's type, so `alpha + data` is a Bayesian update and
+`ms_map` along a surjection is M*.  `multisets(n, K)` enumerates M[K], the
+multisets of total K over {0..n-1}: every law that ranges over fixed-size
+count vectors (a likelihood grid, pseudo-counts, moment exponents) takes
+them from it.  A count, size or row length that is not a Python or numpy
+integer is refused, not truncated; all values are immutable.
 """
 
 from __future__ import annotations
@@ -43,16 +41,19 @@ def integer_tuple(values, noun: str, least: int | None = None) -> tuple[int, ...
     try:
         ints = tuple(map(operator.index, values))
     except TypeError:
-        for i, v in enumerate(values):
-            try:
-                operator.index(v)
-            except TypeError:
-                raise ValueError(f"{noun} {v!r} at index {i} is not an integer") from None
-        raise
+        i = next(i for i, v in enumerate(values) if not hasattr(type(v), "__index__"))
+        raise ValueError(f"{noun} {values[i]!r} at index {i} is not an integer") from None
     if least is not None and ints and min(ints) < least:
         i = next(i for i, v in enumerate(ints) if v < least)
         raise ValueError(f"{noun} {ints[i]} at index {i} must be at least {least}")
     return ints
+
+
+def integer(v, noun: str) -> int:
+    """v as a Python int; a ValueError names it unless it is an integer."""
+    if not hasattr(type(v), "__index__"):
+        raise ValueError(f"{noun} {v!r} is not an integer")
+    return operator.index(v)
 
 
 def index_below(i, n: int) -> int:
@@ -71,9 +72,7 @@ class FinMap:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", integer_tuple(self.targets, "image"))
-        if not hasattr(type(self.codomain_size), "__index__"):
-            raise ValueError(f"codomain size {self.codomain_size!r} is not an integer")
-        object.__setattr__(self, "codomain_size", operator.index(self.codomain_size))
+        object.__setattr__(self, "codomain_size", integer(self.codomain_size, "codomain size"))
         if self.codomain_size < 1:
             raise ValueError("codomain must be non-empty")
         if not self.targets:
@@ -148,6 +147,7 @@ def multisets(n: int, size: int) -> Iterator[Multiset]:
     """M[size] over {0..n-1}: every Multiset of total `size`, once each, in
     the order combinations_with_replacement(range(n), size) draws them.
     There are C(n + size - 1, size) of them."""
+    n, size = integer(n, "index set size"), integer(size, "multiset size")
     if n < 1 or size < 0:
         raise ValueError(f"need n >= 1 and size >= 0, got n={n}, size={size}")
     return (Multiset(tuple(map(draw.count, range(n))))
@@ -170,23 +170,20 @@ def ms_map(h: FinMap, phi: Multiset) -> Multiset:
 
 def row_count(size: int, m: int) -> int:
     """The number of rows of length m in a table of `size` cells."""
+    m = integer(m, "row length")
     if m < 1 or size % m:
         raise ValueError(f"row length {m} does not divide table size {size}")
     return size // m
 
 
 def row_extract(phi: Multiset, m: int) -> tuple[Multiset, ...]:
-    """Slice a count table with rows of length m into its per-row count vectors.
+    """Slice a count table with rows of length m into its rows, of phi's type.
 
-    The counting analogue of extracting a conditional table from a joint
-    one: no normalisation is involved.  Requires every row to be non-empty.
+    With `ms_map` along `FinMap.proj1`, the row totals, this is the one split
+    of a table.  Nothing is normalised, so a row may be all zero.
     """
     row_count(phi.n, m)
-    rows = tuple(Multiset(phi.counts[k : k + m]) for k in range(0, phi.n, m))
-    for i, row in enumerate(rows):
-        if not row.total():
-            raise ZeroRowError(i)
-    return rows
+    return tuple(type(phi)(phi.counts[k : k + m]) for k in range(0, phi.n, m))
 
 
 def ms_tensor(phi: Multiset, psi: Multiset) -> Multiset:

@@ -22,9 +22,10 @@ Cell (i, j) of a joint point is y_i s_ij, so under independence every
 joint moment is the totals' moment at the row degrees times each row's own
 moment, and each side is an exact `dirichlet_moment`.
 
-The split and the densities on both sides are exact, so the factorisation
-is an identity between rationals.  A pseudo-count table is a tuple of r row
-`HyperParams` of c entries each, the form of `LearnedCPT.posteriors`.
+The split and the densities are exact, so the factorisation is an identity
+between rationals.  A pseudo-count table is a tuple of r row `HyperParams`
+of c entries each, as `LearnedCPT.posteriors`: `row_extract(joint, c)` of
+its row-major joint, whose beta is `ms_map` along `FinMap.proj1`.
 """
 
 from __future__ import annotations
@@ -35,15 +36,16 @@ from fractions import Fraction
 
 from .dirichlet import HyperParams, dirichlet_moment, dirichlet_normalizer, dirichlet_pdf
 from .dist import Dist, disintegrate
-from .finset import multisets
+from .finset import FinMap, index_below, ms_map, multisets, row_extract
 
 
-def _joint(alpha_rows: tuple[HyperParams, ...]) -> HyperParams:
-    return HyperParams(tuple(a for row in alpha_rows for a in row.counts))
-
-
-def _totals(alpha_rows: tuple[HyperParams, ...]) -> HyperParams:
-    return HyperParams(tuple(row.total() for row in alpha_rows))
+def _joint(alpha_rows: tuple[HyperParams, ...]) -> tuple[HyperParams, int]:
+    """The row-major joint of a table and its row length; refuses an empty or ragged table."""
+    if not alpha_rows:
+        raise ValueError("the pseudo-count table has no rows")
+    if any(row.n != alpha_rows[0].n for row in alpha_rows):
+        raise ValueError("every row needs the same number of pseudo-counts")
+    return HyperParams(tuple(a for row in alpha_rows for a in row.counts)), alpha_rows[0].n
 
 
 def _lowered(betas: HyperParams, shift: int) -> HyperParams:
@@ -71,10 +73,11 @@ def pdf_factorization_check(alpha_rows: tuple[HyperParams, ...],
     the totals density shifted down by c-1 and the matching constant pulled
     out.  The law says all three are equal.
     """
-    betas = _totals(alpha_rows)
-    shift = alpha_rows[0].n - 1
-    totals, shares = disintegrate(x, alpha_rows[0].n)
-    lhs = dirichlet_pdf(_joint(alpha_rows), x)
+    joint, cols = _joint(alpha_rows)
+    betas = ms_map(FinMap.proj1(len(alpha_rows), cols), joint)
+    shift = cols - 1
+    lhs = dirichlet_pdf(joint, x)  # first, as it names a point of the wrong size
+    totals, shares = disintegrate(x, cols)
     share_densities = math.prod(map(dirichlet_pdf, alpha_rows, shares.rows))
     jacobian = math.prod(y ** shift for y in totals.probs)
     rhs_quotient = dirichlet_pdf(betas, totals) / jacobian * share_densities
@@ -89,11 +92,12 @@ class CandidateFit:
 
     name: str
     totals_params: tuple[int, ...]
-    row_params: tuple[tuple[int, ...], ...]
-    claimed_mass: float
     failed: int  # how many of the audit's moment identities fail
     first_gap: Fraction  # joint minus factorised moment at the first failure, else 0
-    matches: bool
+
+    @property
+    def matches(self) -> bool:
+        return not self.failed
 
 
 @dataclass(frozen=True)
@@ -101,9 +105,13 @@ class LocalUpdateAudit:
     alpha_rows: tuple[HyperParams, ...]
     cell: tuple[int, int]
     identities: int  # joint exponent tables checked: every one of degree 1-2
+    row_params: tuple[tuple[int, ...], ...]  # the updated rows, shared by both candidates
     candidates: tuple[CandidateFit, ...]
-    matching_candidates: tuple[str, ...]
     shifted_constant: Fraction
+
+    @property
+    def matching_candidates(self) -> tuple[str, ...]:
+        return tuple(c.name for c in self.candidates if c.matches)
 
     def format_report(self) -> str:
         lines = [
@@ -111,12 +119,13 @@ class LocalUpdateAudit:
             f"incremented cell={self.cell}, joint moments of degree 1-2: {self.identities}",
             "pushforward total mass: 1.0 (a probability measure)",
         ]
+        rows = " x ".join(f"Dir{p}" for p in self.row_params)
         for cand in self.candidates:
             verdict = "MATCH" if cand.matches else f"MISMATCH (first gap {cand.first_gap})"
-            rows = " x ".join(f"Dir{p}" for p in cand.row_params)
+            mass = self.shifted_constant if cand.name == "shifted" else 1
             lines.append(
                 f"  candidate {cand.name}: totals Dir{cand.totals_params}, rows {rows}, "
-                f"claimed mass {cand.claimed_mass:g}, fails {cand.failed} of "
+                f"claimed mass {float(mass):g}, fails {cand.failed} of "
                 f"{self.identities} moment identities -> {verdict}"
             )
         lines.append(
@@ -143,63 +152,48 @@ def local_update_audit(
     every joint exponent table m of degree 1-2: the joint moment
     E[prod x_kl**m_kl] must equal the totals' moment at the row degrees
     (|m_k|)_k times each row's moment at m_k, every moment an exact
-    `dirichlet_moment`:
+    `dirichlet_moment`.  The updated joint and each m are split alike.
 
-    * direct: totals pseudo-counts with the updated row incremented, the
-      updated row incremented at the observed column, other rows unchanged;
-    * shifted: as above but with every total lowered by c-1 after the
-      increment, the form that comes with a proportionality constant.
+    * direct: the totals and rows of the updated joint;
+    * shifted: as above but with every total lowered by c-1, the form that
+      comes with a proportionality constant.
 
     A candidate matches when no identity fails.  The constant attached to
-    the shifted form is evaluated and reported alongside.
+    the shifted form is evaluated and reported alongside.  A cell that is
+    not a pair of integers inside the table is refused, naming it.
     """
-    if not alpha_rows:
-        raise ValueError("the pseudo-count table has no rows")
-    rows, cols = len(alpha_rows), alpha_rows[0].n
-    if any(row.n != cols for row in alpha_rows):
-        raise ValueError("every row needs the same number of pseudo-counts")
-    i, j = increment_cell
-    if not (0 <= i < rows and 0 <= j < cols):
-        raise ValueError(f"cell {increment_cell} outside the {rows}x{cols} table")
+    joint, cols = _joint(alpha_rows)
+    rows = len(alpha_rows)
+    try:
+        i, j = increment_cell
+        cell = index_below(i, rows), index_below(j, cols)
+    except ValueError:
+        raise ValueError(f"cell {increment_cell} outside the {rows}x{cols} table") from None
 
-    joint = _joint(alpha_rows).increment(i * cols + j)
-    updated_rows = list(alpha_rows)
-    updated_rows[i] = alpha_rows[i].increment(j)
-    exponents = [m.counts for degree in (1, 2) for m in multisets(rows * cols, degree)]
-    # Per table m: the joint moment, the row degrees and the rows' moments.
+    proj1 = FinMap.proj1(rows, cols)
+    updated = joint.increment(cell[0] * cols + cell[1])
+    direct, updated_rows = ms_map(proj1, updated), row_extract(updated, cols)
+    # Per exponent table m: the joint moment, the row degrees and the rows' moments.
     sides = []
-    for m in exponents:
-        row_ms = [m[k * cols : (k + 1) * cols] for k in range(rows)]
-        row_moments = math.prod(dirichlet_moment(row, ms) for row, ms in zip(updated_rows, row_ms))
-        sides.append((dirichlet_moment(joint, m), [sum(ms) for ms in row_ms], row_moments))
+    for degree in (1, 2):
+        for m in multisets(rows * cols, degree):
+            row_moments = math.prod(dirichlet_moment(row, ms.counts)
+                                    for row, ms in zip(updated_rows, row_extract(m, cols)))
+            sides.append((dirichlet_moment(updated, m.counts), ms_map(proj1, m).counts, row_moments))
 
-    direct = _totals(alpha_rows).increment(i)
-    constant = shifted_prefactor(direct, cols - 1)
     candidates = []
-    for name, totals_params, claimed_mass in [
-        ("direct", direct, 1.0),
-        ("shifted", _lowered(direct, cols - 1), float(constant)),
-    ]:
+    for name, totals_params in [("direct", direct), ("shifted", _lowered(direct, cols - 1))]:
         gaps = [lhs - dirichlet_moment(totals_params, degrees) * row_moments
                 for lhs, degrees, row_moments in sides]
         failed = [gap for gap in gaps if gap]
-        candidates.append(
-            CandidateFit(
-                name=name,
-                totals_params=totals_params.counts,
-                row_params=tuple(row.counts for row in updated_rows),
-                claimed_mass=claimed_mass,
-                failed=len(failed),
-                first_gap=failed[0] if failed else Fraction(0),
-                matches=not failed,
-            )
-        )
+        candidates.append(CandidateFit(name, totals_params.counts, len(failed),
+                                       failed[0] if failed else Fraction(0)))
 
     return LocalUpdateAudit(
         alpha_rows=tuple(alpha_rows),
-        cell=increment_cell,
-        identities=len(exponents),
+        cell=cell,
+        identities=len(sides),
+        row_params=tuple(row.counts for row in updated_rows),
         candidates=tuple(candidates),
-        matching_candidates=tuple(c.name for c in candidates if c.matches),
-        shifted_constant=constant,
+        shifted_constant=shifted_prefactor(direct, cols - 1),
     )

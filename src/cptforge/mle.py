@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dist import Channel, Dist, state_transform
-from .finset import FinMap, Multiset, ms_map, row_count, row_extract
+from .finset import FinMap, Multiset, ZeroRowError, ms_map, row_extract
 
 
 def mle(phi: Multiset) -> Dist:
@@ -43,14 +43,16 @@ def mle_decompose(phi: Multiset, m: int) -> tuple[Dist, Channel]:
     """Learn (input distribution, channel) directly from a count table with
     rows of length m.
 
-    The input distribution normalises the row totals; each channel row
-    normalises the corresponding table row.  This agrees exactly with
-    normalising the whole table first and then disintegrating, and
-    pair_graph(channel, input) reconstructs the normalised table.
+    The input distribution normalises the row totals (`ms_map` along
+    `FinMap.proj1`) and each channel row its row (`row_extract`); an
+    all-zero row raises ZeroRowError naming it.  This agrees exactly with
+    normalising the table and then disintegrating.
     """
-    first = mle(ms_map(FinMap.proj1(row_count(phi.n, m), m), phi))
-    channel = Channel(tuple(mle(row) for row in row_extract(phi, m)))
-    return first, channel
+    rows = row_extract(phi, m)
+    for i, row in enumerate(rows):
+        if not row.total():
+            raise ZeroRowError(i)
+    return mle(ms_map(FinMap.proj1(len(rows), m), phi)), Channel(tuple(map(mle, rows)))
 
 
 @dataclass(frozen=True)

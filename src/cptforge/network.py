@@ -655,6 +655,10 @@ def _learn(table: CountTable, graph: GraphSpec, mode: str,
     A row whose total is zero cannot be normalised, so it aborts the run
     naming the family and the first such parent configuration.
     """
+    for node, got in zip(table.variables, table.arities):
+        if (arity := graph._arity.get(node, got)) != got:
+            raise DataError(f"node {node} has arity {arity} in the graph "
+                            f"but {got} in the count table")
     cpts = []
     for node in graph.node_names:
         parents = graph.parents(node)

@@ -83,7 +83,7 @@ from .dist import (
     state_transform,
     validity,
 )
-from .finset import FinMap, Multiset, ms_map, ms_tensor, multisets
+from .finset import FinMap, Multiset, ms_map, ms_tensor, multisets, row_extract
 from .localsplit import local_update_audit, pdf_factorization_check
 from .mle import likelihood, mle, mle_decompose, monad_counterexample
 from .network import CountTable, GraphSpec, learn_bayes, learn_mle
@@ -667,7 +667,7 @@ def check_stoch_factorisation(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 29)
     for _ in range(20):
         alpha = _random_hyperparams(rng, 6)
-        rows = (HyperParams(alpha.counts[:3]), HyperParams(alpha.counts[3:]))
+        rows = row_extract(alpha, 3)
         for _ in range(3):
             x = _random_point(rng, 6)
             lhs, quotient, shifted = pdf_factorization_check(rows, x)
@@ -680,8 +680,7 @@ def check_stoch_factorisation(seed: int) -> tuple[bool, str]:
 @law("stochastic", "local-update-audit")
 def check_stoch_local_audit(seed: int) -> tuple[bool, str]:
     audit = local_update_audit((HyperParams((1, 1, 1)),) * 2, (0, 2))
-    direct = next(c for c in audit.candidates if c.name == "direct")
-    shifted = next(c for c in audit.candidates if c.name == "shifted")
+    direct, shifted = audit.candidates
     ok = direct.matches and not shifted.matches and audit.shifted_constant == Fraction(30)
     return ok, (
         f"direct candidate fails {direct.failed} of {audit.identities} joint moment identities "

@@ -12,6 +12,7 @@ from cptforge.bayes import cont_condition, cont_validity, validity_transfer_chec
 from cptforge.dirichlet import (
     MAX_QUADRATURE_CELLS,
     HyperParams,
+    cell_rule_integrals,
     dirichlet_normalizer,
     dirichlet_pdf,
     simplex_cell_count,
@@ -90,6 +91,17 @@ class TestContValidity:
         with pytest.raises(ValueError, match="over the cap") as moments:
             cont_validity(HyperParams((1,) * 4), Predicate((1,) * 4), 400)
         assert str(moments.value) == str(grid.value)
+        # A size that is not an integer is refused by name, never truncated.
+        for call, message in [
+            (lambda: simplex_moments(2, 400.0, [[0, 0]]), "resolution 400.0"),
+            (lambda: simplex_moments(2.0, 400, [[0, 0]]), "number of outcomes 2.0"),
+            (lambda: cell_rule_integrals([HyperParams((1, 2))], [[0, 0]], 400.0),
+             "resolution 400.0"),
+            (lambda: cont_validity(HyperParams((1, 2)), Predicate((1, 0)), 50.5),
+             "resolution 50.5"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+                call()
 
     @pytest.mark.parametrize("law", [verify.check_stoch_mean_integrals,
                                      verify.check_stoch_transfer_quadrature],

@@ -125,6 +125,10 @@ class TestMultisets:
         for n, size in [(0, 0), (0, 2), (2, -1)]:
             with pytest.raises(ValueError):
                 multisets(n, size)
+        with pytest.raises(ValueError, match=r"^multiset size 1\.0 is not an integer$"):
+            multisets(2, 1.0)
+        with pytest.raises(ValueError, match=r"^index set size 2\.0 is not an integer$"):
+            multisets(2.0, 1)
 
 
 class TestMsMap:
@@ -189,12 +193,20 @@ class TestRowExtract:
         assert rows[1].counts == (5, 10, 15)
         assert all(r.total() > 0 for r in rows)
 
+    def test_rows_keep_the_table_type(self):
+        rows = row_extract(HyperParams((1, 2, 3, 4, 5, 6)), 2)
+        assert rows == (HyperParams((1, 2)), HyperParams((3, 4)), HyperParams((5, 6)))
+        assert all(type(row) is HyperParams for row in rows)
+
     def test_single_row_is_whole_table(self):
         assert row_extract(Multiset((4, 0, 1)), 3) == (Multiset((4, 0, 1)),)
 
     def test_zero_row_reports_index(self):
+        # A row of counts may be empty; only normalising it fails, naming it.
+        phi = Multiset((1, 2, 0, 0, 3, 4))
+        assert row_extract(phi, 2)[1] == Multiset((0, 0))
         with pytest.raises(ZeroRowError) as exc:
-            row_extract(Multiset((1, 2, 0, 0, 3, 4)), 2)
+            mle_decompose(phi, 2)
         assert exc.value.row == 1
 
     @given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=2), min_size=3, max_size=3))
@@ -221,6 +233,12 @@ class TestRowExtract:
     @pytest.mark.parametrize("split", list(SPLITS.values()), ids=list(SPLITS))
     def test_row_length_must_divide_the_table(self, split, m):
         with pytest.raises(ValueError, match=rf"^row length {m} does not divide table size 6$"):
+            split(Multiset((1,) * 6), m)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, "3"])
+    @pytest.mark.parametrize("split", list(SPLITS.values()), ids=list(SPLITS))
+    def test_row_length_must_be_an_integer(self, split, m):
+        with pytest.raises(ValueError, match=rf"^row length {m!r} is not an integer$"):
             split(Multiset((1,) * 6), m)
 
 

@@ -1,10 +1,13 @@
 import random
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from cptforge.dirichlet import HyperParams
 from cptforge.dist import Channel, Dist, disintegrate, pair_graph
+from cptforge.finset import row_extract
 from cptforge.localsplit import local_update_audit, pdf_factorization_check, shifted_prefactor
 from cptforge.network import learn_bayes
 
@@ -16,7 +19,7 @@ SHAPES = [(2, 3), (1, 3), (3, 1), (3, 2), (2, 4), (4, 3)]
 
 def table(alphas, cols):
     """A pseudo-count table: the flat alphas cut into rows of `cols`."""
-    return tuple(HyperParams(alphas[k : k + cols]) for k in range(0, len(alphas), cols))
+    return row_extract(HyperParams(alphas), cols)
 
 
 def rational_points(count, seed, shape=(2, 3)):
@@ -98,6 +101,16 @@ class TestFactorization:
                 lhs, rhs1, rhs2 = pdf_factorization_check(alpha, x)
                 assert lhs == rhs1 == rhs2
 
+    def test_malformed_arguments_rejected(self):
+        with pytest.raises(ValueError, match="^the pseudo-count table has no rows$"):
+            pdf_factorization_check((), UNIFORM_POINT)
+        ragged = (HyperParams((1, 1, 1)), HyperParams((1, 1)))
+        with pytest.raises(ValueError, match="^every row needs the same number of pseudo-counts$"):
+            pdf_factorization_check(ragged, Dist.normalise((1,) * 5))
+        for n in (4, 5, 9):
+            with pytest.raises(ValueError, match=f"^expected a point of 6 coordinates, got {n}$"):
+                pdf_factorization_check(ALL_ONES, Dist.normalise((1,) * n))
+
     def test_small_row_total_rejected_for_shifted_form(self):
         # Row totals below 3 cannot arise from three pseudo-counts >= 1,
         # but lowering them by two is refused all the same.
@@ -141,7 +154,7 @@ class TestLocalUpdateAudit:
         direct = next(c for c in audit.candidates if c.name == "direct")
         shifted = next(c for c in audit.candidates if c.name == "shifted")
         assert direct.matches and direct.totals_params == (4, 3)
-        assert direct.row_params == ((1, 1, 2), (1, 1, 1))
+        assert audit.row_params == ((1, 1, 2), (1, 1, 1))
         assert audit.identities == 27 and (direct.failed, direct.first_gap) == (0, 0)
         # E[x02] = 2/7 against 2/3 * 1/4 under the shifted totals Dir(2, 1).
         assert not shifted.matches and shifted.failed == 27
@@ -160,7 +173,7 @@ class TestLocalUpdateAudit:
     def test_generic_parameters(self):
         audit = local_update_audit(table((2, 3, 1, 4, 2, 2), 3), (1, 0))
         assert [c.totals_params for c in audit.candidates] == [(6, 9), (4, 7)]
-        assert audit.candidates[0].row_params == ((2, 3, 1), (5, 2, 2))
+        assert audit.row_params == ((2, 3, 1), (5, 2, 2))
         assert audit.shifted_constant == F(429, 20)
 
     def test_three_by_two(self):
@@ -202,3 +215,11 @@ class TestLocalUpdateAudit:
             local_update_audit(table((1, 1, 1, 1, 1), 3), (0, 0))
         with pytest.raises(ValueError, match="no rows"):
             local_update_audit((), (0, 0))
+        # A coordinate that is not an integer is refused naming the cell as
+        # given; an integer type is read as the int it stands for.
+        for cell in [(0.5, 1), (0, 1.0), (0, "1"), (0,), (0, 1, 2)]:
+            with pytest.raises(ValueError, match=rf"^cell {re.escape(str(cell))} outside the 2x3 table$"):
+                local_update_audit(ALL_ONES, cell)
+        audit = local_update_audit(ALL_ONES, (True, np.int64(2)))
+        assert audit.cell == (1, 2) and all(type(k) is int for k in audit.cell)
+        assert "incremented cell=(1, 2)" in audit.format_report()

@@ -407,6 +407,22 @@ class TestLearnMle:
         assert cpt.dists[2].probs == (F(5, 11), F(6, 11))
 
 
+    @pytest.mark.parametrize("learn", [learn_mle, learn_bayes], ids=["mle", "bayes"])
+    def test_table_arity_must_match_the_graph(self, learn):
+        # A count table built with other arities than the graph's is refused
+        # before counting, naming the node; an extra variable is marginalised out.
+        graph = GraphSpec((("A", 2), ("B", 2)), (("A", "B"),))
+        wider = CountTable.from_records(("A", "B"), (3, 2), {(0, 0): 1, (2, 1): 3})
+        with pytest.raises(DataError, match="^node A has arity 2 in the graph but 3 in the count table$"):
+            learn(wider, graph)
+        narrower = CountTable.from_records(("A", "B"), (2, 1), {(0, 0): 1, (1, 0): 3})
+        with pytest.raises(DataError, match="^node B has arity 2 in the graph but 1 in the count table$"):
+            learn(narrower, graph)
+        extra = CountTable.from_records(("A", "B", "C"), (2, 2, 4),
+                                        {(0, 0, 3): 1, (1, 1, 0): 3, (0, 1, 1): 2, (1, 0, 2): 1})
+        assert [c.node for c in learn(extra, graph)] == ["A", "B"]
+
+
 class TestLearnBayes:
     def test_zero_data_keeps_prior(self, golden_graph):
         table = CountTable.from_records(("Blood", "Medicine"), (2, 3), {})

@@ -64,6 +64,9 @@ PINNED_MUTANTS = {
                                    "stochastic/local-update-audit"],
     "normalise-adds-one": ["golden/empirical-joint", "exact/validity-transfer",
                            "exact/posterior-mean-identity"],
+    "row-extract-reversed-rows": ["golden/channel-extraction",
+                                  "golden/second-marginal-via-channel",
+                                  "exact/decomposition-commutes"],
 }
 
 
