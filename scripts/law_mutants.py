@@ -43,8 +43,8 @@ MUTANTS = {
     ),
     "sampler-reduceat-off-by-one": (
         "dirichlet.py",
-        "rng.standard_exponential((rows, total)), starts, axis=1)",
-        "rng.standard_exponential((rows, total)), np.maximum(starts - 1, 0), axis=1)",
+        "np.add.reduceat(-np.log1p(-u), starts, axis=1)",
+        "np.add.reduceat(-np.log1p(-u), np.maximum(starts - 1, 0), axis=1)",
     ),
     "normalise-adds-one": (
         "dist.py",

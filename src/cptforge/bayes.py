@@ -7,14 +7,13 @@ which p alone fixes, so the functions here take p itself.  Validity of the
 lifted predicate under Dir(alpha) equals validity of p under the normalised
 pseudo-counts, and conditioning Dir(alpha) on a single observed outcome is
 the conjugate update, the batch update `alpha + data` with data one count of
-that outcome.  The one float computation here is `cont_validity`'s cell rule.
+that outcome.  The one float computation here is `cont_validity`'s cell rule,
+and it alone imports numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .dirichlet import HyperParams, cell_rule_integrals, dirichlet_moment
 from .dist import Predicate, validity
@@ -32,6 +31,8 @@ def cont_validity(alpha: HyperParams, p: Predicate, resolution: int) -> float:
     validity_transfer_check computes it.  A resolution whose grid would
     pass the cell cap raises ValueError.
     """
+    import numpy as np
+
     if p.n != alpha.n:
         raise ValueError(f"size mismatch: density over {alpha.n}, predicate over {p.n}")
     coefficients = np.array([float(v) for v in p.values])

@@ -11,8 +11,8 @@ Two subcommands:
   verify.RESOLUTION and verify.QUADRATURE_TOL.  ``--json`` prints, in
   place of those lines, one JSON object per check, one per line: its
   ``suite``, ``name``, ``passed``, ``detail`` and ``seconds``.  On Linux,
-  ``--suite all`` runs the stochastic suite in a forked child beside the
-  other checks; its output is the same.
+  ``--suite all`` runs the checks that compute with numpy arrays in a
+  forked child beside the other checks; its output is the same.
 
 Exit codes: 0 success, 1 verification failure, 2 input error or a standard
 output closed before the report was written.
@@ -33,16 +33,6 @@ from typing import NoReturn
 # CLI asks for one thread before the first import of numpy; a value the user
 # has set wins.  The library itself leaves the environment alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from .network import (
-    DataError,
-    GraphSpec,
-    ingest_counts,
-    learn_bayes,
-    learn_mle,
-    load_prior,
-    write_cpts,
-)
 
 
 def seed(text: str) -> int:
@@ -87,6 +77,18 @@ def _run_learn(args: argparse.Namespace) -> int:
         print(f"error: --prior {args.prior}: only --mode bayes uses a prior, "
               "and --mode mle normalises the counts alone", file=sys.stderr)
         return 2
+    # Deferred, like `.verify` below: the count pipeline loads numpy, and
+    # `verify` loads it only for the checks that compute with arrays.
+    from .network import (
+        DataError,
+        GraphSpec,
+        ingest_counts,
+        learn_bayes,
+        learn_mle,
+        load_prior,
+        write_cpts,
+    )
+
     try:
         graph = GraphSpec.load(args.graph)
         table = ingest_counts(args.data, graph)

@@ -37,24 +37,29 @@ Moments: with integer pseudo-counts every mixed moment of Dirichlet(alpha)
 is an exact rational, `dirichlet_moment`; its degree-1 case, the mean, is
 `mle(alpha)`, the normalised pseudo-counts.
 
-Sampling draws Dirichlet points from seeded Philox streams, one block of
-rows at a time: `dirichlet_sample_blocks` yields the blocks as it draws
-them.  A sample is judged by `moment_z`, from its column sums and Gram sums
-alone: both add over blocks, so a sampling law holds no whole sample, and
-every standard error is exact.
+Sampling draws Dirichlet points from a seeded `random.Random` stream, one
+block of rows at a time: `dirichlet_sample_blocks` yields the blocks as it
+draws them.  A sample is judged by `moment_z`, from its column sums and Gram
+sums alone: both add over blocks, so a sampling law holds no whole sample,
+and every standard error is exact.
+
+Only the cell rule and the sampler compute with arrays, and each imports
+numpy itself, so the exact values and moments load no numpy.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .dist import Dist
 from .finset import FinMap, Multiset, index_below, integer, integer_tuple, ms_map, multisets
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
 # Cap on the cells of the grid that simplex_moments sums over.  It builds no
@@ -155,6 +160,8 @@ def _check_grid(n: int, resolution: int) -> tuple[int, int]:
 def _slack_classes(d: int, res: int) -> tuple[np.ndarray, np.ndarray]:
     """Per slack t = res - (sum of a cell's indices), at index t - 1: the
     offset of the cell's centroid in its box, and the cell's weight."""
+    import numpy as np
+
     offsets, weights = np.full(res, 0.5), np.ones(res)
     for t, (frac, centroid) in _CLIP.get(d, {}).items():
         offsets[t - 1], weights[t - 1] = float(centroid), float(frac)
@@ -163,6 +170,8 @@ def _slack_classes(d: int, res: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _power_table(x: np.ndarray, top: int) -> np.ndarray:
     """Rows x**0 .. x**top, by repeated multiplication."""
+    import numpy as np
+
     table = np.empty((top + 1, len(x)))
     table[0] = 1.0
     for k in range(1, top + 1):
@@ -172,6 +181,8 @@ def _power_table(x: np.ndarray, top: int) -> np.ndarray:
 
 def _exponent_table(n: int, exponents) -> np.ndarray:
     """The (m, n) exponent table as int64; a bad entry is named by its index in its row."""
+    import numpy as np
+
     if len(shape := np.shape(exponents)) != 2 or shape[1] != n:
         raise ValueError(f"expected an (m, {n}) table of exponents, got shape {shape}")
     rows = [integer_tuple(row, "exponent", 0) for row in exponents]
@@ -195,6 +206,8 @@ def simplex_moments(n: int, resolution: int, exponents) -> np.ndarray:
     Raises ValueError, before allocating anything, when the grid would have
     more than MAX_QUADRATURE_CELLS cells.
     """
+    import numpy as np
+
     n, res = _check_grid(n, resolution)
     d = n - 1
     exps = _exponent_table(n, exponents)
@@ -236,6 +249,8 @@ def cell_rule_integrals(alphas: list[HyperParams], exponents: list[Sequence[int]
     """
     if len(exponents) != len(alphas):
         raise ValueError(f"need one exponent row per density: {len(alphas)}, got {len(exponents)}")
+    import numpy as np
+
     out = np.empty(len(alphas))
     for n in sorted({a.n for a in alphas}):
         idx = [j for j, a in enumerate(alphas) if a.n == n]
@@ -245,24 +260,30 @@ def cell_rule_integrals(alphas: list[HyperParams], exponents: list[Sequence[int]
     return out
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """A counter-based Philox stream: the same seed replays bit-identically."""
-    return np.random.Generator(np.random.Philox(seed))
+def make_rng(seed: int) -> random.Random:
+    """A seeded Mersenne Twister stream, Python's `random.Random`: the same
+    seed replays bit-identically, and the stream loads no numpy."""
+    return random.Random(seed)
 
 
 def dirichlet_sample_blocks(
-    alpha: HyperParams, size: int, rng: np.random.Generator
+    alpha: HyperParams, size: int, rng: random.Random
 ) -> Iterator[np.ndarray]:
     """size Dirichlet(alpha) draws, as consecutive (rows, n) blocks.
 
     Each coordinate's Gamma variate with integer shape a_i is drawn as the
     sum of a_i independent standard exponentials, which is exact for
-    integer shapes; the row is then normalised by its sum.  A block holds
-    as many whole rows as fit in SAMPLE_BLOCK exponentials (one row if it
-    alone is longer).  The generator fills the blocks in order as they are
-    consumed, so together they are the draws of one (size, total) block of
-    exponentials.  Raises ValueError on the call when size < 1.
+    integer shapes; the row is then normalised by its sum.  Each
+    exponential is -log1p(-u) for a 53-bit uniform u on [0, 1): the top 53
+    bits of one little-endian 64-bit word of the stream's bytes
+    (`rng.randbytes`).  A block holds as many whole rows as fit in
+    SAMPLE_BLOCK exponentials (one row if it alone is longer).  The stream
+    fills the blocks in order as they are consumed, so together they are
+    the draws of one (size, total) block of exponentials.  Raises
+    ValueError on the call when size < 1.
     """
+    import numpy as np
+
     if size < 1:
         raise ValueError("need at least one draw")
     total = alpha.total()
@@ -270,7 +291,9 @@ def dirichlet_sample_blocks(
     step = max(1, SAMPLE_BLOCK // total)
 
     def block(rows: int) -> np.ndarray:
-        gammas = np.add.reduceat(rng.standard_exponential((rows, total)), starts, axis=1)
+        words = np.frombuffer(rng.randbytes(8 * rows * total), "<u8").reshape(rows, total)
+        u = (words >> 11) * 2.0**-53
+        gammas = np.add.reduceat(-np.log1p(-u), starts, axis=1)
         return gammas / gammas.sum(axis=1, keepdims=True)
 
     return (block(min(step, size - lo)) for lo in range(0, size, step))

@@ -20,9 +20,8 @@ from .finset import FinMap, Multiset, ZeroRowError, ms_map, row_extract
 
 
 def mle(phi: Multiset) -> Dist:
-    """Normalise a non-empty count vector into its empirical distribution."""
-    if phi.total() == 0:
-        raise ValueError("cannot normalise an empty multiset")
+    """Normalise a count vector with a positive total into its empirical
+    distribution; `Dist.normalise` refuses a zero total."""
     return Dist.normalise(phi.counts)
 
 

@@ -21,13 +21,19 @@ the ``seed`` and returns ``(passed, detail)``, and the decorator
 registers it in ``SUITES[suite]``.  Suites and laws run in the order they
 are defined.  To add a law, define its decorated function where it belongs
 and add ``"suite/name"`` at the same position in the benchmark oracle's
-``VERIFY_CHECKS`` (``perfbench/oracle.py``), which pins that order.
+``VERIFY_CHECKS`` (``perfbench/oracle.py``), which pins that order.  A law
+that computes with numpy arrays is declared ``@law(suite, name,
+arrays=True)`` and imports numpy itself: this module loads none.
 
-``run_suite("all")`` on Linux runs the stochastic suite in a forked child
-while the parent runs ``golden`` and ``exact``: the halves share no state,
-and the exact half is pure-Python integer and ``Fraction`` arithmetic that
-holds the GIL.  The results, and so the report, are the same as from one process.
-Each result carries the check's own time in ``seconds``.
+``run_suite("all")`` on Linux runs the seven ``arrays`` laws (the two
+golden learn-pipeline laws, the four quadrature laws and sampler-moments)
+in a forked child while the parent runs the other 24.  The halves share no
+state.  The parent's half is pure-Python integer and ``Fraction``
+arithmetic that holds the GIL; it never loads numpy, so it also forks
+before numpy's BLAS starts any thread.  The child loads numpy once, after
+the fork and before its first check.  The results, and so the report, are
+the same as from one process.  Each result carries the check's own time in
+``seconds``, which never includes numpy's import.
 
 One law samples: sampler-moments consumes ``dirichlet_sample_blocks``
 block by block, holds no whole sample, sums coordinates and products of two
@@ -56,8 +62,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bayes import cont_condition, cont_validity, validity_transfer_check
 from .dirichlet import (
@@ -86,7 +91,9 @@ from .dist import (
 from .finset import FinMap, Multiset, ms_map, ms_tensor, multisets, row_extract
 from .localsplit import local_update_audit, pdf_factorization_check
 from .mle import likelihood, mle, mle_decompose, monad_counterexample
-from .network import CountTable, GraphSpec, learn_bayes, learn_mle
+
+if TYPE_CHECKING:
+    from .network import CountTable, GraphSpec
 
 
 @dataclass(frozen=True)
@@ -104,13 +111,19 @@ Check = Callable[[int], CheckResult]
 SUITES: dict[str, list[Check]] = {}
 
 
-def law(suite: str, name: str) -> Callable[[Callable[[int], tuple[bool, str]]], Check]:
+def law(
+    suite: str, name: str, arrays: bool = False
+) -> Callable[[Callable[[int], tuple[bool, str]]], Check]:
     """Register a check as the law ``suite/name``.
 
     The decorated check takes the ``seed`` and returns
     ``(passed, detail)``; the registered function returns the CheckResult,
     timed.  A check that raises an Exception fails, with ``raised
     <type>: <message>`` as its detail, and the checks after it still run.
+    ``arrays=True`` marks a check that computes with numpy arrays: the
+    registered function's ``arrays`` attribute says so, and ``run_suite``
+    loads numpy before the first such check and, under ``all``, runs them
+    in its forked child.
     """
 
     def register(check: Callable[[int], tuple[bool, str]]) -> Check:
@@ -123,6 +136,7 @@ def law(suite: str, name: str) -> Callable[[Callable[[int], tuple[bool, str]]], 
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             return CheckResult(suite, name, bool(passed), detail, time.perf_counter() - start)
 
+        run.arrays = arrays
         SUITES.setdefault(suite, []).append(run)
         return run
 
@@ -146,10 +160,14 @@ GOLDEN_CHANNEL = (
 
 
 def blood_medicine_graph() -> GraphSpec:
+    from .network import GraphSpec
+
     return GraphSpec(nodes=(("Blood", 2), ("Medicine", 3)), edges=(("Blood", "Medicine"),))
 
 
 def blood_medicine_table() -> CountTable:
+    from .network import CountTable
+
     records = {divmod(k, 3): c for k, c in enumerate(BLOOD_MEDICINE_COUNTS)}
     return CountTable.from_records(("Blood", "Medicine"), (2, 3), records)
 
@@ -261,8 +279,10 @@ def check_golden_conditioning(seed: int) -> tuple[bool, str]:
     return ok, f"blood posterior = {posterior.probs}"
 
 
-@law("golden", "learn-mle-pipeline")
+@law("golden", "learn-mle-pipeline", arrays=True)
 def check_golden_learn_mle(seed: int) -> tuple[bool, str]:
+    from .network import learn_mle
+
     cpts = {c.node: c for c in learn_mle(blood_medicine_table(), blood_medicine_graph())}
     ok = (
         cpts["Blood"].dists[0].probs == GOLDEN_FIRST
@@ -271,8 +291,10 @@ def check_golden_learn_mle(seed: int) -> tuple[bool, str]:
     return ok, "learned tables match the worked example"
 
 
-@law("golden", "learn-bayes-pipeline")
+@law("golden", "learn-bayes-pipeline", arrays=True)
 def check_golden_learn_bayes(seed: int) -> tuple[bool, str]:
+    from .network import learn_bayes
+
     cpts = {c.node: c for c in learn_bayes(blood_medicine_table(), blood_medicine_graph())}
     blood = cpts["Blood"]
     med = cpts["Medicine"]
@@ -492,8 +514,10 @@ RESOLUTION = 400  # the quadrature laws' grid: boxes of side 1/RESOLUTION
 QUADRATURE_TOL = 1e-3  # their tolerance on that grid
 
 
-@law("stochastic", "quadrature-basics")
+@law("stochastic", "quadrature-basics", arrays=True)
 def check_stoch_quadrature_basics(seed: int) -> tuple[bool, str]:
+    import numpy as np
+
     total, mean = simplex_moments(2, RESOLUTION, [[0, 0], [1, 0]]).tolist()
     # The rule is exact on polynomials of degree 1.  On three outcomes that
     # rests on the clipped cells' weights and centroids: the integrals of 1
@@ -506,8 +530,10 @@ def check_stoch_quadrature_basics(seed: int) -> tuple[bool, str]:
                 f"integrals of 1 and of each x_k are exact within {gap:.1e} (tol 1.0e-12)")
 
 
-@law("stochastic", "density-normalisation")
+@law("stochastic", "density-normalisation", arrays=True)
 def check_stoch_normalisation(seed: int) -> tuple[bool, str]:
+    import numpy as np
+
     # Every pseudo-count vector with n <= 3 and sum <= 12: all ones plus a
     # multiset of the rest.
     alphas = [HyperParams((1,) * n) + phi
@@ -531,8 +557,10 @@ def check_stoch_normalisation(seed: int) -> tuple[bool, str]:
     return ok, detail
 
 
-@law("stochastic", "mean-integrals")
+@law("stochastic", "mean-integrals", arrays=True)
 def check_stoch_mean_integrals(seed: int) -> tuple[bool, str]:
+    import numpy as np
+
     rng = pyrandom.Random(seed + 20)
     alphas, coords = [], []
     for _ in range(30):
@@ -602,7 +630,7 @@ def check_stoch_surjective_naturality(seed: int) -> tuple[bool, str]:
     )
 
 
-@law("stochastic", "sampler-moments")
+@law("stochastic", "sampler-moments", arrays=True)
 def check_stoch_sampler_moments(seed: int) -> tuple[bool, str]:
     draws = 100_000
     alpha = HyperParams((2, 1, 1))
@@ -631,7 +659,7 @@ def check_stoch_conjugacy(seed: int) -> tuple[bool, str]:
                   "= conditioned density")
 
 
-@law("stochastic", "validity-transfer-quadrature")
+@law("stochastic", "validity-transfer-quadrature", arrays=True)
 def check_stoch_transfer_quadrature(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 27)
     worst = 0.0
@@ -689,37 +717,43 @@ def check_stoch_local_audit(seed: int) -> tuple[bool, str]:
     )
 
 
-# The suite `run_suite("all")` hands to a forked child: the numpy half, which
-# alone loads `numpy.random` and sums the cell rule.
-FORKED_SUITE = "stochastic"
-
-
 def run_suite(suite: str, seed: int = 42) -> list[CheckResult]:
     """Run one suite (or ``all``) and return its results in a fixed order.
 
-    On Linux, ``all`` runs FORKED_SUITE in a forked child beside the other
-    checks; elsewhere, and for one suite, the checks run one after another.
+    On Linux, ``all`` runs the checks marked ``arrays`` in a forked child
+    beside the other checks; elsewhere, and for one suite, the checks run
+    one after another.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick {', '.join(SUITES)} or all")
+    checks = [check for name in SUITES for check in SUITES[name] if suite in (name, "all")]
     if suite == "all" and sys.platform == "linux":
-        return _run_all_forked(seed)
-    names = list(SUITES) if suite == "all" else [suite]
-    return [check(seed) for name in names for check in SUITES[name]]
+        return _run_all_forked(checks, seed)
+    return _run_checks(checks, seed)
 
 
-def _run_all_forked(seed: int) -> list[CheckResult]:
-    """Every check, FORKED_SUITE in a forked child and the rest in this
-    process; results in SUITES order.
+def _run_checks(checks: list[Check], seed: int) -> list[CheckResult]:
+    """Run the checks in turn, loading numpy first if one of them computes
+    with arrays, so that no check's ``seconds`` include its import."""
+    if any(getattr(check, "arrays", False) for check in checks):
+        import numpy  # noqa: F401
+    return [check(seed) for check in checks]
 
-    The child sends its pickled results, or the text of what it raised,
-    through a pipe and always leaves through ``os._exit``.  The child is
-    reaped on every path; if the parent's own checks raise or are
+
+def _run_all_forked(checks: list[Check], seed: int) -> list[CheckResult]:
+    """Every check, those marked ``arrays`` in a forked child and the rest
+    in this process; results in the checks' order.
+
+    Only the child loads numpy, after the fork, so the parent runs its
+    pure-Python integer and ``Fraction`` half without it and forks while it
+    has one thread: numpy's OpenBLAS starts its helper threads when numpy
+    loads.  The child sends its pickled results, or the text of what it
+    raised, through a pipe and always leaves through ``os._exit``.  The
+    child is reaped on every path; if the parent's own checks raise or are
     interrupted, it is killed first.  ``gc.freeze`` before the fork keeps
     the collector from touching, and so copying, the pages both share.
     """
-    checks = [check for name in SUITES for check in SUITES[name]]
-    forked = [check in SUITES[FORKED_SUITE] for check in checks]
+    forked = [getattr(check, "arrays", False) for check in checks]
     for stream in (sys.stdout, sys.stderr):  # so no buffered text is written twice
         stream.flush()
     read_fd, write_fd = os.pipe()
@@ -736,7 +770,7 @@ def _run_all_forked(seed: int) -> list[CheckResult]:
         try:
             os.close(read_fd)
             try:
-                sent = (True, [check(seed) for check, child in zip(checks, forked) if child])
+                sent = (True, _run_checks([c for c, child in zip(checks, forked) if child], seed))
             except BaseException:
                 import traceback  # like `signal` below: needed on error paths only
 
@@ -762,9 +796,9 @@ def _run_all_forked(seed: int) -> list[CheckResult]:
     code = os.waitstatus_to_exitcode(status)
     if code != 0:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise RuntimeError(f"the {FORKED_SUITE} suite's child process {how}")
+        raise RuntimeError(f"the forked checks' child process {how}")
     ok, sent = pickle.loads(received)
     if not ok:
-        raise RuntimeError(f"the {FORKED_SUITE} suite raised in its child process:\n{sent}")
+        raise RuntimeError(f"the forked checks raised in their child process:\n{sent}")
     theirs, mine = iter(sent), iter(mine)
     return [next(theirs if child else mine) for child in forked]

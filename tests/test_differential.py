@@ -128,10 +128,17 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def forked(check):
+    """Mark a stand-in check as one that `run_suite("all")` forks, as
+    `@law(..., arrays=True)` marks a law."""
+    check.arrays = True
+    return check
+
+
 @forks
 def test_forked_all_equals_the_suites_run_one_by_one():
-    # On Linux `all` runs the stochastic suite in a forked child; the results
-    # are those of each suite run alone in this process.
+    # On Linux `all` runs the checks marked `arrays` in a forked child; the
+    # results are those of each suite run alone in this process.
     results = verify.run_suite("all", seed=3)
     assert results == [r for name in verify.SUITES for r in verify.run_suite(name, 3)]
     assert all(r.seconds > 0 for r in results)
@@ -164,18 +171,20 @@ def test_check_raising_in_the_child_is_a_fail(monkeypatch, capsys):
     assert cli.main(args) == 0
     want = capsys.readouterr().out.splitlines()
 
-    def refuse(alpha_rows, x):
-        raise ValueError("split refused")
+    def refuse(alpha, p, resolution):
+        raise ValueError("quadrature refused")
 
-    monkeypatch.setattr(verify, "pdf_factorization_check", refuse)
-    failed = verify.CheckResult("stochastic", "split-factorisation", False,
-                                "raised ValueError: split refused", 0.0)
+    monkeypatch.setattr(verify, "cont_validity", refuse)
+    assert verify.check_stoch_transfer_quadrature.arrays  # so `all` runs it in the child
+    failed = verify.CheckResult("stochastic", "validity-transfer-quadrature", False,
+                                "raised ValueError: quadrature refused", 0.0)
     assert failed in verify.run_suite("stochastic", 42)
     assert cli.main(args) == 1
-    at = next(i for i, line in enumerate(want) if "stochastic/split-factorisation:" in line)
+    at = next(i for i, line in enumerate(want)
+              if "stochastic/validity-transfer-quadrature:" in line)
     assert capsys.readouterr().out.splitlines() == [
         *want[:at],
-        "[FAIL] stochastic/split-factorisation: raised ValueError: split refused",
+        "[FAIL] stochastic/validity-transfer-quadrature: raised ValueError: quadrature refused",
         *want[at + 1 : -1],
         "SUMMARY: 30 passed, 1 failed (suite=all, seed=42, resolution=400)",
     ]
@@ -188,8 +197,19 @@ def test_check_raising_in_the_child_is_a_fail(monkeypatch, capsys):
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
 ], ids=["exit", "killed"])
 def test_child_that_dies_is_named_by_its_status(monkeypatch, end, how):
-    monkeypatch.setitem(verify.SUITES, "stochastic", [lambda seed: end()])
-    with pytest.raises(RuntimeError, match=f"^the stochastic suite's child process {how}$"):
+    monkeypatch.setitem(verify.SUITES, "stochastic", [forked(lambda seed: end())])
+    with pytest.raises(RuntimeError, match=f"^the forked checks' child process {how}$"):
+        verify.run_suite("all")
+    assert_no_child_left()
+
+
+@forks
+def test_child_that_raises_sends_its_traceback(monkeypatch):
+    # A stand-in check is not wrapped by `@law`, so what it raises leaves
+    # the child's checks; the parent names it and reaps the child.
+    monkeypatch.setitem(verify.SUITES, "stochastic", [forked(lambda seed: 1 // 0)])
+    with pytest.raises(RuntimeError, match="(?s)^the forked checks raised in their child "
+                       r"process:\nTraceback .*ZeroDivisionError"):
         verify.run_suite("all")
     assert_no_child_left()
 
@@ -200,7 +220,7 @@ def test_interrupt_in_the_parent_kills_and_reaps_the_child(monkeypatch):
         raise KeyboardInterrupt
 
     # A child that would outlive the test by far unless it is killed.
-    monkeypatch.setitem(verify.SUITES, "stochastic", [lambda seed: time.sleep(60)])
+    monkeypatch.setitem(verify.SUITES, "stochastic", [forked(lambda seed: time.sleep(60))])
     monkeypatch.setitem(verify.SUITES, "exact", [interrupt])
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):

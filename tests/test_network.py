@@ -621,8 +621,8 @@ class TestCli:
     def test_verify_stdout_is_pinned(self, args, capsys):
         # Every exact value and every sampled statistic is in the report, so
         # a changed law, Philox stream or seed offset changes this output.
-        # `all` runs its stochastic suite in a forked child on Linux, and its
-        # report is the three suites' check lines in turn, under one summary.
+        # `all` runs its array laws in a forked child on Linux, and its report
+        # is the three suites' check lines in turn, under one summary.
         pins = {"golden": "verify-golden-seed42.txt", "exact": "verify-exact-seed42.txt",
                 "stochastic": "verify-stochastic-seed42.txt"}
         suite = args.split()[0]
@@ -645,8 +645,8 @@ class TestCli:
         assert f"[FAIL] exact/flatten-order-counterexample: {probs} != {probs}\n" in out
         assert "[PASS] exact/pushforward-functoriality: " in out
         assert "SUMMARY: 11 passed, 1 failed (suite=exact, seed=42, resolution=400)" in out
-        # Under `all` a stochastic law fails too: on Linux it runs in a forked
-        # child, which inherits the patch.
+        # Under `all` a stochastic law fails too, in the parent beside the
+        # exact half.
         reverse_the_split_totals(monkeypatch)
         assert main(["verify", "--suite", "all"]) == 1
         out = capsys.readouterr().out

@@ -1,18 +1,25 @@
-"""What importing the package loads, each case in a fresh interpreter.
+"""What importing the package, and each run, loads, each case in a fresh
+interpreter.
 
 `import cptforge` loads neither numpy nor any submodule; a public name is
-imported on first use.  `import cptforge.cli` loads only what `learn`
-needs, not `fractions`, with numpy's BLAS on one thread unless the user's
-environment sets OPENBLAS_NUM_THREADS.
+imported on first use.  `import cptforge.cli` loads no numpy and no other
+submodule: `learn` imports the count pipeline, which does not load
+`fractions`, and numpy then runs its BLAS on one thread unless the user's
+environment sets OPENBLAS_NUM_THREADS.  `verify` loads numpy only for the
+checks that compute with arrays: under `--suite all` on Linux, only in the
+forked child, which loads it before its first check, so the parent forks
+with one thread.
 """
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 TASKS = Path("/proc/self/task")  # one entry per thread of the reading process
 needs_tasks = pytest.mark.skipif(not TASKS.is_dir(), reason="no /proc/self/task")
+forks = pytest.mark.skipif(sys.platform != "linux", reason="run_suite forks only on Linux")
 
 
 @pytest.fixture
@@ -38,17 +45,20 @@ def test_import_loads_no_numpy_and_no_submodule(output):
 
 
 def test_cli_loads_only_what_learn_needs(output):
-    # `fractions` (which loads `decimal`) is for the law suites and the
-    # rational views; the count pipeline is integer arithmetic.
-    code = f"import sys, cptforge.cli; {LOADED}; print('fractions' in sys.modules)"
+    # The CLI loads the count pipeline in `learn` alone; `fractions` (which
+    # loads `decimal`) is for the law suites and the rational views, and the
+    # count pipeline is integer arithmetic.
+    code = (f"import sys, cptforge.cli; {LOADED}; print('numpy' in sys.modules); "
+            f"import cptforge.network; {LOADED}; print('fractions' in sys.modules)")
     assert output(code) == (
+        "cptforge cptforge.cli\nFalse\n"
         "cptforge cptforge.cli cptforge.finset cptforge.network\nFalse"
     )
 
 
 @needs_tasks
 def test_cli_runs_blas_on_one_thread(output):
-    code = f"import os, cptforge.cli; print(len(os.listdir({str(TASKS)!r})))"
+    code = f"import os, cptforge.cli, numpy; print(len(os.listdir({str(TASKS)!r})))"
     assert output(code) == "1"
 
 
@@ -56,8 +66,65 @@ def test_cli_runs_blas_on_one_thread(output):
 def test_user_blas_thread_count_wins(output):
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("OpenBLAS starts no helper thread on one core")
-    code = f"import os, cptforge.cli; print(len(os.listdir({str(TASKS)!r})))"
+    code = f"import os, cptforge.cli, numpy; print(len(os.listdir({str(TASKS)!r})))"
     assert output(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+QUIET = "import contextlib, io, sys; from cptforge import cli, verify\n"
+
+
+def test_verify_exact_loads_no_numpy(output):
+    code = QUIET + """
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--suite", "exact"])
+print(code, 'numpy' in sys.modules)
+"""
+    assert output(code) == "0 False"
+
+
+@forks
+def test_verify_all_parent_loads_no_numpy(output):
+    code = QUIET + """
+results = verify.run_suite("all", 1)
+print(len(results), all(r.passed for r in results), 'numpy' in sys.modules)
+"""
+    assert output(code) == "31 True False"
+
+
+@forks
+def test_forked_check_starts_with_numpy_loaded(output):
+    # A probe law run in the child: it passes when numpy is loaded before it
+    # starts, so no forked check's seconds include numpy's import.
+    code = QUIET + """
+@verify.law("probe", "numpy-loaded", arrays=True)
+def probe(seed):
+    return 'numpy' in sys.modules, ''
+
+probe_result = verify.run_suite("all", 1)[-1]
+print(probe_result.name, probe_result.passed, 'numpy' in sys.modules)
+"""
+    assert output(code) == "numpy-loaded True False"
+
+
+@forks
+@needs_tasks
+def test_verify_all_forks_a_single_threaded_process(output):
+    # With numpy loaded before the fork, a user's OPENBLAS_NUM_THREADS=2
+    # gave the parent a BLAS helper thread, and it forked with two threads.
+    code = QUIET + f"""
+import os
+fork, threads = os.fork, []
+
+def counting_fork():
+    threads.append(len(os.listdir({str(TASKS)!r})))
+    return fork()
+
+os.fork = counting_fork
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--suite", "all"])
+print(code, threads)
+"""
+    assert output(code, OPENBLAS_NUM_THREADS="2") == "0 [1]"
 
 
 def test_every_public_name_resolves(output):
