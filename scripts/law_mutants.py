@@ -61,20 +61,10 @@ MUTANTS = {
         "return Fraction(gamma_nat(alpha.total()), den)",
         "return Fraction(gamma_nat(alpha.total() + 1), den)",
     ),
-    "clipped-cell-centroid": (
+    "binomial-sum-denominator-off-by-one": (
         "dirichlet.py",
-        "2: {1: (Fraction(1, 2), Fraction(1, 3))},",
-        "2: {1: (Fraction(1, 2), Fraction(1, 2))},",
-    ),
-    "segment-end-cell-clipped": (
-        "dirichlet.py",
-        "_CLIP = {",
-        "_CLIP = {1: {1: (Fraction(1, 2), Fraction(1, 3))},",
-    ),
-    "cell-weights-scaled": (
-        "dirichlet.py",
-        "return offsets, weights / res**d",
-        "return offsets, weights / res**d * 1.001",
+        "den // (a + j + 1)",
+        "den // (a + j + 2)",
     ),
     "one-sum-merges-the-last-pair": (
         "dirichlet.py",
@@ -114,8 +104,8 @@ MUTANTS = {
     ),
     "lifted-predicate-reversed": (
         "bayes.py",
-        "np.array([float(v) for v in p.values])",
-        "np.array([float(v) for v in p.values[::-1]])",
+        "for i, v in enumerate(p.values))",
+        "for i, v in enumerate(p.values[::-1]))",
     ),
     "batch-update-data-reversed": (
         "finset.py",

@@ -4,8 +4,8 @@ Two learning maps sit at the core: normalising non-empty count vectors into
 empirical distributions (frequentist), and updating integer pseudo-counts of
 Dirichlet densities (Bayesian).  The package implements both together with
 the exact-rational distribution layer they act on, exact Dirichlet density
-values and moments, and numerical machinery (simplex quadrature, seeded
-Dirichlet sampling) for checking the laws that need it.  A Dirichlet is
+values, moments and integrals over the simplex, and seeded Dirichlet
+sampling for checking the moments statistically.  A Dirichlet is
 passed as its pseudo-counts, a `HyperParams`, a predicate lifted to the
 simplex as the plain `Predicate`, and a point of the open simplex as a
 full-support `Dist`: each fixes its object.  A joint point splits into its

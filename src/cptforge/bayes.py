@@ -7,37 +7,31 @@ which p alone fixes, so the functions here take p itself.  Validity of the
 lifted predicate under Dir(alpha) equals validity of p under the normalised
 pseudo-counts, and conditioning Dir(alpha) on a single observed outcome is
 the conjugate update, the batch update `alpha + data` with data one count of
-that outcome.  The one float computation here is `cont_validity`'s cell rule,
-and it alone imports numpy.
+that outcome.  Every value here is an exact rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .dirichlet import HyperParams, cell_rule_integrals, dirichlet_moment
+from .dirichlet import HyperParams, density_integral, dirichlet_moment
 from .dist import Predicate, validity
 from .mle import mle
 
 
-def cont_validity(alpha: HyperParams, p: Predicate, resolution: int) -> float:
-    """Expected value of p's lift, x -> sum_i p(i) x_i, under Dir(alpha), by
-    the package's one cell rule at the given resolution, summed by monomial
-    moments without building a grid.
+def cont_validity(alpha: HyperParams, p: Predicate) -> Fraction:
+    """Expected value of p's lift, x -> sum_i p(i) x_i, under Dir(alpha),
+    as an exact integral over the simplex.
 
     The lift is linear, so the integral of it times Dir(alpha) is the sum of
-    the coefficients p(i) times the cell-rule integrals of x_i * Dir(alpha),
-    which cell_rule_integrals gives.  The exact value is sum_i p(i) E[x_i];
-    validity_transfer_check computes it.  A resolution whose grid would
-    pass the cell cap raises ValueError.
+    the coefficients p(i) times the integrals of x_i * Dir(alpha), each a
+    density_integral, which evaluates no moment formula.  The closed form is
+    sum_i p(i) E[x_i]; validity_transfer_check computes it.
     """
-    import numpy as np
-
     if p.n != alpha.n:
         raise ValueError(f"size mismatch: density over {alpha.n}, predicate over {p.n}")
-    coefficients = np.array([float(v) for v in p.values])
-    units = np.eye(alpha.n, dtype=np.int64)
-    return float(coefficients @ cell_rule_integrals([alpha] * alpha.n, units, resolution))
+    return sum((v * density_integral(alpha, [int(j == i) for j in range(alpha.n)])
+                for i, v in enumerate(p.values)), Fraction(0))
 
 
 def cont_condition(alpha: HyperParams, p: Predicate) -> HyperParams:

@@ -7,12 +7,13 @@ Two subcommands:
   CSV per node into DIR.
 * ``cpt-forge verify --suite {golden|exact|stochastic|all} [--seed N]
   [--json]`` runs the law suites and reports one PASS/FAIL line per check,
-  then a SUMMARY line; the quadrature laws use one resolution and tolerance,
-  verify.RESOLUTION and verify.QUADRATURE_TOL.  ``--json`` prints, in
-  place of those lines, one JSON object per check, one per line: its
-  ``suite``, ``name``, ``passed``, ``detail`` and ``seconds``.  On Linux,
-  ``--suite all`` runs the checks that compute with numpy arrays in a
-  forked child beside the other checks; its output is the same.
+  then a SUMMARY line.  The SUMMARY line ends with ``resolution=400``, a
+  fixed field kept so that its format does not change: every integral law
+  is exact and uses no grid.  ``--json`` prints, in place of those lines,
+  one JSON object per check, one per line: its ``suite``, ``name``,
+  ``passed``, ``detail`` and ``seconds``.  On Linux, ``--suite all`` runs
+  the checks that compute with numpy arrays in a forked child beside the
+  other checks; its output is the same.
 
 Exit codes: 0 success, 1 verification failure, 2 input error or a standard
 output closed before the report was written.
@@ -62,7 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="'ones' or a per-node pseudo-count file; bayes mode only, "
                        "so --mode mle with a file exits 2")
 
-    verify = sub.add_parser("verify", help="run the law suites")
+    verify = sub.add_parser(
+        "verify", help="run the law suites",
+        description="Run the law suites: one PASS/FAIL line per check, then a SUMMARY line. "
+        "The SUMMARY line ends with 'resolution=400', a fixed field kept so that its "
+        "format does not change: every integral law is exact and uses no grid.")
     verify.add_argument("--suite", choices=("golden", "exact", "stochastic", "all"),
                         required=True)
     verify.add_argument("--seed", type=seed, default=42)
@@ -77,8 +82,9 @@ def _run_learn(args: argparse.Namespace) -> int:
         print(f"error: --prior {args.prior}: only --mode bayes uses a prior, "
               "and --mode mle normalises the counts alone", file=sys.stderr)
         return 2
-    # Deferred, like `.verify` below: the count pipeline loads numpy, and
-    # `verify` loads it only for the checks that compute with arrays.
+    # Deferred, like `.verify` below: only learn needs the count pipeline,
+    # which loads numpy when it first computes with arrays, after the graph
+    # has been read.
     from .network import (
         DataError,
         GraphSpec,
@@ -109,7 +115,7 @@ def _run_learn(args: argparse.Namespace) -> int:
 def _run_verify(args: argparse.Namespace) -> int:
     # Deferred: only verify needs the law-suite module, and importing it at
     # module level would add its import time to every learn run.
-    from .verify import RESOLUTION, run_suite
+    from .verify import run_suite
 
     results = run_suite(args.suite, seed=args.seed)
     failed = sum(1 for r in results if not r.passed)
@@ -125,7 +131,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             print(f"[{status}] {r.suite}/{r.name}: {r.detail}")
         print(
             f"SUMMARY: {len(results) - failed} passed, {failed} failed "
-            f"(suite={args.suite}, seed={args.seed}, resolution={RESOLUTION})"
+            f"(suite={args.suite}, seed={args.seed}, resolution=400)"
         )
     return 1 if failed else 0
 

@@ -1,6 +1,6 @@
 """Dirichlet densities with integer pseudo-count parameters: their exact
-values, moments and aggregation, plus the quadrature and sampling machinery
-used to verify their laws numerically.
+values, moments, integrals and aggregation, plus the sampler used to check
+their moments statistically.
 
 The parameters, `HyperParams`, are a `finset.Multiset` in which every count
 is at least 1, so multiset arithmetic applies to them as it stands: `total()`
@@ -19,19 +19,14 @@ and integrals are taken with respect to Lebesgue measure on that
 (n-1)-dimensional projection.  With that convention the uniform density on
 two outcomes is the constant 1, which pins the normalisation.
 
-Quadrature: the projected simplex is tiled by axis-aligned boxes of side
-1/resolution, clipped where the sum-to-one boundary cuts through; each cell
-contributes its exact clipped volume at its centroid.  The rule integrates
-constants and linear functions exactly (so the cell volumes add up to the
-exact simplex volume) and converges at second order for smooth integrands.
-A midpoint rule that simply drops the boundary cells would miss O(1/res)
-of mass concentrated near the boundary, which is not good enough for the
-1e-3 normalisation checks this package runs.  The rule is only ever
-applied to monomials, and `simplex_moments` sums those without building
-the grid: every cell with the same index sum has the same weight and the
-same last coordinate, so a moment is a convolution of 1-D power tables.
-`cell_rule_integrals` scales such moments by `dirichlet_normalizer` into the
-cell-rule integrals of monomials times Dirichlet densities.
+Integrals: the integral of a monomial with non-negative integer exponents
+over the projected simplex is an exact rational, `simplex_integral`, by
+Fubini and the binomial theorem, one coordinate at a time;
+`density_integral` multiplies it by the normaliser.  It evaluates no Gamma
+function and no rising factorial, so it is a route to the Dirichlet's
+integrals apart from `dirichlet_normalizer` and `dirichlet_moment`, and the
+laws compare the routes.  Its one-step case, a segment integral, is also
+`one_sum_check`'s fibre integral.
 
 Moments: with integer pseudo-counts every mixed moment of Dirichlet(alpha)
 is an exact rational, `dirichlet_moment`; its degree-1 case, the mean, is
@@ -43,8 +38,8 @@ draws them.  A sample is judged by `moment_z`, from its column sums and Gram
 sums alone: both add over blocks, so a sampling law holds no whole sample,
 and every standard error is exact.
 
-Only the cell rule and the sampler compute with arrays, and each imports
-numpy itself, so the exact values and moments load no numpy.
+Only the sampler computes with arrays, and it imports numpy itself, so
+everything else here loads no numpy.
 """
 
 from __future__ import annotations
@@ -56,16 +51,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .dist import Dist
-from .finset import FinMap, Multiset, index_below, integer, integer_tuple, ms_map, multisets
+from .finset import FinMap, Multiset, index_below, integer_tuple, ms_map, multisets
 
 if TYPE_CHECKING:
     import numpy as np
 
-MAX_QUADRATURE_DIM = 4  # desk-scale cap on the number of outcomes
-# Cap on the cells of the grid that simplex_moments sums over.  It builds no
-# grid, but its power tables and convolutions grow with the resolution, so the
-# cap bounds a call's time and memory before it allocates anything.
-MAX_QUADRATURE_CELLS = 1 << 21
 # Exponentials per block of dirichlet_sample_blocks.  Blocks of 2^14 to 2^16
 # took the same time for 100k draws; the smallest adds the least memory, and
 # the sampling laws, which stream their blocks, peak lower with it (a 2^16
@@ -124,140 +114,48 @@ def dirichlet_pdf(alpha: HyperParams, x: Dist) -> Fraction:
                     norm.denominator * x.total ** (alpha.total() - alpha.n))
 
 
-# Clipped-cell geometry: fraction of a unit box below the plane sum(z) = t
-# and the common centroid coordinate of the clipped region, per projected
-# dimension d and integer slack t (cells with t >= d are whole).
-_CLIP = {
-    2: {1: (Fraction(1, 2), Fraction(1, 3))},
-    3: {1: (Fraction(1, 6), Fraction(1, 4)), 2: (Fraction(5, 6), Fraction(9, 20))},
-}
+def _segment_integral(a: int, b: int) -> Fraction:
+    """The integral of y**a (1 - y)**b over [0, 1], exactly: by the binomial
+    theorem it is sum_j C(b, j) (-1)**j / (a + j + 1), summed over one
+    common denominator, the lcm of a + 1 .. a + b + 1."""
+    den = math.lcm(*range(a + 1, a + b + 2))
+    return Fraction(sum((-1) ** j * math.comb(b, j) * (den // (a + j + 1)) for j in range(b + 1)),
+                    den)
 
 
-def simplex_cell_count(n: int, resolution: int) -> int:
-    """Number of cells tiling the n-outcome simplex at `resolution`.
+def simplex_integral(ks: Sequence[int]) -> Fraction:
+    """The integral of prod_i x_i**k_i over the projected simplex, exactly.
 
-    A cell is a tuple of n-1 non-negative box indices with sum at most
-    resolution-1, so there are C(resolution-1 + n-1, n-1) of them.
+    By Fubini, x_1 runs over [0, r] against the last coordinate r - x_1,
+    where r is what the other leading coordinates leave, and
+    x_1**a (r - x_1)**b integrates to r**(a+b+1) times the segment integral
+    of y**a (1 - y)**b.  So r is the last coordinate of a simplex with one
+    outcome fewer, now with exponent a + b + 1, and the next leading
+    coordinate goes the same way.  The one-outcome simplex is the point 1,
+    where every monomial is 1.  No Gamma function or rising factorial is
+    evaluated.  An exponent that is not a non-negative integer is refused,
+    not truncated.
     """
-    return math.comb(resolution - 1 + n - 1, n - 1)
-
-
-def _check_grid(n: int, resolution: int) -> tuple[int, int]:
-    n, resolution = integer(n, "number of outcomes"), integer(resolution, "resolution")
-    if not 1 <= n <= MAX_QUADRATURE_DIM:
-        raise ValueError(f"supported dimensions are 1..{MAX_QUADRATURE_DIM}, got {n}")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    cells = simplex_cell_count(n, resolution)
-    if cells > MAX_QUADRATURE_CELLS:
-        raise ValueError(
-            f"resolution {resolution} needs {cells} cells for {n} outcomes, "
-            f"over the cap of {MAX_QUADRATURE_CELLS}"
-        )
-    return n, resolution
-
-
-def _slack_classes(d: int, res: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per slack t = res - (sum of a cell's indices), at index t - 1: the
-    offset of the cell's centroid in its box, and the cell's weight."""
-    import numpy as np
-
-    offsets, weights = np.full(res, 0.5), np.ones(res)
-    for t, (frac, centroid) in _CLIP.get(d, {}).items():
-        offsets[t - 1], weights[t - 1] = float(centroid), float(frac)
-    return offsets, weights / res**d
-
-
-def _power_table(x: np.ndarray, top: int) -> np.ndarray:
-    """Rows x**0 .. x**top, by repeated multiplication."""
-    import numpy as np
-
-    table = np.empty((top + 1, len(x)))
-    table[0] = 1.0
-    for k in range(1, top + 1):
-        np.multiply(table[k - 1], x, out=table[k])
-    return table
-
-
-def _exponent_table(n: int, exponents) -> np.ndarray:
-    """The (m, n) exponent table as int64; a bad entry is named by its index in its row."""
-    import numpy as np
-
-    if len(shape := np.shape(exponents)) != 2 or shape[1] != n:
-        raise ValueError(f"expected an (m, {n}) table of exponents, got shape {shape}")
-    rows = [integer_tuple(row, "exponent", 0) for row in exponents]
-    return np.array(rows, np.int64).reshape(shape)
-
-
-def simplex_moments(n: int, resolution: int, exponents) -> np.ndarray:
-    """The cell-rule sum of w * prod_k x_k**e_k over the cells x (weights w)
-    tiling the n-outcome simplex at resolution, for each row e of an (m, n)
-    array of non-negative integer exponents, without building the grid.
-    A non-integer exponent or another shape is refused, not truncated.
-
-    The cells with slack t (resolution minus the sum of their indices) share
-    their weight, their offset in their box and so their last coordinate,
-    (t - (n-1) * offset) / resolution.  Their sum
-    of the leading coordinates' monomial is coefficient resolution - t of the
-    convolution of the power tables ((i + offset) / resolution)**e_k, i =
-    0..resolution-1.  So each distinct leading-exponent tuple takes one
-    np.convolve chain (a clipped class, t < n-1, one coefficient of its own),
-    and one matmul against the last coordinate's powers gives every moment.
-    Raises ValueError, before allocating anything, when the grid would have
-    more than MAX_QUADRATURE_CELLS cells.
-    """
-    import numpy as np
-
-    n, res = _check_grid(n, resolution)
-    d = n - 1
-    exps = _exponent_table(n, exponents)
-    groups: dict[tuple[int, ...], int] = {}
-    rows = [groups.setdefault(tuple(e[:d]), len(groups)) for e in exps.tolist()]
-    offsets, weights = _slack_classes(d, res)
-    top = int(exps[:, :d].max(initial=0))
-    tables = {off: _power_table((np.arange(res) + off) / res, top)
-              for off in {0.5, *offsets.tolist()}}
-
-    def chain(lead: tuple[int, ...], off: float, size: int) -> np.ndarray:
-        """The first size coefficients of the convolution of lead's tables."""
-        out = np.ones(1)
-        for e in lead:
-            out = np.convolve(out, tables[off][e])[:size]
-        return np.pad(out, (0, size - len(out)))
-
-    sums = np.empty((len(groups), res))  # column t - 1: the class of slack t
-    for g, lead in enumerate(groups):
-        sums[g] = chain(lead, 0.5, res)[::-1]
-        for t in range(1, d):
-            off, s = offsets[t - 1], res - t
-            sums[g, t - 1] = chain(lead[:-1], off, s + 1) @ tables[off][lead[-1], s::-1]
-    last = (np.arange(1, res + 1) - d * offsets) / res
-    moments = (sums * weights) @ _power_table(last, int(exps[:, d].max(initial=0))).T
-    return moments[rows, exps[:, d]]
-
-
-def cell_rule_integrals(alphas: list[HyperParams], exponents: list[Sequence[int]],
-                        resolution: int) -> np.ndarray:
-    """The cell-rule integral of x**k times the Dirichlet(alpha) density, for
-    each alpha and its row k of exponents.
-
-    With integer pseudo-counts the density of Dirichlet(alpha) is
-    dirichlet_normalizer(alpha) times the monomial prod_i x_i**(alpha_i - 1),
-    so each integral is that constant times the monomial moment
-    x**(alpha - 1 + k) of the cell rule, which simplex_moments sums by
-    convolution without building the grid: one call per number of outcomes.
-    """
-    if len(exponents) != len(alphas):
-        raise ValueError(f"need one exponent row per density: {len(alphas)}, got {len(exponents)}")
-    import numpy as np
-
-    out = np.empty(len(alphas))
-    for n in sorted({a.n for a in alphas}):
-        idx = [j for j, a in enumerate(alphas) if a.n == n]
-        exps = _exponent_table(n, [exponents[j] for j in idx]) + [alphas[j].counts for j in idx] - 1
-        norms = np.array([float(dirichlet_normalizer(alphas[j])) for j in idx])
-        out[idx] = simplex_moments(n, resolution, exps) * norms
+    ks = integer_tuple(ks, "exponent", 0)
+    if not ks:
+        raise ValueError("need the exponent of at least one coordinate")
+    *leading, last = ks
+    out = Fraction(1)
+    for a in leading:
+        out *= _segment_integral(a, last)
+        last += a + 1
     return out
+
+
+def density_integral(alpha: HyperParams, ks: Sequence[int]) -> Fraction:
+    """The integral of prod_i x_i**k_i times the Dirichlet(alpha) density
+    over the projected simplex, exactly: the normaliser times the
+    simplex_integral of the monomial x**(alpha - 1 + k)."""
+    ks = integer_tuple(ks, "exponent", 0)
+    if len(ks) != alpha.n:
+        raise ValueError(f"expected {alpha.n} exponents, got {len(ks)}")
+    return dirichlet_normalizer(alpha) * simplex_integral(
+        [a - 1 + k for a, k in zip(alpha.counts, ks)])
 
 
 def make_rng(seed: int) -> random.Random:
@@ -350,8 +248,8 @@ def one_sum_check(alpha: HyperParams, x: Dist) -> tuple[Fraction, Fraction]:
     of the open (n-1)-outcome simplex, a full-support Dist).  rhs: the
     integral over y in (0, s), s = x[0], of the original density at (y, s -
     y, x[1], ...).  With a, b the first two pseudo-counts, the integrand is a
-    constant times y**(a-1) * (s-y)**(b-1); expanding (s-y)**(b-1) by the
-    binomial theorem leaves powers of y, each integrated on [0, s] exactly.
+    constant times y**(a-1) * (s-y)**(b-1), which integrates to s**(a+b-1)
+    times the segment integral of simplex_integral's one step, exactly.
     The law says the two are equal.
     """
     if alpha.n < 2:
@@ -360,9 +258,7 @@ def one_sum_check(alpha: HyperParams, x: Dist) -> tuple[Fraction, Fraction]:
     lhs = dirichlet_pdf(merged, x)  # refuses x unless it is a point of the open simplex
 
     (a, b), s = alpha.counts[:2], x[0]
-    # (s-y)**(b-1) = sum_k C(b-1, k) s**(b-1-k) (-y)**k, and y**(a-1+k) on [0, s]
-    # integrates to s**(a+k) / (a+k).
-    fibre = sum(Fraction((-1) ** k * math.comb(b - 1, k), a + k) * s ** (b - 1 - k) * s ** (a + k)
-                for k in range(b))
+    # y = s t turns the integral into s**(a+b-1) times that of t**(a-1) (1-t)**(b-1) on [0, 1].
+    fibre = _segment_integral(a - 1, b - 1) * s ** (a + b - 1)
     rest = math.prod(v ** (c - 1) for v, c in zip(x.probs[1:], alpha.counts[2:]))
     return lhs, dirichlet_normalizer(alpha) * fibre * rest

@@ -60,6 +60,10 @@ A family table larger than ``MAX_FAMILY_CELLS`` is refused when the graph
 is read, naming the edge that takes it over the cap, so no data is read
 for it; `CountTable.marginal_counts` refuses any larger variable set
 before it is allocated.
+
+Importing this module loads no numpy: each function that computes with
+arrays imports it itself, so reading a graph or a prior loads none, and
+`verify` can import the module before it forks.
 """
 
 from __future__ import annotations
@@ -79,11 +83,11 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .finset import Multiset, integer_tuple
 
 if TYPE_CHECKING:  # imported where used: `learn --mode mle` needs neither
+    import numpy as np
+
     from .dirichlet import HyperParams
     from .dist import Dist
 
@@ -297,6 +301,8 @@ class GraphSpec:
 
 def _outcome_dtype(arities: tuple[int, ...]) -> np.dtype:
     """The smallest unsigned integer type holding every outcome index."""
+    import numpy as np
+
     return np.min_scalar_type(max(arities, default=1) - 1)
 
 
@@ -304,11 +310,15 @@ def _count_dtype(total: int) -> type:
     """The dtype of an array of non-negative integers whose exact grand total is
     `total`: int64 while the total is below 2**63, so that no sum of its cells
     can wrap, and Python ints (dtype object) beyond."""
+    import numpy as np
+
     return np.int64 if total < 1 << 63 else object
 
 
 def _sum_by_index(index: np.ndarray, counts: np.ndarray, size: int, total: int) -> np.ndarray:
     """``counts`` summed into ``size`` cells by ``index``, given their exact ``total``."""
+    import numpy as np
+
     dtype = _count_dtype(total)
     out = np.zeros(size, dtype=dtype)
     np.add.at(out, index, counts.astype(dtype, copy=False))
@@ -337,6 +347,8 @@ class CountTable:
     _total: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        import numpy as np
+
         shape = (len(self.counts), len(self.variables))
         if len(self.arities) != shape[1] or self.outcomes.shape != shape:
             raise ValueError(f"outcomes of shape {self.outcomes.shape} do not fit "
@@ -366,6 +378,8 @@ class CountTable:
         mapping: Mapping[tuple[int, ...], int],
     ) -> CountTable:
         """A table with one row per (outcome tuple, count) item of `mapping`."""
+        import numpy as np
+
         return cls(tuple(variables), tuple(arities),
                    np.array(list(mapping), dtype=object).reshape(len(mapping), len(variables)),
                    np.array(list(mapping.values()), dtype=object))
@@ -394,6 +408,8 @@ class CountTable:
         `names`: one exact scatter-add of every row's count into its cell,
         whose row-major index is built by Horner's rule over the columns.
         """
+        import numpy as np
+
         positions = []
         for name in names:
             if name not in self.variables:
@@ -465,6 +481,8 @@ def _is_digit(raw: np.ndarray) -> np.ndarray:
 
 def _digit_runs(raw: np.ndarray) -> int:
     """The number of maximal runs of digits in the bytes `raw`."""
+    import numpy as np
+
     digit = _is_digit(raw)
     return int(digit[0]) + np.count_nonzero(digit[1:] & ~digit[:-1])
 
@@ -480,6 +498,8 @@ def _bulk_rows(body: bytes, width: int) -> np.ndarray | None:
     digit is its value; a longer run adds its other digits at their place
     values.
     """
+    import numpy as np
+
     if not body or b"#" in body:
         return None  # a '#' makes a comment line or an error, for `_read_chunk` to sort
     if not body.endswith(b"\n"):
@@ -547,6 +567,8 @@ def _read_chunk(body: bytes, first: int, names: tuple[str, ...], arities: tuple[
     first bad line and reading counts past int64.  Only these slower paths
     split the chunk into lines; on the bulk path each line is one row.
     """
+    import numpy as np
+
     dtype, width = _outcome_dtype(arities), len(names) + 1
     values = _bulk_rows(body, width)
     if values is not None:
@@ -586,6 +608,8 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
     chunk's parts are concatenated once at the end, so the table's
     column-major array is built without another copy.
     """
+    import numpy as np
+
     path = Path(path)
     with _in_file(path):
         names = graph.node_names
@@ -645,6 +669,8 @@ class LearnedCPT:
 
     def config_outcomes(self, index: int) -> tuple[int, ...]:
         """Decode a row-major parent configuration index."""
+        import numpy as np
+
         return tuple(int(o) for o in np.unravel_index(index, self.parent_arities))
 
 
@@ -655,6 +681,8 @@ def _learn(table: CountTable, graph: GraphSpec, mode: str,
     A row whose total is zero cannot be normalised, so it aborts the run
     naming the family and the first such parent configuration.
     """
+    import numpy as np
+
     for node, got in zip(table.variables, table.arities):
         if (arity := graph._arity.get(node, got)) != got:
             raise DataError(f"node {node} has arity {arity} in the graph "
@@ -802,7 +830,7 @@ def _write_cpt(cpt: LearnedCPT, path: Path) -> None:
     configs = itertools.product(*map(range, cpt.parent_arities))  # row-major
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for config, row in zip(configs, map(np.ndarray.tolist, cpt.weights)):
+        for config, row in zip(configs, (row.tolist() for row in cpt.weights)):
             total = sum(row)
             fractions = [f"{w // g}/{total // g}" for w in row for g in [gcd(w, total)]]
             fh.write(",".join(map(str, [*config, *(row if bayes else ()), *fractions])) + "\r\n")

@@ -8,13 +8,12 @@ Three suites, selectable from the CLI:
   and monoidality of normalisation, decomposition, the flatten-order
   counterexample, conditioning identities, likelihood maximality on a
   grid), all with zero tolerance on randomised instances.
-* ``stochastic``: the Giry-side laws (quadrature normalisation and means,
-  aggregation, surjective naturality, sampler moments, the conjugate
-  update, the split round trip and factorisation, and the local-update
-  audit).  Only the quadrature laws and the sampler are binary64, each at
-  its stated tolerance: the quadrature laws use one cell rule,
-  ``RESOLUTION``, at one tolerance, ``QUADRATURE_TOL``, and sum it by
-  monomial moments (``dirichlet.simplex_moments``), building no grid.
+* ``stochastic``: the Giry-side laws (integrals over the simplex: basics,
+  density normalisation, means and validity transfer; aggregation,
+  surjective naturality, sampler moments, the conjugate update, the split
+  round trip and factorisation, and the local-update audit).  Only the
+  sampler is binary64, at its stated tolerance; every other law compares
+  exact rationals with ``==``.
 
 Each law is one function decorated with ``@law(suite, name)``: it takes
 the ``seed`` and returns ``(passed, detail)``, and the decorator
@@ -25,20 +24,24 @@ and add ``"suite/name"`` at the same position in the benchmark oracle's
 that computes with numpy arrays is declared ``@law(suite, name,
 arrays=True)`` and imports numpy itself: this module loads none.
 
-``run_suite("all")`` on Linux runs the seven ``arrays`` laws (the two
-golden learn-pipeline laws, the four quadrature laws and sampler-moments)
-in a forked child while the parent runs the other 24.  The halves share no
-state.  The parent's half is pure-Python integer and ``Fraction``
-arithmetic that holds the GIL; it never loads numpy, so it also forks
-before numpy's BLAS starts any thread.  The child loads numpy once, after
-the fork and before its first check.  The results, and so the report, are
-the same as from one process.  Each result carries the check's own time in
-``seconds``, which never includes numpy's import.
+``run_suite("all")`` on Linux runs the three ``arrays`` laws (the two
+golden learn-pipeline laws and sampler-moments) in a forked child while the
+parent runs the other 28.  The halves share no state.  The parent's half is
+pure-Python integer and ``Fraction`` arithmetic that holds the GIL; it
+never loads numpy, so it also forks before numpy's BLAS starts any thread.
+This module imports every package module its laws use, ``network`` among
+them, which loads no numpy until its array code runs, so the child imports
+numpy alone, once, after the fork and before its first check.  The results,
+and so the report, are the same as from one process.  Each result carries
+the check's own time in ``seconds``, which never includes a module's import.
 
 One law samples: sampler-moments consumes ``dirichlet_sample_blocks``
 block by block, holds no whole sample, sums coordinates and products of two
 coordinates in one pass and judges them with ``dirichlet.moment_z``, whose
 references and standard errors are exact ``dirichlet_moment`` values.
+The four integral laws integrate monomials over the simplex exactly
+(``dirichlet.simplex_integral``), a route apart from the Gamma-function
+normaliser and the rising-factorial moments they are compared with.
 Surjective naturality and the local-update audit are identities between
 exact Dirichlet moments, with zero tolerance.  Aggregation, the conjugate
 update and the split's round trip and factorisation are polynomial
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import math
 import os
 import pickle
 import random as pyrandom
@@ -62,20 +66,19 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING
 
 from .bayes import cont_condition, cont_validity, validity_transfer_check
 from .dirichlet import (
     Z_BOUND,
     HyperParams,
-    cell_rule_integrals,
+    density_integral,
     dirichlet_moment,
     dirichlet_pdf,
     dirichlet_sample_blocks,
     make_rng,
     moment_z,
     one_sum_check,
-    simplex_moments,
+    simplex_integral,
 )
 from .dist import (
     Channel,
@@ -91,9 +94,7 @@ from .dist import (
 from .finset import FinMap, Multiset, ms_map, ms_tensor, multisets, row_extract
 from .localsplit import local_update_audit, pdf_factorization_check
 from .mle import likelihood, mle, mle_decompose, monad_counterexample
-
-if TYPE_CHECKING:
-    from .network import CountTable, GraphSpec
+from .network import CountTable, GraphSpec, learn_bayes, learn_mle
 
 
 @dataclass(frozen=True)
@@ -160,14 +161,10 @@ GOLDEN_CHANNEL = (
 
 
 def blood_medicine_graph() -> GraphSpec:
-    from .network import GraphSpec
-
     return GraphSpec(nodes=(("Blood", 2), ("Medicine", 3)), edges=(("Blood", "Medicine"),))
 
 
 def blood_medicine_table() -> CountTable:
-    from .network import CountTable
-
     records = {divmod(k, 3): c for k, c in enumerate(BLOOD_MEDICINE_COUNTS)}
     return CountTable.from_records(("Blood", "Medicine"), (2, 3), records)
 
@@ -281,8 +278,6 @@ def check_golden_conditioning(seed: int) -> tuple[bool, str]:
 
 @law("golden", "learn-mle-pipeline", arrays=True)
 def check_golden_learn_mle(seed: int) -> tuple[bool, str]:
-    from .network import learn_mle
-
     cpts = {c.node: c for c in learn_mle(blood_medicine_table(), blood_medicine_graph())}
     ok = (
         cpts["Blood"].dists[0].probs == GOLDEN_FIRST
@@ -293,8 +288,6 @@ def check_golden_learn_mle(seed: int) -> tuple[bool, str]:
 
 @law("golden", "learn-bayes-pipeline", arrays=True)
 def check_golden_learn_bayes(seed: int) -> tuple[bool, str]:
-    from .network import learn_bayes
-
     cpts = {c.node: c for c in learn_bayes(blood_medicine_table(), blood_medicine_graph())}
     blood = cpts["Blood"]
     med = cpts["Medicine"]
@@ -506,75 +499,55 @@ def check_exact_posterior_mean(seed: int) -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# Stochastic suite: the cell rule and the sampler in binary64 at stated
-# tolerances, the other laws exact.
-
-ERROR_FLOOR = 1e-9  # below this, quadrature error is floating-point noise
-RESOLUTION = 400  # the quadrature laws' grid: boxes of side 1/RESOLUTION
-QUADRATURE_TOL = 1e-3  # their tolerance on that grid
+# Stochastic suite: the sampler in binary64 at its stated tolerance, the
+# other laws exact.
 
 
-@law("stochastic", "quadrature-basics", arrays=True)
+def _unit(n: int, i: int) -> list[int]:
+    return [int(j == i) for j in range(n)]
+
+
+@law("stochastic", "quadrature-basics")
 def check_stoch_quadrature_basics(seed: int) -> tuple[bool, str]:
-    import numpy as np
+    # Over the projected simplex of n outcomes, the integral of 1 is its
+    # volume 1/(n-1)! and that of each coordinate x_k is 1/n!.
+    identities = 0
+    for n in range(1, 5):
+        volume, mean = Fraction(1, math.factorial(n - 1)), Fraction(1, math.factorial(n))
+        if (got := simplex_integral((0,) * n)) != volume:
+            return False, f"integral of 1 over {n} outcomes = {got}, not {volume}"
+        for k in range(n):
+            if (got := simplex_integral(_unit(n, k))) != mean:
+                return False, f"integral of x{k} over {n} outcomes = {got}, not {mean}"
+        identities += n + 1
+    return True, (f"n = 1-4 outcomes: the integrals of 1 and of each x_k are 1/(n-1)! and 1/n!, "
+                  f"exactly ({identities} identities)")
 
-    total, mean = simplex_moments(2, RESOLUTION, [[0, 0], [1, 0]]).tolist()
-    # The rule is exact on polynomials of degree 1.  On three outcomes that
-    # rests on the clipped cells' weights and centroids: the integrals of 1
-    # and of each x_k over the projected triangle are 1/2 and 1/6.
-    degree_one = np.vstack([np.zeros(3, np.int64), np.eye(3, dtype=np.int64)])
-    linear = simplex_moments(3, RESOLUTION, degree_one)
-    gap = float(np.abs(linear - [1 / 2, 1 / 6, 1 / 6, 1 / 6]).max())
-    ok = abs(total - 1.0) <= 1e-9 and abs(mean - 0.5) <= 1e-6 and gap <= 1e-12
-    return ok, (f"integral of 1 = {total!r}, integral of x0 = {mean!r}; on 3 outcomes the "
-                f"integrals of 1 and of each x_k are exact within {gap:.1e} (tol 1.0e-12)")
 
-
-@law("stochastic", "density-normalisation", arrays=True)
+@law("stochastic", "density-normalisation")
 def check_stoch_normalisation(seed: int) -> tuple[bool, str]:
-    import numpy as np
-
     # Every pseudo-count vector with n <= 3 and sum <= 12: all ones plus a
     # multiset of the rest.
     alphas = [HyperParams((1,) * n) + phi
               for n in range(1, 4) for size in range(13 - n) for phi in multisets(n, size)]
-    zeros = [(0,) * a.n for a in alphas]
-    errs = np.abs(cell_rule_integrals(alphas, zeros, RESOLUTION) - 1.0)
-    errs2 = np.abs(cell_rule_integrals(alphas, zeros, 2 * RESOLUTION) - 1.0)
-    bad = [
-        (a.counts, e, e2)
-        for a, e, e2 in zip(alphas, errs, errs2)
-        if e > QUADRATURE_TOL or e2 > max(e, ERROR_FLOOR)
-    ]
-    ok = not bad
-    detail = (
-        f"all {len(alphas)} pseudo-count vectors with n<=3, sum<=12: worst "
-        f"|err| = {errs.max():.2e} (tol {QUADRATURE_TOL:.1e}), errors shrink when the "
-        "resolution doubles"
-        if ok
-        else f"failed at {bad[:3]}"
-    )
-    return ok, detail
+    for a in alphas:
+        if (got := density_integral(a, (0,) * a.n)) != 1:
+            return False, f"the density of {a.counts} integrates to {got}"
+    return True, (f"all {len(alphas)} pseudo-count vectors with n<=3, sum<=12: the normaliser "
+                  "times the integral of x**(alpha-1) is exactly 1")
 
 
-@law("stochastic", "mean-integrals", arrays=True)
+@law("stochastic", "mean-integrals")
 def check_stoch_mean_integrals(seed: int) -> tuple[bool, str]:
-    import numpy as np
-
     rng = pyrandom.Random(seed + 20)
-    alphas, coords = [], []
     for _ in range(30):
         n = rng.randint(2, 3)
-        alphas.append(_random_hyperparams(rng, n, hi=5))
-        coords.append(rng.randrange(n))
-    units = [[int(j == i) for j in range(a.n)] for a, i in zip(alphas, coords)]
-    means = [float(Fraction(a[i], a.total())) for a, i in zip(alphas, coords)]
-    errs = np.abs(cell_rule_integrals(alphas, units, RESOLUTION) - means)
-    bad = np.flatnonzero(errs > QUADRATURE_TOL)
-    if bad.size:
-        return False, f"error {errs[bad[0]]:.2e} at {alphas[bad[0]].counts}"
-    return True, (f"30 instances: coordinate means within {QUADRATURE_TOL:.1e} "
-                  f"(worst {errs.max():.2e})")
+        alpha = _random_hyperparams(rng, n, hi=5)
+        i = rng.randrange(n)
+        got = density_integral(alpha, _unit(n, i))
+        if got != Fraction(alpha[i], alpha.total()):
+            return False, f"integral of x{i} under {alpha.counts} = {got}"
+    return True, "30 instances: the integral of x_i times the density is alpha_i / sum alpha, exactly"
 
 
 @law("stochastic", "aggregation-one-sum")
@@ -659,24 +632,17 @@ def check_stoch_conjugacy(seed: int) -> tuple[bool, str]:
                   "= conditioned density")
 
 
-@law("stochastic", "validity-transfer-quadrature", arrays=True)
+@law("stochastic", "validity-transfer-quadrature")
 def check_stoch_transfer_quadrature(seed: int) -> tuple[bool, str]:
     rng = pyrandom.Random(seed + 27)
-    worst = 0.0
     for _ in range(20):
         n = rng.randint(2, 3)
         alpha = _random_hyperparams(rng, n, hi=5)
         p = _random_predicate(rng, n)
-        lhs = float(validity(mle(alpha), p))
-        rhs = cont_validity(alpha, p, RESOLUTION)
-        err = abs(lhs - rhs)
-        worst = max(worst, err)
-        if err > QUADRATURE_TOL:
-            return False, f"gap {err:.2e} at {alpha.counts}"
-    return True, (
-        f"20 instances: quadrature agrees with the exact value within {QUADRATURE_TOL:.1e} "
-        f"(worst {worst:.2e})"
-    )
+        lhs, rhs = validity(mle(alpha), p), cont_validity(alpha, p)
+        if lhs != rhs:
+            return False, f"{lhs} != {rhs} at {alpha.counts}"
+    return True, "20 instances: the integral of the lifted predicate equals the discrete validity"
 
 
 @law("stochastic", "split-round-trip")

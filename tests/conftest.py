@@ -3,8 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+# As the CLI does, before anything imports numpy: its OpenBLAS would start a
+# helper thread per core, and the in-process `run_suite("all")` tests would
+# fork a multi-threaded process.  A value set in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import hypothesis
-import numpy as np
 import pytest
 
 from cptforge import localsplit
@@ -34,35 +38,6 @@ def reverse_the_split_totals(monkeypatch):
         return Dist(totals.probs[::-1]), shares
 
     monkeypatch.setattr(localsplit, "disintegrate", split)
-
-
-def cells_by_meshgrid(n, res):
-    """The cell grid as it was first built: a meshgrid masked to the
-    triangle, then extended by one index for n = 4."""
-    d = n - 1
-    if d == 0:
-        return np.array([[1.0]]), np.array([1.0])
-    if d == 1:
-        firsts = (np.arange(res, dtype=float).reshape(-1, 1) + 0.5) / res
-        weights = np.full(res, 1.0 / res)
-    else:
-        ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
-        mask = ii + jj <= res - 1
-        cells = np.stack([ii[mask], jj[mask]], axis=1)
-        if d == 3:
-            counts = res - cells.sum(axis=1)
-            base = np.repeat(cells, counts, axis=0)
-            ends = np.cumsum(counts)
-            k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-            cells = np.column_stack([base, k])
-        clip = {2: {1: (1 / 2, 1 / 3)}, 3: {1: (1 / 6, 1 / 4), 2: (5 / 6, 9 / 20)}}[d]
-        slack = res - cells.sum(axis=1)
-        offsets, fracs = np.full(len(cells), 0.5), np.ones(len(cells))
-        for t, (frac, centroid) in clip.items():
-            offsets[slack == t], fracs[slack == t] = centroid, frac
-        firsts = (cells + offsets[:, None]) / res
-        weights = fracs / res**d
-    return np.column_stack([firsts, 1.0 - firsts.sum(axis=1)]), weights
 
 
 @pytest.fixture

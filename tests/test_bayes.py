@@ -1,27 +1,15 @@
-import random
 import tracemalloc
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cptforge import verify
 from cptforge.bayes import cont_condition, cont_validity, validity_transfer_check
-from cptforge.dirichlet import (
-    MAX_QUADRATURE_CELLS,
-    HyperParams,
-    cell_rule_integrals,
-    dirichlet_normalizer,
-    dirichlet_pdf,
-    simplex_cell_count,
-    simplex_moments,
-)
+from cptforge.dirichlet import HyperParams, dirichlet_pdf
 from cptforge.dist import Dist, Predicate
 from cptforge.finset import Multiset
-
-from conftest import cells_by_meshgrid
 
 hyperparams_st = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
     lambda a: HyperParams(tuple(a))
@@ -29,8 +17,8 @@ hyperparams_st = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
 
 
 class TestContValidity:
-    # Each value is checked twice: exactly through the closed form that
-    # validity_transfer_check reports, and by cont_validity's cell rule.
+    # Each value is checked twice, exactly: through the closed form that
+    # validity_transfer_check reports, and by cont_validity's integral.
     @pytest.mark.parametrize(
         "alpha,p,value",
         [
@@ -41,21 +29,22 @@ class TestContValidity:
     )
     def test_worked_examples(self, alpha, p, value):
         assert validity_transfer_check(alpha, p) == (value, value)
-        assert cont_validity(alpha, p, 200) == pytest.approx(float(value), abs=1e-3)
+        assert cont_validity(alpha, p) == value
 
     def test_constant_one(self):
         alpha, p = HyperParams((3, 1)), Predicate((1,) * 2)
         assert validity_transfer_check(alpha, p)[1] == 1
-        assert cont_validity(alpha, p, 200) == pytest.approx(1.0, abs=1e-3)
+        assert cont_validity(alpha, p) == 1
+        assert type(cont_validity(alpha, p)) is F
 
     def test_beta_example(self):
         alpha, p = HyperParams((3, 1)), Predicate((F(1), F(0)))
         assert validity_transfer_check(alpha, p)[1] == F(3, 4)
-        assert cont_validity(alpha, p, 200) == pytest.approx(0.75, abs=1e-3)
+        assert cont_validity(alpha, p) == F(3, 4)
 
     @pytest.mark.parametrize("p", [Predicate.point(2, 1), Predicate.point(4, 3)],
                              ids=["shorter", "longer"])
-    @pytest.mark.parametrize("call", [cont_condition, lambda a, p: cont_validity(a, p, 200)],
+    @pytest.mark.parametrize("call", [cont_condition, cont_validity],
                              ids=["cont_condition", "cont_validity"])
     def test_size_mismatch_refused(self, call, p):
         # A shorter point predicate would otherwise increment a coordinate
@@ -64,51 +53,13 @@ class TestContValidity:
             call(HyperParams((1, 1, 1)), p)
         assert str(err.value) == f"size mismatch: density over 3, predicate over {p.n}"
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_moments_match_the_grid(self, n):
-        # cont_validity sums the cell rule by moments; the reference
-        # integrates q * density over the whole grid, with the density's
-        # monomial evaluated at every cell.
-        rng = random.Random(n)
-        for res in (2, 3, 23, 200, 400):
-            if simplex_cell_count(n, res) > MAX_QUADRATURE_CELLS:
-                continue
-            points, weights = cells_by_meshgrid(n, res)
-            for _ in range(4):
-                alpha = HyperParams(tuple(rng.randint(1, 6) for _ in range(n)))
-                p = Predicate(tuple(F(rng.randint(0, 6), 6) for _ in range(n)))
-                point = Predicate.point(n, rng.randrange(n))
-                for a in (alpha, cont_condition(alpha, point)):
-                    monomial = np.prod(points ** (np.array(a.counts) - 1), axis=1)
-                    pdf = float(dirichlet_normalizer(a)) * monomial
-                    p_values = points @ [float(v) for v in p.values]
-                    want = weights @ (p_values * pdf)
-                    assert cont_validity(a, p, res) == pytest.approx(want, rel=1e-12, abs=0)
-
-    def test_cell_cap_as_for_the_grid(self):
-        with pytest.raises(ValueError, match="over the cap") as grid:
-            simplex_moments(4, 400, np.zeros((1, 4), np.int64))
-        with pytest.raises(ValueError, match="over the cap") as moments:
-            cont_validity(HyperParams((1,) * 4), Predicate((1,) * 4), 400)
-        assert str(moments.value) == str(grid.value)
-        # A size that is not an integer is refused by name, never truncated.
-        for call, message in [
-            (lambda: simplex_moments(2, 400.0, [[0, 0]]), "resolution 400.0"),
-            (lambda: simplex_moments(2.0, 400, [[0, 0]]), "number of outcomes 2.0"),
-            (lambda: cell_rule_integrals([HyperParams((1, 2))], [[0, 0]], 400.0),
-             "resolution 400.0"),
-            (lambda: cont_validity(HyperParams((1, 2)), Predicate((1, 0)), 50.5),
-             "resolution 50.5"),
-        ]:
-            with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
-                call()
-
     @pytest.mark.parametrize("law", [verify.check_stoch_mean_integrals,
                                      verify.check_stoch_transfer_quadrature],
                              ids=lambda law: law.__name__)
     def test_quadrature_laws_build_no_grid(self, law):
-        # The 80,200-cell grid of three outcomes at resolution 400 holds 2.6 MB
-        # of points and weights; the laws peak near 0.2 MB.
+        # The cell rule's 80,200-cell grid of three outcomes at resolution 400
+        # held 2.6 MB of points and weights; the exact integrals hold a few
+        # Fractions at a time.
         tracemalloc.start()
         try:
             assert law(42).passed
@@ -193,7 +144,7 @@ class TestValidityTransfer:
             F(data.draw(st.integers(0, 6)), 6) for _ in range(alpha.n)
         )
         lhs, rhs = validity_transfer_check(alpha, Predicate(values))
-        assert lhs == rhs
+        assert lhs == rhs == cont_validity(alpha, Predicate(values))  # 1-6 outcomes
 
 
 def test_exact_laws_fail_when_normalisation_is_wrong(monkeypatch):

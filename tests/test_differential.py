@@ -171,23 +171,41 @@ def test_check_raising_in_the_child_is_a_fail(monkeypatch, capsys):
     assert cli.main(args) == 0
     want = capsys.readouterr().out.splitlines()
 
-    def refuse(alpha, p, resolution):
-        raise ValueError("quadrature refused")
+    def refuse(table, graph):
+        raise ValueError("learning refused")
 
-    monkeypatch.setattr(verify, "cont_validity", refuse)
-    assert verify.check_stoch_transfer_quadrature.arrays  # so `all` runs it in the child
-    failed = verify.CheckResult("stochastic", "validity-transfer-quadrature", False,
-                                "raised ValueError: quadrature refused", 0.0)
-    assert failed in verify.run_suite("stochastic", 42)
+    monkeypatch.setattr(verify, "learn_mle", refuse)
+    assert verify.check_golden_learn_mle.arrays  # so `all` runs it in the child
+    failed = verify.CheckResult("golden", "learn-mle-pipeline", False,
+                                "raised ValueError: learning refused", 0.0)
+    assert failed in verify.run_suite("golden", 42)
     assert cli.main(args) == 1
-    at = next(i for i, line in enumerate(want)
-              if "stochastic/validity-transfer-quadrature:" in line)
+    at = next(i for i, line in enumerate(want) if "golden/learn-mle-pipeline:" in line)
     assert capsys.readouterr().out.splitlines() == [
         *want[:at],
-        "[FAIL] stochastic/validity-transfer-quadrature: raised ValueError: quadrature refused",
+        "[FAIL] golden/learn-mle-pipeline: raised ValueError: learning refused",
         *want[at + 1 : -1],
         "SUMMARY: 30 passed, 1 failed (suite=all, seed=42, resolution=400)",
     ]
+    assert_no_child_left()
+
+
+@forks
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_in_process_all_forks_a_single_threaded_process(monkeypatch):
+    # conftest asks for one BLAS thread before numpy loads, so this process,
+    # which has loaded numpy, holds no helper thread when `all` forks.
+    import numpy  # noqa: F401
+
+    fork, threads = os.fork, []
+
+    def counting_fork():
+        threads.append(len(os.listdir("/proc/self/task")))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert all(r.passed for r in verify.run_suite("all", 1))
+    assert threads == [1]
     assert_no_child_left()
 
 

@@ -10,10 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cptforge.dirichlet import (
-    MAX_QUADRATURE_CELLS,
     SAMPLE_BLOCK,
     HyperParams,
-    cell_rule_integrals,
+    density_integral,
     dirichlet_moment,
     dirichlet_normalizer,
     dirichlet_pdf,
@@ -22,19 +21,12 @@ from cptforge.dirichlet import (
     make_rng,
     moment_z,
     one_sum_check,
-    simplex_cell_count,
-    simplex_moments,
+    simplex_integral,
 )
 from cptforge.dist import Dist
 from cptforge.finset import FinMap, ms_map, multisets
 from cptforge.mle import mle
-from cptforge.verify import (
-    check_stoch_normalisation,
-    check_stoch_sampler_moments,
-    pushed_moment,
-)
-
-from conftest import cells_by_meshgrid
+from cptforge.verify import check_stoch_sampler_moments, pushed_moment
 
 
 def all_hyperparams(n, max_total):
@@ -159,93 +151,98 @@ class TestIntPower:
                 assert dirichlet_pdf(HyperParams((1,) * n), point) == math.factorial(n - 1)
 
 
+def closed_form(ks):
+    """The integral of prod x_i**k_i over the projected simplex as the
+    Dirichlet closed form prod k_i! / (sum k + n - 1)!."""
+    return F(math.prod(map(math.factorial, ks)), math.factorial(sum(ks) + len(ks) - 1))
+
+
 class TestSimplexQuadrature:
+    """Exact integrals over the projected simplex: of monomials
+    (simplex_integral) and of monomials times densities (density_integral)."""
+
     def test_cell_weights_sum_to_simplex_volume(self):
-        for n in (2, 3, 4):
-            got = simplex_moments(n, 23, np.zeros((1, n), np.int64))[0]
-            assert got == pytest.approx(1 / math.factorial(n - 1), abs=1e-14)
+        for n in (1, 2, 3, 4, 7):
+            assert simplex_integral((0,) * n) == F(1, math.factorial(n - 1))
 
     def test_constant_on_two_outcomes(self):
-        assert simplex_moments(2, 100, [[0, 0]])[0] == pytest.approx(1.0, abs=1e-9)
+        assert simplex_integral([0, 0]) == 1
 
     def test_coordinate_mean_by_symmetry(self):
-        assert simplex_moments(2, 100, [[1, 0]])[0] == pytest.approx(0.5, abs=1e-6)
+        assert simplex_integral([1, 0]) == simplex_integral([0, 1]) == F(1, 2)
 
     def test_linear_density_normalisation(self):
-        got = cell_rule_integrals([HyperParams((2, 1, 1))], [(0, 0, 0)], 400)[0]
-        assert got == pytest.approx(1.0, abs=1e-3)
+        assert density_integral(HyperParams((2, 1, 1)), (0, 0, 0)) == 1
 
     def test_four_outcome_normalisation(self):
-        got = cell_rule_integrals([HyperParams((2, 1, 1, 2))], [(0, 0, 0, 0)], 40)[0]
-        assert got == pytest.approx(1.0, abs=5e-3)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            simplex_moments(5, 10, np.zeros((1, 5), np.int64))
-
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            simplex_moments(2, 1, [[0, 0]])
+        assert density_integral(HyperParams((2, 1, 1, 2)), (0, 0, 0, 0)) == 1
 
     def test_exponents_are_refused_not_truncated(self):
         with pytest.raises(ValueError, match="exponent 1.7 at index 0 is not an integer"):
-            cell_rule_integrals([HyperParams((1, 2))], [[1.7, 0]], 50)
+            density_integral(HyperParams((1, 2)), [1.7, 0])
         with pytest.raises(ValueError, match="exponent 1.7 at index 0 is not an integer"):
-            simplex_moments(2, 50, [[1.7, 0]])
+            simplex_integral([1.7, 0])
         with pytest.raises(ValueError, match="exponent -1 at index 1 must be at least 0"):
-            simplex_moments(2, 50, [[1, -1]])
-        with pytest.raises(ValueError, match="exponent -1 at index 1 must be at least 0"):
-            simplex_moments(2, 50, [[0, 0], [1, -1]])  # the index within its row
-        # A table of another shape is refused, not reshaped, and so is a row
-        # count other than the number of densities.
-        with pytest.raises(ValueError, match=r"table of exponents, got shape \(1, 4\)"):
-            simplex_moments(2, 50, [[1, 0, 0, 1]])
-        with pytest.raises(ValueError, match=r"table of exponents, got shape \(2,\)"):
-            simplex_moments(2, 50, [1, 0])
-        with pytest.raises(ValueError, match=r"table of exponents, got shape \(1, 1\)"):
-            cell_rule_integrals([HyperParams((1, 2))], [[1]], 50)
-        with pytest.raises(ValueError, match="need one exponent row per density: 1, got 2"):
-            cell_rule_integrals([HyperParams((1, 2))], [[0, 0], [1, 0]], 50)
-        with pytest.raises(ValueError, match="need one exponent row per density: 2, got 1"):
-            cell_rule_integrals([HyperParams((1, 2))] * 2, [[0, 0]], 50)
+            simplex_integral([1, -1])
+        # A row of another length is refused, not cut or padded.
+        with pytest.raises(ValueError, match="^expected 2 exponents, got 1$"):
+            density_integral(HyperParams((1, 2)), [1])
+        with pytest.raises(ValueError, match="^need the exponent of at least one coordinate$"):
+            simplex_integral([])
 
     def test_degenerate_dimension(self):
         # The one-outcome simplex is the point x0 = 1, of weight 1.
-        assert simplex_moments(1, 10, [[0], [3]]).tolist() == [1.0, 1.0]
+        assert simplex_integral([0]) == simplex_integral([3]) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_batched_normalisation_matches_quadrature(self, n):
-        # The reference integrates each pdf over the whole grid.
-        alphas = all_hyperparams(n, 8)[:6]
-        for res in (10, 40 if n == 4 else 400):
-            got = cell_rule_integrals(alphas, [(0,) * n] * len(alphas), res)
-            points, weights = cells_by_meshgrid(n, res)
-            for a, g in zip(alphas, got):
-                monomial = np.prod(points ** (np.array(a.counts) - 1), axis=1)
-                want = weights @ (float(dirichlet_normalizer(a)) * monomial)
-                assert abs(g - want) <= 1e-12, (a.counts, res, g, want)
+        # Every density integrates to 1, and its monomial to the closed form.
+        for a in all_hyperparams(n, 10):
+            assert simplex_integral([k - 1 for k in a.counts]) == closed_form(
+                [k - 1 for k in a.counts])
+            assert density_integral(a, (0,) * n) == 1
 
-    def test_normalisation_memory_is_bounded_by_the_block(self):
-        # No grid is built.  Building and caching the whole grids peaked at
-        # 24.9 MiB at resolution 800 and 162 MiB at 2046, a 3-outcome grid
-        # just under MAX_QUADRATURE_CELLS.
-        alphas = [a for n in (1, 2, 3) for a in all_hyperparams(n, 12)]  # the law's 298
-        for resolution in (800, 2046):
-            tracemalloc.start()
-            try:
-                cell_rule_integrals(alphas, [(0,) * a.n for a in alphas], resolution)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 << 20, resolution
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6), st.data())
+    def test_density_integrals_are_the_moments(self, alpha, data):
+        # The integral of x**k times the density is E[x**k], the rising-factorial
+        # route, which the integrator never evaluates.
+        alpha = HyperParams(tuple(alpha))
+        ks = [data.draw(st.integers(0, 6)) for _ in range(alpha.n)]
+        assert simplex_integral(ks) == closed_form(ks)
+        assert density_integral(alpha, ks) == dirichlet_moment(alpha, ks)
 
-    def test_normalisation_detail_at_resolution_400(self):
-        result = check_stoch_normalisation(42)
-        assert result.passed
-        assert result.detail == (
-            "all 298 pseudo-count vectors with n<=3, sum<=12: worst |err| = 8.51e-05 "
-            "(tol 1.0e-03), errors shrink when the resolution doubles"
-        )
+
+def cells_by_meshgrid(n, res):
+    """A centroid rule over the projected simplex, built independently of
+    the integrator: the cubes of side 1 / res of a meshgrid, masked to the
+    simplex, with each cube on the boundary clipped to its part inside
+    (which is convex).  Each cell is its centroid, weighted by its volume,
+    so the rule is exact for affine functions."""
+    d = n - 1
+    if d == 0:
+        return np.array([[1.0]]), np.array([1.0])
+    if d == 1:
+        firsts = (np.arange(res, dtype=float).reshape(-1, 1) + 0.5) / res
+        weights = np.full(res, 1.0 / res)
+    else:
+        ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
+        mask = ii + jj <= res - 1
+        cells = np.stack([ii[mask], jj[mask]], axis=1)
+        if d == 3:
+            counts = res - cells.sum(axis=1)
+            base = np.repeat(cells, counts, axis=0)
+            ends = np.cumsum(counts)
+            k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+            cells = np.column_stack([base, k])
+        # (volume, centroid offset) of the clipped cube, by its slack.
+        clip = {2: {1: (1 / 2, 1 / 3)}, 3: {1: (1 / 6, 1 / 4), 2: (5 / 6, 9 / 20)}}[d]
+        slack = res - cells.sum(axis=1)
+        offsets, fracs = np.full(len(cells), 0.5), np.ones(len(cells))
+        for t, (frac, centroid) in clip.items():
+            offsets[slack == t], fracs[slack == t] = centroid, frac
+        firsts = (cells + offsets[:, None]) / res
+        weights = fracs / res**d
+    return np.column_stack([firsts, 1.0 - firsts.sum(axis=1)]), weights
 
 
 class TestSimplexCells:
@@ -256,29 +253,26 @@ class TestSimplexCells:
         + [(n, res) for n in (1, 2, 3, 4) for res in (3, 5)],
     )
     def test_matches_the_meshgrid_construction(self, n, res):
-        # simplex_moments sums the cell rule's monomials by convolving power
-        # tables; the reference sums them over the whole grid.
+        # The centroid rule integrates every affine monomial exactly, and any
+        # other within its second-order bound: on a convex cell of diameter
+        # at most sqrt(d) / res, the Taylor remainder after the affine part
+        # is at most half the Hessian's norm times the squared diameter.  In
+        # the d leading coordinates, with x_last = 1 - sum, the Hessian entry
+        # (a, b) of x**e is at most (e_a + e_last)(e_b + e_last) on the
+        # simplex, so its Frobenius norm is at most sum_a (e_a + e_last)**2.
+        d = n - 1
         points, weights = cells_by_meshgrid(n, res)
-        assert len(weights) == simplex_cell_count(n, res)
-        exps = np.array([*itertools.product(range(4), repeat=n), (11,) + (0,) * (n - 1),
-                         (0,) * (n - 1) + (11,)])
-        powers = [col ** np.arange(12)[:, None] for col in points.T]
-        want = np.array([weights @ np.prod([p[k] for p, k in zip(powers, e)], axis=0)
-                         for e in exps])
-        got = simplex_moments(n, res, exps)
-        assert np.all(np.abs(got - want) <= 1e-13 * want), np.abs(got / want - 1).max()
-
-    @pytest.mark.parametrize("n,res", [(2, MAX_QUADRATURE_CELLS + 1), (3, 10**6), (4, 10**30)])
-    def test_cell_cap_fires_before_allocation(self, n, res):
-        message = rf"needs \d+ cells .*cap of {MAX_QUADRATURE_CELLS}"
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=message):
-                simplex_moments(n, res, np.zeros((1, n), np.int64))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert weights.sum() == pytest.approx(1 / math.factorial(d), rel=1e-13)
+        exps = [*itertools.product(range(4), repeat=n), (11,) + (0,) * d, (0,) * d + (11,)]
+        for e in exps:
+            exact = simplex_integral(e)
+            rule = weights @ np.prod(points ** np.array(e), axis=1)
+            if sum(e) <= 1 or d == 0:
+                assert rule == pytest.approx(float(exact), rel=1e-12), e
+                continue
+            hessian = sum((a + e[-1]) ** 2 for a in e[:-1])
+            bound = hessian * d / (2 * res**2 * math.factorial(d))
+            assert abs(rule - float(exact)) <= bound * (1 + 1e-9), (e, rule, exact, bound)
 
 
 def sample(alpha, size, rng):
@@ -413,8 +407,8 @@ class TestDirichletMean:
 
     def test_mean_integral_matches(self):
         a = HyperParams((2, 1, 1))
-        got = cell_rule_integrals([a] * 3, np.eye(3, dtype=np.int64), 400)
-        assert got == pytest.approx([float(F(k, a.total())) for k in a.counts], abs=1e-3)
+        got = [density_integral(a, [int(j == i) for j in range(3)]) for i in range(3)]
+        assert got == list(mle(a).probs) == [F(1, 2), F(1, 4), F(1, 4)]
 
 
 class TestAggregateParams:

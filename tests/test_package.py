@@ -3,12 +3,13 @@ interpreter.
 
 `import cptforge` loads neither numpy nor any submodule; a public name is
 imported on first use.  `import cptforge.cli` loads no numpy and no other
-submodule: `learn` imports the count pipeline, which does not load
-`fractions`, and numpy then runs its BLAS on one thread unless the user's
-environment sets OPENBLAS_NUM_THREADS.  `verify` loads numpy only for the
-checks that compute with arrays: under `--suite all` on Linux, only in the
-forked child, which loads it before its first check, so the parent forks
-with one thread.
+submodule: `learn` imports the count pipeline, which loads neither
+`fractions` nor numpy until it computes with arrays, and numpy then runs
+its BLAS on one thread unless the user's environment sets
+OPENBLAS_NUM_THREADS.  `verify` loads numpy only for the checks that
+compute with arrays: under `--suite all` on Linux, only in the forked
+child, which loads it, and no package module, before its first check, so
+the parent forks with one thread.
 """
 
 import os
@@ -54,6 +55,24 @@ def test_cli_loads_only_what_learn_needs(output):
         "cptforge cptforge.cli\nFalse\n"
         "cptforge cptforge.cli cptforge.finset cptforge.network\nFalse"
     )
+
+
+def test_network_import_loads_no_numpy(output):
+    assert output("import sys, cptforge.network; print('numpy' in sys.modules)") == "False"
+
+
+def test_learn_with_a_malformed_graph_loads_no_numpy(output, tmp_path):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("node A 2\nedge A B\n", encoding="utf-8")
+    code = f"""
+import contextlib, io, sys
+from cptforge import cli
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    code = cli.main(["learn", "--mode", "mle", "--graph", {str(graph)!r},
+                     "--data", "none.csv", "--out", {str(tmp_path / "out")!r}])
+print(code, 'numpy' in sys.modules, err.getvalue().strip())
+"""
+    assert output(code) == f"2 False error: {graph}: line 2: edge 'A' -> 'B' references an undeclared node"
 
 
 @needs_tasks
@@ -104,6 +123,31 @@ probe_result = verify.run_suite("all", 1)[-1]
 print(probe_result.name, probe_result.passed, 'numpy' in sys.modules)
 """
     assert output(code) == "numpy-loaded True False"
+
+
+@forks
+def test_forked_checks_load_no_package_module(output):
+    # The child runs exactly the three laws marked `arrays`, and a probe law
+    # after them: from the fork to the probe, the child imported numpy and
+    # nothing of the package, so no forked check's seconds include a
+    # module's compile.
+    code = QUIET + """
+forked = [f"{r}/{c.__name__}" for r, checks in verify.SUITES.items() for c in checks if c.arrays]
+before = set(sys.modules)
+
+@verify.law("probe", "no-package-module", arrays=True)
+def probe(seed):
+    new = sorted(set(sys.modules) - before)
+    return not [m for m in new if m.startswith("cptforge")], " ".join(new)
+
+probe_result = verify.run_suite("all", 1)[-1]
+print(forked)
+print(probe_result.passed, 'numpy' in probe_result.detail.split())
+"""
+    assert output(code) == (
+        "['golden/check_golden_learn_mle', 'golden/check_golden_learn_bayes', "
+        "'stochastic/check_stoch_sampler_moments']\nTrue True"
+    )
 
 
 @forks

@@ -15,16 +15,14 @@ ROOT = Path(__file__).resolve().parent.parent
     "argv,expected",
     [
         (["learn_blood_medicine.py"], "learn_blood_medicine.txt"),
-        (["quadrature_convergence.py"], None),
         (["local_audit_demo.py"], "local_audit_demo.txt"),
     ],
-    ids=["learn_blood_medicine.py", "quadrature_convergence.py", "local_audit_demo.py"],
+    ids=["learn_blood_medicine.py", "local_audit_demo.py"],
 )
 def test_script_exits_cleanly(run_python, argv, expected):
     proc = run_python(str(ROOT / "scripts" / argv[0]), *argv[1:])
     assert proc.returncode == 0, proc.stderr
-    if expected:  # a script whose stdout is pinned
-        assert proc.stdout == (ROOT / "tests" / "expected" / expected).read_text(encoding="utf-8")
+    assert proc.stdout == (ROOT / "tests" / "expected" / expected).read_text(encoding="utf-8")
 
 
 def test_readme_library_tour_runs(run_python):
@@ -52,10 +50,10 @@ PINNED_MUTANTS = {
     "aggregate-wrong-target": ["stochastic/aggregation-one-sum",
                                "stochastic/surjective-naturality"],
     "audit-direct-not-incremented": ["stochastic/local-update-audit"],
-    "clipped-cell-centroid": ["stochastic/quadrature-basics"],
+    "binomial-sum-denominator-off-by-one": ["stochastic/quadrature-basics",
+                                            "stochastic/density-normalisation"],
     "cont-condition-wrong-coordinate": ["stochastic/conjugate-update"],
     "split-column-shares": ["stochastic/split-round-trip", "stochastic/split-factorisation"],
-    "segment-end-cell-clipped": ["stochastic/quadrature-basics"],
     "lifted-predicate-reversed": ["stochastic/validity-transfer-quadrature"],
     "moment-rising-off-by-one": ["exact/validity-transfer", "exact/posterior-mean-identity",
                                  "stochastic/surjective-naturality", "stochastic/sampler-moments"],
