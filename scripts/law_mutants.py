@@ -41,11 +41,6 @@ MUTANTS = {
         "return math.prod(range(a, a + k))",
         "return math.prod(range(a, a + k + 1))",
     ),
-    "sampler-reduceat-off-by-one": (
-        "dirichlet.py",
-        "np.add.reduceat(-np.log1p(-u), starts, axis=1)",
-        "np.add.reduceat(-np.log1p(-u), np.maximum(starts - 1, 0), axis=1)",
-    ),
     "normalise-adds-one": (
         "dist.py",
         "return _normalised(weights, total)",
@@ -70,11 +65,6 @@ MUTANTS = {
         "dirichlet.py",
         "merged = ms_map(FinMap((0, *range(alpha.n - 1)), alpha.n - 1), alpha)",
         "merged = ms_map(FinMap((*range(alpha.n - 1), alpha.n - 2), alpha.n - 1), alpha)",
-    ),
-    "moment-z-reversed-exponents": (
-        "dirichlet.py",
-        "mean = dirichlet_moment(alpha, ks)",
-        "mean = dirichlet_moment(alpha, ks[::-1])",
     ),
     "split-column-shares": (
         "dist.py",

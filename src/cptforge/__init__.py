@@ -3,9 +3,8 @@
 Two learning maps sit at the core: normalising non-empty count vectors into
 empirical distributions (frequentist), and updating integer pseudo-counts of
 Dirichlet densities (Bayesian).  The package implements both together with
-the exact-rational distribution layer they act on, exact Dirichlet density
-values, moments and integrals over the simplex, and seeded Dirichlet
-sampling for checking the moments statistically.  A Dirichlet is
+the exact-rational distribution layer they act on, and exact Dirichlet
+density values, moments and integrals over the simplex.  A Dirichlet is
 passed as its pseudo-counts, a `HyperParams`, a predicate lifted to the
 simplex as the plain `Predicate`, and a point of the open simplex as a
 full-support `Dist`: each fixes its object.  A joint point splits into its
@@ -24,7 +23,7 @@ import types
 # Each public name, once, under the submodule that defines it.
 _EXPORTS = {
     "bayes": ("cont_condition", "cont_validity", "validity_transfer_check"),
-    "dirichlet": ("HyperParams", "dirichlet_pdf", "gamma_nat", "make_rng", "one_sum_check"),
+    "dirichlet": ("HyperParams", "dirichlet_pdf", "gamma_nat", "one_sum_check"),
     "dist": ("Channel", "Dist", "Predicate", "condition", "disintegrate", "dist_map",
              "pair_graph", "state_transform", "validity"),
     "finset": ("FinMap", "Multiset", "ZeroRowError", "ms_map", "ms_tensor", "row_extract"),

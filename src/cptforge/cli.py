@@ -27,12 +27,11 @@ import sys
 from typing import NoReturn
 
 # numpy's bundled OpenBLAS starts one helper thread per core when it loads, and
-# each helper spin-waits after the load and after every BLAS call.  The
-# products here are small (the largest is 55x2046 times 2046x10) and run in
-# the same wall time on one thread: on 2 cores, verify --suite all used 0.59 s
-# of CPU for 0.34 s of wall time with the helpers and 0.34 s without.  So the
-# CLI asks for one thread before the first import of numpy; a value the user
-# has set wins.  The library itself leaves the environment alone.
+# each helper spin-waits after the load.  The package makes no BLAS call, so
+# the helpers only burn CPU: on 2 cores, a golden learn used 0.19 s of CPU
+# with them and 0.13 s with one thread.  So the CLI asks for one thread
+# before the first import of numpy; a value the user has set wins.  The
+# library itself leaves the environment alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 

@@ -1,6 +1,5 @@
 """Dirichlet densities with integer pseudo-count parameters: their exact
-values, moments, integrals and aggregation, plus the sampler used to check
-their moments statistically.
+values, moments, integrals and aggregation.
 
 The parameters, `HyperParams`, are a `finset.Multiset` in which every count
 is at least 1, so multiset arithmetic applies to them as it stands: `total()`
@@ -31,36 +30,17 @@ laws compare the routes.  Its one-step case, a segment integral, is also
 Moments: with integer pseudo-counts every mixed moment of Dirichlet(alpha)
 is an exact rational, `dirichlet_moment`; its degree-1 case, the mean, is
 `mle(alpha)`, the normalised pseudo-counts.
-
-Sampling draws Dirichlet points from a seeded `random.Random` stream, one
-block of rows at a time: `dirichlet_sample_blocks` yields the blocks as it
-draws them.  A sample is judged by `moment_z`, from its column sums and Gram
-sums alone: both add over blocks, so a sampling law holds no whole sample,
-and every standard error is exact.
-
-Only the sampler computes with arrays, and it imports numpy itself, so
-everything else here loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Sequence
 
 from .dist import Dist
-from .finset import FinMap, Multiset, index_below, integer_tuple, ms_map, multisets
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# Exponentials per block of dirichlet_sample_blocks.  Blocks of 2^14 to 2^16
-# took the same time for 100k draws; the smallest adds the least memory, and
-# the sampling laws, which stream their blocks, peak lower with it (a 2^16
-# block raised verify-all's peak RSS from 38.7 to 41.0 MB).
-SAMPLE_BLOCK = 1 << 14
+from .finset import FinMap, Multiset, index_below, integer_tuple, ms_map
 
 
 @dataclass(frozen=True)
@@ -158,45 +138,6 @@ def density_integral(alpha: HyperParams, ks: Sequence[int]) -> Fraction:
         [a - 1 + k for a, k in zip(alpha.counts, ks)])
 
 
-def make_rng(seed: int) -> random.Random:
-    """A seeded Mersenne Twister stream, Python's `random.Random`: the same
-    seed replays bit-identically, and the stream loads no numpy."""
-    return random.Random(seed)
-
-
-def dirichlet_sample_blocks(
-    alpha: HyperParams, size: int, rng: random.Random
-) -> Iterator[np.ndarray]:
-    """size Dirichlet(alpha) draws, as consecutive (rows, n) blocks.
-
-    Each coordinate's Gamma variate with integer shape a_i is drawn as the
-    sum of a_i independent standard exponentials, which is exact for
-    integer shapes; the row is then normalised by its sum.  Each
-    exponential is -log1p(-u) for a 53-bit uniform u on [0, 1): the top 53
-    bits of one little-endian 64-bit word of the stream's bytes
-    (`rng.randbytes`).  A block holds as many whole rows as fit in
-    SAMPLE_BLOCK exponentials (one row if it alone is longer).  The stream
-    fills the blocks in order as they are consumed, so together they are
-    the draws of one (size, total) block of exponentials.  Raises
-    ValueError on the call when size < 1.
-    """
-    import numpy as np
-
-    if size < 1:
-        raise ValueError("need at least one draw")
-    total = alpha.total()
-    starts = np.cumsum((0,) + alpha.counts)[:-1]
-    step = max(1, SAMPLE_BLOCK // total)
-
-    def block(rows: int) -> np.ndarray:
-        words = np.frombuffer(rng.randbytes(8 * rows * total), "<u8").reshape(rows, total)
-        u = (words >> 11) * 2.0**-53
-        gammas = np.add.reduceat(-np.log1p(-u), starts, axis=1)
-        return gammas / gammas.sum(axis=1, keepdims=True)
-
-    return (block(min(step, size - lo)) for lo in range(0, size, step))
-
-
 def dirichlet_moment(alpha: HyperParams, ks: Sequence[int]) -> Fraction:
     """E[prod_i x_i**k_i] under Dirichlet(alpha), exactly.
 
@@ -214,31 +155,6 @@ def dirichlet_moment(alpha: HyperParams, ks: Sequence[int]) -> Fraction:
 
     num = math.prod(rising(a, k) for a, k in zip(alpha.counts, ks))
     return Fraction(num, rising(alpha.total(), sum(ks)))
-
-
-Z_BOUND = 4.0  # a sample matches its law when moment_z reads at most this
-
-
-def moment_z(alpha: HyperParams, draws: int, sums: np.ndarray, gram: np.ndarray) -> float:
-    """Largest |z| of the sample means of the coordinates x_j and of the
-    products x_j x_k (j <= k) of draws from Dirichlet(alpha), given the
-    draws' column sums and Gram sums x^T x, against their exact means.  The
-    standard error of f is sqrt((E[f^2] - E[f]^2) / draws), exactly, with
-    every E a dirichlet_moment.  A one-outcome alpha is the point mass at 1,
-    which every sample matches: its z is 0.0."""
-    n = alpha.n
-    if n == 1:
-        return 0.0
-    worst = 0.0
-    for degree, table in ((1, sums), (2, gram)):
-        for m in multisets(n, degree):
-            ks = m.counts
-            # The cell of the sum: (j,) or (j, k) with j <= k, the exponents' indices.
-            total = table[tuple(i for i, k in enumerate(ks) for _ in range(k))]
-            mean = dirichlet_moment(alpha, ks)
-            var = dirichlet_moment(alpha, [2 * k for k in ks]) - mean * mean
-            worst = max(worst, abs(total / draws - float(mean)) / math.sqrt(float(var) / draws))
-    return float(worst)
 
 
 def one_sum_check(alpha: HyperParams, x: Dist) -> tuple[Fraction, Fraction]:

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,23 +9,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cptforge.dirichlet import (
-    SAMPLE_BLOCK,
     HyperParams,
     density_integral,
     dirichlet_moment,
     dirichlet_normalizer,
     dirichlet_pdf,
-    dirichlet_sample_blocks,
     gamma_nat,
-    make_rng,
-    moment_z,
     one_sum_check,
     simplex_integral,
 )
 from cptforge.dist import Dist
 from cptforge.finset import FinMap, ms_map, multisets
 from cptforge.mle import mle
-from cptforge.verify import check_stoch_sampler_moments, pushed_moment
+from cptforge.verify import pushed_moment
 
 
 def all_hyperparams(n, max_total):
@@ -275,72 +270,6 @@ class TestSimplexCells:
             assert abs(rule - float(exact)) <= bound * (1 + 1e-9), (e, rule, exact, bound)
 
 
-def sample(alpha, size, rng):
-    return np.concatenate(list(dirichlet_sample_blocks(alpha, size, rng)))
-
-
-class TestDirichletSampler:
-    def test_symmetric_case(self):
-        xs = sample(HyperParams((1, 1)), 100_000, make_rng(12))
-        se = xs[:, 0].std(ddof=1) / math.sqrt(len(xs))
-        assert abs(xs[:, 0].mean() - 0.5) <= 4 * se
-
-    def test_fixed_seed_replays_bit_identically(self):
-        a = HyperParams((3, 2, 4))
-        xs = sample(a, 1000, make_rng(99))
-        ys = sample(a, 1000, make_rng(99))
-        assert np.array_equal(xs, ys)
-        x = sample(a, 1, make_rng(5))
-        assert np.array_equal(x, sample(a, 1, make_rng(5)))
-
-    @pytest.mark.parametrize("total", range(1, 14))
-    def test_blocks_replay_the_one_shot_draw(self, total):
-        def one_shot(alpha, size, rng):
-            words = np.frombuffer(rng.randbytes(8 * size * alpha.total()), "<u8")
-            u = (words >> 11) * 2.0**-53
-            exps = -np.log1p(-u).reshape(size, alpha.total())
-            gammas = np.add.reduceat(exps, np.cumsum((0,) + alpha.counts)[:-1], axis=1)
-            return gammas / gammas.sum(axis=1, keepdims=True)
-
-        cuts = sorted(random.Random(total).sample(range(1, total), min(total - 1, 4)))
-        alpha = HyperParams(tuple(b - a for a, b in zip((0, *cuts), (*cuts, total))))
-        rows = SAMPLE_BLOCK // total  # a block's rows: about SAMPLE_BLOCK exponentials
-        for size in sorted({1, rows - 1, rows, rows + 1, 2 * rows, 3 * rows + 1}):
-            ref, streamed = make_rng(size), make_rng(size)
-            blocks = list(dirichlet_sample_blocks(alpha, size, streamed))
-            assert all(len(block) <= rows for block in blocks)
-            assert np.concatenate(blocks).tobytes() == one_shot(alpha, size, ref).tobytes()
-            assert streamed.getstate() == ref.getstate()
-
-    def test_blocks_are_drawn_as_they_are_consumed(self):
-        rng, ref = make_rng(8), make_rng(8)
-        blocks = dirichlet_sample_blocks(HyperParams((1, 1)), 100_000, rng)
-        assert rng.getstate() == ref.getstate()
-        next(blocks)
-        ref.randbytes(8 * SAMPLE_BLOCK)  # one block: SAMPLE_BLOCK // 2 rows of 2 exponentials
-        assert rng.getstate() == ref.getstate()
-        with pytest.raises(ValueError, match="need at least one draw"):
-            dirichlet_sample_blocks(HyperParams((1, 1)), 0, rng)
-
-    def test_single_draw_is_valid_point(self):
-        x = sample(HyperParams((2, 5)), 1, make_rng(0))
-        assert x.shape == (1, 2) and (x > 0).all() and abs(x.sum() - 1) <= 1e-12
-
-
-class TestStreamedStatistics:
-    @pytest.mark.parametrize("law", [check_stoch_sampler_moments], ids=lambda law: law.__name__)
-    def test_sampling_laws_hold_no_whole_sample(self, law):
-        # Holding its 100k-draw sample whole, sampler-moments peaked at
-        # 6.1 MiB.
-        tracemalloc.start()
-        try:
-            assert law(1).passed
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 << 20
-
-
 class TestExactReferences:
     ALPHAS = [HyperParams(c) for c in [(1,), (2, 1, 1), (2, 1, 3), (3, 7), (2, 2, 5, 1, 3)]]
 
@@ -368,34 +297,6 @@ class TestExactReferences:
                     cov = F(num, total * total * (total + 1))
                     ks = [(k == i) + (k == j) for k in range(n)]
                     assert dirichlet_moment(a, ks) == cov + mean[i] * mean[j]
-
-    @staticmethod
-    def exact_sums(a, draws):
-        """Column sums and Gram sums of a sample whose means are exact."""
-        def moment(*idx):
-            return float(dirichlet_moment(a, [idx.count(i) for i in range(a.n)]))
-
-        sums = np.array([draws * moment(j) for j in range(a.n)])
-        gram = np.array([[draws * moment(j, k) for k in range(a.n)] for j in range(a.n)])
-        return sums, gram
-
-    def test_moment_z_of_the_exact_moments_is_zero(self):
-        for a in self.ALPHAS[1:]:
-            assert moment_z(a, 1000, *self.exact_sums(a, 1000)) < 1e-9
-
-    @pytest.mark.parametrize("k", [0.5, 3.0, -7.25])
-    def test_moment_z_counts_exact_standard_errors(self, k):
-        a, draws = HyperParams((2, 1, 3)), 100
-        for j in range(a.n):
-            sums, gram = self.exact_sums(a, draws)
-            ks = [int(i == j) for i in range(a.n)]
-            var = dirichlet_moment(a, [2 * e for e in ks]) - dirichlet_moment(a, ks) ** 2
-            sums[j] += k * draws * math.sqrt(float(var) / draws)
-            assert moment_z(a, draws, sums, gram) == pytest.approx(abs(k), rel=1e-12, abs=0)
-
-    def test_moment_z_of_one_outcome_is_zero(self):
-        # The one-outcome simplex is a single point: every sample matches.
-        assert moment_z(HyperParams((3,)), 10, np.array([10.0]), np.array([[10.0]])) == 0.0
 
 
 class TestDirichletMean:

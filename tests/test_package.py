@@ -93,12 +93,15 @@ QUIET = "import contextlib, io, sys; from cptforge import cli, verify\n"
 
 
 def test_verify_exact_loads_no_numpy(output):
+    # Nor does the stochastic suite: every law but the two golden
+    # learn-pipeline laws computes without arrays.
     code = QUIET + """
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["verify", "--suite", "exact"])
-print(code, 'numpy' in sys.modules)
+for suite in ("exact", "stochastic"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--suite", suite])
+    print(suite, code, 'numpy' in sys.modules)
 """
-    assert output(code) == "0 False"
+    assert output(code) == "exact 0 False\nstochastic 0 False"
 
 
 @forks
@@ -127,7 +130,7 @@ print(probe_result.name, probe_result.passed, 'numpy' in sys.modules)
 
 @forks
 def test_forked_checks_load_no_package_module(output):
-    # The child runs exactly the three laws marked `arrays`, and a probe law
+    # The child runs exactly the two laws marked `arrays`, and a probe law
     # after them: from the fork to the probe, the child imported numpy and
     # nothing of the package, so no forked check's seconds include a
     # module's compile.
@@ -145,8 +148,7 @@ print(forked)
 print(probe_result.passed, 'numpy' in probe_result.detail.split())
 """
     assert output(code) == (
-        "['golden/check_golden_learn_mle', 'golden/check_golden_learn_bayes', "
-        "'stochastic/check_stoch_sampler_moments']\nTrue True"
+        "['golden/check_golden_learn_mle', 'golden/check_golden_learn_bayes']\nTrue True"
     )
 
 
@@ -186,7 +188,7 @@ try:
 except AttributeError as exc:
     print(exc)
 """
-    assert output(code) == "36\nmodule 'cptforge' has no attribute 'no_such_name'"
+    assert output(code) == "35\nmodule 'cptforge' has no attribute 'no_such_name'"
 
 
 def test_submodule_import_keeps_the_function_name(output):

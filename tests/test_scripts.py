@@ -51,13 +51,13 @@ PINNED_MUTANTS = {
                                "stochastic/surjective-naturality"],
     "audit-direct-not-incremented": ["stochastic/local-update-audit"],
     "binomial-sum-denominator-off-by-one": ["stochastic/quadrature-basics",
-                                            "stochastic/density-normalisation"],
+                                            "stochastic/density-normalisation",
+                                            "stochastic/sampler-moments"],
     "cont-condition-wrong-coordinate": ["stochastic/conjugate-update"],
     "split-column-shares": ["stochastic/split-round-trip", "stochastic/split-factorisation"],
     "lifted-predicate-reversed": ["stochastic/validity-transfer-quadrature"],
     "moment-rising-off-by-one": ["exact/validity-transfer", "exact/posterior-mean-identity",
                                  "stochastic/surjective-naturality", "stochastic/sampler-moments"],
-    "sampler-reduceat-off-by-one": ["stochastic/sampler-moments"],
     "shifted-prefactor-inverted": ["stochastic/split-factorisation",
                                    "stochastic/local-update-audit"],
     "normalise-adds-one": ["golden/empirical-joint", "exact/validity-transfer",
