@@ -17,8 +17,9 @@ only, like the blanks of a CSV cell; a trailing ``\r`` is dropped.
 Graph: plain text, one directive per line.  ``node <name> <arity>`` declares
 a variable with outcomes 0..arity-1, the arity being ASCII digits from 1 to
 ``MAX_FAMILY_CELLS``; ``edge <parent> <child>`` adds a dependency.  The
-edge relation must be acyclic, and no family table (parent configurations
-x arity) may exceed ``MAX_FAMILY_CELLS`` cells.  A node name matches
+edge relation must be acyclic, no family table (parent configurations x
+arity) may exceed ``MAX_FAMILY_CELLS`` cells, and the family tables
+together may not exceed ``MAX_NETWORK_CELLS`` cells.  A node name matches
 ``[A-Za-z_][A-Za-z0-9_.-]*`` and is not ``count``, so it names a file
 inside the output directory and never the count column.
 
@@ -56,10 +57,12 @@ array per family, the counts (MLE) or the prior plus the counts (Bayes);
 `dists` and `posteriors` (rows as `HyperParams`, full-support multisets)
 are views derived from it.
 
-A family table larger than ``MAX_FAMILY_CELLS`` is refused when the graph
-is read, naming the edge that takes it over the cap, so no data is read
-for it; `CountTable.marginal_counts` refuses any larger variable set
-before it is allocated.
+A family table larger than ``MAX_FAMILY_CELLS``, or family tables that
+sum to more than ``MAX_NETWORK_CELLS``, are refused when the graph is
+read, naming the edge (or node) that takes them over the cap, so no data
+is read for them; a graph over both caps is refused for its family.
+`CountTable.marginal_counts` refuses a variable set of more than
+``MAX_FAMILY_CELLS`` cells before it is allocated.
 
 Importing this module loads no numpy: each function that computes with
 arrays imports it itself, so reading a graph or a prior loads none, and
@@ -97,6 +100,9 @@ bounds the parser's working memory."""
 
 MAX_FAMILY_CELLS = 1 << 24
 """Largest family table (parent configurations x arity) that is built."""
+
+MAX_NETWORK_CELLS = 1 << 26
+"""Largest sum of a graph's family tables, which `learn` holds at once."""
 
 _NODE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 MAX_NAME_BYTES = 255 - len(".csv")
@@ -209,6 +215,8 @@ class GraphSpec:
         if not self.nodes:
             raise DataError("graph has no nodes: it needs a 'node <name> <arity>' line")
         arities: dict[str, int] = {}
+        total = 0  # the family cells summed over the network
+        crossed = None  # the first line that takes the sum over its cap
         for (n, a), lineno in zip(self.nodes, node_lines):
             n = str(n)
             if n in arities:
@@ -224,6 +232,9 @@ class GraphSpec:
                 raise DataError(f"{_at(lineno)}node {n} has arity {a} "
                                 f"outside 1..{MAX_FAMILY_CELLS}")
             arities[n] = a
+            total += a
+            if crossed is None and total > MAX_NETWORK_CELLS:
+                crossed = f"node {reprlib.repr(n)}", lineno, total
         object.__setattr__(self, "nodes", tuple(arities.items()))
         object.__setattr__(self, "_arity", arities)
         edge_line: dict[tuple[str, str], int | None] = {}
@@ -236,14 +247,21 @@ class GraphSpec:
             if (p, c) in edge_line:
                 raise DataError(f"{_at(lineno)}duplicate edge {p} -> {c}")
             edge_line[p, c] = lineno
+            total += cells[c] * (arities[p] - 1)
             cells[c] *= arities[p]
             if over is None and cells[c] > MAX_FAMILY_CELLS:
                 over = c, lineno
+            if crossed is None and total > MAX_NETWORK_CELLS:
+                crossed = f"edge {reprlib.repr(p)} -> {reprlib.repr(c)}", lineno, total
         if over:
             c, lineno = over
             family = [p for p, child in self.edges if child == c] + [c]
             raise DataError(f"{_at(lineno)}family table over {', '.join(family)} needs "
                             f"{cells[c]} cells, more than the cap of {MAX_FAMILY_CELLS}")
+        if crossed:
+            what, lineno, cells_in_all = crossed
+            raise DataError(f"{_at(lineno)}{what} takes the family tables to {cells_in_all} cells "
+                            f"in all, more than the network cap of {MAX_NETWORK_CELLS}")
         deps = {n: [] for n in arities}
         for p, c in self.edges:
             deps[c].append(p)

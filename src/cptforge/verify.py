@@ -29,11 +29,12 @@ learn-mle-pipeline and learn-bayes-pipeline, in a forked child while the
 parent runs the other 29.  The halves share no state.  The parent's half is
 pure-Python integer and ``Fraction`` arithmetic that holds the GIL; it
 never loads numpy, so it also forks before numpy's BLAS starts any thread.
-This module imports every package module its laws use, ``network`` among
-them, which loads no numpy until its array code runs, so the child imports
-numpy alone, once, after the fork and before its first check.  The results,
-and so the report, are the same as from one process.  Each result carries
-the check's own time in ``seconds``, which never includes a module's import.
+This module imports every package module its laws use except ``network``,
+which only the two ``arrays`` laws use: the child imports ``network`` and
+then numpy, once each, after the fork and before its first check, and the
+parent and the other suites load neither.  The results, and so the report,
+are the same as from one process.  Each result carries the check's own time
+in ``seconds``, which never includes a module's import.
 
 The four integral laws and sampler-moments integrate monomials over the
 simplex exactly (``dirichlet.simplex_integral``), a route apart from the
@@ -64,6 +65,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING
 
 from .bayes import cont_condition, cont_validity, validity_transfer_check
 from .dirichlet import (
@@ -88,7 +90,9 @@ from .dist import (
 from .finset import FinMap, Multiset, ms_map, ms_tensor, multisets, row_extract
 from .localsplit import local_update_audit, pdf_factorization_check
 from .mle import likelihood, mle, mle_decompose, monad_counterexample
-from .network import CountTable, GraphSpec, learn_bayes, learn_mle
+
+if TYPE_CHECKING:  # imported where used: only the two `arrays` laws need it
+    from .network import CountTable, GraphSpec
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,8 @@ def law(
     <type>: <message>`` as its detail, and the checks after it still run.
     ``arrays=True`` marks a check that computes with numpy arrays: the
     registered function's ``arrays`` attribute says so, and ``run_suite``
-    loads numpy before the first such check and, under ``all``, runs them
-    in its forked child.
+    loads ``network`` and numpy before the first such check and, under
+    ``all``, runs them in its forked child.
     """
 
     def register(check: Callable[[int], tuple[bool, str]]) -> Check:
@@ -155,10 +159,14 @@ GOLDEN_CHANNEL = (
 
 
 def blood_medicine_graph() -> GraphSpec:
+    from .network import GraphSpec
+
     return GraphSpec(nodes=(("Blood", 2), ("Medicine", 3)), edges=(("Blood", "Medicine"),))
 
 
 def blood_medicine_table() -> CountTable:
+    from .network import CountTable
+
     records = {divmod(k, 3): c for k, c in enumerate(BLOOD_MEDICINE_COUNTS)}
     return CountTable.from_records(("Blood", "Medicine"), (2, 3), records)
 
@@ -272,6 +280,8 @@ def check_golden_conditioning(seed: int) -> tuple[bool, str]:
 
 @law("golden", "learn-mle-pipeline", arrays=True)
 def check_golden_learn_mle(seed: int) -> tuple[bool, str]:
+    from .network import learn_mle
+
     cpts = {c.node: c for c in learn_mle(blood_medicine_table(), blood_medicine_graph())}
     ok = (
         cpts["Blood"].dists[0].probs == GOLDEN_FIRST
@@ -282,6 +292,8 @@ def check_golden_learn_mle(seed: int) -> tuple[bool, str]:
 
 @law("golden", "learn-bayes-pipeline", arrays=True)
 def check_golden_learn_bayes(seed: int) -> tuple[bool, str]:
+    from .network import learn_bayes
+
     cpts = {c.node: c for c in learn_bayes(blood_medicine_table(), blood_medicine_graph())}
     blood = cpts["Blood"]
     med = cpts["Medicine"]
@@ -698,9 +710,12 @@ def run_suite(suite: str, seed: int = 42) -> list[CheckResult]:
 
 
 def _run_checks(checks: list[Check], seed: int) -> list[CheckResult]:
-    """Run the checks in turn, loading numpy first if one of them computes
-    with arrays, so that no check's ``seconds`` include its import."""
+    """Run the checks in turn, loading ``network`` and then numpy first if
+    one of them computes with arrays, so that no check's ``seconds`` include
+    an import.  ``network`` goes first: with numpy loaded before it, the
+    forked child's peak memory was higher."""
     if any(getattr(check, "arrays", False) for check in checks):
+        from . import network  # noqa: F401
         import numpy  # noqa: F401
     return [check(seed) for check in checks]
 
@@ -709,11 +724,12 @@ def _run_all_forked(checks: list[Check], seed: int) -> list[CheckResult]:
     """Every check, those marked ``arrays`` in a forked child and the rest
     in this process; results in the checks' order.
 
-    Only the child loads numpy, after the fork, so the parent runs its
-    pure-Python integer and ``Fraction`` half without it and forks while it
-    has one thread: numpy's OpenBLAS starts its helper threads when numpy
-    loads.  The child sends its pickled results, or the text of what it
-    raised, through a pipe and always leaves through ``os._exit``.  The
+    Only the child loads ``network`` and numpy, after the fork, so the
+    parent runs its pure-Python integer and ``Fraction`` half without them
+    and forks while it has one thread: numpy's OpenBLAS starts its helper
+    threads when numpy loads.  The child sends its pickled results, or the
+    text of what it raised, through a pipe and always leaves through
+    ``os._exit``.  The
     child is reaped on every path; if the parent's own checks raise or are
     interrupted, it is killed first.  ``gc.freeze`` before the fork keeps
     the collector from touching, and so copying, the pages both share.

@@ -174,7 +174,7 @@ def test_check_raising_in_the_child_is_a_fail(monkeypatch, capsys):
     def refuse(table, graph):
         raise ValueError("learning refused")
 
-    monkeypatch.setattr(verify, "learn_mle", refuse)
+    monkeypatch.setattr("cptforge.network.learn_mle", refuse)
     assert verify.check_golden_learn_mle.arrays  # so `all` runs it in the child
     failed = verify.CheckResult("golden", "learn-mle-pipeline", False,
                                 "raised ValueError: learning refused", 0.0)

@@ -152,11 +152,11 @@ def closed_form(ks):
     return F(math.prod(map(math.factorial, ks)), math.factorial(sum(ks) + len(ks) - 1))
 
 
-class TestSimplexQuadrature:
+class TestSimplexIntegrals:
     """Exact integrals over the projected simplex: of monomials
     (simplex_integral) and of monomials times densities (density_integral)."""
 
-    def test_cell_weights_sum_to_simplex_volume(self):
+    def test_constant_integrates_to_the_simplex_volume(self):
         for n in (1, 2, 3, 4, 7):
             assert simplex_integral((0,) * n) == F(1, math.factorial(n - 1))
 
@@ -190,12 +190,16 @@ class TestSimplexQuadrature:
         assert simplex_integral([0]) == simplex_integral([3]) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_batched_normalisation_matches_quadrature(self, n):
-        # Every density integrates to 1, and its monomial to the closed form.
+    def test_small_monomials_match_the_closed_form(self, n):
+        # Every density integrates to 1, and its monomial to the closed form;
+        # so does every monomial of exponents 0-3, and x_0**11 and x_last**11.
         for a in all_hyperparams(n, 10):
             assert simplex_integral([k - 1 for k in a.counts]) == closed_form(
                 [k - 1 for k in a.counts])
             assert density_integral(a, (0,) * n) == 1
+        tall = [(11,) + (0,) * (n - 1), (0,) * (n - 1) + (11,)]
+        for e in [*itertools.product(range(4), repeat=n), *tall]:
+            assert simplex_integral(e) == closed_form(e), e
 
     @given(st.lists(st.integers(1, 12), min_size=1, max_size=6), st.data())
     def test_density_integrals_are_the_moments(self, alpha, data):
@@ -205,69 +209,6 @@ class TestSimplexQuadrature:
         ks = [data.draw(st.integers(0, 6)) for _ in range(alpha.n)]
         assert simplex_integral(ks) == closed_form(ks)
         assert density_integral(alpha, ks) == dirichlet_moment(alpha, ks)
-
-
-def cells_by_meshgrid(n, res):
-    """A centroid rule over the projected simplex, built independently of
-    the integrator: the cubes of side 1 / res of a meshgrid, masked to the
-    simplex, with each cube on the boundary clipped to its part inside
-    (which is convex).  Each cell is its centroid, weighted by its volume,
-    so the rule is exact for affine functions."""
-    d = n - 1
-    if d == 0:
-        return np.array([[1.0]]), np.array([1.0])
-    if d == 1:
-        firsts = (np.arange(res, dtype=float).reshape(-1, 1) + 0.5) / res
-        weights = np.full(res, 1.0 / res)
-    else:
-        ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
-        mask = ii + jj <= res - 1
-        cells = np.stack([ii[mask], jj[mask]], axis=1)
-        if d == 3:
-            counts = res - cells.sum(axis=1)
-            base = np.repeat(cells, counts, axis=0)
-            ends = np.cumsum(counts)
-            k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-            cells = np.column_stack([base, k])
-        # (volume, centroid offset) of the clipped cube, by its slack.
-        clip = {2: {1: (1 / 2, 1 / 3)}, 3: {1: (1 / 6, 1 / 4), 2: (5 / 6, 9 / 20)}}[d]
-        slack = res - cells.sum(axis=1)
-        offsets, fracs = np.full(len(cells), 0.5), np.ones(len(cells))
-        for t, (frac, centroid) in clip.items():
-            offsets[slack == t], fracs[slack == t] = centroid, frac
-        firsts = (cells + offsets[:, None]) / res
-        weights = fracs / res**d
-    return np.column_stack([firsts, 1.0 - firsts.sum(axis=1)]), weights
-
-
-class TestSimplexCells:
-    @pytest.mark.parametrize(
-        "n,res",
-        [(n, res) for n in (1, 2, 3, 4) for res in (2, 23, 40)]
-        + [(2, 50), (3, 400), (3, 800), (4, 100)]
-        + [(n, res) for n in (1, 2, 3, 4) for res in (3, 5)],
-    )
-    def test_matches_the_meshgrid_construction(self, n, res):
-        # The centroid rule integrates every affine monomial exactly, and any
-        # other within its second-order bound: on a convex cell of diameter
-        # at most sqrt(d) / res, the Taylor remainder after the affine part
-        # is at most half the Hessian's norm times the squared diameter.  In
-        # the d leading coordinates, with x_last = 1 - sum, the Hessian entry
-        # (a, b) of x**e is at most (e_a + e_last)(e_b + e_last) on the
-        # simplex, so its Frobenius norm is at most sum_a (e_a + e_last)**2.
-        d = n - 1
-        points, weights = cells_by_meshgrid(n, res)
-        assert weights.sum() == pytest.approx(1 / math.factorial(d), rel=1e-13)
-        exps = [*itertools.product(range(4), repeat=n), (11,) + (0,) * d, (0,) * d + (11,)]
-        for e in exps:
-            exact = simplex_integral(e)
-            rule = weights @ np.prod(points ** np.array(e), axis=1)
-            if sum(e) <= 1 or d == 0:
-                assert rule == pytest.approx(float(exact), rel=1e-12), e
-                continue
-            hessian = sum((a + e[-1]) ** 2 for a in e[:-1])
-            bound = hessian * d / (2 * res**2 * math.factorial(d))
-            assert abs(rule - float(exact)) <= bound * (1 + 1e-9), (e, rule, exact, bound)
 
 
 class TestExactReferences:
@@ -297,36 +238,6 @@ class TestExactReferences:
                     cov = F(num, total * total * (total + 1))
                     ks = [(k == i) + (k == j) for k in range(n)]
                     assert dirichlet_moment(a, ks) == cov + mean[i] * mean[j]
-
-
-class TestDirichletMean:
-    def test_example(self):
-        assert mle(HyperParams((2, 1, 1))).probs == (F(1, 2), F(1, 4), F(1, 4))
-
-    def test_symmetric(self):
-        assert mle(HyperParams((1, 1))).probs == (F(1, 2), F(1, 2))
-
-    def test_mean_integral_matches(self):
-        a = HyperParams((2, 1, 1))
-        got = [density_integral(a, [int(j == i) for j in range(3)]) for i in range(3)]
-        assert got == list(mle(a).probs) == [F(1, 2), F(1, 4), F(1, 4)]
-
-
-class TestAggregateParams:
-    def test_merge_first_two(self):
-        h = FinMap((0, 0, 1), 2)
-        assert ms_map(h, HyperParams((2, 3, 4))) == HyperParams((5, 4))
-
-    def test_identity(self):
-        a = HyperParams((2, 3, 4))
-        assert ms_map(FinMap.identity(3), a) == a
-
-    def test_constant_map_gives_total(self):
-        assert ms_map(FinMap((0,) * 3, 1), HyperParams((2, 3, 4))) == HyperParams((9,))
-
-    def test_non_surjective_rejected(self):
-        with pytest.raises(ValueError, match=r"^pseudo-count 0 at index 1 must be at least 1$"):
-            ms_map(FinMap((0, 0), 2), HyperParams((1, 1)))
 
 
 @st.composite

@@ -121,15 +121,6 @@ class TestDistMap:
         with pytest.raises(ValueError):
             dist_map(FinMap.identity(2), Dist((F(1),)))
 
-    @given(dists(n=4), st.data())
-    def test_functoriality(self, omega, data):
-        m = data.draw(st.integers(1, 4))
-        k = data.draw(st.integers(1, 4))
-        h = FinMap(tuple(data.draw(st.integers(0, m - 1)) for _ in range(4)), m)
-        g = FinMap(tuple(data.draw(st.integers(0, k - 1)) for _ in range(m)), k)
-        assert dist_map(g.after(h), omega) == dist_map(g, dist_map(h, omega))
-        assert dist_map(FinMap.identity(4), omega) == omega
-
 
 class TestStateTransform:
     def test_identity_channel(self):
@@ -175,16 +166,6 @@ class TestPairGraph:
             for j in range(3):
                 assert joint[i * 3 + j] == (F(1, 3) if i == j else F(0))
 
-    @given(dists(n=3), dists(n=2), dists(n=2), dists(n=2))
-    def test_round_trip_recovers_both_parts(self, omega, r0, r1, r2):
-        c = Channel((r0, r1, r2))
-        if not omega.has_full_support():
-            return
-        joint = pair_graph(c, omega)
-        first, channel = disintegrate(joint, 2)
-        assert first == omega
-        assert channel == c
-
 
 class TestValidityAndCondition:
     def test_point_predicate_picks_probability(self):
@@ -216,13 +197,3 @@ class TestValidityAndCondition:
         omega = Dist((F(1), F(0)))
         with pytest.raises(ValueError):
             condition(omega, Predicate.point(2, 1))
-
-    @given(dists(n=4), st.lists(st.integers(0, 4), min_size=4, max_size=4),
-           st.lists(st.integers(0, 4), min_size=4, max_size=4))
-    def test_conditioning_chain(self, omega, praw, qraw):
-        p = Predicate(tuple(F(v, 4) for v in praw))
-        q = Predicate(tuple(F(v, 4) for v in qraw))
-        if validity(omega, p) == 0:
-            return
-        lhs = validity(condition(omega, p), q) * validity(omega, p)
-        assert lhs == validity(omega, p * q)

@@ -172,13 +172,13 @@ class TestMsMapFull:
         assert type(ms_map(h, Multiset((1, 2, 3)))) is Multiset
 
     def test_identity(self):
-        assert ms_map(FinMap.identity(2), HyperParams((1, 1))) == HyperParams((1, 1))
+        assert ms_map(FinMap.identity(3), HyperParams((2, 3, 4))) == HyperParams((2, 3, 4))
 
     def test_constant_collapses_to_total(self):
         assert ms_map(FinMap((0,) * 2, 1), HyperParams((2, 5))) == HyperParams((7,))
 
     def test_rejects_non_surjective(self):
-        with pytest.raises(ValueError, match="pseudo-count 0 at index 1 must be at least 1"):
+        with pytest.raises(ValueError, match="^pseudo-count 0 at index 1 must be at least 1$"):
             ms_map(FinMap((0, 0), 2), HyperParams((1, 1)))
 
     def test_rejects_missing_support(self):

@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cptforge.dist import Dist
-from cptforge.finset import Multiset, multisets
-from cptforge.mle import likelihood, mle, mle_decompose, monad_counterexample
+from cptforge.finset import Multiset
+from cptforge.mle import likelihood, mle, mle_decompose
 
 
 @st.composite
@@ -54,21 +54,6 @@ class TestLikelihood:
         with pytest.raises(ValueError):
             likelihood(Multiset((1,)), Dist((F(1, 2), F(1, 2))))
 
-    def test_grid_search_confirms_maximality(self):
-        # Independent oracle: exhaustive comparison over a rational grid.
-        phi = Multiset((3, 5, 2))
-        best = likelihood(phi, mle(phi))
-        for m in multisets(3, 50):
-            assert likelihood(phi, mle(m)) <= best
-
-
-class TestSimplexGrid:
-    def test_count_and_exact_sums(self):
-        # The distributions of denominator 10 are the normalised M[10].
-        grid = [mle(m) for m in multisets(3, 10)]
-        assert len(set(grid)) == 66  # compositions of 10 into 3 non-negative parts
-        assert all(sum(d.probs) == 1 for d in grid)
-
 
 class TestMleDecompose:
     def test_single_row(self):
@@ -79,13 +64,3 @@ class TestMleDecompose:
     def test_zero_row_propagates(self):
         with pytest.raises(ValueError):
             mle_decompose(Multiset((1, 2, 0, 0)), 2)
-
-
-class TestMonadCounterexample:
-    def test_both_routes(self):
-        report = monad_counterexample()
-        assert report.flatten_then_normalize.probs == (F(1, 3), F(1, 6), F(1, 2))
-        assert report.normalize_then_flatten.probs == (F(1, 3), F(2, 9), F(4, 9))
-
-    def test_routes_differ(self):
-        assert monad_counterexample().differ

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import os
 import random
@@ -166,14 +167,16 @@ class TestIngest:
         [
             ("Blood,Medicine,count\n0,0,10\n0,0,5\n", {(0, 0): 15}),
             ("Medicine,Blood,count\n2,1,7\n", {(1, 2): 7}),
+            ("Medicine,Blood,count\n1,0,7\n", {(0, 1): 7}),
             ("# counts below\nBlood,Medicine,count\n\n0,1,4\n# done\n", {(0, 1): 4}),
             ("Blood,Medicine,count\n", {}),
             (" \t\x0c\nBlood,Medicine,count\n0,1,4\n \t\r\n", {(0, 1): 4}),
             ("Blood,Medicine,count\n0,1," + "0" * 40 + "7\n1,2,3\n", {(0, 1): 7, (1, 2): 3}),
             ("Blood,Medicine,count\n0,1,5\n1,2,345", {(0, 1): 5, (1, 2): 345}),
         ],
-        ids=["duplicates", "permuted-header", "comments-and-blank-lines", "empty-data",
-             "whitespace-only-lines", "line-longer-than-a-chunk", "last-line-without-newline"],
+        ids=["duplicates", "permuted-header", "permuted-header-in-range",
+             "comments-and-blank-lines", "empty-data", "whitespace-only-lines",
+             "line-longer-than-a-chunk", "last-line-without-newline"],
     )
     def test_accepted_layouts(self, tmp_path, golden_graph, monkeypatch, text, records):
         path = tmp_path / "counts.csv"
@@ -365,11 +368,8 @@ class TestLearnMle:
         chan_b = ((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)))
         chan_c = ((F(1, 5), F(4, 5)), (F(2, 5), F(3, 5)))
 
-        joint = {}
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    joint[(a, b, c)] = omega_a[a] * chan_b[a][b] * chan_c[b][c]
+        joint = {(a, b, c): omega_a[a] * chan_b[a][b] * chan_c[b][c]
+                 for a, b, c in itertools.product(range(2), repeat=3)}
         denominator = math.lcm(*(p.denominator for p in joint.values()))
         records = {k: int(p * denominator) for k, p in joint.items()}
         table = CountTable.from_records(("A", "B", "C"), (2, 2, 2), records)
@@ -380,27 +380,16 @@ class TestLearnMle:
         assert tuple(d.probs for d in cpts["C"].dists) == chan_c
 
         empirical = mle(table.marginal_counts(table.variables))
-        reconstructed = []
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    reconstructed.append(omega_a[a] * chan_b[a][b] * chan_c[b][c])
-        assert empirical.probs == tuple(reconstructed)
+        assert empirical.probs == tuple(joint.values())  # row-major, as built
 
     def test_two_parent_family_row_major_order(self):
         graph = GraphSpec(
             (("A", 2), ("B", 2), ("C", 2)), (("A", "C"), ("B", "C"))
         )
-        records = {}
-        value = 1
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    records[(a, b, c)] = value
-                    value += 1
+        # Counts 1..8 in row-major order of (A, B, C).
+        records = dict(zip(itertools.product(range(2), repeat=3), range(1, 9)))
         table = CountTable.from_records(("A", "B", "C"), (2, 2, 2), records)
-        cpts = {c.node: c for c in learn_mle(table, graph)}
-        cpt = cpts["C"]
+        cpt = {c.node: c for c in learn_mle(table, graph)}["C"]
         assert cpt.parents == ("A", "B")
         # Parent configuration index 2 is (A=1, B=0): counts 5 and 6.
         assert cpt.config_outcomes(2) == (1, 0)
@@ -787,12 +776,13 @@ class TestCli:
 
 class TestFamilyCellCap:
     @staticmethod
-    def star(n_parents):
-        """C with `n_parents` arity-4 parents: the family's names, the graph
-        file's text, and the error naming the edge that takes it over the cap."""
-        names = tuple(f"P{i:02d}" for i in range(n_parents)) + ("C",)
+    def star(n_parents, children=("C",)):
+        """Children that each take the same `n_parents` arity-4 parents: the
+        names, the graph file's text, and, for one child C, the error naming
+        the edge that takes its family over the cap."""
+        names = tuple(f"P{i:02d}" for i in range(n_parents)) + children
         text = ("".join(f"node {n} 4\n" for n in names)
-                + "".join(f"edge {p} C\n" for p in names[:-1]))
+                + "".join(f"edge {p} {c}\n" for c in children for p in names[:n_parents]))
         # 4 * 4**12 cells first passes 2**24 at the 12th edge.
         error = (f"line {n_parents + 13}: family table over {', '.join(names)} "
                  f"needs {4 ** (n_parents + 1)} cells, more than the cap of 16777216")
@@ -814,14 +804,19 @@ class TestFamilyCellCap:
         assert peak < 1 << 20
 
     def test_cap_is_an_input_error(self, tmp_path, capsys):
-        # Refused when the graph is read: the data file is never opened.
-        _, text, error = self.star(20)
-        graph_file = tmp_path / "graph.txt"
-        graph_file.write_text(text, encoding="utf-8")
-        code = main(["learn", "--mode", "bayes", "--graph", str(graph_file),
-                     "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {graph_file}: {error}\n"
+        # Refused when the graph is read: the data file is never opened.  Four
+        # families at the family cap, 2**24 cells each, pass the network cap
+        # of 2**26 at the fourth child's last edge.
+        network = (self.star(11, ("C0", "C1", "C2", "C3"))[1],
+                   "line 59: edge 'P10' -> 'C3' takes the family tables to 67108908 cells in "
+                   "all, more than the network cap of 67108864")
+        for text, error in [self.star(20)[1:], network]:
+            graph_file = tmp_path / "graph.txt"
+            graph_file.write_text(text, encoding="utf-8")
+            code = main(["learn", "--mode", "bayes", "--graph", str(graph_file),
+                         "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {graph_file}: {error}\n"
 
 
 @st.composite

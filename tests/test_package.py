@@ -8,8 +8,8 @@ submodule: `learn` imports the count pipeline, which loads neither
 its BLAS on one thread unless the user's environment sets
 OPENBLAS_NUM_THREADS.  `verify` loads numpy only for the checks that
 compute with arrays: under `--suite all` on Linux, only in the forked
-child, which loads it, and no package module, before its first check, so
-the parent forks with one thread.
+child, which loads `network` and then numpy, and no other package module,
+before its first check, so the parent forks with one thread.
 """
 
 import os
@@ -93,62 +93,53 @@ QUIET = "import contextlib, io, sys; from cptforge import cli, verify\n"
 
 
 def test_verify_exact_loads_no_numpy(output):
-    # Nor does the stochastic suite: every law but the two golden
-    # learn-pipeline laws computes without arrays.
+    # Nor `network`, nor does the stochastic suite: every law but the two
+    # golden learn-pipeline laws computes without arrays.
     code = QUIET + """
 for suite in ("exact", "stochastic"):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["verify", "--suite", suite])
-    print(suite, code, 'numpy' in sys.modules)
+    print(suite, code, 'numpy' in sys.modules, 'cptforge.network' in sys.modules)
 """
-    assert output(code) == "exact 0 False\nstochastic 0 False"
+    assert output(code) == "exact 0 False False\nstochastic 0 False False"
 
 
 @forks
 def test_verify_all_parent_loads_no_numpy(output):
     code = QUIET + """
 results = verify.run_suite("all", 1)
-print(len(results), all(r.passed for r in results), 'numpy' in sys.modules)
+print(len(results), all(r.passed for r in results), 'numpy' in sys.modules,
+      'cptforge.network' in sys.modules)
 """
-    assert output(code) == "31 True False"
+    assert output(code) == "31 True False False"
+
+
+# The child runs the laws marked `arrays`, with a probe law put before them
+# and one after them.  The first probe lists the package modules, and numpy,
+# that the child imported since the fork; the last, those imported since the
+# first.  So no forked check's seconds include a module's import or compile.
+PROBES = QUIET + """
+forked = [f"{r}/{c.__name__}" for r, checks in verify.SUITES.items() for c in checks if c.arrays]
+before, seen = set(sys.modules), set()
+new = lambda since: " ".join(m for m in sys.modules if m not in since and (m == "numpy" or m.startswith("cptforge")))
+verify.law("golden", "probe-first", arrays=True)(lambda seed: (not seen.update(sys.modules), new(before)))
+verify.law("golden", "probe-last", arrays=True)(lambda seed: (not new(seen), new(seen)))
+verify.SUITES["golden"].insert(0, verify.SUITES["golden"].pop(-2))
+results = {r.name: r.detail for r in verify.run_suite("all", 1)}
+print(forked, results["probe-last"] or "none", 'numpy' in sys.modules)
+print(results["probe-first"])
+"""
 
 
 @forks
 def test_forked_check_starts_with_numpy_loaded(output):
-    # A probe law run in the child: it passes when numpy is loaded before it
-    # starts, so no forked check's seconds include numpy's import.
-    code = QUIET + """
-@verify.law("probe", "numpy-loaded", arrays=True)
-def probe(seed):
-    return 'numpy' in sys.modules, ''
-
-probe_result = verify.run_suite("all", 1)[-1]
-print(probe_result.name, probe_result.passed, 'numpy' in sys.modules)
-"""
-    assert output(code) == "numpy-loaded True False"
+    assert output(PROBES).splitlines()[1] == "cptforge.network numpy"
 
 
 @forks
 def test_forked_checks_load_no_package_module(output):
-    # The child runs exactly the two laws marked `arrays`, and a probe law
-    # after them: from the fork to the probe, the child imported numpy and
-    # nothing of the package, so no forked check's seconds include a
-    # module's compile.
-    code = QUIET + """
-forked = [f"{r}/{c.__name__}" for r, checks in verify.SUITES.items() for c in checks if c.arrays]
-before = set(sys.modules)
-
-@verify.law("probe", "no-package-module", arrays=True)
-def probe(seed):
-    new = sorted(set(sys.modules) - before)
-    return not [m for m in new if m.startswith("cptforge")], " ".join(new)
-
-probe_result = verify.run_suite("all", 1)[-1]
-print(forked)
-print(probe_result.passed, 'numpy' in probe_result.detail.split())
-"""
-    assert output(code) == (
-        "['golden/check_golden_learn_mle', 'golden/check_golden_learn_bayes']\nTrue True"
+    assert output(PROBES).splitlines()[0] == (
+        "['golden/check_golden_learn_mle', 'golden/check_golden_learn_bayes'] none False"
     )
 
 
@@ -160,12 +151,7 @@ def test_verify_all_forks_a_single_threaded_process(output):
     code = QUIET + f"""
 import os
 fork, threads = os.fork, []
-
-def counting_fork():
-    threads.append(len(os.listdir({str(TASKS)!r})))
-    return fork()
-
-os.fork = counting_fork
+os.fork = lambda: (threads.append(len(os.listdir({str(TASKS)!r}))), fork())[1]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "--suite", "all"])
 print(code, threads)

@@ -77,3 +77,17 @@ def test_law_mutants_fail_their_laws(run_python):
     assert set(failed) == set(PINNED_MUTANTS)
     for mutant, laws in PINNED_MUTANTS.items():
         assert set(laws) <= set(failed[mutant].split(": ", 1)[1].split(", ")), mutant
+
+
+# How many lines tests/*.py may run longer than src/cptforge/*.py.  A change
+# may lower this bound, and never raise it: the suite should shrink towards
+# the code it tests, not grow past it.
+TESTS_OVER_SRC_LINES = 626
+
+
+def test_tests_stay_within_their_line_bound():
+    def lines(pattern):
+        return sum(path.read_bytes().count(b"\n") for path in ROOT.glob(pattern))
+
+    gap = lines("tests/*.py") - lines("src/cptforge/*.py")
+    assert gap <= TESTS_OVER_SRC_LINES, f"tests/*.py run {gap} lines longer than src/"
