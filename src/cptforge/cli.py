@@ -36,7 +36,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def seed(text: str) -> int:
-    """The --seed type: an integer of at least 0, as the random streams need
+    """The --seed type: an integer of at least 0, as Random(-n) is Random(n)
     (argparse names it in errors)."""
     value = int(text)
     if value < 0:

@@ -7,8 +7,8 @@ weights[i]/total, with `probs`, the entries as `fractions.Fraction`s,
 derived on first use.  `Dist.normalise` is the normalisation map, the one
 `mle` applies to a count vector.  Every kernel computes on integers and
 normalises its result once, so every identity in this layer holds with zero
-tolerance.  Predicates carry Fractions; conversion to binary64 happens only
-at the continuous boundary.
+tolerance.  Predicates carry Fractions; no kernel or law converts to
+binary64 (only `LocalUpdateAudit.format_report` prints floats, for display).
 
 A joint distribution is a Dist over the row-major product n*m (see finset),
 the only 2-D form: its marginals are dist_map along FinMap.proj1/proj2, and

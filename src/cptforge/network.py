@@ -65,8 +65,9 @@ is read for them; a graph over both caps is refused for its family.
 ``MAX_FAMILY_CELLS`` cells before it is allocated.
 
 Importing this module loads no numpy: each function that computes with
-arrays imports it itself, so reading a graph or a prior loads none, and
-`verify` can import the module before it forks.
+arrays imports it itself, so reading a graph or a prior loads none.
+`verify` imports it only for its two learn-pipeline laws, which
+`--suite all` runs in its forked child.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -17,7 +18,6 @@ from cptforge.network import CountTable, GraphSpec
 from cptforge.verify import (
     BLOOD_MEDICINE_COUNTS,
     blood_medicine_graph,
-    blood_medicine_joint,
     blood_medicine_table,
 )
 
@@ -40,6 +40,11 @@ def reverse_the_split_totals(monkeypatch):
     monkeypatch.setattr(localsplit, "disintegrate", split)
 
 
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 @pytest.fixture
 def run_python():
     """Run a fresh interpreter on the given arguments, with the package's
@@ -54,11 +59,6 @@ def run_python():
                               env=env, timeout=120)
 
     return run
-
-
-@pytest.fixture
-def golden_joint():
-    return blood_medicine_joint()
 
 
 @pytest.fixture

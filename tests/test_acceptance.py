@@ -7,7 +7,6 @@ runs that law at extra seeds, so that seeds times the law's instances per
 seed reach the criterion's count; the others keep their own, finer checks.
 """
 
-import csv
 import random
 import time
 from contextlib import contextmanager
@@ -22,6 +21,8 @@ from cptforge.finset import Multiset, multisets
 from cptforge.mle import likelihood, mle
 from cptforge.network import CountTable, learn_bayes, learn_mle
 from cptforge.verify import blood_medicine_graph, blood_medicine_joint, blood_medicine_table
+
+from conftest import read_csv
 
 
 @contextmanager
@@ -39,11 +40,6 @@ def passes(check, seeds):
     for seed in seeds:
         result = check(seed)
         assert result.passed, f"seed {seed}: {result.detail}"
-
-
-def read_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.reader(fh))
 
 
 def test_criterion_01_golden_reproduction(tmp_path, golden_graph_file, golden_data_csv):

@@ -93,38 +93,14 @@ class TestContCondition:
 
 
 class TestBatchUpdate:
-    def test_entrywise_addition(self):
-        got = HyperParams((1, 1, 1)) + Multiset((10, 5, 5))
-        assert got.counts == (11, 6, 6)
-
     def test_pseudo_counts_plus_data_are_pseudo_counts(self):
         # The multiset sum keeps the prior's type, so no re-wrapping is needed.
         assert type(HyperParams((1, 2)) + Multiset((0, 3))) is HyperParams
         assert HyperParams((1, 1)) + Multiset((4, 0)) == HyperParams((5, 1))
 
-    def test_zero_data_is_identity(self):
-        a = HyperParams((2, 3))
-        assert a + Multiset((0, 0)) == a
-
-    def test_batches_compose_additively(self):
-        a = HyperParams((1, 2))
-        b1, b2 = Multiset((3, 0)), Multiset((1, 4))
-        assert (a + b1) + b2 == a + (b1 + b2)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             HyperParams((1, 1)) + Multiset((1, 2, 3))
-
-    @given(hyperparams_st, st.data())
-    def test_posterior_mean_is_normalised_updated_counts(self, alpha, data):
-        from cptforge.mle import mle
-
-        counts = Multiset(
-            tuple(data.draw(st.integers(0, 20)) for _ in range(alpha.n))
-        )
-        total = alpha.total() + counts.total()
-        assert mle(alpha + counts).probs == tuple(
-            F(a + c, total) for a, c in zip(alpha.counts, counts.counts))
 
 
 class TestValidityTransfer:

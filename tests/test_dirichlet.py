@@ -32,10 +32,6 @@ def all_hyperparams(n, max_total):
 
 
 class TestGammaNat:
-    def test_base_cases(self):
-        assert gamma_nat(1) == 1
-        assert gamma_nat(2) == 1
-
     def test_recursion(self):
         assert gamma_nat(5) == 24
         for k in range(1, 30):
@@ -44,9 +40,6 @@ class TestGammaNat:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             gamma_nat(0)
-
-    def test_exact_for_large_arguments(self):
-        assert gamma_nat(25) == math.factorial(24)
 
 
 class TestHyperParams:
@@ -71,10 +64,6 @@ class TestHyperParams:
         # An index that is not an integer is named, not matched against none.
         with pytest.raises(ValueError, match=r"^index 0.5 is not one of 0..1$"):
             HyperParams((2, 3)).increment(0.5)
-
-    def test_total_at_least_n(self):
-        a = HyperParams((1, 1, 1))
-        assert a.total() >= a.n
 
 
 class TestDirichletPdf:
@@ -160,18 +149,6 @@ class TestSimplexIntegrals:
         for n in (1, 2, 3, 4, 7):
             assert simplex_integral((0,) * n) == F(1, math.factorial(n - 1))
 
-    def test_constant_on_two_outcomes(self):
-        assert simplex_integral([0, 0]) == 1
-
-    def test_coordinate_mean_by_symmetry(self):
-        assert simplex_integral([1, 0]) == simplex_integral([0, 1]) == F(1, 2)
-
-    def test_linear_density_normalisation(self):
-        assert density_integral(HyperParams((2, 1, 1)), (0, 0, 0)) == 1
-
-    def test_four_outcome_normalisation(self):
-        assert density_integral(HyperParams((2, 1, 1, 2)), (0, 0, 0, 0)) == 1
-
     def test_exponents_are_refused_not_truncated(self):
         with pytest.raises(ValueError, match="exponent 1.7 at index 0 is not an integer"):
             density_integral(HyperParams((1, 2)), [1.7, 0])
@@ -184,10 +161,6 @@ class TestSimplexIntegrals:
             density_integral(HyperParams((1, 2)), [1])
         with pytest.raises(ValueError, match="^need the exponent of at least one coordinate$"):
             simplex_integral([])
-
-    def test_degenerate_dimension(self):
-        # The one-outcome simplex is the point x0 = 1, of weight 1.
-        assert simplex_integral([0]) == simplex_integral([3]) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_small_monomials_match_the_closed_form(self, n):

@@ -23,15 +23,6 @@ from cptforge.mle import mle, mle_decompose
 counts_st = st.lists(st.integers(0, 9), min_size=1, max_size=6).map(tuple)
 
 
-@st.composite
-def map_with_multiset(draw):
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 6))
-    h = FinMap(tuple(draw(st.integers(0, m - 1)) for _ in range(n)), m)
-    phi = Multiset(tuple(draw(st.integers(0, 9)) for _ in range(n)))
-    return h, phi
-
-
 class TestFinMap:
     def test_identity_and_call(self):
         h = FinMap.identity(4)
@@ -58,12 +49,6 @@ class TestFinMap:
             FinMap((1.0, 0), 2)
         with pytest.raises(ValueError, match=r"^codomain size 1.5 is not an integer$"):
             FinMap((0,), 1.5)
-
-    def test_surjectivity_flag(self):
-        # Pseudo-counts pushed along h are refused exactly when h is not onto.
-        with pytest.raises(ValueError, match="pseudo-count 0 at index 1 must be at least 1"):
-            ms_map(FinMap((0, 0), 2), HyperParams((1, 1)))
-        assert ms_map(FinMap((1, 0), 2), HyperParams((1, 1))) == HyperParams((1, 1))
 
 
 class TestMultiset:
@@ -94,15 +79,6 @@ class TestMultiset:
     def test_numpy_integers_become_python_ints(self):
         phi = Multiset(np.array([2**62, 3], dtype=np.int64))
         assert phi.counts == (2**62, 3) and all(type(c) is int for c in phi.counts)
-
-    def test_classifications(self):
-        # The full-support multisets are the ones HyperParams accepts.
-        with pytest.raises(ValueError, match="pseudo-count 0 at index 0 must be at least 1"):
-            HyperParams((0, 1))
-        assert HyperParams((2, 1)).counts == Multiset((2, 1)).counts
-
-    def test_total(self):
-        assert Multiset((10, 35, 25, 5, 10, 15)).total() == 100
 
     def test_sum_of_multisets_is_a_multiset(self):
         total = Multiset((1, 0)) + Multiset((2, 3))
@@ -140,28 +116,9 @@ class TestMsMap:
         phi = Multiset((10, 35, 25, 5, 10, 15))
         assert ms_map(FinMap.proj2(2, 3), phi).counts == (15, 45, 40)
 
-    def test_identity_fixes_everything(self):
-        phi = Multiset((3, 0, 7))
-        assert ms_map(FinMap.identity(3), phi) == phi
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ms_map(FinMap.identity(2), Multiset((1, 2, 3)))
-
-    @given(map_with_multiset())
-    def test_total_preserved(self, case):
-        h, phi = case
-        assert ms_map(h, phi).total() == phi.total()
-
-    @given(map_with_multiset(), st.data())
-    def test_functoriality(self, case, data):
-        h, phi = case
-        k = data.draw(st.integers(1, 6))
-        g = FinMap(
-            tuple(data.draw(st.integers(0, k - 1)) for _ in range(h.codomain_size)), k
-        )
-        assert ms_map(g.after(h), phi) == ms_map(g, ms_map(h, phi))
-        assert ms_map(FinMap.identity(phi.n), phi) == phi
 
 
 class TestMsMapFull:
@@ -170,9 +127,6 @@ class TestMsMapFull:
         out = ms_map(h, HyperParams((1, 2, 3)))
         assert out == HyperParams((3, 3))
         assert type(ms_map(h, Multiset((1, 2, 3)))) is Multiset
-
-    def test_identity(self):
-        assert ms_map(FinMap.identity(3), HyperParams((2, 3, 4))) == HyperParams((2, 3, 4))
 
     def test_constant_collapses_to_total(self):
         assert ms_map(FinMap((0,) * 2, 1), HyperParams((2, 5))) == HyperParams((7,))
@@ -198,9 +152,6 @@ class TestRowExtract:
         assert rows == (HyperParams((1, 2)), HyperParams((3, 4)), HyperParams((5, 6)))
         assert all(type(row) is HyperParams for row in rows)
 
-    def test_single_row_is_whole_table(self):
-        assert row_extract(Multiset((4, 0, 1)), 3) == (Multiset((4, 0, 1)),)
-
     def test_zero_row_reports_index(self):
         # A row of counts may be empty; only normalising it fails, naming it.
         phi = Multiset((1, 2, 0, 0, 3, 4))
@@ -216,11 +167,6 @@ class TestRowExtract:
         totals = ms_map(FinMap.proj1(3, 2), phi)
         for i, row in enumerate(row_extract(phi, 2)):
             assert row.total() == totals[i]
-
-    def test_rows_reconstruct_table(self):
-        phi = Multiset((1, 2, 3, 4))
-        rows = row_extract(phi, 2)
-        assert Multiset(tuple(c for r in rows for c in r.counts)) == phi
 
     # Every function that splits a table into rows, on a table of 6 cells.
     SPLITS = {

@@ -34,10 +34,6 @@ class TestMle:
     def test_full_support_iff_counts_full_support(self, phi):
         assert mle(phi).has_full_support() == all(phi.counts)
 
-    @given(nonempty_multiset())
-    def test_sums_to_one(self, phi):
-        assert sum(mle(phi).probs) == 1
-
 
 class TestLikelihood:
     def test_two_fair_coin_observations(self):

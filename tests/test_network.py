@@ -1,4 +1,3 @@
-import csv
 import io
 import itertools
 import math
@@ -35,14 +34,9 @@ from cptforge.network import (
     write_cpts,
 )
 
-from conftest import reverse_the_split_totals
+from conftest import read_csv, reverse_the_split_totals
 
 EXPECTED = Path(__file__).parent / "expected"
-
-
-def read_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.reader(fh))
 
 
 class TestGraphSpec:
@@ -93,12 +87,6 @@ class TestGraphSpec:
         g = GraphSpec.parse(io.BytesIO(text.encode()))
         assert g.node_names == ("_a", "X1.b-c", "counts", longest)
 
-    def test_parse_error_reports_line(self):
-        with pytest.raises(DataError, match="line 2"):
-            GraphSpec.parse(io.BytesIO(b"node A 2\nnode B\n"))
-        with pytest.raises(DataError, match="line 1"):
-            GraphSpec.parse(io.BytesIO(b"node A two\n"))
-
     @pytest.mark.parametrize(
         "arity,message",
         [
@@ -146,11 +134,6 @@ class TestGraphSpec:
 
 
 class TestIngest:
-    def test_worked_example(self, golden_data_csv, golden_graph):
-        table = ingest_counts(golden_data_csv, golden_graph)
-        assert table.total() == 100
-        assert table.marginal_counts(table.variables).counts == (10, 35, 25, 5, 10, 15)
-
     def test_short_file_reads_no_whole_chunk(self, golden_data_csv, golden_graph):
         # A chunk reads at most the bytes left in the file.  Reading a whole
         # CHUNK_BYTES chunk of these 6 lines peaked at 1.08 MB.
@@ -194,18 +177,6 @@ class TestIngest:
         b = ingest_counts(path, golden_graph)
         assert a == b
 
-    def test_concatenation_is_additive(self, tmp_path, golden_graph, golden_data_csv):
-        extra = "0,0,3\n1,2,2\n"
-        combined = tmp_path / "combined.csv"
-        combined.write_text(
-            golden_data_csv.read_text(encoding="utf-8") + extra, encoding="utf-8"
-        )
-        base = ingest_counts(golden_data_csv, golden_graph)
-        total = ingest_counts(combined, golden_graph)
-        for key, count in base.records.items():
-            bump = {(0, 0): 3, (1, 2): 2}.get(key, 0)
-            assert total.records[key] == count + bump
-
     @pytest.mark.parametrize(
         "row,message",
         [
@@ -226,7 +197,7 @@ class TestIngest:
     def test_bad_rows_report_line_numbers(self, tmp_path, golden_graph, row, message):
         path = tmp_path / "bad.csv"
         path.write_text(f"Blood,Medicine,count\n{row}\n", encoding="utf-8")
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
             ingest_counts(path, golden_graph)
 
     @pytest.mark.parametrize(
@@ -339,22 +310,11 @@ class TestLineRule:
 
 
 class TestLearnMle:
-    def test_single_node_graph(self):
-        graph = GraphSpec((("X", 3),), ())
-        table = CountTable.from_records(("X",), (3,), {(0,): 2, (1,): 3, (2,): 5})
-        (cpt,) = learn_mle(table, graph)
-        assert cpt.dists[0].probs == (F(1, 5), F(3, 10), F(1, 2))
-
     def test_zero_parent_configuration_aborts_with_names(self, golden_graph):
         table = CountTable.from_records(
             ("Blood", "Medicine"), (2, 3), {(0, 0): 10, (0, 2): 5}
         )
         with pytest.raises(DataError, match="Blood=1"):
-            learn_mle(table, golden_graph)
-
-    def test_empty_table_aborts(self, golden_graph):
-        table = CountTable.from_records(("Blood", "Medicine"), (2, 3), {})
-        with pytest.raises(DataError):
             learn_mle(table, golden_graph)
 
     def test_chain_reconstruction_on_factorising_data(self):
@@ -413,17 +373,6 @@ class TestLearnMle:
 
 
 class TestLearnBayes:
-    def test_zero_data_keeps_prior(self, golden_graph):
-        table = CountTable.from_records(("Blood", "Medicine"), (2, 3), {})
-        cpts = {c.node: c for c in learn_bayes(table, golden_graph)}
-        assert cpts["Blood"].posteriors[0].counts == (1, 1)
-        assert cpts["Medicine"].dists[0] == Dist((F(1, 3),) * 3)
-
-    def test_never_aborts_on_missing_configuration(self, golden_graph):
-        table = CountTable.from_records(("Blood", "Medicine"), (2, 3), {(0, 0): 10})
-        cpts = {c.node: c for c in learn_bayes(table, golden_graph)}
-        assert cpts["Medicine"].posteriors[1].counts == (1, 1, 1)
-
     def test_custom_prior(self, golden_table, golden_graph):
         cpts = {
             c.node: c
@@ -446,20 +395,25 @@ class TestPriorParsing:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("Pressure 1 1\n", "unknown node"),
-            ("Blood 1\n", "needs 2"),
-            ("Blood 1 0\n", ">= 1"),
-            ("Blood 1 1\nBlood 2 2\n", "duplicate"),
-            ("Blood one 1\n", "integers"),
+            pytest.param("Pressure 1 1\n", "line 1: unknown node 'Pressure'",
+                         id="Pressure 1 1\n-unknown node"),
+            pytest.param("Blood 1\n", "line 1: Blood needs 2 pseudo-counts, got 1",
+                         id="Blood 1\n-needs 2"),
+            pytest.param("Blood 1 0\n", "line 1: pseudo-counts must be >= 1", id="Blood 1 0\n->= 1"),
+            pytest.param("Blood 1 1\nBlood 2 2\n", "line 2: duplicate prior for Blood",
+                         id="Blood 1 1\nBlood 2 2\n-duplicate"),
+            pytest.param("Blood one 1\n", "line 1: pseudo-counts must be integers",
+                         id="Blood one 1\n-integers"),
             ("Blood +1 1_0\n", "line 1: pseudo-counts must be integers"),
             ("Blood 1 \u0663\n", "line 1: pseudo-counts must be integers"),
             ("Blood -1 1\n", "line 1: pseudo-counts must be >= 1"),
-            pytest.param("# huge\nBlood 1 " + "9" * 5000 + "\n", "line 2: .*5000 digits is too long",
-                         id="5000-digits"),
+            pytest.param("# huge\nBlood 1 " + "9" * 5000 + "\n",
+                         "line 2: a number of 5000 digits is too long", id="5000-digits"),
         ],
     )
     def test_errors(self, golden_graph, text, message):
-        with pytest.raises(DataError, match=message):
+        # The whole message; the explicit ids keep those rows' test IDs stable.
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             parse_prior(io.BytesIO(text.encode()), golden_graph)
 
 
@@ -608,8 +562,8 @@ class TestCli:
         "golden --seed 42", "exact --seed 42", "stochastic --seed 42", "all --seed 42",
     ], ids=["golden", "exact", "stochastic", "all"])
     def test_verify_stdout_is_pinned(self, args, capsys):
-        # Every exact value and every sampled statistic is in the report, so
-        # a changed law, Philox stream or seed offset changes this output.
+        # Every exact value is in the report, and each law draws its instances
+        # from Random(seed + k), so a changed law, draw or offset k changes it.
         # `all` runs its array laws in a forked child on Linux, and its report
         # is the three suites' check lines in turn, under one summary.
         pins = {"golden": "verify-golden-seed42.txt", "exact": "verify-exact-seed42.txt",
