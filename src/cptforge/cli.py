@@ -82,8 +82,7 @@ def _run_learn(args: argparse.Namespace) -> int:
               "and --mode mle normalises the counts alone", file=sys.stderr)
         return 2
     # Deferred, like `.verify` below: only learn needs the count pipeline,
-    # which loads numpy when it first computes with arrays, after the graph
-    # has been read.
+    # and with it numpy.
     from .network import (
         DataError,
         GraphSpec,

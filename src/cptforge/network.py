@@ -63,11 +63,6 @@ read, naming the edge (or node) that takes them over the cap, so no data
 is read for them; a graph over both caps is refused for its family.
 `CountTable.marginal_counts` refuses a variable set of more than
 ``MAX_FAMILY_CELLS`` cells before it is allocated.
-
-Importing this module loads no numpy: each function that computes with
-arrays imports it itself, so reading a graph or a prior loads none.
-`verify` imports it only for its two learn-pipeline laws, which
-`--suite all` runs in its forked child.
 """
 
 from __future__ import annotations
@@ -87,11 +82,11 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .finset import Multiset, integer_tuple
 
 if TYPE_CHECKING:  # imported where used: `learn --mode mle` needs neither
-    import numpy as np
-
     from .dirichlet import HyperParams
     from .dist import Dist
 
@@ -320,8 +315,6 @@ class GraphSpec:
 
 def _outcome_dtype(arities: tuple[int, ...]) -> np.dtype:
     """The smallest unsigned integer type holding every outcome index."""
-    import numpy as np
-
     return np.min_scalar_type(max(arities, default=1) - 1)
 
 
@@ -329,15 +322,11 @@ def _count_dtype(total: int) -> type:
     """The dtype of an array of non-negative integers whose exact grand total is
     `total`: int64 while the total is below 2**63, so that no sum of its cells
     can wrap, and Python ints (dtype object) beyond."""
-    import numpy as np
-
     return np.int64 if total < 1 << 63 else object
 
 
 def _sum_by_index(index: np.ndarray, counts: np.ndarray, size: int, total: int) -> np.ndarray:
     """``counts`` summed into ``size`` cells by ``index``, given their exact ``total``."""
-    import numpy as np
-
     dtype = _count_dtype(total)
     out = np.zeros(size, dtype=dtype)
     np.add.at(out, index, counts.astype(dtype, copy=False))
@@ -366,8 +355,6 @@ class CountTable:
     _total: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        import numpy as np
-
         shape = (len(self.counts), len(self.variables))
         if len(self.arities) != shape[1] or self.outcomes.shape != shape:
             raise ValueError(f"outcomes of shape {self.outcomes.shape} do not fit "
@@ -397,8 +384,6 @@ class CountTable:
         mapping: Mapping[tuple[int, ...], int],
     ) -> CountTable:
         """A table with one row per (outcome tuple, count) item of `mapping`."""
-        import numpy as np
-
         return cls(tuple(variables), tuple(arities),
                    np.array(list(mapping), dtype=object).reshape(len(mapping), len(variables)),
                    np.array(list(mapping.values()), dtype=object))
@@ -427,8 +412,6 @@ class CountTable:
         `names`: one exact scatter-add of every row's count into its cell,
         whose row-major index is built by Horner's rule over the columns.
         """
-        import numpy as np
-
         positions = []
         for name in names:
             if name not in self.variables:
@@ -500,8 +483,6 @@ def _is_digit(raw: np.ndarray) -> np.ndarray:
 
 def _digit_runs(raw: np.ndarray) -> int:
     """The number of maximal runs of digits in the bytes `raw`."""
-    import numpy as np
-
     digit = _is_digit(raw)
     return int(digit[0]) + np.count_nonzero(digit[1:] & ~digit[:-1])
 
@@ -517,8 +498,6 @@ def _bulk_rows(body: bytes, width: int) -> np.ndarray | None:
     digit is its value; a longer run adds its other digits at their place
     values.
     """
-    import numpy as np
-
     if not body or b"#" in body:
         return None  # a '#' makes a comment line or an error, for `_read_chunk` to sort
     if not body.endswith(b"\n"):
@@ -586,8 +565,6 @@ def _read_chunk(body: bytes, first: int, names: tuple[str, ...], arities: tuple[
     first bad line and reading counts past int64.  Only these slower paths
     split the chunk into lines; on the bulk path each line is one row.
     """
-    import numpy as np
-
     dtype, width = _outcome_dtype(arities), len(names) + 1
     values = _bulk_rows(body, width)
     if values is not None:
@@ -627,8 +604,6 @@ def ingest_counts(path: str | Path, graph: GraphSpec) -> CountTable:
     chunk's parts are concatenated once at the end, so the table's
     column-major array is built without another copy.
     """
-    import numpy as np
-
     path = Path(path)
     with _in_file(path):
         names = graph.node_names
@@ -688,8 +663,6 @@ class LearnedCPT:
 
     def config_outcomes(self, index: int) -> tuple[int, ...]:
         """Decode a row-major parent configuration index."""
-        import numpy as np
-
         return tuple(int(o) for o in np.unravel_index(index, self.parent_arities))
 
 
@@ -700,8 +673,6 @@ def _learn(table: CountTable, graph: GraphSpec, mode: str,
     A row whose total is zero cannot be normalised, so it aborts the run
     naming the family and the first such parent configuration.
     """
-    import numpy as np
-
     for node, got in zip(table.variables, table.arities):
         if (arity := graph._arity.get(node, got)) != got:
             raise DataError(f"node {node} has arity {arity} in the graph "

@@ -22,7 +22,8 @@ are defined.  To add a law, define its decorated function where it belongs
 and add ``"suite/name"`` at the same position in the benchmark oracle's
 ``VERIFY_CHECKS`` (``perfbench/oracle.py``), which pins that order.  A law
 that computes with numpy arrays is declared ``@law(suite, name,
-arrays=True)`` and imports numpy itself: this module loads none.
+arrays=True)`` and computes through ``network``, which loads numpy: this
+module loads neither.
 
 ``run_suite("all")`` on Linux runs the two ``arrays`` laws, the golden
 learn-mle-pipeline and learn-bayes-pipeline, in a forked child while the
@@ -30,8 +31,8 @@ parent runs the other 29.  The halves share no state.  The parent's half is
 pure-Python integer and ``Fraction`` arithmetic that holds the GIL; it
 never loads numpy, so it also forks before numpy's BLAS starts any thread.
 This module imports every package module its laws use except ``network``,
-which only the two ``arrays`` laws use: the child imports ``network`` and
-then numpy, once each, after the fork and before its first check, and the
+which only the two ``arrays`` laws use: the child imports ``network``, and
+numpy with it, once, after the fork and before its first check, and the
 parent and the other suites load neither.  The results, and so the report,
 are the same as from one process.  Each result carries the check's own time
 in ``seconds``, which never includes a module's import.
@@ -710,13 +711,11 @@ def run_suite(suite: str, seed: int = 42) -> list[CheckResult]:
 
 
 def _run_checks(checks: list[Check], seed: int) -> list[CheckResult]:
-    """Run the checks in turn, loading ``network`` and then numpy first if
-    one of them computes with arrays, so that no check's ``seconds`` include
-    an import.  ``network`` goes first: with numpy loaded before it, the
-    forked child's peak memory was higher."""
+    """Run the checks in turn, loading ``network``, and with it numpy, first
+    if one of them computes with arrays, so that no check's ``seconds``
+    include an import."""
     if any(getattr(check, "arrays", False) for check in checks):
         from . import network  # noqa: F401
-        import numpy  # noqa: F401
     return [check(seed) for check in checks]
 
 

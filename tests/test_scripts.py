@@ -82,7 +82,7 @@ def test_law_mutants_fail_their_laws(run_python):
 # How many lines tests/*.py may run longer than src/cptforge/*.py.  A change
 # may lower this bound, and never raise it: the suite should shrink towards
 # the code it tests, not grow past it.
-TESTS_OVER_SRC_LINES = 384
+TESTS_OVER_SRC_LINES = 383
 
 
 def test_tests_stay_within_their_line_bound():
